@@ -1,9 +1,27 @@
 //! Columnar intermediate results.
 
-use hsp_rdf::TermId;
+use hsp_rdf::{Term, TermId};
 use hsp_sparql::Var;
+use hsp_store::Dataset;
 
-use crate::pool::BufferPool;
+use crate::pool::{is_computed, BufferPool, COMPUTED_BASE};
+
+/// Resolve one result id to a term: `None` for the unbound sentinel,
+/// `computed` (an execution's overlay snapshot, indexed by `id -`
+/// [`COMPUTED_BASE`]) for aggregate outputs, the dictionary of `ds`
+/// otherwise. The returned term shares its string payloads with the
+/// dictionary / overlay entry: the cost is one to three reference-count
+/// bumps, never a string copy.
+#[inline]
+pub fn resolve_term(ds: &Dataset, computed: &[Term], id: TermId) -> Option<Term> {
+    if id.is_unbound() {
+        None
+    } else if is_computed(id) {
+        computed.get((id.0 - COMPUTED_BASE) as usize).cloned()
+    } else {
+        Some(ds.dict().term(id).clone())
+    }
+}
 
 /// A fully materialised, columnar table of variable bindings.
 ///
@@ -193,6 +211,45 @@ impl BindingTable {
             cols,
             sorted_by: None,
             rows: sel.len(),
+        }
+    }
+
+    /// Decode to term-level rows — the one place result ids become terms.
+    ///
+    /// Row `r` of the output holds, per variable of `projection`, the term
+    /// of table row `sel[r]` (of row `r` when `sel` is `None`, i.e. the
+    /// whole table in order); `computed` is the execution's overlay
+    /// snapshot (see [`resolve_term`]). A projected variable the table
+    /// does not bind decodes as unbound throughout. Each projected
+    /// column's id slice is looked up once, and every row is allocated at
+    /// its final width.
+    ///
+    /// Callers apply DISTINCT / ORDER BY / OFFSET / LIMIT on ids and row
+    /// indices first and pass the survivors as `sel`, so only rows that
+    /// are returned are ever decoded.
+    ///
+    /// # Panics
+    /// Panics if a `sel` index is out of bounds.
+    pub fn decode_rows(
+        &self,
+        ds: &Dataset,
+        computed: &[Term],
+        projection: &[Var],
+        sel: Option<&[u32]>,
+    ) -> Vec<Vec<Option<Term>>> {
+        let cols: Vec<Option<&[TermId]>> = projection
+            .iter()
+            .map(|&v| self.col_index(v).map(|c| self.cols[c].as_slice()))
+            .collect();
+        // Exact-size iterator: each row is allocated once, at its width.
+        let decode_row = |i: usize| -> Vec<Option<Term>> {
+            cols.iter()
+                .map(|col| col.and_then(|col| resolve_term(ds, computed, col[i])))
+                .collect()
+        };
+        match sel {
+            Some(sel) => sel.iter().map(|&i| decode_row(i as usize)).collect(),
+            None => (0..self.rows).map(decode_row).collect(),
         }
     }
 

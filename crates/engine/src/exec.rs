@@ -15,7 +15,7 @@ use hsp_sparql::Var;
 use hsp_store::Dataset;
 
 use crate::aggregate::AggError;
-use crate::binding::BindingTable;
+use crate::binding::{resolve_term, BindingTable};
 use crate::govern::{CancelToken, GovernorError, QueryGovernor};
 use crate::metrics::RuntimeMetrics;
 use crate::ops;
@@ -394,17 +394,16 @@ pub struct ExecOutput {
 impl ExecOutput {
     /// Resolve a result id to a term: dictionary ids through `ds`,
     /// computed (aggregate) ids through this execution's overlay snapshot.
-    /// `None` for the unbound sentinel.
+    /// `None` for the unbound sentinel. A reference-count bump, never a
+    /// string copy (see [`resolve_term`]).
     pub fn term(&self, ds: &Dataset, id: TermId) -> Option<hsp_rdf::Term> {
-        if id.is_unbound() {
-            None
-        } else if crate::pool::is_computed(id) {
-            self.computed
-                .get((id.0 - crate::pool::COMPUTED_BASE) as usize)
-                .cloned()
-        } else {
-            Some(ds.dict().term(id).clone())
-        }
+        resolve_term(ds, &self.computed, id)
+    }
+
+    /// Decode the whole result into term-level rows over `projection` —
+    /// [`BindingTable::decode_rows`] with this execution's overlay.
+    pub fn decode_rows(&self, ds: &Dataset, projection: &[Var]) -> Vec<Vec<Option<hsp_rdf::Term>>> {
+        self.table.decode_rows(ds, &self.computed, projection, None)
     }
 }
 

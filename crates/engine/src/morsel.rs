@@ -824,7 +824,19 @@ impl SharedPool {
     /// batches still complete: their submitters help on their own batch
     /// until the cursor is exhausted, whether or not any worker remains.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::Release);
+        // Set the flag under the queue lock: a worker checks it and parks
+        // on `available` under that same lock, so it either sees the flag
+        // or is already waiting when the notification below fires — never
+        // in between, where the wake-up would be lost and `join` would
+        // hang.
+        {
+            let _queue = self
+                .inner
+                .queue
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            self.inner.shutdown.store(true, Ordering::Release);
+        }
         self.inner.available.notify_all();
         let workers = std::mem::take(
             &mut *self

@@ -1110,16 +1110,7 @@ struct RowBindings<'a, V> {
 
 impl<V: RowValues> hsp_sparql::Bindings for RowBindings<'_, V> {
     fn term(&self, v: Var) -> Option<Term> {
-        let id = self.table.row_value(v, self.row);
-        if id.is_unbound() {
-            None
-        } else if crate::pool::is_computed(id) {
-            self.overlay
-                .get((id.0 - crate::pool::COMPUTED_BASE) as usize)
-                .cloned()
-        } else {
-            Some(self.ds.dict().term(id).clone())
-        }
+        crate::binding::resolve_term(self.ds, self.overlay, self.table.row_value(v, self.row))
     }
 }
 

@@ -49,14 +49,18 @@ impl fmt::Display for TermId {
 /// Two-way mapping between [`Term`]s and [`TermId`]s.
 ///
 /// Interning the same term twice returns the same identifier. Lookup by term
-/// is hash-based; lookup by id is an array index.
+/// is hash-based; lookup by id is an array index. Each distinct term is
+/// stored **once**: the by-id vector and the by-term map hold clones of the
+/// same [`Term`], and a `Term` clone shares its `Arc<str>` payloads, so the
+/// two directions cost one string allocation between them — and
+/// `dict.term(id).clone()`, the decode step of every result cell, is a
+/// reference-count bump.
 ///
 /// Like the triple relations, the dictionary is copy-on-write: ids
 /// `0..base_len` live in an immutable `Arc`-shared base segment and newer
 /// ids in a small mutable delta, so cloning a dictionary for snapshot
-/// publication costs O(delta) — not one `String` allocation per interned
-/// term. Ids are dense across both segments and never move;
-/// [`Dictionary::compact`] folds the delta into a fresh base segment.
+/// publication costs O(delta). Ids are dense across both segments and never
+/// move; [`Dictionary::compact`] folds the delta into a fresh base segment.
 #[derive(Debug, Default, Clone)]
 pub struct Dictionary {
     /// Immutable shared segment: ids `0..base_terms.len()`.
@@ -125,13 +129,14 @@ impl Dictionary {
         true
     }
 
-    /// Intern an IRI given as a string.
-    pub fn intern_iri(&mut self, iri: impl Into<String>) -> TermId {
+    /// Intern an IRI given as a string (or an already shared `Arc<str>`).
+    pub fn intern_iri(&mut self, iri: impl Into<Arc<str>>) -> TermId {
         self.intern(Term::iri(iri))
     }
 
-    /// Intern a plain literal given as a string.
-    pub fn intern_literal(&mut self, lexical: impl Into<String>) -> TermId {
+    /// Intern a plain literal given as a string (or an already shared
+    /// `Arc<str>`).
+    pub fn intern_literal(&mut self, lexical: impl Into<Arc<str>>) -> TermId {
         self.intern(Term::literal(lexical))
     }
 
@@ -144,10 +149,11 @@ impl Dictionary {
     }
 
     /// Look up the identifier of an already-interned IRI.
+    ///
+    /// Builds a temporary key term (one short-lived `Arc<str>`): the map is
+    /// keyed by [`Term`], which has no borrowed form. Planning-time only,
+    /// never per tuple.
     pub fn iri_id(&self, iri: &str) -> Option<TermId> {
-        // Avoids allocating when the IRI is already interned is not possible
-        // with a HashMap<Term, _> key without a borrowed key type; the
-        // allocation here is planning-time only, never per-tuple.
         self.id(&Term::iri(iri))
     }
 
@@ -271,6 +277,75 @@ mod tests {
         assert_eq!(d.term(a), &Term::iri("http://e.org/a"));
         assert_eq!(d.term(b), &Term::iri("http://e.org/b"));
         assert_eq!(d.id(&Term::iri("http://e.org/b")), Some(b));
+    }
+
+    /// The by-id and by-term copies of `id`'s term share their string
+    /// payloads (pointer-equal `Arc<str>`s), in whichever segment it lives.
+    fn shares_storage(d: &Dictionary, id: TermId) -> bool {
+        let by_id = d.term(id);
+        let (by_term, _) = d
+            .base_by_term
+            .get_key_value(by_id)
+            .or_else(|| d.delta_by_term.get_key_value(by_id))
+            .expect("interned term is in a by-term map");
+        match (by_id, by_term) {
+            (Term::Iri(a), Term::Iri(b)) => Arc::ptr_eq(a, b),
+            (
+                Term::Literal {
+                    lexical: la,
+                    datatype: da,
+                    language: ga,
+                },
+                Term::Literal {
+                    lexical: lb,
+                    datatype: db,
+                    language: gb,
+                },
+            ) => {
+                let same = |a: &Option<Arc<str>>, b: &Option<Arc<str>>| match (a, b) {
+                    (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                    (None, None) => true,
+                    _ => false,
+                };
+                Arc::ptr_eq(la, lb) && same(da, db) && same(ga, gb)
+            }
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn by_id_and_by_term_share_one_allocation() {
+        let mut d = Dictionary::new();
+        let ids = [
+            d.intern_iri("http://e.org/a"),
+            d.intern_literal("plain"),
+            d.intern(Term::typed_literal("1940", "http://e.org/int")),
+            d.intern(Term::lang_literal("chat", "fr")),
+        ];
+        // In the delta, after folding into the base, and across a COW
+        // clone that interns on top of the shared base.
+        assert!(ids.iter().all(|&id| shares_storage(&d, id)));
+        assert!(d.compact());
+        assert!(ids.iter().all(|&id| shares_storage(&d, id)));
+        let snapshot = d.clone();
+        let late = d.intern_iri("http://e.org/late");
+        assert!(shares_storage(&d, late));
+        assert!(ids
+            .iter()
+            .all(|&id| shares_storage(&d, id) && shares_storage(&snapshot, id)));
+        // The clone shares the strings themselves, not copies of them.
+        match (d.term(ids[0]), snapshot.term(ids[0])) {
+            (Term::Iri(a), Term::Iri(b)) => assert!(Arc::ptr_eq(a, b)),
+            other => panic!("expected two IRIs, got {other:?}"),
+        }
+        // A decoded cell is the dictionary's allocation, not a copy.
+        let decoded = d.term(ids[1]).clone();
+        match (&decoded, d.term(ids[1])) {
+            (Term::Literal { lexical: a, .. }, Term::Literal { lexical: b, .. }) => {
+                assert!(Arc::ptr_eq(a, b));
+            }
+            other => panic!("expected two literals, got {other:?}"),
+        }
     }
 
     #[test]

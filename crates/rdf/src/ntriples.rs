@@ -130,7 +130,7 @@ impl<'a> LineParser<'a> {
 
     fn parse_term(&mut self) -> Result<Term, ParseError> {
         match self.peek() {
-            Some('<') => self.parse_iri().map(Term::Iri),
+            Some('<') => self.parse_iri().map(Term::iri),
             Some('"') => self.parse_literal(),
             Some('_') => Err(self.err("blank nodes are not supported (datasets are skolemised)")),
             Some(c) => Err(self.err(format!("unexpected character '{c}' at start of term"))),

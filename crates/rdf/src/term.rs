@@ -1,6 +1,12 @@
 //! RDF terms: IRIs and literals.
+//!
+//! String payloads are reference-counted (`Arc<str>`): a [`Term`] clone is
+//! one to three counter bumps and never copies text, so the dictionary's
+//! two directions, decoded result rows, and cached responses all share one
+//! allocation per distinct string.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// The coarse kind of a [`Term`], used by heuristic H4 ("a literal object is
 /// more selective than a URI object").
@@ -21,26 +27,26 @@ pub enum TermKind {
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Term {
     /// An IRI such as `http://example.org/Journal1`.
-    Iri(String),
+    Iri(Arc<str>),
     /// A plain, typed, or language-tagged literal.
     Literal {
         /// The lexical form, without surrounding quotes.
-        lexical: String,
+        lexical: Arc<str>,
         /// Datatype IRI, e.g. `http://www.w3.org/2001/XMLSchema#integer`.
-        datatype: Option<String>,
+        datatype: Option<Arc<str>>,
         /// BCP-47 language tag, e.g. `en`.
-        language: Option<String>,
+        language: Option<Arc<str>>,
     },
 }
 
 impl Term {
     /// Construct an IRI term.
-    pub fn iri(value: impl Into<String>) -> Self {
+    pub fn iri(value: impl Into<Arc<str>>) -> Self {
         Term::Iri(value.into())
     }
 
     /// Construct a plain (untyped, untagged) literal.
-    pub fn literal(lexical: impl Into<String>) -> Self {
+    pub fn literal(lexical: impl Into<Arc<str>>) -> Self {
         Term::Literal {
             lexical: lexical.into(),
             datatype: None,
@@ -49,7 +55,7 @@ impl Term {
     }
 
     /// Construct a literal with a datatype IRI.
-    pub fn typed_literal(lexical: impl Into<String>, datatype: impl Into<String>) -> Self {
+    pub fn typed_literal(lexical: impl Into<Arc<str>>, datatype: impl Into<Arc<str>>) -> Self {
         Term::Literal {
             lexical: lexical.into(),
             datatype: Some(datatype.into()),
@@ -58,7 +64,7 @@ impl Term {
     }
 
     /// Construct a language-tagged literal.
-    pub fn lang_literal(lexical: impl Into<String>, language: impl Into<String>) -> Self {
+    pub fn lang_literal(lexical: impl Into<Arc<str>>, language: impl Into<Arc<str>>) -> Self {
         Term::Literal {
             lexical: lexical.into(),
             datatype: None,
@@ -126,7 +132,9 @@ impl fmt::Display for Term {
                 datatype,
                 language,
             } => {
-                write!(f, "\"{}\"", escape_literal(lexical))?;
+                f.write_str("\"")?;
+                write_escaped_literal(f, lexical)?;
+                f.write_str("\"")?;
                 if let Some(lang) = language {
                     write!(f, "@{lang}")?;
                 } else if let Some(dt) = datatype {
@@ -138,20 +146,25 @@ impl fmt::Display for Term {
     }
 }
 
-/// Escape a literal's lexical form for N-Triples output.
-pub(crate) fn escape_literal(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            other => out.push(other),
-        }
+/// Write a literal's lexical form escaped for N-Triples output, copying
+/// the runs between escapes whole (every escaped character is ASCII, so
+/// byte offsets are character boundaries).
+fn write_escaped_literal(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            _ => continue,
+        };
+        f.write_str(&s[start..i])?;
+        f.write_str(escape)?;
+        start = i + 1;
     }
-    out
+    f.write_str(&s[start..])
 }
 
 #[cfg(test)]

@@ -21,6 +21,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::term::Term;
 use crate::triple::Triple;
@@ -419,8 +420,8 @@ impl<'a> Parser<'a> {
             if !self.eat('^') {
                 return Err(self.err("expected `^^`"));
             }
-            let dt = match self.peek() {
-                Some('<') => self.parse_iri_ref()?,
+            let dt: Arc<str> = match self.peek() {
+                Some('<') => self.parse_iri_ref()?.into(),
                 _ => match self.parse_prefixed_name()? {
                     Term::Iri(iri) => iri,
                     _ => unreachable!("prefixed names resolve to IRIs"),

@@ -53,7 +53,7 @@ use crate::regex::{Regex, RegexError};
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// An IRI.
-    Iri(String),
+    Iri(Arc<str>),
     /// `xsd:boolean`.
     Boolean(bool),
     /// `xsd:integer` (and its derived types).
@@ -65,16 +65,16 @@ pub enum Value {
     /// A plain, `xsd:string`, or language-tagged string.
     String {
         /// The character content.
-        lexical: String,
+        lexical: Arc<str>,
         /// The language tag, lowercased, if any.
-        language: Option<String>,
+        language: Option<Arc<str>>,
     },
     /// A literal with a datatype this module has no value space for.
     Other {
         /// The lexical form.
-        lexical: String,
+        lexical: Arc<str>,
         /// The datatype IRI.
-        datatype: String,
+        datatype: Arc<str>,
     },
 }
 
@@ -96,7 +96,7 @@ impl Value {
                 if language.is_some() {
                     return Value::String {
                         lexical: lexical.clone(),
-                        language: language.as_ref().map(|l| l.to_ascii_lowercase()),
+                        language: language.as_ref().map(lowercase_tag),
                     };
                 }
                 match datatype.as_deref() {
@@ -109,14 +109,14 @@ impl Value {
                         "false" | "0" => Value::Boolean(false),
                         _ => Value::Other {
                             lexical: lexical.clone(),
-                            datatype: vocab::XSD_BOOLEAN.to_string(),
+                            datatype: vocab::XSD_BOOLEAN.into(),
                         },
                     },
                     Some(dt @ vocab::XSD_INTEGER) => match lexical.trim().parse::<i64>() {
                         Ok(v) => Value::Integer(v),
                         Err(_) => Value::Other {
                             lexical: lexical.clone(),
-                            datatype: dt.to_string(),
+                            datatype: dt.into(),
                         },
                     },
                     Some(dt) if vocab::XSD_INTEGER_DERIVED.contains(&dt) => {
@@ -124,7 +124,7 @@ impl Value {
                             Ok(v) => Value::Integer(v),
                             Err(_) => Value::Other {
                                 lexical: lexical.clone(),
-                                datatype: dt.to_string(),
+                                datatype: dt.into(),
                             },
                         }
                     }
@@ -132,7 +132,7 @@ impl Value {
                         Ok(v) => Value::Decimal(v),
                         Err(_) => Value::Other {
                             lexical: lexical.clone(),
-                            datatype: dt.to_string(),
+                            datatype: dt.into(),
                         },
                     },
                     Some(dt @ (vocab::XSD_DOUBLE | vocab::XSD_FLOAT)) => {
@@ -140,13 +140,13 @@ impl Value {
                             Some(v) => Value::Double(v),
                             None => Value::Other {
                                 lexical: lexical.clone(),
-                                datatype: dt.to_string(),
+                                datatype: dt.into(),
                             },
                         }
                     }
                     Some(dt) => Value::Other {
                         lexical: lexical.clone(),
-                        datatype: dt.to_string(),
+                        datatype: dt.into(),
                     },
                 }
             }
@@ -209,6 +209,16 @@ impl Value {
             Value::Iri(_) => Err(ExprError::Type("EBV of an IRI")),
             Value::Other { .. } => Err(ExprError::Type("EBV of an opaque typed literal")),
         }
+    }
+}
+
+/// A language tag in the lowercase form [`Value::String`] compares on,
+/// sharing the term's allocation when it already is lowercase.
+fn lowercase_tag(tag: &Arc<str>) -> Arc<str> {
+    if tag.bytes().any(|b| b.is_ascii_uppercase()) {
+        tag.to_ascii_lowercase().into()
+    } else {
+        Arc::clone(tag)
     }
 }
 
@@ -706,9 +716,12 @@ impl Evaluator {
                 _ => Err(ExprError::Type("BOUND requires a variable argument")),
             },
             Func::Str => {
-                let t = self.eval_term(&args[0], b)?;
+                let lexical = match self.eval_term(&args[0], b)? {
+                    Term::Iri(iri) => iri,
+                    Term::Literal { lexical, .. } => lexical,
+                };
                 Ok(Value::String {
-                    lexical: t.lexical().to_string(),
+                    lexical,
                     language: None,
                 })
             }
@@ -716,7 +729,7 @@ impl Evaluator {
                 let t = self.eval_term(&args[0], b)?;
                 match t {
                     Term::Literal { language, .. } => Ok(Value::String {
-                        lexical: language.unwrap_or_default(),
+                        lexical: language.unwrap_or_else(|| "".into()),
                         language: None,
                     }),
                     Term::Iri(_) => Err(ExprError::Type("LANG of an IRI")),
@@ -727,9 +740,9 @@ impl Evaluator {
                 match t {
                     Term::Literal {
                         language: Some(_), ..
-                    } => Ok(Value::Iri(vocab::RDF_LANG_STRING.to_string())),
+                    } => Ok(Value::Iri(vocab::RDF_LANG_STRING.into())),
                     Term::Literal { datatype, .. } => Ok(Value::Iri(
-                        datatype.unwrap_or_else(|| vocab::XSD_STRING.to_string()),
+                        datatype.unwrap_or_else(|| vocab::XSD_STRING.into()),
                     )),
                     Term::Iri(_) => Err(ExprError::Type("DATATYPE of an IRI")),
                 }
@@ -768,7 +781,7 @@ impl Evaluator {
                 let flags = if args.len() == 3 {
                     self.string_arg(&args[2], b, "REGEX flags")?
                 } else {
-                    String::new()
+                    "".into()
                 };
                 let re = self.compiled(&pattern, &flags)?;
                 Ok(Value::Boolean(re.is_match(&text)))
@@ -776,9 +789,9 @@ impl Evaluator {
             Func::StrStarts | Func::StrEnds | Func::Contains => {
                 let (hay, needle) = self.compatible_strings(&args[0], &args[1], b)?;
                 Ok(Value::Boolean(match func {
-                    Func::StrStarts => hay.starts_with(&needle),
-                    Func::StrEnds => hay.ends_with(&needle),
-                    _ => hay.contains(&needle),
+                    Func::StrStarts => hay.starts_with(&*needle),
+                    Func::StrEnds => hay.ends_with(&*needle),
+                    _ => hay.contains(&*needle),
                 }))
             }
             Func::StrLen => {
@@ -790,9 +803,9 @@ impl Evaluator {
                 match v {
                     Value::String { lexical, language } => Ok(Value::String {
                         lexical: if func == Func::UCase {
-                            lexical.to_uppercase()
+                            lexical.to_uppercase().into()
                         } else {
-                            lexical.to_lowercase()
+                            lexical.to_lowercase().into()
                         },
                         language,
                     }),
@@ -812,7 +825,7 @@ impl Evaluator {
         expr: &Expr,
         b: &dyn Bindings,
         what: &'static str,
-    ) -> Result<String, ExprError> {
+    ) -> Result<Arc<str>, ExprError> {
         match self.eval(expr, b)? {
             Value::String { lexical, .. } => Ok(lexical),
             _ => Err(ExprError::Type(what)),
@@ -826,7 +839,7 @@ impl Evaluator {
         expr: &Expr,
         b: &dyn Bindings,
         what: &'static str,
-    ) -> Result<String, ExprError> {
+    ) -> Result<Arc<str>, ExprError> {
         match self.eval(expr, b)? {
             Value::String {
                 lexical,
@@ -843,7 +856,7 @@ impl Evaluator {
         a: &Expr,
         c: &Expr,
         b: &dyn Bindings,
-    ) -> Result<(String, String), ExprError> {
+    ) -> Result<(Arc<str>, Arc<str>), ExprError> {
         let va = self.eval(a, b)?;
         let vc = self.eval(c, b)?;
         match (va, vc) {
@@ -1062,7 +1075,7 @@ pub fn compare_values(op: CmpOp, l: &Value, r: &Value) -> Result<bool, ExprError
                 lexical: b,
                 language: None,
             },
-        ) => a.as_str().cmp(b.as_str()),
+        ) => a.cmp(b),
         (Value::Boolean(a), Value::Boolean(b)) => a.cmp(b),
         _ => return Err(ExprError::Type("order comparison on incompatible types")),
     };

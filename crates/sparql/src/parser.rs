@@ -1060,7 +1060,7 @@ mod tests {
                     ref datatype,
                     ..
                 }) => {
-                    assert_eq!(lexical, "true");
+                    assert_eq!(&**lexical, "true");
                     assert_eq!(datatype.as_deref(), Some(hsp_rdf::vocab::XSD_BOOLEAN));
                 }
                 ref other => panic!("expected boolean const, got {other:?}"),

@@ -19,7 +19,11 @@
 //! entries whose read set intersects are dropped. An update that binds
 //! a *variable* predicate flushes the whole tier (the conservative
 //! fallback). Entries store decoded [`Term`]s, never dictionary ids, so
-//! a hit is byte-identical to a cold run against the same snapshot.
+//! a hit is byte-identical to a cold run against the same snapshot —
+//! and since terms share their strings with the dictionary, an entry
+//! costs its row and cell slots, not a second copy of the text. Entries
+//! sit behind an `Arc`: the tier's mutex is held for a pointer bump, and
+//! the caller's copy of the rows is made outside it.
 //!
 //! Concurrency contract (enforced by the session, documented here):
 //! result lookups and inserts happen while holding the store's read
@@ -31,7 +35,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use hsp_engine::plan::PhysicalPlan;
 use hsp_rdf::Term;
@@ -266,7 +270,7 @@ pub(crate) fn query_reads(q: &JoinQuery) -> Reads {
 }
 
 struct ResultEntry {
-    response: Response,
+    response: Arc<Response>,
     reads: Reads,
     bytes: usize,
     used: u64,
@@ -280,7 +284,9 @@ struct ResultStore {
 }
 
 impl ResultStore {
-    fn evict_to_fit(&mut self) {
+    /// Evict least-recently-used entries until both bounds hold, moving
+    /// them into `evicted` so the caller frees them outside the mutex.
+    fn evict_to_fit(&mut self, evicted: &mut Vec<ResultEntry>) {
         while self.map.len() > MAX_RESULT_ENTRIES || self.bytes > MAX_RESULT_BYTES {
             let Some(oldest) = self
                 .map
@@ -292,6 +298,7 @@ impl ResultStore {
             };
             if let Some(dropped) = self.map.remove(&oldest) {
                 self.bytes -= dropped.bytes;
+                evicted.push(dropped);
             }
         }
     }
@@ -413,13 +420,14 @@ impl QueryCache {
         let tick = store.tick;
         let found = store.map.get_mut(key).map(|entry| {
             entry.used = tick;
-            entry.response.clone()
+            Arc::clone(&entry.response)
         });
         drop(store);
         match found {
             Some(response) => {
                 self.result_hits.fetch_add(1, Ordering::Relaxed);
-                Some(response)
+                // The caller's own rows, copied outside the mutex.
+                Some(Response::clone(&response))
             }
             None => {
                 self.result_misses.fetch_add(1, Ordering::Relaxed);
@@ -445,19 +453,25 @@ impl QueryCache {
         if bytes > MAX_RESULT_BYTES {
             return;
         }
+        // Copy the rows before taking the mutex, and drop whatever the
+        // insert displaces after releasing it.
+        let response = Arc::new(response.clone());
         let mut store = self.results.lock().unwrap_or_else(|e| e.into_inner());
         store.tick += 1;
         let entry = ResultEntry {
-            response: response.clone(),
+            response,
             reads,
             bytes,
             used: store.tick,
         };
+        let mut displaced = Vec::new();
         if let Some(old) = store.map.insert(key, entry) {
             store.bytes -= old.bytes;
+            displaced.push(old);
         }
         store.bytes += bytes;
-        store.evict_to_fit();
+        store.evict_to_fit(&mut displaced);
+        drop(store);
     }
 
     /// Drop every result entry whose read set intersects `touched` and
@@ -501,20 +515,45 @@ impl QueryCache {
     }
 }
 
-/// Rough memory footprint of a response — sizing only, never
-/// correctness; over/under-counting just shifts the eviction point.
+/// Memory a cached response pins — sizing only, never correctness;
+/// over/under-counting just shifts the eviction point.
+///
+/// Rows and cell slots are the entry's own. String payloads are `Arc<str>`s
+/// shared with the dictionary (or, for computed aggregate terms, with the
+/// execution that made them), so a payload is charged at its length plus
+/// the `Arc` header only where this response holds its last reference
+/// right now; text the dictionary keeps alive anyway costs the entry
+/// nothing.
 fn approx_response_bytes(response: &Response) -> usize {
-    let mut bytes = 128;
+    use std::mem::size_of;
+    /// Strong + weak counts in front of an `Arc<str>`'s bytes.
+    const ARC_HEADER: usize = 2 * size_of::<usize>();
+    let owned = |text: &Arc<str>| {
+        if Arc::strong_count(text) == 1 {
+            text.len() + ARC_HEADER
+        } else {
+            0
+        }
+    };
+    let mut bytes = size_of::<Response>();
     for col in &response.output.columns {
-        bytes += col.len() + 24;
+        bytes += size_of::<String>() + col.len();
     }
     for row in &response.output.rows {
-        bytes += 24;
-        for cell in row {
-            bytes += 8;
-            if let Some(term) = cell {
-                bytes += term.lexical().len() + 48;
-            }
+        bytes += size_of::<Vec<Option<Term>>>() + row.len() * size_of::<Option<Term>>();
+        for term in row.iter().flatten() {
+            bytes += match term {
+                Term::Iri(iri) => owned(iri),
+                Term::Literal {
+                    lexical,
+                    datatype,
+                    language,
+                } => {
+                    owned(lexical)
+                        + datatype.as_ref().map_or(0, owned)
+                        + language.as_ref().map_or(0, owned)
+                }
+            };
         }
     }
     if let Some(explain) = &response.explain {
@@ -524,4 +563,80 @@ fn approx_response_bytes(response: &Response) -> usize {
         bytes += note.len();
     }
     bytes
+}
+
+#[cfg(test)]
+mod tests {
+    use std::mem::size_of;
+
+    use hsp_engine::RuntimeMetrics;
+
+    use super::*;
+    use crate::extended::ExtendedOutput;
+
+    fn response(rows: Vec<Vec<Option<Term>>>) -> Response {
+        Response {
+            output: ExtendedOutput {
+                columns: vec!["x".into()],
+                rows,
+            },
+            ask: None,
+            explain: None,
+            note: None,
+            metrics: RuntimeMetrics::default(),
+        }
+    }
+
+    /// What every one-column response costs before its rows.
+    fn fixed_bytes() -> usize {
+        size_of::<Response>() + size_of::<String>() + 1
+    }
+
+    #[test]
+    fn shared_terms_cost_their_slots_and_owned_terms_their_text() {
+        // Held elsewhere (as the dictionary holds every decoded term):
+        // the cell is charged, the text is not — however long it is.
+        let interned = Term::typed_literal("x".repeat(1000), "http://e/some-datatype");
+        let row_bytes = size_of::<Vec<Option<Term>>>() + size_of::<Option<Term>>();
+        let shared = response(vec![vec![Some(interned.clone())], vec![None]]);
+        assert_eq!(
+            approx_response_bytes(&shared),
+            fixed_bytes() + 2 * row_bytes
+        );
+        // Held by the response alone (a computed aggregate term): lexical
+        // form and datatype are charged, each with its `Arc` header.
+        let computed = response(vec![vec![Some(Term::typed_literal("24.5", "http://e/dt"))]]);
+        assert_eq!(
+            approx_response_bytes(&computed),
+            fixed_bytes() + row_bytes + (4 + 16) + (11 + 16)
+        );
+    }
+
+    #[test]
+    fn byte_budget_still_evicts() {
+        let interned = Term::iri("http://e/shared");
+        let row_bytes = size_of::<Vec<Option<Term>>>() + size_of::<Option<Term>>();
+        // Three of these fit the budget, four do not.
+        let rows = MAX_RESULT_BYTES * 3 / 10 / row_bytes;
+        let big = response(vec![vec![Some(interned.clone())]; rows]);
+        let each = approx_response_bytes(&big);
+        assert!(3 * each <= MAX_RESULT_BYTES && 4 * each > MAX_RESULT_BYTES);
+
+        let cache = QueryCache::default();
+        for key in ["a", "b", "c"] {
+            cache.result_insert(key.into(), &big, Reads::All, cache.version());
+        }
+        assert_eq!(cache.stats().result_entries, 3);
+        assert_eq!(cache.stats().result_bytes, 3 * each);
+        assert!(cache.result_get("a").is_some()); // "b" is now the oldest
+        cache.result_insert("d".into(), &big, Reads::All, cache.version());
+        let stats = cache.stats();
+        assert_eq!(stats.result_entries, 3);
+        assert_eq!(stats.result_bytes, 3 * each);
+        assert!(cache.result_get("b").is_none(), "LRU entry was evicted");
+        for key in ["a", "c", "d"] {
+            let hit = cache.result_get(key).expect("recent entries survive");
+            assert_eq!(hit.output.rows.len(), rows);
+        }
+    }
 }

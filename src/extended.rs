@@ -31,12 +31,13 @@
 //!   `?x` never joins a row where `?x` is UNBOUND), which is sufficient for
 //!   the common "pad then project" UNION usage.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use hsp_core::HspPlanner;
+use hsp_engine::binding::resolve_term;
 use hsp_engine::ops;
 use hsp_engine::{execute_in, BindingTable, ExecConfig, ExecContext, PhysicalPlan};
-use hsp_rdf::Term;
+use hsp_rdf::{Term, TermId};
 use hsp_sparql::ast::{Element, GroupPattern, NodeAst, Query};
 use hsp_sparql::{parse_query, FilterExpr, JoinQuery, TermOrVar, TriplePattern, Var};
 use hsp_store::Dataset;
@@ -188,30 +189,19 @@ pub fn evaluate_ast_in(
             .collect(),
     };
 
-    let mut rows: Vec<Vec<Option<Term>>> = Vec::with_capacity(table.len());
-    for i in 0..table.len() {
-        let row: Vec<Option<Term>> = projection
-            .iter()
-            .map(|&(_, v)| {
-                if table.vars().contains(&v) {
-                    let id = table.value(v, i);
-                    if id.is_unbound() {
-                        None
-                    } else {
-                        Some(ds.dict().term(id).clone())
-                    }
-                } else {
-                    None
-                }
-            })
-            .collect();
-        rows.push(row);
-    }
     // Solution modifiers, in the spec's application order: ORDER BY, then
     // DISTINCT/REDUCED (stable — keeps first occurrences), then
-    // OFFSET/LIMIT. ORDER BY keys may reference non-projected variables,
-    // so key values come from the full pre-projection table, which is why
-    // sorting happens on (key, projected row) pairs built per table row.
+    // OFFSET/LIMIT. All three work on row indices over the id table —
+    // ORDER BY decodes only its key values (which may reference
+    // non-projected variables), DISTINCT compares projected id tuples
+    // (the dictionary maps equal terms to equal ids) — and only the rows
+    // that survive are decoded into terms.
+    let (columns, proj_vars): (Vec<String>, Vec<Var>) = projection.into_iter().unzip();
+    // Row indices are `u32`, like every selection vector in the engine.
+    let n = u32::try_from(table.len())
+        .map_err(|_| ExtendedError::Eval("result exceeds u32::MAX rows".into()))?;
+    let mut order: Vec<u32> = (0..n).collect();
+
     if !query.order_by.is_empty() {
         let evaluator = hsp_sparql::Evaluator::new();
         let mut keys = Vec::with_capacity(query.order_by.len());
@@ -220,25 +210,22 @@ pub fn evaluate_ast_in(
                 .map_err(|e| ExtendedError::Eval(e.to_string()))?;
             keys.push((expr, *descending));
         }
-        type Decorated = (Vec<Option<hsp_sparql::Value>>, Vec<Option<Term>>);
-        let mut decorated: Vec<Decorated> = rows
-            .into_iter()
-            .enumerate()
-            .map(|(i, row)| {
+        let key_vals: Vec<Vec<Option<hsp_sparql::Value>>> = (0..table.len())
+            .map(|row| {
                 let bindings = TableRow {
                     ds,
                     table: &table,
-                    row: i,
+                    row,
                 };
-                let key_vals = keys
-                    .iter()
+                keys.iter()
                     .map(|(e, _)| evaluator.eval(e, &bindings).ok())
-                    .collect();
-                (key_vals, row)
+                    .collect()
             })
             .collect();
-        decorated.sort_by(|(ka, _), (kb, _)| {
-            for ((_, desc), (va, vb)) in keys.iter().zip(ka.iter().zip(kb.iter())) {
+        // Stable, so ties keep table order.
+        order.sort_by(|&a, &b| {
+            let (ka, kb) = (&key_vals[a as usize], &key_vals[b as usize]);
+            for ((_, desc), (va, vb)) in keys.iter().zip(ka.iter().zip(kb)) {
                 let ord = hsp_sparql::expr::compare_for_order(va.as_ref(), vb.as_ref());
                 let ord = if *desc { ord.reverse() } else { ord };
                 if ord != std::cmp::Ordering::Equal {
@@ -247,25 +234,30 @@ pub fn evaluate_ast_in(
             }
             std::cmp::Ordering::Equal
         });
-        rows = decorated.into_iter().map(|(_, row)| row).collect();
     }
 
     if query.distinct || query.reduced {
-        let mut seen = std::collections::HashSet::new();
-        rows.retain(|row| seen.insert(format!("{row:?}")));
+        let cols: Vec<Option<&[TermId]>> = proj_vars
+            .iter()
+            .map(|&v| table.col_index(v).map(|c| table.columns()[c].as_slice()))
+            .collect();
+        let mut seen: HashSet<Vec<TermId>> = HashSet::new();
+        order.retain(|&i| {
+            seen.insert(
+                cols.iter()
+                    .map(|col| col.map_or(TermId::UNBOUND, |col| col[i as usize]))
+                    .collect(),
+            )
+        });
     }
 
-    let offset = query.offset.unwrap_or(0).min(rows.len());
+    let offset = query.offset.unwrap_or(0).min(order.len());
     let end = match query.limit {
-        Some(n) => (offset + n).min(rows.len()),
-        None => rows.len(),
+        Some(n) => offset.saturating_add(n).min(order.len()),
+        None => order.len(),
     };
-    rows = rows[offset..end].to_vec();
-
-    Ok(ExtendedOutput {
-        columns: projection.into_iter().map(|(n, _)| n).collect(),
-        rows,
-    })
+    let rows = table.decode_rows(ds, &[], &proj_vars, Some(&order[offset..end]));
+    Ok(ExtendedOutput { columns, rows })
 }
 
 /// Aggregate queries take the planner path end to end: the HSP plan gets a
@@ -273,8 +265,8 @@ pub fn evaluate_ast_in(
 /// projection, the engine's γ breaker (or its operator-at-a-time oracle)
 /// computes the groups, and `ORDER BY`/`DISTINCT`/`LIMIT` ride along as
 /// plan modifiers. Aggregate outputs are computed-overlay ids, so term
-/// materialisation goes through [`hsp_engine::ExecOutput::term`] rather
-/// than the dictionary alone.
+/// materialisation goes through [`hsp_engine::ExecOutput::decode_rows`]
+/// (which carries the overlay) rather than the dictionary alone.
 fn evaluate_aggregate_in(
     ds: &Dataset,
     query: &Query,
@@ -295,22 +287,8 @@ fn evaluate_aggregate_in(
         .map_err(|e| ExtendedError::Eval(e.to_string()))?;
     let output = execute_in(&planned.plan, ds, config, ctx)
         .map_err(|e| ExtendedError::Eval(e.to_string()))?;
-    let columns: Vec<String> = planned
-        .query
-        .projection
-        .iter()
-        .map(|(n, _)| n.clone())
-        .collect();
-    let rows = (0..output.table.len())
-        .map(|i| {
-            planned
-                .query
-                .projection
-                .iter()
-                .map(|&(_, v)| output.term(ds, output.table.value(v, i)))
-                .collect()
-        })
-        .collect();
+    let (columns, vars): (Vec<String>, Vec<Var>) = planned.query.projection.iter().cloned().unzip();
+    let rows = output.decode_rows(ds, &vars);
     Ok(ExtendedOutput { columns, rows })
 }
 
@@ -325,12 +303,7 @@ struct TableRow<'a> {
 impl hsp_sparql::Bindings for TableRow<'_> {
     fn term(&self, v: Var) -> Option<Term> {
         let idx = self.table.col_index(v)?;
-        let id = self.table.columns()[idx][self.row];
-        if id.is_unbound() {
-            None
-        } else {
-            Some(self.ds.dict().term(id).clone())
-        }
+        resolve_term(self.ds, &[], self.table.columns()[idx][self.row])
     }
 }
 

@@ -16,14 +16,40 @@ use crate::extended::ExtendedOutput;
 
 /// Serialise to the SPARQL 1.1 Query Results JSON format
 /// (`application/sparql-results+json`).
+///
 pub fn to_sparql_json(out: &ExtendedOutput) -> String {
     let mut s = String::new();
+    write_sparql_json(&mut s, out);
+    s
+}
+
+/// [`to_sparql_json`], appended to `s`. Everything is written straight
+/// into the one output buffer: values are escaped in place (runs that need
+/// no escaping are copied whole), and each column's quoted name is escaped
+/// once per result, not per cell.
+pub(crate) fn write_sparql_json(s: &mut String, out: &ExtendedOutput) {
+    let names: Vec<String> = out
+        .columns
+        .iter()
+        .map(|c| {
+            let mut name = String::with_capacity(c.len() + 2);
+            name.push('"');
+            push_json_escaped(&mut name, c);
+            name.push('"');
+            name
+        })
+        .collect();
+    // The fixed JSON around an empty value, per bound cell; value text
+    // comes on top, so this under-reserves by at most a few doublings.
+    const CELL_OVERHEAD: usize = 32;
+    let row_estimate: usize = 2 + names.iter().map(|n| n.len() + CELL_OVERHEAD).sum::<usize>();
+    s.reserve(64 + out.rows.len() * row_estimate);
     s.push_str("{\"head\":{\"vars\":[");
-    for (i, c) in out.columns.iter().enumerate() {
+    for (i, name) in names.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
-        write!(s, "\"{}\"", escape_json(c)).expect("writing to String");
+        s.push_str(name);
     }
     s.push_str("]},\"results\":{\"bindings\":[");
     for (ri, row) in out.rows.iter().enumerate() {
@@ -32,65 +58,73 @@ pub fn to_sparql_json(out: &ExtendedOutput) -> String {
         }
         s.push('{');
         let mut first = true;
-        for (col, cell) in out.columns.iter().zip(row) {
+        for (name, cell) in names.iter().zip(row) {
             let Some(term) = cell else { continue }; // unbound: omitted
             if !first {
                 s.push(',');
             }
             first = false;
-            write!(s, "\"{}\":", escape_json(col)).expect("writing to String");
-            json_term(&mut s, term);
+            s.push_str(name);
+            s.push(':');
+            json_term(s, term);
         }
         s.push('}');
     }
     s.push_str("]}}");
-    s
 }
 
 fn json_term(s: &mut String, term: &Term) {
     match term {
         Term::Iri(iri) => {
-            write!(s, "{{\"type\":\"uri\",\"value\":\"{}\"}}", escape_json(iri))
-                .expect("writing to String");
+            s.push_str("{\"type\":\"uri\",\"value\":\"");
+            push_json_escaped(s, iri);
+            s.push_str("\"}");
         }
         Term::Literal {
             lexical,
             datatype,
             language,
         } => {
-            write!(
-                s,
-                "{{\"type\":\"literal\",\"value\":\"{}\"",
-                escape_json(lexical)
-            )
-            .expect("writing to String");
+            s.push_str("{\"type\":\"literal\",\"value\":\"");
+            push_json_escaped(s, lexical);
             if let Some(lang) = language {
-                write!(s, ",\"xml:lang\":\"{}\"", escape_json(lang)).expect("writing to String");
+                s.push_str("\",\"xml:lang\":\"");
+                push_json_escaped(s, lang);
             } else if let Some(dt) = datatype {
-                write!(s, ",\"datatype\":\"{}\"", escape_json(dt)).expect("writing to String");
+                s.push_str("\",\"datatype\":\"");
+                push_json_escaped(s, dt);
             }
-            s.push('}');
+            s.push_str("\"}");
         }
     }
 }
 
-/// Escape a string for a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32).expect("writing to String");
+/// Append `value` escaped for the inside of a JSON string literal. Every
+/// character that needs escaping is ASCII, so the scan is over bytes and
+/// the runs in between are copied whole — a value with nothing to escape
+/// is one `push_str`.
+fn push_json_escaped(out: &mut String, value: &str) {
+    let mut start = 0;
+    for (i, b) in value.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => {
+                out.push_str(&value[start..i]);
+                write!(out, "\\u{b:04x}").expect("writing to String");
+                start = i + 1;
+                continue;
             }
-            c => out.push(c),
-        }
+            _ => continue,
+        };
+        out.push_str(&value[start..i]);
+        out.push_str(escape);
+        start = i + 1;
     }
-    out
+    out.push_str(&value[start..]);
 }
 
 /// Serialise an `ASK` result to the SPARQL 1.1 JSON boolean form.
@@ -98,16 +132,28 @@ pub fn ask_to_sparql_json(answer: bool) -> String {
     format!("{{\"head\":{{}},\"boolean\":{answer}}}")
 }
 
+/// Bytes reserved per cell by the CSV / TSV serialisers: a guess at a
+/// short value plus its separator, so typical results grow the buffer a
+/// few times at most.
+const FIELD_ESTIMATE: usize = 24;
+
 /// Serialise to the SPARQL 1.1 CSV results format (`text/csv`): header row
 /// of variable names, then one row per solution with *plain values* (IRI
 /// text and literal lexical forms), RFC-4180 quoting.
 pub fn to_csv(out: &ExtendedOutput) -> String {
     let mut s = String::new();
+    write_csv(&mut s, out);
+    s
+}
+
+/// [`to_csv`], appended to `s`.
+pub(crate) fn write_csv(s: &mut String, out: &ExtendedOutput) {
+    s.reserve((out.rows.len() + 1) * out.columns.len() * FIELD_ESTIMATE);
     for (i, c) in out.columns.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
-        s.push_str(&csv_field(c));
+        push_csv_field(s, c);
     }
     s.push_str("\r\n");
     for row in &out.rows {
@@ -116,20 +162,31 @@ pub fn to_csv(out: &ExtendedOutput) -> String {
                 s.push(',');
             }
             if let Some(term) = cell {
-                s.push_str(&csv_field(term.lexical()));
+                push_csv_field(s, term.lexical());
             }
         }
         s.push_str("\r\n");
     }
-    s
 }
 
-fn csv_field(value: &str) -> String {
-    if value.contains(',') || value.contains('"') || value.contains('\n') || value.contains('\r') {
-        format!("\"{}\"", value.replace('"', "\"\""))
-    } else {
-        value.to_string()
+/// Append one CSV field: verbatim unless it holds a comma, quote or line
+/// break, else quoted with every `"` doubled.
+fn push_csv_field(out: &mut String, value: &str) {
+    if !value
+        .bytes()
+        .any(|b| matches!(b, b',' | b'"' | b'\n' | b'\r'))
+    {
+        out.push_str(value);
+        return;
     }
+    out.push('"');
+    for (i, piece) in value.split('"').enumerate() {
+        if i > 0 {
+            out.push_str("\"\"");
+        }
+        out.push_str(piece);
+    }
+    out.push('"');
 }
 
 /// Serialise to the SPARQL 1.1 TSV results format
@@ -137,6 +194,13 @@ fn csv_field(value: &str) -> String {
 /// N-Triples/Turtle surface syntax.
 pub fn to_tsv(out: &ExtendedOutput) -> String {
     let mut s = String::new();
+    write_tsv(&mut s, out);
+    s
+}
+
+/// [`to_tsv`], appended to `s`.
+pub(crate) fn write_tsv(s: &mut String, out: &ExtendedOutput) {
+    s.reserve((out.rows.len() + 1) * out.columns.len() * FIELD_ESTIMATE);
     for (i, c) in out.columns.iter().enumerate() {
         if i > 0 {
             s.push('\t');
@@ -151,16 +215,22 @@ pub fn to_tsv(out: &ExtendedOutput) -> String {
                 s.push('\t');
             }
             if let Some(term) = cell {
-                s.push_str(&term.to_string());
+                write!(s, "{term}").expect("writing to String");
             }
         }
         s.push('\n');
     }
-    s
 }
 
 /// Render as a human-readable aligned table (for the CLI).
 pub fn to_table(out: &ExtendedOutput) -> String {
+    let mut s = String::new();
+    write_table(&mut s, out);
+    s
+}
+
+/// [`to_table`], appended to `s`.
+pub(crate) fn write_table(s: &mut String, out: &ExtendedOutput) {
     let render = |cell: &Option<Term>| -> String {
         match cell {
             Some(t) => t.to_string(),
@@ -175,15 +245,14 @@ pub fn to_table(out: &ExtendedOutput) -> String {
             row.iter()
                 .enumerate()
                 .map(|(i, cell)| {
-                    let s = render(cell);
-                    widths[i] = widths[i].max(s.chars().count());
-                    s
+                    let text = render(cell);
+                    widths[i] = widths[i].max(text.chars().count());
+                    text
                 })
                 .collect()
         })
         .collect();
 
-    let mut s = String::new();
     for (i, c) in out.columns.iter().enumerate() {
         if i > 0 {
             s.push_str("  ");
@@ -214,7 +283,6 @@ pub fn to_table(out: &ExtendedOutput) -> String {
         if out.rows.len() == 1 { "" } else { "s" }
     )
     .expect("writing to String");
-    s
 }
 
 #[cfg(test)]

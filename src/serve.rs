@@ -35,6 +35,7 @@
 //! bound. Updates go through the same session and publish by pointer
 //! swap, so in-flight reads keep their snapshot.
 
+use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -62,40 +63,110 @@ const POLL_INTERVAL: Duration = Duration::from_millis(50);
 /// until the header's (delayed) ACK, adding tens of milliseconds to
 /// every request/response round trip.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&len.to_be_bytes());
-    frame.extend_from_slice(payload);
-    w.write_all(&frame)?;
-    w.flush()
+    Frame::of(payload).send(w)
+}
+
+/// A frame under construction: the payload behind four bytes reserved for
+/// the length prefix. The server renders a response straight into one of
+/// these, so the bytes are written once and handed to the socket as they
+/// are — not rendered, re-formatted behind the status line, and copied
+/// again behind the length.
+struct Frame(Vec<u8>);
+
+impl Frame {
+    /// A frame holding a copy of `payload`.
+    fn of(payload: &[u8]) -> Frame {
+        let mut frame = Vec::with_capacity(4 + payload.len());
+        frame.extend_from_slice(&[0; 4]);
+        frame.extend_from_slice(payload);
+        Frame(frame)
+    }
+
+    /// [`Frame::of`] a short text payload (status lines, errors).
+    fn text(payload: impl AsRef<str>) -> Frame {
+        Frame::of(payload.as_ref().as_bytes())
+    }
+
+    /// Build the payload as text: `build` appends to an empty `String`
+    /// that already sits behind the reserved length bytes.
+    fn build(build: impl FnOnce(&mut String)) -> Frame {
+        // The four placeholder bytes are NULs — valid UTF-8 — so the
+        // buffer can be a `String` while the payload is written.
+        let mut text = String::from("\0\0\0\0");
+        build(&mut text);
+        Frame(text.into_bytes())
+    }
+
+    /// Fill in the length and write the whole frame with one `write_all`
+    /// (see [`write_frame`] for why one).
+    fn send(mut self, w: &mut impl Write) -> io::Result<()> {
+        let len = u32::try_from(self.0.len() - 4)
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
+        self.0[..4].copy_from_slice(&len.to_be_bytes());
+        w.write_all(&self.0)?;
+        w.flush()
+    }
 }
 
 /// Read one length-framed payload; `Ok(None)` on clean EOF before the
 /// first header byte.
+///
+/// Meant for blocking streams: on a reader with a timeout, an error of
+/// kind `WouldBlock` / `TimedOut` loses the bytes already consumed (the
+/// server keeps a resumable reader per connection instead).
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    let mut header = [0u8; 4];
-    let mut filled = 0;
-    while filled < header.len() {
-        let n = r.read(&mut header[filled..])?;
-        if n == 0 {
-            if filled == 0 {
-                return Ok(None);
+    FrameReader::default().read(r)
+}
+
+/// Incremental frame reader: remembers how much of the current frame's
+/// header and payload has arrived, so a read that times out part-way
+/// through a frame resumes where it stopped instead of losing the bytes
+/// already consumed and parsing payload bytes as the next length header.
+#[derive(Default)]
+struct FrameReader {
+    header: [u8; 4],
+    /// The payload buffer, sized from the header; `None` until the
+    /// header is complete.
+    payload: Option<Vec<u8>>,
+    /// Bytes received of the part being read (header, then payload).
+    filled: usize,
+}
+
+impl FrameReader {
+    /// Read until the current frame is complete and return its payload
+    /// (`Ok(None)` on clean EOF before its first header byte). Any error
+    /// other than `Interrupted` is returned as is; after `WouldBlock` /
+    /// `TimedOut` the call can simply be repeated.
+    fn read(&mut self, r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+        loop {
+            let part: &mut [u8] = match &mut self.payload {
+                Some(payload) => payload,
+                None => &mut self.header,
+            };
+            if self.filled < part.len() {
+                match r.read(&mut part[self.filled..]) {
+                    Ok(0) if self.payload.is_none() && self.filled == 0 => return Ok(None),
+                    Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                    Ok(n) => self.filled += n,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                }
+                continue;
             }
-            return Err(io::ErrorKind::UnexpectedEof.into());
+            self.filled = 0;
+            if let Some(payload) = self.payload.take() {
+                return Ok(Some(payload));
+            }
+            let len = u32::from_be_bytes(self.header) as usize;
+            if len > MAX_FRAME_BYTES {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"),
+                ));
+            }
+            self.payload = Some(vec![0u8; len]);
         }
-        filled += n;
     }
-    let len = u32::from_be_bytes(header) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
 }
 
 /// Server construction knobs.
@@ -355,14 +426,16 @@ fn connection_loop(stream: TcpStream, shared: Arc<ServerShared>) {
         Err(_) => return,
     };
     let mut writer = stream;
-    // Short read timeouts so the thread notices shutdown between (and
-    // within) frames.
+    // Short read timeouts so the thread notices shutdown between reads —
+    // also part-way through a frame from a slow writer, which is why the
+    // reader keeps its place across timeouts.
     let _ = reader.set_read_timeout(Some(POLL_INTERVAL));
+    let mut frames = FrameReader::default();
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        let payload = match read_frame(&mut reader) {
+        let payload = match frames.read(&mut reader) {
             Ok(Some(payload)) => payload,
             Ok(None) => return, // client hung up
             Err(e)
@@ -374,9 +447,9 @@ fn connection_loop(stream: TcpStream, shared: Arc<ServerShared>) {
         };
         let (response, stop) = match std::str::from_utf8(&payload) {
             Ok(text) => handle_request(&shared, text),
-            Err(_) => ("ERR PROTO request is not UTF-8".to_string(), false),
+            Err(_) => (Frame::text("ERR PROTO request is not UTF-8"), false),
         };
-        if write_frame(&mut writer, response.as_bytes()).is_err() {
+        if response.send(&mut writer).is_err() {
             return;
         }
         if stop {
@@ -479,9 +552,9 @@ fn flat(msg: impl std::fmt::Display) -> String {
     msg.to_string().replace('\n', "; ")
 }
 
-/// Dispatch one request payload; returns the response payload and
-/// whether the server should shut down.
-fn handle_request(shared: &ServerShared, payload: &str) -> (String, bool) {
+/// Dispatch one request payload; returns the response frame and whether
+/// the server should shut down.
+fn handle_request(shared: &ServerShared, payload: &str) -> (Frame, bool) {
     let (header, body) = match payload.split_once('\n') {
         Some((header, body)) => (header, body),
         None => (payload, ""),
@@ -489,15 +562,15 @@ fn handle_request(shared: &ServerShared, payload: &str) -> (String, bool) {
     let mut tokens = header.split_whitespace();
     let command = tokens.next().unwrap_or("");
     match command {
-        "PING" => ("OK pong".to_string(), false),
-        "STATS" => (render_stats(shared), false),
-        "SHUTDOWN" => ("OK bye".to_string(), true),
+        "PING" => (Frame::text("OK pong"), false),
+        "STATS" => (Frame::text(render_stats(shared)), false),
+        "SHUTDOWN" => (Frame::text("OK bye"), true),
         "QUERY" | "UPDATE" => {
             let opts = match ReqOpts::parse(tokens) {
                 Ok(opts) => opts,
                 Err(e) => {
                     shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                    return (format!("ERR PROTO {}", flat(e)), false);
+                    return (Frame::text(format!("ERR PROTO {}", flat(e))), false);
                 }
             };
             let permit = match shared.admission.acquire(&shared.shutdown) {
@@ -505,16 +578,16 @@ fn handle_request(shared: &ServerShared, payload: &str) -> (String, bool) {
                 Err(AdmitError::Busy) => {
                     shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
                     return (
-                        format!(
+                        Frame::text(format!(
                             "ERR BUSY server at capacity ({} executing, {} queued)",
                             shared.admission.max_inflight, shared.admission.max_queue
-                        ),
+                        )),
                         false,
                     );
                 }
                 Err(AdmitError::ShuttingDown) => {
                     shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                    return ("ERR SHUTDOWN server is shutting down".to_string(), false);
+                    return (Frame::text("ERR SHUTDOWN server is shutting down"), false);
                 }
             };
             let response = if command == "QUERY" {
@@ -528,61 +601,67 @@ fn handle_request(shared: &ServerShared, payload: &str) -> (String, bool) {
         other => {
             shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
             (
-                format!(
+                Frame::text(format!(
                     "ERR PROTO unknown command `{}` (QUERY|UPDATE|PING|STATS|SHUTDOWN)",
                     flat(other)
-                ),
+                )),
                 false,
             )
         }
     }
 }
 
-fn run_query(shared: &ServerShared, opts: &ReqOpts, text: &str) -> String {
+fn run_query(shared: &ServerShared, opts: &ReqOpts, text: &str) -> Frame {
     match shared.session.query(opts.request(text)) {
         Ok(response) => {
             shared.metrics.queries_ok.fetch_add(1, Ordering::Relaxed);
-            let body = if let Some(plan) = &response.explain {
-                format!("{plan}{}", render_runtime_metrics(&response.metrics))
-            } else if let Some(answer) = response.ask {
-                match opts.format.as_str() {
-                    "json" => results::ask_to_sparql_json(answer),
-                    _ => answer.to_string(),
+            // Status line and body are written into the frame itself.
+            Frame::build(|out| {
+                writeln!(
+                    out,
+                    "OK rows={} cols={} pool_batches={}",
+                    response.output.rows.len(),
+                    response.output.columns.len(),
+                    response.metrics.shared_pool_batches,
+                )
+                .expect("writing to String");
+                if let Some(plan) = &response.explain {
+                    out.push_str(plan);
+                    out.push_str(&render_runtime_metrics(&response.metrics));
+                } else if let Some(answer) = response.ask {
+                    match opts.format.as_str() {
+                        "json" => out.push_str(&results::ask_to_sparql_json(answer)),
+                        _ => write!(out, "{answer}").expect("writing to String"),
+                    }
+                } else {
+                    match opts.format.as_str() {
+                        "table" => results::write_table(out, &response.output),
+                        "csv" => results::write_csv(out, &response.output),
+                        "tsv" => results::write_tsv(out, &response.output),
+                        _ => results::write_sparql_json(out, &response.output),
+                    }
                 }
-            } else {
-                match opts.format.as_str() {
-                    "table" => results::to_table(&response.output),
-                    "csv" => results::to_csv(&response.output),
-                    "tsv" => results::to_tsv(&response.output),
-                    _ => results::to_sparql_json(&response.output),
-                }
-            };
-            format!(
-                "OK rows={} cols={} pool_batches={}\n{body}",
-                response.output.rows.len(),
-                response.output.columns.len(),
-                response.metrics.shared_pool_batches,
-            )
+            })
         }
         Err(e) => {
             shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-            format!("ERR {} {}", e.code(), flat(e))
+            Frame::text(format!("ERR {} {}", e.code(), flat(e)))
         }
     }
 }
 
-fn run_update(shared: &ServerShared, opts: &ReqOpts, text: &str) -> String {
+fn run_update(shared: &ServerShared, opts: &ReqOpts, text: &str) -> Frame {
     match shared.session.update(opts.request(text)) {
         Ok(response) => {
             shared.metrics.updates_ok.fetch_add(1, Ordering::Relaxed);
-            format!(
+            Frame::text(format!(
                 "OK inserted={} deleted={} triples={}",
                 response.stats.inserted, response.stats.deleted, response.triples
-            )
+            ))
         }
         Err(e) => {
             shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-            format!("ERR {} {}", e.code(), flat(e))
+            Frame::text(format!("ERR {} {}", e.code(), flat(e)))
         }
     }
 }

@@ -716,22 +716,11 @@ fn query_snapshot(
                 }
                 text
             });
-            let columns: Vec<String> = planned_query
-                .projection
-                .iter()
-                .map(|(n, _)| n.clone())
-                .collect();
-            let rows = (0..output.table.len())
-                .map(|i| {
-                    planned_query
-                        .projection
-                        .iter()
-                        // `ExecOutput::term` resolves both dictionary ids
-                        // and computed (aggregate-output) ids.
-                        .map(|&(_, v)| output.term(ds, output.table.value(v, i)))
-                        .collect()
-                })
-                .collect();
+            // Ids become terms here, once, after the plan's own
+            // DISTINCT / ORDER BY / LIMIT have run on ids.
+            let (columns, vars): (Vec<String>, Vec<_>) =
+                planned_query.projection.iter().cloned().unzip();
+            let rows = output.decode_rows(ds, &vars);
             let mut metrics = output.runtime;
             metrics.plan_cache_used = plan_cache_used;
             metrics.plan_cache_hit = plan_cache_hit;

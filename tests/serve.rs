@@ -410,3 +410,45 @@ fn admission_control_rejects_rather_than_queueing_without_bound() {
         .starts_with("OK "));
     server.shutdown();
 }
+
+/// A writer slower than the server's 50 ms shutdown-poll read timeout:
+/// the timeout fires after the header and again between the two payload
+/// halves. The server must resume the frame where it stopped — not parse
+/// payload bytes as the next length header — answer correctly, and keep
+/// the connection usable.
+#[test]
+fn slow_writers_do_not_desynchronise_the_frame_stream() {
+    use sparql_hsp::serve::{read_frame, write_frame};
+    use std::io::Write;
+    use std::time::Duration;
+
+    let server = Server::start(Session::new(name_dataset(3)), ServeConfig::default())
+        .expect("server starts");
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("client connects");
+    stream.set_nodelay(true).expect("nodelay");
+
+    let query = "SELECT ?n WHERE { ?p <http://e/name> ?n . } ORDER BY ?n";
+    let payload = format!("QUERY format=csv\n{query}");
+    let (first, second) = payload.as_bytes().split_at(payload.len() / 2);
+    let header = u32::try_from(payload.len()).unwrap().to_be_bytes();
+    for (bytes, pause) in [(&header[..], 120), (first, 80), (second, 0)] {
+        stream.write_all(bytes).expect("partial frame written");
+        stream.flush().expect("flushed");
+        std::thread::sleep(Duration::from_millis(pause));
+    }
+    let response = read_frame(&mut stream)
+        .expect("response frame")
+        .expect("server kept the connection open");
+    let response = String::from_utf8(response).expect("UTF-8 response");
+    let (status, body) = response.split_once('\n').expect("status line + body");
+    assert!(status.starts_with("OK rows=3 cols=1"), "{status}");
+    assert_eq!(body, "n\r\nPerson 0\r\nPerson 1\r\nPerson 2\r\n");
+
+    // Same connection, ordinary one-write request: still in sync.
+    write_frame(&mut stream, b"PING").expect("second request");
+    let pong = read_frame(&mut stream)
+        .expect("second response frame")
+        .expect("connection still open");
+    assert_eq!(pong, b"OK pong");
+    server.shutdown();
+}
