@@ -219,15 +219,9 @@ pub fn measure_serve() -> ServeReport {
     assert!(queries.len() >= 4, "workload shrank unexpectedly");
 
     // In-process reference: the same queries through Session::query on a
-    // pool-less session, rendered to the SPARQL-JSON the server ships —
+    // default session, rendered to the SPARQL-JSON the server ships —
     // everything the serving layer adds on top of this is its overhead.
-    let in_process = Session::with_options(
-        ds.clone(),
-        SessionOptions {
-            pool_threads: Some(0),
-            ..SessionOptions::default()
-        },
-    );
+    let in_process = Session::new(ds.clone());
     let start = Instant::now();
     for _ in 0..PASSES {
         for (id, text) in &queries {
@@ -319,13 +313,12 @@ pub fn measure_serve() -> ServeReport {
     // measured server keeps the default threshold, so a batch costs
     // O(delta log delta) and base rebuilds amortise over many batches.
     // Updates never consult the result cache, so the row is cache-off by
-    // construction; pool-less sessions keep it free of scheduler noise.
+    // construction.
     let update_ds = generate_sp2bench(Sp2BenchConfig::with_triples(UPDATE_STORE_TRIPLES));
     let batches = update_batches();
     let compact_every = Session::with_options(
         update_ds.clone(),
         SessionOptions {
-            pool_threads: Some(0),
             compaction_threshold: Some(1),
             ..SessionOptions::default()
         },
@@ -338,13 +331,7 @@ pub fn measure_serve() -> ServeReport {
         "threshold-1 baseline must compact on every update"
     );
     baseline_server.shutdown();
-    let delta_session = Session::with_options(
-        update_ds,
-        SessionOptions {
-            pool_threads: Some(0),
-            ..SessionOptions::default()
-        },
-    );
+    let delta_session = Session::new(update_ds);
     let delta_server =
         Server::start(delta_session, ServeConfig::default()).expect("delta update server");
     let update_optimized_ns = run_update_client(delta_server.addr(), &batches);

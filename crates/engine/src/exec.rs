@@ -18,6 +18,7 @@ use crate::aggregate::AggError;
 use crate::binding::{resolve_term, BindingTable};
 use crate::govern::{CancelToken, GovernorError, QueryGovernor};
 use crate::metrics::RuntimeMetrics;
+use crate::morsel::MorselConfig;
 use crate::ops;
 use crate::plan::{PhysicalPlan, PlanError};
 use crate::pool::ExecContext;
@@ -85,9 +86,9 @@ pub struct ExecConfig {
     /// effective under `cfg(any(test, feature = "fault-inject"))`).
     pub inject_faults: bool,
     /// Override the rows-per-morsel of the parallel kernels (`None` keeps
-    /// [`MorselConfig`](crate::morsel::MorselConfig)'s default). Serving
-    /// sessions lower this so small interactive datasets still split into
-    /// enough morsels to interleave on the shared pool.
+    /// [`MorselConfig`]'s default). Serving sessions lower this so small
+    /// interactive datasets still split into enough morsels to interleave
+    /// on the shared pool.
     pub morsel_rows: Option<usize>,
     /// Override the rows threshold below which kernels stay sequential
     /// (`None` keeps the default).
@@ -193,26 +194,29 @@ impl ExecConfig {
     /// evaluators outside this crate (e.g. the extended OPTIONAL/UNION
     /// evaluator) that drive individual operators rather than whole plans,
     /// so one thread budget (and one governor) governs every operator of a
-    /// query.
+    /// query. With no explicit [`threads`](Self::threads) the budget is
+    /// detected here, on every call ([`MorselConfig::auto`] asks the OS);
+    /// a long-lived caller detects once and calls
+    /// [`context_from`](Self::context_from).
     pub fn context(&self) -> ExecContext {
-        let ctx = if self.morsel_rows.is_some() || self.min_parallel_rows.is_some() {
-            let mut morsel = match self.threads {
-                Some(n) => crate::morsel::MorselConfig::with_threads(n),
-                None => crate::morsel::MorselConfig::auto(),
-            };
-            if let Some(rows) = self.morsel_rows {
-                morsel = morsel.with_morsel_rows(rows);
-            }
-            if let Some(rows) = self.min_parallel_rows {
-                morsel = morsel.with_min_parallel_rows(rows);
-            }
-            ExecContext::with_morsel_config(morsel)
-        } else {
-            match self.threads {
-                Some(n) => ExecContext::with_threads(n),
-                None => ExecContext::new(),
-            }
-        };
+        self.context_from(MorselConfig::auto)
+    }
+
+    /// [`context`](Self::context) with the core detection supplied by the
+    /// caller: `detected` stands in for [`MorselConfig::auto`] and is only
+    /// called when no explicit [`threads`](Self::threads) replaces it; the
+    /// morsel-size overrides apply on top either way.
+    pub fn context_from(&self, detected: impl FnOnce() -> MorselConfig) -> ExecContext {
+        let mut morsel = self
+            .threads
+            .map_or_else(detected, MorselConfig::with_threads);
+        if let Some(rows) = self.morsel_rows {
+            morsel = morsel.with_morsel_rows(rows);
+        }
+        if let Some(rows) = self.min_parallel_rows {
+            morsel = morsel.with_min_parallel_rows(rows);
+        }
+        let ctx = ExecContext::with_morsel_config(morsel);
         match self.governor() {
             Some(gov) => ctx.with_governor(gov),
             None => ctx,
@@ -269,7 +273,7 @@ pub enum ExecError {
         site: &'static str,
     },
     /// A morsel worker or breaker step panicked; the unwind was caught,
-    /// the scoped pool joined cleanly, and the context remains usable.
+    /// the batch drained cleanly, and the context remains usable.
     WorkerPanicked {
         /// The checkpoint site whose work panicked.
         site: &'static str,
@@ -810,6 +814,23 @@ mod tests {
             pattern: TriplePattern::new(s, p, o),
             order,
         }
+    }
+
+    #[test]
+    fn context_from_detects_only_without_an_explicit_thread_count() {
+        let detected = || MorselConfig::with_threads(6).with_min_parallel_rows(7);
+        let ctx = ExecConfig::unlimited()
+            .with_morsel_rows(5)
+            .context_from(detected);
+        assert_eq!(ctx.morsel.threads(), 6);
+        assert_eq!(ctx.morsel.morsel_rows(), 5);
+        // 7 rows clear the detected threshold: two 5-row morsels.
+        assert_eq!(ctx.morsel.workers_for(6), 1);
+        assert_eq!(ctx.morsel.workers_for(7), 2);
+        let ctx = ExecConfig::unlimited()
+            .with_threads(3)
+            .context_from(|| unreachable!("an explicit count needs no detection"));
+        assert_eq!(ctx.morsel.threads(), 3);
     }
 
     #[test]

@@ -360,8 +360,7 @@ pub fn render_runtime_metrics(m: &crate::metrics::RuntimeMetrics) -> String {
     } else {
         String::new()
     };
-    // The shared-pool segment appears only on the serving path, where the
-    // session stamps `shared_pool_batches` after the run.
+    // The shared-pool segment appears only when a kernel ran parallel.
     let shared = if m.shared_pool_batches > 0 {
         format!(
             "; shared pool: {} batch{}",

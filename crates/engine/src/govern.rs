@@ -29,7 +29,7 @@
 //!   [`std::panic::catch_unwind`] when a governor is present; a panicking
 //!   kernel trips the governor and surfaces as
 //!   [`ExecError::WorkerPanicked`](crate::exec::ExecError::WorkerPanicked)
-//!   after the scoped pool joins cleanly.
+//!   after the batch drains cleanly.
 //!
 //! The governor trips **once**: the first failure is recorded and every
 //! later checkpoint returns the same error, so a multi-worker execution

@@ -171,20 +171,14 @@ impl CsrBuckets {
     fn build_par(hashes: &[u64], config: &MorselConfig) -> (CsrBuckets, MorselRun) {
         let workers = config.workers_for(hashes.len()).min(MAX_BUILD_WORKERS);
         if workers <= 1 {
-            return (
-                CsrBuckets::build(hashes),
-                MorselRun {
-                    morsels: 0,
-                    threads: 1,
-                },
-            );
+            return (CsrBuckets::build(hashes), MorselRun::SEQUENTIAL);
         }
         let buckets = (hashes.len() * 2).next_power_of_two().max(16);
         let shift = 64 - buckets.trailing_zeros();
         let stripes = morsel::stripe_ranges(hashes.len(), workers, config.morsel_rows());
 
         // Pass 1 (parallel): per-stripe bucket histograms.
-        let (mut histograms, run) = morsel::run_tasks(stripes.len(), workers, |s| {
+        let (mut histograms, mut run) = morsel::run_tasks(stripes.len(), workers, config, |s| {
             let mut counts = vec![0u32; buckets];
             for &h in &hashes[stripes[s].clone()] {
                 counts[(h >> shift) as usize] += 1;
@@ -201,7 +195,7 @@ impl CsrBuckets {
             .map(|c| (c * chunk_size).min(buckets)..((c + 1) * chunk_size).min(buckets))
             .filter(|r| !r.is_empty())
             .collect();
-        let (chunk_totals, _) = morsel::run_tasks(chunks.len(), workers, |c| {
+        let (chunk_totals, totals_run) = morsel::run_tasks(chunks.len(), workers, config, |c| {
             let mut sum = 0u32;
             for b in chunks[c].clone() {
                 for hist in &histograms {
@@ -215,13 +209,13 @@ impl CsrBuckets {
             chunk_base[c + 1] = chunk_base[c] + total;
         }
         let mut offsets = vec![0u32; buckets + 1];
-        {
+        let carve_run = {
             let offsets_out = ScatterSlice(offsets.as_mut_ptr());
             let hist_slices: Vec<ScatterSlice<u32>> = histograms
                 .iter_mut()
                 .map(|h| ScatterSlice(h.as_mut_ptr()))
                 .collect();
-            let (_, _) = morsel::run_tasks(chunks.len(), workers, |c| {
+            morsel::run_tasks(chunks.len(), workers, config, |c| {
                 // SAFETY: bucket chunks are disjoint, so every histogram
                 // slot `hist[b]` and offsets slot `offsets[b + 1]` is
                 // touched by exactly one task; `offsets[0]` stays 0.
@@ -234,8 +228,9 @@ impl CsrBuckets {
                     }
                     unsafe { offsets_out.write(b + 1, cursor) };
                 }
-            });
-        }
+            })
+            .1
+        };
 
         // Pass 2 (parallel): scatter row indices through the per-stripe
         // cursors. Every write lands at a distinct index (the cursors
@@ -248,7 +243,7 @@ impl CsrBuckets {
         let out = ScatterSlice(rows.as_mut_ptr());
         let cursor_slots: Vec<std::sync::Mutex<Vec<u32>>> =
             histograms.into_iter().map(std::sync::Mutex::new).collect();
-        let (_, scatter_run) = morsel::run_tasks(stripes.len(), workers, |s| {
+        let (_, scatter_run) = morsel::run_tasks(stripes.len(), workers, config, |s| {
             let out = &out;
             // Poison-tolerant: a caught worker panic elsewhere must not
             // cascade into a second panic here.
@@ -266,17 +261,14 @@ impl CsrBuckets {
                 cursors[b] += 1;
             }
         });
-        let threads = run.threads.max(scatter_run.threads);
+        run.batches += totals_run.batches + carve_run.batches + scatter_run.batches;
         (
             CsrBuckets {
                 shift,
                 offsets,
                 rows,
             },
-            MorselRun {
-                morsels: stripes.len(),
-                threads,
-            },
+            run,
         )
     }
 }
@@ -290,7 +282,7 @@ const MAX_BUILD_WORKERS: usize = 8;
 /// A raw mutable slice shared across scatter workers. The *caller*
 /// guarantees the workers write disjoint index sets (see
 /// [`CsrBuckets::build_par`]); the wrapper only exists to carry the
-/// pointer across the `Sync` bound of the scoped pool.
+/// pointer across the `Sync` bound of the task closures.
 struct ScatterSlice<T>(*mut T);
 
 unsafe impl<T: Send> Send for ScatterSlice<T> {}
@@ -396,13 +388,7 @@ impl BuildTable {
             "build side exceeds u32 row indexing"
         );
         if config.workers_for(rows) <= 1 {
-            return (
-                BuildTable::build(key_cols, rows),
-                MorselRun {
-                    morsels: 0,
-                    threads: 1,
-                },
-            );
+            return (BuildTable::build(key_cols, rows), MorselRun::SEQUENTIAL);
         }
         if key_cols.len() <= 2 {
             // Packed layout: key packing and hashing are both
@@ -421,10 +407,7 @@ impl BuildTable {
                 }
             });
             let (buckets, sort_run) = CsrBuckets::build_par(&hashes, config);
-            let run = MorselRun {
-                morsels: key_run.morsels + hash_run.morsels + sort_run.morsels,
-                threads: key_run.threads.max(hash_run.threads).max(sort_run.threads),
-            };
+            let run = key_run.then(hash_run).then(sort_run);
             (
                 BuildTable {
                     buckets,
@@ -443,10 +426,7 @@ impl BuildTable {
                 }
             });
             let (buckets, sort_run) = CsrBuckets::build_par(&hashes, config);
-            let run = MorselRun {
-                morsels: hash_run.morsels + sort_run.morsels,
-                threads: hash_run.threads.max(sort_run.threads),
-            };
+            let run = hash_run.then(sort_run);
             (
                 BuildTable {
                     buckets,

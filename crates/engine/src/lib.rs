@@ -50,8 +50,9 @@
 //! threaded through every operator as an [`pool::ExecContext`]:
 //!
 //! * **Morsel-driven parallelism** ([`morsel`]) — every heavy operator
-//!   stage runs on the scoped worker pool: the hash-join *build* (morsel-
-//!   parallel hashing plus a two-pass partitioned counting sort that
+//!   stage runs as task batches on one [`SharedPool`] (the one its
+//!   context names, else the process default): the hash-join *build*
+//!   (morsel-parallel hashing plus a two-pass partitioned counting sort that
 //!   reproduces the sequential bucket directory byte-for-byte), the
 //!   hash-join *probe* and scan fast paths (fixed-size morsels pulled
 //!   from a shared cursor, thread-local pair buffers stitched back in
@@ -135,6 +136,6 @@ pub use binding::BindingTable;
 pub use exec::{execute, execute_in, ExecConfig, ExecError, ExecOutput, ExecStrategy, Profile};
 pub use govern::{CancelToken, GovernorError, QueryGovernor};
 pub use metrics::{PlanMetrics, PlanShape, RuntimeMetrics};
-pub use morsel::{MorselConfig, PoolStats, SharedPool, SharedPoolGuard};
+pub use morsel::{MorselConfig, PoolStats, SharedPool};
 pub use plan::PhysicalPlan;
 pub use pool::{table_bytes, BufferPool, ExecContext};

@@ -76,12 +76,9 @@ pub struct RuntimeMetrics {
     /// High-water mark of the governor's memory accounting, in bytes
     /// (0 without a governor).
     pub governor_mem_peak: usize,
-    /// Task batches this query dispatched to a shared, long-lived
-    /// [`SharedPool`](crate::morsel::SharedPool) instead of scoped
-    /// threads — nonzero only on the serving path, where the caller
-    /// stamps it from
-    /// [`SharedPoolGuard::batches`](crate::morsel::SharedPoolGuard::batches)
-    /// after the run ([`RuntimeMetrics::of`] itself leaves it 0).
+    /// Task batches this execution submitted to its
+    /// [`SharedPool`](crate::morsel::SharedPool) — one per parallel kernel
+    /// step, 0 when every kernel ran inline.
     pub shared_pool_batches: usize,
     /// The session plan cache was consulted for this request (HSP
     /// join-fragment queries on a caching session). Stamped by the
@@ -134,7 +131,7 @@ impl RuntimeMetrics {
             pool_recycled: pool.recycled,
             governor_checks: ctx.governor().map_or(0, |g| g.checks()),
             governor_mem_peak: ctx.governor().map_or(0, |g| g.mem_peak()),
-            shared_pool_batches: 0,
+            shared_pool_batches: ctx.pool_batches(),
             plan_cache_used: false,
             plan_cache_hit: false,
             result_cache_used: false,

@@ -1,29 +1,44 @@
-//! Morsel-driven parallelism for the vectorized kernels.
+//! Morsel-driven parallelism for the vectorized kernels, and the one
+//! scheduler every parallel task of the engine runs on.
 //!
 //! Following Leis et al.'s morsel-driven execution model, a kernel's input
-//! index range is cut into fixed-size **morsels** (~32k rows). A scoped
-//! worker pool pulls morsels from a shared atomic cursor — so a slow morsel
-//! (one probe row with a huge match fan-out, say) never stalls the other
-//! workers — and every worker emits into its own thread-local buffer. The
+//! index range is cut into fixed-size **morsels** (~32k rows). The morsels
+//! of one kernel invocation form a **batch** on a [`SharedPool`]: the
+//! pool's long-lived workers — and the submitting thread, which always
+//! helps on its own batch — pull task indices from the batch's atomic
+//! cursor, so a slow morsel (one probe row with a huge match fan-out, say)
+//! never stalls the others, and every task emits into its own buffer. The
 //! per-morsel results are then stitched back together *in morsel order*,
 //! which makes the parallel output byte-identical to the sequential one:
 //! a morsel's rows are produced in probe order within the morsel, and the
 //! morsels tile the input range in order.
 //!
+//! There is exactly one place where "N tasks run on workers" is
+//! implemented — [`SharedPool`]'s batch queue — and [`run_tasks`] /
+//! `try_run_tasks` have two arms each: inline on the caller when one
+//! worker suffices, otherwise one submission to the pool the
+//! [`MorselConfig`] names. The pool is an explicit value: a session
+//! attaches its own pool and a per-query tag to the config of every
+//! context it builds ([`MorselConfig::on_pool`]); a config with no pool
+//! attached (direct `execute()` callers, the bench harness, unit tests)
+//! submits to one lazily created process-default pool sized by
+//! [`MorselConfig::auto`]`.threads()`. Because the submitter helps, a task
+//! that submits again (a nested kernel) goes to the *same* pool without
+//! deadlock, and a shut-down pool simply has no helpers: the submitter
+//! runs the whole batch itself.
+//!
 //! Parallelism is gated the same way the six-order store build gates it:
-//! the input must clear a row threshold (below it, thread spawns cost more
-//! than they save) and the machine must report more than one core via
-//! [`std::thread::available_parallelism`]. Both gates can be overridden
-//! with a forced thread count, which is how the single-core CI container
-//! still exercises the parallel path in unit tests.
+//! the input must clear a row threshold (below it, the hand-over to other
+//! threads costs more than it saves) and the machine must report more than
+//! one core via [`std::thread::available_parallelism`]. Both gates can be
+//! overridden with a forced thread count, which is how a single-core CI
+//! container still exercises the parallel path in unit tests.
 
-use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use crate::govern::{GovernorError, QueryGovernor};
 
@@ -33,21 +48,26 @@ use crate::govern::{GovernorError, QueryGovernor};
 pub const DEFAULT_MORSEL_ROWS: usize = 32 * 1024;
 
 /// Below this many input rows a kernel stays sequential: the work fits in
-/// cache and thread spawns would dominate. Matches the spirit of the store
-/// build's `PARALLEL_THRESHOLD`.
+/// cache and the hand-over to the pool would dominate. Matches the spirit
+/// of the store build's `PARALLEL_THRESHOLD`.
 pub const DEFAULT_MIN_PARALLEL_ROWS: usize = 32 * 1024;
 
 /// Morsel size under the `HSP_FORCE_THREADS` override: small enough that
 /// even unit-test-sized inputs split across several workers.
 pub const FORCED_ENV_MORSEL_ROWS: usize = 256;
 
-/// How a kernel splits work: thread budget, morsel size, and the row
-/// threshold under which it stays sequential.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How a kernel splits work — thread budget, morsel size, and the row
+/// threshold under which it stays sequential — and where its parallel
+/// tasks run: the attached [`SharedPool`], or the process default.
+#[derive(Debug, Clone)]
 pub struct MorselConfig {
     threads: usize,
     morsel_rows: usize,
     min_parallel_rows: usize,
+    /// `None` submits to the process-default pool.
+    pool: Option<SharedPool>,
+    /// The owning query, for the pool's cross-query accounting.
+    tag: u64,
 }
 
 impl MorselConfig {
@@ -87,7 +107,18 @@ impl MorselConfig {
             threads: threads.max(1),
             morsel_rows: DEFAULT_MORSEL_ROWS,
             min_parallel_rows: DEFAULT_MIN_PARALLEL_ROWS,
+            pool: None,
+            tag: 0,
         }
+    }
+
+    /// Submit every parallel task of this configuration to `pool`, tagged
+    /// with `tag` (one distinct tag per query, so the pool can count
+    /// workers alternating between queries).
+    pub fn on_pool(mut self, pool: &SharedPool, tag: u64) -> Self {
+        self.pool = Some(pool.clone());
+        self.tag = tag;
+        self
     }
 
     /// Override the morsel size (clamped to ≥ 1).
@@ -121,6 +152,14 @@ impl MorselConfig {
         }
         self.threads.min(rows.div_ceil(self.morsel_rows)).max(1)
     }
+
+    /// The pool this configuration's batches go to.
+    pub(crate) fn pool(&self) -> &SharedPool {
+        static DEFAULT: OnceLock<SharedPool> = OnceLock::new();
+        self.pool
+            .as_ref()
+            .unwrap_or_else(|| DEFAULT.get_or_init(|| SharedPool::new(Self::auto().threads())))
+    }
 }
 
 impl Default for MorselConfig {
@@ -140,17 +179,39 @@ fn parse_forced_threads(value: Option<String>) -> Option<usize> {
 }
 
 /// What one [`run_morsels`] call did — feeds the engine's runtime counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MorselRun {
     /// Number of morsels the range was cut into (0 when run sequentially
     /// as one undivided range).
     pub morsels: usize,
-    /// Worker threads used (1 = sequential).
+    /// Threads that could take part: the pool's workers plus the
+    /// submitter, capped by the task count (1 = ran inline).
     pub threads: usize,
+    /// Batches submitted to the pool (0 = ran inline).
+    pub batches: usize,
 }
 
-/// Cut `0..rows` into morsels, run `worker` over every morsel on a scoped
-/// worker pool, and return the per-morsel results **in morsel order**
+impl MorselRun {
+    /// What a run that stayed inline on the caller's thread reports.
+    pub const SEQUENTIAL: MorselRun = MorselRun {
+        morsels: 0,
+        threads: 1,
+        batches: 0,
+    };
+
+    /// This run and `next` as one counter entry: their morsels and batches
+    /// added up, the wider of their thread counts.
+    pub fn then(self, next: MorselRun) -> MorselRun {
+        MorselRun {
+            morsels: self.morsels + next.morsels,
+            threads: self.threads.max(next.threads),
+            batches: self.batches + next.batches,
+        }
+    }
+}
+
+/// Cut `0..rows` into morsels, run `worker` over every morsel on the
+/// config's pool, and return the per-morsel results **in morsel order**
 /// (deterministic regardless of scheduling). Falls back to a single
 /// sequential `worker(0..rows)` call when [`MorselConfig::workers_for`]
 /// says parallelism cannot win.
@@ -161,119 +222,67 @@ pub fn run_morsels<T: Send>(
 ) -> (Vec<T>, MorselRun) {
     let threads = config.workers_for(rows);
     if threads <= 1 {
-        return (
-            vec![worker(0..rows)],
-            MorselRun {
-                morsels: 0,
-                threads: 1,
-            },
-        );
+        return (vec![worker(0..rows)], MorselRun::SEQUENTIAL);
     }
     // A morsel run is a task run whose task `m` is the m-th morsel range
     // (`workers_for` already capped `threads` at the morsel count).
     let morsel_rows = config.morsel_rows;
     let morsels = rows.div_ceil(morsel_rows);
-    let (results, _) = run_tasks(morsels, threads, |m| {
+    run_tasks(morsels, threads, config, |m| {
         let start = m * morsel_rows;
         worker(start..(start + morsel_rows).min(rows))
-    });
-    (results, MorselRun { morsels, threads })
+    })
 }
 
-/// Run `count` independent tasks on a scoped worker pool of at most
-/// `threads` workers (an atomic cursor hands out task indices, so a slow
-/// task never stalls the others) and return the results **in task order**.
-/// With one worker — or one task — everything runs inline on the caller's
-/// thread.
+/// Run `count` independent tasks and return the results **in task
+/// order**. With a budget of one worker — or one task — everything runs
+/// inline on the caller's thread; otherwise the tasks are one batch on
+/// the config's [`SharedPool`] (an atomic cursor hands out task indices to
+/// the pool's workers and the helping submitter, so a slow task never
+/// stalls the others). Results and their order are identical either way.
 ///
-/// This is the one scheduling loop of the module: [`run_morsels`]
-/// delegates here with one task per morsel, [`fill_stripes`] with one
-/// task per stripe, and *partitioned* work — the range-partitioned merge
-/// join, the partitioned counting sort of the parallel hash-join build,
-/// whose per-task ranges are data-dependent and non-uniform — calls it
+/// This is the one entry to the scheduler: [`run_morsels`] delegates here
+/// with one task per morsel, [`fill_stripes`] with one task per stripe,
+/// and *partitioned* work — the range-partitioned merge join, the
+/// partitioned counting sort of the parallel hash-join build, whose
+/// per-task ranges are data-dependent and non-uniform — calls it
 /// directly.
-///
-/// When the calling thread has a [`SharedPool`] installed (the serving
-/// path — see [`SharedPool::install`]), the tasks are dispatched to that
-/// long-lived pool instead of spawning scoped threads; results and their
-/// order are identical either way.
 pub fn run_tasks<T: Send>(
     count: usize,
     threads: usize,
+    config: &MorselConfig,
     task: impl Fn(usize) -> T + Sync,
 ) -> (Vec<T>, MorselRun) {
-    let threads = threads.min(count).max(1);
-    if threads <= 1 {
-        return (
-            (0..count).map(&task).collect(),
-            MorselRun {
-                morsels: 0,
-                threads: 1,
-            },
-        );
+    if threads.min(count) <= 1 {
+        return ((0..count).map(&task).collect(), MorselRun::SEQUENTIAL);
     }
-    if let Some(result) = shared_pool_run(count, None, "worker", &task) {
-        // invariant: an ungoverned shared-pool run cannot trip a governor
-        // (a panicking task re-panics on the submitter instead).
-        return result.expect("ungoverned shared-pool run cannot trip");
-    }
-    let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let t = cursor.fetch_add(1, Ordering::Relaxed);
-                if t >= count {
-                    break;
-                }
-                let result = task(t);
-                // Poison-tolerant: the lock only guards the slot store, and
-                // a panic on a sibling worker must not cascade here.
-                *slots[t]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
-            });
-        }
-    });
-    let results = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                // invariant: the scope joined, so every index the cursor
-                // handed out has stored its result.
-                .expect("every task produced a result")
-        })
-        .collect();
-    (
-        results,
-        MorselRun {
-            morsels: count,
-            threads,
-        },
-    )
+    config
+        .pool()
+        .run_batch(config.tag, count, None, "worker", &task)
+        // invariant: only a governor produces the error, and none is
+        // attached (a panicking task re-panics on the submitter instead).
+        .expect("ungoverned batch cannot trip")
 }
 
 /// [`run_tasks`] under a [`QueryGovernor`]: every task claim is a
 /// cooperative checkpoint for `site`, and each task body runs under
 /// [`catch_unwind`] so a panicking kernel trips the governor instead of
-/// unwinding through [`std::thread::scope`]. On a trip the remaining
-/// tasks are never claimed, the workers drain, the scoped pool joins
-/// cleanly, and the partial per-task results are dropped. With no
-/// governor this *is* [`run_tasks`] — zero overhead on the ungoverned
-/// path.
+/// unwinding through a pool worker. On a trip the remaining tasks are
+/// claimed but not run, the batch drains, and the partial per-task
+/// results are dropped. With no governor this *is* [`run_tasks`] — zero
+/// overhead on the ungoverned path.
 pub(crate) fn try_run_tasks<T: Send>(
     count: usize,
     threads: usize,
+    config: &MorselConfig,
     gov: Option<&QueryGovernor>,
     site: &'static str,
     task: impl Fn(usize) -> T + Sync,
 ) -> Result<(Vec<T>, MorselRun), GovernorError> {
     let Some(gov) = gov else {
-        return Ok(run_tasks(count, threads, task));
+        return Ok(run_tasks(count, threads, config, task));
     };
-    let threads = threads.min(count).max(1);
-    if threads <= 1 {
+    if threads.min(count) <= 1 {
         let mut results = Vec::with_capacity(count);
         for t in 0..count {
             // The checkpoint runs inside the unwind guard too: an injected
@@ -287,65 +296,11 @@ pub(crate) fn try_run_tasks<T: Send>(
                 Err(_) => return Err(gov.note_panic(site)),
             }
         }
-        return Ok((
-            results,
-            MorselRun {
-                morsels: 0,
-                threads: 1,
-            },
-        ));
+        return Ok((results, MorselRun::SEQUENTIAL));
     }
-    if let Some(result) = shared_pool_run(count, Some(gov), site, &task) {
-        return result;
-    }
-    let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                // One unwind guard around the whole claim loop: a panic in
-                // `task` (or an injected fault in `check`) lands here, trips
-                // the governor, and the *other* workers stop claiming at
-                // their next checkpoint.
-                let worker = || loop {
-                    if gov.check(site).is_err() {
-                        break;
-                    }
-                    let t = cursor.fetch_add(1, Ordering::Relaxed);
-                    if t >= count {
-                        break;
-                    }
-                    let result = task(t);
-                    *slots[t]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
-                };
-                if catch_unwind(AssertUnwindSafe(worker)).is_err() {
-                    gov.note_panic(site);
-                }
-            });
-        }
-    });
-    if let Some(e) = gov.trip_error() {
-        return Err(e);
-    }
-    // invariant: no trip means every task index was claimed and its worker
-    // reached the slot store (the only early exits trip the governor).
-    let results = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .expect("every task produced a result")
-        })
-        .collect();
-    Ok((
-        results,
-        MorselRun {
-            morsels: count,
-            threads,
-        },
-    ))
+    config
+        .pool()
+        .run_batch(config.tag, count, Some(gov), site, &task)
 }
 
 /// [`run_morsels`] under a [`QueryGovernor`] (see [`try_run_tasks`]).
@@ -369,17 +324,10 @@ pub(crate) fn try_run_morsels<T: Send>(
     // At least one (possibly empty) morsel, mirroring the ungoverned
     // sequential path's unconditional `worker(0..rows)` call.
     let morsels = rows.div_ceil(morsel_rows).max(1);
-    let (results, _) = try_run_tasks(morsels, threads, Some(gov), site, |m| {
+    try_run_tasks(morsels, threads, config, Some(gov), site, |m| {
         let start = m * morsel_rows;
         worker(start..(start + morsel_rows).min(rows))
-    })?;
-    Ok((
-        results,
-        MorselRun {
-            morsels: if threads > 1 { morsels } else { 0 },
-            threads: threads.max(1),
-        },
-    ))
+    })
 }
 
 /// The governed sequential morsel loop for workers that are not `Sync`
@@ -408,13 +356,7 @@ pub(crate) fn try_run_morsels_seq<T>(
             Err(_) => return Err(gov.note_panic(site)),
         }
     }
-    Ok((
-        results,
-        MorselRun {
-            morsels: 0,
-            threads: 1,
-        },
-    ))
+    Ok((results, MorselRun::SEQUENTIAL))
 }
 
 /// Fill `out` by applying `fill(offset, chunk)` to contiguous stripes, in
@@ -436,10 +378,7 @@ pub fn fill_stripes<T: Send>(
     let threads = config.workers_for(rows);
     if threads <= 1 {
         fill(0, out);
-        return MorselRun {
-            morsels: 0,
-            threads: 1,
-        };
+        return MorselRun::SEQUENTIAL;
     }
     // Stripe size: whole morsels, spread across the worker budget.
     let stripe = stripe_rows(rows, threads, config.morsel_rows);
@@ -453,12 +392,9 @@ pub fn fill_stripes<T: Send>(
         offset += take;
         rest = tail;
     }
-    let count = stripes.len();
-    // One task per stripe through the common scheduling loop — so striped
-    // fills dispatch to the shared pool on the serving path too. Slots
-    // only transfer stripe ownership *into* the tasks; each task index
-    // maps to a distinct slot, claimed exactly once.
-    let (_, run) = run_tasks(count, threads, |s| {
+    // One task per stripe. Slots only transfer stripe ownership *into* the
+    // tasks; each task index maps to a distinct slot, claimed exactly once.
+    let (_, run) = run_tasks(stripes.len(), threads, config, |s| {
         let (offset, chunk) = stripes[s]
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -467,8 +403,8 @@ pub fn fill_stripes<T: Send>(
         fill(offset, chunk);
     });
     MorselRun {
-        morsels: count,
-        threads: run.threads,
+        morsels: stripes.len(),
+        ..run
     }
 }
 
@@ -494,13 +430,7 @@ pub fn merge_sort<T: Send>(
     if workers <= 1 {
         let mut items = items;
         items.sort_by(&cmp);
-        return (
-            items,
-            MorselRun {
-                morsels: 0,
-                threads: 1,
-            },
-        );
+        return (items, MorselRun::SEQUENTIAL);
     }
 
     // Per-worker sorted runs over contiguous, morsel-aligned stripes.
@@ -527,12 +457,12 @@ pub fn merge_sort<T: Send>(
             .expect("run present")
     };
     let slots: Vec<Mutex<Option<Vec<T>>>> = runs.into_iter().map(|r| Mutex::new(Some(r))).collect();
-    let (mut runs, sort_run) = run_tasks(slots.len(), workers, |s| {
+    let (mut runs, mut total) = run_tasks(slots.len(), workers, config, |s| {
         let mut run = take(&slots, s);
         run.sort_by(&cmp);
         run
     });
-    let mut threads = sort_run.threads;
+    total.morsels = initial_runs;
 
     // Merge rounds: adjacent runs pair up (preserving range order); an odd
     // trailing run carries into the next round unmerged.
@@ -545,20 +475,15 @@ pub fn merge_sort<T: Send>(
         };
         let slots: Vec<Mutex<Option<Vec<T>>>> =
             runs.into_iter().map(|r| Mutex::new(Some(r))).collect();
-        let (merged, merge_run) = run_tasks(pairs, workers, |p| {
+        let (merged, merge_run) = run_tasks(pairs, workers, config, |p| {
             merge_two(take(&slots, 2 * p), take(&slots, 2 * p + 1), &cmp)
         });
-        threads = threads.max(merge_run.threads);
+        total.threads = total.threads.max(merge_run.threads);
+        total.batches += merge_run.batches;
         runs = merged;
         runs.extend(leftover);
     }
-    (
-        runs.pop().unwrap_or_default(),
-        MorselRun {
-            morsels: initial_runs,
-            threads,
-        },
-    )
+    (runs.pop().unwrap_or_default(), total)
 }
 
 /// Merge two sorted runs, taking from `a` (the earlier input range) on
@@ -607,18 +532,15 @@ pub fn stripe_ranges(rows: usize, workers: usize, morsel_rows: usize) -> Vec<Ran
 }
 
 // ---------------------------------------------------------------------------
-// The shared, long-lived morsel pool — the serving path's scheduler.
+// The shared, long-lived morsel pool — the scheduler.
 //
-// One process-wide pool serves *many concurrent queries*: each parallel
-// kernel invocation becomes a tagged **batch** of tasks on a round-robin
-// queue, and the pool's workers interleave claims across batches — so a
-// long scan of one query never starves the morsels of another (Leis et
-// al.'s elasticity argument). The submitting thread installs the pool in
-// thread-local storage ([`SharedPool::install`]); [`run_tasks`] and its
-// governed twin consult that TLS and dispatch there instead of spawning
-// scoped threads. Pool workers carry no TLS installation themselves, so
-// a nested parallel kernel inside a task safely falls back to the scoped
-// path.
+// One pool serves *many concurrent queries*: each parallel kernel
+// invocation becomes a tagged **batch** of tasks on a round-robin queue,
+// and the pool's workers interleave claims across batches — so a long scan
+// of one query never starves the morsels of another (Leis et al.'s
+// elasticity argument). The submitter helps on its own batch until its
+// cursor is exhausted, which is what makes nested submissions and
+// submissions to a shut-down pool safe.
 // ---------------------------------------------------------------------------
 
 /// Snapshot of a [`SharedPool`]'s lifetime counters.
@@ -653,7 +575,7 @@ unsafe impl Sync for TaskRef {}
 /// independent tasks claimed through an atomic cursor, tagged with the
 /// owning query.
 struct Batch {
-    /// The submitting query (from [`SharedPool::install`]) — only used
+    /// The submitting query (from [`MorselConfig::on_pool`]) — only used
     /// to count cross-query switches.
     tag: u64,
     task: TaskRef,
@@ -755,12 +677,13 @@ fn worker_loop(inner: &PoolInner) {
 
 /// A shared, long-lived morsel worker pool (cheaply clonable handle).
 ///
-/// Create once per server/session, [`SharedPool::install`] per query on
-/// the thread that drives the query, and every parallel kernel of that
-/// query schedules its morsels here. Call [`SharedPool::shutdown`] to
-/// join the workers; a pool that is never shut down parks its workers on
-/// a condvar until process exit. Submissions to a shut-down pool are
-/// refused, and the caller falls back to scoped threads.
+/// Create once per server/session, attach it to each query's
+/// [`MorselConfig`] ([`MorselConfig::on_pool`]), and every parallel kernel
+/// of that query schedules its morsels here. Call
+/// [`SharedPool::shutdown`] to join the workers; a pool that is never shut
+/// down (the process default) parks its workers on a condvar until process
+/// exit. A batch submitted to a shut-down pool still completes: its
+/// submitter runs all of it.
 #[derive(Clone)]
 pub struct SharedPool {
     inner: Arc<PoolInner>,
@@ -820,9 +743,9 @@ impl SharedPool {
         }
     }
 
-    /// Refuse new batches and join the workers (idempotent). In-flight
-    /// batches still complete: their submitters help on their own batch
-    /// until the cursor is exhausted, whether or not any worker remains.
+    /// Join the workers (idempotent). In-flight and later batches still
+    /// complete: their submitters help on their own batch until the
+    /// cursor is exhausted, whether or not any worker remains.
     pub fn shutdown(&self) {
         // Set the flag under the queue lock: a worker checks it and parks
         // on `available` under that same lock, so it either sees the flag
@@ -850,43 +773,15 @@ impl SharedPool {
         }
     }
 
-    /// Install this pool on the calling thread for the duration of the
-    /// returned guard: every [`run_tasks`]-family call on this thread
-    /// with parallel work dispatches to the pool, tagged with `tag` (one
-    /// distinct tag per query). Nested installs stack; the guard restores
-    /// the previous installation on drop and reports how many batches the
-    /// query dispatched ([`SharedPoolGuard::batches`]).
-    pub fn install(&self, tag: u64) -> SharedPoolGuard {
-        let batches = Rc::new(Cell::new(0));
-        let installed = Installed {
-            pool: self.clone(),
-            tag,
-            batches: Rc::clone(&batches),
-        };
-        let prev = INSTALLED.with(|slot| slot.borrow_mut().replace(installed));
-        SharedPoolGuard {
-            prev,
-            batches,
-            _single_thread: std::marker::PhantomData,
-        }
-    }
-
     /// Enqueue a lifetime-erased batch, help on it exclusively until its
     /// cursor is exhausted, then wait for straggling workers. Returns
-    /// `None` if the pool is shut down (caller falls back to scoped
-    /// threads), otherwise whether any task panicked.
+    /// whether any task panicked.
     ///
-    /// Because the submitter helps on its *own* batch, a saturated — or
-    /// even concurrently shut-down — pool can never deadlock a request:
-    /// worst case the submitter runs the whole batch itself, exactly like
-    /// the scoped path on one thread.
-    fn run_erased(&self, tag: u64, count: usize, task: &(dyn Fn(usize) + Sync)) -> Option<bool> {
-        if self.inner.shutdown.load(Ordering::Acquire) {
-            return None;
-        }
-        if count == 0 {
-            return Some(false);
-        }
+    /// Because the submitter helps on its *own* batch, a saturated pool, a
+    /// shut-down pool, or a submission from inside one of the pool's own
+    /// tasks can never deadlock a request: worst case the submitter runs
+    /// the whole batch itself.
+    fn run_erased(&self, tag: u64, count: usize, task: &(dyn Fn(usize) + Sync)) -> bool {
         // SAFETY: lifetime erasure only — see the `TaskRef` contract.
         let task: *const (dyn Fn(usize) + Sync + 'static) =
             unsafe { std::mem::transmute(task as *const (dyn Fn(usize) + Sync)) };
@@ -900,11 +795,18 @@ impl SharedPool {
             done: Mutex::new(false),
             done_cv: Condvar::new(),
         });
-        self.inner
-            .queue
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push_back(Arc::clone(&batch));
+        {
+            let mut queue = self
+                .inner
+                .queue
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            // `shutdown` sets the flag under this lock: once it is set no
+            // worker will ever pop the queue again, so do not grow it.
+            if !self.inner.shutdown.load(Ordering::Acquire) {
+                queue.push_back(Arc::clone(&batch));
+            }
+        }
         self.inner.available.notify_all();
         self.inner.batches.fetch_add(1, Ordering::Relaxed);
         self.inner.tasks.fetch_add(count as u64, Ordering::Relaxed);
@@ -921,20 +823,20 @@ impl SharedPool {
                 .wait(done)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
-        Some(batch.panicked.load(Ordering::Acquire))
+        batch.panicked.load(Ordering::Acquire)
     }
 
-    /// The typed batch run: governor checkpoints before every task (a
-    /// trip drains the remaining claims cheaply), results in task order.
-    /// `None` means the pool refused the batch (shut down).
-    fn run_governed<T: Send>(
+    /// The typed batch run behind [`run_tasks`] / [`try_run_tasks`]
+    /// (`count ≥ 2`): governor checkpoints before every task (a trip
+    /// drains the remaining claims cheaply), results in task order.
+    fn run_batch<T: Send>(
         &self,
         tag: u64,
         count: usize,
         gov: Option<&QueryGovernor>,
         site: &'static str,
         task: &(impl Fn(usize) -> T + Sync),
-    ) -> Option<Result<(Vec<T>, MorselRun), GovernorError>> {
+    ) -> Result<(Vec<T>, MorselRun), GovernorError> {
         let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
         let erased = |t: usize| {
             if let Some(gov) = gov {
@@ -950,22 +852,16 @@ impl SharedPool {
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
         };
-        let panicked = self.run_erased(tag, count, &erased)?;
-        let run = MorselRun {
-            morsels: count,
-            // The submitter helps alongside the pool's workers.
-            threads: (self.inner.threads + 1).min(count.max(1)),
-        };
-        if panicked {
+        if self.run_erased(tag, count, &erased) {
             let Some(gov) = gov else {
-                // Mirror the scoped path, where a worker panic unwinds
-                // through `std::thread::scope` into the submitter.
+                // Nobody to report to: the panic resurfaces on the
+                // submitter, as if it had run the task itself.
                 panic!("morsel task panicked on the shared pool at {site}");
             };
-            return Some(Err(gov.note_panic(site)));
+            return Err(gov.note_panic(site));
         }
         if let Some(e) = gov.and_then(QueryGovernor::trip_error) {
-            return Some(Err(e));
+            return Err(e);
         }
         let results = slots
             .into_iter()
@@ -977,64 +873,14 @@ impl SharedPool {
                     .expect("every task produced a result")
             })
             .collect();
-        Some(Ok((results, run)))
+        let run = MorselRun {
+            morsels: count,
+            // The submitter helps alongside the pool's workers.
+            threads: (self.inner.threads + 1).min(count),
+            batches: 1,
+        };
+        Ok((results, run))
     }
-}
-
-/// What [`SharedPool::install`] places in thread-local storage.
-struct Installed {
-    pool: SharedPool,
-    tag: u64,
-    /// Batches this query dispatched — shared with the guard.
-    batches: Rc<Cell<u64>>,
-}
-
-thread_local! {
-    static INSTALLED: RefCell<Option<Installed>> = const { RefCell::new(None) };
-}
-
-/// RAII guard of a [`SharedPool::install`]: restores the previous
-/// installation (if any) on drop. `!Send` by construction — it must drop
-/// on the thread that installed it.
-pub struct SharedPoolGuard {
-    prev: Option<Installed>,
-    batches: Rc<Cell<u64>>,
-    _single_thread: std::marker::PhantomData<*const ()>,
-}
-
-impl SharedPoolGuard {
-    /// Batches this installation dispatched to the shared pool so far —
-    /// the per-query counter surfaced as
-    /// `RuntimeMetrics::shared_pool_batches`.
-    pub fn batches(&self) -> u64 {
-        self.batches.get()
-    }
-}
-
-impl Drop for SharedPoolGuard {
-    fn drop(&mut self) {
-        INSTALLED.with(|slot| *slot.borrow_mut() = self.prev.take());
-    }
-}
-
-/// Dispatch to the thread's installed [`SharedPool`], if any. `None`
-/// (no installation, or the pool is shut down) sends the caller down the
-/// scoped-thread path. The TLS borrow is released before the batch runs,
-/// so nested `run_tasks` calls from inside a task body re-enter safely.
-fn shared_pool_run<T: Send>(
-    count: usize,
-    gov: Option<&QueryGovernor>,
-    site: &'static str,
-    task: &(impl Fn(usize) -> T + Sync),
-) -> Option<Result<(Vec<T>, MorselRun), GovernorError>> {
-    let (pool, tag, batches) = INSTALLED.with(|slot| {
-        slot.borrow()
-            .as_ref()
-            .map(|i| (i.pool.clone(), i.tag, Rc::clone(&i.batches)))
-    })?;
-    let result = pool.run_governed(tag, count, gov, site, task)?;
-    batches.set(batches.get() + 1);
-    Some(result)
 }
 
 #[cfg(test)]
@@ -1047,7 +893,7 @@ mod tests {
         assert_eq!(config.workers_for(10), 1);
         let (results, run) = run_morsels(10, &config, |r| r.len());
         assert_eq!(results, vec![10]);
-        assert_eq!(run.threads, 1);
+        assert_eq!(run, MorselRun::SEQUENTIAL);
     }
 
     #[test]
@@ -1067,7 +913,7 @@ mod tests {
                 .with_min_parallel_rows(0);
             let (results, run) = run_morsels(100, &config, |r| r.clone());
             assert_eq!(run.morsels, 100usize.div_ceil(7));
-            assert_eq!(run.threads, threads.min(run.morsels));
+            assert_eq!(run.batches, 1);
             let flat: Vec<usize> = results.into_iter().flatten().collect();
             let expected: Vec<usize> = (0..100).collect();
             assert_eq!(flat, expected);
@@ -1101,13 +947,18 @@ mod tests {
     #[test]
     fn run_tasks_returns_results_in_task_order() {
         for threads in 1..=4 {
-            let (results, run) = run_tasks(9, threads, |t| t * 10);
+            let (results, run) =
+                run_tasks(9, threads, &MorselConfig::with_threads(threads), |t| t * 10);
             assert_eq!(results, (0..9).map(|t| t * 10).collect::<Vec<_>>());
-            assert_eq!(run.threads, threads.clamp(1, 9));
+            if threads == 1 {
+                assert_eq!(run, MorselRun::SEQUENTIAL);
+            } else {
+                assert_eq!((run.morsels, run.batches), (9, 1));
+            }
         }
-        let (empty, run) = run_tasks(0, 4, |t| t);
+        let (empty, run) = run_tasks(0, 4, &MorselConfig::with_threads(4), |t| t);
         assert!(empty.is_empty());
-        assert_eq!(run.threads, 1);
+        assert_eq!(run, MorselRun::SEQUENTIAL);
     }
 
     #[test]
@@ -1146,8 +997,10 @@ mod tests {
             let (sorted, run) = merge_sort(items.clone(), &config, |a, b| a.0.cmp(&b.0));
             assert_eq!(sorted, expected, "threads={threads}");
             if threads > 1 {
-                assert!(run.threads > 1);
                 assert!(run.morsels > 1);
+                // One batch for the run sorts, one per merge round that
+                // still had at least two pairs.
+                assert!(run.batches >= 1);
             }
         }
     }
@@ -1194,7 +1047,7 @@ mod tests {
             .with_morsel_rows(10)
             .with_min_parallel_rows(0);
         let (results, run) = run_morsels(35, &config, |r| r.len());
-        assert!(run.threads > 1);
+        assert_eq!((run.morsels, run.batches), (4, 1));
         assert_eq!(results.iter().sum::<usize>(), 35);
     }
 
@@ -1202,7 +1055,15 @@ mod tests {
     fn governed_tasks_match_ungoverned_when_nothing_trips() {
         let gov = QueryGovernor::new();
         for threads in 1..=4 {
-            let (results, _) = try_run_tasks(9, threads, Some(&gov), "worker", |t| t * 10).unwrap();
+            let (results, _) = try_run_tasks(
+                9,
+                threads,
+                &MorselConfig::with_threads(threads),
+                Some(&gov),
+                "worker",
+                |t| t * 10,
+            )
+            .unwrap();
             assert_eq!(results, (0..9).map(|t| t * 10).collect::<Vec<_>>());
         }
         assert!(gov.checks() > 0);
@@ -1210,28 +1071,38 @@ mod tests {
 
     #[test]
     fn governed_tasks_without_governor_delegate() {
-        let (results, run) = try_run_tasks(5, 2, None, "worker", |t| t + 1).unwrap();
+        let (results, run) =
+            try_run_tasks(5, 2, &MorselConfig::with_threads(2), None, "worker", |t| {
+                t + 1
+            })
+            .unwrap();
         assert_eq!(results, vec![1, 2, 3, 4, 5]);
-        assert_eq!(run.threads, 2);
+        assert_eq!((run.morsels, run.batches), (5, 1));
     }
 
     #[test]
-    fn cancelled_tasks_stop_early_and_join() {
+    fn cancelled_tasks_stop_early_and_drain() {
         use crate::govern::CancelToken;
-        use std::sync::Arc;
         for threads in 1..=4 {
             let token = Arc::new(CancelToken::new());
             let gov = QueryGovernor::new().with_token(token.clone());
             let done = AtomicUsize::new(0);
-            let err = try_run_tasks(1000, threads, Some(&gov), "worker", |t| {
-                if t == 3 {
-                    token.cancel();
-                }
-                done.fetch_add(1, Ordering::Relaxed);
-            })
+            let err = try_run_tasks(
+                1000,
+                threads,
+                &MorselConfig::with_threads(threads),
+                Some(&gov),
+                "worker",
+                |t| {
+                    if t == 3 {
+                        token.cancel();
+                    }
+                    done.fetch_add(1, Ordering::Relaxed);
+                },
+            )
             .unwrap_err();
             assert_eq!(err, GovernorError::Cancelled, "threads={threads}");
-            // The pool joined without running everything.
+            // The batch drained without running everything.
             assert!(
                 done.load(Ordering::Relaxed) < 1000,
                 "threads={threads} ran all tasks despite cancellation"
@@ -1243,10 +1114,17 @@ mod tests {
     fn panicking_task_converts_to_worker_panicked() {
         for threads in 1..=4 {
             let gov = QueryGovernor::new();
-            let err = try_run_tasks(100, threads, Some(&gov), "worker", |t| {
-                assert!(t != 7, "injected kernel panic");
-                t
-            })
+            let err = try_run_tasks(
+                100,
+                threads,
+                &MorselConfig::with_threads(threads),
+                Some(&gov),
+                "worker",
+                |t| {
+                    assert!(t != 7, "injected kernel panic");
+                    t
+                },
+            )
             .unwrap_err();
             assert_eq!(
                 err,
@@ -1263,7 +1141,7 @@ mod tests {
         let (parts, run) = try_run_morsels(35, &config, Some(&gov), "worker", |r| r.len()).unwrap();
         // Sequential but still chunked: four morsels, four checkpoints.
         assert_eq!(parts, vec![10, 10, 10, 5]);
-        assert_eq!(run.threads, 1);
+        assert_eq!(run, MorselRun::SEQUENTIAL);
         assert_eq!(gov.checks(), 4);
     }
 
@@ -1290,87 +1168,105 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
-    // Shared pool
+    // The pool
     // -----------------------------------------------------------------
 
     #[test]
-    fn shared_pool_results_match_scoped_path() {
+    fn pool_results_match_the_inline_arm() {
         let pool = SharedPool::new(3);
-        let scoped: Vec<usize> = run_tasks(64, 4, |t| t * 3).0;
-        {
-            let guard = pool.install(1);
-            let (results, run) = run_tasks(64, 4, |t| t * 3);
-            assert_eq!(results, scoped);
-            assert!(run.threads > 1);
-            assert_eq!(run.morsels, 64);
-            assert_eq!(guard.batches(), 1);
-        }
+        let config = MorselConfig::with_threads(4).on_pool(&pool, 1);
+        let (inline, inline_run) = run_tasks(64, 1, &config, |t| t * 3);
+        assert_eq!(inline_run, MorselRun::SEQUENTIAL);
+        assert_eq!(pool.stats().batches, 0);
+        let (results, run) = run_tasks(64, 4, &config, |t| t * 3);
+        assert_eq!(results, inline);
+        assert_eq!((run.morsels, run.batches), (64, 1));
         assert_eq!(pool.stats().batches, 1);
         assert_eq!(pool.stats().tasks, 64);
         pool.shutdown();
     }
 
     #[test]
-    fn shared_pool_serves_morsels_and_stripes() {
+    fn pool_serves_morsels_and_stripes() {
         let pool = SharedPool::new(2);
         let config = MorselConfig::with_threads(4)
             .with_morsel_rows(8)
-            .with_min_parallel_rows(0);
-        let guard = pool.install(7);
+            .with_min_parallel_rows(0)
+            .on_pool(&pool, 7);
         let (results, _) = run_morsels(100, &config, |r| r.clone());
         let flat: Vec<usize> = results.into_iter().flatten().collect();
         assert_eq!(flat, (0..100).collect::<Vec<_>>());
         let mut out = vec![0usize; 100];
-        fill_stripes(&mut out, &config, |offset, chunk| {
+        let run = fill_stripes(&mut out, &config, |offset, chunk| {
             for (i, v) in chunk.iter_mut().enumerate() {
                 *v = offset + i;
             }
         });
         assert_eq!(out, (0..100).collect::<Vec<_>>());
-        assert!(guard.batches() >= 2);
-        drop(guard);
+        assert_eq!(run.batches, 1);
+        assert_eq!(pool.stats().batches, 2);
         pool.shutdown();
     }
 
     #[test]
-    fn shared_pool_shutdown_falls_back_to_scoped_threads() {
+    fn pool_less_configs_submit_to_the_process_default_pool() {
+        let config = MorselConfig::with_threads(4);
+        // Other tests share the default pool, so only a lower bound holds.
+        let before = config.pool().stats().batches;
+        let (results, run) = run_tasks(16, 4, &config, |t| t + 1);
+        assert_eq!(results, (1..=16).collect::<Vec<_>>());
+        assert_eq!(run.batches, 1);
+        assert!(config.pool().stats().batches > before);
+    }
+
+    #[test]
+    fn batch_submitted_after_shutdown_completes_on_the_submitter() {
         let pool = SharedPool::new(2);
         pool.shutdown();
-        let _guard = pool.install(1);
-        let (results, run) = run_tasks(16, 3, |t| t + 1);
-        assert_eq!(results, (1..=16).collect::<Vec<_>>());
-        assert_eq!(run.threads, 3);
-        assert_eq!(pool.stats().batches, 0);
+        let config = MorselConfig::with_threads(3).on_pool(&pool, 1);
+        let me = std::thread::current().id();
+        let (results, run) = run_tasks(16, 3, &config, |t| (t + 1, std::thread::current().id()));
+        assert_eq!(
+            results,
+            (1..=16).map(|t| (t, me)).collect::<Vec<_>>(),
+            "no helper is left, so every task ran on the submitting thread"
+        );
+        assert_eq!(run.batches, 1);
+        // Governed batches take the same route.
+        let gov = QueryGovernor::new();
+        let (results, _) = try_run_tasks(16, 3, &config, Some(&gov), "worker", |t| t).unwrap();
+        assert_eq!(results, (0..16).collect::<Vec<_>>());
     }
 
     #[test]
-    fn shared_pool_guard_restores_previous_installation() {
-        let outer = SharedPool::new(1);
-        let inner = SharedPool::new(1);
-        let outer_guard = outer.install(1);
-        {
-            let inner_guard = inner.install(2);
-            run_tasks(8, 2, |t| t);
-            assert_eq!(inner_guard.batches(), 1);
-        }
-        run_tasks(8, 2, |t| t);
-        assert_eq!(outer_guard.batches(), 1);
-        assert_eq!(outer.stats().batches, 1);
-        assert_eq!(inner.stats().batches, 1);
-        drop(outer_guard);
-        outer.shutdown();
-        inner.shutdown();
+    fn nested_submission_on_a_one_worker_pool_completes_in_task_order() {
+        // Every outer task submits an inner batch to the *same* pool —
+        // from the pool's only worker as well as from the helping
+        // submitter. Each submitter drains its own batch, so neither can
+        // wait on the other.
+        let pool = SharedPool::new(1);
+        let config = MorselConfig::with_threads(4).on_pool(&pool, 1);
+        let (results, _) = run_tasks(8, 4, &config, |t| {
+            run_tasks(8, 4, &config, |u| t * 10 + u).0
+        });
+        let expected: Vec<Vec<usize>> = (0..8)
+            .map(|t| (0..8).map(|u| t * 10 + u).collect())
+            .collect();
+        assert_eq!(results, expected);
+        assert_eq!(pool.stats().batches, 9);
+        assert_eq!(pool.stats().tasks, 72);
+        pool.shutdown();
     }
 
     #[test]
-    fn shared_pool_cancellation_drains_and_pool_survives() {
+    fn pool_cancellation_drains_and_pool_survives() {
         use crate::govern::CancelToken;
         let pool = SharedPool::new(2);
-        let guard = pool.install(1);
+        let config = MorselConfig::with_threads(4).on_pool(&pool, 1);
         let token = Arc::new(CancelToken::new());
         let gov = QueryGovernor::new().with_token(token.clone());
         let done = AtomicUsize::new(0);
-        let err = try_run_tasks(1000, 4, Some(&gov), "worker", |t| {
+        let err = try_run_tasks(1000, 4, &config, Some(&gov), "worker", |t| {
             if t == 3 {
                 token.cancel();
             }
@@ -1381,46 +1277,43 @@ mod tests {
         assert!(done.load(Ordering::Relaxed) < 1000, "trip did not drain");
         // The pool is not poisoned: the next (governed) query succeeds.
         let fresh = QueryGovernor::new();
-        let (results, _) = try_run_tasks(32, 4, Some(&fresh), "worker", |t| t).unwrap();
+        let (results, _) = try_run_tasks(32, 4, &config, Some(&fresh), "worker", |t| t).unwrap();
         assert_eq!(results, (0..32).collect::<Vec<_>>());
-        drop(guard);
         pool.shutdown();
     }
 
     #[test]
-    fn shared_pool_panic_converts_to_worker_panicked_and_pool_survives() {
+    fn pool_panic_converts_to_worker_panicked_and_pool_survives() {
         let pool = SharedPool::new(2);
-        let guard = pool.install(1);
+        let config = MorselConfig::with_threads(4).on_pool(&pool, 1);
         let gov = QueryGovernor::new();
-        let err = try_run_tasks(100, 4, Some(&gov), "worker", |t| {
+        let err = try_run_tasks(100, 4, &config, Some(&gov), "worker", |t| {
             assert!(t != 7, "injected kernel panic");
             t
         })
         .unwrap_err();
         assert_eq!(err, GovernorError::WorkerPanicked { site: "worker" });
-        let (results, _) = run_tasks(16, 4, |t| t);
+        let (results, _) = run_tasks(16, 4, &config, |t| t);
         assert_eq!(results, (0..16).collect::<Vec<_>>());
-        drop(guard);
         pool.shutdown();
     }
 
     #[test]
-    fn shared_pool_ungoverned_panic_propagates_to_submitter() {
+    fn pool_ungoverned_panic_propagates_to_submitter() {
         let pool = SharedPool::new(2);
-        let guard = pool.install(1);
+        let config = MorselConfig::with_threads(4).on_pool(&pool, 1);
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            run_tasks(64, 4, |t| assert!(t != 9, "injected kernel panic"));
+            run_tasks(64, 4, &config, |t| assert!(t != 9, "injected kernel panic"));
         }));
         assert!(caught.is_err());
         // Still usable afterwards.
-        let (results, _) = run_tasks(8, 4, |t| t);
+        let (results, _) = run_tasks(8, 4, &config, |t| t);
         assert_eq!(results, (0..8).collect::<Vec<_>>());
-        drop(guard);
         pool.shutdown();
     }
 
     #[test]
-    fn shared_pool_interleaves_concurrent_queries() {
+    fn pool_interleaves_concurrent_queries() {
         // Two submitter threads, each tagged differently, firing many
         // small batches at a two-worker pool: the round-robin queue must
         // interleave their morsels (cross_query_switches > 0). Retries
@@ -1428,21 +1321,24 @@ mod tests {
         // arrives.
         for _attempt in 0..5 {
             let pool = SharedPool::new(2);
-            std::thread::scope(|scope| {
-                for tag in [1u64, 2u64] {
-                    let pool = pool.clone();
-                    scope.spawn(move || {
-                        let _guard = pool.install(tag);
+            let submitters: Vec<_> = [1u64, 2u64]
+                .into_iter()
+                .map(|tag| {
+                    let config = MorselConfig::with_threads(4).on_pool(&pool, tag);
+                    std::thread::spawn(move || {
                         for _ in 0..50 {
-                            let (results, _) = run_tasks(16, 4, |t| {
+                            let (results, _) = run_tasks(16, 4, &config, |t| {
                                 std::thread::sleep(std::time::Duration::from_micros(200));
                                 t
                             });
                             assert_eq!(results, (0..16).collect::<Vec<_>>());
                         }
-                    });
-                }
-            });
+                    })
+                })
+                .collect();
+            for submitter in submitters {
+                submitter.join().expect("submitter thread");
+            }
             let stats = pool.stats();
             pool.shutdown();
             assert_eq!(stats.batches, 100);

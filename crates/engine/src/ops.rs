@@ -121,8 +121,8 @@ pub fn scan_in(
         // straight out of the key-coordinate rows, one column at a time —
         // in parallel stripes when the range is large enough.
         let parallel = ctx.morsel.workers_for(rows.len()) > 1;
-        let mut morsels = 0;
-        let mut threads_used = 1;
+        // One counter entry for the whole scan (all columns together).
+        let mut scan_run = morsel::MorselRun::SEQUENTIAL;
         for &k in &var_key_idx {
             let mut col = ctx.pool.take_col(rows.len());
             if parallel {
@@ -132,21 +132,13 @@ pub fn scan_in(
                         *v = rows[offset + i][k];
                     }
                 });
-                morsels += run.morsels;
-                threads_used = threads_used.max(run.threads);
+                scan_run = scan_run.then(run);
             } else {
                 col.extend(rows.iter().map(|row| row[k]));
             }
             cols.push(col);
         }
-        if morsels > 0 {
-            // One counter entry for the whole scan (all columns together),
-            // reporting the worker count the stripes actually used.
-            ctx.note_run(morsel::MorselRun {
-                morsels,
-                threads: threads_used,
-            });
-        }
+        ctx.note_run(scan_run);
     } else {
         // Late materialisation: select qualifying row indices first
         // (morsel-at-a-time, stitched in morsel order), then gather the
@@ -294,7 +286,7 @@ fn merge_pairs_partitioned(
 
     let parts: Vec<((usize, usize), (usize, usize))> =
         bounds.windows(2).map(|w| (w[0], w[1])).collect();
-    let (results, run) = morsel::run_tasks(parts.len(), workers, |p| {
+    let (results, run) = morsel::run_tasks(parts.len(), workers, &ctx.morsel, |p| {
         let ((ls, rs), (le, re)) = parts[p];
         // Thread-local pair buffers, sized for ~1 match per left row.
         let mut l: Vec<u32> = Vec::with_capacity(le - ls);
@@ -335,9 +327,9 @@ pub fn hash_join(left: &BindingTable, right: &BindingTable, vars: &[Var]) -> Bin
 ///
 /// When the probe side clears the context's morsel threshold (and the
 /// thread budget allows), the probe index range is cut into fixed-size
-/// morsels; a scoped worker pool pulls morsels from a shared cursor and
-/// probes the shared read-only [`BuildTable`], each worker emitting into
-/// thread-local pair buffers. The buffers are stitched back in morsel
+/// morsels; the context's pool pulls morsels from a shared cursor and
+/// probes the shared read-only [`BuildTable`], each morsel emitting into
+/// its own pair buffers. The buffers are stitched back in morsel
 /// order, so the output is byte-identical to the sequential probe and the
 /// left ordering still survives. Below the threshold the probe runs
 /// sequentially into pooled buffers; either way the gather phase checks
@@ -390,7 +382,7 @@ pub fn hash_join_in(
 }
 
 /// Shared probe driver of the two hash joins: run `probe` over the probe
-/// index range — morsel-driven on a scoped worker pool when `ctx` allows,
+/// index range — morsel-driven on the context's pool when `ctx` allows,
 /// sequentially into pooled buffers otherwise — and return the stitched
 /// `(left, right)` pair vectors (checked out of the pool; callers return
 /// them after the gather).
@@ -669,12 +661,13 @@ thread_local! {
     /// constructing a fresh [`Evaluator`](hsp_sparql::Evaluator) per
     /// *morsel* would recompile every cached regex once per morsel — so
     /// the evaluator lives in a thread-local instead: one per worker
-    /// thread, created lazily on the worker's first morsel. The kernels'
-    /// worker threads are *scoped* (they end with the kernel), so these
-    /// evaluators — and their regex caches — are dropped at kernel exit;
-    /// the sequential paths deliberately use a plain local evaluator so
-    /// the long-lived main thread never accretes a process-lifetime
-    /// cache.
+    /// thread, created lazily on the thread's first morsel. The threads
+    /// that run morsels — the pool's workers and every submitter helping
+    /// on its own batch, e.g. a server's connection threads — live as
+    /// long as the process, and so do these evaluators; what keeps them
+    /// small is the evaluator's own bound on its regex cache. The
+    /// sequential paths use a plain local evaluator, which costs nothing
+    /// to build and drops with the call.
     pub(crate) static WORKER_EVALUATOR: hsp_sparql::Evaluator = hsp_sparql::Evaluator::new();
 }
 

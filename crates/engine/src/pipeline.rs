@@ -1218,10 +1218,10 @@ fn run_pipeline(
             .iter()
             .any(|s| matches!(s, PreparedStage::Probe { .. }));
 
-    // Push morsels through the whole stage chain. Parallel workers use the
-    // per-thread evaluator (scoped threads — the caches drop at pipeline
-    // exit); the sequential path keeps a plain local evaluator so the
-    // long-lived main thread never accretes a regex cache.
+    // Push morsels through the whole stage chain. Parallel morsels use the
+    // per-thread evaluator (pool workers and helping submitters are
+    // long-lived; its regex cache is bounded); the sequential paths keep a
+    // plain local evaluator that drops with the pipeline.
     let stage_count = prepared.stages.len();
     // Only the ungoverned sequential path hands pooled index vectors to
     // `process_morsel`: its single part's vectors *become* the stitched
@@ -1246,10 +1246,9 @@ fn run_pipeline(
         )
     } else if let Some(gov) = ctx.governor() {
         // Governed sequential path: still chunk into morsels so a deadline
-        // or cancellation surfaces within one morsel's work, but keep the
-        // plain local evaluator — the long-lived main thread must not
-        // accrete a regex cache. The whole loop runs on the calling
-        // thread, so borrowing the non-`Sync` evaluator is fine.
+        // or cancellation surfaces within one morsel's work. The whole
+        // loop runs on the calling thread, so borrowing the non-`Sync`
+        // local evaluator is fine.
         let evaluator = hsp_sparql::Evaluator::new();
         let scratch = Scratch { pool: None };
         morsel::try_run_morsels_seq(prepared.rows, &ctx.morsel, gov, "worker", |range| {
@@ -1268,18 +1267,12 @@ fn run_pipeline(
             &scratch,
             static_movable,
         );
-        Ok((
-            vec![out],
-            MorselRun {
-                morsels: 0,
-                threads: 1,
-            },
-        ))
+        Ok((vec![out], MorselRun::SEQUENTIAL))
     };
     let (parts, run) = match morsel_result {
         Ok(x) => x,
         Err(e) => {
-            // Workers are joined and their partial parts dropped; return
+            // The batch has drained and its partial parts are dropped; return
             // the consumed inputs (charged when their producers stored
             // them) so the pool balances and the accounting nets to zero.
             drop(prepared);
@@ -2114,6 +2107,28 @@ mod tests {
             assert_eq!(out.table, oracle.table, "threads={threads}");
             assert!(out.runtime.pipelines > 0);
         }
+    }
+
+    #[test]
+    fn pool_less_context_runs_on_the_default_pool_byte_identically() {
+        let ds = dataset();
+        let plan = chain_plan();
+        let config = ExecConfig::unlimited();
+        let sequential = execute_in(&plan, &ds, &config, &forced_ctx(1)).unwrap();
+        assert_eq!(sequential.runtime.shared_pool_batches, 0);
+        // No pool attached: the batches go to the process-default pool
+        // (shared with other tests, hence only a lower bound on its stats).
+        let ctx = forced_ctx(4);
+        let before = ctx.morsel.pool().stats().batches;
+        let parallel = execute_in(&plan, &ds, &config, &ctx).unwrap();
+        assert_eq!(parallel.table, sequential.table);
+        assert_eq!(
+            parallel.profile.total_intermediate_rows(),
+            sequential.profile.total_intermediate_rows()
+        );
+        let batches = parallel.runtime.shared_pool_batches as u64;
+        assert!(batches > 0);
+        assert!(ctx.morsel.pool().stats().batches >= before + batches);
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //! Under concurrent serving the same shape holds per query: every
 //! in-flight request owns one [`ExecContext`] (buffers, governor,
 //! computed-term overlay) pinned to its coordinating thread, while the
-//! morsel batches those contexts spawn are all scheduled on one
-//! process-wide [`SharedPool`](crate::morsel::SharedPool). Contexts are
+//! morsel batches those contexts submit are all scheduled on the one
+//! [`SharedPool`](crate::morsel::SharedPool) their
+//! [`MorselConfig`] names (a session's pool; the process-default pool
+//! for a context built outside a session). Contexts are
 //! `!Send` and never shared, so many of them coexisting above one pool
 //! needs no locking here — the pool's workers only ever run the kernel
 //! closures, never the tree evaluator that touches the [`BufferPool`].
@@ -196,9 +198,9 @@ pub fn table_bytes(table: &BindingTable) -> usize {
 /// Everything an operator needs beyond its inputs: the morsel/thread
 /// configuration, the column pool, the optional query governor, and the
 /// runtime counters the execution reports afterwards.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ExecContext {
-    /// How kernels split work across threads.
+    /// How kernels split work across threads, and the pool they run on.
     pub morsel: MorselConfig,
     /// The per-execution column arena.
     pub pool: BufferPool,
@@ -219,6 +221,7 @@ pub struct ExecContext {
     aggregate_groups: Cell<usize>,
     distinct_streamed: Cell<usize>,
     merged_scans: Cell<usize>,
+    pool_batches: Cell<usize>,
     /// Computed-term overlay: terms produced by aggregation, indexed by
     /// `id - COMPUTED_BASE`. Single-threaded by design (finalisation runs
     /// on the coordinating thread after the morsel barrier).
@@ -226,27 +229,52 @@ pub struct ExecContext {
     computed_ids: RefCell<HashMap<Term, TermId>>,
 }
 
+impl Default for ExecContext {
+    fn default() -> Self {
+        ExecContext::new()
+    }
+}
+
 impl ExecContext {
     /// Production context: thread budget from `available_parallelism`,
     /// fresh pool.
     pub fn new() -> Self {
-        ExecContext::default()
+        ExecContext::with_morsel_config(MorselConfig::auto())
     }
 
     /// A context with a forced thread budget (tests, benchmarks, the CLI's
     /// `--threads` flag).
     pub fn with_threads(threads: usize) -> Self {
-        ExecContext {
-            morsel: MorselConfig::with_threads(threads),
-            ..ExecContext::default()
-        }
+        ExecContext::with_morsel_config(MorselConfig::with_threads(threads))
     }
 
-    /// A context with an explicit morsel configuration.
+    /// A context with an explicit morsel configuration. Detects nothing:
+    /// [`MorselConfig::auto`] asks the OS for the core count (a cgroup
+    /// file read on Linux, tens of microseconds), which a caller that
+    /// already holds a configuration must not pay per query.
     pub fn with_morsel_config(morsel: MorselConfig) -> Self {
         ExecContext {
             morsel,
-            ..ExecContext::default()
+            pool: BufferPool::default(),
+            governor: None,
+            morsels: Cell::default(),
+            parallel_kernels: Cell::default(),
+            parallel_builds: Cell::default(),
+            merge_partitions: Cell::default(),
+            parallel_filters: Cell::default(),
+            parallel_sorts: Cell::default(),
+            pipelines: Cell::default(),
+            pipeline_morsels: Cell::default(),
+            pipeline_outer_probes: Cell::default(),
+            breaker_handoffs: Cell::default(),
+            pipeline_rows_avoided: Cell::default(),
+            parallel_aggregates: Cell::default(),
+            aggregate_groups: Cell::default(),
+            distinct_streamed: Cell::default(),
+            merged_scans: Cell::default(),
+            pool_batches: Cell::default(),
+            computed_terms: RefCell::default(),
+            computed_ids: RefCell::default(),
         }
     }
 
@@ -326,6 +354,7 @@ impl ExecContext {
 
     /// Record a kernel's morsel run in the execution-wide counters.
     pub(crate) fn note_run(&self, run: crate::morsel::MorselRun) {
+        self.pool_batches.set(self.pool_batches.get() + run.batches);
         if run.threads > 1 {
             self.morsels.set(self.morsels.get() + run.morsels);
             self.parallel_kernels.set(self.parallel_kernels.get() + 1);
@@ -344,6 +373,7 @@ impl ExecContext {
     /// Record a range-partitioned merge join: `run.morsels` carries the
     /// partition count.
     pub(crate) fn note_merge(&self, run: crate::morsel::MorselRun) {
+        self.pool_batches.set(self.pool_batches.get() + run.batches);
         if run.threads > 1 {
             self.merge_partitions
                 .set(self.merge_partitions.get() + run.morsels);
@@ -542,6 +572,11 @@ impl ExecContext {
     pub fn merged_scans(&self) -> usize {
         self.merged_scans.get()
     }
+
+    /// Task batches the noted runs submitted to the morsel pool so far.
+    pub fn pool_batches(&self) -> usize {
+        self.pool_batches.get()
+    }
 }
 
 #[cfg(test)]
@@ -660,14 +695,12 @@ mod tests {
     #[test]
     fn context_counts_only_parallel_runs() {
         let ctx = ExecContext::with_threads(4);
-        ctx.note_run(crate::morsel::MorselRun {
-            morsels: 0,
-            threads: 1,
-        });
+        ctx.note_run(crate::morsel::MorselRun::SEQUENTIAL);
         assert_eq!(ctx.parallel_kernels(), 0);
         ctx.note_run(crate::morsel::MorselRun {
             morsels: 5,
             threads: 2,
+            batches: 1,
         });
         assert_eq!(ctx.parallel_kernels(), 1);
         assert_eq!(ctx.morsels_run(), 5);
@@ -677,18 +710,9 @@ mod tests {
     fn context_counts_builds_merges_and_filters() {
         let ctx = ExecContext::with_threads(4);
         // Sequential runs count nothing.
-        ctx.note_build(crate::morsel::MorselRun {
-            morsels: 0,
-            threads: 1,
-        });
-        ctx.note_merge(crate::morsel::MorselRun {
-            morsels: 0,
-            threads: 1,
-        });
-        ctx.note_filter(crate::morsel::MorselRun {
-            morsels: 0,
-            threads: 1,
-        });
+        ctx.note_build(crate::morsel::MorselRun::SEQUENTIAL);
+        ctx.note_merge(crate::morsel::MorselRun::SEQUENTIAL);
+        ctx.note_filter(crate::morsel::MorselRun::SEQUENTIAL);
         assert_eq!(ctx.parallel_builds(), 0);
         assert_eq!(ctx.merge_partitions(), 0);
         assert_eq!(ctx.parallel_filters(), 0);
@@ -697,19 +721,23 @@ mod tests {
         ctx.note_build(crate::morsel::MorselRun {
             morsels: 3,
             threads: 2,
+            batches: 1,
         });
         ctx.note_merge(crate::morsel::MorselRun {
             morsels: 4,
             threads: 2,
+            batches: 1,
         });
         ctx.note_filter(crate::morsel::MorselRun {
             morsels: 2,
             threads: 3,
+            batches: 1,
         });
         assert_eq!(ctx.parallel_builds(), 1);
         assert_eq!(ctx.merge_partitions(), 4);
         assert_eq!(ctx.parallel_filters(), 1);
         assert_eq!(ctx.parallel_kernels(), 3);
         assert_eq!(ctx.morsels_run(), 3 + 2); // merge partitions are not morsels
+        assert_eq!(ctx.pool_batches(), 3);
     }
 }

@@ -609,7 +609,11 @@ impl Bindings for HashMap<Var, Term> {
 }
 
 /// An expression evaluator. Owns the compiled-`REGEX` cache so repeated
-/// row evaluations of `REGEX(?x, "…")` compile the pattern once.
+/// row evaluations of `REGEX(?x, "…")` compile the pattern once. The cache
+/// holds a bounded number of patterns: evaluators live as long as the pool
+/// workers and connection threads that own them, and a per-row pattern
+/// (`REGEX(?x, ?p)`) or a client cycling through patterns must not grow
+/// them without limit.
 ///
 /// The cache is intentionally single-threaded (`RefCell`) — an evaluator
 /// is cheap to construct, so parallel executors build **one evaluator per
@@ -620,6 +624,12 @@ impl Bindings for HashMap<Var, Term> {
 pub struct Evaluator {
     regex_cache: RefCell<HashMap<(String, String), Arc<Regex>>>,
 }
+
+/// Compiled patterns one [`Evaluator`] keeps. When a new pattern would
+/// exceed it the cache is dropped and starts again — queries carry a
+/// handful of constant patterns, so anything that fills it is a stream of
+/// one-off patterns no eviction order would serve better.
+const MAX_CACHED_REGEXES: usize = 64;
 
 impl Evaluator {
     /// Fresh evaluator with an empty regex cache.
@@ -889,7 +899,11 @@ impl Evaluator {
         let re = Arc::new(
             Regex::new(pattern, flags).map_err(|e: RegexError| ExprError::Regex(e.to_string()))?,
         );
-        self.regex_cache.borrow_mut().insert(key, Arc::clone(&re));
+        let mut cache = self.regex_cache.borrow_mut();
+        if cache.len() >= MAX_CACHED_REGEXES {
+            cache.clear();
+        }
+        cache.insert(key, Arc::clone(&re));
         Ok(re)
     }
 }
@@ -1537,6 +1551,31 @@ mod tests {
             evl.eval(&bad, &no_bindings()),
             Err(ExprError::Regex(_))
         ));
+    }
+
+    #[test]
+    fn regex_cache_is_bounded_across_distinct_patterns() {
+        // A long-lived evaluator (one per pool worker / connection thread)
+        // fed a fresh pattern per row must not keep them all.
+        let evl = ev();
+        for i in 0..10_000 {
+            let subject = s(&format!("item {i}"));
+            let hit = call(
+                Func::Regex,
+                vec![subject.clone(), s(&format!("^item {i}$"))],
+            );
+            assert_eq!(evl.eval_ebv(&hit, &no_bindings()), Ok(true), "pattern {i}");
+            let miss = call(Func::Regex, vec![subject, s(&format!("^item {i}x$"))]);
+            assert_eq!(
+                evl.eval_ebv(&miss, &no_bindings()),
+                Ok(false),
+                "pattern {i}"
+            );
+            assert!(evl.regex_cache.borrow().len() <= MAX_CACHED_REGEXES);
+        }
+        // A pattern evicted by a reset compiles again and still matches.
+        let first = call(Func::Regex, vec![s("item 0"), s("^item 0$")]);
+        assert_eq!(evl.eval_ebv(&first, &no_bindings()), Ok(true));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! Options:
 //!   --addr <host:port>       bind address (default 127.0.0.1:7878;
 //!                            port 0 picks an ephemeral port)
-//!   --pool-threads <n>       shared morsel pool width (default:
-//!                            auto-detect; 0 disables the shared pool)
+//!   --pool-threads <n>       how many workers the session's morsel pool
+//!                            may use (default: auto-detect; at least 1)
 //!   --max-inflight <n>       requests executing at once (default 8)
 //!   --max-queue <n>          requests waiting for a slot before the
 //!                            server answers ERR BUSY (default 16)
@@ -159,8 +159,8 @@ fn smoke(addr: std::net::SocketAddr, clients: usize) -> Result<(), String> {
                     let mut client = Client::connect(addr)
                         .map_err(|e| format!("client {c}: connect: {e}"))?;
                     for (i, text) in queries.iter().cycle().take(queries.len() * 4).enumerate() {
-                        // threads=2 keeps the request above the one-thread
-                        // sequential fallback so it reaches the shared pool.
+                        // threads=2 lifts the request above the inline
+                        // one-thread arm so it reaches the shared pool.
                         let response = client
                             .query("timeout_ms=10000 threads=2", text)
                             .map_err(|e| format!("client {c}: query {i}: {e}"))?;
@@ -223,8 +223,7 @@ fn smoke(addr: std::net::SocketAddr, clients: usize) -> Result<(), String> {
     let stats = client.stats().map_err(|e| e.to_string())?;
     println!("--- STATS after {clients} concurrent clients ---");
     print!("{}", stats.trim_start_matches("OK\n"));
-    // When the session has a shared pool (the smoke default), the run
-    // must actually have scheduled morsel batches on it.
+    // The run must actually have scheduled morsel batches on the pool.
     if let Some(line) = stats.lines().find(|l| l.starts_with("pool_batches=")) {
         let batches: u64 = line
             .trim_start_matches("pool_batches=")

@@ -40,7 +40,7 @@ use hsp_engine::explain::render_runtime_metrics;
 use hsp_store::Dataset;
 use sparql_hsp::extended::ExtendedOutput;
 use sparql_hsp::results;
-use sparql_hsp::session::{Planner, Request, Session, SessionOptions};
+use sparql_hsp::session::{Planner, Request, Session};
 
 struct Args {
     data: String,
@@ -171,16 +171,9 @@ fn run() -> Result<(), String> {
     };
     eprintln!("loaded {} triples from {}", ds.len(), args.data);
 
-    // One-shot process: skip the shared pool (pool_threads 0) so the
-    // kernels use scoped threads exactly as before; `--threads` still
-    // sets their width through the request.
-    let session = Session::with_options(
-        ds,
-        SessionOptions {
-            pool_threads: Some(0),
-            ..SessionOptions::default()
-        },
-    );
+    // The CLI is a one-query server: a default session, whose pool the
+    // parallel kernels schedule on; `--threads` sets the request's budget.
+    let session = Session::new(ds);
     let build_request = |text: &str| {
         let mut request = Request::new(text).with_planner(planner);
         if args.explain {

@@ -77,35 +77,15 @@ pub struct ExtendedOutput {
     pub rows: Vec<Vec<Option<Term>>>,
 }
 
-/// Evaluate a SPARQL query that may use OPTIONAL and UNION.
-#[deprecated(note = "go through `sparql_hsp::session::Session::query`, the \
-                     unified request front door")]
-pub fn evaluate_extended(ds: &Dataset, text: &str) -> Result<ExtendedOutput, ExtendedError> {
-    let config = ExecConfig::unlimited();
-    evaluate_extended_in(ds, text, &config, &config.context())
-}
-
-/// [`evaluate_extended`] under an explicit [`ExecConfig`]: the thread
-/// budget (`config.threads`) governs the morsel-parallel kernels of every
-/// block and join, and one buffer pool is shared across the whole
-/// evaluation — the same behaviour `hsp --threads` gives join queries.
-#[deprecated(note = "go through `sparql_hsp::session::Session::query` (a \
-                     `Request` carries every `ExecConfig` option), or \
-                     `evaluate_extended_in` for a caller-owned context")]
-pub fn evaluate_extended_with(
-    ds: &Dataset,
-    text: &str,
-    config: &ExecConfig,
-) -> Result<ExtendedOutput, ExtendedError> {
-    evaluate_extended_in(ds, text, config, &config.context())
-}
-
-/// [`evaluate_extended_with`] inside a caller-owned [`ExecContext`]: the
-/// caller's pool and runtime counters accumulate over the evaluation, so
-/// callers can snapshot
+/// Evaluate a SPARQL query that may use OPTIONAL and UNION inside a
+/// caller-owned [`ExecContext`] (normally `config.context()`): the thread
+/// budget governs the morsel-parallel kernels of every block and join, one
+/// buffer pool is shared across the whole evaluation, and the context's
+/// runtime counters accumulate over it, so callers can snapshot
 /// [`RuntimeMetrics`](hsp_engine::RuntimeMetrics)`::of(ctx)` afterwards to
 /// see what the engine did (pipelines launched, outer probes streamed,
-/// breakers handed off, …).
+/// breakers handed off, …). Serving code goes through
+/// [`Session::query`](crate::session::Session::query).
 pub fn evaluate_extended_in(
     ds: &Dataset,
     text: &str,
@@ -116,32 +96,8 @@ pub fn evaluate_extended_in(
     evaluate_ast_in(ds, &ast, config, ctx)
 }
 
-/// Evaluate an `ASK` query: `true` iff the pattern has at least one
-/// solution. (A `SELECT` query text is accepted too and asks whether it
-/// returns any row.)
-#[deprecated(note = "go through `sparql_hsp::session::Session::query`, whose \
-                     `Response::ask` answers under the request's governor \
-                     instead of an unlimited one")]
-pub fn evaluate_ask(ds: &Dataset, text: &str) -> Result<bool, ExtendedError> {
-    let ast = parse_query(text).map_err(ExtendedError::Parse)?;
-    let config = ExecConfig::unlimited();
-    let mut vars = VarTable::default();
-    let table = eval_group(ds, &ast.where_clause, &mut vars, &config, &config.context())?;
-    Ok(!table.is_empty())
-}
-
-/// Evaluate a parsed extended query.
-#[deprecated(note = "go through `sparql_hsp::session::Session::query`, or \
-                     `evaluate_ast_in` for a caller-owned context")]
-pub fn evaluate_ast(
-    ds: &Dataset,
-    query: &Query,
-    config: &ExecConfig,
-) -> Result<ExtendedOutput, ExtendedError> {
-    evaluate_ast_in(ds, query, config, &config.context())
-}
-
-/// [`evaluate_ast`] inside a caller-owned [`ExecContext`].
+/// [`evaluate_extended_in`] over an already parsed query. An `ASK` query
+/// yields zero columns and one empty row iff a solution exists.
 pub fn evaluate_ast_in(
     ds: &Dataset,
     query: &Query,
@@ -678,9 +634,13 @@ fn join_tables(ctx: &ExecContext, a: &BindingTable, b: &BindingTable) -> Binding
 pub use hsp_rdf::dictionary::TermId as ExtendedTermId;
 
 #[cfg(test)]
-#[allow(deprecated)] // the wrappers stay covered until they are removed
 mod tests {
     use super::*;
+
+    fn evaluate_extended(ds: &Dataset, text: &str) -> Result<ExtendedOutput, ExtendedError> {
+        let config = ExecConfig::unlimited();
+        evaluate_extended_in(ds, text, &config, &config.context())
+    }
 
     fn dataset() -> Dataset {
         Dataset::from_ntriples(
@@ -912,15 +872,14 @@ mod tests {
     #[test]
     fn ask_queries() {
         let ds = dataset();
-        assert!(evaluate_ask(&ds, "ASK { ?p <http://e/name> \"Alice\" . }").unwrap());
-        assert!(!evaluate_ask(&ds, "ASK { ?p <http://e/name> \"Zed\" . }").unwrap());
+        let ask = |text: &str| !evaluate_extended(&ds, text).unwrap().rows.is_empty();
+        assert!(ask("ASK { ?p <http://e/name> \"Alice\" . }"));
+        assert!(!ask("ASK { ?p <http://e/name> \"Zed\" . }"));
         // WHERE keyword and OPTIONAL are accepted.
-        assert!(evaluate_ask(
-            &ds,
+        assert!(ask(
             "ASK WHERE { ?p <http://e/name> ?n . OPTIONAL { ?p <http://e/email> ?e . } }"
-        )
-        .unwrap());
-        // Through evaluate_extended: zero columns, row presence as answer.
+        ));
+        // Zero columns, row presence as answer.
         let out = evaluate_extended(&ds, "ASK { ?p <http://e/phone> ?t . }").unwrap();
         assert!(out.columns.is_empty());
         assert_eq!(out.rows.len(), 1);

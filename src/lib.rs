@@ -92,13 +92,7 @@ pub mod prelude {
     pub use crate::extended::ExtendedOutput;
     pub use crate::results;
     pub use crate::session::{Planner, Request, Response, Session, SessionOptions};
-    pub use crate::update::UpdateStats;
-
-    // Deprecated entry points, re-exported until they are removed.
-    #[allow(deprecated)]
-    pub use crate::extended::evaluate_extended;
-    #[allow(deprecated)]
-    pub use crate::update::apply_update;
+    pub use crate::update::{apply_update, UpdateStats};
 }
 
 #[cfg(test)]

@@ -2,12 +2,11 @@
 //! shared, long-lived morsel worker pool; every read goes through
 //! [`Session::query`] and every write through [`Session::update`].
 //!
-//! This collapses the historical entrypoint sprawl (`evaluate_extended` /
-//! `_with` / `_in`, `evaluate_ask`, `evaluate_ast`, `apply_update` /
-//! `_with`, and the ad-hoc `ExecConfig` plumbing around
-//! [`execute`](hsp_engine::execute)) behind a single builder-style
-//! [`Request`]. The `hsp` CLI, the [`serve`](crate::serve) server, and
-//! the examples all go through it, so their option handling cannot drift.
+//! Every execution option the engine understands (the `ExecConfig`
+//! plumbing around [`execute`](hsp_engine::execute)) sits behind a single
+//! builder-style [`Request`]. The `hsp` CLI, the [`serve`](crate::serve)
+//! server, and the examples all go through it, so their option handling
+//! cannot drift.
 //!
 //! # Concurrency model
 //!
@@ -18,16 +17,15 @@
 //! * **Writes build-and-swap.** [`Session::update`] clones the dataset,
 //!   applies the whole request to the clone, and publishes the result
 //!   with one pointer swap — all-or-nothing. (This is deliberately
-//!   *transactional*, unlike the deprecated in-place
+//!   *transactional*, unlike the in-place reference
 //!   [`apply_update`](crate::update::apply_update), whose sequenced
-//!   operations left earlier effects in place when a later one failed.)
+//!   operations leave earlier effects in place when a later one fails.)
 //!   Writers serialise on an internal lock; readers are never blocked.
-//! * **One worker pool.** Parallel kernels of *all* concurrent queries
-//!   schedule their morsels on the session's one
-//!   [`SharedPool`] (round-robin across queries),
-//!   instead of spawning scoped threads per kernel. Results are
-//!   byte-identical to the scoped path — morsel outputs are stitched in
-//!   morsel order either way.
+//! * **One worker pool.** A session always owns a [`SharedPool`]; every
+//!   request's context carries that pool and a fresh query tag, so the
+//!   parallel kernels of *all* concurrent queries schedule their morsels
+//!   on it (round-robin across queries). Results are byte-identical to a
+//!   sequential run — morsel outputs are stitched in morsel order.
 //!
 //! ```
 //! use sparql_hsp::session::{Request, Session};
@@ -162,7 +160,8 @@ impl Request {
     }
 
     /// Thread budget for the parallel kernels (gates *whether* kernels
-    /// parallelise; on a pooled session the pool's width does the work).
+    /// parallelise — `1` keeps the whole request on the calling thread;
+    /// the pool's width does the work otherwise).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self
@@ -227,8 +226,8 @@ pub struct Response {
     /// A caller-facing note (e.g. "fell back to the extended evaluator").
     pub note: Option<String>,
     /// What the engine did: parallel kernels, pipelines, pool counters —
-    /// with `shared_pool_batches` stamped from the session's pool, which
-    /// is the per-query proof of shared-pool scheduling.
+    /// `shared_pool_batches` is the per-query count of batches scheduled
+    /// on the session's pool.
     pub metrics: RuntimeMetrics,
 }
 
@@ -298,11 +297,8 @@ impl SessionError {
 /// Knobs fixed at session construction.
 #[derive(Debug, Clone, Default)]
 pub struct SessionOptions {
-    /// Shared-pool worker count: `None` auto-detects (like
-    /// [`MorselConfig::auto`]), `Some(0)` disables the shared pool
-    /// entirely (kernels spawn scoped threads per invocation — the
-    /// pre-session behaviour, still right for one-shot CLI runs),
-    /// `Some(n)` pins it.
+    /// How many workers the session's pool may use: `None` auto-detects
+    /// (like [`MorselConfig::auto`]), `Some(n)` pins it (at least one).
     pub pool_threads: Option<usize>,
     /// Session-wide rows-per-morsel override (see
     /// [`ExecConfig::with_morsel_rows`]); servers lower it so small
@@ -327,7 +323,11 @@ struct SessionInner {
     /// Serialises writers (the `RwLock` write lock is held only for the
     /// final pointer swap, never across update execution).
     write_lock: Mutex<()>,
-    pool: Option<SharedPool>,
+    pool: SharedPool,
+    /// The thread budget of a request that names none, detected once at
+    /// construction like the pool's width: asking the OS for the core
+    /// count reads cgroup files, which no query should wait for.
+    detected: MorselConfig,
     morsel_rows: Option<usize>,
     min_parallel_rows: Option<usize>,
     /// Monotonic query tags for the pool's cross-query accounting.
@@ -338,9 +338,7 @@ struct SessionInner {
 
 impl Drop for SessionInner {
     fn drop(&mut self) {
-        if let Some(pool) = &self.pool {
-            pool.shutdown();
-        }
+        self.pool.shutdown();
     }
 }
 
@@ -371,16 +369,14 @@ impl Session {
         if options.compaction_threshold.is_some() {
             ds.set_compaction_threshold(options.compaction_threshold);
         }
-        let pool = match options.pool_threads {
-            Some(0) => None,
-            Some(n) => Some(SharedPool::new(n)),
-            None => Some(SharedPool::new(MorselConfig::auto().threads())),
-        };
+        let detected = MorselConfig::auto();
+        let pool = SharedPool::new(options.pool_threads.unwrap_or(detected.threads()));
         Session {
             inner: Arc::new(SessionInner {
                 store: RwLock::new(Arc::new(ds)),
                 write_lock: Mutex::new(()),
                 pool,
+                detected,
                 morsel_rows: options.morsel_rows,
                 min_parallel_rows: options.min_parallel_rows,
                 queries: AtomicU64::new(0),
@@ -401,11 +397,12 @@ impl Session {
         )
     }
 
-    /// The shared pool's lifetime counters, when the session has one.
-    /// `cross_query_switches > 0` under concurrent load is the proof
-    /// that one pool interleaves morsels of many queries.
+    /// The session pool's lifetime counters (always `Some`: a session
+    /// always owns a pool). `cross_query_switches > 0` under concurrent
+    /// load is the proof that one pool interleaves morsels of many
+    /// queries.
     pub fn pool_stats(&self) -> Option<PoolStats> {
-        self.inner.pool.as_ref().map(SharedPool::stats)
+        Some(self.inner.pool.stats())
     }
 
     /// Run one query against the current snapshot. Safe to call from
@@ -441,15 +438,9 @@ impl Session {
             (Arc::clone(&store), self.inner.cache.version())
         };
         let config = self.exec_config(&request);
-        let ctx = config.context();
-        let tag = self.inner.queries.fetch_add(1, Ordering::Relaxed);
-        let guard = self.inner.pool.as_ref().map(|p| p.install(tag));
+        let ctx = self.context(&config);
         let cache = (!request.no_cache).then_some(&self.inner.cache);
-        let result = query_snapshot(&ds, &request, &config, &ctx, cache);
-        let batches = guard.as_ref().map_or(0, |g| g.batches() as usize);
-        drop(guard);
-        let (mut response, reads) = result?;
-        response.metrics.shared_pool_batches = batches;
+        let (mut response, reads) = query_snapshot(&ds, &request, &config, &ctx, cache)?;
         response.metrics.store_version = ds.store().version();
         response.metrics.store_delta_rows = ds.store().delta_rows();
         response.metrics.store_compactions = ds.store().compactions();
@@ -493,11 +484,10 @@ impl Session {
         // O(delta) clone: shares the base runs with the published
         // snapshot via `Arc`, copies only the delta overlays.
         let mut working = (*self.snapshot()).clone();
-        let tag = self.inner.queries.fetch_add(1, Ordering::Relaxed);
-        let guard = self.inner.pool.as_ref().map(|p| p.install(tag));
-        let result = run_update_traced(&mut working, &request.text, &config);
-        drop(guard);
-        let (stats, touched) = result.map_err(SessionError::Update)?;
+        let (stats, touched) = run_update_traced(&mut working, &request.text, &config, || {
+            self.context(&config)
+        })
+        .map_err(SessionError::Update)?;
         let triples = working.len();
         let needs_compaction = working.store().needs_compaction();
         let published = Arc::new(working);
@@ -567,6 +557,15 @@ impl Session {
             config = config.with_fault_injection();
         }
         config
+    }
+
+    /// The context a request runs in: what `config` asks for, scheduling
+    /// on this session's pool under a fresh query tag.
+    fn context(&self, config: &ExecConfig) -> ExecContext {
+        let mut ctx = config.context_from(|| self.inner.detected.clone());
+        let tag = self.inner.queries.fetch_add(1, Ordering::Relaxed);
+        ctx.morsel = ctx.morsel.on_pool(&self.inner.pool, tag);
+        ctx
     }
 }
 
@@ -638,10 +637,11 @@ fn result_cache_key(request: &Request) -> Option<String> {
     ))
 }
 
-/// The dispatch the CLI used to hand-roll: ASK short-circuits, join
-/// -fragment queries take the chosen planner, everything else goes to
-/// the extended (OPTIONAL/UNION) evaluator. Returns the response plus
-/// the predicate read set the result cache keys invalidation on.
+/// The dispatch the CLI used to hand-roll, on one parse of the text: ASK
+/// short-circuits, join-fragment queries take the chosen planner,
+/// everything else goes to the extended (OPTIONAL/UNION) evaluator.
+/// Returns the response plus the predicate read set the result cache keys
+/// invalidation on.
 fn query_snapshot(
     ds: &Dataset,
     request: &Request,
@@ -649,25 +649,11 @@ fn query_snapshot(
     ctx: &ExecContext,
     cache: Option<&QueryCache>,
 ) -> Result<(Response, Reads), SessionError> {
-    if let Ok(ast) = hsp_sparql::parse_query(&request.text) {
-        if ast.ask {
-            let reads = ast_reads(&ast.where_clause);
-            let output = evaluate_ast_in(ds, &ast, config, ctx).map_err(SessionError::Query)?;
-            let ask = Some(!output.rows.is_empty());
-            return Ok((
-                Response {
-                    output,
-                    ask,
-                    explain: None,
-                    note: None,
-                    metrics: RuntimeMetrics::of(ctx),
-                },
-                reads,
-            ));
-        }
-    }
-    match JoinQuery::parse(&request.text) {
-        Ok(query) => {
+    let ast = hsp_sparql::parse_query(&request.text)
+        .map_err(|e| SessionError::Query(ExtendedError::Parse(e)))?;
+    let join = (!ast.ask).then(|| JoinQuery::from_ast(&ast));
+    let note = match join {
+        Some(Ok(query)) => {
             // Plan tier: HSP plans are statistics-free, so any query
             // with the same canonical shape reuses the cached plan with
             // its own constants substituted — planning runs only once
@@ -724,7 +710,7 @@ fn query_snapshot(
             let mut metrics = output.runtime;
             metrics.plan_cache_used = plan_cache_used;
             metrics.plan_cache_hit = plan_cache_hit;
-            Ok((
+            return Ok((
                 Response {
                     output: ExtendedOutput { columns, rows },
                     ask: None,
@@ -733,36 +719,34 @@ fn query_snapshot(
                     metrics,
                 },
                 reads,
-            ))
+            ));
         }
-        Err(join_err) => {
-            if request.explain {
-                return Err(SessionError::Unsupported(
-                    "--explain requires a join query (no OPTIONAL/UNION)".into(),
-                ));
-            }
-            let note = (request.planner != Planner::Hsp).then(|| {
-                format!(
-                    "query is outside the join-query fragment ({join_err}); \
-                     using the extended evaluator (HSP-planned blocks)"
-                )
-            });
-            let ast = hsp_sparql::parse_query(&request.text)
-                .map_err(|e| SessionError::Query(ExtendedError::Parse(e)))?;
-            let reads = ast_reads(&ast.where_clause);
-            let output = evaluate_ast_in(ds, &ast, config, ctx).map_err(SessionError::Query)?;
-            Ok((
-                Response {
-                    output,
-                    ask: None,
-                    explain: None,
-                    note,
-                    metrics: RuntimeMetrics::of(ctx),
-                },
-                reads,
-            ))
+        Some(Err(_)) if request.explain => {
+            return Err(SessionError::Unsupported(
+                "--explain requires a join query (no OPTIONAL/UNION)".into(),
+            ));
         }
-    }
+        Some(Err(join_err)) => (request.planner != Planner::Hsp).then(|| {
+            format!(
+                "query is outside the join-query fragment ({join_err}); \
+                 using the extended evaluator (HSP-planned blocks)"
+            )
+        }),
+        None => None,
+    };
+    let reads = ast_reads(&ast.where_clause);
+    let output = evaluate_ast_in(ds, &ast, config, ctx).map_err(SessionError::Query)?;
+    let ask = ast.ask.then_some(!output.rows.is_empty());
+    Ok((
+        Response {
+            output,
+            ask,
+            explain: None,
+            note,
+            metrics: RuntimeMetrics::of(ctx),
+        },
+        reads,
+    ))
 }
 
 #[cfg(test)]
@@ -882,19 +866,46 @@ mod tests {
     }
 
     #[test]
-    fn pool_less_session_works() {
-        let session = Session::with_options(
-            dataset(),
-            SessionOptions {
-                pool_threads: Some(0),
-                ..SessionOptions::default()
-            },
-        );
-        assert!(session.pool_stats().is_none());
+    fn default_session_owns_a_pool_and_sequential_queries_leave_it_idle() {
+        let session = Session::new(dataset());
         let out = session
-            .query(Request::new("SELECT ?n WHERE { ?p <http://e/name> ?n . }"))
+            .query(Request::new("SELECT ?n WHERE { ?p <http://e/name> ?n . }").with_threads(1))
             .unwrap();
         assert_eq!(out.output.rows.len(), 2);
         assert_eq!(out.metrics.shared_pool_batches, 0);
+        let stats = session.pool_stats().expect("a session always owns a pool");
+        assert!(stats.threads >= 1);
+        assert_eq!(stats.batches, 0);
+    }
+
+    #[test]
+    fn parallel_queries_and_updates_schedule_on_the_session_pool() {
+        let session = Session::with_options(
+            dataset(),
+            SessionOptions {
+                pool_threads: Some(2),
+                morsel_rows: Some(1),
+                min_parallel_rows: Some(0),
+                ..SessionOptions::default()
+            },
+        );
+        let text = "SELECT ?n WHERE { ?p <http://e/name> ?n . } ORDER BY ?n";
+        let serial = session
+            .query(Request::new(text).with_threads(1).without_cache())
+            .unwrap();
+        let parallel = session
+            .query(Request::new(text).with_threads(4).without_cache())
+            .unwrap();
+        assert_eq!(parallel.output.rows, serial.output.rows);
+        // The per-query count is exactly what the pool saw.
+        let after_query = session.pool_stats().unwrap().batches;
+        assert!(after_query > 0);
+        assert_eq!(parallel.metrics.shared_pool_batches as u64, after_query);
+        // DELETE WHERE's matching query runs in the request's context too.
+        session
+            .update(Request::new("DELETE WHERE { ?s <http://e/name> ?n . }").with_threads(4))
+            .unwrap();
+        assert!(session.pool_stats().unwrap().batches > after_query);
+        assert_eq!(session.snapshot().len(), 1);
     }
 }

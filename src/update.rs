@@ -14,7 +14,7 @@
 use std::collections::HashSet;
 
 use hsp_core::HspPlanner;
-use hsp_engine::{execute, ExecConfig};
+use hsp_engine::{execute_in, ExecConfig, ExecContext};
 use hsp_rdf::{IdTriple, Term, Triple};
 use hsp_sparql::ast::{GroupPattern, NodeAst, TriplePatternAst, UpdateOp};
 use hsp_sparql::{parse_update, JoinQuery, Query, Var};
@@ -97,10 +97,17 @@ impl std::fmt::Display for UpdateError {
 
 impl std::error::Error for UpdateError {}
 
-/// Parse and apply a SPARQL Update request to `ds`.
+/// Parse and apply a SPARQL Update request to `ds`, in place and
+/// ungoverned.
 ///
 /// Operations run in source order; each sees the effects of the previous
-/// one (the SPARQL Update sequencing rule).
+/// one (the SPARQL Update sequencing rule), and a failing operation leaves
+/// the effects of the earlier ones in place. Serving code goes through
+/// [`Session::update`](crate::session::Session::update), which applies the
+/// whole request to a private clone and publishes all-or-nothing; this
+/// function is the plain reference that path is checked against — the
+/// end-to-end benchmark replays every write through it to compute the
+/// state a session must end in.
 ///
 /// ```
 /// use hsp_store::Dataset;
@@ -117,61 +124,34 @@ impl std::error::Error for UpdateError {}
 /// assert_eq!(stats.deleted, 2);
 /// assert!(ds.is_empty());
 /// ```
-#[deprecated(note = "go through `sparql_hsp::session::Session::update`, which \
-                     adds build-and-swap snapshot isolation")]
 pub fn apply_update(ds: &mut Dataset, text: &str) -> Result<UpdateStats, UpdateError> {
-    let stats = run_update(ds, text, &ExecConfig::unlimited())?;
+    let config = ExecConfig::unlimited();
+    let (stats, _) = run_update_traced(ds, text, &config, || config.context())?;
     // The in-place path has no post-publication hook, so fold oversized
     // deltas back into the base runs here.
     ds.compact_if_needed();
     Ok(stats)
 }
 
-/// [`apply_update`] under an explicit [`ExecConfig`]: a timeout, memory
-/// budget, or cancel token on the config governs the `DELETE WHERE`
-/// matching queries exactly as it governs reads (site `"update"` marks
-/// the per-operation checkpoints). `INSERT DATA` / `DELETE DATA` apply
-/// whole or not at all; a trip between operations leaves the effects of
-/// the already-completed ones in place, per the SPARQL Update sequencing
-/// rule.
-///
-/// Note the semantic difference from [`Session::update`](crate::session::Session::update): the
-/// session applies the
-/// whole request to a private clone and publishes all-or-nothing,
-/// whereas this mutates `ds` in place, op by op.
-#[deprecated(note = "go through `sparql_hsp::session::Session::update`, which \
-                     adds build-and-swap snapshot isolation")]
-pub fn apply_update_with(
-    ds: &mut Dataset,
-    text: &str,
-    config: &ExecConfig,
-) -> Result<UpdateStats, UpdateError> {
-    let stats = run_update(ds, text, config)?;
-    ds.compact_if_needed();
-    Ok(stats)
-}
-
-/// The in-place update engine behind [`Session::update`](crate::session::Session::update) and
-/// the deprecated wrappers:
-/// operations run in source order against `ds`, each seeing the effects
-/// of the previous one (the SPARQL Update sequencing rule). The session
-/// gets its all-or-nothing semantics by pointing `ds` at a private clone
-/// and publishing only on `Ok`.
-pub(crate) fn run_update(
-    ds: &mut Dataset,
-    text: &str,
-    config: &ExecConfig,
-) -> Result<UpdateStats, UpdateError> {
-    run_update_traced(ds, text, config).map(|(stats, _)| stats)
-}
-
-/// [`run_update`] plus a [`Touched`] trace of the predicates each applied
-/// operation could have affected, which the session uses to invalidate
-/// exactly the result-cache entries whose plans read them.
+/// The in-place update engine behind
+/// [`Session::update`](crate::session::Session::update) and
+/// [`apply_update`]: operations run in source order against `ds`, each
+/// seeing the effects of the previous one (the SPARQL Update sequencing
+/// rule). A timeout, memory budget or cancel token on `config` governs the
+/// `DELETE WHERE` matching queries exactly as it governs reads (site
+/// `"update"` marks the per-operation checkpoints). Each matching query
+/// executes in a context built by `context` — the session's puts it on the
+/// session pool; data-only requests never call it, so they do not pay for
+/// one. The session gets its all-or-nothing semantics by pointing `ds` at
+/// a private clone and publishing only on `Ok`. Also returns a [`Touched`]
+/// trace of the predicates each applied operation could have affected,
+/// which the session uses to invalidate exactly the result-cache entries
+/// whose plans read them.
 pub(crate) fn run_update_traced(
     ds: &mut Dataset,
     text: &str,
     config: &ExecConfig,
+    context: impl Fn() -> ExecContext,
 ) -> Result<(UpdateStats, Touched), UpdateError> {
     let request = parse_update(text).map_err(UpdateError::Parse)?;
     let mut stats = UpdateStats::default();
@@ -195,7 +175,7 @@ pub(crate) fn run_update_traced(
             }
             UpdateOp::DeleteWhere(group) => {
                 touched.note_where(group);
-                stats.deleted += delete_where(ds, group, config)?;
+                stats.deleted += delete_where(ds, group, config, &context())?;
             }
         }
     }
@@ -228,6 +208,7 @@ fn delete_where(
     ds: &mut Dataset,
     group: &GroupPattern,
     config: &ExecConfig,
+    ctx: &ExecContext,
 ) -> Result<usize, UpdateError> {
     // The WHERE block is a conjunctive pattern: reuse the query pipeline
     // with a SELECT * projection.
@@ -249,7 +230,8 @@ fn delete_where(
     let planned = HspPlanner::new()
         .plan(&query)
         .map_err(|e| UpdateError::Eval(e.to_string()))?;
-    let out = execute(&planned.plan, ds, config).map_err(|e| UpdateError::Eval(e.to_string()))?;
+    let out =
+        execute_in(&planned.plan, ds, config, ctx).map_err(|e| UpdateError::Eval(e.to_string()))?;
 
     // Each pattern slot is a constant id or a column of the result table.
     // `DELETE WHERE` ran against the *rewritten* query (HSP substitutes
@@ -286,9 +268,9 @@ fn delete_where(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the wrappers stay covered until they are removed
 mod tests {
     use super::*;
+    use hsp_engine::execute;
     use hsp_store::{Order, StorageBackend};
 
     fn seed() -> Dataset {

@@ -24,9 +24,7 @@ use sparql_hsp::extended::{evaluate_extended_in, ExtendedError, ExtendedOutput};
 /// concurrently running tests never see each other's injected fault.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-/// The old `evaluate_extended_with` convenience, through the supported
-/// context-taking entry point (the `_with` wrapper itself is deprecated
-/// in favour of `Session::query`).
+/// [`evaluate_extended_in`] in a fresh context of `config`.
 fn evaluate_extended_with(
     ds: &Dataset,
     text: &str,
@@ -337,31 +335,26 @@ fn extended_evaluator_surfaces_faults_at_its_checkpoint_site() {
 }
 
 #[test]
-#[allow(deprecated)] // pins the legacy in-place sequencing semantics
-fn update_path_surfaces_faults_and_leaves_prior_ops_applied() {
-    use sparql_hsp::update::apply_update_with;
-    let mut ds = Dataset::from_ntriples("").unwrap();
+fn update_path_surfaces_faults_and_publishes_nothing() {
+    use sparql_hsp::session::{Request, Session};
+    let session = Session::new(Dataset::from_ntriples("").unwrap());
     let text = r#"INSERT DATA { <http://e/s> <http://e/p> "v" . } ;
                   DELETE WHERE { ?s <http://e/p> ?o . }"#;
     let err = with_fault("alloc@update", || {
-        apply_update_with(
-            &mut ds,
-            text,
-            &ExecConfig::unlimited().with_fault_injection(),
-        )
-        .expect_err("fault at the update checkpoint must surface")
+        session
+            .update(Request::new(text).with_fault_injection())
+            .expect_err("fault at the update checkpoint must surface")
     });
     assert!(
         err.to_string().contains("memory budget exceeded at update"),
         "unexpected error: {err}"
     );
     // The fault fired at the *first* per-operation checkpoint: nothing
-    // ran, the dataset is untouched, and the same request applies
-    // cleanly afterwards.
-    assert!(ds.is_empty());
-    let stats = apply_update_with(&mut ds, text, &ExecConfig::unlimited()).unwrap();
-    assert_eq!((stats.inserted, stats.deleted), (1, 1));
-    assert!(ds.is_empty());
+    // was published, and the same request applies cleanly afterwards.
+    assert!(session.snapshot().is_empty());
+    let done = session.update(Request::new(text)).unwrap();
+    assert_eq!((done.stats.inserted, done.stats.deleted), (1, 1));
+    assert!(session.snapshot().is_empty());
 }
 
 /// CI's fault-injection matrix entry point: honours an `HSP_FAULT` spec

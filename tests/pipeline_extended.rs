@@ -18,9 +18,7 @@ fn env() -> &'static BenchEnv {
     ENV.get_or_init(|| BenchEnv::load(EnvConfig::small()))
 }
 
-/// The old `evaluate_extended_with` convenience, through the supported
-/// context-taking entry point (the `_with` wrapper itself is deprecated
-/// in favour of `Session::query`).
+/// [`evaluate_extended_in`] in a fresh context of `config`.
 fn evaluate_extended_with(
     ds: &hsp_store::Dataset,
     text: &str,

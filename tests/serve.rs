@@ -39,7 +39,7 @@ fn sp2b_queries() -> Vec<(String, String)> {
 }
 
 /// ≥4 concurrent clients fire the mixed workload at one server; every
-/// response body must be byte-identical to a serial (scoped-thread,
+/// response body must be byte-identical to a serial (one-thread,
 /// single-session) execution of the same query, and the session's one
 /// pool must have scheduled morsel batches from more than one query.
 #[test]
@@ -48,24 +48,19 @@ fn concurrent_clients_are_byte_identical_to_serial_execution() {
     let queries = sp2b_queries();
     assert!(queries.len() >= 4, "workload shrank unexpectedly");
 
-    // The serial oracle: no shared pool, no thread budget — the plain
-    // sequential path.
-    let serial = Session::with_options(
-        ds.clone(),
-        SessionOptions {
-            pool_threads: Some(0),
-            ..SessionOptions::default()
-        },
-    );
+    // The serial oracle: a one-thread budget keeps every kernel inline on
+    // the calling thread, so its session's pool never sees a batch.
+    let serial = Session::new(ds.clone());
     let expected: Vec<String> = queries
         .iter()
         .map(|(id, text)| {
             let response = serial
-                .query(Request::new(text))
+                .query(Request::new(text).with_threads(1))
                 .unwrap_or_else(|e| panic!("{id} failed serially: {e}"));
             results::to_sparql_json(&response.output)
         })
         .collect();
+    assert_eq!(serial.pool_stats().expect("session pool").batches, 0);
 
     let session = Session::with_options(ds.clone(), pooled_options());
     let server = Server::start(session, ServeConfig::default()).expect("server starts");
