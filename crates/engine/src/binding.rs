@@ -1,26 +1,32 @@
 //! Columnar intermediate results.
 
-use hsp_rdf::{Term, TermId};
+use hsp_rdf::{Dictionary, Term, TermId};
 use hsp_sparql::Var;
 use hsp_store::Dataset;
 
 use crate::pool::{is_computed, BufferPool, COMPUTED_BASE};
 
-/// Resolve one result id to a term: `None` for the unbound sentinel,
+/// Borrow the term behind one result id: `None` for the unbound sentinel,
 /// `computed` (an execution's overlay snapshot, indexed by `id -`
-/// [`COMPUTED_BASE`]) for aggregate outputs, the dictionary of `ds`
-/// otherwise. The returned term shares its string payloads with the
+/// [`COMPUTED_BASE`]) for aggregate outputs, `dict` otherwise.
+#[inline]
+fn resolve<'a>(dict: &'a Dictionary, computed: &'a [Term], id: TermId) -> Option<&'a Term> {
+    if id.is_unbound() {
+        None
+    } else if is_computed(id) {
+        computed.get((id.0 - COMPUTED_BASE) as usize)
+    } else {
+        Some(dict.term(id))
+    }
+}
+
+/// Resolve one result id to an owned term (see [`IdRows::cell`] for the
+/// borrowing form). The returned term shares its string payloads with the
 /// dictionary / overlay entry: the cost is one to three reference-count
 /// bumps, never a string copy.
 #[inline]
 pub fn resolve_term(ds: &Dataset, computed: &[Term], id: TermId) -> Option<Term> {
-    if id.is_unbound() {
-        None
-    } else if is_computed(id) {
-        computed.get((id.0 - COMPUTED_BASE) as usize).cloned()
-    } else {
-        Some(ds.dict().term(id).clone())
-    }
+    resolve(ds.dict(), computed, id).cloned()
 }
 
 /// A fully materialised, columnar table of variable bindings.
@@ -214,45 +220,6 @@ impl BindingTable {
         }
     }
 
-    /// Decode to term-level rows — the one place result ids become terms.
-    ///
-    /// Row `r` of the output holds, per variable of `projection`, the term
-    /// of table row `sel[r]` (of row `r` when `sel` is `None`, i.e. the
-    /// whole table in order); `computed` is the execution's overlay
-    /// snapshot (see [`resolve_term`]). A projected variable the table
-    /// does not bind decodes as unbound throughout. Each projected
-    /// column's id slice is looked up once, and every row is allocated at
-    /// its final width.
-    ///
-    /// Callers apply DISTINCT / ORDER BY / OFFSET / LIMIT on ids and row
-    /// indices first and pass the survivors as `sel`, so only rows that
-    /// are returned are ever decoded.
-    ///
-    /// # Panics
-    /// Panics if a `sel` index is out of bounds.
-    pub fn decode_rows(
-        &self,
-        ds: &Dataset,
-        computed: &[Term],
-        projection: &[Var],
-        sel: Option<&[u32]>,
-    ) -> Vec<Vec<Option<Term>>> {
-        let cols: Vec<Option<&[TermId]>> = projection
-            .iter()
-            .map(|&v| self.col_index(v).map(|c| self.cols[c].as_slice()))
-            .collect();
-        // Exact-size iterator: each row is allocated once, at its width.
-        let decode_row = |i: usize| -> Vec<Option<Term>> {
-            cols.iter()
-                .map(|col| col.and_then(|col| resolve_term(ds, computed, col[i])))
-                .collect()
-        };
-        match sel {
-            Some(sel) => sel.iter().map(|&i| decode_row(i as usize)).collect(),
-            None => (0..self.rows).map(decode_row).collect(),
-        }
-    }
-
     /// Tear the table down into its raw columns (variable order), so a
     /// consumed intermediate's buffers can be recycled.
     pub fn into_columns(self) -> Vec<Vec<TermId>> {
@@ -375,6 +342,124 @@ impl BindingTable {
         order
             .iter()
             .map(|&i| idx.iter().map(|&c| self.cols[c][i as usize]).collect())
+            .collect()
+    }
+}
+
+/// A query result in id form: the projected id columns *after* the
+/// solution modifiers, plus the execution's computed-term overlay — what
+/// the engine hands to the two edges of the system. The library edge
+/// [`decode`](IdRows::decode)s it into owned terms; the wire edge renders
+/// it cell by cell through [`cell`](IdRows::cell), which only borrows.
+///
+/// Ids are meaningful against the dictionary of the dataset the query ran
+/// on *and every later version of it*: dictionary ids are append-only
+/// (interning, compaction, copy-on-write clones and deletes never move or
+/// reuse one), so an `IdRows` may be resolved against a newer snapshot's
+/// dictionary than the one it was produced under.
+#[derive(Debug, Clone, PartialEq)]
+pub struct IdRows {
+    /// One entry per projected variable, in projection order; `None` for
+    /// a variable the table never bound (unbound in every row).
+    cols: Vec<Option<Vec<TermId>>>,
+    /// Explicit, like [`BindingTable`]'s: an `ASK` result has rows but no
+    /// columns.
+    rows: usize,
+    computed: Vec<Term>,
+}
+
+impl IdRows {
+    /// Project `table` to `projection`, keeping rows `sel` (in `sel`
+    /// order) or, with `None`, every row in table order. `computed` is
+    /// the execution's overlay snapshot (empty for plans that do not
+    /// aggregate).
+    ///
+    /// Without a selection the projected columns are *moved* out of the
+    /// table — no per-cell work at all (a variable projected twice is
+    /// copied for all but its last mention); with one, each column is a
+    /// gather of 4-byte ids. Callers apply DISTINCT / ORDER BY / OFFSET /
+    /// LIMIT on ids and row indices first and pass the survivors as
+    /// `sel`, so only rows that are returned are ever gathered.
+    ///
+    /// # Panics
+    /// Panics if a `sel` index is out of bounds.
+    pub fn new(
+        table: BindingTable,
+        projection: &[Var],
+        sel: Option<&[u32]>,
+        computed: Vec<Term>,
+    ) -> IdRows {
+        let rows = sel.map_or(table.len(), <[u32]>::len);
+        let source: Vec<Option<usize>> = projection.iter().map(|&v| table.col_index(v)).collect();
+        let mut table_cols = table.into_columns();
+        let cols = source
+            .iter()
+            .enumerate()
+            .map(|(k, &c)| {
+                let c = c?;
+                Some(match sel {
+                    Some(sel) => gather_column(&table_cols[c], sel, None),
+                    None if source[k + 1..].contains(&Some(c)) => table_cols[c].clone(),
+                    None => std::mem::take(&mut table_cols[c]),
+                })
+            })
+            .collect();
+        IdRows {
+            cols,
+            rows,
+            computed,
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// `true` if there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// Number of projected columns.
+    pub fn width(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// The ids of projected column `col`; `None` when the query never
+    /// bound its variable.
+    pub fn column(&self, col: usize) -> Option<&[TermId]> {
+        self.cols[col].as_deref()
+    }
+
+    /// The computed-term overlay the ids at or above
+    /// [`COMPUTED_BASE`] index into.
+    pub fn computed(&self) -> &[Term] {
+        &self.computed
+    }
+
+    /// Borrow the term of one cell (`None` = unbound) from `dict` or the
+    /// overlay: no reference count is touched and nothing is allocated.
+    ///
+    /// # Panics
+    /// Panics if `row` / `col` are out of range or `dict` is older than
+    /// the dictionary the ids were produced under.
+    #[inline]
+    pub fn cell<'a>(&'a self, dict: &'a Dictionary, row: usize, col: usize) -> Option<&'a Term> {
+        resolve(dict, &self.computed, self.cols[col].as_ref()?[row])
+    }
+
+    /// Decode to term-level rows — the one place result ids become owned
+    /// terms. Each projected column's id slice is looked up once, and
+    /// every row is allocated at its final width.
+    pub fn decode(&self, dict: &Dictionary) -> Vec<Vec<Option<Term>>> {
+        let cols: Vec<Option<&[TermId]>> = self.cols.iter().map(Option::as_deref).collect();
+        (0..self.rows)
+            .map(|i| {
+                cols.iter()
+                    .map(|col| col.and_then(|col| resolve(dict, &self.computed, col[i]).cloned()))
+                    .collect()
+            })
             .collect()
     }
 }

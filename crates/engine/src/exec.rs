@@ -15,7 +15,7 @@ use hsp_sparql::Var;
 use hsp_store::Dataset;
 
 use crate::aggregate::AggError;
-use crate::binding::{resolve_term, BindingTable};
+use crate::binding::{resolve_term, BindingTable, IdRows};
 use crate::govern::{CancelToken, GovernorError, QueryGovernor};
 use crate::metrics::RuntimeMetrics;
 use crate::morsel::MorselConfig;
@@ -404,10 +404,17 @@ impl ExecOutput {
         resolve_term(ds, &self.computed, id)
     }
 
+    /// The whole result in id form over `projection`: the projected
+    /// columns move out of the table, the overlay rides along.
+    pub fn into_id_rows(self, projection: &[Var]) -> IdRows {
+        IdRows::new(self.table, projection, None, self.computed)
+    }
+
     /// Decode the whole result into term-level rows over `projection` —
-    /// [`BindingTable::decode_rows`] with this execution's overlay.
+    /// [`IdRows::decode`] over a copy of the id columns, for callers that
+    /// keep the output.
     pub fn decode_rows(&self, ds: &Dataset, projection: &[Var]) -> Vec<Vec<Option<hsp_rdf::Term>>> {
-        self.table.decode_rows(ds, &self.computed, projection, None)
+        IdRows::new(self.table.clone(), projection, None, self.computed.clone()).decode(ds.dict())
     }
 }
 

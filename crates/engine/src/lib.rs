@@ -80,7 +80,8 @@
 //! # Module map
 //!
 //! * [`binding`] — columnar intermediate results with sortedness metadata
-//!   and the bulk gather primitives.
+//!   and the bulk gather primitives, and [`IdRows`], the id-form result a
+//!   finished execution hands to its caller (decode it, or render from it).
 //! * [`kernel`] — FxHash utilities and the flat hash-join build table.
 //! * [`morsel`] — the morsel scheduler: config, gated worker pool,
 //!   deterministic stitch-back.
@@ -132,7 +133,7 @@ pub mod pool;
 pub mod reference;
 
 pub use aggregate::AggError;
-pub use binding::BindingTable;
+pub use binding::{BindingTable, IdRows};
 pub use exec::{execute, execute_in, ExecConfig, ExecError, ExecOutput, ExecStrategy, Profile};
 pub use govern::{CancelToken, GovernorError, QueryGovernor};
 pub use metrics::{PlanMetrics, PlanShape, RuntimeMetrics};

@@ -79,7 +79,13 @@ pub fn scan_in(
         match pattern.slot(pos) {
             TermOrVar::Const(term) => match ds.dict().id(term) {
                 Some(id) => prefix.push(id),
-                None => return BindingTable::empty(out_vars),
+                None => {
+                    // Empty, but sorted like any scan of this order: a
+                    // merge join above still checks the declaration.
+                    let mut empty = BindingTable::empty(out_vars);
+                    empty.set_sorted_by(scan_sort_var(pattern, order));
+                    return empty;
+                }
             },
             TermOrVar::Var(_) => break,
         }

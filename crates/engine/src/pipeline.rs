@@ -1183,23 +1183,16 @@ fn run_pipeline(
     // buffer, which outlives `prepared`) and stay usable by the sink
     // after the prepared stages (which borrow the input tables) are
     // dropped.
-    let (scan, scan_known) = match &p.source {
+    let scan = match &p.source {
         SourceSpec::Scan { pattern, order, .. } => resolve_scan(ds, pattern, *order),
-        SourceSpec::Slot(_) => (OrderScan::empty(), true),
+        SourceSpec::Slot(_) => OrderScan::empty(),
     };
     if !scan.is_contiguous() {
         ctx.note_merged_scan();
     }
     let scan_rows: &[IdTriple] = &scan;
 
-    let prepared = prepare(
-        p,
-        ctx,
-        scan_rows,
-        scan_known,
-        source_table.as_ref(),
-        &build_tables,
-    );
+    let prepared = prepare(p, ctx, scan_rows, source_table.as_ref(), &build_tables);
 
     // The hand-off column-move precondition that is known *before* any
     // morsel runs: the source was handed off, no probe adds a side, and
@@ -1537,20 +1530,16 @@ fn run_pipeline(
 }
 
 /// Resolve a scan source's relation range exactly like `ops::scan_in`: a
-/// constant missing from the dictionary matches nothing, reported as
-/// `known == false` (the empty output then advertises no sortedness,
-/// matching the oracle).
-fn resolve_scan<'d>(
-    ds: &'d Dataset,
-    pattern: &TriplePattern,
-    order: Order,
-) -> (OrderScan<'d>, bool) {
+/// constant missing from the dictionary matches nothing (the empty output
+/// still advertises the scan's sortedness, like the oracle's — a merge
+/// join above it checks the declaration, not the rows).
+fn resolve_scan<'d>(ds: &'d Dataset, pattern: &TriplePattern, order: Order) -> OrderScan<'d> {
     let mut prefix: Vec<TermId> = Vec::with_capacity(3);
     for pos in order.positions() {
         match pattern.slot(pos) {
             hsp_sparql::TermOrVar::Const(term) => match ds.dict().id(term) {
                 Some(id) => prefix.push(id),
-                None => return (OrderScan::empty(), false),
+                None => return OrderScan::empty(),
             },
             hsp_sparql::TermOrVar::Var(_) => break,
         }
@@ -1560,7 +1549,7 @@ fn resolve_scan<'d>(
         scan.len() < u32::MAX as usize,
         "scan range exceeds u32 row indexing"
     );
-    (scan, true)
+    scan
 }
 
 /// Resolve the pipeline's source and stages against the (already
@@ -1571,7 +1560,6 @@ fn prepare<'a>(
     p: &'a Pipeline<'_>,
     ctx: &ExecContext,
     scan_rows: &'a [IdTriple],
-    scan_known: bool,
     source_table: Option<&'a BindingTable>,
     build_tables: &'a [BindingTable],
 ) -> PreparedPipeline<'a> {
@@ -1604,11 +1592,7 @@ fn prepare<'a>(
                 }
             }
             rows = scan_rows.len();
-            sorted = if scan_known {
-                scan_sort_var(pattern, *order)
-            } else {
-                None
-            };
+            sorted = scan_sort_var(pattern, *order);
         }
         SourceSpec::Slot(_) => {
             // invariant: `run_pipeline` takes the slot table before calling
@@ -2297,7 +2281,7 @@ mod tests {
         .unwrap();
         let out = execute(&plan, &ds, &ExecConfig::unlimited()).unwrap();
         assert_eq!(out.table, oracle.table);
-        assert_eq!(out.table.sorted_by(), None);
+        assert_eq!(out.table.sorted_by(), Some(Var(0)));
     }
 
     #[test]

@@ -1,10 +1,12 @@
-//! `decode_rows` — the one place result ids become terms — must agree with
-//! resolving every cell on its own through `ExecOutput::term`, for any
-//! mix of dictionary ids, computed (aggregate-overlay) ids and the unbound
-//! sentinel, any projection (reordered, repeated, or naming a variable the
-//! table does not bind), and any row selection.
+//! `IdRows::decode` — the one place result ids become owned terms — must
+//! agree with resolving every cell on its own through `ExecOutput::term`
+//! (and with the borrowing `IdRows::cell`), for any mix of dictionary ids,
+//! computed (aggregate-overlay) ids and the unbound sentinel, any
+//! projection (reordered, repeated, or naming a variable the table does
+//! not bind), and any row selection — and building an `IdRows` without a
+//! selection must move the projected columns, not copy them.
 
-use hsp_engine::binding::BindingTable;
+use hsp_engine::binding::{BindingTable, IdRows};
 use hsp_engine::pool::COMPUTED_BASE;
 use hsp_engine::{ExecOutput, Profile, RuntimeMetrics};
 use hsp_rdf::{Term, TermId};
@@ -81,18 +83,45 @@ proptest! {
             projection.iter().map(|&v| cell(v, i)).collect()
         };
 
-        // The whole table, in order.
+        // The whole table, in order: through the kept `decode_rows`, and
+        // through an `IdRows` built without a selection.
         let expected: Vec<_> = (0..out.table.len()).map(per_cell).collect();
-        prop_assert_eq!(out.decode_rows(&ds, &projection), expected);
+        prop_assert_eq!(&out.decode_rows(&ds, &projection), &expected);
+        let buffers: Vec<*const TermId> =
+            out.table.columns().iter().map(|c| c.as_ptr()).collect();
+        let whole = IdRows::new(out.table.clone(), &projection, None, out.computed.clone());
+        prop_assert_eq!(whole.len(), out.table.len());
+        prop_assert_eq!(whole.width(), projection.len());
+        prop_assert_eq!(&whole.decode(ds.dict()), &expected);
+        for (i, row) in expected.iter().enumerate() {
+            for (c, term) in row.iter().enumerate() {
+                prop_assert_eq!(whole.cell(ds.dict(), i, c), term.as_ref());
+            }
+        }
 
         // A selection: any order, repeats allowed, possibly empty.
         if select && !out.table.is_empty() {
             let sel: Vec<u32> = picks.iter().map(|p| (p % out.table.len()) as u32).collect();
             let expected: Vec<_> = sel.iter().map(|&i| per_cell(i as usize)).collect();
-            prop_assert_eq!(
-                out.table.decode_rows(&ds, &out.computed, &projection, Some(&sel)),
-                expected
-            );
+            let picked =
+                IdRows::new(out.table.clone(), &projection, Some(&sel), out.computed.clone());
+            prop_assert_eq!(picked.len(), sel.len());
+            prop_assert_eq!(picked.decode(ds.dict()), expected);
+        }
+
+        // Moved, not copied: with no selection, the last mention of each
+        // projected table variable holds the table's own column buffer.
+        let moved = IdRows::new(out.table, &projection, None, out.computed);
+        prop_assert_eq!(&moved, &whole);
+        for (k, v) in projection.iter().enumerate() {
+            let last_mention = !projection[k + 1..].contains(v);
+            match moved.column(k) {
+                Some(col) if last_mention => {
+                    prop_assert_eq!(col.as_ptr(), buffers[v.0 as usize]);
+                }
+                Some(_) => {} // an earlier mention of a repeated variable: a copy
+                None => prop_assert_eq!(v.0, TABLE_VARS),
+            }
         }
     }
 }

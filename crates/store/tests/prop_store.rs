@@ -1,9 +1,9 @@
 //! Property tests: the six orders agree, binary-search range lookup is
-//! equivalent to a naive filter scan, and merged base+delta scans are
-//! byte-identical to a from-scratch rebuild.
+//! equivalent to a naive filter scan, merged base+delta scans are
+//! byte-identical to a from-scratch rebuild, and dictionary ids never move.
 
-use hsp_rdf::{IdTriple, TermId, TriplePos};
-use hsp_store::{Order, StorageBackend, TripleStore};
+use hsp_rdf::{IdTriple, Term, TermId, Triple, TriplePos};
+use hsp_store::{Dataset, Order, StorageBackend, TripleStore};
 use proptest::prelude::*;
 
 fn arb_triples() -> impl Strategy<Value = Vec<IdTriple>> {
@@ -270,6 +270,55 @@ proptest! {
                 want.as_slice(),
                 "snapshot torn under order {}", order
             );
+        }
+    }
+
+    /// Dictionary ids are append-only: whatever interleaving of interning
+    /// (`insert_data`), `compact`, copy-on-write clone-then-intern (how a
+    /// session publishes an update) and `remove_data` a dataset goes
+    /// through, every id ever handed out keeps resolving to the same term
+    /// and every term to the same id — in the live dataset and in every
+    /// fork taken along the way. The result cache's id-form entries, which
+    /// are resolved against whatever dictionary is current at lookup,
+    /// rest on exactly this.
+    #[test]
+    fn dictionary_ids_never_move(
+        ops in proptest::collection::vec((0u32..5, 0u32..40, 0u32..40), 1..60),
+    ) {
+        let triple = |a: u32, b: u32| Triple::new(
+            Term::iri(format!("http://e/s{a}")),
+            Term::iri(format!("http://e/p{}", b % 5)),
+            Term::literal(format!("v{b}")),
+        );
+        let mut ds = Dataset::from_triples(&[triple(0, 0)]);
+        let mut forks: Vec<Dataset> = Vec::new();
+        let mut known: Vec<(TermId, Term)> = Vec::new();
+        for (kind, a, b) in ops {
+            match kind {
+                0 => { ds.insert_data(&[triple(a, b)]); }
+                1 => { ds.compact(); }
+                2 => {
+                    // Build-and-swap: the fork interns, then is published;
+                    // the old snapshot lives on beside it.
+                    let mut fork = ds.clone();
+                    fork.insert_data(&[triple(a, b), triple(b, a)]);
+                    forks.push(std::mem::replace(&mut ds, fork));
+                }
+                3 => { ds.remove_data(&[triple(a, b)]); }
+                _ => { ds.compact_if_needed(); }
+            }
+            for (id, term) in ds.dict().iter().skip(known.len()) {
+                known.push((id, term.clone()));
+            }
+            prop_assert_eq!(ds.dict().len(), known.len(), "the dictionary shrank");
+            for snapshot in forks.iter().chain([&ds]) {
+                let dict = snapshot.dict();
+                for (id, term) in &known[..dict.len()] {
+                    prop_assert_eq!(dict.term(*id), term, "id {} moved", id);
+                    prop_assert_eq!(dict.id(term), Some(*id), "{} changed id", term);
+                }
+            }
+            forks.truncate(4);
         }
     }
 }

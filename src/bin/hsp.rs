@@ -38,8 +38,7 @@ use std::process::ExitCode;
 
 use hsp_engine::explain::render_runtime_metrics;
 use hsp_store::Dataset;
-use sparql_hsp::extended::ExtendedOutput;
-use sparql_hsp::results;
+use sparql_hsp::results::Format;
 use sparql_hsp::session::{Planner, Request, Session};
 
 struct Args {
@@ -47,7 +46,7 @@ struct Args {
     query: Option<String>,
     update: Option<String>,
     planner: String,
-    format: String,
+    format: Format,
     explain: bool,
     sip: bool,
     budget: Option<usize>,
@@ -73,7 +72,7 @@ fn parse_args() -> Result<Args, String> {
         query: None,
         update: None,
         planner: "hsp".into(),
-        format: "table".into(),
+        format: Format::Table,
         explain: false,
         sip: false,
         budget: None,
@@ -92,7 +91,7 @@ fn parse_args() -> Result<Args, String> {
             "--query" => args.query = Some(value("--query")?),
             "--update" => args.update = Some(value("--update")?),
             "--planner" => args.planner = value("--planner")?.to_lowercase(),
-            "--format" => args.format = value("--format")?.to_lowercase(),
+            "--format" => args.format = value("--format")?.parse()?,
             "--explain" => args.explain = true,
             "--sip" => args.sip = true,
             "--budget" => {
@@ -146,16 +145,6 @@ fn load_text(spec: &str) -> Result<String, String> {
     } else {
         Ok(spec.to_string())
     }
-}
-
-fn emit(format: &str, out: &ExtendedOutput) -> Result<String, String> {
-    Ok(match format {
-        "table" => results::to_table(out),
-        "json" => results::to_sparql_json(out),
-        "csv" => results::to_csv(out),
-        "tsv" => results::to_tsv(out),
-        other => return Err(format!("unknown format `{other}` (table|json|csv|tsv)")),
-    })
 }
 
 fn run() -> Result<(), String> {
@@ -220,26 +209,25 @@ fn run() -> Result<(), String> {
     }
 
     let text = load_text(args.query.as_deref().expect("query or update required"))?;
+    // Rows stay ids; the renderer resolves each cell as it writes it.
     let response = session
-        .query(build_request(&text))
+        .query_encoded(build_request(&text))
         .map_err(|e| e.to_string())?;
     if let Some(note) = &response.note {
         eprintln!("note: {note}");
     }
-    // ASK answers are a bare boolean (or the W3C JSON envelope).
+    let mut body = String::new();
     if let Some(answer) = response.ask {
-        match args.format.as_str() {
-            "json" => println!("{}", results::ask_to_sparql_json(answer)),
-            _ => println!("{answer}"),
-        }
-        return Ok(());
+        // ASK answers are a bare boolean (or the W3C JSON envelope).
+        args.format.write_ask(&mut body, answer);
+        body.push('\n');
+    } else if let Some(plan) = &response.explain {
+        body.push_str(plan);
+        body.push_str(&render_runtime_metrics(&response.metrics));
+    } else {
+        args.format.write(&mut body, &response, usize::MAX);
     }
-    if let Some(plan) = &response.explain {
-        print!("{plan}");
-        print!("{}", render_runtime_metrics(&response.metrics));
-        return Ok(());
-    }
-    print!("{}", emit(&args.format, &response.output)?);
+    print!("{body}");
     Ok(())
 }
 

@@ -12,18 +12,31 @@
 //! cannot make a cached plan wrong, only a cached *result* stale.
 //!
 //! **Tier 2 — result cache.** A bounded LRU (entries + approximate
-//! bytes) of full [`Response`]s keyed by the exact request text plus
-//! every knob that can change the answer or its ordering. Each entry
-//! records the set of predicates its query read (`Reads`); the update
-//! path reports the predicates it touched ([`Touched`]) and only the
-//! entries whose read set intersects are dropped. An update that binds
-//! a *variable* predicate flushes the whole tier (the conservative
-//! fallback). Entries store decoded [`Term`]s, never dictionary ids, so
-//! a hit is byte-identical to a cold run against the same snapshot —
-//! and since terms share their strings with the dictionary, an entry
-//! costs its row and cell slots, not a second copy of the text. Entries
-//! sit behind an `Arc`: the tier's mutex is held for a pointer bump, and
-//! the caller's copy of the rows is made outside it.
+//! bytes) of query results keyed by the exact request text plus every
+//! knob that can change the answer or its ordering. Each entry records
+//! the set of predicates its query read (`Reads`); the update path
+//! reports the predicates it touched ([`Touched`]) and only the entries
+//! whose read set intersects are dropped. An update that binds a
+//! *variable* predicate flushes the whole tier (the conservative
+//! fallback).
+//!
+//! An entry stores the result in **id form** — the very
+//! `Arc<`[`IdRows`]`>` the response that populated it holds, 4 bytes a
+//! cell, plus its column names, ASK answer, note and metrics — and **no
+//! snapshot**: holding one would pin a pre-compaction base, a second copy
+//! of the store. A hit is resolved against the dictionary of the snapshot
+//! current *at lookup*, which is sound because
+//!
+//! * dictionary ids are append-only: `intern`, `compact`, copy-on-write
+//!   clones and deletes never move, reuse or drop an id, so every later
+//!   dictionary maps an entry's ids to the same terms (computed aggregate
+//!   terms are not in any dictionary; they travel inside the `IdRows`);
+//! * predicate-exact invalidation drops every entry whose *rows* could
+//!   have changed before the snapshot that changed them is published.
+//!
+//! So a hit is byte-identical to a cold run against the current snapshot.
+//! Neither insert nor hit copies, walks or drops a row: both are a few
+//! reference-count bumps, and the tier's mutex is held for no more.
 //!
 //! Concurrency contract (enforced by the session, documented here):
 //! result lookups and inserts happen while holding the store's read
@@ -38,18 +51,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use hsp_engine::plan::PhysicalPlan;
+use hsp_engine::{IdRows, RuntimeMetrics};
 use hsp_rdf::Term;
 use hsp_sparql::{CanonicalQuery, JoinQuery, TermOrVar, Var};
 
-use crate::session::Response;
 use crate::update::Touched;
 
 /// Maximum cached plans (shape keys). Plans are small; this bound only
 /// guards against unbounded template churn.
 const MAX_PLAN_ENTRIES: usize = 512;
-/// Maximum cached responses.
+/// Maximum cached results.
 const MAX_RESULT_ENTRIES: usize = 1024;
-/// Approximate byte budget for cached responses (32 MiB).
+/// Approximate byte budget for cached results (32 MiB).
 const MAX_RESULT_BYTES: usize = 32 << 20;
 
 /// What a cached result's query read — the invalidation granularity.
@@ -269,8 +282,20 @@ pub(crate) fn query_reads(q: &JoinQuery) -> Reads {
     Reads::Predicates(preds)
 }
 
+/// What the result tier keeps of a response, and hands back on a hit: the
+/// id rows (shared with the response that populated the entry — never
+/// copied) and everything around them except the snapshot.
+#[derive(Clone)]
+pub(crate) struct CachedResult {
+    pub(crate) columns: Arc<[String]>,
+    pub(crate) rows: Arc<IdRows>,
+    pub(crate) ask: Option<bool>,
+    pub(crate) note: Option<String>,
+    pub(crate) metrics: RuntimeMetrics,
+}
+
 struct ResultEntry {
-    response: Arc<Response>,
+    result: CachedResult,
     reads: Reads,
     bytes: usize,
     used: u64,
@@ -413,27 +438,23 @@ impl QueryCache {
         );
     }
 
-    /// Result-tier lookup. Call while holding the store's read lock.
-    pub(crate) fn result_get(&self, key: &str) -> Option<Response> {
+    /// Result-tier lookup. Call while holding the store's read lock, and
+    /// resolve the hit against the snapshot read under that same guard.
+    pub(crate) fn result_get(&self, key: &str) -> Option<CachedResult> {
         let mut store = self.results.lock().unwrap_or_else(|e| e.into_inner());
         store.tick += 1;
         let tick = store.tick;
         let found = store.map.get_mut(key).map(|entry| {
             entry.used = tick;
-            Arc::clone(&entry.response)
+            entry.result.clone()
         });
         drop(store);
-        match found {
-            Some(response) => {
-                self.result_hits.fetch_add(1, Ordering::Relaxed);
-                // The caller's own rows, copied outside the mutex.
-                Some(Response::clone(&response))
-            }
-            None => {
-                self.result_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let counter = match found {
+            Some(_) => &self.result_hits,
+            None => &self.result_misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Result-tier insert. Call while holding the store's read lock;
@@ -442,28 +463,26 @@ impl QueryCache {
     pub(crate) fn result_insert(
         &self,
         key: String,
-        response: &Response,
+        result: CachedResult,
         reads: Reads,
         version: u64,
     ) {
         if self.version.load(Ordering::Acquire) != version {
             return;
         }
-        let bytes = approx_response_bytes(response);
+        let bytes = approx_result_bytes(&result);
         if bytes > MAX_RESULT_BYTES {
             return;
         }
-        // Copy the rows before taking the mutex, and drop whatever the
-        // insert displaces after releasing it.
-        let response = Arc::new(response.clone());
         let mut store = self.results.lock().unwrap_or_else(|e| e.into_inner());
         store.tick += 1;
         let entry = ResultEntry {
-            response,
+            result,
             reads,
             bytes,
             used: store.tick,
         };
+        // Whatever the insert displaces is freed after the mutex.
         let mut displaced = Vec::new();
         if let Some(old) = store.map.insert(key, entry) {
             store.bytes -= old.bytes;
@@ -515,128 +534,114 @@ impl QueryCache {
     }
 }
 
-/// Memory a cached response pins — sizing only, never correctness;
+/// Memory a cached result pins — sizing only, never correctness;
 /// over/under-counting just shifts the eviction point.
 ///
-/// Rows and cell slots are the entry's own. String payloads are `Arc<str>`s
-/// shared with the dictionary (or, for computed aggregate terms, with the
-/// execution that made them), so a payload is charged at its length plus
-/// the `Arc` header only where this response holds its last reference
-/// right now; text the dictionary keeps alive anyway costs the entry
-/// nothing.
-fn approx_response_bytes(response: &Response) -> usize {
+/// Four bytes a cell for the id columns, plus the computed-term overlay
+/// (aggregate outputs), which no dictionary holds: each of its terms is
+/// charged its slot and its text with the `Arc` headers. Dictionary text
+/// costs an entry nothing.
+fn approx_result_bytes(result: &CachedResult) -> usize {
     use std::mem::size_of;
     /// Strong + weak counts in front of an `Arc<str>`'s bytes.
     const ARC_HEADER: usize = 2 * size_of::<usize>();
-    let owned = |text: &Arc<str>| {
-        if Arc::strong_count(text) == 1 {
-            text.len() + ARC_HEADER
-        } else {
-            0
-        }
-    };
-    let mut bytes = size_of::<Response>();
-    for col in &response.output.columns {
+    let text = |s: &Arc<str>| s.len() + ARC_HEADER;
+    let rows = &result.rows;
+    let mut bytes = size_of::<ResultEntry>() + size_of::<IdRows>();
+    for col in result.columns.iter() {
         bytes += size_of::<String>() + col.len();
     }
-    for row in &response.output.rows {
-        bytes += size_of::<Vec<Option<Term>>>() + row.len() * size_of::<Option<Term>>();
-        for term in row.iter().flatten() {
-            bytes += match term {
-                Term::Iri(iri) => owned(iri),
+    bytes += (0..rows.width())
+        .filter_map(|col| rows.column(col))
+        .map(std::mem::size_of_val)
+        .sum::<usize>();
+    for term in rows.computed() {
+        bytes += size_of::<Term>()
+            + match term {
+                Term::Iri(iri) => text(iri),
                 Term::Literal {
                     lexical,
                     datatype,
                     language,
                 } => {
-                    owned(lexical)
-                        + datatype.as_ref().map_or(0, owned)
-                        + language.as_ref().map_or(0, owned)
+                    text(lexical)
+                        + datatype.as_ref().map_or(0, text)
+                        + language.as_ref().map_or(0, text)
                 }
             };
-        }
     }
-    if let Some(explain) = &response.explain {
-        bytes += explain.len();
-    }
-    if let Some(note) = &response.note {
-        bytes += note.len();
-    }
-    bytes
+    bytes + result.note.as_ref().map_or(0, String::len)
 }
 
 #[cfg(test)]
 mod tests {
     use std::mem::size_of;
 
-    use hsp_engine::RuntimeMetrics;
+    use hsp_engine::pool::COMPUTED_BASE;
+    use hsp_engine::BindingTable;
+    use hsp_rdf::TermId;
 
     use super::*;
-    use crate::extended::ExtendedOutput;
 
-    fn response(rows: Vec<Vec<Option<Term>>>) -> Response {
-        Response {
-            output: ExtendedOutput {
-                columns: vec!["x".into()],
-                rows,
-            },
+    /// A one-column result over `ids`, with `computed` as its overlay.
+    fn result(ids: Vec<TermId>, computed: Vec<Term>) -> CachedResult {
+        let table = BindingTable::from_columns(vec![Var(0)], vec![ids], None);
+        CachedResult {
+            columns: vec!["x".to_string()].into(),
+            rows: Arc::new(IdRows::new(table, &[Var(0)], None, computed)),
             ask: None,
-            explain: None,
             note: None,
             metrics: RuntimeMetrics::default(),
         }
     }
 
-    /// What every one-column response costs before its rows.
+    /// What every one-column result costs before its rows.
     fn fixed_bytes() -> usize {
-        size_of::<Response>() + size_of::<String>() + 1
+        size_of::<ResultEntry>() + size_of::<IdRows>() + size_of::<String>() + 1
     }
 
     #[test]
     fn shared_terms_cost_their_slots_and_owned_terms_their_text() {
-        // Held elsewhere (as the dictionary holds every decoded term):
-        // the cell is charged, the text is not — however long it is.
-        let interned = Term::typed_literal("x".repeat(1000), "http://e/some-datatype");
-        let row_bytes = size_of::<Vec<Option<Term>>>() + size_of::<Option<Term>>();
-        let shared = response(vec![vec![Some(interned.clone())], vec![None]]);
-        assert_eq!(
-            approx_response_bytes(&shared),
-            fixed_bytes() + 2 * row_bytes
+        // Dictionary ids (and unbound cells): four bytes a cell, however
+        // long the text behind them is — the dictionary holds it anyway.
+        let shared = result(vec![TermId(7), TermId::UNBOUND, TermId(7)], vec![]);
+        assert_eq!(approx_result_bytes(&shared), fixed_bytes() + 3 * 4);
+        // A computed aggregate term lives in the entry alone: its slot,
+        // its lexical form and its datatype, each with an `Arc` header.
+        let computed = result(
+            vec![TermId(COMPUTED_BASE)],
+            vec![Term::typed_literal("24.5", "http://e/dt")],
         );
-        // Held by the response alone (a computed aggregate term): lexical
-        // form and datatype are charged, each with its `Arc` header.
-        let computed = response(vec![vec![Some(Term::typed_literal("24.5", "http://e/dt"))]]);
         assert_eq!(
-            approx_response_bytes(&computed),
-            fixed_bytes() + row_bytes + (4 + 16) + (11 + 16)
+            approx_result_bytes(&computed),
+            fixed_bytes() + 4 + size_of::<Term>() + (4 + 16) + (11 + 16)
         );
     }
 
     #[test]
     fn byte_budget_still_evicts() {
-        let interned = Term::iri("http://e/shared");
-        let row_bytes = size_of::<Vec<Option<Term>>>() + size_of::<Option<Term>>();
         // Three of these fit the budget, four do not.
-        let rows = MAX_RESULT_BYTES * 3 / 10 / row_bytes;
-        let big = response(vec![vec![Some(interned.clone())]; rows]);
-        let each = approx_response_bytes(&big);
+        let rows = MAX_RESULT_BYTES * 3 / 10 / size_of::<TermId>();
+        let big = result(vec![TermId(1); rows], vec![]);
+        let each = approx_result_bytes(&big);
         assert!(3 * each <= MAX_RESULT_BYTES && 4 * each > MAX_RESULT_BYTES);
 
         let cache = QueryCache::default();
         for key in ["a", "b", "c"] {
-            cache.result_insert(key.into(), &big, Reads::All, cache.version());
+            cache.result_insert(key.into(), big.clone(), Reads::All, cache.version());
         }
         assert_eq!(cache.stats().result_entries, 3);
         assert_eq!(cache.stats().result_bytes, 3 * each);
         assert!(cache.result_get("a").is_some()); // "b" is now the oldest
-        cache.result_insert("d".into(), &big, Reads::All, cache.version());
+        cache.result_insert("d".into(), big.clone(), Reads::All, cache.version());
         let stats = cache.stats();
         assert_eq!(stats.result_entries, 3);
         assert_eq!(stats.result_bytes, 3 * each);
         assert!(cache.result_get("b").is_none(), "LRU entry was evicted");
         for key in ["a", "c", "d"] {
             let hit = cache.result_get(key).expect("recent entries survive");
-            assert_eq!(hit.output.rows.len(), rows);
+            // The entry is the inserted rows themselves, never a copy.
+            assert!(Arc::ptr_eq(&hit.rows, &big.rows));
         }
     }
 }

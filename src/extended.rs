@@ -36,7 +36,7 @@ use std::collections::{HashMap, HashSet};
 use hsp_core::HspPlanner;
 use hsp_engine::binding::resolve_term;
 use hsp_engine::ops;
-use hsp_engine::{execute_in, BindingTable, ExecConfig, ExecContext, PhysicalPlan};
+use hsp_engine::{execute_in, BindingTable, ExecConfig, ExecContext, IdRows, PhysicalPlan};
 use hsp_rdf::{Term, TermId};
 use hsp_sparql::ast::{Element, GroupPattern, NodeAst, Query};
 use hsp_sparql::{parse_query, FilterExpr, JoinQuery, TermOrVar, TriplePattern, Var};
@@ -93,17 +93,25 @@ pub fn evaluate_extended_in(
     ctx: &ExecContext,
 ) -> Result<ExtendedOutput, ExtendedError> {
     let ast = parse_query(text).map_err(ExtendedError::Parse)?;
-    evaluate_ast_in(ds, &ast, config, ctx)
+    let (columns, rows) = evaluate_ast_encoded(ds, &ast, config, ctx)?;
+    Ok(ExtendedOutput {
+        columns,
+        rows: rows.decode(ds.dict()),
+    })
 }
 
-/// [`evaluate_extended_in`] over an already parsed query. An `ASK` query
-/// yields zero columns and one empty row iff a solution exists.
-pub fn evaluate_ast_in(
+/// [`evaluate_extended_in`] over an already parsed query, stopping at the
+/// id-form result: the column names and the projected id columns after the
+/// solution modifiers (an `ASK` query yields zero columns and one empty
+/// row iff a solution exists). This is what
+/// [`Session`](crate::session::Session) runs; decoding is its caller's
+/// choice.
+pub(crate) fn evaluate_ast_encoded(
     ds: &Dataset,
     query: &Query,
     config: &ExecConfig,
     ctx: &ExecContext,
-) -> Result<ExtendedOutput, ExtendedError> {
+) -> Result<(Vec<String>, IdRows), ExtendedError> {
     // Aggregation (GROUP BY / HAVING / aggregate select items) lives in
     // the join-query fragment: lower the whole AST there, plan with HSP,
     // and let the engine's γ breaker do the work. OPTIONAL/UNION cannot
@@ -116,15 +124,8 @@ pub fn evaluate_ast_in(
 
     if query.ask {
         // ASK: zero columns; one empty row iff a solution exists.
-        let rows = if table.is_empty() {
-            vec![]
-        } else {
-            vec![vec![]]
-        };
-        return Ok(ExtendedOutput {
-            columns: Vec::new(),
-            rows,
-        });
+        let rows = BindingTable::unit(usize::from(!table.is_empty()));
+        return Ok((Vec::new(), IdRows::new(rows, &[], None, Vec::new())));
     }
 
     // Projection: named variables or everything, in declaration order.
@@ -145,14 +146,21 @@ pub fn evaluate_ast_in(
             .collect(),
     };
 
+    let (columns, proj_vars): (Vec<String>, Vec<Var>) = projection.into_iter().unzip();
+    let dedup = query.distinct || query.reduced;
+    if query.order_by.is_empty() && !dedup && query.offset.is_none() && query.limit.is_none() {
+        // No modifier selects or reorders rows: the projected columns
+        // move out of the table as they are.
+        return Ok((columns, IdRows::new(table, &proj_vars, None, Vec::new())));
+    }
+
     // Solution modifiers, in the spec's application order: ORDER BY, then
     // DISTINCT/REDUCED (stable — keeps first occurrences), then
     // OFFSET/LIMIT. All three work on row indices over the id table —
     // ORDER BY decodes only its key values (which may reference
     // non-projected variables), DISTINCT compares projected id tuples
-    // (the dictionary maps equal terms to equal ids) — and only the rows
-    // that survive are decoded into terms.
-    let (columns, proj_vars): (Vec<String>, Vec<Var>) = projection.into_iter().unzip();
+    // (the dictionary maps equal terms to equal ids) — and only the ids
+    // of the rows that survive are gathered.
     // Row indices are `u32`, like every selection vector in the engine.
     let n = u32::try_from(table.len())
         .map_err(|_| ExtendedError::Eval("result exceeds u32::MAX rows".into()))?;
@@ -192,7 +200,7 @@ pub fn evaluate_ast_in(
         });
     }
 
-    if query.distinct || query.reduced {
+    if dedup {
         let cols: Vec<Option<&[TermId]>> = proj_vars
             .iter()
             .map(|&v| table.col_index(v).map(|c| table.columns()[c].as_slice()))
@@ -212,23 +220,23 @@ pub fn evaluate_ast_in(
         Some(n) => offset.saturating_add(n).min(order.len()),
         None => order.len(),
     };
-    let rows = table.decode_rows(ds, &[], &proj_vars, Some(&order[offset..end]));
-    Ok(ExtendedOutput { columns, rows })
+    let rows = IdRows::new(table, &proj_vars, Some(&order[offset..end]), Vec::new());
+    Ok((columns, rows))
 }
 
 /// Aggregate queries take the planner path end to end: the HSP plan gets a
 /// [`PhysicalPlan::HashAggregate`] between the residual filters and the
 /// projection, the engine's γ breaker (or its operator-at-a-time oracle)
 /// computes the groups, and `ORDER BY`/`DISTINCT`/`LIMIT` ride along as
-/// plan modifiers. Aggregate outputs are computed-overlay ids, so term
-/// materialisation goes through [`hsp_engine::ExecOutput::decode_rows`]
-/// (which carries the overlay) rather than the dictionary alone.
+/// plan modifiers. Aggregate outputs are computed-overlay ids, so the
+/// result carries the execution's overlay
+/// ([`hsp_engine::ExecOutput::into_id_rows`]) beside its id columns.
 fn evaluate_aggregate_in(
     ds: &Dataset,
     query: &Query,
     config: &ExecConfig,
     ctx: &ExecContext,
-) -> Result<ExtendedOutput, ExtendedError> {
+) -> Result<(Vec<String>, IdRows), ExtendedError> {
     use hsp_sparql::algebra::AlgebraError;
     let jq = JoinQuery::from_ast(query).map_err(|e| match e {
         AlgebraError::UnsupportedFeature(what) => ExtendedError::Eval(format!(
@@ -244,8 +252,7 @@ fn evaluate_aggregate_in(
     let output = execute_in(&planned.plan, ds, config, ctx)
         .map_err(|e| ExtendedError::Eval(e.to_string()))?;
     let (columns, vars): (Vec<String>, Vec<Var>) = planned.query.projection.iter().cloned().unzip();
-    let rows = output.decode_rows(ds, &vars);
-    Ok(ExtendedOutput { columns, rows })
+    Ok((columns, output.into_id_rows(&vars)))
 }
 
 /// [`hsp_sparql::Bindings`] over one row of the final (pre-projection)

@@ -21,7 +21,15 @@
 //!
 //! Responses are `OK <k=v …>\n<body>` or a single-line
 //! `ERR <CODE> <message>` with codes `PARSE`, `PLAN`, `EXEC`, `TIMEOUT`,
-//! `CANCELLED`, `MEM`, `UNSUPPORTED`, `BUSY`, `PROTO`, `SHUTDOWN`.
+//! `CANCELLED`, `MEM`, `UNSUPPORTED`, `BUSY`, `PROTO`, `SHUTDOWN`,
+//! `TOOLARGE` (the rendered result would not fit a frame of
+//! [`MAX_FRAME_BYTES`]; rendering stops at the cap and the connection
+//! stays usable — narrow the query or add `LIMIT`).
+//!
+//! A query response is rendered straight from the result's id columns
+//! into the frame that goes to the socket: each cell's term is borrowed
+//! from the dictionary while its bytes are written, so no term row is
+//! ever built, cloned or dropped on this path.
 //!
 //! # Concurrency
 //!
@@ -46,10 +54,11 @@ use std::time::Duration;
 use hsp_engine::explain::render_runtime_metrics;
 use hsp_engine::ExecStrategy;
 
-use crate::results;
+use crate::results::Format;
 use crate::session::{Planner, Request, Session};
 
-/// Frames larger than this are rejected as a protocol error.
+/// Frames larger than this are rejected as a protocol error by whoever
+/// reads them; the server answers `ERR TOOLARGE` rather than send one.
 pub const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
 
 /// How long a connection thread sleeps in its read poll before
@@ -74,10 +83,13 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 struct Frame(Vec<u8>);
 
 impl Frame {
+    /// Bytes reserved in front of the payload for its length.
+    const HEADER: usize = 4;
+
     /// A frame holding a copy of `payload`.
     fn of(payload: &[u8]) -> Frame {
-        let mut frame = Vec::with_capacity(4 + payload.len());
-        frame.extend_from_slice(&[0; 4]);
+        let mut frame = Vec::with_capacity(Frame::HEADER + payload.len());
+        frame.extend_from_slice(&[0; Frame::HEADER]);
         frame.extend_from_slice(payload);
         Frame(frame)
     }
@@ -87,22 +99,23 @@ impl Frame {
         Frame::of(payload.as_ref().as_bytes())
     }
 
-    /// Build the payload as text: `build` appends to an empty `String`
-    /// that already sits behind the reserved length bytes.
-    fn build(build: impl FnOnce(&mut String)) -> Frame {
+    /// Build the payload as text: `build` appends to a `String` that
+    /// already holds the reserved length bytes — [`Frame::HEADER`] of
+    /// them, which `build` must count when it bounds the buffer — and
+    /// says whether it completed the payload (`None` if it gave up).
+    fn build(build: impl FnOnce(&mut String) -> bool) -> Option<Frame> {
         // The four placeholder bytes are NULs — valid UTF-8 — so the
         // buffer can be a `String` while the payload is written.
         let mut text = String::from("\0\0\0\0");
-        build(&mut text);
-        Frame(text.into_bytes())
+        build(&mut text).then(|| Frame(text.into_bytes()))
     }
 
     /// Fill in the length and write the whole frame with one `write_all`
     /// (see [`write_frame`] for why one).
     fn send(mut self, w: &mut impl Write) -> io::Result<()> {
-        let len = u32::try_from(self.0.len() - 4)
+        let len = u32::try_from(self.0.len() - Frame::HEADER)
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-        self.0[..4].copy_from_slice(&len.to_be_bytes());
+        self.0[..Frame::HEADER].copy_from_slice(&len.to_be_bytes());
         w.write_all(&self.0)?;
         w.flush()
     }
@@ -125,11 +138,11 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 #[derive(Default)]
 struct FrameReader {
     header: [u8; 4],
-    /// The payload buffer, sized from the header; `None` until the
-    /// header is complete.
-    payload: Option<Vec<u8>>,
-    /// Bytes received of the part being read (header, then payload).
-    filled: usize,
+    /// Header bytes received so far.
+    header_filled: usize,
+    /// The payload received so far and the length its header announced;
+    /// `None` until the header is complete.
+    payload: Option<(Vec<u8>, usize)>,
 }
 
 impl FrameReader {
@@ -137,26 +150,24 @@ impl FrameReader {
     /// (`Ok(None)` on clean EOF before its first header byte). Any error
     /// other than `Interrupted` is returned as is; after `WouldBlock` /
     /// `TimedOut` the call can simply be repeated.
+    ///
+    /// The payload is read into the buffer's spare capacity, which is
+    /// reserved but never written before the bytes arrive: a peer's
+    /// header alone makes this process touch no memory, and a large frame
+    /// is not zero-filled first.
     fn read(&mut self, r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-        loop {
-            let part: &mut [u8] = match &mut self.payload {
-                Some(payload) => payload,
-                None => &mut self.header,
-            };
-            if self.filled < part.len() {
-                match r.read(&mut part[self.filled..]) {
-                    Ok(0) if self.payload.is_none() && self.filled == 0 => return Ok(None),
+        while self.payload.is_none() {
+            if self.header_filled < self.header.len() {
+                match r.read(&mut self.header[self.header_filled..]) {
+                    Ok(0) if self.header_filled == 0 => return Ok(None),
                     Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-                    Ok(n) => self.filled += n,
+                    Ok(n) => self.header_filled += n,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(e) => return Err(e),
                 }
                 continue;
             }
-            self.filled = 0;
-            if let Some(payload) = self.payload.take() {
-                return Ok(Some(payload));
-            }
+            self.header_filled = 0;
             let len = u32::from_be_bytes(self.header) as usize;
             if len > MAX_FRAME_BYTES {
                 return Err(io::Error::new(
@@ -164,8 +175,17 @@ impl FrameReader {
                     format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"),
                 ));
             }
-            self.payload = Some(vec![0u8; len]);
+            self.payload = Some((Vec::with_capacity(len), len));
         }
+        let (payload, len) = self.payload.as_mut().expect("header complete");
+        // `read_to_end` appends what arrived before an error, so a timeout
+        // loses nothing; it retries `Interrupted` itself.
+        let missing = (*len - payload.len()) as u64;
+        r.by_ref().take(missing).read_to_end(payload)?;
+        if payload.len() < *len {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+        Ok(self.payload.take().map(|(payload, _)| payload))
     }
 }
 
@@ -306,6 +326,8 @@ struct ServerShared {
     admission: Admission,
     metrics: ServeMetrics,
     shutdown: AtomicBool,
+    /// Largest response payload sent: [`MAX_FRAME_BYTES`] (tests lower it).
+    max_frame: usize,
 }
 
 /// The server factory; see [`Server::start`].
@@ -316,6 +338,15 @@ impl Server {
     /// [`ServerHandle::shutdown`] is called (or a client sends
     /// `SHUTDOWN`).
     pub fn start(session: Session, config: ServeConfig) -> io::Result<ServerHandle> {
+        Server::start_capped(session, config, MAX_FRAME_BYTES)
+    }
+
+    /// [`Server::start`] with the response cap as a parameter.
+    fn start_capped(
+        session: Session,
+        config: ServeConfig,
+        max_frame: usize,
+    ) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -324,6 +355,7 @@ impl Server {
             admission: Admission::new(config.max_inflight, config.max_queue),
             metrics: ServeMetrics::default(),
             shutdown: AtomicBool::new(false),
+            max_frame,
         });
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::Builder::new()
@@ -462,7 +494,7 @@ fn connection_loop(stream: TcpStream, shared: Arc<ServerShared>) {
 /// Options parsed from a request header line.
 struct ReqOpts {
     planner: Planner,
-    format: String,
+    format: Format,
     explain: bool,
     sip: bool,
     threads: Option<usize>,
@@ -477,7 +509,7 @@ impl ReqOpts {
     fn parse(tokens: std::str::SplitWhitespace<'_>) -> Result<ReqOpts, String> {
         let mut opts = ReqOpts {
             planner: Planner::Hsp,
-            format: "json".into(),
+            format: Format::Json,
             explain: false,
             sip: false,
             threads: None,
@@ -498,12 +530,7 @@ impl ReqOpts {
             };
             match key {
                 "planner" => opts.planner = value.parse()?,
-                "format" => {
-                    if !matches!(value, "table" | "json" | "csv" | "tsv") {
-                        return Err(format!("unknown format `{value}` (table|json|csv|tsv)"));
-                    }
-                    opts.format = value.into();
-                }
+                "format" => opts.format = value.parse()?,
                 "explain" => opts.explain = value == "1" || value == "true",
                 "sip" => opts.sip = value == "1" || value == "true",
                 "threads" => opts.threads = Some(int("threads")?.max(1)),
@@ -612,40 +639,49 @@ fn handle_request(shared: &ServerShared, payload: &str) -> (Frame, bool) {
 }
 
 fn run_query(shared: &ServerShared, opts: &ReqOpts, text: &str) -> Frame {
-    match shared.session.query(opts.request(text)) {
-        Ok(response) => {
-            shared.metrics.queries_ok.fetch_add(1, Ordering::Relaxed);
-            // Status line and body are written into the frame itself.
-            Frame::build(|out| {
-                writeln!(
-                    out,
-                    "OK rows={} cols={} pool_batches={}",
-                    response.output.rows.len(),
-                    response.output.columns.len(),
-                    response.metrics.shared_pool_batches,
-                )
-                .expect("writing to String");
-                if let Some(plan) = &response.explain {
-                    out.push_str(plan);
-                    out.push_str(&render_runtime_metrics(&response.metrics));
-                } else if let Some(answer) = response.ask {
-                    match opts.format.as_str() {
-                        "json" => out.push_str(&results::ask_to_sparql_json(answer)),
-                        _ => write!(out, "{answer}").expect("writing to String"),
-                    }
-                } else {
-                    match opts.format.as_str() {
-                        "table" => results::write_table(out, &response.output),
-                        "csv" => results::write_csv(out, &response.output),
-                        "tsv" => results::write_tsv(out, &response.output),
-                        _ => results::write_sparql_json(out, &response.output),
-                    }
-                }
-            })
-        }
+    let response = match shared.session.query_encoded(opts.request(text)) {
+        Ok(response) => response,
         Err(e) => {
             shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-            Frame::text(format!("ERR {} {}", e.code(), flat(e)))
+            return Frame::text(format!("ERR {} {}", e.code(), flat(e)));
+        }
+    };
+    let max_len = Frame::HEADER + shared.max_frame;
+    // Status line and body are written into the frame itself, the body
+    // straight from the id columns.
+    let frame = Frame::build(|out| {
+        writeln!(
+            out,
+            "OK rows={} cols={} pool_batches={}",
+            response.rows.len(),
+            response.columns.len(),
+            response.metrics.shared_pool_batches,
+        )
+        .expect("writing to String");
+        if let Some(plan) = &response.explain {
+            out.push_str(plan);
+            out.push_str(&render_runtime_metrics(&response.metrics));
+        } else if let Some(answer) = response.ask {
+            opts.format.write_ask(out, answer);
+        } else {
+            return opts.format.write(out, &response, max_len);
+        }
+        out.len() <= max_len
+    });
+    match frame {
+        Some(frame) => {
+            shared.metrics.queries_ok.fetch_add(1, Ordering::Relaxed);
+            frame
+        }
+        None => {
+            shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
+            Frame::text(format!(
+                "ERR TOOLARGE response of {} rows x {} columns exceeds the {}-byte frame cap; \
+                 narrow the query or add LIMIT",
+                response.rows.len(),
+                response.columns.len(),
+                shared.max_frame,
+            ))
         }
     }
 }
@@ -783,6 +819,104 @@ mod tests {
         buf.extend_from_slice(b"xx");
         let mut cursor = io::Cursor::new(buf);
         assert!(read_frame(&mut cursor).is_err());
+    }
+
+    /// Hands out one byte per `read`, with a `WouldBlock` before each —
+    /// the slowest writer a timed-out socket read can look like.
+    struct Trickle {
+        bytes: Vec<u8>,
+        at: usize,
+        ready: bool,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.ready = !self.ready;
+            if self.ready {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            match self.bytes.get(self.at) {
+                Some(&byte) if !buf.is_empty() => {
+                    buf[0] = byte;
+                    self.at += 1;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
+    }
+
+    #[test]
+    fn a_frame_trickling_in_bytewise_between_timeouts_arrives_exact() {
+        let payloads: [&[u8]; 3] = [
+            b"QUERY format=csv\nSELECT ?s WHERE { ?s ?p ?o . }",
+            b"",
+            b"PING",
+        ];
+        let mut bytes = Vec::new();
+        for payload in payloads {
+            write_frame(&mut bytes, payload).unwrap();
+        }
+        let mut source = Trickle {
+            bytes,
+            at: 0,
+            ready: false,
+        };
+        let mut frames = FrameReader::default();
+        let mut next = || loop {
+            match frames.read(&mut source) {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                other => return other.expect("no error but WouldBlock"),
+            }
+        };
+        for payload in payloads {
+            assert_eq!(next().as_deref(), Some(payload));
+        }
+        assert_eq!(next(), None, "clean EOF after the last frame");
+    }
+
+    #[test]
+    fn a_frame_cut_short_is_an_unexpected_eof() {
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, b"hello").unwrap();
+        bytes.pop();
+        let err = read_frame(&mut io::Cursor::new(bytes)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// A response that would not fit a frame is refused with a typed
+    /// error — in every format — and the connection, the admission permit
+    /// and the server all stay usable. The cap is lowered for the test;
+    /// [`Server::start`] passes [`MAX_FRAME_BYTES`] through the same path.
+    #[test]
+    fn oversized_responses_are_refused_and_the_connection_stays_usable() {
+        let config = ServeConfig {
+            max_inflight: 1,
+            max_queue: 0,
+            ..ServeConfig::default()
+        };
+        let server = Server::start_capped(demo_session(), config, 64).unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        let both = "SELECT ?p ?n WHERE { ?p <http://e/name> ?n . } ORDER BY ?n";
+        for format in ["json", "csv", "tsv", "table"] {
+            let response = client.query(&format!("format={format}"), both).unwrap();
+            assert!(
+                response.starts_with("ERR TOOLARGE response of 2 rows x 2 columns"),
+                "{format}: {response}"
+            );
+            assert!(!response.contains('\n'), "one line: {response}");
+            // Same connection, next request: still in frame.
+            assert_eq!(client.ping().unwrap(), "OK pong");
+        }
+        // The only permit was released each time, and a response that
+        // fits the cap is served as usual.
+        let one = "SELECT ?n WHERE { <http://e/a1> <http://e/name> ?n . }";
+        let response = client.query("format=csv", one).unwrap();
+        assert_eq!(response, "OK rows=1 cols=1 pool_batches=0\nn\r\nAlice\r\n");
+        assert_eq!(server.metrics().errors(), 4);
+        assert_eq!(server.metrics().queries_ok(), 1);
+        assert_eq!(server.metrics().rejected(), 0);
+        server.shutdown();
     }
 
     #[test]

@@ -53,14 +53,16 @@ use hsp_baseline::{CdpPlanner, HybridPlanner, LeftDeepPlanner, StockerPlanner};
 use hsp_core::HspPlanner;
 use hsp_engine::plan::PhysicalPlan;
 use hsp_engine::{
-    execute_in, CancelToken, ExecConfig, ExecContext, ExecStrategy, MorselConfig, PoolStats,
-    RuntimeMetrics, SharedPool,
+    execute_in, CancelToken, ExecConfig, ExecContext, ExecStrategy, IdRows, MorselConfig,
+    PoolStats, RuntimeMetrics, SharedPool,
 };
+use hsp_rdf::Term;
 use hsp_sparql::JoinQuery;
 use hsp_store::Dataset;
 
-use crate::cache::{ast_reads, query_reads, CacheStats, QueryCache, Reads};
-use crate::extended::{evaluate_ast_in, ExtendedError, ExtendedOutput};
+use crate::cache::{ast_reads, query_reads, CacheStats, CachedResult, QueryCache, Reads};
+use crate::extended::{evaluate_ast_encoded, ExtendedError, ExtendedOutput};
+use crate::results::RowSource;
 use crate::update::{run_update_traced, UpdateError, UpdateStats};
 
 /// Which planner a [`Request`] runs through (join-fragment queries only;
@@ -229,6 +231,63 @@ pub struct Response {
     /// `shared_pool_batches` is the per-query count of batches scheduled
     /// on the session's pool.
     pub metrics: RuntimeMetrics,
+}
+
+/// A query's result before anything was decoded: what
+/// [`Session::query_encoded`] returns and the result cache holds. The rows
+/// are ids; they become terms either all at once
+/// ([`EncodedResponse::decode`], the library edge) or one borrowed cell at
+/// a time while a renderer of [`crate::results`] writes them out (the wire
+/// edge — `hsp-serve` and the `hsp` CLI never build a term row).
+#[derive(Debug, Clone)]
+pub struct EncodedResponse {
+    /// Output column names, in SELECT order.
+    pub columns: Arc<[String]>,
+    /// The result's id columns, shared with the result cache's entry.
+    pub rows: Arc<IdRows>,
+    /// The snapshot whose dictionary resolves `rows`: the one the query
+    /// ran on, or — for a result-cache hit — the one current at lookup
+    /// (ids are append-only, so any later dictionary resolves them too).
+    pub snapshot: Arc<Dataset>,
+    /// See [`Response::ask`].
+    pub ask: Option<bool>,
+    /// See [`Response::explain`].
+    pub explain: Option<String>,
+    /// See [`Response::note`].
+    pub note: Option<String>,
+    /// See [`Response::metrics`].
+    pub metrics: RuntimeMetrics,
+}
+
+impl EncodedResponse {
+    /// Decode every row into owned terms.
+    pub fn decode(self) -> Response {
+        Response {
+            output: ExtendedOutput {
+                columns: self.columns.to_vec(),
+                rows: self.rows.decode(self.snapshot.dict()),
+            },
+            ask: self.ask,
+            explain: self.explain,
+            note: self.note,
+            metrics: self.metrics,
+        }
+    }
+}
+
+impl RowSource for EncodedResponse {
+    fn columns(&self) -> &[String] {
+        &self.columns
+    }
+
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    #[inline]
+    fn cell(&self, row: usize, col: usize) -> Option<&Term> {
+        self.rows.cell(self.snapshot.dict(), row, col)
+    }
 }
 
 /// An update's result.
@@ -405,17 +464,24 @@ impl Session {
         Some(self.inner.pool.stats())
     }
 
-    /// Run one query against the current snapshot. Safe to call from
-    /// many threads at once: every request gets its own context and
-    /// governor, and parallel kernels of all of them share the pool.
+    /// Run one query against the current snapshot and decode its rows —
+    /// [`Session::query_encoded`] followed by [`EncodedResponse::decode`].
+    pub fn query(&self, request: Request) -> Result<Response, SessionError> {
+        Ok(self.query_encoded(request)?.decode())
+    }
+
+    /// Run one query against the current snapshot, leaving the rows as
+    /// ids. Safe to call from many threads at once: every request gets
+    /// its own context and governor, and parallel kernels of all of them
+    /// share the pool.
     ///
     /// Caching (on by default, [`Request::without_cache`] opts out):
     /// a result-cacheable request is first looked up in the result tier
-    /// and a hit returns the stored response without executing at all;
+    /// and a hit returns the stored id rows without executing at all;
     /// on a miss, HSP join queries consult the plan tier by canonical
     /// shape, skipping planning when an isomorphic query was planned
     /// before. [`Response::metrics`] reports both tiers' outcomes.
-    pub fn query(&self, request: Request) -> Result<Response, SessionError> {
+    pub fn query_encoded(&self, request: Request) -> Result<EncodedResponse, SessionError> {
         let result_key = result_cache_key(&request);
         // Look up and snapshot under one store read guard: invalidation
         // runs inside the *write* guard before the snapshot swap, so an
@@ -427,12 +493,20 @@ impl Session {
                 .read()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             if let Some(key) = &result_key {
-                if let Some(mut response) = self.inner.cache.result_get(key) {
-                    response.metrics.result_cache_used = true;
-                    response.metrics.result_cache_hit = true;
+                if let Some(mut hit) = self.inner.cache.result_get(key) {
+                    hit.metrics.result_cache_used = true;
+                    hit.metrics.result_cache_hit = true;
                     // Execution was skipped; nothing ran on the pool.
-                    response.metrics.shared_pool_batches = 0;
-                    return Ok(response);
+                    hit.metrics.shared_pool_batches = 0;
+                    return Ok(EncodedResponse {
+                        columns: hit.columns,
+                        rows: hit.rows,
+                        snapshot: Arc::clone(&store),
+                        ask: hit.ask,
+                        explain: None,
+                        note: hit.note,
+                        metrics: hit.metrics,
+                    });
                 }
             }
             (Arc::clone(&store), self.inner.cache.version())
@@ -440,10 +514,11 @@ impl Session {
         let config = self.exec_config(&request);
         let ctx = self.context(&config);
         let cache = (!request.no_cache).then_some(&self.inner.cache);
-        let (mut response, reads) = query_snapshot(&ds, &request, &config, &ctx, cache)?;
-        response.metrics.store_version = ds.store().version();
-        response.metrics.store_delta_rows = ds.store().delta_rows();
-        response.metrics.store_compactions = ds.store().compactions();
+        let (mut response, reads) = query_snapshot(ds, &request, &config, &ctx, cache)?;
+        let store = response.snapshot.store();
+        response.metrics.store_version = store.version();
+        response.metrics.store_delta_rows = store.delta_rows();
+        response.metrics.store_compactions = store.compactions();
         if let Some(key) = result_key {
             response.metrics.result_cache_used = true;
             // Re-acquire the read guard so the insert cannot interleave
@@ -454,9 +529,14 @@ impl Session {
                 .store
                 .read()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            self.inner
-                .cache
-                .result_insert(key, &response, reads, version);
+            let entry = CachedResult {
+                columns: Arc::clone(&response.columns),
+                rows: Arc::clone(&response.rows),
+                ask: response.ask,
+                note: response.note.clone(),
+                metrics: response.metrics,
+            };
+            self.inner.cache.result_insert(key, entry, reads, version);
         }
         Ok(response)
     }
@@ -643,12 +723,13 @@ fn result_cache_key(request: &Request) -> Option<String> {
 /// Returns the response plus the predicate read set the result cache keys
 /// invalidation on.
 fn query_snapshot(
-    ds: &Dataset,
+    snapshot: Arc<Dataset>,
     request: &Request,
     config: &ExecConfig,
     ctx: &ExecContext,
     cache: Option<&QueryCache>,
-) -> Result<(Response, Reads), SessionError> {
+) -> Result<(EncodedResponse, Reads), SessionError> {
+    let ds: &Dataset = &snapshot;
     let ast = hsp_sparql::parse_query(&request.text)
         .map_err(|e| SessionError::Query(ExtendedError::Parse(e)))?;
     let join = (!ast.ask).then(|| JoinQuery::from_ast(&ast));
@@ -702,17 +783,19 @@ fn query_snapshot(
                 }
                 text
             });
-            // Ids become terms here, once, after the plan's own
-            // DISTINCT / ORDER BY / LIMIT have run on ids.
+            // The plan's own DISTINCT / ORDER BY / LIMIT have run on ids:
+            // the projected columns move out of the final table as the
+            // result.
             let (columns, vars): (Vec<String>, Vec<_>) =
                 planned_query.projection.iter().cloned().unzip();
-            let rows = output.decode_rows(ds, &vars);
             let mut metrics = output.runtime;
             metrics.plan_cache_used = plan_cache_used;
             metrics.plan_cache_hit = plan_cache_hit;
             return Ok((
-                Response {
-                    output: ExtendedOutput { columns, rows },
+                EncodedResponse {
+                    columns: columns.into(),
+                    rows: Arc::new(output.into_id_rows(&vars)),
+                    snapshot,
                     ask: None,
                     explain,
                     note: None,
@@ -735,11 +818,14 @@ fn query_snapshot(
         None => None,
     };
     let reads = ast_reads(&ast.where_clause);
-    let output = evaluate_ast_in(ds, &ast, config, ctx).map_err(SessionError::Query)?;
-    let ask = ast.ask.then_some(!output.rows.is_empty());
+    let (columns, rows) =
+        evaluate_ast_encoded(ds, &ast, config, ctx).map_err(SessionError::Query)?;
+    let ask = ast.ask.then_some(!rows.is_empty());
     Ok((
-        Response {
-            output,
+        EncodedResponse {
+            columns: columns.into(),
+            rows: Arc::new(rows),
+            snapshot,
             ask,
             explain: None,
             note,

@@ -5,7 +5,7 @@ use hsp_baseline::cdp::CdpError;
 use hsp_baseline::CdpPlanner;
 use hsp_core::HspPlanner;
 use hsp_datagen::{generate_sp2bench, Sp2BenchConfig};
-use hsp_engine::{execute, ExecConfig, ExecError};
+use hsp_engine::{execute, ExecConfig, ExecError, ExecStrategy};
 use hsp_sparql::JoinQuery;
 use hsp_store::Dataset;
 
@@ -73,6 +73,27 @@ fn queries_over_unknown_vocabulary_return_empty_not_error() {
     let planned = HspPlanner::new().plan(&q).unwrap();
     let out = execute(&planned.plan, &ds, &ExecConfig::unlimited()).unwrap();
     assert!(out.table.is_empty());
+}
+
+/// An unknown constant in one pattern of a merge-joined pair: the empty
+/// scan must still declare the order its scan has, or the join above it
+/// refuses its input.
+#[test]
+fn unknown_constant_under_a_merge_join_returns_empty_not_a_panic() {
+    let ds = small_ds();
+    let q = JoinQuery::parse(
+        "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
+         PREFIX bench: <http://localhost/vocabulary/bench/>
+         PREFIX dcterms: <http://purl.org/dc/terms/>
+         SELECT ?x WHERE { ?x rdf:type bench:Article . ?x dcterms:issued \"1066\" . }",
+    )
+    .unwrap();
+    let planned = HspPlanner::new().plan(&q).unwrap();
+    for strategy in [ExecStrategy::Auto, ExecStrategy::OperatorAtATime] {
+        let config = ExecConfig::unlimited().with_strategy(strategy);
+        let out = execute(&planned.plan, &ds, &config).unwrap();
+        assert!(out.table.is_empty());
+    }
 }
 
 #[test]

@@ -1,20 +1,25 @@
 //! The result boundary — where ids become terms and terms become bytes —
 //! must not change what callers see: rendered output is byte-for-byte the
-//! parent commit's, and the extended evaluator's id-level solution
-//! modifiers return the rows a term-level application would.
+//! parent commit's, the extended evaluator's id-level solution modifiers
+//! return the rows a term-level application would, and the wire edge
+//! (rendering straight from an [`EncodedResponse`]'s id columns) writes
+//! the bytes the library edge (`to_*` over decoded rows) does — cold, from
+//! the result cache, and from an entry resolved against a newer dictionary
+//! than it was produced under.
 
 use std::collections::HashSet;
 use std::sync::OnceLock;
 
 use hsp_bench::{BenchEnv, EnvConfig};
-use hsp_datagen::DatasetKind;
-use hsp_rdf::Term;
+use hsp_datagen::workload::sp_prefixes;
+use hsp_datagen::{workload, DatasetKind};
+use hsp_rdf::{Term, Triple};
 use hsp_sparql::expr::compare_for_order;
-use hsp_sparql::Value;
+use hsp_sparql::{JoinQuery, TermOrVar, TriplePattern, Value};
 use sparql_hsp::engine::ExecConfig;
 use sparql_hsp::extended::{evaluate_extended_in, ExtendedOutput};
-use sparql_hsp::results;
-use sparql_hsp::session::{Request, Session};
+use sparql_hsp::results::{self, Format};
+use sparql_hsp::session::{EncodedResponse, Request, Session, SessionOptions};
 use sparql_hsp::store::Dataset;
 
 // ------------------------------------------------------------ byte identity
@@ -51,6 +56,12 @@ const GOLDEN: [[&str; 4]; 2] = [
     ["{\"head\":{\"vars\":[\"p\",\"n\",\"k\",\"a\"]},\"results\":{\"bindings\":[{\"p\":{\"type\":\"uri\",\"value\":\"http://e/a1\"},\"n\":{\"type\":\"literal\",\"value\":\"Al \\\"Q\\\" \\\\ice\\nline2\"},\"k\":{\"type\":\"literal\",\"value\":\"tab\\there, comma\",\"xml:lang\":\"en-GB\"},\"a\":{\"type\":\"literal\",\"value\":\"42\",\"datatype\":\"http://www.w3.org/2001/XMLSchema#integer\"}},{\"p\":{\"type\":\"uri\",\"value\":\"http://e/a2\"},\"n\":{\"type\":\"literal\",\"value\":\"Zoë ☃ \\u0001ctl\"},\"a\":{\"type\":\"literal\",\"value\":\"7\",\"datatype\":\"http://www.w3.org/2001/XMLSchema#integer\"}},{\"p\":{\"type\":\"uri\",\"value\":\"http://e/a3\"},\"n\":{\"type\":\"literal\",\"value\":\"carriage\\rreturn\"}}]}}", "p,n,k,a\r\nhttp://e/a1,\"Al \"\"Q\"\" \\ice\nline2\",\"tab\there, comma\",42\r\nhttp://e/a2,Zoë ☃ \u{1}ctl,,7\r\nhttp://e/a3,\"carriage\rreturn\",,\r\n", "?p\t?n\t?k\t?a\n<http://e/a1>\t\"Al \\\"Q\\\" \\\\ice\\nline2\"\t\"tab\\there, comma\"@en-GB\t\"42\"^^<http://www.w3.org/2001/XMLSchema#integer>\n<http://e/a2>\t\"Zoë ☃ \u{1}ctl\"\t\t\"7\"^^<http://www.w3.org/2001/XMLSchema#integer>\n<http://e/a3>\t\"carriage\\rreturn\"\t\t\n", "?p             ?n                       ?k                        ?a                                              \n-------------  -----------------------  ------------------------  ------------------------------------------------\n<http://e/a1>  \"Al \\\"Q\\\" \\\\ice\\nline2\"  \"tab\\there, comma\"@en-GB  \"42\"^^<http://www.w3.org/2001/XMLSchema#integer>\n<http://e/a2>  \"Zoë ☃ \u{1}ctl\"                                       \"7\"^^<http://www.w3.org/2001/XMLSchema#integer> \n<http://e/a3>  \"carriage\\rreturn\"                                                                                 \n(3 rows)\n"],
     ["{\"head\":{\"vars\":[\"mean\",\"n\",\"hi\"]},\"results\":{\"bindings\":[{\"mean\":{\"type\":\"literal\",\"value\":\"24.5\",\"datatype\":\"http://www.w3.org/2001/XMLSchema#decimal\"},\"n\":{\"type\":\"literal\",\"value\":\"2\",\"datatype\":\"http://www.w3.org/2001/XMLSchema#integer\"},\"hi\":{\"type\":\"literal\",\"value\":\"42\",\"datatype\":\"http://www.w3.org/2001/XMLSchema#integer\"}}]}}", "mean,n,hi\r\n24.5,2,42\r\n", "?mean\t?n\t?hi\n\"24.5\"^^<http://www.w3.org/2001/XMLSchema#decimal>\t\"2\"^^<http://www.w3.org/2001/XMLSchema#integer>\t\"42\"^^<http://www.w3.org/2001/XMLSchema#integer>\n", "?mean                                               ?n                                               ?hi                                             \n--------------------------------------------------  -----------------------------------------------  ------------------------------------------------\n\"24.5\"^^<http://www.w3.org/2001/XMLSchema#decimal>  \"2\"^^<http://www.w3.org/2001/XMLSchema#integer>  \"42\"^^<http://www.w3.org/2001/XMLSchema#integer>\n(1 row)\n"],
 ];
+
+/// [`fixture`], built once.
+fn fixture_dataset() -> &'static Dataset {
+    static FIXTURE: OnceLock<Dataset> = OnceLock::new();
+    FIXTURE.get_or_init(fixture)
+}
 
 fn rendered(out: &ExtendedOutput) -> [String; 4] {
     [
@@ -244,4 +255,189 @@ fn id_level_modifiers_match_term_level_application() {
             }
         }
     }
+}
+
+// ------------------------------------------- wire edge ≡ library edge
+
+/// The nine `analytic.tcp.c2` bodies (`benchmark/src/workloads.rs`).
+const ANALYTIC_BODIES: [&str; 9] = [
+    "SELECT ?a ?m WHERE { ?a rdf:type bench:Article . ?a dcterms:issued \"1990\" . \
+     OPTIONAL { ?a swrc:month ?m . } }",
+    "SELECT ?a ?au ?hp WHERE { ?a rdf:type bench:Article . ?a dcterms:issued \"1991\" . \
+     OPTIONAL { ?a dc:creator ?au . OPTIONAL { ?au foaf:homepage ?hp . } } }",
+    "SELECT ?x ?y WHERE { { ?x rdf:type bench:Journal . ?x dcterms:issued ?y . } \
+     UNION { ?x rdf:type bench:Proceedings . ?x dcterms:issued ?y . } }",
+    "SELECT ?a ?t WHERE { ?a rdf:type bench:Inproceedings . ?a dc:title ?t . \
+     FILTER regex(?t, \"Title 1[0-9]*7$\") }",
+    "SELECT ?y (COUNT(?a) AS ?n) (SUM(?pc) AS ?total) (AVG(?pc) AS ?mean) WHERE { \
+     ?a rdf:type bench:Inproceedings . ?a dcterms:issued ?y . ?a bench:pageCount ?pc . } \
+     GROUP BY ?y HAVING (COUNT(?a) > 10)",
+    "SELECT DISTINCT ?au WHERE { ?a rdf:type bench:Article . ?a dc:creator ?au . }",
+    "SELECT ?a ?t WHERE { ?a rdf:type bench:Inproceedings . ?a dc:title ?t . \
+     ?a dcterms:issued \"2001\" . } ORDER BY ?t LIMIT 50",
+    "ASK { ?a rdf:type bench:Article . ?a swrc:month \"12\" . ?a dcterms:issued \"1999\" . }",
+    "SELECT ?a WHERE { ?a rdf:type bench:Article . ?a dcterms:issued \"1992\" . \
+     OPTIONAL { ?a swrc:month ?m . } FILTER (!bound(?m)) }",
+];
+
+/// Shapes the corpora above do not reach: a projected variable no table
+/// ever binds (it is only mentioned in a FILTER), every cell of a column
+/// unbound next to bound ones, a variable projected twice, and an empty
+/// result.
+const EDGE_BODIES: [&str; 4] = [
+    "SELECT ?a ?ghost ?m WHERE { ?a rdf:type bench:Article . ?a dcterms:issued \"1990\" . \
+     OPTIONAL { ?a swrc:month ?m . } FILTER (!bound(?ghost)) }",
+    "SELECT ?x ?never WHERE { { ?x rdf:type bench:Journal . } \
+     UNION { ?x rdf:type bench:Proceedings . OPTIONAL { ?x bench:noSuchProperty ?never . } } }",
+    "SELECT ?y ?a ?y WHERE { ?a rdf:type bench:Journal . ?a dcterms:issued ?y . } ORDER BY ?y",
+    "SELECT ?a WHERE { ?a rdf:type bench:Article . ?a dcterms:issued \"1066\" . }",
+];
+
+/// The bibliographic dataset with what `analytic.tcp.c2` adds to it: a
+/// typed `bench:pageCount` per inproceedings, so `SUM` / `AVG` have numbers
+/// to fold (and the response carries computed-overlay ids).
+fn with_page_counts(ds: &Dataset) -> Dataset {
+    let pages = Session::new(ds.clone())
+        .query(Request::new(format!(
+            "{}SELECT ?a ?p WHERE {{ ?a rdf:type bench:Inproceedings . ?a swrc:pages ?p . }}",
+            sp_prefixes()
+        )))
+        .expect("page query");
+    assert!(!pages.output.rows.is_empty(), "no inproceedings pages");
+    let page_count = Term::iri("http://localhost/vocabulary/bench/pageCount");
+    let triples: Vec<Triple> = pages
+        .output
+        .rows
+        .iter()
+        .map(|row| {
+            let (subject, pages) = (row[0].clone().unwrap(), row[1].as_ref().unwrap());
+            let count =
+                Term::typed_literal(pages.lexical(), "http://www.w3.org/2001/XMLSchema#integer");
+            Triple::new(subject, page_count.clone(), count)
+        })
+        .collect();
+    let mut ds = ds.clone();
+    ds.insert_data(&triples);
+    ds
+}
+
+const FORMATS: [Format; 4] = [Format::Json, Format::Csv, Format::Tsv, Format::Table];
+
+/// The library edge: decoded rows through the public `to_*` renderers.
+fn library_bytes(session: &Session, text: &str) -> [String; 4] {
+    let response = session
+        .query(Request::new(text).without_cache())
+        .unwrap_or_else(|e| panic!("{text}: {e}"));
+    rendered(&response.output)
+}
+
+/// The wire edge: the bytes `hsp-serve` and `hsp` write, rendered from the
+/// id columns without decoding a row.
+fn wire_bytes(response: &EncodedResponse) -> [String; 4] {
+    FORMATS.map(|format| {
+        let mut body = String::new();
+        assert!(format.write(&mut body, response, usize::MAX));
+        body
+    })
+}
+
+/// For the ten SP queries, the nine `analytic.tcp.c2` bodies, the edge
+/// shapes and Y1–Y4, in all four formats: rendering from the encoded
+/// response equals `to_*` over `Session::query`'s decoded output — cold,
+/// as a result-cache hit, and as a hit that survived an update to an
+/// unrelated predicate (the entry's ids are then resolved against a
+/// dictionary that has grown, and, at threshold 1, been compacted into a
+/// new base segment since the entry was made).
+#[test]
+fn wire_edge_equals_library_edge_cold_cached_and_across_dictionary_growth() {
+    let sp2b = with_page_counts(env().dataset(DatasetKind::Sp2Bench));
+    let mut corpora: Vec<(&Dataset, Vec<String>)> = vec![(&sp2b, Vec::new())];
+    corpora.push((env().dataset(DatasetKind::Yago), Vec::new()));
+    for q in workload() {
+        let corpus = usize::from(q.dataset == DatasetKind::Yago);
+        corpora[corpus].1.push(q.text.to_string());
+    }
+    assert_eq!((corpora[0].1.len(), corpora[1].1.len()), (10, 4));
+    for body in ANALYTIC_BODIES.iter().chain(&EDGE_BODIES) {
+        corpora[0].1.push(format!("{}{body}", sp_prefixes()));
+    }
+    for text in FIXTURE_QUERIES {
+        corpora.push((fixture_dataset(), vec![text.to_string()]));
+    }
+
+    let unrelated = "INSERT DATA { <http://e/fresh-subject> <http://e/unrelated-predicate> \
+                     \"a literal no dictionary has seen\" . }";
+    let mut computed_cells = 0;
+    let mut unbound_columns = 0;
+    for compaction_threshold in [None, Some(1)] {
+        for (ds, texts) in &corpora {
+            let options = SessionOptions {
+                compaction_threshold,
+                ..SessionOptions::default()
+            };
+            let session = Session::with_options((*ds).clone(), options.clone());
+            // The library edge runs on its own session, cache bypassed.
+            let library = Session::with_options((*ds).clone(), options);
+            let expected: Vec<[String; 4]> =
+                texts.iter().map(|t| library_bytes(&library, t)).collect();
+
+            for pass in ["cold", "cached"] {
+                for (text, want) in texts.iter().zip(&expected) {
+                    let response = session.query_encoded(Request::new(text)).unwrap();
+                    assert_eq!(
+                        response.metrics.result_cache_hit,
+                        pass == "cached",
+                        "{pass}: {text}"
+                    );
+                    assert_eq!(&wire_bytes(&response), want, "{pass}: {text}");
+                    if pass == "cold" {
+                        computed_cells += response.rows.computed().len();
+                        unbound_columns += (0..response.rows.width())
+                            .filter(|&c| response.rows.column(c).is_none())
+                            .count();
+                    }
+                }
+            }
+
+            let terms_before = session.snapshot().dict().len();
+            for s in [&session, &library] {
+                let update = s.update(Request::new(unrelated)).expect("unrelated update");
+                assert_eq!(update.stats.inserted, 1);
+            }
+            let grown = session.snapshot();
+            assert_eq!(grown.dict().len(), terms_before + 3, "three new terms");
+            if compaction_threshold.is_some() {
+                assert_eq!(grown.dict().delta_len(), 0, "threshold 1 compacts at once");
+            }
+            for (text, want) in texts.iter().zip(&expected) {
+                let response = session.query_encoded(Request::new(text)).unwrap();
+                // Entries over a variable predicate are flushed by any
+                // update; every other entry must have survived this one.
+                let reads_everything = JoinQuery::parse(text).is_ok_and(|q| {
+                    let variable = |p: &TriplePattern| matches!(p.slots[1], TermOrVar::Var(_));
+                    q.patterns.iter().any(variable)
+                });
+                assert!(
+                    response.metrics.result_cache_hit || reads_everything,
+                    "an unrelated update dropped the entry of {text}"
+                );
+                assert!(std::sync::Arc::ptr_eq(&response.snapshot, &grown));
+                assert_eq!(
+                    &wire_bytes(&response),
+                    want,
+                    "after dictionary growth: {text}"
+                );
+                assert_eq!(
+                    &library_bytes(&library, text),
+                    want,
+                    "the update changed {text}"
+                );
+            }
+        }
+    }
+    assert!(computed_cells > 0, "no query produced computed-overlay ids");
+    assert!(
+        unbound_columns > 0,
+        "no query projected a never-bound variable"
+    );
 }

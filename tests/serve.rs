@@ -1,7 +1,8 @@
 //! The serve path end to end: concurrent TCP clients against one shared
-//! session must get byte-identical answers to serial execution, governor
-//! trips must not poison the shared morsel pool, and updates must never
-//! tear a concurrent reader's snapshot.
+//! session must get byte-identical answers to serial execution — and, in
+//! every format, the bytes the library renderers write — governor trips
+//! must not poison the shared morsel pool, and updates must never tear a
+//! concurrent reader's snapshot.
 
 use std::sync::OnceLock;
 
@@ -108,6 +109,77 @@ fn concurrent_clients_are_byte_identical_to_serial_execution() {
         interleaved > 0,
         "workers never switched between queries' batches under concurrent load"
     );
+    server.shutdown();
+}
+
+/// The same identity over the socket: for every bibliographic workload
+/// query and an OPTIONAL / aggregate / ASK trio, the body `hsp-serve`
+/// frames — rendered straight from id columns — is what the library
+/// renderers write over `Session::query`'s decoded rows, in all four
+/// formats, cold and as a result-cache hit; the status line counts the
+/// rows and columns the library sees.
+#[test]
+fn wire_edge_equals_library_edge_over_tcp_in_every_format() {
+    let ds = env().dataset(DatasetKind::Sp2Bench);
+    let mut queries = sp2b_queries();
+    for (id, body) in [
+        (
+            "optional",
+            "SELECT ?a ?m WHERE { ?a rdf:type bench:Article . ?a dcterms:issued \"1990\" . \
+             OPTIONAL { ?a swrc:month ?m . } }",
+        ),
+        (
+            "aggregate",
+            "SELECT ?y (COUNT(?a) AS ?n) WHERE { ?a rdf:type bench:Article . \
+             ?a dcterms:issued ?y . } GROUP BY ?y",
+        ),
+        ("ask", "ASK { ?a rdf:type bench:Article . }"),
+    ] {
+        let prefixes = hsp_datagen::workload::sp_prefixes();
+        queries.push((id.to_string(), format!("{prefixes}{body}")));
+    }
+    let library = Session::new(ds.clone());
+    let server = Server::start(Session::new(ds.clone()), ServeConfig::default()).expect("server");
+    let mut client = Client::connect(server.addr()).expect("client connects");
+    type Render = fn(&sparql_hsp::extended::ExtendedOutput) -> String;
+    let formats: [(&str, Render); 4] = [
+        ("json", results::to_sparql_json),
+        ("csv", results::to_csv),
+        ("tsv", results::to_tsv),
+        ("table", results::to_table),
+    ];
+    for (id, text) in &queries {
+        let response = library
+            .query(Request::new(text).without_cache())
+            .unwrap_or_else(|e| panic!("{id}: {e}"));
+        for (format, render) in formats {
+            let want = match response.ask {
+                Some(answer) if format == "json" => results::ask_to_sparql_json(answer),
+                Some(answer) => answer.to_string(),
+                None => render(&response.output),
+            };
+            let status = format!(
+                "OK rows={} cols={} pool_batches=",
+                response.output.rows.len(),
+                response.output.columns.len()
+            );
+            for attempt in 0..2 {
+                let reply = client
+                    .query(&format!("format={format}"), text)
+                    .unwrap_or_else(|e| panic!("{id}: transport error: {e}"));
+                let (header, body) = reply.split_once('\n').unwrap_or((reply.as_str(), ""));
+                assert!(
+                    header.starts_with(&status),
+                    "{id} {format} #{attempt}: {header}"
+                );
+                assert_eq!(body, want, "{id} {format} #{attempt}");
+            }
+        }
+    }
+    let stats = server.session().cache_stats();
+    // One miss per query (formats share the entry), every other request hits.
+    assert_eq!(stats.result_misses, queries.len() as u64);
+    assert_eq!(stats.result_hits, 7 * queries.len() as u64);
     server.shutdown();
 }
 
