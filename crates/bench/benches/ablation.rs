@@ -83,44 +83,12 @@ fn bench_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-/// SIP on/off over the whole workload (HSP plans): the run-time ablation.
-fn bench_sip(c: &mut Criterion) {
-    let sp2b = generate_sp2bench(Sp2BenchConfig::with_triples(100_000));
-    let yago = generate_yago(YagoConfig::with_triples(80_000));
-    let planner = HspPlanner::with_config(HspConfig::default());
-    let planned: Vec<_> = workload()
-        .into_iter()
-        .map(|q| {
-            let ds = match q.dataset {
-                DatasetKind::Sp2Bench => &sp2b,
-                DatasetKind::Yago => &yago,
-            };
-            (planner.plan(&q.parse()).expect("plannable"), ds)
-        })
-        .collect();
-    let mut group = c.benchmark_group("sip_workload_exec");
-    group.sample_size(10);
-    for (name, config) in [
-        ("plain", ExecConfig::unlimited()),
-        ("sip", ExecConfig::unlimited().with_sip()),
-    ] {
-        group.bench_function(BenchmarkId::new("mode", name), |b| {
-            b.iter(|| {
-                for (plan, ds) in &planned {
-                    black_box(execute(&plan.plan, ds, &config).expect("executes"));
-                }
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_ablation, bench_sip
+    targets = bench_ablation
 }
 criterion_main!(benches);

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use hsp_engine::ops;
+use hsp_engine::{ops, ExecContext};
 use hsp_rdf::Term;
 use hsp_sparql::{CmpOp, Expr, FilterExpr, Func, JoinQuery, Operand, Regex, SortKey, Var};
 use hsp_store::{Dataset, Order};
@@ -27,14 +27,16 @@ fn titles_dataset(n: usize) -> Dataset {
 }
 
 fn scan_all(ds: &Dataset, predicate: &str) -> hsp_engine::BindingTable {
+    let ctx = ExecContext::new();
     let q = JoinQuery::parse(&format!(
         "SELECT ?x ?v WHERE {{ ?x <http://e/{predicate}> ?v . }}"
     ))
     .expect("parses");
-    ops::scan(ds, &q.patterns[0], Order::Pso)
+    ops::scan(&ctx, ds, &q.patterns[0], Order::Pso)
 }
 
 fn bench_filter_kinds(c: &mut Criterion) {
+    let ctx = ExecContext::new();
     let mut group = c.benchmark_group("filter");
     for n in [1_000usize, 10_000, 100_000] {
         let ds = titles_dataset(n);
@@ -52,7 +54,7 @@ fn bench_filter_kinds(c: &mut Criterion) {
             )),
         };
         group.bench_with_input(BenchmarkId::new("simple-eq", n), &n, |b, _| {
-            b.iter(|| black_box(ops::filter(&ds, &years, &simple)))
+            b.iter(|| black_box(ops::filter(&ctx, &ds, &years, &simple)))
         });
 
         // Complex shape: typed numeric comparison with arithmetic.
@@ -72,7 +74,7 @@ fn bench_filter_kinds(c: &mut Criterion) {
             ))),
         }));
         group.bench_with_input(BenchmarkId::new("complex-arith", n), &n, |b, _| {
-            b.iter(|| black_box(ops::filter(&ds, &years, &complex)))
+            b.iter(|| black_box(ops::filter(&ctx, &ds, &years, &complex)))
         });
 
         // REGEX over the title strings (compiled once per filter call via
@@ -85,7 +87,7 @@ fn bench_filter_kinds(c: &mut Criterion) {
             ],
         }));
         group.bench_with_input(BenchmarkId::new("regex", n), &n, |b, _| {
-            b.iter(|| black_box(ops::filter(&ds, &titles, &regex)))
+            b.iter(|| black_box(ops::filter(&ctx, &ds, &titles, &regex)))
         });
     }
     group.finish();
@@ -125,6 +127,7 @@ fn bench_regex_engine(c: &mut Criterion) {
 }
 
 fn bench_order_by(c: &mut Criterion) {
+    let ctx = ExecContext::new();
     let mut group = c.benchmark_group("order_by");
     for n in [1_000usize, 10_000, 100_000] {
         let ds = titles_dataset(n);
@@ -135,10 +138,10 @@ fn bench_order_by(c: &mut Criterion) {
             descending: true,
         }];
         group.bench_with_input(BenchmarkId::new("numeric-desc", n), &n, |b, _| {
-            b.iter(|| black_box(ops::order_by(&ds, &years, &keys)))
+            b.iter(|| black_box(ops::order_by(&ctx, &ds, &years, &keys)))
         });
         group.bench_with_input(BenchmarkId::new("slice-1000", n), &n, |b, _| {
-            b.iter(|| black_box(ops::slice(&years, n / 2, Some(1000))))
+            b.iter(|| black_box(ops::slice(&ctx, &years, n / 2, Some(1000))))
         });
     }
     group.finish();

@@ -7,21 +7,22 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use hsp_bench::kernels::{assert_kernels_agree, join_inputs};
-use hsp_engine::{ops, reference};
+use hsp_engine::{ops, reference, ExecContext};
 use hsp_rdf::Term;
 use hsp_sparql::{TermOrVar, TriplePattern, Var};
 use hsp_store::{Dataset, Order};
 
 fn bench_joins(c: &mut Criterion) {
+    let ctx = ExecContext::new();
     let mut group = c.benchmark_group("joins");
     for n in [1_000usize, 10_000, 100_000] {
         let (left, right) = join_inputs(n, 42);
         group.throughput(Throughput::Elements(n as u64));
         group.bench_function(BenchmarkId::new("merge_join", n), |b| {
-            b.iter(|| black_box(ops::merge_join(&left, &right, Var(0))))
+            b.iter(|| black_box(ops::merge_join(&ctx, &left, &right, Var(0))))
         });
         group.bench_function(BenchmarkId::new("hash_join", n), |b| {
-            b.iter(|| black_box(ops::hash_join(&left, &right, &[Var(0)])))
+            b.iter(|| black_box(ops::hash_join(&ctx, &left, &right, &[Var(0)])))
         });
     }
     group.finish();
@@ -31,6 +32,7 @@ fn bench_joins(c: &mut Criterion) {
 /// after of the zero-allocation join rework. Outputs are asserted
 /// identical (as sorted row-sets) before timing.
 fn bench_kernels_vs_reference(c: &mut Criterion) {
+    let ctx = ExecContext::new();
     let mut group = c.benchmark_group("kernels");
     for n in [10_000usize, 100_000] {
         let (left, right) = join_inputs(n, 42);
@@ -40,19 +42,20 @@ fn bench_kernels_vs_reference(c: &mut Criterion) {
             b.iter(|| black_box(reference::hash_join(&left, &right, &[Var(0)])))
         });
         group.bench_function(BenchmarkId::new("hash_join/vectorized", n), |b| {
-            b.iter(|| black_box(ops::hash_join(&left, &right, &[Var(0)])))
+            b.iter(|| black_box(ops::hash_join(&ctx, &left, &right, &[Var(0)])))
         });
         group.bench_function(BenchmarkId::new("merge_join/rowwise", n), |b| {
             b.iter(|| black_box(reference::merge_join(&left, &right, Var(0))))
         });
         group.bench_function(BenchmarkId::new("merge_join/vectorized", n), |b| {
-            b.iter(|| black_box(ops::merge_join(&left, &right, Var(0))))
+            b.iter(|| black_box(ops::merge_join(&ctx, &left, &right, Var(0))))
         });
     }
     group.finish();
 }
 
 fn bench_scans(c: &mut Criterion) {
+    let ctx = ExecContext::new();
     // A dataset with one dominant predicate.
     let mut doc = String::new();
     for i in 0..50_000 {
@@ -69,7 +72,7 @@ fn bench_scans(c: &mut Criterion) {
     let mut group = c.benchmark_group("scans");
     let bound = TriplePattern::new(TermOrVar::Var(Var(0)), p0, TermOrVar::Var(Var(1)));
     group.bench_function("bound_predicate_pso", |b| {
-        b.iter(|| black_box(ops::scan(&ds, &bound, Order::Pso)))
+        b.iter(|| black_box(ops::scan(&ctx, &ds, &bound, Order::Pso)))
     });
     let full = TriplePattern::new(
         TermOrVar::Var(Var(0)),
@@ -77,7 +80,7 @@ fn bench_scans(c: &mut Criterion) {
         TermOrVar::Var(Var(2)),
     );
     group.bench_function("full_scan_spo", |b| {
-        b.iter(|| black_box(ops::scan(&ds, &full, Order::Spo)))
+        b.iter(|| black_box(ops::scan(&ctx, &ds, &full, Order::Spo)))
     });
     group.finish();
 }

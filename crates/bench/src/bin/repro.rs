@@ -7,14 +7,11 @@
 //! ```
 //!
 //! Experiments: `table1 table2 table3 table4 table6 table7 table8 queries
-//! figure1 figure2 figure3 mwis ablation sip ops serve all`.
+//! figure1 figure2 figure3 mwis ablation ops all`.
 //!
 //! `ops` measures the vectorized kernels against their row-at-a-time
 //! predecessors and additionally writes the machine-readable
-//! `BENCH_ops.json` to the current directory. `serve` measures the
-//! framed-TCP serving front door (overhead and mixed-concurrency
-//! throughput/latency) and writes `BENCH_serve.json`; it loads its own
-//! small dataset pair, independent of the sizes above.
+//! `BENCH_ops.json` to the current directory.
 
 use hsp_bench::tables;
 use hsp_bench::{BenchEnv, EnvConfig};
@@ -41,14 +38,14 @@ fn main() {
         eprintln!(
             "usage: repro <experiment>...\n\
              experiments: table1 table2 table3 table4 table6 table7 table8\n\
-             queries figure1 figure2 figure3 mwis ablation sip ops serve all"
+             queries figure1 figure2 figure3 mwis ablation ops all"
         );
         std::process::exit(2);
     }
     let wanted: Vec<&str> = if args.iter().any(|a| a == "all") {
         vec![
             "table1", "table2", "table3", "table4", "table6", "table7", "table8", "queries",
-            "figure1", "figure2", "figure3", "mwis", "ablation", "sip", "ops", "serve",
+            "figure1", "figure2", "figure3", "mwis", "ablation", "ops",
         ]
     } else {
         args.iter().map(String::as_str).collect()
@@ -66,7 +63,6 @@ fn main() {
                 | "figure2"
                 | "figure3"
                 | "ablation"
-                | "sip"
         )
     });
     let env = if needs_data {
@@ -102,7 +98,6 @@ fn main() {
             "figure3" => tables::figure3(loaded_env(&env, w)),
             "mwis" => tables::mwis_scaling(),
             "ablation" => tables::ablation(loaded_env(&env, w)),
-            "sip" => tables::sip_table(loaded_env(&env, w)),
             "ops" => {
                 let results = hsp_bench::kernels::measure_kernels();
                 let json = hsp_bench::kernels::render_json(&results);
@@ -111,17 +106,6 @@ fn main() {
                     Err(e) => eprintln!("could not write BENCH_ops.json: {e}"),
                 }
                 hsp_bench::kernels::render_text(&results)
-            }
-            // Loads its own small dataset pair (see the serve module docs),
-            // so it is deliberately absent from `needs_data`.
-            "serve" => {
-                let report = hsp_bench::serve::measure_serve();
-                let json = hsp_bench::serve::render_json(&report);
-                match std::fs::write("BENCH_serve.json", &json) {
-                    Ok(()) => eprintln!("wrote BENCH_serve.json"),
-                    Err(e) => eprintln!("could not write BENCH_serve.json: {e}"),
-                }
-                hsp_bench::serve::render_text(&report)
             }
             other => {
                 eprintln!("unknown experiment: {other}");

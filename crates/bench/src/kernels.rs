@@ -129,13 +129,14 @@ fn build_triples(n: usize, seed: u64) -> Vec<IdTriple> {
 /// # Panics
 /// Panics on any divergence.
 pub fn assert_kernels_agree(left: &BindingTable, right: &BindingTable) {
+    let ctx = ExecContext::new();
     assert_eq!(
-        ops::hash_join(left, right, &[Var(0)]).sorted_rows(),
+        ops::hash_join(&ctx, left, right, &[Var(0)]).sorted_rows(),
         reference::hash_join(left, right, &[Var(0)]).sorted_rows(),
         "vectorized hash join diverges from reference"
     );
     assert_eq!(
-        ops::merge_join(left, right, Var(0)).sorted_rows(),
+        ops::merge_join(&ctx, left, right, Var(0)).sorted_rows(),
         reference::merge_join(left, right, Var(0)).sorted_rows(),
         "vectorized merge join diverges from reference"
     );
@@ -145,6 +146,7 @@ pub fn assert_kernels_agree(left: &BindingTable, right: &BindingTable) {
 pub fn measure_kernels() -> Vec<KernelResult> {
     let mut results = Vec::new();
     let runs = 7;
+    let ctx = ExecContext::new();
 
     for n in [10_000usize, 100_000] {
         let (left, right) = join_inputs(n, 42);
@@ -157,12 +159,12 @@ pub fn measure_kernels() -> Vec<KernelResult> {
         results.push(KernelResult {
             name: format!("hash_join_{label}"),
             baseline_ns: median_ns(runs, || reference::hash_join(&left, &right, &[Var(0)])),
-            optimized_ns: median_ns(runs, || ops::hash_join(&left, &right, &[Var(0)])),
+            optimized_ns: median_ns(runs, || ops::hash_join(&ctx, &left, &right, &[Var(0)])),
         });
         results.push(KernelResult {
             name: format!("merge_join_{label}"),
             baseline_ns: median_ns(runs, || reference::merge_join(&left, &right, Var(0))),
-            optimized_ns: median_ns(runs, || ops::merge_join(&left, &right, Var(0))),
+            optimized_ns: median_ns(runs, || ops::merge_join(&ctx, &left, &right, Var(0))),
         });
     }
 
@@ -206,20 +208,20 @@ fn bench_thread_counts() -> [usize; 3] {
 fn measure_parallel_probe(results: &mut Vec<KernelResult>, runs: usize) {
     let (left, right) = join_inputs(100_000, 42);
     let sequential = ExecContext::with_threads(1);
-    let expected = ops::hash_join_in(&sequential, &left, &right, &[Var(0)]);
+    let expected = ops::hash_join(&sequential, &left, &right, &[Var(0)]);
     for t in bench_thread_counts() {
         let ctx = ExecContext::with_morsel_config(MorselConfig::with_threads(t));
         assert_eq!(
-            ops::hash_join_in(&ctx, &left, &right, &[Var(0)]),
+            ops::hash_join(&ctx, &left, &right, &[Var(0)]),
             expected,
             "parallel probe (t={t}) diverges from sequential"
         );
         results.push(KernelResult {
             name: format!("par_probe_100k_t{t}"),
             baseline_ns: median_ns(runs, || {
-                ops::hash_join_in(&sequential, &left, &right, &[Var(0)])
+                ops::hash_join(&sequential, &left, &right, &[Var(0)])
             }),
-            optimized_ns: median_ns(runs, || ops::hash_join_in(&ctx, &left, &right, &[Var(0)])),
+            optimized_ns: median_ns(runs, || ops::hash_join(&ctx, &left, &right, &[Var(0)])),
         });
     }
 }
@@ -232,16 +234,16 @@ fn measure_pooled_gather(results: &mut Vec<KernelResult>, runs: usize) {
     for t in bench_thread_counts() {
         let warm = ExecContext::with_morsel_config(MorselConfig::with_threads(t));
         warm.pool
-            .recycle(ops::hash_join_in(&warm, &left, &right, &[Var(0)]));
+            .recycle(ops::hash_join(&warm, &left, &right, &[Var(0)]));
         results.push(KernelResult {
             name: format!("pooled_gather_100k_t{t}"),
             // Cold pool every run: a fresh context, all columns allocated.
             baseline_ns: median_ns(runs, || {
                 let cold = ExecContext::with_morsel_config(MorselConfig::with_threads(t));
-                ops::hash_join_in(&cold, &left, &right, &[Var(0)])
+                ops::hash_join(&cold, &left, &right, &[Var(0)])
             }),
             optimized_ns: median_ns(runs, || {
-                let out = ops::hash_join_in(&warm, &left, &right, &[Var(0)]);
+                let out = ops::hash_join(&warm, &left, &right, &[Var(0)]);
                 warm.pool.recycle(out);
             }),
         });
@@ -280,20 +282,18 @@ fn measure_parallel_build(results: &mut Vec<KernelResult>, runs: usize) {
 fn measure_parallel_merge(results: &mut Vec<KernelResult>, runs: usize) {
     let (left, right) = join_inputs(100_000, 42);
     let sequential = ExecContext::with_threads(1);
-    let expected = ops::merge_join_in(&sequential, &left, &right, Var(0));
+    let expected = ops::merge_join(&sequential, &left, &right, Var(0));
     for t in bench_thread_counts() {
         let ctx = ExecContext::with_morsel_config(MorselConfig::with_threads(t));
         assert_eq!(
-            ops::merge_join_in(&ctx, &left, &right, Var(0)),
+            ops::merge_join(&ctx, &left, &right, Var(0)),
             expected,
             "parallel merge join (t={t}) diverges from sequential"
         );
         results.push(KernelResult {
             name: format!("par_merge_100k_t{t}"),
-            baseline_ns: median_ns(runs, || {
-                ops::merge_join_in(&sequential, &left, &right, Var(0))
-            }),
-            optimized_ns: median_ns(runs, || ops::merge_join_in(&ctx, &left, &right, Var(0))),
+            baseline_ns: median_ns(runs, || ops::merge_join(&sequential, &left, &right, Var(0))),
+            optimized_ns: median_ns(runs, || ops::merge_join(&ctx, &left, &right, Var(0))),
         });
     }
 }
@@ -318,7 +318,8 @@ fn measure_parallel_filter(results: &mut Vec<KernelResult>, runs: usize) {
         hsp_sparql::TermOrVar::Const(hsp_rdf::Term::iri("http://e/title")),
         hsp_sparql::TermOrVar::Var(Var(1)),
     );
-    let input = ops::scan(&ds, &pattern, hsp_store::Order::Pso);
+    let sequential = ExecContext::with_threads(1);
+    let input = ops::scan(&sequential, &ds, &pattern, hsp_store::Order::Pso);
     let expr = FilterExpr::Complex(Box::new(Expr::Call {
         func: Func::Regex,
         args: vec![
@@ -326,20 +327,19 @@ fn measure_parallel_filter(results: &mut Vec<KernelResult>, runs: usize) {
             Expr::Const(hsp_rdf::Term::literal(r"\(19\d\d\)")),
         ],
     }));
-    let sequential = ExecContext::with_threads(1);
-    let expected = ops::filter_in(&sequential, &ds, &input, &expr);
+    let expected = ops::filter(&sequential, &ds, &input, &expr);
     assert_eq!(expected.len(), n / 2, "regex filter keeps the 19xx half");
     for t in bench_thread_counts() {
         let ctx = ExecContext::with_morsel_config(MorselConfig::with_threads(t));
         assert_eq!(
-            ops::filter_in(&ctx, &ds, &input, &expr),
+            ops::filter(&ctx, &ds, &input, &expr),
             expected,
             "parallel filter (t={t}) diverges from sequential"
         );
         results.push(KernelResult {
             name: format!("par_filter_100k_t{t}"),
-            baseline_ns: median_ns(runs, || ops::filter_in(&sequential, &ds, &input, &expr)),
-            optimized_ns: median_ns(runs, || ops::filter_in(&ctx, &ds, &input, &expr)),
+            baseline_ns: median_ns(runs, || ops::filter(&sequential, &ds, &input, &expr)),
+            optimized_ns: median_ns(runs, || ops::filter(&ctx, &ds, &input, &expr)),
         });
     }
 }

@@ -18,7 +18,6 @@
 pub mod env;
 pub mod kernels;
 pub mod planners;
-pub mod serve;
 pub mod tables;
 
 pub use env::{BenchEnv, EnvConfig};

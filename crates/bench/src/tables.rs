@@ -437,40 +437,6 @@ pub fn ablation(env: &BenchEnv) -> String {
     out
 }
 
-/// Sideways information passing: intermediate-result footprint per query,
-/// SIP off vs on, over HSP plans (results are asserted identical).
-pub fn sip_table(env: &BenchEnv) -> String {
-    let mut out =
-        String::from("Sideways information passing (HSP plans): intermediate rows per query\n");
-    out.push_str(&format!(
-        "{:<8} {:>12} {:>12} {:>9}\n",
-        "query", "plain", "sip", "kept"
-    ));
-    for q in workload() {
-        let parsed = q.parse();
-        let ds = env.dataset(q.dataset);
-        let planned = crate::planners::plan_query(crate::planners::PlannerKind::Hsp, ds, &parsed)
-            .expect("plannable");
-        let plain = execute(&planned.plan, ds, &ExecConfig::unlimited()).expect("executes");
-        let sip =
-            execute(&planned.plan, ds, &ExecConfig::unlimited().with_sip()).expect("executes");
-        assert_eq!(
-            sip.table.sorted_rows(),
-            plain.table.sorted_rows(),
-            "{}: SIP changed results",
-            q.id
-        );
-        let before = plain.profile.total_intermediate_rows();
-        let after = sip.profile.total_intermediate_rows();
-        out.push_str(&format!(
-            "{:<8} {before:>12} {after:>12} {:>8.1}%\n",
-            q.id,
-            100.0 * after as f64 / before.max(1) as f64
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,12 +1,13 @@
-//! Plan evaluation with per-operator profiling, a row budget, optional
-//! sideways information passing, and the morsel/pool runtime layer: every
-//! execution owns an [`ExecContext`] whose thread budget drives the
-//! parallel kernels and whose [`BufferPool`](crate::pool::BufferPool)
-//! recycles the columns of consumed intermediates.
+//! Plan evaluation with per-operator profiling, a row budget, and the
+//! morsel/pool runtime layer: [`execute`] lowers every plan into pipelines
+//! ([`crate::pipeline`]); the operator-at-a-time tree walk in this module
+//! is the tests' reference, run only when
+//! [`ExecStrategy::OperatorAtATime`] names it. Every execution owns an
+//! [`ExecContext`] whose thread budget drives the parallel kernels and whose
+//! [`BufferPool`](crate::pool::BufferPool) recycles the columns of consumed
+//! intermediates.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -27,17 +28,13 @@ use crate::pool::ExecContext;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ExecStrategy {
     /// Lower the plan into morsel-driven pipelines with explicit breakers
-    /// ([`crate::pipeline`]) whenever the configuration allows it — the
-    /// default. SIP and row-budget executions fall back to the
-    /// operator-at-a-time evaluator, because both features are defined in
-    /// terms of materialised intermediates (domain narrowing reads them,
-    /// the budget counts them).
+    /// ([`crate::pipeline`]) — the default, under every configuration.
     #[default]
-    Auto,
-    /// Always the operator-at-a-time tree evaluator — every operator
-    /// materialises its full output. Retained as the byte-identity oracle
-    /// for the pipeline executor (and as the measured baseline of the
-    /// `pipeline_chain_*` bench rows).
+    Pipelined,
+    /// The operator-at-a-time tree evaluator — every operator materialises
+    /// its full output. Retained as the byte-identity oracle for the
+    /// pipeline executor (and as the measured baseline of the
+    /// `pipeline_chain_*` bench rows); nothing selects it implicitly.
     OperatorAtATime,
 }
 
@@ -48,14 +45,6 @@ pub struct ExecConfig {
     /// Used to guard against runaway Cartesian products (the SQL baseline's
     /// SP4a plan) — the paper marks those runs "XXX".
     pub max_intermediate_rows: Option<usize>,
-    /// Enable **sideways information passing** (SIP): when a join's first
-    /// input has been materialised, the distinct values of the join
-    /// variable are pushed into the evaluation of the other input, where
-    /// scans drop non-qualifying rows immediately. This is the run-time
-    /// optimization Neumann et al. added to RDF-3X (the paper's §2 notes
-    /// the extension); results are identical, intermediate results only
-    /// shrink.
-    pub sip: bool,
     /// Thread budget for the morsel-parallel kernels. `None` (the default)
     /// detects it via `available_parallelism` (or the `HSP_FORCE_THREADS`
     /// environment override — see [`crate::morsel::MorselConfig::auto`]);
@@ -64,9 +53,8 @@ pub struct ExecConfig {
     /// parallel kernels stitch their per-morsel outputs
     /// deterministically).
     pub threads: Option<usize>,
-    /// Which evaluator runs the plan (pipeline by default; the
-    /// operator-at-a-time oracle on request, or automatically for SIP /
-    /// row-budget executions).
+    /// Which evaluator runs the plan (pipelines by default; the
+    /// operator-at-a-time oracle only on request).
     pub strategy: ExecStrategy,
     /// Wall-clock deadline, measured from [`ExecConfig::context`]: past
     /// it, the next governor checkpoint surfaces
@@ -107,12 +95,6 @@ impl ExecConfig {
             max_intermediate_rows: Some(rows),
             ..ExecConfig::default()
         }
-    }
-
-    /// Enable sideways information passing.
-    pub fn with_sip(mut self) -> Self {
-        self.sip = true;
-        self
     }
 
     /// Force a thread budget for the parallel kernels.
@@ -223,26 +205,6 @@ impl ExecConfig {
         }
     }
 }
-
-impl std::str::FromStr for ExecStrategy {
-    type Err = String;
-
-    /// Parse the CLI/server spelling of a strategy: `auto` (pipelines
-    /// when possible) or `operator` / `operator-at-a-time` (the
-    /// materialising oracle).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "auto" | "pipeline" => Ok(ExecStrategy::Auto),
-            "operator" | "operator-at-a-time" | "oaat" => Ok(ExecStrategy::OperatorAtATime),
-            other => Err(format!("unknown strategy `{other}` (auto|operator)")),
-        }
-    }
-}
-
-/// The variable domains a SIP-enabled execution threads down the plan:
-/// a scan output binding `v` may drop every row whose value is outside
-/// `domains[v]`.
-type Domains = HashMap<Var, Rc<HashSet<TermId>>>;
 
 /// An execution failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -434,12 +396,12 @@ pub fn execute(
 /// The reported [`ExecOutput::runtime`] snapshots the context's cumulative
 /// counters at completion.
 ///
-/// Under the default [`ExecStrategy::Auto`] the plan is lowered into
-/// morsel-driven pipelines ([`crate::pipeline`]) and only breaker
-/// boundaries materialise; SIP and row-budget executions (and
-/// [`ExecStrategy::OperatorAtATime`]) take the operator-at-a-time tree
-/// walk, which materialises every intermediate. Both paths produce
-/// byte-identical tables and identical per-operator cardinalities.
+/// The plan is lowered into morsel-driven pipelines ([`crate::pipeline`])
+/// and only breaker boundaries materialise;
+/// [`ExecStrategy::OperatorAtATime`] takes the operator-at-a-time tree walk
+/// instead, which materialises every intermediate. Both paths produce
+/// byte-identical tables, identical per-operator cardinalities, and trip
+/// the row budget on the same plans.
 pub fn execute_in(
     plan: &PhysicalPlan,
     ds: &Dataset,
@@ -447,13 +409,11 @@ pub fn execute_in(
     ctx: &ExecContext,
 ) -> Result<ExecOutput, ExecError> {
     plan.validate()?;
-    let pipelined = config.strategy == ExecStrategy::Auto
-        && !config.sip
-        && config.max_intermediate_rows.is_none();
-    let (table, profile) = if pipelined {
-        crate::pipeline::lower(plan).run(ds, ctx)?
-    } else {
-        run(plan, ds, config, ctx, &Domains::new())?
+    let (table, profile) = match config.strategy {
+        ExecStrategy::Pipelined => {
+            crate::pipeline::lower(plan).run(ds, ctx, config.max_intermediate_rows)?
+        }
+        ExecStrategy::OperatorAtATime => run(plan, ds, config, ctx)?,
     };
     Ok(ExecOutput {
         table,
@@ -465,7 +425,7 @@ pub fn execute_in(
 
 /// The profile label of a plan node — shared by the operator-at-a-time
 /// evaluator and the pipeline executor so their [`Profile`] trees are
-/// indistinguishable (the oracle appends `+sip` to scan labels itself).
+/// indistinguishable.
 pub(crate) fn plan_label(plan: &PhysicalPlan) -> String {
     match plan {
         PhysicalPlan::Scan {
@@ -523,27 +483,11 @@ pub(crate) fn plan_label(plan: &PhysicalPlan) -> String {
     }
 }
 
-/// The distinct values of `vars` in `table`, merged (intersected) into a
-/// copy of `domains` — what a SIP join passes into its second input.
-fn narrowed(domains: &Domains, table: &BindingTable, vars: &[Var]) -> Domains {
-    let mut out = domains.clone();
-    for &v in vars {
-        let values: HashSet<TermId> = table.column(v).iter().copied().collect();
-        let merged = match out.get(&v) {
-            Some(existing) => Rc::new(existing.intersection(&values).copied().collect()),
-            None => Rc::new(values),
-        };
-        out.insert(v, merged);
-    }
-    out
-}
-
 fn run(
     plan: &PhysicalPlan,
     ds: &Dataset,
     config: &ExecConfig,
     ctx: &ExecContext,
-    domains: &Domains,
 ) -> Result<(BindingTable, Profile), ExecError> {
     // The oracle's cooperative checkpoint: once per operator, before its
     // kernel runs (the recursion visits every node, so a cancellation or
@@ -581,80 +525,48 @@ fn run(
     match plan {
         PhysicalPlan::Scan { pattern, order, .. } => {
             let start = Instant::now();
-            let mut table = ops::scan_in(ctx, ds, pattern, *order);
-            let mut label = plan_label(plan);
-            if config.sip && table.vars().iter().any(|v| domains.contains_key(v)) {
-                let unfiltered = table;
-                table = ops::domain_filter_in(ctx, &unfiltered, domains);
-                // Plain pool recycle: `unfiltered` was never charged (only
-                // `finish` charges), so there are no bytes to release.
-                ctx.pool.recycle(unfiltered);
-                label.push_str("+sip");
-            }
-            finish(table, label, start, Vec::new(), config, ctx)
+            let table = ops::scan(ctx, ds, pattern, *order);
+            finish(table, plan_label(plan), start, Vec::new(), config, ctx)
         }
         PhysicalPlan::MergeJoin { left, right, var } => {
-            let (lt, lp) = run(left, ds, config, ctx, domains)?;
-            // SIP: the right side only needs rows whose join key occurs on
-            // the (already materialised) left side.
+            let (lt, lp) = run(left, ds, config, ctx)?;
             let mut lt = Some(lt);
-            let right_result = if config.sip {
-                let narrowed = narrowed(domains, lt.as_ref().expect("left just ran"), &[*var]);
-                run(right, ds, config, ctx, &narrowed)
-            } else {
-                run(right, ds, config, ctx, domains)
-            };
-            let (rt, rp) = try_second(right_result, &mut lt, ctx)?;
+            let (rt, rp) = try_second(run(right, ds, config, ctx), &mut lt, ctx)?;
             let lt = lt.expect("left retained on success");
             let start = Instant::now();
-            let table = ops::merge_join_in(ctx, &lt, &rt, *var);
+            let table = ops::merge_join(ctx, &lt, &rt, *var);
             ctx.recycle(lt);
             ctx.recycle(rt);
             finish(table, plan_label(plan), start, vec![lp, rp], config, ctx)
         }
         PhysicalPlan::HashJoin { left, right, vars } => {
-            // Evaluate the build (right) side first so SIP can pass its
-            // join-key domain into the probe side's subtree.
-            let (rt, rp) = run(right, ds, config, ctx, domains)?;
+            // Build (right) side first — the order the pipeline executor
+            // runs its steps in, so both trip a budget on the same node.
+            let (rt, rp) = run(right, ds, config, ctx)?;
             let mut rt = Some(rt);
-            let left_result = if config.sip {
-                let narrowed = narrowed(domains, rt.as_ref().expect("right just ran"), vars);
-                run(left, ds, config, ctx, &narrowed)
-            } else {
-                run(left, ds, config, ctx, domains)
-            };
-            let (lt, lp) = try_second(left_result, &mut rt, ctx)?;
+            let (lt, lp) = try_second(run(left, ds, config, ctx), &mut rt, ctx)?;
             let rt = rt.expect("right retained on success");
             let start = Instant::now();
-            let table = ops::hash_join_in(ctx, &lt, &rt, vars);
+            let table = ops::hash_join(ctx, &lt, &rt, vars);
             ctx.recycle(lt);
             ctx.recycle(rt);
             finish(table, plan_label(plan), start, vec![lp, rp], config, ctx)
         }
         PhysicalPlan::LeftOuterHashJoin { left, right, vars } => {
-            // No SIP narrowing across an outer join: narrowing the probe
-            // (left) side would drop rows that must survive, and narrowing
-            // the build side would turn matched rows into UNBOUND-padded
-            // ones — changing values, not just dropping rows. The right
-            // subtree therefore runs domain-free; the left subtree may
-            // still apply the ambient domains (a left row outside a domain
-            // can never survive the enclosing inner join that produced it).
-            let (rt, rp) = run(right, ds, config, ctx, &Domains::new())?;
+            let (rt, rp) = run(right, ds, config, ctx)?;
             let mut rt = Some(rt);
-            let left_result = run(left, ds, config, ctx, domains);
-            let (lt, lp) = try_second(left_result, &mut rt, ctx)?;
+            let (lt, lp) = try_second(run(left, ds, config, ctx), &mut rt, ctx)?;
             let rt = rt.expect("right retained on success");
             let start = Instant::now();
-            let table = ops::left_outer_hash_join_in(ctx, &lt, &rt, vars);
+            let table = ops::left_outer_hash_join(ctx, &lt, &rt, vars);
             ctx.recycle(lt);
             ctx.recycle(rt);
             finish(table, plan_label(plan), start, vec![lp, rp], config, ctx)
         }
         PhysicalPlan::CrossProduct { left, right } => {
-            let (lt, lp) = run(left, ds, config, ctx, domains)?;
+            let (lt, lp) = run(left, ds, config, ctx)?;
             let mut lt = Some(lt);
-            let right_result = run(right, ds, config, ctx, domains);
-            let (rt, rp) = try_second(right_result, &mut lt, ctx)?;
+            let (rt, rp) = try_second(run(right, ds, config, ctx), &mut lt, ctx)?;
             let lt = lt.expect("left retained on success");
             // Check the budgets *before* materialising the product: this is
             // the guard that makes Cartesian plans fail fast instead of
@@ -680,22 +592,22 @@ fn run(
                 return Err(e.into());
             }
             let start = Instant::now();
-            let table = ops::cross_product_in(ctx, &lt, &rt);
+            let table = ops::cross_product(ctx, &lt, &rt);
             ctx.recycle(lt);
             ctx.recycle(rt);
             finish(table, plan_label(plan), start, vec![lp, rp], config, ctx)
         }
         PhysicalPlan::Sort { input, var } => {
-            let (it, ip) = run(input, ds, config, ctx, domains)?;
+            let (it, ip) = run(input, ds, config, ctx)?;
             let start = Instant::now();
-            let table = ops::sort_by_in(ctx, &it, *var);
+            let table = ops::sort_by(ctx, &it, *var);
             ctx.recycle(it);
             finish(table, plan_label(plan), start, vec![ip], config, ctx)
         }
         PhysicalPlan::Filter { input, expr } => {
-            let (it, ip) = run(input, ds, config, ctx, domains)?;
+            let (it, ip) = run(input, ds, config, ctx)?;
             let start = Instant::now();
-            let table = ops::filter_in(ctx, ds, &it, expr);
+            let table = ops::filter(ctx, ds, &it, expr);
             ctx.recycle(it);
             finish(table, plan_label(plan), start, vec![ip], config, ctx)
         }
@@ -704,9 +616,9 @@ fn run(
             projection,
             distinct,
         } => {
-            let (it, ip) = run(input, ds, config, ctx, domains)?;
+            let (it, ip) = run(input, ds, config, ctx)?;
             let start = Instant::now();
-            let table = ops::project_in(ctx, &it, projection, *distinct);
+            let table = ops::project(ctx, &it, projection, *distinct);
             ctx.recycle(it);
             finish(table, plan_label(plan), start, vec![ip], config, ctx)
         }
@@ -716,7 +628,7 @@ fn run(
             aggs,
             having,
         } => {
-            let (it, ip) = run(input, ds, config, ctx, domains)?;
+            let (it, ip) = run(input, ds, config, ctx)?;
             let start = Instant::now();
             let result =
                 crate::reference::hash_aggregate(ctx, ds, &it, group_by, aggs, having.as_ref());
@@ -725,9 +637,9 @@ fn run(
             finish(table, plan_label(plan), start, vec![ip], config, ctx)
         }
         PhysicalPlan::OrderBy { input, keys } => {
-            let (it, ip) = run(input, ds, config, ctx, domains)?;
+            let (it, ip) = run(input, ds, config, ctx)?;
             let start = Instant::now();
-            let table = ops::order_by_in(ctx, ds, &it, keys);
+            let table = ops::order_by(ctx, ds, &it, keys);
             ctx.recycle(it);
             finish(table, plan_label(plan), start, vec![ip], config, ctx)
         }
@@ -736,9 +648,9 @@ fn run(
             offset,
             limit,
         } => {
-            let (it, ip) = run(input, ds, config, ctx, domains)?;
+            let (it, ip) = run(input, ds, config, ctx)?;
             let start = Instant::now();
-            let table = ops::slice_in(ctx, &it, *offset, *limit);
+            let table = ops::slice(ctx, &it, *offset, *limit);
             ctx.recycle(it);
             finish(table, plan_label(plan), start, vec![ip], config, ctx)
         }
@@ -907,71 +819,6 @@ mod tests {
         let out = execute(&plan, &ds, &ExecConfig::unlimited()).unwrap();
         assert_eq!(out.table.len(), 2);
         assert!(out.profile.label.contains("distinct"));
-    }
-
-    #[test]
-    fn sip_reduces_intermediates_and_preserves_results() {
-        // A selective filter on one side: the ?0 q-scan returns one row
-        // ("5"), SIP pushes its subject into the p-scan.
-        let ds = dataset();
-        let plan = PhysicalPlan::HashJoin {
-            left: Box::new(scan(0, vv(0), cv("p"), vv(1), Order::Pso)),
-            right: Box::new(scan(
-                1,
-                vv(0),
-                cv("q"),
-                TermOrVar::Const(Term::literal("5")),
-                Order::Pos,
-            )),
-            vars: vec![Var(0)],
-        };
-        let plain = execute(&plan, &ds, &ExecConfig::unlimited()).unwrap();
-        let sip = execute(&plan, &ds, &ExecConfig::unlimited().with_sip()).unwrap();
-        // Identical results…
-        assert_eq!(sip.table.sorted_rows(), plain.table.sorted_rows());
-        // …with strictly fewer intermediate rows (the a2 row never leaves
-        // the probe scan), and the profile says SIP fired.
-        assert!(
-            sip.profile.total_intermediate_rows() < plain.profile.total_intermediate_rows(),
-            "sip {} vs plain {}",
-            sip.profile.total_intermediate_rows(),
-            plain.profile.total_intermediate_rows()
-        );
-        let mut fired = false;
-        sip.profile
-            .visit(&mut |p| fired |= p.label.contains("+sip"));
-        assert!(fired);
-    }
-
-    #[test]
-    fn sip_on_merge_join_keeps_sortedness() {
-        let ds = dataset();
-        let plan = PhysicalPlan::MergeJoin {
-            left: Box::new(scan(0, vv(0), cv("q"), vv(2), Order::Pso)),
-            right: Box::new(scan(1, vv(0), cv("p"), vv(1), Order::Pso)),
-            var: Var(0),
-        };
-        let plain = execute(&plan, &ds, &ExecConfig::unlimited()).unwrap();
-        let sip = execute(&plan, &ds, &ExecConfig::unlimited().with_sip()).unwrap();
-        assert_eq!(sip.table.sorted_rows(), plain.table.sorted_rows());
-        assert!(sip.table.check_sortedness());
-    }
-
-    #[test]
-    fn sip_noop_when_domains_irrelevant() {
-        // A cross product shares no variables: SIP must change nothing.
-        let ds = dataset();
-        let plan = PhysicalPlan::CrossProduct {
-            left: Box::new(scan(0, cv("a1"), cv("q"), vv(0), Order::Spo)),
-            right: Box::new(scan(1, cv("b1"), cv("r"), vv(1), Order::Spo)),
-        };
-        let plain = execute(&plan, &ds, &ExecConfig::unlimited()).unwrap();
-        let sip = execute(&plan, &ds, &ExecConfig::unlimited().with_sip()).unwrap();
-        assert_eq!(sip.table.sorted_rows(), plain.table.sorted_rows());
-        assert_eq!(
-            sip.profile.total_intermediate_rows(),
-            plain.profile.total_intermediate_rows()
-        );
     }
 
     #[test]

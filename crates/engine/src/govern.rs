@@ -34,7 +34,7 @@
 //! The governor trips **once**: the first failure is recorded and every
 //! later checkpoint returns the same error, so a multi-worker execution
 //! reports one coherent cause. Operators themselves stay infallible —
-//! long-running ones ([`crate::ops::cross_product_in`]) merely *poll*
+//! long-running ones ([`crate::ops::cross_product`]) merely *poll*
 //! [`QueryGovernor::poll`] and bail early with a discarded partial
 //! output; the surrounding executor converts the trip into the typed
 //! error and recycles everything it had materialised.

@@ -1,5 +1,6 @@
 //! Columnar execution engine: pipeline-at-a-time by default, with the
-//! operator-at-a-time evaluator retained as the byte-identity oracle.
+//! operator-at-a-time evaluator retained as the tests' byte-identity oracle
+//! (reachable by name only).
 //!
 //! This crate began as the MonetDB stand-in: like MonetDB's BAT algebra,
 //! every operator consumed and produced *fully materialised columnar*
@@ -92,8 +93,8 @@
 //!   the `HSP_FAULT` fault-injection hook.
 //! * [`plan`] — the physical plan tree shared by all planners.
 //! * [`ops`] — the vectorized operators: scan-select, merge join, hash
-//!   join, cross product, filter, projection, distinct. Each has a `*_in`
-//!   variant taking an [`pool::ExecContext`].
+//!   join, cross product, filter, projection, distinct, each taking the
+//!   execution's [`pool::ExecContext`].
 //! * [`aggregate`] — the morsel-parallel two-phase γ: per-morsel grouped
 //!   fold, morsel-order merge (first-seen group order is deterministic at
 //!   any thread count), row-major finalisation into the computed-term
@@ -108,9 +109,11 @@
 //!   into the sink when no stage drops a row).
 //! * [`mod@reference`] — the retired row-at-a-time kernels, kept as oracle and
 //!   benchmark baseline.
-//! * [`exec`] — the tree evaluator, with per-operator profiling and an
-//!   intermediate-result row budget (used to make the SQL baseline's
-//!   Cartesian plans fail fast, the paper's "XXX" entries).
+//! * [`exec`] — `execute` (always lower-then-run), the configuration with
+//!   its intermediate-result row budget (enforced by the pipeline
+//!   executor; it makes the SQL baseline's Cartesian plans fail fast, the
+//!   paper's "XXX" entries), per-operator profiles, and the reference tree
+//!   evaluator.
 //! * [`cost`] — the RDF-3X cost model the paper uses for Table 3.
 //! * [`metrics`] — plan characteristics for Table 4 (merge/hash join counts,
 //!   left-deep vs bushy shape, plan similarity) and the runtime counters.

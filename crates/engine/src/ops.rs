@@ -12,14 +12,12 @@
 //! [`crate::reference`] as the benchmark baseline and differential-testing
 //! oracle.
 //!
-//! Every operator comes in two spellings: a `*_in` variant taking an
-//! [`ExecContext`] — which supplies the [`crate::morsel`] thread budget for
-//! the parallel fast paths (hash-join build and probe, the
-//! range-partitioned merge join, scan gather/selection, FILTER evaluation
-//! and ORDER BY key extraction) and the [`crate::pool::BufferPool`] the
-//! gather phase checks output columns out of — and a plain variant that
-//! runs in a fresh default context (auto-detected parallelism, private
-//! pool), kept for call sites that evaluate a single operator.
+//! Every operator takes the execution's [`ExecContext`], which supplies the
+//! [`crate::morsel`] thread budget for the parallel fast paths (hash-join
+//! build and probe, the range-partitioned merge join, scan
+//! gather/selection, FILTER evaluation and ORDER BY key extraction) and the
+//! [`crate::pool::BufferPool`] the gather phase checks output columns out
+//! of.
 
 use std::collections::HashSet;
 
@@ -49,19 +47,16 @@ fn check_indexable(table: &BindingTable) {
 /// repeats a variable (e.g. `?x p ?x`), rows violating the implied equality
 /// are dropped.
 ///
+/// The no-repeated-variable fast path gathers each output column in
+/// parallel stripes when the range clears the morsel threshold, the
+/// repeated-variable path selects qualifying rows morsel-at-a-time, and all
+/// output columns come from the context's pool.
+///
 /// # Panics
 /// Panics if the pattern's constants do not form a prefix of `order`'s key
 /// ([`PhysicalPlan::validate`](crate::plan::PhysicalPlan::validate) catches
 /// this earlier).
-pub fn scan(ds: &Dataset, pattern: &TriplePattern, order: Order) -> BindingTable {
-    scan_in(&ExecContext::new(), ds, pattern, order)
-}
-
-/// [`scan`] in an execution context: the no-repeated-variable fast path
-/// gathers each output column in parallel stripes when the range clears the
-/// morsel threshold, the repeated-variable path selects qualifying rows
-/// morsel-at-a-time, and all output columns come from the context's pool.
-pub fn scan_in(
+pub fn scan(
     ctx: &ExecContext,
     ds: &Dataset,
     pattern: &TriplePattern,
@@ -184,17 +179,9 @@ pub fn scan_in(
 /// the left table's variables followed by the right table's non-shared
 /// variables, and stays sorted by `var`.
 ///
-/// # Panics
-/// Panics if an input is not sorted by `var`.
-pub fn merge_join(left: &BindingTable, right: &BindingTable, var: Var) -> BindingTable {
-    merge_join_in(&ExecContext::new(), left, right, var)
-}
-
-/// [`merge_join`] in an execution context — the **range-partitioned
-/// parallel merge join**.
-///
-/// When the combined input size clears the context's morsel threshold
-/// (and the thread budget allows), both sorted inputs are split at
+/// This is the **range-partitioned parallel merge join**: when the
+/// combined input size clears the context's morsel threshold (and the
+/// thread budget allows), both sorted inputs are split at
 /// *common key boundaries*: partition `k`'s target position on the left
 /// is binary-searched back to the start of its key group, and the right
 /// split gallops to the same key — so no equal-key group ever spans two
@@ -206,7 +193,10 @@ pub fn merge_join(left: &BindingTable, right: &BindingTable, var: Var) -> Bindin
 /// group, and the partitions tile the key space in order. Below the
 /// threshold the single cursor pair runs sequentially into pooled
 /// buffers; either way the gather phase draws from the context's pool.
-pub fn merge_join_in(
+///
+/// # Panics
+/// Panics if an input is not sorted by `var`.
+pub fn merge_join(
     ctx: &ExecContext,
     left: &BindingTable,
     right: &BindingTable,
@@ -262,7 +252,7 @@ pub fn merge_join_in(
     out
 }
 
-/// The parallel phase 1 of [`merge_join_in`]: cut both sorted key columns
+/// The parallel phase 1 of [`merge_join`]: cut both sorted key columns
 /// at (up to) `workers − 1` common key boundaries and run an independent
 /// cursor-pair scan per partition on the morsel task pool, returning the
 /// pair vectors stitched in partition order (checked out of the pool;
@@ -323,16 +313,9 @@ fn merge_pairs_partitioned(
 /// [`crate::kernel::BuildTable`]). Matching index pairs are gathered
 /// column-at-a-time.
 ///
-/// # Panics
-/// Panics if `vars` is empty or not shared by both inputs.
-pub fn hash_join(left: &BindingTable, right: &BindingTable, vars: &[Var]) -> BindingTable {
-    hash_join_in(&ExecContext::new(), left, right, vars)
-}
-
-/// [`hash_join`] in an execution context — the **morsel-driven probe**.
-///
-/// When the probe side clears the context's morsel threshold (and the
-/// thread budget allows), the probe index range is cut into fixed-size
+/// The probe is **morsel-driven**: when the probe side clears the
+/// context's morsel threshold (and the thread budget allows), the probe
+/// index range is cut into fixed-size
 /// morsels; the context's pool pulls morsels from a shared cursor and
 /// probes the shared read-only [`BuildTable`], each morsel emitting into
 /// its own pair buffers. The buffers are stitched back in morsel
@@ -340,7 +323,10 @@ pub fn hash_join(left: &BindingTable, right: &BindingTable, vars: &[Var]) -> Bin
 /// left ordering still survives. Below the threshold the probe runs
 /// sequentially into pooled buffers; either way the gather phase checks
 /// its output columns out of the context's pool.
-pub fn hash_join_in(
+///
+/// # Panics
+/// Panics if `vars` is empty or not shared by both inputs.
+pub fn hash_join(
     ctx: &ExecContext,
     left: &BindingTable,
     right: &BindingTable,
@@ -428,20 +414,12 @@ fn probe_pairs(
     }
 }
 
-/// Cartesian product (left-major order, so the left ordering survives).
+/// Cartesian product (left-major order, so the left ordering survives);
+/// output columns come from the context's pool.
 ///
 /// # Panics
 /// Panics if the inputs share a variable.
-pub fn cross_product(left: &BindingTable, right: &BindingTable) -> BindingTable {
-    cross_product_in(&ExecContext::new(), left, right)
-}
-
-/// [`cross_product`] in an execution context (pooled output columns).
-pub fn cross_product_in(
-    ctx: &ExecContext,
-    left: &BindingTable,
-    right: &BindingTable,
-) -> BindingTable {
+pub fn cross_product(ctx: &ExecContext, left: &BindingTable, right: &BindingTable) -> BindingTable {
     let shared: Vec<Var> = left
         .vars()
         .iter()
@@ -519,21 +497,17 @@ pub fn cross_product_in(
     out
 }
 
-/// Sort a table by `var` (stable), producing an order-enforced copy.
+/// Sort a table by `var` (stable), producing an order-enforced copy
+/// (pooled sort index and output). When the input clears the morsel
+/// threshold the comparison sort runs as a **parallel merge sort**
+/// ([`morsel::merge_sort`]): per-worker sorted runs, then parallel pairwise
+/// run merges. An explicit `(key, original index)` order makes the
+/// permutation unique, so the parallel result is element-for-element the
+/// sequential stable sort.
 ///
 /// # Panics
 /// Panics if `var` is not a variable of the table.
-pub fn sort_by(input: &BindingTable, var: Var) -> BindingTable {
-    sort_by_in(&ExecContext::new(), input, var)
-}
-
-/// [`sort_by`] in an execution context (pooled sort index and output).
-/// When the input clears the morsel threshold the comparison sort runs as
-/// a **parallel merge sort** ([`morsel::merge_sort`]): per-worker sorted
-/// runs, then parallel pairwise run merges. An explicit
-/// `(key, original index)` order makes the permutation unique, so the
-/// parallel result is element-for-element the sequential stable sort.
-pub fn sort_by_in(ctx: &ExecContext, input: &BindingTable, var: Var) -> BindingTable {
+pub fn sort_by(ctx: &ExecContext, input: &BindingTable, var: Var) -> BindingTable {
     check_indexable(input);
     let key = input.column(var);
     let mut index = ctx.pool.take_idx(input.len());
@@ -556,22 +530,13 @@ pub fn sort_by_in(ctx: &ExecContext, input: &BindingTable, var: Var) -> BindingT
 
 /// Left-outer hash join on `vars` (the OPTIONAL operator of the engine's
 /// extended evaluator): every left row survives; unmatched rows carry
-/// [`TermId::UNBOUND`] in the right-only columns.
+/// [`TermId::UNBOUND`] in the right-only columns. Same morsel-driven probe
+/// as [`hash_join`] — the unmatched-row sentinel is emitted per probe row,
+/// so per-morsel outputs still stitch deterministically.
 ///
 /// # Panics
 /// Panics if `vars` is empty or not shared by both inputs.
 pub fn left_outer_hash_join(
-    left: &BindingTable,
-    right: &BindingTable,
-    vars: &[Var],
-) -> BindingTable {
-    left_outer_hash_join_in(&ExecContext::new(), left, right, vars)
-}
-
-/// [`left_outer_hash_join`] in an execution context: same morsel-driven
-/// probe as [`hash_join_in`] — the unmatched-row sentinel is emitted per
-/// probe row, so per-morsel outputs still stitch deterministically.
-pub fn left_outer_hash_join_in(
     ctx: &ExecContext,
     left: &BindingTable,
     right: &BindingTable,
@@ -617,13 +582,8 @@ pub fn left_outer_hash_join_in(
 
 /// Concatenate two tables over the union of their variables (the UNION
 /// operator): columns missing from a branch are padded with
-/// [`TermId::UNBOUND`].
-pub fn union_all(a: &BindingTable, b: &BindingTable) -> BindingTable {
-    union_all_in(&ExecContext::new(), a, b)
-}
-
-/// [`union_all`] in an execution context (pooled output columns).
-pub fn union_all_in(ctx: &ExecContext, a: &BindingTable, b: &BindingTable) -> BindingTable {
+/// [`TermId::UNBOUND`]. Output columns come from the context's pool.
+pub fn union_all(ctx: &ExecContext, a: &BindingTable, b: &BindingTable) -> BindingTable {
     let mut out_vars = a.vars().to_vec();
     for &v in b.vars() {
         if !out_vars.contains(&v) {
@@ -650,17 +610,6 @@ pub fn union_all_in(ctx: &ExecContext, a: &BindingTable, b: &BindingTable) -> Bi
     BindingTable::from_columns(out_vars, cols, None)
 }
 
-/// Evaluate a residual FILTER, keeping the rows satisfying `expr`.
-///
-/// Simple (in)equality shapes compare interned ids directly; full-grammar
-/// [`FilterExpr::Complex`] expressions are evaluated with the SPARQL typed
-/// value semantics of [`hsp_sparql::expr`], one
-/// [`Evaluator`](hsp_sparql::Evaluator) (and hence one compiled-regex
-/// cache) per worker thread.
-pub fn filter(ds: &Dataset, input: &BindingTable, expr: &FilterExpr) -> BindingTable {
-    filter_in(&ExecContext::new(), ds, input, expr)
-}
-
 thread_local! {
     /// The per-worker expression evaluator of the parallel FILTER /
     /// ORDER BY paths. A morsel worker may process many morsels, and
@@ -677,18 +626,24 @@ thread_local! {
     pub(crate) static WORKER_EVALUATOR: hsp_sparql::Evaluator = hsp_sparql::Evaluator::new();
 }
 
-/// [`filter`] in an execution context — the **morsel-parallel FILTER**.
+/// Evaluate a residual FILTER, keeping the rows satisfying `expr`.
 ///
-/// When the input clears the context's morsel threshold, rows are
-/// evaluated morsel-at-a-time on the worker pool, each worker owning its
-/// own thread-local [`Evaluator`](hsp_sparql::Evaluator) — the
-/// compiled-regex cache is deliberately single-threaded, see the
-/// `Evaluator` docs. Per-morsel selection vectors are stitched in morsel
-/// order, so the output is byte-identical to the sequential evaluation.
-/// Below the threshold one evaluator scans all rows sequentially; either
-/// way the selection vector and the output columns come from the
-/// context's pool.
-pub fn filter_in(
+/// Simple (in)equality shapes compare interned ids directly; full-grammar
+/// [`FilterExpr::Complex`] expressions are evaluated with the SPARQL typed
+/// value semantics of [`hsp_sparql::expr`], one
+/// [`Evaluator`](hsp_sparql::Evaluator) (and hence one compiled-regex
+/// cache) per worker thread.
+///
+/// This is the **morsel-parallel FILTER**: when the input clears the
+/// context's morsel threshold, rows are evaluated morsel-at-a-time on the
+/// worker pool, each worker owning its own thread-local
+/// [`Evaluator`](hsp_sparql::Evaluator) — the compiled-regex cache is
+/// deliberately single-threaded, see the `Evaluator` docs. Per-morsel
+/// selection vectors are stitched in morsel order, so the output is
+/// byte-identical to the sequential evaluation. Below the threshold one
+/// evaluator scans all rows sequentially; either way the selection vector
+/// and the output columns come from the context's pool.
+pub fn filter(
     ctx: &ExecContext,
     ds: &Dataset,
     input: &BindingTable,
@@ -730,69 +685,22 @@ pub fn filter_in(
     out
 }
 
-/// Sideways-information-passing reducer: keep only the rows whose value
-/// for every domain-constrained variable lies inside that variable's
-/// domain (a semi-join against already-materialised join inputs).
-/// Row order — and hence sortedness — is preserved.
-pub fn domain_filter(
-    input: &BindingTable,
-    domains: &std::collections::HashMap<Var, std::rc::Rc<std::collections::HashSet<TermId>>>,
-) -> BindingTable {
-    domain_filter_in(&ExecContext::new(), input, domains)
-}
-
-/// [`domain_filter`] in an execution context (pooled selection vector and
-/// output columns).
-pub fn domain_filter_in(
-    ctx: &ExecContext,
-    input: &BindingTable,
-    domains: &std::collections::HashMap<Var, std::rc::Rc<std::collections::HashSet<TermId>>>,
-) -> BindingTable {
-    let constrained: Vec<(usize, &std::collections::HashSet<TermId>)> = input
-        .vars()
-        .iter()
-        .enumerate()
-        .filter_map(|(i, v)| domains.get(v).map(|set| (i, set.as_ref())))
-        .collect();
-    if constrained.is_empty() {
-        return input.clone();
-    }
-    check_indexable(input);
-    let mut sel = ctx.pool.take_idx(input.len());
-    sel.extend(
-        (0..input.len())
-            .filter(|&i| {
-                constrained
-                    .iter()
-                    .all(|&(c, set)| set.contains(&input.columns()[c][i]))
-            })
-            .map(|i| i as u32),
-    );
-    let mut out = input.gather_in(&sel, &ctx.pool);
-    ctx.pool.put_idx(sel);
-    out.set_sorted_by(input.sorted_by());
-    out
-}
-
 /// `ORDER BY`: stable sort by the given keys under the SPARQL §9.1 value
 /// order (see [`hsp_sparql::expr::compare_for_order`]). Key expressions
 /// that error evaluate as unbound (sorting first), matching the usual
 /// engine behaviour for, e.g., `ORDER BY` over a variable that is unbound
 /// in some rows.
-pub fn order_by(ds: &Dataset, input: &BindingTable, keys: &[hsp_sparql::SortKey]) -> BindingTable {
-    order_by_in(&ExecContext::new(), ds, input, keys)
-}
-
-/// [`order_by`] in an execution context (pooled selection vector and
-/// output columns). The decorate phase — evaluating every key expression
-/// for every row — runs morsel-parallel with per-worker evaluators, like
-/// [`filter_in`]; per-morsel decorations stitch back in row order. The
+///
+/// The selection vector and output columns are pooled. The decorate
+/// phase — evaluating every key expression for every row — runs
+/// morsel-parallel with per-worker evaluators, like
+/// [`filter`]; per-morsel decorations stitch back in row order. The
 /// comparison sort then runs as a **parallel merge sort**
 /// ([`morsel::merge_sort`]) over per-worker sorted runs when the input
 /// clears the morsel threshold; an original-row-index tie-break makes the
 /// order total, so the parallel output is byte-identical to the
 /// sequential stable sort.
-pub fn order_by_in(
+pub fn order_by(
     ctx: &ExecContext,
     ds: &Dataset,
     input: &BindingTable,
@@ -865,13 +773,9 @@ pub fn order_by_in(
     out
 }
 
-/// `OFFSET`/`LIMIT`: keep `limit` rows starting at `offset`.
-pub fn slice(input: &BindingTable, offset: usize, limit: Option<usize>) -> BindingTable {
-    slice_in(&ExecContext::new(), input, offset, limit)
-}
-
-/// [`fn@slice`] in an execution context (pooled output columns).
-pub fn slice_in(
+/// `OFFSET`/`LIMIT`: keep `limit` rows starting at `offset` (pooled output
+/// columns).
+pub fn slice(
     ctx: &ExecContext,
     input: &BindingTable,
     offset: usize,
@@ -903,12 +807,8 @@ pub fn slice_in(
 /// Project to the given `(name, var)` list, optionally deduplicating.
 /// Duplicated projection entries referring to the same variable (after
 /// FILTER unification) share one column in the output's variable list.
-pub fn project(input: &BindingTable, projection: &[(String, Var)], distinct: bool) -> BindingTable {
-    project_in(&ExecContext::new(), input, projection, distinct)
-}
-
-/// [`project`] in an execution context (pooled output columns).
-pub fn project_in(
+/// Output columns come from the context's pool.
+pub fn project(
     ctx: &ExecContext,
     input: &BindingTable,
     projection: &[(String, Var)],
@@ -1214,11 +1114,24 @@ mod tests {
         TermOrVar::Var(Var(i))
     }
 
+    /// Scan the fixture's `?s <http://e/pred> ?o` edges in `order`.
+    fn edges(
+        ctx: &ExecContext,
+        ds: &Dataset,
+        s: u32,
+        pred: &str,
+        o: u32,
+        order: Order,
+    ) -> BindingTable {
+        scan(ctx, ds, &TriplePattern::new(vv(s), cv(pred), vv(o)), order)
+    }
+
     #[test]
     fn scan_bound_predicate() {
+        let ctx = ExecContext::new();
         let ds = dataset();
         let pat = TriplePattern::new(vv(0), cv("p"), vv(1));
-        let t = scan(&ds, &pat, Order::Pso);
+        let t = scan(&ctx, &ds, &pat, Order::Pso);
         assert_eq!(t.len(), 3);
         assert_eq!(t.sorted_by(), Some(Var(0)));
         assert!(t.check_sortedness());
@@ -1226,9 +1139,10 @@ mod tests {
 
     #[test]
     fn scan_sorted_by_object_side() {
+        let ctx = ExecContext::new();
         let ds = dataset();
         let pat = TriplePattern::new(vv(0), cv("p"), vv(1));
-        let t = scan(&ds, &pat, Order::Pos);
+        let t = scan(&ctx, &ds, &pat, Order::Pos);
         assert_eq!(t.len(), 3);
         assert_eq!(t.sorted_by(), Some(Var(1)));
         assert!(t.check_sortedness());
@@ -1236,37 +1150,41 @@ mod tests {
 
     #[test]
     fn scan_unknown_constant_is_empty() {
+        let ctx = ExecContext::new();
         let ds = dataset();
         let pat = TriplePattern::new(vv(0), cv("nope"), vv(1));
-        let t = scan(&ds, &pat, Order::Pso);
+        let t = scan(&ctx, &ds, &pat, Order::Pso);
         assert!(t.is_empty());
     }
 
     #[test]
     fn scan_full_relation() {
+        let ctx = ExecContext::new();
         let ds = dataset();
         let pat = TriplePattern::new(vv(0), vv(1), vv(2));
-        let t = scan(&ds, &pat, Order::Spo);
+        let t = scan(&ctx, &ds, &pat, Order::Spo);
         assert_eq!(t.len(), 6);
         assert_eq!(t.sorted_by(), Some(Var(0)));
     }
 
     #[test]
     fn scan_repeated_variable_filters() {
+        let ctx = ExecContext::new();
         // ?x ?p ?x — no subject equals its object in the fixture.
         let ds = dataset();
         let pat = TriplePattern::new(vv(0), vv(1), vv(0));
-        let t = scan(&ds, &pat, Order::Spo);
+        let t = scan(&ctx, &ds, &pat, Order::Spo);
         assert_eq!(t.len(), 0);
         assert_eq!(t.vars(), &[Var(0), Var(1)]);
     }
 
     #[test]
     fn merge_join_basic() {
+        let ctx = ExecContext::new();
         let ds = dataset();
-        let l = scan(&ds, &TriplePattern::new(vv(0), cv("p"), vv(1)), Order::Pso);
-        let r = scan(&ds, &TriplePattern::new(vv(0), cv("q"), vv(2)), Order::Pso);
-        let j = merge_join(&l, &r, Var(0));
+        let l = edges(&ctx, &ds, 0, "p", 1, Order::Pso);
+        let r = edges(&ctx, &ds, 0, "q", 2, Order::Pso);
+        let j = merge_join(&ctx, &l, &r, Var(0));
         // a1 has 2 p-edges and 1 q-edge, a2 has 1 and 1: 3 rows.
         assert_eq!(j.len(), 3);
         assert_eq!(j.vars(), &[Var(0), Var(1), Var(2)]);
@@ -1276,21 +1194,23 @@ mod tests {
 
     #[test]
     fn merge_join_equals_hash_join() {
+        let ctx = ExecContext::new();
         let ds = dataset();
-        let l = scan(&ds, &TriplePattern::new(vv(0), cv("p"), vv(1)), Order::Pso);
-        let r = scan(&ds, &TriplePattern::new(vv(0), cv("q"), vv(2)), Order::Pso);
-        let mj = merge_join(&l, &r, Var(0));
-        let hj = hash_join(&l, &r, &[Var(0)]);
+        let l = edges(&ctx, &ds, 0, "p", 1, Order::Pso);
+        let r = edges(&ctx, &ds, 0, "q", 2, Order::Pso);
+        let mj = merge_join(&ctx, &l, &r, Var(0));
+        let hj = hash_join(&ctx, &l, &r, &[Var(0)]);
         assert_eq!(mj.sorted_rows(), hj.sorted_rows());
     }
 
     #[test]
     fn hash_join_on_chain() {
+        let ctx = ExecContext::new();
         let ds = dataset();
         // ?a p ?b  ⋈  ?b r ?c  (s=o join on ?b)
-        let l = scan(&ds, &TriplePattern::new(vv(0), cv("p"), vv(1)), Order::Pso);
-        let r = scan(&ds, &TriplePattern::new(vv(1), cv("r"), vv(2)), Order::Pso);
-        let j = hash_join(&l, &r, &[Var(1)]);
+        let l = edges(&ctx, &ds, 0, "p", 1, Order::Pso);
+        let r = edges(&ctx, &ds, 1, "r", 2, Order::Pso);
+        let j = hash_join(&ctx, &l, &r, &[Var(1)]);
         // b1 has one r-edge; two p-edges end in b1.
         assert_eq!(j.len(), 2);
     }
@@ -1298,80 +1218,92 @@ mod tests {
     #[test]
     #[should_panic(expected = "not sorted by")]
     fn merge_join_rejects_unsorted_input() {
+        let ctx = ExecContext::new();
         let ds = dataset();
-        let l = scan(&ds, &TriplePattern::new(vv(0), cv("p"), vv(1)), Order::Pso);
-        let r = scan(&ds, &TriplePattern::new(vv(0), cv("q"), vv(2)), Order::Pos);
-        merge_join(&l, &r, Var(0));
+        let l = edges(&ctx, &ds, 0, "p", 1, Order::Pso);
+        let r = edges(&ctx, &ds, 0, "q", 2, Order::Pos);
+        merge_join(&ctx, &l, &r, Var(0));
     }
 
     #[test]
     fn cross_product_counts() {
+        let ctx = ExecContext::new();
         let ds = dataset();
-        let l = scan(&ds, &TriplePattern::new(vv(0), cv("q"), vv(1)), Order::Pso);
-        let r = scan(&ds, &TriplePattern::new(vv(2), cv("r"), vv(3)), Order::Pso);
-        let x = cross_product(&l, &r);
+        let l = edges(&ctx, &ds, 0, "q", 1, Order::Pso);
+        let r = edges(&ctx, &ds, 2, "r", 3, Order::Pso);
+        let x = cross_product(&ctx, &l, &r);
         assert_eq!(x.len(), l.len() * r.len());
         assert_eq!(x.vars().len(), 4);
     }
 
     #[test]
     fn filter_numeric_comparison() {
+        let ctx = ExecContext::new();
         let ds = dataset();
-        let t = scan(&ds, &TriplePattern::new(vv(0), cv("q"), vv(1)), Order::Pso);
+        let t = edges(&ctx, &ds, 0, "q", 1, Order::Pso);
         let expr = FilterExpr::Cmp {
             op: CmpOp::Gt,
             lhs: Operand::Var(Var(1)),
             rhs: Operand::Const(Term::literal("6")),
         };
-        let f = filter(&ds, &t, &expr);
+        let f = filter(&ctx, &ds, &t, &expr);
         assert_eq!(f.len(), 1); // only "7" > "6"
     }
 
     #[test]
     fn filter_equality_on_foreign_constant() {
+        let ctx = ExecContext::new();
         let ds = dataset();
-        let t = scan(&ds, &TriplePattern::new(vv(0), cv("q"), vv(1)), Order::Pso);
+        let t = edges(&ctx, &ds, 0, "q", 1, Order::Pso);
         let expr = FilterExpr::Cmp {
             op: CmpOp::Eq,
             lhs: Operand::Var(Var(1)),
             rhs: Operand::Const(Term::literal("not in dict")),
         };
-        assert!(filter(&ds, &t, &expr).is_empty());
+        assert!(filter(&ctx, &ds, &t, &expr).is_empty());
         let ne = FilterExpr::Cmp {
             op: CmpOp::Ne,
             lhs: Operand::Var(Var(1)),
             rhs: Operand::Const(Term::literal("not in dict")),
         };
-        assert_eq!(filter(&ds, &t, &ne).len(), t.len());
+        assert_eq!(filter(&ctx, &ds, &t, &ne).len(), t.len());
     }
 
     #[test]
     fn project_plain_and_distinct() {
+        let ctx = ExecContext::new();
         let ds = dataset();
-        let t = scan(&ds, &TriplePattern::new(vv(0), cv("p"), vv(1)), Order::Pso);
-        let p = project(&t, &[("s".into(), Var(0))], false);
+        let t = edges(&ctx, &ds, 0, "p", 1, Order::Pso);
+        let p = project(&ctx, &t, &[("s".into(), Var(0))], false);
         assert_eq!(p.len(), 3);
-        let d = project(&t, &[("s".into(), Var(0))], true);
+        let d = project(&ctx, &t, &[("s".into(), Var(0))], true);
         assert_eq!(d.len(), 2); // a1, a2
         assert_eq!(d.sorted_by(), Some(Var(0)));
     }
 
     #[test]
     fn project_duplicate_entries_share_column() {
+        let ctx = ExecContext::new();
         let ds = dataset();
-        let t = scan(&ds, &TriplePattern::new(vv(0), cv("p"), vv(1)), Order::Pso);
-        let p = project(&t, &[("a".into(), Var(0)), ("b".into(), Var(0))], false);
+        let t = edges(&ctx, &ds, 0, "p", 1, Order::Pso);
+        let p = project(
+            &ctx,
+            &t,
+            &[("a".into(), Var(0)), ("b".into(), Var(0))],
+            false,
+        );
         assert_eq!(p.vars(), &[Var(0)]);
         assert_eq!(p.len(), 3);
     }
 
     #[test]
     fn sort_by_enforces_order() {
+        let ctx = ExecContext::new();
         let ds = dataset();
         // POS scan is sorted by the object; re-sort by the subject.
-        let t = scan(&ds, &TriplePattern::new(vv(0), cv("p"), vv(1)), Order::Pos);
+        let t = edges(&ctx, &ds, 0, "p", 1, Order::Pos);
         assert_eq!(t.sorted_by(), Some(Var(1)));
-        let sorted = sort_by(&t, Var(0));
+        let sorted = sort_by(&ctx, &t, Var(0));
         assert_eq!(sorted.sorted_by(), Some(Var(0)));
         assert!(sorted.check_sortedness());
         assert_eq!(sorted.len(), t.len());
@@ -1380,22 +1312,24 @@ mod tests {
 
     #[test]
     fn sort_enables_merge_join() {
+        let ctx = ExecContext::new();
         let ds = dataset();
-        let l = scan(&ds, &TriplePattern::new(vv(0), cv("p"), vv(1)), Order::Pso);
-        let r_wrong_order = scan(&ds, &TriplePattern::new(vv(0), cv("q"), vv(2)), Order::Pos);
-        let r = sort_by(&r_wrong_order, Var(0));
-        let mj = merge_join(&l, &r, Var(0));
-        let hj = hash_join(&l, &r_wrong_order, &[Var(0)]);
+        let l = edges(&ctx, &ds, 0, "p", 1, Order::Pso);
+        let r_wrong_order = edges(&ctx, &ds, 0, "q", 2, Order::Pos);
+        let r = sort_by(&ctx, &r_wrong_order, Var(0));
+        let mj = merge_join(&ctx, &l, &r, Var(0));
+        let hj = hash_join(&ctx, &l, &r_wrong_order, &[Var(0)]);
         assert_eq!(mj.sorted_rows(), hj.sorted_rows());
     }
 
     #[test]
     fn left_outer_join_keeps_unmatched_rows() {
+        let ctx = ExecContext::new();
         let ds = dataset();
         // ?a p ?b  LEFT OUTER  ?b r ?c: only b1 has an r-edge.
-        let l = scan(&ds, &TriplePattern::new(vv(0), cv("p"), vv(1)), Order::Pso);
-        let r = scan(&ds, &TriplePattern::new(vv(1), cv("r"), vv(2)), Order::Pso);
-        let j = left_outer_hash_join(&l, &r, &[Var(1)]);
+        let l = edges(&ctx, &ds, 0, "p", 1, Order::Pso);
+        let r = edges(&ctx, &ds, 1, "r", 2, Order::Pso);
+        let j = left_outer_hash_join(&ctx, &l, &r, &[Var(1)]);
         assert_eq!(j.len(), 3); // every p-edge survives
         let c_col = j.column(Var(2));
         let unbound = c_col.iter().filter(|id| id.is_unbound()).count();
@@ -1404,20 +1338,22 @@ mod tests {
 
     #[test]
     fn left_outer_join_equals_inner_when_all_match() {
+        let ctx = ExecContext::new();
         let ds = dataset();
-        let l = scan(&ds, &TriplePattern::new(vv(0), cv("q"), vv(1)), Order::Pso);
-        let r = scan(&ds, &TriplePattern::new(vv(0), cv("p"), vv(2)), Order::Pso);
-        let outer = left_outer_hash_join(&l, &r, &[Var(0)]);
-        let inner = hash_join(&l, &r, &[Var(0)]);
+        let l = edges(&ctx, &ds, 0, "q", 1, Order::Pso);
+        let r = edges(&ctx, &ds, 0, "p", 2, Order::Pso);
+        let outer = left_outer_hash_join(&ctx, &l, &r, &[Var(0)]);
+        let inner = hash_join(&ctx, &l, &r, &[Var(0)]);
         assert_eq!(outer.sorted_rows(), inner.sorted_rows());
     }
 
     #[test]
     fn union_all_pads_missing_columns() {
+        let ctx = ExecContext::new();
         let ds = dataset();
-        let a = scan(&ds, &TriplePattern::new(vv(0), cv("q"), vv(1)), Order::Pso);
-        let b = scan(&ds, &TriplePattern::new(vv(0), cv("r"), vv(2)), Order::Pso);
-        let u = union_all(&a, &b);
+        let a = edges(&ctx, &ds, 0, "q", 1, Order::Pso);
+        let b = edges(&ctx, &ds, 0, "r", 2, Order::Pso);
+        let u = union_all(&ctx, &a, &b);
         assert_eq!(u.len(), a.len() + b.len());
         assert_eq!(u.vars(), &[Var(0), Var(1), Var(2)]);
         // Rows from `a` have UNBOUND in ?2; rows from `b` in ?1.
@@ -1427,10 +1363,11 @@ mod tests {
 
     #[test]
     fn filter_on_unbound_is_false() {
+        let ctx = ExecContext::new();
         let ds = dataset();
-        let l = scan(&ds, &TriplePattern::new(vv(0), cv("p"), vv(1)), Order::Pso);
-        let r = scan(&ds, &TriplePattern::new(vv(1), cv("r"), vv(2)), Order::Pso);
-        let j = left_outer_hash_join(&l, &r, &[Var(1)]);
+        let l = edges(&ctx, &ds, 0, "p", 1, Order::Pso);
+        let r = edges(&ctx, &ds, 1, "r", 2, Order::Pso);
+        let j = left_outer_hash_join(&ctx, &l, &r, &[Var(1)]);
         // ?c = "x" keeps matched rows only; ?c != "x" keeps NO unbound rows
         // either (type error semantics).
         let eq = FilterExpr::Cmp {
@@ -1438,59 +1375,65 @@ mod tests {
             lhs: Operand::Var(Var(2)),
             rhs: Operand::Const(Term::literal("x")),
         };
-        assert_eq!(filter(&ds, &j, &eq).len(), 2);
+        assert_eq!(filter(&ctx, &ds, &j, &eq).len(), 2);
         let ne = FilterExpr::Cmp {
             op: CmpOp::Ne,
             lhs: Operand::Var(Var(2)),
             rhs: Operand::Const(Term::literal("x")),
         };
-        assert_eq!(filter(&ds, &j, &ne).len(), 0);
+        assert_eq!(filter(&ctx, &ds, &j, &ne).len(), 0);
     }
 
     #[test]
     fn scan_fully_ground_pattern_is_unit() {
+        let ctx = ExecContext::new();
         let ds = dataset();
         let present = TriplePattern::new(cv("a1"), cv("p"), cv("b1"));
-        let t = scan(&ds, &present, Order::Spo);
+        let t = scan(&ctx, &ds, &present, Order::Spo);
         assert_eq!(t.len(), 1);
         assert!(t.vars().is_empty());
         let absent = TriplePattern::new(cv("a1"), cv("p"), cv("b9"));
-        assert_eq!(scan(&ds, &absent, Order::Spo).len(), 0);
+        assert_eq!(scan(&ctx, &ds, &absent, Order::Spo).len(), 0);
     }
 
     #[test]
     fn cross_product_with_unit_table_keeps_rows() {
+        let ctx = ExecContext::new();
         let ds = dataset();
         let l = scan(
+            &ctx,
             &ds,
             &TriplePattern::new(cv("a1"), cv("p"), cv("b1")),
             Order::Spo,
         );
-        let r = scan(&ds, &TriplePattern::new(vv(0), cv("q"), vv(1)), Order::Pso);
-        let x = cross_product(&l, &r);
+        let r = edges(&ctx, &ds, 0, "q", 1, Order::Pso);
+        let x = cross_product(&ctx, &l, &r);
         assert_eq!(x.len(), 2); // 1 unit row × 2 q-rows
         assert_eq!(x.vars(), &[Var(0), Var(1)]);
         // An absent ground pattern annihilates the product.
         let l0 = scan(
+            &ctx,
             &ds,
             &TriplePattern::new(cv("a1"), cv("p"), cv("b9")),
             Order::Spo,
         );
-        assert_eq!(cross_product(&l0, &r).len(), 0);
+        assert_eq!(cross_product(&ctx, &l0, &r).len(), 0);
     }
 
     #[test]
     fn empty_projection_keeps_row_count() {
+        let ctx = ExecContext::new();
         let ds = dataset();
-        let t = scan(&ds, &TriplePattern::new(vv(0), cv("p"), vv(1)), Order::Pso);
-        let p = project(&t, &[], false);
+        let t = edges(&ctx, &ds, 0, "p", 1, Order::Pso);
+        let p = project(&ctx, &t, &[], false);
         assert_eq!(p.len(), 3);
         assert!(p.vars().is_empty());
-        assert_eq!(project(&t, &[], true).len(), 1);
+        assert_eq!(project(&ctx, &t, &[], true).len(), 1);
     }
 
     #[test]
     fn complex_filter_regex() {
+        let ctx = ExecContext::new();
         let ds = Dataset::from_ntriples(
             r#"<http://e/j1> <http://e/title> "Journal 1 (1940)" .
 <http://e/j2> <http://e/title> "Journal 1 (1952)" .
@@ -1500,6 +1443,7 @@ mod tests {
         .unwrap();
         // Scan all titles, keep those matching \(19\d\d\).
         let t = scan(
+            &ctx,
             &ds,
             &TriplePattern::new(vv(0), TermOrVar::Const(Term::iri("http://e/title")), vv(1)),
             Order::Pso,
@@ -1512,7 +1456,7 @@ mod tests {
                 hsp_sparql::Expr::Const(Term::literal(r"\(19\d\d\)")),
             ],
         }));
-        let out = filter(&ds, &t, &expr);
+        let out = filter(&ctx, &ds, &t, &expr);
         assert_eq!(out.len(), 2);
         // Sortedness is preserved by filtering.
         assert_eq!(out.sorted_by(), t.sorted_by());
@@ -1520,6 +1464,7 @@ mod tests {
 
     #[test]
     fn complex_filter_arithmetic_on_typed_literals() {
+        let ctx = ExecContext::new();
         let ds = Dataset::from_ntriples(
             r#"<http://e/a> <http://e/pages> "10"^^<http://www.w3.org/2001/XMLSchema#integer> .
 <http://e/b> <http://e/pages> "25"^^<http://www.w3.org/2001/XMLSchema#integer> .
@@ -1527,6 +1472,7 @@ mod tests {
         )
         .unwrap();
         let t = scan(
+            &ctx,
             &ds,
             &TriplePattern::new(vv(0), TermOrVar::Const(Term::iri("http://e/pages")), vv(1)),
             Order::Pso,
@@ -1547,21 +1493,22 @@ mod tests {
                 hsp_rdf::vocab::XSD_INTEGER,
             ))),
         }));
-        let out = filter(&ds, &t, &expr);
+        let out = filter(&ctx, &ds, &t, &expr);
         assert_eq!(out.len(), 1);
     }
 
     #[test]
     fn complex_filter_unbound_var_drops_row() {
+        let ctx = ExecContext::new();
         let ds = dataset();
-        let t = scan(&ds, &TriplePattern::new(vv(0), cv("p"), vv(1)), Order::Pso);
+        let t = edges(&ctx, &ds, 0, "p", 1, Order::Pso);
         // FILTER on a variable not in the table: every row errors → empty.
         let expr = FilterExpr::Complex(Box::new(hsp_sparql::Expr::Cmp {
             op: CmpOp::Eq,
             lhs: Box::new(hsp_sparql::Expr::Var(Var(9))),
             rhs: Box::new(hsp_sparql::Expr::Const(Term::literal("x"))),
         }));
-        assert_eq!(filter(&ds, &t, &expr).len(), 0);
+        assert_eq!(filter(&ctx, &ds, &t, &expr).len(), 0);
         // …but BOUND(?v9) = false keeps them all.
         let expr = FilterExpr::Complex(Box::new(hsp_sparql::Expr::Not(Box::new(
             hsp_sparql::Expr::Call {
@@ -1569,11 +1516,12 @@ mod tests {
                 args: vec![hsp_sparql::Expr::Var(Var(9))],
             },
         ))));
-        assert_eq!(filter(&ds, &t, &expr).len(), t.len());
+        assert_eq!(filter(&ctx, &ds, &t, &expr).len(), t.len());
     }
 
     #[test]
     fn order_by_sparql_value_order() {
+        let ctx = ExecContext::new();
         let ds = Dataset::from_ntriples(
             r#"<http://e/a> <http://e/n> "10"^^<http://www.w3.org/2001/XMLSchema#integer> .
 <http://e/b> <http://e/n> "9"^^<http://www.w3.org/2001/XMLSchema#integer> .
@@ -1582,6 +1530,7 @@ mod tests {
         )
         .unwrap();
         let t = scan(
+            &ctx,
             &ds,
             &TriplePattern::new(vv(0), TermOrVar::Const(Term::iri("http://e/n")), vv(1)),
             Order::Pso,
@@ -1590,7 +1539,7 @@ mod tests {
             expr: hsp_sparql::Expr::Var(Var(1)),
             descending: false,
         }];
-        let sorted = order_by(&ds, &t, &keys);
+        let sorted = order_by(&ctx, &ds, &t, &keys);
         // Numeric order 9 < 10 < 100, not lexicographic "10" < "100" < "9".
         let vals: Vec<String> = (0..sorted.len())
             .map(|i| {
@@ -1606,20 +1555,21 @@ mod tests {
             expr: hsp_sparql::Expr::Var(Var(1)),
             descending: true,
         }];
-        let sorted = order_by(&ds, &t, &keys);
+        let sorted = order_by(&ctx, &ds, &t, &keys);
         assert_eq!(ds.dict().term(sorted.value(Var(1), 0)).lexical(), "100");
     }
 
     #[test]
     fn order_by_is_stable_on_ties() {
+        let ctx = ExecContext::new();
         let ds = dataset();
-        let t = scan(&ds, &TriplePattern::new(vv(0), cv("p"), vv(1)), Order::Pso);
+        let t = edges(&ctx, &ds, 0, "p", 1, Order::Pso);
         // Sort by a constant key: every row ties, order must be unchanged.
         let keys = vec![hsp_sparql::SortKey {
             expr: hsp_sparql::Expr::Const(Term::literal("same")),
             descending: false,
         }];
-        let sorted = order_by(&ds, &t, &keys);
+        let sorted = order_by(&ctx, &ds, &t, &keys);
         assert_eq!(sorted.sorted_rows(), t.sorted_rows());
         for i in 0..t.len() {
             assert_eq!(sorted.row(i), t.row(i));
@@ -1628,23 +1578,24 @@ mod tests {
 
     #[test]
     fn slice_bounds() {
+        let ctx = ExecContext::new();
         let ds = dataset();
-        let t = scan(&ds, &TriplePattern::new(vv(0), cv("p"), vv(1)), Order::Pso);
+        let t = edges(&ctx, &ds, 0, "p", 1, Order::Pso);
         assert_eq!(t.len(), 3);
-        assert_eq!(slice(&t, 0, Some(2)).len(), 2);
-        assert_eq!(slice(&t, 1, Some(2)).len(), 2);
-        assert_eq!(slice(&t, 2, Some(2)).len(), 1);
-        assert_eq!(slice(&t, 5, Some(2)).len(), 0);
-        assert_eq!(slice(&t, 0, None).len(), 3);
-        assert_eq!(slice(&t, 1, None).len(), 2);
+        assert_eq!(slice(&ctx, &t, 0, Some(2)).len(), 2);
+        assert_eq!(slice(&ctx, &t, 1, Some(2)).len(), 2);
+        assert_eq!(slice(&ctx, &t, 2, Some(2)).len(), 1);
+        assert_eq!(slice(&ctx, &t, 5, Some(2)).len(), 0);
+        assert_eq!(slice(&ctx, &t, 0, None).len(), 3);
+        assert_eq!(slice(&ctx, &t, 1, None).len(), 2);
         // offset+limit partition the input.
-        let a = slice(&t, 0, Some(1));
-        let b = slice(&t, 1, None);
+        let a = slice(&ctx, &t, 0, Some(1));
+        let b = slice(&ctx, &t, 1, None);
         assert_eq!(a.len() + b.len(), t.len());
         assert_eq!(a.row(0), t.row(0));
         assert_eq!(b.row(0), t.row(1));
         // Slicing preserves sortedness metadata.
-        assert_eq!(slice(&t, 1, Some(1)).sorted_by(), t.sorted_by());
+        assert_eq!(slice(&ctx, &t, 1, Some(1)).sorted_by(), t.sorted_by());
     }
 
     /// A forced-parallel context: tiny morsels, no row threshold, so even
@@ -1680,10 +1631,10 @@ mod tests {
     #[test]
     fn morsel_probe_is_byte_identical_to_sequential() {
         let (l, r) = big_join_inputs(3_000);
-        let sequential = hash_join_in(&ExecContext::with_threads(1), &l, &r, &[Var(0)]);
+        let sequential = hash_join(&ExecContext::with_threads(1), &l, &r, &[Var(0)]);
         for threads in 2..=4 {
             let ctx = forced_ctx(threads);
-            let parallel = hash_join_in(&ctx, &l, &r, &[Var(0)]);
+            let parallel = hash_join(&ctx, &l, &r, &[Var(0)]);
             // Full structural equality: same columns, same row order, same
             // metadata — not just the same row multiset.
             assert_eq!(parallel, sequential, "threads={threads}");
@@ -1697,9 +1648,9 @@ mod tests {
     #[test]
     fn morsel_outer_probe_is_byte_identical_to_sequential() {
         let (l, r) = big_join_inputs(2_000);
-        let sequential = left_outer_hash_join_in(&ExecContext::with_threads(1), &l, &r, &[Var(0)]);
+        let sequential = left_outer_hash_join(&ExecContext::with_threads(1), &l, &r, &[Var(0)]);
         for threads in 2..=4 {
-            let parallel = left_outer_hash_join_in(&forced_ctx(threads), &l, &r, &[Var(0)]);
+            let parallel = left_outer_hash_join(&forced_ctx(threads), &l, &r, &[Var(0)]);
             assert_eq!(parallel, sequential, "threads={threads}");
         }
     }
@@ -1721,9 +1672,9 @@ mod tests {
             vec![r0.column(Var(0)).to_vec(), shared],
             None,
         );
-        let sequential = hash_join_in(&ExecContext::with_threads(1), &l, &r, &[Var(0)]);
+        let sequential = hash_join(&ExecContext::with_threads(1), &l, &r, &[Var(0)]);
         for threads in 2..=4 {
-            let parallel = hash_join_in(&forced_ctx(threads), &l, &r, &[Var(0)]);
+            let parallel = hash_join(&forced_ctx(threads), &l, &r, &[Var(0)]);
             assert_eq!(parallel, sequential, "threads={threads}");
         }
     }
@@ -1740,24 +1691,25 @@ mod tests {
         }
         let ds = Dataset::from_ntriples(&doc).unwrap();
         let pat = TriplePattern::new(vv(0), cv("p"), vv(1));
-        let sequential = scan_in(&ExecContext::with_threads(1), &ds, &pat, Order::Pso);
+        let sequential = scan(&ExecContext::with_threads(1), &ds, &pat, Order::Pso);
         for threads in 2..=4 {
-            let parallel = scan_in(&forced_ctx(threads), &ds, &pat, Order::Pso);
+            let parallel = scan(&forced_ctx(threads), &ds, &pat, Order::Pso);
             assert_eq!(parallel, sequential, "threads={threads}");
         }
         // Repeated-variable path (morsel-at-a-time selection): ?x p ?x.
         let pat = TriplePattern::new(vv(0), cv("p"), vv(0));
-        let sequential = scan_in(&ExecContext::with_threads(1), &ds, &pat, Order::Pso);
+        let sequential = scan(&ExecContext::with_threads(1), &ds, &pat, Order::Pso);
         for threads in 2..=4 {
-            let parallel = scan_in(&forced_ctx(threads), &ds, &pat, Order::Pso);
+            let parallel = scan(&forced_ctx(threads), &ds, &pat, Order::Pso);
             assert_eq!(parallel, sequential, "threads={threads}");
         }
     }
 
     /// Sorted variants of [`big_join_inputs`] for the merge-join tests.
     fn big_sorted_inputs(n: usize) -> (BindingTable, BindingTable) {
+        let ctx = ExecContext::new();
         let (l, r) = big_join_inputs(n);
-        (sort_by(&l, Var(0)), sort_by(&r, Var(0)))
+        (sort_by(&ctx, &l, Var(0)), sort_by(&ctx, &r, Var(0)))
     }
 
     #[test]
@@ -1765,10 +1717,10 @@ mod tests {
         // Both sides large: the *build* side (right) clears the forced
         // threshold, so the partitioned counting sort runs.
         let (l, r) = big_join_inputs(3_000);
-        let sequential = hash_join_in(&ExecContext::with_threads(1), &l, &r, &[Var(0)]);
+        let sequential = hash_join(&ExecContext::with_threads(1), &l, &r, &[Var(0)]);
         for threads in 2..=4 {
             let ctx = forced_ctx(threads);
-            let parallel = hash_join_in(&ctx, &l, &r, &[Var(0)]);
+            let parallel = hash_join(&ctx, &l, &r, &[Var(0)]);
             assert_eq!(parallel, sequential, "threads={threads}");
             assert_eq!(ctx.parallel_builds(), 1, "threads={threads}");
         }
@@ -1777,10 +1729,10 @@ mod tests {
     #[test]
     fn parallel_merge_join_is_byte_identical_to_sequential() {
         let (l, r) = big_sorted_inputs(3_000);
-        let sequential = merge_join_in(&ExecContext::with_threads(1), &l, &r, Var(0));
+        let sequential = merge_join(&ExecContext::with_threads(1), &l, &r, Var(0));
         for threads in 2..=4 {
             let ctx = forced_ctx(threads);
-            let parallel = merge_join_in(&ctx, &l, &r, Var(0));
+            let parallel = merge_join(&ctx, &l, &r, Var(0));
             assert_eq!(parallel, sequential, "threads={threads}");
             assert!(ctx.merge_partitions() >= 1, "threads={threads}");
             assert_eq!(ctx.parallel_kernels(), 1, "threads={threads}");
@@ -1804,9 +1756,9 @@ mod tests {
             Some(Var(0)),
         );
         let r = BindingTable::from_columns(vec![Var(0), Var(1)], vec![rk, shared], Some(Var(0)));
-        let sequential = merge_join_in(&ExecContext::with_threads(1), &l, &r, Var(0));
+        let sequential = merge_join(&ExecContext::with_threads(1), &l, &r, Var(0));
         for threads in 2..=4 {
-            let parallel = merge_join_in(&forced_ctx(threads), &l, &r, Var(0));
+            let parallel = merge_join(&forced_ctx(threads), &l, &r, Var(0));
             assert_eq!(parallel, sequential, "threads={threads}");
         }
     }
@@ -1822,10 +1774,10 @@ mod tests {
         let l =
             BindingTable::from_columns(vec![Var(0), Var(1)], vec![keys.clone(), lp], Some(Var(0)));
         let r = BindingTable::from_columns(vec![Var(0), Var(2)], vec![keys, rp], Some(Var(0)));
-        let sequential = merge_join_in(&ExecContext::with_threads(1), &l, &r, Var(0));
+        let sequential = merge_join(&ExecContext::with_threads(1), &l, &r, Var(0));
         assert_eq!(sequential.len(), n * n);
         for threads in 2..=4 {
-            let parallel = merge_join_in(&forced_ctx(threads), &l, &r, Var(0));
+            let parallel = merge_join(&forced_ctx(threads), &l, &r, Var(0));
             assert_eq!(parallel, sequential, "threads={threads}");
         }
     }
@@ -1846,7 +1798,7 @@ mod tests {
     fn parallel_filter_is_byte_identical_to_sequential() {
         let ds = titles_dataset(800);
         let pat = TriplePattern::new(vv(0), TermOrVar::Const(Term::iri("http://e/title")), vv(1));
-        let t = scan(&ds, &pat, Order::Pso);
+        let t = scan(&ExecContext::new(), &ds, &pat, Order::Pso);
         // A REGEX filter: every worker compiles the pattern into its own
         // evaluator's cache.
         let expr = FilterExpr::Complex(Box::new(hsp_sparql::Expr::Call {
@@ -1856,11 +1808,11 @@ mod tests {
                 hsp_sparql::Expr::Const(Term::literal(r"\(19\d\d\)")),
             ],
         }));
-        let sequential = filter_in(&ExecContext::with_threads(1), &ds, &t, &expr);
+        let sequential = filter(&ExecContext::with_threads(1), &ds, &t, &expr);
         assert!(!sequential.is_empty() && sequential.len() < t.len());
         for threads in 2..=4 {
             let ctx = forced_ctx(threads);
-            let parallel = filter_in(&ctx, &ds, &t, &expr);
+            let parallel = filter(&ctx, &ds, &t, &expr);
             assert_eq!(parallel, sequential, "threads={threads}");
             assert_eq!(ctx.parallel_filters(), 1, "threads={threads}");
         }
@@ -1870,16 +1822,16 @@ mod tests {
     fn parallel_order_by_is_byte_identical_to_sequential() {
         let ds = titles_dataset(500);
         let pat = TriplePattern::new(vv(0), TermOrVar::Const(Term::iri("http://e/title")), vv(1));
-        let t = scan(&ds, &pat, Order::Pso);
+        let t = scan(&ExecContext::new(), &ds, &pat, Order::Pso);
         for descending in [false, true] {
             let keys = vec![hsp_sparql::SortKey {
                 expr: hsp_sparql::Expr::Var(Var(1)),
                 descending,
             }];
-            let sequential = order_by_in(&ExecContext::with_threads(1), &ds, &t, &keys);
+            let sequential = order_by(&ExecContext::with_threads(1), &ds, &t, &keys);
             for threads in 2..=4 {
                 let ctx = forced_ctx(threads);
-                let parallel = order_by_in(&ctx, &ds, &t, &keys);
+                let parallel = order_by(&ctx, &ds, &t, &keys);
                 assert_eq!(parallel, sequential, "threads={threads} desc={descending}");
                 assert_eq!(ctx.parallel_filters(), 1);
             }
@@ -1890,9 +1842,9 @@ mod tests {
     fn pooled_join_reuses_buffers_across_operators() {
         let (l, r) = big_join_inputs(500);
         let ctx = ExecContext::with_threads(1);
-        let first = hash_join_in(&ctx, &l, &r, &[Var(0)]);
+        let first = hash_join(&ctx, &l, &r, &[Var(0)]);
         ctx.pool.recycle(first.clone());
-        let second = hash_join_in(&ctx, &l, &r, &[Var(0)]);
+        let second = hash_join(&ctx, &l, &r, &[Var(0)]);
         assert_eq!(first, second);
         let stats = ctx.pool.stats();
         assert!(
@@ -1903,6 +1855,7 @@ mod tests {
 
     #[test]
     fn merge_join_with_extra_shared_var() {
+        let ctx = ExecContext::new();
         // Both inputs bind ?0 and ?1; join on ?0, ?1 must match too.
         let l = BindingTable::from_columns(
             vec![Var(0), Var(1)],
@@ -1917,7 +1870,7 @@ mod tests {
             vec![vec![TermId(1), TermId(2)], vec![TermId(6), TermId(9)]],
             Some(Var(0)),
         );
-        let j = merge_join(&l, &r, Var(0));
+        let j = merge_join(&ctx, &l, &r, Var(0));
         assert_eq!(j.len(), 1); // only (1, 6) matches on both columns
         assert_eq!(j.row(0), vec![TermId(1), TermId(6)]);
     }

@@ -3,7 +3,7 @@
 //! the pipelines in dependency order.
 //!
 //! The operator-at-a-time evaluator ([`crate::exec`]'s tree walk, retained
-//! as the byte-identity oracle) fully materialises a
+//! as the tests' byte-identity oracle) fully materialises a
 //! [`BindingTable`] between every pair of operators — the MonetDB-style
 //! model the source paper ran on. Morsel-driven pipelining (Leis et al.)
 //! replaces it with *lower-then-run*:
@@ -51,9 +51,11 @@
 //! per-operator output cardinalities are still counted exactly, so the
 //! produced [`Profile`] matches the oracle's row for row.
 //!
-//! Executions that enable SIP or a row budget fall back to the
-//! operator-at-a-time evaluator (see [`crate::exec::ExecStrategy`]): both
-//! features are defined in terms of materialised intermediates.
+//! Those exact cardinalities are also what the row budget
+//! ([`ExecConfig::max_intermediate_rows`](crate::exec::ExecConfig::max_intermediate_rows))
+//! is enforced on: after every step the nodes it finished are compared
+//! with the budget, and a Cartesian product is refused before it
+//! materialises — the same plans trip as under the oracle.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -557,16 +559,19 @@ impl Program<'_> {
     /// morsel claim is a cooperative checkpoint; an error drains every
     /// filled slot back through [`ExecContext::recycle`], so a cancelled
     /// or failed execution leaves the buffer pool balanced and the memory
-    /// accounting at zero.
+    /// accounting at zero. So does a `row_budget` trip: any plan node
+    /// producing more rows than the budget fails the execution with
+    /// [`ExecError::BudgetExceeded`].
     pub fn run(
         &self,
         ds: &Dataset,
         ctx: &ExecContext,
+        row_budget: Option<usize>,
     ) -> Result<(BindingTable, Profile), ExecError> {
         let mut slots: Vec<Option<BindingTable>> = (0..self.slot_count).map(|_| None).collect();
         let mut rows = vec![0usize; self.node_count];
         let mut nanos = vec![0u128; self.node_count];
-        if let Err(e) = self.run_steps(ds, ctx, &mut slots, &mut rows, &mut nanos) {
+        if let Err(e) = self.run_steps(ds, ctx, row_budget, &mut slots, &mut rows, &mut nanos) {
             for slot in slots.iter_mut() {
                 if let Some(t) = slot.take() {
                     ctx.recycle(t);
@@ -586,6 +591,7 @@ impl Program<'_> {
         &self,
         ds: &Dataset,
         ctx: &ExecContext,
+        row_budget: Option<usize>,
         slots: &mut [Option<BindingTable>],
         rows: &mut [usize],
         nanos: &mut [u128],
@@ -594,25 +600,28 @@ impl Program<'_> {
             match step {
                 Step::Breaker { node, out, op } => {
                     let start = Instant::now();
+                    // A Cartesian product's output size is known exactly up
+                    // front: refuse it *before* materialising when it cannot
+                    // fit the row budget or the memory budget.
+                    if let BreakerOp::CrossProduct { left, right } = op {
+                        let lt = slots[*left].as_ref().expect("input slot filled before use");
+                        let rt = slots[*right]
+                            .as_ref()
+                            .expect("input slot filled before use");
+                        let product = lt.len().saturating_mul(rt.len());
+                        if let Some(budget) = row_budget.filter(|&b| product > b) {
+                            return Err(self.budget_exceeded(*node, product, budget));
+                        }
+                        if let Some(gov) = ctx.governor() {
+                            let bytes = product
+                                .saturating_mul(lt.vars().len() + rt.vars().len())
+                                .saturating_mul(std::mem::size_of::<TermId>());
+                            gov.would_exceed(bytes, "crossproduct")?;
+                        }
+                    }
                     let (table, consumed) = match ctx.governor() {
                         None => run_breaker(op, ds, ctx, slots)?,
                         Some(gov) => {
-                            // A Cartesian product's output size is known
-                            // exactly up front: refuse it *before*
-                            // materialising when it cannot fit the budget.
-                            if let BreakerOp::CrossProduct { left, right } = op {
-                                let lt =
-                                    slots[*left].as_ref().expect("input slot filled before use");
-                                let rt = slots[*right]
-                                    .as_ref()
-                                    .expect("input slot filled before use");
-                                let bytes = lt
-                                    .len()
-                                    .saturating_mul(rt.len())
-                                    .saturating_mul(lt.vars().len() + rt.vars().len())
-                                    .saturating_mul(std::mem::size_of::<TermId>());
-                                gov.would_exceed(bytes, "crossproduct")?;
-                            }
                             // The checkpoint runs inside the unwind guard:
                             // an injected `panic@breaker` fault takes the
                             // same recovery path as a real kernel panic.
@@ -660,8 +669,29 @@ impl Program<'_> {
                     run_pipeline(p, ds, ctx, slots, rows, nanos, handed_off)?;
                 }
             }
+            // The step's output is stored (and charged), so a trip drains
+            // through the caller's slot sweep like any governor error.
+            // Earlier steps passed, so an offender is one of this step's
+            // nodes; a pipeline's lie on one left spine, where the highest
+            // pre-order id is the bottom-most — the one the oracle reports.
+            if let Some(budget) = row_budget {
+                if let Some(node) = rows.iter().rposition(|&n| n > budget) {
+                    return Err(self.budget_exceeded(node, rows[node], budget));
+                }
+            }
         }
         Ok(())
+    }
+
+    /// The row-budget error for plan node `node` (its pre-order position).
+    fn budget_exceeded(&self, node: NodeId, rows: usize, budget: usize) -> ExecError {
+        let mut labels = Vec::with_capacity(self.node_count);
+        self.plan.visit(&mut |p| labels.push(plan_label(p)));
+        ExecError::BudgetExceeded {
+            operator: labels.swap_remove(node),
+            rows,
+            budget,
+        }
     }
 
     fn build_profile(&self, plan: &PhysicalPlan, rows: &[usize], nanos: &[u128]) -> Profile {
@@ -834,18 +864,18 @@ fn run_breaker(
         slots[slot].take().expect("input slot filled before use")
     };
     Ok(match op {
-        BreakerOp::Scan { pattern, order } => (ops::scan_in(ctx, ds, pattern, *order), Vec::new()),
+        BreakerOp::Scan { pattern, order } => (ops::scan(ctx, ds, pattern, *order), Vec::new()),
         BreakerOp::MergeJoin { left, right, var } => {
             let (l, r) = (take(*left), take(*right));
-            (ops::merge_join_in(ctx, &l, &r, *var), vec![l, r])
+            (ops::merge_join(ctx, &l, &r, *var), vec![l, r])
         }
         BreakerOp::CrossProduct { left, right } => {
             let (l, r) = (take(*left), take(*right));
-            (ops::cross_product_in(ctx, &l, &r), vec![l, r])
+            (ops::cross_product(ctx, &l, &r), vec![l, r])
         }
         BreakerOp::Sort { input, var } => {
             let i = take(*input);
-            (ops::sort_by_in(ctx, &i, *var), vec![i])
+            (ops::sort_by(ctx, &i, *var), vec![i])
         }
         BreakerOp::Project {
             input,
@@ -853,11 +883,11 @@ fn run_breaker(
             distinct,
         } => {
             let i = take(*input);
-            (ops::project_in(ctx, &i, projection, *distinct), vec![i])
+            (ops::project(ctx, &i, projection, *distinct), vec![i])
         }
         BreakerOp::OrderBy { input, keys } => {
             let i = take(*input);
-            (ops::order_by_in(ctx, ds, &i, keys), vec![i])
+            (ops::order_by(ctx, ds, &i, keys), vec![i])
         }
         BreakerOp::HashAggregate {
             input,
@@ -880,7 +910,7 @@ fn run_breaker(
             limit,
         } => {
             let i = take(*input);
-            (ops::slice_in(ctx, &i, *offset, *limit), vec![i])
+            (ops::slice(ctx, &i, *offset, *limit), vec![i])
         }
     })
 }
@@ -1529,7 +1559,7 @@ fn run_pipeline(
     Ok(())
 }
 
-/// Resolve a scan source's relation range exactly like `ops::scan_in`: a
+/// Resolve a scan source's relation range exactly like `ops::scan`: a
 /// constant missing from the dictionary matches nothing (the empty output
 /// still advertises the scan's sortedness, like the oracle's — a merge
 /// join above it checks the declaration, not the rows).
@@ -1695,7 +1725,7 @@ fn prepare<'a>(
                 side_count += 1;
                 if *outer {
                     // UNBOUND padding may break any ordering — match the
-                    // oracle's `left_outer_hash_join_in`.
+                    // oracle's `left_outer_hash_join`.
                     sorted = None;
                 }
             }
@@ -1703,7 +1733,7 @@ fn prepare<'a>(
                 // The projection happens entirely at prepare time: the
                 // layout narrows to the projected variables (first
                 // occurrence wins for duplicated names, like
-                // `ops::project_in`), and the sink gathers only those.
+                // `ops::project`), and the sink gathers only those.
                 layout = narrow_layout(&layout, projection);
                 sorted = sorted.filter(|v| layout.iter().any(|&(lv, _)| lv == *v));
                 stages.push(PreparedStage::Project { node: *node });
@@ -1732,7 +1762,7 @@ fn prepare<'a>(
 
 /// Narrow a pipeline layout to a projection's variables, in projection
 /// order, first occurrence winning for duplicated names — exactly
-/// `ops::project_in`'s output layout.
+/// `ops::project`'s output layout.
 fn narrow_layout<'a>(
     layout: &[(Var, ColRef<'a>)],
     projection: &[(String, Var)],

@@ -6,9 +6,10 @@
 //! [`ExecStrategy::OperatorAtATime`]'s output, at forced thread counts
 //! 1–4 with tiny morsels (so even these small inputs split across
 //! workers), and the per-operator [`Profile`] cardinalities must agree
-//! row for row.
+//! row for row. The row budget is part of that contract: both executors
+//! trip it on the same plans with the same error, and a trip drains.
 
-use hsp_engine::exec::{execute_in, ExecConfig, ExecStrategy};
+use hsp_engine::exec::{execute_in, ExecConfig, ExecError, ExecStrategy};
 use hsp_engine::{BindingTable, ExecContext, MorselConfig, PhysicalPlan};
 use hsp_rdf::Term;
 use hsp_sparql::{CmpOp, FilterExpr, Operand, TermOrVar, TriplePattern, Var};
@@ -440,4 +441,126 @@ fn empty_filter_result_metadata_matches() {
     assert!(out.table.is_empty());
     assert_eq!(out.table, oracle.table);
     let _: &BindingTable = &out.table;
+}
+
+/// Row-budget parity: the pipeline executor's budget check against the
+/// oracle's, over the paper's 14 workload plans (HSP) plus the SQL-order
+/// SP4a plan whose Cartesian product is what the budget exists for. At
+/// every budget around each plan's largest node, sequential and forced
+/// 4-thread, with and without a governor: same `Ok` table or same
+/// `BudgetExceeded`, and a trip leaves the buffer pool balanced and the
+/// memory account at zero.
+#[test]
+fn row_budget_parity_with_the_oracle() {
+    use hsp_datagen::{generate_sp2bench, generate_yago, workload, DatasetKind};
+
+    let sp2b = generate_sp2bench(hsp_datagen::Sp2BenchConfig::with_triples(12_000));
+    let yago = generate_yago(hsp_datagen::YagoConfig::with_triples(12_000));
+    let mut plans: Vec<(String, PhysicalPlan, &Dataset)> = Vec::new();
+    for q in workload() {
+        let ds = match q.dataset {
+            DatasetKind::Sp2Bench => &sp2b,
+            DatasetKind::Yago => &yago,
+        };
+        let planned = hsp_core::HspPlanner::new().plan(&q.parse()).unwrap();
+        plans.push((q.id.to_string(), planned.plan, ds));
+        if q.id == "SP4a" {
+            let sql = hsp_baseline::LeftDeepPlanner::new()
+                .plan(ds, &q.parse())
+                .unwrap();
+            assert!(
+                sql.has_cross_product,
+                "SQL-order SP4a is the Cartesian plan"
+            );
+            plans.push(("SP4a/sql".into(), sql.plan, ds));
+        }
+    }
+    assert_eq!(plans.len(), 15);
+
+    // A budgeted run is a pipeline run (it used to force the oracle).
+    let (_, chain, ds) = plans.iter().find(|(id, ..)| id == "SP2a").unwrap();
+    let budgeted = ExecConfig::with_row_budget(usize::MAX);
+    let out = execute_in(chain, ds, &budgeted, &budgeted.context()).unwrap();
+    assert!(out.runtime.pipelines > 0, "{:?}", out.runtime);
+
+    let run = |plan: &PhysicalPlan,
+               ds: &Dataset,
+               strategy: ExecStrategy,
+               budget: usize,
+               threads: usize,
+               governed: bool| {
+        let mut config = ExecConfig::with_row_budget(budget).with_strategy(strategy);
+        if governed {
+            config = config.with_mem_budget(usize::MAX);
+        }
+        let ctx = config.context_from(|| {
+            MorselConfig::with_threads(threads)
+                .with_morsel_rows(128)
+                .with_min_parallel_rows(0)
+        });
+        let result = execute_in(plan, ds, &config, &ctx);
+        if result.is_err() {
+            let stats = ctx.pool.stats();
+            assert_eq!(
+                stats.hits + stats.misses,
+                stats.returned,
+                "pool imbalance after a {strategy:?} budget trip: {stats:?}"
+            );
+            if let Some(gov) = ctx.governor() {
+                assert_eq!(gov.mem_used(), 0, "{strategy:?} leaked memory accounting");
+            }
+        }
+        let peak = ctx.governor().map_or(0, |gov| gov.mem_peak());
+        (result, peak)
+    };
+
+    for (id, plan, ds) in &plans {
+        let unlimited = ExecConfig::unlimited().with_strategy(ExecStrategy::OperatorAtATime);
+        let reference = execute_in(plan, ds, &unlimited, &unlimited.context()).unwrap();
+        let mut max_rows = 0;
+        let mut product_rows = 0;
+        reference.profile.visit(&mut |p| {
+            max_rows = max_rows.max(p.output_rows);
+            if p.label == "crossproduct" {
+                product_rows = p.output_rows;
+            }
+        });
+        for budget in [0, 10, max_rows.saturating_sub(1), max_rows, usize::MAX] {
+            for (threads, governed) in [(1, false), (1, true), (4, false), (4, true)] {
+                let at = format!("{id} budget={budget} threads={threads} governed={governed}");
+                let (oracle, _) = run(
+                    plan,
+                    ds,
+                    ExecStrategy::OperatorAtATime,
+                    budget,
+                    threads,
+                    governed,
+                );
+                let (piped, peak) =
+                    run(plan, ds, ExecStrategy::Pipelined, budget, threads, governed);
+                match (&oracle, &piped) {
+                    (Ok(o), Ok(p)) => {
+                        assert!(budget >= max_rows, "{at}: ran past the budget");
+                        assert_eq!(p.table, o.table, "{at}");
+                    }
+                    (Err(o), Err(p)) => {
+                        assert!(budget < max_rows, "{at}: tripped within the budget");
+                        assert!(matches!(o, ExecError::BudgetExceeded { .. }), "{at}: {o}");
+                        assert_eq!(p, o, "{at}");
+                        // The Cartesian product is refused, not built: the
+                        // inputs were the most the execution ever held.
+                        if governed && product_rows > budget {
+                            let product_bytes = product_rows * std::mem::size_of::<u32>();
+                            assert!(peak < product_bytes, "{at}: peak {peak} bytes");
+                        }
+                    }
+                    _ => panic!(
+                        "{at}: executors disagree — oracle {:?}, pipelines {:?}",
+                        oracle.as_ref().map(|o| o.table.len()),
+                        piped.as_ref().map(|p| p.table.len())
+                    ),
+                }
+            }
+        }
+    }
 }

@@ -54,14 +54,15 @@ proptest! {
     /// Merge join ≡ hash join ≡ nested loop.
     #[test]
     fn joins_agree_with_reference(left in arb_table(1), right in arb_table(2)) {
+        let ctx = ExecContext::new();
         let reference = reference_join(&left, &right);
 
-        let mj = ops::merge_join(&left, &right, Var(0));
+        let mj = ops::merge_join(&ctx, &left, &right, Var(0));
         prop_assert_eq!(mj.sorted_rows_for(&[Var(0), Var(1), Var(2)]), reference.clone());
         prop_assert!(mj.check_sortedness());
         prop_assert_eq!(mj.sorted_by(), Some(Var(0)));
 
-        let hj = ops::hash_join(&left, &right, &[Var(0)]);
+        let hj = ops::hash_join(&ctx, &left, &right, &[Var(0)]);
         prop_assert_eq!(hj.sorted_rows_for(&[Var(0), Var(1), Var(2)]), reference);
     }
 
@@ -69,8 +70,9 @@ proptest! {
     /// unmatched left row; inner rows are exactly the inner join.
     #[test]
     fn outer_join_semantics(left in arb_table(1), right in arb_table(2)) {
+        let ctx = ExecContext::new();
         let inner = reference_join(&left, &right);
-        let outer = ops::left_outer_hash_join(&left, &right, &[Var(0)]);
+        let outer = ops::left_outer_hash_join(&ctx, &left, &right, &[Var(0)]);
         let matched_left: std::collections::HashSet<TermId> =
             inner.iter().map(|r| r[0]).collect();
         let unmatched = (0..left.len())
@@ -87,7 +89,8 @@ proptest! {
     /// Union has the right length, variables, and padding.
     #[test]
     fn union_all_properties(a in arb_table(1), b in arb_table(2)) {
-        let u = ops::union_all(&a, &b);
+        let ctx = ExecContext::new();
+        let u = ops::union_all(&ctx, &a, &b);
         prop_assert_eq!(u.len(), a.len() + b.len());
         prop_assert_eq!(u.vars(), &[Var(0), Var(1), Var(2)]);
         for i in 0..a.len() {
@@ -102,19 +105,21 @@ proptest! {
     /// Cross product size and content.
     #[test]
     fn cross_product_counts(a in arb_table(1), rows_b in proptest::collection::vec(0u32..50, 0..10)) {
+        let ctx = ExecContext::new();
         let b = BindingTable::from_columns(
             vec![Var(5)],
             vec![rows_b.iter().map(|&v| TermId(500 + v)).collect()],
             None,
         );
-        let x = ops::cross_product(&a, &b);
+        let x = ops::cross_product(&ctx, &a, &b);
         prop_assert_eq!(x.len(), a.len() * b.len());
     }
 
     /// Projection with distinct yields the set of projected rows.
     #[test]
     fn project_distinct_is_a_set(a in arb_table(1)) {
-        let p = ops::project(&a, &[("k".into(), Var(0))], true);
+        let ctx = ExecContext::new();
+        let p = ops::project(&ctx, &a, &[("k".into(), Var(0))], true);
         let mut expected: Vec<TermId> = a.column(Var(0)).to_vec();
         expected.sort();
         expected.dedup();
@@ -126,8 +131,9 @@ proptest! {
     /// `slice(0, k)` ++ `slice(k, ∞)` partition the input exactly.
     #[test]
     fn slice_partitions_input(table in arb_table(1), k in 0usize..50) {
-        let head = ops::slice(&table, 0, Some(k));
-        let tail = ops::slice(&table, k, None);
+        let ctx = ExecContext::new();
+        let head = ops::slice(&ctx, &table, 0, Some(k));
+        let tail = ops::slice(&ctx, &table, k, None);
         prop_assert_eq!(head.len() + tail.len(), table.len());
         let mut rows = Vec::new();
         for i in 0..head.len() {
@@ -144,6 +150,7 @@ proptest! {
     /// stable within equal keys.
     #[test]
     fn order_by_permutes_and_sorts(table in arb_table(1), descending in any::<bool>()) {
+        let ctx = ExecContext::new();
         use hsp_sparql::{Expr, SortKey};
         // An empty dataset is fine: keys resolve through term decoding, so
         // build a dictionary that knows every id used by the table.
@@ -154,7 +161,7 @@ proptest! {
         let ds = hsp_store::Dataset::from_ntriples(&doc).unwrap();
 
         let keys = vec![SortKey { expr: Expr::Var(Var(1)), descending }];
-        let sorted = ops::order_by(&ds, &table, &keys);
+        let sorted = ops::order_by(&ctx, &ds, &table, &keys);
         prop_assert_eq!(sorted.len(), table.len());
         // Permutation: same multiset of rows.
         prop_assert_eq!(sorted.sorted_rows(), table.sorted_rows());
@@ -176,44 +183,23 @@ proptest! {
     /// random input (bit-identical sorted row-sets and metadata).
     #[test]
     fn vectorized_kernels_match_rowwise_kernels(left in arb_table(1), right in arb_table(2)) {
-        let hj_new = ops::hash_join(&left, &right, &[Var(0)]);
+        let ctx = ExecContext::new();
+        let hj_new = ops::hash_join(&ctx, &left, &right, &[Var(0)]);
         let hj_old = reference::hash_join(&left, &right, &[Var(0)]);
         prop_assert_eq!(hj_new.vars(), hj_old.vars());
         prop_assert_eq!(hj_new.sorted_rows(), hj_old.sorted_rows());
         prop_assert_eq!(hj_new.sorted_by(), hj_old.sorted_by());
 
-        let mj_new = ops::merge_join(&left, &right, Var(0));
+        let mj_new = ops::merge_join(&ctx, &left, &right, Var(0));
         let mj_old = reference::merge_join(&left, &right, Var(0));
         prop_assert_eq!(mj_new.sorted_rows(), mj_old.sorted_rows());
         prop_assert_eq!(mj_new.sorted_by(), mj_old.sorted_by());
 
-        let cp_l = ops::project(&left, &[("p".into(), Var(1))], false);
-        let cp_r = ops::project(&right, &[("q".into(), Var(2))], false);
-        let cp_new = ops::cross_product(&cp_l, &cp_r);
+        let cp_l = ops::project(&ctx, &left, &[("p".into(), Var(1))], false);
+        let cp_r = ops::project(&ctx, &right, &[("q".into(), Var(2))], false);
+        let cp_new = ops::cross_product(&ctx, &cp_l, &cp_r);
         let cp_old = reference::cross_product(&cp_l, &cp_r);
         prop_assert_eq!(cp_new.sorted_rows(), cp_old.sorted_rows());
-    }
-
-    /// domain_filter ≡ retain-if-in-set, preserving order.
-    #[test]
-    fn domain_filter_matches_retain(
-        table in arb_table(1),
-        allowed in proptest::collection::hash_set(0u32..8, 0..8),
-    ) {
-        use std::collections::HashMap;
-        use std::rc::Rc;
-        let set: std::collections::HashSet<TermId> =
-            allowed.iter().map(|&k| TermId(k)).collect();
-        let mut domains = HashMap::new();
-        domains.insert(Var(0), Rc::new(set.clone()));
-        let filtered = ops::domain_filter(&table, &domains);
-        let expected: Vec<Vec<TermId>> = (0..table.len())
-            .filter(|&i| set.contains(&table.value(Var(0), i)))
-            .map(|i| table.row(i))
-            .collect();
-        let got: Vec<Vec<TermId>> = (0..filtered.len()).map(|i| filtered.row(i)).collect();
-        prop_assert_eq!(got, expected);
-        prop_assert!(filtered.check_sortedness());
     }
 }
 
@@ -268,22 +254,23 @@ proptest! {
         left in arb_shared_table(5),
         right in arb_shared_table(6),
     ) {
+        let ctx = ExecContext::new();
         let oracle = reference::nested_loop_join_rows(&left, &right);
         let out_vars = [Var(0), Var(1), Var(5), Var(6)];
 
-        let one_key = ops::hash_join(&left, &right, &[Var(0)]);
+        let one_key = ops::hash_join(&ctx, &left, &right, &[Var(0)]);
         prop_assert_eq!(one_key.sorted_rows_for(&out_vars), oracle.clone());
 
-        let packed_two = ops::hash_join(&left, &right, &[Var(0), Var(1)]);
+        let packed_two = ops::hash_join(&ctx, &left, &right, &[Var(0), Var(1)]);
         prop_assert_eq!(packed_two.sorted_rows_for(&out_vars), oracle.clone());
 
         let rowwise = reference::hash_join(&left, &right, &[Var(0)]);
         prop_assert_eq!(one_key.sorted_rows(), rowwise.sorted_rows());
 
         // Sorting both sides turns the same join into a merge join.
-        let ls = ops::sort_by(&left, Var(0));
-        let rs = ops::sort_by(&right, Var(0));
-        let mj = ops::merge_join(&ls, &rs, Var(0));
+        let ls = ops::sort_by(&ctx, &left, Var(0));
+        let rs = ops::sort_by(&ctx, &right, Var(0));
+        let mj = ops::merge_join(&ctx, &ls, &rs, Var(0));
         prop_assert_eq!(mj.sorted_rows_for(&out_vars), oracle);
         prop_assert!(mj.check_sortedness());
     }
@@ -294,8 +281,9 @@ proptest! {
         left in arb_wide_table(5),
         right in arb_wide_table(6),
     ) {
+        let ctx = ExecContext::new();
         let oracle = reference::nested_loop_join_rows(&left, &right);
-        let wide = ops::hash_join(&left, &right, &[Var(0), Var(1), Var(2)]);
+        let wide = ops::hash_join(&ctx, &left, &right, &[Var(0), Var(1), Var(2)]);
         prop_assert_eq!(wide.sorted_rows_for(&[Var(0), Var(1), Var(2), Var(5), Var(6)]), oracle);
     }
 
@@ -306,8 +294,9 @@ proptest! {
         left in arb_shared_table(5),
         right in arb_shared_table(6),
     ) {
+        let ctx = ExecContext::new();
         let inner = reference::nested_loop_join_rows(&left, &right);
-        let outer = ops::left_outer_hash_join(&left, &right, &[Var(0)]);
+        let outer = ops::left_outer_hash_join(&ctx, &left, &right, &[Var(0)]);
         let matched: std::collections::HashSet<(TermId, TermId, TermId)> = inner
             .iter()
             .map(|r| (r[0], r[1], r[2]))
@@ -336,20 +325,21 @@ proptest! {
         unit_rows in 0usize..4,
         offset in 0usize..5,
     ) {
+        let ctx = ExecContext::new();
         let unit = BindingTable::unit(unit_rows);
-        let x = ops::cross_product(&unit, &table);
+        let x = ops::cross_product(&ctx, &unit, &table);
         prop_assert_eq!(x.len(), unit_rows * table.len());
         prop_assert_eq!(x.vars(), table.vars());
 
-        let both = ops::cross_product(&unit, &BindingTable::unit(3));
+        let both = ops::cross_product(&ctx, &unit, &BindingTable::unit(3));
         prop_assert_eq!(both.len(), unit_rows * 3);
         prop_assert!(both.vars().is_empty());
 
-        let sliced = ops::slice(&unit, offset, Some(2));
+        let sliced = ops::slice(&ctx, &unit, offset, Some(2));
         prop_assert_eq!(sliced.len(), unit_rows.saturating_sub(offset).min(2));
         prop_assert!(sliced.vars().is_empty());
 
-        let ask = ops::project(&table, &[], true);
+        let ask = ops::project(&ctx, &table, &[], true);
         prop_assert_eq!(ask.len(), table.len().min(1));
     }
 
@@ -368,27 +358,28 @@ proptest! {
                 .with_morsel_rows(4)
                 .with_min_parallel_rows(0),
         );
+        let plain = ExecContext::new();
         for _pass in 0..2 {
-            let hj = ops::hash_join_in(&ctx, &left, &right, &[Var(0)]);
-            prop_assert_eq!(&hj, &ops::hash_join(&left, &right, &[Var(0)]));
+            let hj = ops::hash_join(&ctx, &left, &right, &[Var(0)]);
+            prop_assert_eq!(&hj, &ops::hash_join(&plain, &left, &right, &[Var(0)]));
 
-            let oj = ops::left_outer_hash_join_in(&ctx, &left, &right, &[Var(0)]);
-            prop_assert_eq!(&oj, &ops::left_outer_hash_join(&left, &right, &[Var(0)]));
+            let oj = ops::left_outer_hash_join(&ctx, &left, &right, &[Var(0)]);
+            prop_assert_eq!(&oj, &ops::left_outer_hash_join(&plain, &left, &right, &[Var(0)]));
 
-            let mj = ops::merge_join_in(&ctx, &left, &right, Var(0));
-            prop_assert_eq!(&mj, &ops::merge_join(&left, &right, Var(0)));
+            let mj = ops::merge_join(&ctx, &left, &right, Var(0));
+            prop_assert_eq!(&mj, &ops::merge_join(&plain, &left, &right, Var(0)));
 
-            let sorted = ops::sort_by_in(&ctx, &hj, Var(1));
-            prop_assert_eq!(&sorted, &ops::sort_by(&hj, Var(1)));
+            let sorted = ops::sort_by(&ctx, &hj, Var(1));
+            prop_assert_eq!(&sorted, &ops::sort_by(&plain, &hj, Var(1)));
 
-            let proj = ops::project_in(&ctx, &hj, &[("k".into(), Var(0))], true);
-            prop_assert_eq!(&proj, &ops::project(&hj, &[("k".into(), Var(0))], true));
+            let proj = ops::project(&ctx, &hj, &[("k".into(), Var(0))], true);
+            prop_assert_eq!(&proj, &ops::project(&plain, &hj, &[("k".into(), Var(0))], true));
 
-            let sliced = ops::slice_in(&ctx, &hj, 1, Some(5));
-            prop_assert_eq!(&sliced, &ops::slice(&hj, 1, Some(5)));
+            let sliced = ops::slice(&ctx, &hj, 1, Some(5));
+            prop_assert_eq!(&sliced, &ops::slice(&plain, &hj, 1, Some(5)));
 
-            let unioned = ops::union_all_in(&ctx, &left, &right);
-            prop_assert_eq!(&unioned, &ops::union_all(&left, &right));
+            let unioned = ops::union_all(&ctx, &left, &right);
+            prop_assert_eq!(&unioned, &ops::union_all(&plain, &left, &right));
 
             // Recycle this pass's intermediates so the second pass runs on
             // warm buffers (the pool-hit path).
@@ -412,7 +403,7 @@ proptest! {
                 .with_min_parallel_rows(0),
         );
         let oracle = reference::nested_loop_join_rows(&left, &right);
-        let joined = ops::hash_join_in(&ctx, &left, &right, &[Var(0)]);
+        let joined = ops::hash_join(&ctx, &left, &right, &[Var(0)]);
         prop_assert_eq!(joined.sorted_rows_for(&[Var(0), Var(1), Var(5), Var(6)]), oracle);
     }
 
@@ -442,7 +433,7 @@ proptest! {
         // with the nested-loop oracle on all shared variables.
         let ctx = ExecContext::with_morsel_config(config);
         let oracle = reference::nested_loop_join_rows(&left, &right);
-        let wide = ops::hash_join_in(&ctx, &left, &right, &[Var(0), Var(1), Var(2)]);
+        let wide = ops::hash_join(&ctx, &left, &right, &[Var(0), Var(1), Var(2)]);
         prop_assert_eq!(
             wide.sorted_rows_for(&[Var(0), Var(1), Var(2), Var(5), Var(6)]),
             oracle
@@ -465,8 +456,8 @@ proptest! {
                 .with_morsel_rows(4)
                 .with_min_parallel_rows(0),
         );
-        let sequential = ops::merge_join(&left, &right, Var(0));
-        let parallel = ops::merge_join_in(&ctx, &left, &right, Var(0));
+        let sequential = ops::merge_join(&ExecContext::new(), &left, &right, Var(0));
+        let parallel = ops::merge_join(&ctx, &left, &right, Var(0));
         prop_assert_eq!(&parallel, &sequential);
         let oracle = reference::merge_join(&left, &right, Var(0));
         prop_assert_eq!(parallel.sorted_rows(), oracle.sorted_rows());
@@ -482,15 +473,16 @@ proptest! {
         right in arb_shared_table(6),
         threads in 2usize..=4,
     ) {
-        let ls = ops::sort_by(&left, Var(0));
-        let rs = ops::sort_by(&right, Var(0));
+        let plain = ExecContext::new();
+        let ls = ops::sort_by(&plain, &left, Var(0));
+        let rs = ops::sort_by(&plain, &right, Var(0));
         let ctx = ExecContext::with_morsel_config(
             MorselConfig::with_threads(threads)
                 .with_morsel_rows(4)
                 .with_min_parallel_rows(0),
         );
-        let sequential = ops::merge_join(&ls, &rs, Var(0));
-        let parallel = ops::merge_join_in(&ctx, &ls, &rs, Var(0));
+        let sequential = ops::merge_join(&plain, &ls, &rs, Var(0));
+        let parallel = ops::merge_join(&ctx, &ls, &rs, Var(0));
         prop_assert_eq!(&parallel, &sequential);
         let oracle = reference::nested_loop_join_rows(&left, &right);
         prop_assert_eq!(parallel.sorted_rows_for(&[Var(0), Var(1), Var(5), Var(6)]), oracle);
@@ -524,13 +516,13 @@ proptest! {
                 Expr::Const(hsp_rdf::Term::literal(r"val [0-2]\d?$")),
             ],
         }));
-        let sequential = ops::filter_in(&ExecContext::with_threads(1), &ds, &table, &expr);
+        let sequential = ops::filter(&ExecContext::with_threads(1), &ds, &table, &expr);
         let ctx = ExecContext::with_morsel_config(
             MorselConfig::with_threads(threads)
                 .with_morsel_rows(4)
                 .with_min_parallel_rows(0),
         );
-        let parallel = ops::filter_in(&ctx, &ds, &table, &expr);
+        let parallel = ops::filter(&ctx, &ds, &table, &expr);
         prop_assert_eq!(parallel, sequential);
     }
 
@@ -545,13 +537,13 @@ proptest! {
         let keys: Vec<TermId> = rows.iter().map(|&(k, _)| TermId(k)).collect();
         let payloads: Vec<TermId> = rows.iter().map(|&(_, p)| TermId(100 + p)).collect();
         let table = BindingTable::from_columns(vec![Var(0), Var(1)], vec![keys, payloads], None);
-        let sequential = ops::sort_by_in(&ExecContext::with_threads(1), &table, Var(0));
+        let sequential = ops::sort_by(&ExecContext::with_threads(1), &table, Var(0));
         let ctx = ExecContext::with_morsel_config(
             MorselConfig::with_threads(threads)
                 .with_morsel_rows(4)
                 .with_min_parallel_rows(0),
         );
-        let parallel = ops::sort_by_in(&ctx, &table, Var(0));
+        let parallel = ops::sort_by(&ctx, &table, Var(0));
         prop_assert_eq!(parallel, sequential);
     }
 
@@ -577,13 +569,13 @@ proptest! {
         let tag: Vec<TermId> = (0..rows.len() as u32).map(TermId).collect();
         let table = BindingTable::from_columns(vec![Var(0), Var(1)], vec![ids, tag], None);
         let keys = vec![SortKey { expr: Expr::Var(Var(0)), descending }];
-        let sequential = ops::order_by_in(&ExecContext::with_threads(1), &ds, &table, &keys);
+        let sequential = ops::order_by(&ExecContext::with_threads(1), &ds, &table, &keys);
         let ctx = ExecContext::with_morsel_config(
             MorselConfig::with_threads(threads)
                 .with_morsel_rows(4)
                 .with_min_parallel_rows(0),
         );
-        let parallel = ops::order_by_in(&ctx, &ds, &table, &keys);
+        let parallel = ops::order_by(&ctx, &ds, &table, &keys);
         prop_assert_eq!(parallel, sequential);
     }
 
@@ -591,12 +583,13 @@ proptest! {
     /// keeps exactly the first occurrence of each distinct row, in order.
     #[test]
     fn distinct_three_columns_keeps_first_occurrences(table in arb_shared_table(5)) {
+        let ctx = ExecContext::new();
         let projection = vec![
             ("a".to_string(), Var(0)),
             ("b".to_string(), Var(1)),
             ("c".to_string(), Var(5)),
         ];
-        let got = ops::project(&table, &projection, true);
+        let got = ops::project(&ctx, &table, &projection, true);
         // Oracle: row-at-a-time first-occurrence dedup.
         let mut seen = std::collections::HashSet::new();
         let mut expected: Vec<Vec<TermId>> = Vec::new();

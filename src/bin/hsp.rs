@@ -15,7 +15,6 @@
 //!   --explain               print the physical plan (with cardinalities),
 //!                           the pipeline DAG it lowers into, and the
 //!                           runtime counters instead of results
-//!   --sip                   enable sideways information passing
 //!   --budget <rows>         abort when an operator exceeds this many rows
 //!   --threads <n>           thread budget for the morsel-parallel kernels
 //!                           (default: auto-detect, overridable with the
@@ -48,7 +47,6 @@ struct Args {
     planner: String,
     format: Format,
     explain: bool,
-    sip: bool,
     budget: Option<usize>,
     threads: Option<usize>,
     timeout_ms: Option<u64>,
@@ -60,7 +58,7 @@ struct Args {
 fn usage() -> &'static str {
     "usage: hsp <data.nt> (--query <text|@file> | --update <text|@file>)\n\
      \x20      [--planner hsp|cdp|sql|hybrid|stocker] [--format table|json|csv|tsv]\n\
-     \x20      [--explain] [--sip] [--budget <rows>] [--threads <n>]\n\
+     \x20      [--explain] [--budget <rows>] [--threads <n>]\n\
      \x20      [--timeout-ms <n>] [--mem-budget-mb <n>] [--no-cache] [--out <file>]"
 }
 
@@ -74,7 +72,6 @@ fn parse_args() -> Result<Args, String> {
         planner: "hsp".into(),
         format: Format::Table,
         explain: false,
-        sip: false,
         budget: None,
         threads: None,
         timeout_ms: None,
@@ -93,7 +90,6 @@ fn parse_args() -> Result<Args, String> {
             "--planner" => args.planner = value("--planner")?.to_lowercase(),
             "--format" => args.format = value("--format")?.parse()?,
             "--explain" => args.explain = true,
-            "--sip" => args.sip = true,
             "--budget" => {
                 args.budget = Some(
                     value("--budget")?
@@ -167,9 +163,6 @@ fn run() -> Result<(), String> {
         let mut request = Request::new(text).with_planner(planner);
         if args.explain {
             request = request.with_explain();
-        }
-        if args.sip {
-            request = request.with_sip();
         }
         if let Some(rows) = args.budget {
             request = request.with_row_budget(rows);

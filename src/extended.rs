@@ -14,12 +14,10 @@
 //! only triples and FILTERs), the whole group **composes into one
 //! [`PhysicalPlan`]** — the core's HSP plan, a
 //! [`PhysicalPlan::LeftOuterHashJoin`] per OPTIONAL block, then the
-//! group's FILTERs — and runs through [`execute_in`] under the
-//! configured [`ExecStrategy`](hsp_engine::ExecStrategy). Under the
-//! default `Auto` strategy the engine lowers that plan into morsel-driven
-//! pipelines end to end, so the OPTIONAL probe *streams* (the
-//! `pipeline_outer_probes` runtime counter) instead of materialising both
-//! join inputs and the joined output, as the previous
+//! group's FILTERs — and runs through [`execute_in`], which lowers that
+//! plan into morsel-driven pipelines end to end, so the OPTIONAL probe
+//! *streams* (the `pipeline_outer_probes` runtime counter) instead of
+//! materialising both join inputs and the joined output, as the previous
 //! table-at-a-time evaluation did. Groups with UNION branches or nested
 //! OPTIONALs keep the table-at-a-time path.
 //!
@@ -324,8 +322,8 @@ fn eval_group(
     // 1. The conjunctive core, planned by HSP (when present) — and, when
     // the whole group is a core plus plain OPTIONAL blocks, composed with
     // them (and the group's FILTERs) into ONE physical plan executed
-    // through `execute_in` under the configured strategy: by default the
-    // engine lowers it into morsel-driven pipelines, so the OPTIONAL
+    // through `execute_in`: the engine lowers it into morsel-driven
+    // pipelines, so the OPTIONAL
     // left-outer probes and the FILTERs *stream* instead of materialising
     // each step's input and output. `compose_group_plan` hands the core
     // plan back untouched when the group needs the table-at-a-time path,
@@ -372,7 +370,7 @@ fn eval_group(
                 return Err(e);
             }
         };
-        let union = ops::union_all_in(ctx, &ta, &tb);
+        let union = ops::union_all(ctx, &ta, &tb);
         ctx.recycle(ta);
         ctx.recycle(tb);
         let union = match settle(ctx, union) {
@@ -419,13 +417,13 @@ fn eval_group(
             .filter(|v| table.vars().contains(v))
             .collect();
         let joined = if !shared.is_empty() {
-            ops::left_outer_hash_join_in(ctx, &table, &right, &shared)
+            ops::left_outer_hash_join(ctx, &table, &right, &shared)
         } else if right.is_empty() {
             // OPTIONAL with no shared variables: every combination, or
             // UNBOUND padding when the optional side is empty.
-            ops::union_all_in(ctx, &table, &BindingTable::empty(right.vars().to_vec()))
+            ops::union_all(ctx, &table, &BindingTable::empty(right.vars().to_vec()))
         } else {
-            ops::cross_product_in(ctx, &table, &right)
+            ops::cross_product(ctx, &table, &right)
         };
         ctx.recycle(table);
         ctx.recycle(right);
@@ -438,7 +436,7 @@ fn eval_group(
             ctx.recycle(table);
             return Err(ExtendedError::Eval(e.to_string()));
         }
-        let filtered = ops::filter_in(ctx, ds, &table, f);
+        let filtered = ops::filter(ctx, ds, &table, f);
         ctx.recycle(table);
         table = settle(ctx, filtered)?;
     }
@@ -631,9 +629,9 @@ fn join_tables(ctx: &ExecContext, a: &BindingTable, b: &BindingTable) -> Binding
         .filter(|v| a.vars().contains(v))
         .collect();
     if shared.is_empty() {
-        ops::cross_product_in(ctx, a, b)
+        ops::cross_product(ctx, a, b)
     } else {
-        ops::hash_join_in(ctx, a, b, &shared)
+        ops::hash_join(ctx, a, b, &shared)
     }
 }
 

@@ -8,9 +8,9 @@
 //! plus an optional body:
 //!
 //! ```text
-//! QUERY [planner=hsp] [format=json|table|csv|tsv] [explain=1] [sip=1]
+//! QUERY [planner=hsp] [format=json|table|csv|tsv] [explain=1]
 //!       [threads=N] [timeout_ms=N] [mem_budget_mb=N] [row_budget=N]
-//!       [strategy=auto|operator] [cache=off]
+//!       [cache=off]
 //! <query text>
 //!
 //! UPDATE [timeout_ms=N] [mem_budget_mb=N]
@@ -52,7 +52,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use hsp_engine::explain::render_runtime_metrics;
-use hsp_engine::ExecStrategy;
 
 use crate::results::Format;
 use crate::session::{Planner, Request, Session};
@@ -496,12 +495,10 @@ struct ReqOpts {
     planner: Planner,
     format: Format,
     explain: bool,
-    sip: bool,
     threads: Option<usize>,
     timeout_ms: Option<u64>,
     mem_budget_mb: Option<usize>,
     row_budget: Option<usize>,
-    strategy: ExecStrategy,
     cache: bool,
 }
 
@@ -511,12 +508,10 @@ impl ReqOpts {
             planner: Planner::Hsp,
             format: Format::Json,
             explain: false,
-            sip: false,
             threads: None,
             timeout_ms: None,
             mem_budget_mb: None,
             row_budget: None,
-            strategy: ExecStrategy::default(),
             cache: true,
         };
         for token in tokens {
@@ -528,17 +523,26 @@ impl ReqOpts {
                     .parse::<usize>()
                     .map_err(|_| format!("option {name} needs an integer, got `{value}`"))
             };
+            let flag = || match value {
+                "1" | "true" => Ok(true),
+                "0" | "false" => Ok(false),
+                _ => Err(format!("option {key} needs 0|1|true|false, got `{value}`")),
+            };
             match key {
                 "planner" => opts.planner = value.parse()?,
                 "format" => opts.format = value.parse()?,
-                "explain" => opts.explain = value == "1" || value == "true",
-                "sip" => opts.sip = value == "1" || value == "true",
+                "explain" => opts.explain = flag()?,
                 "threads" => opts.threads = Some(int("threads")?.max(1)),
                 "timeout_ms" => opts.timeout_ms = Some(int("timeout_ms")? as u64),
                 "mem_budget_mb" => opts.mem_budget_mb = Some(int("mem_budget_mb")?),
                 "row_budget" => opts.row_budget = Some(int("row_budget")?),
-                "strategy" => opts.strategy = value.parse()?,
-                "cache" => opts.cache = !matches!(value, "off" | "0" | "false"),
+                "cache" => {
+                    opts.cache = match value {
+                        "on" => true,
+                        "off" => false,
+                        _ => flag()?,
+                    }
+                }
                 other => return Err(format!("unknown option `{other}`")),
             }
         }
@@ -546,14 +550,9 @@ impl ReqOpts {
     }
 
     fn request(&self, text: &str) -> Request {
-        let mut request = Request::new(text)
-            .with_planner(self.planner)
-            .with_strategy(self.strategy);
+        let mut request = Request::new(text).with_planner(self.planner);
         if self.explain {
             request = request.with_explain();
-        }
-        if self.sip {
-            request = request.with_sip();
         }
         if let Some(threads) = self.threads {
             request = request.with_threads(threads);
@@ -949,6 +948,32 @@ mod tests {
         let response = client.query("", "SELECT ?x WHERE { broken").unwrap();
         assert!(response.starts_with("ERR PARSE"), "{response}");
         server.shutdown();
+    }
+
+    #[test]
+    fn boolean_options_parse_strictly() {
+        let parse = |header: &str| ReqOpts::parse(header.split_whitespace());
+        for (header, explain, cache) in [
+            ("explain=1 cache=0", true, false),
+            ("explain=true cache=false", true, false),
+            ("explain=0 cache=1", false, true),
+            ("explain=false cache=true", false, true),
+            ("cache=off", false, false),
+            ("cache=on", false, true),
+        ] {
+            let opts = parse(header).unwrap_or_else(|e| panic!("{header}: {e}"));
+            assert_eq!((opts.explain, opts.cache), (explain, cache), "{header}");
+        }
+        for header in [
+            "explain=yes",
+            "explain=on",
+            "explain=",
+            "cache=offf",
+            "cache=2",
+        ] {
+            let err = parse(header).err().expect(header);
+            assert!(err.contains("0|1|true|false"), "{header}: {err}");
+        }
     }
 
     #[test]

@@ -53,8 +53,8 @@ use hsp_baseline::{CdpPlanner, HybridPlanner, LeftDeepPlanner, StockerPlanner};
 use hsp_core::HspPlanner;
 use hsp_engine::plan::PhysicalPlan;
 use hsp_engine::{
-    execute_in, CancelToken, ExecConfig, ExecContext, ExecStrategy, IdRows, MorselConfig,
-    PoolStats, RuntimeMetrics, SharedPool,
+    execute_in, CancelToken, ExecConfig, ExecContext, IdRows, MorselConfig, PoolStats,
+    RuntimeMetrics, SharedPool,
 };
 use hsp_rdf::Term;
 use hsp_sparql::JoinQuery;
@@ -106,8 +106,6 @@ pub struct Request {
     text: String,
     planner: Planner,
     explain: bool,
-    sip: bool,
-    strategy: ExecStrategy,
     row_budget: Option<usize>,
     threads: Option<usize>,
     timeout: Option<Duration>,
@@ -140,18 +138,6 @@ impl Request {
     /// Return the plan/pipeline explanation instead of executing only.
     pub fn with_explain(mut self) -> Self {
         self.explain = true;
-        self
-    }
-
-    /// Enable sideways information passing.
-    pub fn with_sip(mut self) -> Self {
-        self.sip = true;
-        self
-    }
-
-    /// Select the evaluator (see [`ExecStrategy`]).
-    pub fn with_strategy(mut self, strategy: ExecStrategy) -> Self {
-        self.strategy = strategy;
         self
     }
 
@@ -618,12 +604,8 @@ impl Session {
         let mut config = ExecConfig::unlimited();
         config.max_intermediate_rows = request.row_budget;
         config.threads = request.threads;
-        config.strategy = request.strategy;
         config.morsel_rows = self.inner.morsel_rows;
         config.min_parallel_rows = self.inner.min_parallel_rows;
-        if request.sip {
-            config = config.with_sip();
-        }
         if let Some(timeout) = request.timeout {
             config = config.with_timeout(timeout);
         }
@@ -712,8 +694,8 @@ fn result_cache_key(request: &Request) -> Option<String> {
         return None;
     }
     Some(format!(
-        "{:?}|{}|{:?}|{:?}|{}",
-        request.planner, request.sip, request.strategy, request.threads, request.text
+        "{:?}|{:?}|{}",
+        request.planner, request.threads, request.text
     ))
 }
 
@@ -772,15 +754,10 @@ fn query_snapshot(
                     &output.profile,
                     &planned_query,
                 );
-                // SIP and row-budget executions fall back to the
-                // operator-at-a-time evaluator — only render the pipeline
-                // DAG when the pipeline executor actually ran.
-                if !request.sip && request.row_budget.is_none() {
-                    text.push_str(&hsp_engine::explain::render_pipeline_dag(
-                        &plan,
-                        &planned_query,
-                    ));
-                }
+                text.push_str(&hsp_engine::explain::render_pipeline_dag(
+                    &plan,
+                    &planned_query,
+                ));
                 text
             });
             // The plan's own DISTINCT / ORDER BY / LIMIT have run on ids:

@@ -67,15 +67,22 @@ fn json_output_across_planners() {
 #[test]
 fn explain_prints_plan_tree() {
     let data = data_file("explain");
-    let (stdout, _, ok) = hsp(&[
-        data.to_str().unwrap(),
-        "--query",
-        "SELECT ?j WHERE { ?j a <http://e/Journal> . ?j <http://e/issued> ?yr . }",
-        "--explain",
-    ]);
-    assert!(ok);
-    assert!(stdout.contains("⋈mj"), "{stdout}");
-    assert!(stdout.contains("[tp0]"));
+    // A row budget no longer changes which executor runs: the pipeline
+    // DAG is part of the explanation either way.
+    for budget in [&[][..], &["--budget", "100"]] {
+        let mut args = vec![
+            data.to_str().unwrap(),
+            "--query",
+            "SELECT ?j WHERE { ?j a <http://e/Journal> . ?j <http://e/issued> ?yr . }",
+            "--explain",
+        ];
+        args.extend_from_slice(budget);
+        let (stdout, _, ok) = hsp(&args);
+        assert!(ok);
+        assert!(stdout.contains("⋈mj"), "{stdout}");
+        assert!(stdout.contains("[tp0]"));
+        assert!(stdout.contains("pipeline DAG:"), "{budget:?}: {stdout}");
+    }
 }
 
 #[test]

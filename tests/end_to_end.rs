@@ -102,32 +102,6 @@ fn hsp_plans_are_statistics_free() {
 }
 
 #[test]
-fn sip_execution_agrees_on_whole_workload() {
-    // Sideways information passing must not change any result, and must
-    // never *increase* the intermediate-result footprint.
-    let env = env();
-    for q in workload() {
-        let parsed = q.parse();
-        let ds = env.dataset(q.dataset);
-        let planned = plan_query(PlannerKind::Hsp, ds, &parsed).unwrap();
-        let plain = execute(&planned.plan, ds, &ExecConfig::unlimited()).unwrap();
-        let sip = execute(&planned.plan, ds, &ExecConfig::unlimited().with_sip()).unwrap();
-        let proj: Vec<Var> = planned.query.projection.iter().map(|&(_, v)| v).collect();
-        assert_eq!(
-            sip.table.sorted_rows_for(&proj),
-            plain.table.sorted_rows_for(&proj),
-            "{}: SIP changed the result",
-            q.id
-        );
-        assert!(
-            sip.profile.total_intermediate_rows() <= plain.profile.total_intermediate_rows(),
-            "{}: SIP increased intermediates",
-            q.id
-        );
-    }
-}
-
-#[test]
 fn modifiers_run_through_planned_queries() {
     // ORDER BY/LIMIT on a workload query, planned by HSP and by CDP.
     let env = env();

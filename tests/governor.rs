@@ -422,7 +422,7 @@ fn tiny_budget_battery_degrades_gracefully_across_query_shapes() {
     let tiny = ExecConfig::unlimited().with_mem_budget(TINY);
 
     // Pipeline chain and oracle walk of the same plan.
-    for strategy in [ExecStrategy::Auto, ExecStrategy::OperatorAtATime] {
+    for strategy in [ExecStrategy::Pipelined, ExecStrategy::OperatorAtATime] {
         let config = tiny.clone().with_strategy(strategy);
         match execute_in(&chain_plan(), &ds, &config, &config.context()) {
             Ok(out) => assert!(hsp_engine::table_bytes(&out.table) <= TINY),

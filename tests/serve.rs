@@ -519,3 +519,39 @@ fn slow_writers_do_not_desynchronise_the_frame_stream() {
     assert_eq!(pong, b"OK pong");
     server.shutdown();
 }
+
+/// Options the protocol no longer has (`sip=`, `strategy=`), malformed
+/// booleans, and a row-budget trip each answer a typed `ERR`; the
+/// connection stays usable and — with room for exactly one request in
+/// flight — the next query is admitted, so no permit leaked.
+#[test]
+fn rejected_options_and_budget_trips_leave_the_connection_usable() {
+    let server = Server::start(
+        Session::with_options(name_dataset(500), pooled_options()),
+        ServeConfig {
+            max_inflight: 1,
+            max_queue: 0,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("server starts");
+    let mut client = Client::connect(server.addr()).expect("client connects");
+    let scan = "SELECT ?a ?b WHERE { ?a <http://e/knows> ?b . }";
+    for (options, error) in [
+        ("sip=1", "ERR PROTO unknown option `sip`"),
+        ("strategy=operator", "ERR PROTO unknown option `strategy`"),
+        (
+            "explain=yes",
+            "ERR PROTO option explain needs 0|1|true|false",
+        ),
+        ("cache=offf", "ERR PROTO option cache needs 0|1|true|false"),
+        ("row_budget=10 cache=off", "ERR EXEC row budget exceeded"),
+    ] {
+        let response = client.query(options, scan).expect("transport");
+        assert!(response.starts_with(error), "{options}: {response}");
+        assert_eq!(client.ping().expect("transport"), "OK pong", "{options}");
+        let response = client.query("cache=off", scan).expect("transport");
+        assert!(response.starts_with("OK rows="), "{options}: {response}");
+    }
+    server.shutdown();
+}
