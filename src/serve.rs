@@ -722,13 +722,16 @@ fn render_stats(shared: &ServerShared) -> String {
     let cache = shared.session.cache_stats();
     body.push_str(&format!(
         "plan_cache_hits={}\nplan_cache_misses={}\nresult_cache_hits={}\n\
-         result_cache_misses={}\nresult_cache_invalidations={}\nresult_cache_entries={}\n",
+         result_cache_misses={}\nresult_cache_invalidations={}\nresult_cache_entries={}\n\
+         result_cache_bytes={}\nresult_cache_evictions={}\n",
         cache.plan_hits,
         cache.plan_misses,
         cache.result_hits,
         cache.result_misses,
         cache.invalidations,
         cache.result_entries,
+        cache.result_bytes,
+        cache.result_evictions,
     ));
     if let Some(pool) = shared.session.pool_stats() {
         body.push_str(&format!(
@@ -934,6 +937,16 @@ mod tests {
         assert_eq!(body, "n\r\nAlice\r\nBob\r\n");
         let stats = client.stats().unwrap();
         assert!(stats.contains("queries_ok=1"), "{stats}");
+        // The one cached result: its size is reported, nothing evicted.
+        let cache = server.session().cache_stats();
+        assert!(cache.result_bytes > 0);
+        for line in [
+            "result_cache_entries=1".to_string(),
+            format!("result_cache_bytes={}", cache.result_bytes),
+            "result_cache_evictions=0".to_string(),
+        ] {
+            assert!(stats.lines().any(|l| l == line), "{line} in {stats}");
+        }
         server.shutdown();
     }
 

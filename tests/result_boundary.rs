@@ -441,3 +441,234 @@ fn wire_edge_equals_library_edge_cold_cached_and_across_dictionary_growth() {
         "no query projected a never-bound variable"
     );
 }
+
+// ------------------------------------------------------------- cache churn
+
+/// The result tier's entry bound (`MAX_RESULT_ENTRIES` in `src/cache.rs`).
+const RESULT_TIER_ENTRIES: usize = 1024;
+/// Distinct cacheable requests the churn tests cycle through — more than
+/// the tier holds, so a cycle evicts.
+const CHURN_REQUESTS: usize = 1100;
+
+/// One subject per churn request, each with a name and an age.
+fn churn_dataset() -> Dataset {
+    let text: String = (0..CHURN_REQUESTS)
+        .map(|i| {
+            format!(
+                "<http://e/s{i}> <http://e/name> \"name {i}\" .\n\
+                 <http://e/s{i}> <http://e/age> \"{}\"^^<http://www.w3.org/2001/XMLSchema#integer> .\n",
+                i % 90
+            )
+        })
+        .collect();
+    Dataset::from_ntriples(&text).expect("churn data parses")
+}
+
+/// Request `i`: a join-fragment lookup, an OPTIONAL (extended evaluator)
+/// or an aggregate (computed overlay), over subject `i`. None of them
+/// reads the `tag` predicate the churn tests write.
+fn churn_request(i: usize) -> String {
+    let s = format!("<http://e/s{i}>");
+    match i % 3 {
+        0 => format!("SELECT ?n WHERE {{ {s} <http://e/name> ?n . }}"),
+        1 => format!(
+            "SELECT ?n ?t WHERE {{ {s} <http://e/name> ?n . OPTIONAL {{ {s} <http://e/nick> ?t . }} }}"
+        ),
+        _ => format!("SELECT (MAX(?a) AS ?hi) WHERE {{ {s} <http://e/age> ?a . }}"),
+    }
+}
+
+/// What every churn request must render to, from an uncached session.
+fn churn_expected(ds: &Dataset) -> Vec<[String; 4]> {
+    let library = Session::new(ds.clone());
+    (0..CHURN_REQUESTS)
+        .map(|i| library_bytes(&library, &churn_request(i)))
+        .collect()
+}
+
+/// A linear-scan LRU over request indices: what the tier must do, written
+/// the slow, obvious way.
+#[derive(Default)]
+struct RecencyModel {
+    /// Most recently used first.
+    order: std::collections::VecDeque<usize>,
+    evictions: u64,
+}
+
+impl RecencyModel {
+    /// One request: `true` for a hit; a miss inserts and may evict.
+    fn access(&mut self, i: usize) -> bool {
+        let hit = self.order.iter().position(|&k| k == i);
+        if let Some(at) = hit {
+            self.order.remove(at);
+        }
+        self.order.push_front(i);
+        if self.order.len() > RESULT_TIER_ENTRIES {
+            self.order.pop_back();
+            self.evictions += 1;
+        }
+        hit.is_some()
+    }
+}
+
+/// More distinct requests than the tier holds, cycled twice with a hot
+/// subset re-read along the way: every response is a hit exactly when a
+/// plain LRU says so, renders byte-identically to its uncached twin, and
+/// the eviction counter matches the model's. An update to a predicate no
+/// request reads lands between the cycles, so the second one resolves
+/// surviving entries against a dictionary that grew (and, at compaction
+/// threshold 1, was compacted) after they were made.
+#[test]
+fn cache_churn_evicts_in_lru_order_and_stays_byte_identical() {
+    let ds = churn_dataset();
+    let expected = churn_expected(&ds);
+    let session = Session::new(ds);
+    let mut model = RecencyModel::default();
+    let mut accesses = 0;
+    let mut request = |i: usize| -> bool {
+        let response = session
+            .query_encoded(Request::new(churn_request(i)))
+            .unwrap();
+        accesses += 1;
+        let hit = model.access(i);
+        assert_eq!(
+            response.metrics.result_cache_hit, hit,
+            "request {i}, access {accesses}"
+        );
+        assert_eq!(wire_bytes(&response), expected[i], "request {i}");
+        hit
+    };
+    const HOT: usize = 24;
+    for cycle in 0..2 {
+        for i in 0..CHURN_REQUESTS {
+            request(i);
+            // Re-read often enough that the hot subset is never the tail.
+            if i % 150 == 149 {
+                (0..HOT).for_each(|hot| _ = request(hot));
+            }
+        }
+        if cycle == 0 {
+            let unrelated = "INSERT DATA { <http://e/s0> <http://e/tag> \"fresh\" . }";
+            session.update(Request::new(unrelated)).expect("update");
+        }
+    }
+    assert!((0..HOT).all(&mut request), "the hot subset was protected");
+
+    let stats = session.cache_stats();
+    assert_eq!(stats.result_entries, RESULT_TIER_ENTRIES);
+    assert_eq!(stats.result_evictions, model.evictions);
+    assert!(stats.result_evictions > CHURN_REQUESTS as u64);
+    assert_eq!(stats.result_hits + stats.result_misses, accesses);
+    assert_eq!(stats.invalidations, 0);
+}
+
+/// Three readers cycle the churn requests (evicting) and re-read two
+/// queries over the `tag` predicate while a writer inserts one `tag`
+/// triple per update (invalidating them): list moves, evictions and the
+/// invalidation walk interleave under the tier's mutex. Every churn
+/// response stays byte-identical, every `tag` answer has exactly the rows
+/// of the snapshot it is served against, and the counters add up.
+#[test]
+fn cache_churn_under_a_concurrent_writer_stays_consistent() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    const READERS: usize = 3;
+    const UPDATES: usize = 24;
+    /// Reads the writer waits for between two updates, so that the
+    /// updates spread over the readers' cycles.
+    const READS_PER_UPDATE: usize = 100;
+    const TAG_QUERIES: [&str; 2] = [
+        "SELECT ?s ?t WHERE { ?s <http://e/tag> ?t . }",
+        "SELECT ?t WHERE { ?s <http://e/tag> ?t . } ORDER BY ?t",
+    ];
+
+    let ds = churn_dataset();
+    let expected = churn_expected(&ds);
+    let session = Session::new(ds);
+    let base_version = session.snapshot().store().version();
+    let reads = AtomicUsize::new(0);
+    let cacheable = AtomicUsize::new(0);
+    let writer_done = AtomicBool::new(false);
+    let start = std::sync::Barrier::new(READERS + 1);
+
+    std::thread::scope(|scope| {
+        for reader in 0..READERS {
+            let (session, expected) = (&session, &expected);
+            let (reads, cacheable, writer_done, start) = (&reads, &cacheable, &writer_done, &start);
+            scope.spawn(move || {
+                start.wait();
+                let mut i = reader * CHURN_REQUESTS / READERS;
+                while !writer_done.load(Ordering::Acquire) {
+                    let response = session
+                        .query_encoded(Request::new(churn_request(i)))
+                        .unwrap();
+                    assert_eq!(wire_bytes(&response), expected[i], "request {i}");
+                    cacheable.fetch_add(1, Ordering::Relaxed);
+                    if i.is_multiple_of(8) {
+                        let text = TAG_QUERIES[(i / 8) % 2];
+                        let response = session.query_encoded(Request::new(text)).unwrap();
+                        let version = response.snapshot.store().version();
+                        assert_eq!(
+                            response.rows.len() as u64,
+                            version - base_version,
+                            "{text} served a stale answer at store version {version}"
+                        );
+                        // Every update invalidates this entry, so a hit
+                        // was populated under the snapshot it is served on.
+                        assert_eq!(response.metrics.store_version, version);
+                        cacheable.fetch_add(1, Ordering::Relaxed);
+                    }
+                    i = (i + 1) % CHURN_REQUESTS;
+                    reads.fetch_add(1, Ordering::Release);
+                }
+            });
+        }
+        let (session, reads, writer_done, start) = (&session, &reads, &writer_done, &start);
+        scope.spawn(move || {
+            start.wait();
+            for k in 0..UPDATES {
+                while reads.load(Ordering::Acquire) < k * READS_PER_UPDATE {
+                    std::thread::yield_now();
+                }
+                let text = format!("INSERT DATA {{ <http://e/s{k}> <http://e/tag> \"v{k}\" . }}");
+                let update = session.update(Request::new(text)).expect("update");
+                assert_eq!(update.stats.inserted, 1);
+            }
+            writer_done.store(true, Ordering::Release);
+        });
+    });
+
+    // Quiesced: one more cycle fills the tier, and its last
+    // `RESULT_TIER_ENTRIES` requests are then all hits.
+    let mut total = cacheable.load(Ordering::Relaxed) as u64;
+    for pass in ["fill", "hit"] {
+        let first = if pass == "fill" {
+            0
+        } else {
+            CHURN_REQUESTS - RESULT_TIER_ENTRIES
+        };
+        for (i, want) in expected.iter().enumerate().skip(first) {
+            let response = session
+                .query_encoded(Request::new(churn_request(i)))
+                .unwrap();
+            assert_eq!(&wire_bytes(&response), want, "request {i}");
+            assert!(
+                pass == "fill" || response.metrics.result_cache_hit,
+                "request {i}"
+            );
+            total += 1;
+        }
+    }
+    let stats = session.cache_stats();
+    assert_eq!(
+        session.snapshot().store().version() - base_version,
+        UPDATES as u64
+    );
+    assert_eq!(stats.result_entries, RESULT_TIER_ENTRIES);
+    assert_eq!(stats.result_hits + stats.result_misses, total);
+    assert!(stats.result_evictions > 0 && stats.invalidations > 0);
+    // Every entry came from a miss and left at most once.
+    assert!(
+        stats.result_misses
+            >= stats.result_entries as u64 + stats.result_evictions + stats.invalidations
+    );
+}
