@@ -138,6 +138,11 @@ fn accumulate(plan: &PhysicalPlan, profile: &Profile, cost: &mut PlanCost) {
             accumulate(left, &profile.children[0], cost);
             accumulate(right, &profile.children[1], cost);
         }
+        // Concatenation joins nothing: only the branches' own joins cost.
+        PhysicalPlan::Union { left, right } => {
+            accumulate(left, &profile.children[0], cost);
+            accumulate(right, &profile.children[1], cost);
+        }
         PhysicalPlan::Sort { input, .. }
         | PhysicalPlan::Filter { input, .. }
         | PhysicalPlan::Project { input, .. }

@@ -172,11 +172,9 @@ impl ExecConfig {
         Some(gov)
     }
 
-    /// The execution context this configuration asks for — also used by
-    /// evaluators outside this crate (e.g. the extended OPTIONAL/UNION
-    /// evaluator) that drive individual operators rather than whole plans,
-    /// so one thread budget (and one governor) governs every operator of a
-    /// query. With no explicit [`threads`](Self::threads) the budget is
+    /// The execution context this configuration asks for: one thread
+    /// budget (and one governor) for every operator of a query. With no
+    /// explicit [`threads`](Self::threads) the budget is
     /// detected here, on every call ([`MorselConfig::auto`] asks the OS);
     /// a long-lived caller detects once and calls
     /// [`context_from`](Self::context_from).
@@ -391,8 +389,9 @@ pub fn execute(
 
 /// [`execute`] inside a caller-owned [`ExecContext`]: the caller's buffer
 /// pool serves (and receives) this execution's columns and the runtime
-/// counters accumulate across executions — how the extended
-/// (OPTIONAL/UNION) evaluator runs its per-block plans under one pool.
+/// counters accumulate across executions — how a session runs each
+/// request on its shared worker pool, and how a caller reads
+/// [`RuntimeMetrics::of`] the context afterwards.
 /// The reported [`ExecOutput::runtime`] snapshots the context's cumulative
 /// counters at completion.
 ///
@@ -447,6 +446,7 @@ pub(crate) fn plan_label(plan: &PhysicalPlan) -> String {
                 .join(",")
         ),
         PhysicalPlan::CrossProduct { .. } => "crossproduct".into(),
+        PhysicalPlan::Union { .. } => "union".into(),
         PhysicalPlan::Sort { var, .. } => format!("sort({var})"),
         PhysicalPlan::Filter { .. } => "filter".into(),
         PhysicalPlan::Project {
@@ -557,6 +557,12 @@ fn run(
             let mut rt = Some(rt);
             let (lt, lp) = try_second(run(left, ds, config, ctx), &mut rt, ctx)?;
             let rt = rt.expect("right retained on success");
+            // The keyless form pairs like a cross product.
+            let (lt, rt) = if vars.is_empty() {
+                admit_product(plan, lt, rt, true, config, ctx)?
+            } else {
+                (lt, rt)
+            };
             let start = Instant::now();
             let table = ops::left_outer_hash_join(ctx, &lt, &rt, vars);
             ctx.recycle(lt);
@@ -568,31 +574,20 @@ fn run(
             let mut lt = Some(lt);
             let (rt, rp) = try_second(run(right, ds, config, ctx), &mut lt, ctx)?;
             let lt = lt.expect("left retained on success");
-            // Check the budgets *before* materialising the product: this is
-            // the guard that makes Cartesian plans fail fast instead of
-            // exhausting memory.
-            let rows = lt.len().saturating_mul(rt.len());
-            if let Some(budget) = config.max_intermediate_rows {
-                if rows > budget {
-                    ctx.recycle(lt);
-                    ctx.recycle(rt);
-                    return Err(ExecError::BudgetExceeded {
-                        operator: "crossproduct".into(),
-                        rows,
-                        budget,
-                    });
-                }
-            }
-            let out_bytes = rows
-                .saturating_mul(lt.vars().len() + rt.vars().len())
-                .saturating_mul(std::mem::size_of::<TermId>());
-            if let Err(e) = ctx.reserve_check(out_bytes, "crossproduct") {
-                ctx.recycle(lt);
-                ctx.recycle(rt);
-                return Err(e.into());
-            }
+            let (lt, rt) = admit_product(plan, lt, rt, false, config, ctx)?;
             let start = Instant::now();
             let table = ops::cross_product(ctx, &lt, &rt);
+            ctx.recycle(lt);
+            ctx.recycle(rt);
+            finish(table, plan_label(plan), start, vec![lp, rp], config, ctx)
+        }
+        PhysicalPlan::Union { left, right } => {
+            let (lt, lp) = run(left, ds, config, ctx)?;
+            let mut lt = Some(lt);
+            let (rt, rp) = try_second(run(right, ds, config, ctx), &mut lt, ctx)?;
+            let lt = lt.expect("left retained on success");
+            let start = Instant::now();
+            let table = ops::union_all(ctx, &lt, &rt);
             ctx.recycle(lt);
             ctx.recycle(rt);
             finish(table, plan_label(plan), start, vec![lp, rp], config, ctx)
@@ -653,6 +648,45 @@ fn run(
             let table = ops::slice(ctx, &it, *offset, *limit);
             ctx.recycle(it);
             finish(table, plan_label(plan), start, vec![ip], config, ctx)
+        }
+    }
+}
+
+/// Check the budgets *before* materialising a pairing of `lt` and `rt`
+/// (a cross product, or with `outer` the keyless left-outer join), whose
+/// exact size is known up front: the guard that makes Cartesian plans fail
+/// fast instead of exhausting memory. Hands the inputs back when the
+/// pairing fits, recycles them when it is refused.
+fn admit_product(
+    plan: &PhysicalPlan,
+    lt: BindingTable,
+    rt: BindingTable,
+    outer: bool,
+    config: &ExecConfig,
+    ctx: &ExecContext,
+) -> Result<(BindingTable, BindingTable), ExecError> {
+    let rows = ops::product_rows(lt.len(), rt.len(), outer);
+    let refusal = match config.max_intermediate_rows {
+        Some(budget) if rows > budget => Some(ExecError::BudgetExceeded {
+            operator: plan_label(plan),
+            rows,
+            budget,
+        }),
+        _ => {
+            let out_bytes = rows
+                .saturating_mul(lt.vars().len() + rt.vars().len())
+                .saturating_mul(std::mem::size_of::<TermId>());
+            ctx.reserve_check(out_bytes, "crossproduct")
+                .err()
+                .map(ExecError::from)
+        }
+    };
+    match refusal {
+        None => Ok((lt, rt)),
+        Some(e) => {
+            ctx.recycle(lt);
+            ctx.recycle(rt);
+            Err(e)
         }
     }
 }

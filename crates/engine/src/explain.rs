@@ -108,6 +108,17 @@ fn render(
                 out,
             );
         }
+        PhysicalPlan::Union { left, right } => {
+            out.push_str(&format!("{indent}∪{cards}\n"));
+            render(left, profile.map(|p| &p.children[0]), query, depth + 1, out);
+            render(
+                right,
+                profile.map(|p| &p.children[1]),
+                query,
+                depth + 1,
+                out,
+            );
+        }
         PhysicalPlan::Sort { input, var } => {
             out.push_str(&format!("{indent}sort ?{}{cards}\n", query.var_name(*var)));
             render(
@@ -486,6 +497,7 @@ fn dot_node(
             format!("⟕hj {}", names.join(","))
         }
         PhysicalPlan::CrossProduct { .. } => "×".to_string(),
+        PhysicalPlan::Union { .. } => "∪".to_string(),
         PhysicalPlan::Sort { var, .. } => format!("sort ?{}", query.var_name(*var)),
         PhysicalPlan::Filter { .. } => "σ(filter)".to_string(),
         PhysicalPlan::Project {
@@ -527,7 +539,8 @@ fn dot_node(
         PhysicalPlan::MergeJoin { left, right, .. }
         | PhysicalPlan::HashJoin { left, right, .. }
         | PhysicalPlan::LeftOuterHashJoin { left, right, .. }
-        | PhysicalPlan::CrossProduct { left, right } => vec![
+        | PhysicalPlan::CrossProduct { left, right }
+        | PhysicalPlan::Union { left, right } => vec![
             (left.as_ref(), profile.map(|p| &p.children[0])),
             (right.as_ref(), profile.map(|p| &p.children[1])),
         ],

@@ -64,8 +64,8 @@
 //! byte-identical to a fresh run. Sites: `worker` (morsel workers),
 //! `breaker` (pipeline breaker steps, including the γ aggregate merge),
 //! `aggregate` (the γ fold's morsel claims and grouped-state memory
-//! charges), `operator` (the operator-at-a-time oracle), `extended` (the
-//! OPTIONAL/UNION evaluator), `update` (the SPARQL Update path).
+//! charges), `operator` (the operator-at-a-time oracle), `update` (the
+//! SPARQL Update path).
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

@@ -75,11 +75,12 @@ pub fn scan(
             TermOrVar::Const(term) => match ds.dict().id(term) {
                 Some(id) => prefix.push(id),
                 None => {
-                    // Empty, but sorted like any scan of this order: a
-                    // merge join above still checks the declaration.
-                    let mut empty = BindingTable::empty(out_vars);
-                    empty.set_sorted_by(scan_sort_var(pattern, order));
-                    return empty;
+                    // Empty, but sorted like any scan of this order (a
+                    // merge join above still checks the declaration) and
+                    // pooled like one (its consumer recycles the columns).
+                    let cols = out_vars.iter().map(|_| ctx.pool.take_col(0)).collect();
+                    let sorted = scan_sort_var(pattern, order);
+                    return BindingTable::from_columns(out_vars, cols, sorted);
                 }
             },
             TermOrVar::Var(_) => break,
@@ -528,21 +529,37 @@ pub fn sort_by(ctx: &ExecContext, input: &BindingTable, var: Var) -> BindingTabl
     out
 }
 
-/// Left-outer hash join on `vars` (the OPTIONAL operator of the engine's
-/// extended evaluator): every left row survives; unmatched rows carry
-/// [`TermId::UNBOUND`] in the right-only columns. Same morsel-driven probe
-/// as [`hash_join`] — the unmatched-row sentinel is emitted per probe row,
-/// so per-morsel outputs still stitch deterministically.
+/// Rows of pairing every `left` row with every `right` row; an `outer`
+/// pairing keeps each left row once when `right` is empty.
+pub(crate) fn product_rows(left: usize, right: usize, outer: bool) -> usize {
+    left.saturating_mul(if outer { right.max(1) } else { right })
+}
+
+/// Left-outer hash join on `vars` (the OPTIONAL operator): every left row
+/// survives; unmatched rows carry [`TermId::UNBOUND`] in the right-only
+/// columns. Same morsel-driven probe as [`hash_join`] — the unmatched-row
+/// sentinel is emitted per probe row, so per-morsel outputs still stitch
+/// deterministically.
+///
+/// With `vars` empty (inputs sharing no variable) every left row pairs
+/// with every right row — the [`cross_product`] — or, when `right` is
+/// empty, survives once with the right columns UNBOUND.
 ///
 /// # Panics
-/// Panics if `vars` is empty or not shared by both inputs.
+/// Panics if a variable of `vars` is not shared by both inputs.
 pub fn left_outer_hash_join(
     ctx: &ExecContext,
     left: &BindingTable,
     right: &BindingTable,
     vars: &[Var],
 ) -> BindingTable {
-    assert!(!vars.is_empty(), "outer join needs at least one variable");
+    if vars.is_empty() {
+        return if right.is_empty() {
+            union_all(ctx, left, right)
+        } else {
+            cross_product(ctx, left, right)
+        };
+    }
     for &v in vars {
         assert!(
             left.vars().contains(&v),

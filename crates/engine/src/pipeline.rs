@@ -19,7 +19,8 @@
 //!   the single materialisation point. Everything that must see its whole
 //!   input before emitting a row is a *breaker* and becomes its own step:
 //!   the hash-join **build** side, merge join (both sorted inputs), cross
-//!   product, the sort order-enforcer, ORDER BY, grouped aggregation
+//!   product (and the keyless left-outer join, which pairs like one),
+//!   UNION, the sort order-enforcer, ORDER BY, grouped aggregation
 //!   (the morsel-parallel two-phase γ of [`crate::aggregate`]), and
 //!   LIMIT/OFFSET. DISTINCT, once a breaker, now **streams**: each
 //!   morsel dedups its projected rows locally, and the sink finishes
@@ -123,7 +124,14 @@ enum BreakerOp<'p> {
         right: SlotId,
         var: Var,
     },
+    /// Every left row paired with every right row; with `outer` (the
+    /// keyless left-outer join) a left row survives an empty right side.
     CrossProduct {
+        left: SlotId,
+        right: SlotId,
+        outer: bool,
+    },
+    Union {
         left: SlotId,
         right: SlotId,
     },
@@ -227,7 +235,8 @@ pub fn lower(plan: &PhysicalPlan) -> Program<'_> {
             Step::Breaker { op, .. } => match op {
                 BreakerOp::Scan { .. } => {}
                 BreakerOp::MergeJoin { left, right, .. }
-                | BreakerOp::CrossProduct { left, right } => {
+                | BreakerOp::CrossProduct { left, right, .. }
+                | BreakerOp::Union { left, right } => {
                     consumers[*left] += 1;
                     consumers[*right] += 1;
                 }
@@ -362,6 +371,24 @@ impl<'p> Lowerer<'p, '_> {
                 });
                 chain
             }
+            PhysicalPlan::LeftOuterHashJoin { left, right, vars } if vars.is_empty() => {
+                // No key to probe on: the pairing materialises like a
+                // cross product (right side first, as the oracle runs it).
+                let r = self.seal_subplan(right);
+                let l = self.seal_subplan(left);
+                let slot = self.push_breaker(
+                    node,
+                    BreakerOp::CrossProduct {
+                        left: l,
+                        right: r,
+                        outer: true,
+                    },
+                );
+                Chain {
+                    source: SourceSpec::Slot(slot),
+                    stages: Vec::new(),
+                }
+            }
             PhysicalPlan::LeftOuterHashJoin { left, right, vars } => {
                 // Same shape as the inner join: the optional side builds,
                 // the preserved side streams through an *outer* probe —
@@ -397,7 +424,23 @@ impl<'p> Lowerer<'p, '_> {
             PhysicalPlan::CrossProduct { left, right } => {
                 let l = self.seal_subplan(left);
                 let r = self.seal_subplan(right);
-                let slot = self.push_breaker(node, BreakerOp::CrossProduct { left: l, right: r });
+                let slot = self.push_breaker(
+                    node,
+                    BreakerOp::CrossProduct {
+                        left: l,
+                        right: r,
+                        outer: false,
+                    },
+                );
+                Chain {
+                    source: SourceSpec::Slot(slot),
+                    stages: Vec::new(),
+                }
+            }
+            PhysicalPlan::Union { left, right } => {
+                let l = self.seal_subplan(left);
+                let r = self.seal_subplan(right);
+                let slot = self.push_breaker(node, BreakerOp::Union { left: l, right: r });
                 Chain {
                     source: SourceSpec::Slot(slot),
                     stages: Vec::new(),
@@ -603,12 +646,12 @@ impl Program<'_> {
                     // A Cartesian product's output size is known exactly up
                     // front: refuse it *before* materialising when it cannot
                     // fit the row budget or the memory budget.
-                    if let BreakerOp::CrossProduct { left, right } = op {
+                    if let BreakerOp::CrossProduct { left, right, outer } = op {
                         let lt = slots[*left].as_ref().expect("input slot filled before use");
                         let rt = slots[*right]
                             .as_ref()
                             .expect("input slot filled before use");
-                        let product = lt.len().saturating_mul(rt.len());
+                        let product = ops::product_rows(lt.len(), rt.len(), *outer);
                         if let Some(budget) = row_budget.filter(|&b| product > b) {
                             return Err(self.budget_exceeded(*node, product, budget));
                         }
@@ -701,7 +744,8 @@ impl Program<'_> {
             PhysicalPlan::MergeJoin { left, right, .. }
             | PhysicalPlan::HashJoin { left, right, .. }
             | PhysicalPlan::LeftOuterHashJoin { left, right, .. }
-            | PhysicalPlan::CrossProduct { left, right } => vec![
+            | PhysicalPlan::CrossProduct { left, right }
+            | PhysicalPlan::Union { left, right } => vec![
                 self.build_profile(left, rows, nanos),
                 self.build_profile(right, rows, nanos),
             ],
@@ -750,8 +794,12 @@ impl Program<'_> {
                         BreakerOp::MergeJoin { left, right, var } => {
                             format!("⋈mj ?{} (s{left}, s{right})", query.var_name(*var))
                         }
-                        BreakerOp::CrossProduct { left, right } => {
-                            format!("× (s{left}, s{right})")
+                        BreakerOp::CrossProduct { left, right, outer } => {
+                            let op = if *outer { "⟕×" } else { "×" };
+                            format!("{op} (s{left}, s{right})")
+                        }
+                        BreakerOp::Union { left, right } => {
+                            format!("∪ (s{left}, s{right})")
                         }
                         BreakerOp::Sort { input, var } => {
                             format!("sort ?{} (s{input})", query.var_name(*var))
@@ -869,9 +917,18 @@ fn run_breaker(
             let (l, r) = (take(*left), take(*right));
             (ops::merge_join(ctx, &l, &r, *var), vec![l, r])
         }
-        BreakerOp::CrossProduct { left, right } => {
+        BreakerOp::CrossProduct { left, right, outer } => {
             let (l, r) = (take(*left), take(*right));
-            (ops::cross_product(ctx, &l, &r), vec![l, r])
+            let table = if *outer {
+                ops::left_outer_hash_join(ctx, &l, &r, &[])
+            } else {
+                ops::cross_product(ctx, &l, &r)
+            };
+            (table, vec![l, r])
+        }
+        BreakerOp::Union { left, right } => {
+            let (l, r) = (take(*left), take(*right));
+            (ops::union_all(ctx, &l, &r), vec![l, r])
         }
         BreakerOp::Sort { input, var } => {
             let i = take(*input);
@@ -1537,7 +1594,10 @@ fn run_pipeline(
             deduped
         }
     };
-    for side in sides {
+    // A pooled part's deferred side 0 (the column-move path) is the
+    // placeholder, never checked out: only pool buffers go back.
+    let skip = usize::from(pooled_part && movable);
+    for side in sides.into_iter().skip(skip) {
         ctx.pool.put_idx(side);
     }
     nanos_by_node[top_node] = start.elapsed().as_nanos();
@@ -2395,6 +2455,50 @@ mod tests {
         for threads in 1..=4 {
             let out = execute(&plan, &ds, &ExecConfig::unlimited().with_threads(threads)).unwrap();
             assert_eq!(out.table, oracle.table, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn union_and_keyless_outer_join_break_and_match_the_oracle() {
+        let ds = dataset();
+        let p_rows = || Box::new(scan(0, vv(0), cv("p"), vv(1), Order::Pso));
+        let plans = [
+            // Branches binding different variables: UNBOUND padding.
+            PhysicalPlan::Union {
+                left: p_rows(),
+                right: Box::new(scan(1, vv(0), cv("q"), vv(2), Order::Pso)),
+            },
+            // No shared variable: every pairing (3 × 1) …
+            PhysicalPlan::LeftOuterHashJoin {
+                left: p_rows(),
+                right: Box::new(scan(1, vv(2), cv("r"), vv(3), Order::Pso)),
+                vars: vec![],
+            },
+            // … or, over an empty right side, the left rows padded.
+            PhysicalPlan::LeftOuterHashJoin {
+                left: p_rows(),
+                right: Box::new(scan(1, vv(2), cv("nope"), vv(3), Order::Pso)),
+                vars: vec![],
+            },
+        ];
+        for (plan, rows) in plans.iter().zip([5, 3, 3]) {
+            assert_eq!(lower(plan).pipeline_count(), 0, "two scans and a breaker");
+            let oracle = execute(
+                plan,
+                &ds,
+                &ExecConfig::unlimited().with_strategy(ExecStrategy::OperatorAtATime),
+            )
+            .unwrap();
+            assert_eq!(oracle.table.len(), rows);
+            for threads in 1..=4 {
+                let out =
+                    execute_in(plan, &ds, &ExecConfig::unlimited(), &forced_ctx(threads)).unwrap();
+                assert_eq!(out.table, oracle.table, "threads={threads}");
+                assert_eq!(
+                    out.profile.total_intermediate_rows(),
+                    oracle.profile.total_intermediate_rows()
+                );
+            }
         }
     }
 

@@ -52,13 +52,27 @@ pub enum PhysicalPlan {
     /// so the pipeline executor lowers it as a probe *stage* (the
     /// unmatched-row sentinel is emitted per probe row, which keeps morsel
     /// stitching deterministic).
+    ///
+    /// With `vars` empty the inputs share no variable (an OPTIONAL group
+    /// unrelated to what precedes it): every left row pairs with every
+    /// right row, or survives once with the right columns UNBOUND when the
+    /// right side is empty. That form materialises like a cross product.
     LeftOuterHashJoin {
         /// Probe input (preserved in full).
         left: Box<PhysicalPlan>,
         /// Build input (optional side).
         right: Box<PhysicalPlan>,
-        /// Join variables (non-empty, shared by both inputs).
+        /// Join variables: all variables shared by both inputs.
         vars: Vec<Var>,
+    },
+    /// UNION: the left rows, then the right rows, over the union of both
+    /// inputs' variables; a variable one branch does not bind is
+    /// `TermId::UNBOUND` in that branch's rows.
+    Union {
+        /// First branch.
+        left: Box<PhysicalPlan>,
+        /// Second branch.
+        right: Box<PhysicalPlan>,
     },
     /// Cartesian product (no shared variables).
     CrossProduct {
@@ -139,12 +153,37 @@ impl PhysicalPlan {
     /// modifiers: `ORDER BY` first, then `OFFSET`/`LIMIT` — the SPARQL §9
     /// application order. A no-op for modifier-free queries, so the paper's
     /// workload plans are unchanged.
+    ///
+    /// The sort goes above the projection, except when a key reads a
+    /// variable the projection drops: then it goes beneath it (SPARQL's
+    /// own order — ORDER BY, projection, DISTINCT, slice). With
+    /// projected-only keys the two placements give identical rows.
     pub fn with_modifiers(self, modifiers: &hsp_sparql::Modifiers) -> PhysicalPlan {
         let mut plan = self;
         if !modifiers.order_by.is_empty() {
-            plan = PhysicalPlan::OrderBy {
-                input: Box::new(plan),
-                keys: modifiers.order_by.clone(),
+            let keys = modifiers.order_by.clone();
+            plan = match plan {
+                PhysicalPlan::Project {
+                    input,
+                    projection,
+                    distinct,
+                } if keys.iter().any(|k| {
+                    k.expr
+                        .vars()
+                        .iter()
+                        .any(|v| !projection.iter().any(|(_, p)| p == v))
+                }) =>
+                {
+                    PhysicalPlan::Project {
+                        input: Box::new(PhysicalPlan::OrderBy { input, keys }),
+                        projection,
+                        distinct,
+                    }
+                }
+                plan => PhysicalPlan::OrderBy {
+                    input: Box::new(plan),
+                    keys,
+                },
             };
         }
         if modifiers.limit.is_some() || modifiers.offset > 0 {
@@ -156,6 +195,7 @@ impl PhysicalPlan {
         }
         plan
     }
+
     /// The distinct variables produced by this plan, in a deterministic
     /// order (left depth-first).
     pub fn output_vars(&self) -> Vec<Var> {
@@ -164,7 +204,8 @@ impl PhysicalPlan {
             PhysicalPlan::MergeJoin { left, right, .. }
             | PhysicalPlan::HashJoin { left, right, .. }
             | PhysicalPlan::LeftOuterHashJoin { left, right, .. }
-            | PhysicalPlan::CrossProduct { left, right } => {
+            | PhysicalPlan::CrossProduct { left, right }
+            | PhysicalPlan::Union { left, right } => {
                 let mut vars = left.output_vars();
                 for v in right.output_vars() {
                     if !vars.contains(&v) {
@@ -219,6 +260,8 @@ impl PhysicalPlan {
             // columns with UNBOUND sentinels — the operator conservatively
             // advertises no sortedness (matching `ops::left_outer_hash_join`).
             PhysicalPlan::LeftOuterHashJoin { .. } => None,
+            // Branch rows are concatenated, not merged.
+            PhysicalPlan::Union { .. } => None,
             PhysicalPlan::Sort { var, .. } => Some(*var),
             PhysicalPlan::Filter { input, .. } => input.sorted_by(),
             PhysicalPlan::Project {
@@ -245,6 +288,7 @@ impl PhysicalPlan {
     /// | `HashJoin`          | the build (right) side must be fully hashed — the probe side streams |
     /// | `LeftOuterHashJoin` | same as `HashJoin`: build side breaks, the probe side streams (unmatched rows emit a sentinel per probe row) |
     /// | `CrossProduct`      | tiles one whole side over the other              |
+    /// | `Union`             | the output layout pads each branch's missing columns over whole tables |
     /// | `Sort`              | order enforcement sees every row                 |
     /// | `OrderBy`           | solution-modifier sort sees every row            |
     /// | `HashAggregate`     | folds every row into the grouped hash state      |
@@ -268,6 +312,7 @@ impl PhysicalPlan {
             | PhysicalPlan::HashJoin { .. }
             | PhysicalPlan::LeftOuterHashJoin { .. }
             | PhysicalPlan::CrossProduct { .. }
+            | PhysicalPlan::Union { .. }
             | PhysicalPlan::Sort { .. }
             | PhysicalPlan::HashAggregate { .. }
             | PhysicalPlan::OrderBy { .. }
@@ -284,6 +329,28 @@ impl PhysicalPlan {
             }
         });
         out
+    }
+
+    /// Add `by` to every scan's `pattern_idx` — how a plan made for one
+    /// block of a larger query is numbered into that query's pattern list.
+    pub fn shift_pattern_indices(&mut self, by: usize) {
+        match self {
+            PhysicalPlan::Scan { pattern_idx, .. } => *pattern_idx += by,
+            PhysicalPlan::MergeJoin { left, right, .. }
+            | PhysicalPlan::HashJoin { left, right, .. }
+            | PhysicalPlan::LeftOuterHashJoin { left, right, .. }
+            | PhysicalPlan::CrossProduct { left, right }
+            | PhysicalPlan::Union { left, right } => {
+                left.shift_pattern_indices(by);
+                right.shift_pattern_indices(by);
+            }
+            PhysicalPlan::Sort { input, .. }
+            | PhysicalPlan::Filter { input, .. }
+            | PhysicalPlan::Project { input, .. }
+            | PhysicalPlan::HashAggregate { input, .. }
+            | PhysicalPlan::OrderBy { input, .. }
+            | PhysicalPlan::Slice { input, .. } => input.shift_pattern_indices(by),
+        }
     }
 
     /// A copy with cached-plan parameters rebound: every constant `t`
@@ -326,6 +393,10 @@ impl PhysicalPlan {
                 }
             }
             PhysicalPlan::CrossProduct { left, right } => PhysicalPlan::CrossProduct {
+                left: Box::new(left.instantiate(term, name)),
+                right: Box::new(right.instantiate(term, name)),
+            },
+            PhysicalPlan::Union { left, right } => PhysicalPlan::Union {
                 left: Box::new(left.instantiate(term, name)),
                 right: Box::new(right.instantiate(term, name)),
             },
@@ -396,7 +467,8 @@ impl PhysicalPlan {
             PhysicalPlan::MergeJoin { left, right, .. }
             | PhysicalPlan::HashJoin { left, right, .. }
             | PhysicalPlan::LeftOuterHashJoin { left, right, .. }
-            | PhysicalPlan::CrossProduct { left, right } => {
+            | PhysicalPlan::CrossProduct { left, right }
+            | PhysicalPlan::Union { left, right } => {
                 left.visit(f);
                 right.visit(f);
             }
@@ -414,9 +486,11 @@ impl PhysicalPlan {
     ///
     /// * scan constants occupy a prefix of the scan order's key;
     /// * merge-join inputs are sorted on the join variable;
-    /// * hash-join variables are shared by both inputs and non-empty;
+    /// * hash-join variables are shared by both inputs and non-empty (a
+    ///   left-outer join may have none, over inputs sharing no variable);
     /// * cross-product inputs share no variables;
-    /// * filter/projection variables are produced by their input.
+    /// * projection, order-enforcer, grouping and aggregate variables are
+    ///   produced by their input.
     pub fn validate(&self) -> Result<(), PlanError> {
         match self {
             PhysicalPlan::Scan { pattern, order, .. } => {
@@ -453,11 +527,20 @@ impl PhysicalPlan {
                 };
                 left.validate()?;
                 right.validate()?;
-                if vars.is_empty() {
-                    return Err(PlanError(format!("{kind} with no join variables")));
-                }
                 let lv = left.output_vars();
                 let rv = right.output_vars();
+                if vars.is_empty() {
+                    // Only the outer join has a keyless form, and only
+                    // over unrelated inputs (it pairs like a cross product).
+                    if matches!(self, PhysicalPlan::HashJoin { .. }) {
+                        return Err(PlanError(format!("{kind} with no join variables")));
+                    }
+                    if rv.iter().any(|v| lv.contains(v)) {
+                        return Err(PlanError(format!(
+                            "{kind} with no join variables over inputs that share variables"
+                        )));
+                    }
+                }
                 for v in vars {
                     if !lv.contains(v) || !rv.contains(v) {
                         return Err(PlanError(format!(
@@ -485,15 +568,15 @@ impl PhysicalPlan {
                 }
                 Ok(())
             }
-            PhysicalPlan::Filter { input, expr } => {
-                input.validate()?;
-                let iv = input.output_vars();
-                for v in expr.vars() {
-                    if !iv.contains(&v) {
-                        return Err(PlanError(format!("filter variable {v} not bound")));
-                    }
-                }
-                Ok(())
+            // A filter or a sort key may read a variable its input does
+            // not bind: both executors evaluate it as UNBOUND (SPARQL's
+            // `!bound(?x)`).
+            PhysicalPlan::Filter { input, .. }
+            | PhysicalPlan::OrderBy { input, .. }
+            | PhysicalPlan::Slice { input, .. } => input.validate(),
+            PhysicalPlan::Union { left, right } => {
+                left.validate()?;
+                right.validate()
             }
             PhysicalPlan::Project {
                 input, projection, ..
@@ -555,19 +638,6 @@ impl PhysicalPlan {
                 }
                 Ok(())
             }
-            PhysicalPlan::OrderBy { input, keys } => {
-                input.validate()?;
-                let iv = input.output_vars();
-                for key in keys {
-                    for v in key.expr.vars() {
-                        if !iv.contains(&v) {
-                            return Err(PlanError(format!("ORDER BY variable {v} not bound")));
-                        }
-                    }
-                }
-                Ok(())
-            }
-            PhysicalPlan::Slice { input, .. } => input.validate(),
         }
     }
 }
@@ -891,12 +961,54 @@ mod tests {
         };
         let err = unshared.validate().unwrap_err();
         assert!(err.to_string().contains("left-outer hash join"));
-        let empty = PhysicalPlan::LeftOuterHashJoin {
-            left: Box::new(left),
+        // Keyless form: legal only over inputs that share no variable.
+        let keyless_shared = PhysicalPlan::LeftOuterHashJoin {
+            left: Box::new(left.clone()),
             right: Box::new(right),
             vars: vec![],
         };
-        assert!(empty.validate().is_err());
+        assert!(keyless_shared.validate().is_err());
+        let keyless = PhysicalPlan::LeftOuterHashJoin {
+            left: Box::new(left),
+            right: Box::new(scan(1, pat(v(3), c("q"), v(4)), Order::Pso)),
+            vars: vec![],
+        };
+        assert!(keyless.validate().is_ok());
+    }
+
+    #[test]
+    fn order_by_goes_beneath_a_projection_that_drops_its_key() {
+        let key = |var| hsp_sparql::Modifiers {
+            order_by: vec![hsp_sparql::SortKey {
+                expr: hsp_sparql::Expr::Var(Var(var)),
+                descending: false,
+            }],
+            limit: Some(1),
+            offset: 0,
+        };
+        let project = PhysicalPlan::Project {
+            input: Box::new(scan(0, pat(v(0), c("p"), v(1)), Order::Pso)),
+            projection: vec![("y".into(), Var(1))],
+            distinct: true,
+        };
+        // A projected key: sort above the projection, as ever.
+        let PhysicalPlan::Slice { input, .. } = project.clone().with_modifiers(&key(1)) else {
+            panic!("slice on top");
+        };
+        assert!(matches!(*input, PhysicalPlan::OrderBy { .. }));
+        // A dropped key: ORDER BY, then projection + DISTINCT, then slice.
+        let PhysicalPlan::Slice { input, .. } = project.with_modifiers(&key(0)) else {
+            panic!("slice on top");
+        };
+        let PhysicalPlan::Project {
+            input,
+            distinct: true,
+            ..
+        } = *input
+        else {
+            panic!("projection above the sort");
+        };
+        assert!(matches!(*input, PhysicalPlan::OrderBy { .. }));
     }
 
     #[test]

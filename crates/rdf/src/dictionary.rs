@@ -22,9 +22,9 @@ use crate::term::{Term, TermKind};
 pub struct TermId(pub u32);
 
 impl TermId {
-    /// Sentinel for an *unbound* value in OPTIONAL/UNION results (the
-    /// engine's extended evaluator). Never a valid dictionary id: the
-    /// dictionary panics before handing out `u32::MAX` ids.
+    /// Sentinel for an *unbound* value in OPTIONAL/UNION results. Never a
+    /// valid dictionary id: the dictionary panics before handing out
+    /// `u32::MAX` ids.
     pub const UNBOUND: TermId = TermId(u32::MAX);
 
     /// The raw index value.

@@ -395,7 +395,7 @@ pub struct JoinQuery {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AlgebraError {
     /// The query uses OPTIONAL/UNION, which Definition 3 join queries (and
-    /// the planners) do not cover; the extended evaluator handles them.
+    /// the planners) do not cover; the root crate's composer handles them.
     UnsupportedFeature(&'static str),
     /// A projected variable does not occur in any triple pattern.
     UnboundProjection(String),
@@ -796,8 +796,8 @@ fn rewrite_having_aggs(
 /// Lower a FILTER AST to a [`FilterExpr`], keeping the rewritable simple
 /// shapes (comparisons over variable/constant operands, conjunction,
 /// disjunction) in the legacy variants and wrapping everything else as
-/// [`FilterExpr::Complex`]. Shared with the extended (OPTIONAL/UNION)
-/// evaluator, which supplies its own variable table.
+/// [`FilterExpr::Complex`]. Shared with the OPTIONAL/UNION plan
+/// composer, which supplies its own variable table.
 pub fn lower_filter_ast(
     expr: &ExprAst,
     var: &mut impl FnMut(&str) -> Var,

@@ -1,5 +1,5 @@
-//! OPTIONAL and UNION — the paper's §7 future-work features, evaluated by
-//! the extended evaluator on top of HSP-planned blocks.
+//! OPTIONAL and UNION — the paper's §7 future-work features, composed from
+//! HSP-planned blocks into one plan.
 //!
 //! ```text
 //! cargo run --release --example optional_union

@@ -30,8 +30,8 @@
 //! ```
 //!
 //! Queries that fit the paper's Definition 3 (conjunctive + FILTER) run
-//! through the chosen planner; OPTIONAL/UNION queries fall back to the
-//! extended evaluator (always HSP-planned, per block).
+//! through the chosen planner; OPTIONAL/UNION/ASK queries are composed
+//! from HSP-planned blocks into one plan. Either way one plan runs once.
 
 use std::process::ExitCode;
 
@@ -210,13 +210,13 @@ fn run() -> Result<(), String> {
         eprintln!("note: {note}");
     }
     let mut body = String::new();
-    if let Some(answer) = response.ask {
+    if let Some(plan) = &response.explain {
+        body.push_str(plan);
+        body.push_str(&render_runtime_metrics(&response.metrics));
+    } else if let Some(answer) = response.ask {
         // ASK answers are a bare boolean (or the W3C JSON envelope).
         args.format.write_ask(&mut body, answer);
         body.push('\n');
-    } else if let Some(plan) = &response.explain {
-        body.push_str(plan);
-        body.push_str(&render_runtime_metrics(&response.metrics));
     } else {
         args.format.write(&mut body, &response, usize::MAX);
     }

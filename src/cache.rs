@@ -238,50 +238,22 @@ fn instantiate_query(
     out
 }
 
-/// Derive the read set of a parsed (possibly extended) query from its
-/// WHERE group — OPTIONAL/UNION arms included.
-pub(crate) fn ast_reads(group: &hsp_sparql::ast::GroupPattern) -> Reads {
-    use hsp_sparql::ast::{Element, NodeAst};
-    fn walk(group: &hsp_sparql::ast::GroupPattern, preds: &mut Vec<Term>) -> bool {
-        for element in &group.elements {
-            match element {
-                Element::Triple(t) => match &t.predicate {
-                    NodeAst::Const(term) => preds.push(term.clone()),
-                    NodeAst::Var(_) => return false,
-                },
-                Element::Filter(_) => {}
-                Element::Optional(inner) => {
-                    if !walk(inner, preds) {
-                        return false;
-                    }
-                }
-                Element::Union(left, right) => {
-                    if !walk(left, preds) || !walk(right, preds) {
-                        return false;
-                    }
-                }
+/// Derive the read set of a query from the scans of its plan: the constant
+/// predicates it reads, or [`Reads::All`] when some scan's predicate is a
+/// variable.
+pub(crate) fn plan_reads(plan: &PhysicalPlan) -> Reads {
+    let mut preds = Vec::new();
+    let mut variable_predicate = false;
+    plan.visit(&mut |node| {
+        if let PhysicalPlan::Scan { pattern, .. } = node {
+            match &pattern.slots[1] {
+                TermOrVar::Const(t) => preds.push(t.clone()),
+                TermOrVar::Var(_) => variable_predicate = true,
             }
         }
-        true
-    }
-    let mut preds = Vec::new();
-    if walk(group, &mut preds) {
-        preds.sort_unstable();
-        preds.dedup();
-        Reads::Predicates(preds)
-    } else {
-        Reads::All
-    }
-}
-
-/// Derive the read set of a planned join query from its patterns.
-pub(crate) fn query_reads(q: &JoinQuery) -> Reads {
-    let mut preds = Vec::new();
-    for p in &q.patterns {
-        match &p.slots[1] {
-            TermOrVar::Const(t) => preds.push(t.clone()),
-            TermOrVar::Var(_) => return Reads::All,
-        }
+    });
+    if variable_predicate {
+        return Reads::All;
     }
     preds.sort_unstable();
     preds.dedup();

@@ -1,25 +1,28 @@
-//! Extended SPARQL evaluation: OPTIONAL, UNION, and group-scoped FILTERs —
-//! the paper's §7 future work ("extend our optimizer to include all
-//! features of the SPARQL language, such as the OPTIONAL clause").
+//! Extended SPARQL: OPTIONAL, UNION, and group-scoped FILTERs — the
+//! paper's §7 future work ("extend our optimizer to include all features
+//! of the SPARQL language, such as the OPTIONAL clause").
 //!
-//! The strategy keeps HSP in charge of everything it covers: each basic
-//! graph pattern (the conjunctive triple blocks) is planned by
-//! [`HspPlanner`] exactly as in the paper; OPTIONAL groups become
-//! left-outer hash joins, UNION branches are evaluated independently and
-//! concatenated (missing columns padded with [`hsp_rdf::TermId::UNBOUND`]), and
-//! group-level FILTERs run after the group's joins with SPARQL's
-//! unbound-is-type-error semantics.
+//! This module is a **composer**, not an evaluator: it lowers a parsed
+//! query to one [`PhysicalPlan`] and hands it to [`execute_in`] — the same
+//! single execution every join-fragment query gets, with the same row
+//! budget, governor, profile and pipeline lowering. HSP stays in charge of
+//! everything it covers: each basic graph pattern (a group's conjunctive
+//! triple block) is planned by [`HspPlanner`] exactly as in the paper, and
+//! the blocks are then composed group by group:
 //!
-//! When a group is a conjunctive core plus *plain* OPTIONAL blocks (each
-//! only triples and FILTERs), the whole group **composes into one
-//! [`PhysicalPlan`]** — the core's HSP plan, a
-//! [`PhysicalPlan::LeftOuterHashJoin`] per OPTIONAL block, then the
-//! group's FILTERs — and runs through [`execute_in`], which lowers that
-//! plan into morsel-driven pipelines end to end, so the OPTIONAL probe
-//! *streams* (the `pipeline_outer_probes` runtime counter) instead of
-//! materialising both join inputs and the joined output, as the previous
-//! table-at-a-time evaluation did. Groups with UNION branches or nested
-//! OPTIONALs keep the table-at-a-time path.
+//! 1. the group's triple block, HSP-planned;
+//! 2. each `{ A } UNION { B }` becomes a [`PhysicalPlan::Union`] of the two
+//!    composed branches (columns a branch does not bind are padded with
+//!    [`hsp_rdf::TermId::UNBOUND`]), hash-joined to what precedes it on
+//!    the shared variables (a cross product when there are none);
+//! 3. each `OPTIONAL { G }` becomes a [`PhysicalPlan::LeftOuterHashJoin`]
+//!    whose right side is the composed `G`, keyed on the shared variables
+//!    (none: every pairing, or UNBOUND padding when `G` has no solution);
+//! 4. the group's FILTERs on top, with SPARQL's unbound-is-type-error
+//!    semantics;
+//!
+//! and the query's projection, DISTINCT, ORDER BY and OFFSET / LIMIT wrap
+//! the outermost group the way every planner wraps its join tree.
 //!
 //! Scope notes (documented simplifications):
 //! * FILTERs inside an OPTIONAL/UNION group apply to that group; FILTERs of
@@ -29,15 +32,16 @@
 //!   `?x` never joins a row where `?x` is UNBOUND), which is sufficient for
 //!   the common "pad then project" UNION usage.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use hsp_core::HspPlanner;
-use hsp_engine::binding::resolve_term;
-use hsp_engine::ops;
-use hsp_engine::{execute_in, BindingTable, ExecConfig, ExecContext, IdRows, PhysicalPlan};
-use hsp_rdf::{Term, TermId};
+use hsp_engine::{execute_in, ExecConfig, ExecContext, ExecError, PhysicalPlan};
+use hsp_rdf::Term;
+use hsp_sparql::algebra::{lower_expr_ast, lower_filter_ast, AlgebraError};
 use hsp_sparql::ast::{Element, GroupPattern, NodeAst, Query};
-use hsp_sparql::{parse_query, FilterExpr, JoinQuery, TermOrVar, TriplePattern, Var};
+use hsp_sparql::{
+    parse_query, FilterExpr, JoinQuery, Modifiers, SortKey, TermOrVar, TriplePattern, Var,
+};
 use hsp_store::Dataset;
 
 /// An extended-evaluation failure.
@@ -47,8 +51,10 @@ pub enum ExtendedError {
     Parse(hsp_sparql::ParseError),
     /// A projected variable is bound nowhere in the query.
     UnboundProjection(String),
-    /// Planning or execution failed.
+    /// Lowering or planning failed.
     Eval(String),
+    /// Executing the composed plan failed.
+    Exec(ExecError),
 }
 
 impl std::fmt::Display for ExtendedError {
@@ -59,6 +65,7 @@ impl std::fmt::Display for ExtendedError {
                 write!(f, "projected variable ?{v} is not bound anywhere")
             }
             ExtendedError::Eval(e) => write!(f, "{e}"),
+            ExtendedError::Exec(e) => write!(f, "{e}"),
         }
     }
 }
@@ -76,13 +83,14 @@ pub struct ExtendedOutput {
 }
 
 /// Evaluate a SPARQL query that may use OPTIONAL and UNION inside a
-/// caller-owned [`ExecContext`] (normally `config.context()`): the thread
-/// budget governs the morsel-parallel kernels of every block and join, one
-/// buffer pool is shared across the whole evaluation, and the context's
-/// runtime counters accumulate over it, so callers can snapshot
-/// [`RuntimeMetrics`](hsp_engine::RuntimeMetrics)`::of(ctx)` afterwards to
-/// see what the engine did (pipelines launched, outer probes streamed,
-/// breakers handed off, …). Serving code goes through
+/// caller-owned [`ExecContext`] (normally `config.context()`): the query
+/// composes into one plan and runs as one [`execute_in`], so the thread
+/// budget, the row budget and the governor of `config` cover every
+/// operator of it, and the context's runtime counters can be snapshotted
+/// afterwards ([`RuntimeMetrics`](hsp_engine::RuntimeMetrics)`::of(ctx)`)
+/// to see what the engine did (pipelines launched, outer probes streamed,
+/// breakers handed off, …). An `ASK` query yields zero columns and one
+/// empty row iff a solution exists. Serving code goes through
 /// [`Session::query`](crate::session::Session::query).
 pub fn evaluate_extended_in(
     ds: &Dataset,
@@ -91,181 +99,97 @@ pub fn evaluate_extended_in(
     ctx: &ExecContext,
 ) -> Result<ExtendedOutput, ExtendedError> {
     let ast = parse_query(text).map_err(ExtendedError::Parse)?;
-    let (columns, rows) = evaluate_ast_encoded(ds, &ast, config, ctx)?;
+    let (plan, query) = compose(&ast)?;
+    let output = execute_in(&plan, ds, config, ctx).map_err(ExtendedError::Exec)?;
+    let (columns, vars): (Vec<String>, Vec<Var>) = query.projection.iter().cloned().unzip();
     Ok(ExtendedOutput {
         columns,
-        rows: rows.decode(ds.dict()),
+        rows: output.into_id_rows(&vars).decode(ds.dict()),
     })
 }
 
-/// [`evaluate_extended_in`] over an already parsed query, stopping at the
-/// id-form result: the column names and the projected id columns after the
-/// solution modifiers (an `ASK` query yields zero columns and one empty
-/// row iff a solution exists). This is what
-/// [`Session`](crate::session::Session) runs; decoding is its caller's
-/// choice.
-pub(crate) fn evaluate_ast_encoded(
-    ds: &Dataset,
-    query: &Query,
-    config: &ExecConfig,
-    ctx: &ExecContext,
-) -> Result<(Vec<String>, IdRows), ExtendedError> {
+/// Lower a parsed query to one physical plan, plus the [`JoinQuery`] that
+/// describes it the way a planner's rewritten query describes a join plan:
+/// the output projection, the variable names, and every triple pattern in
+/// the order the plan's scans number them (`[tpN]` in explain output).
+/// Group-scoped FILTERs live in the plan only.
+pub(crate) fn compose(query: &Query) -> Result<(PhysicalPlan, JoinQuery), ExtendedError> {
     // Aggregation (GROUP BY / HAVING / aggregate select items) lives in
-    // the join-query fragment: lower the whole AST there, plan with HSP,
-    // and let the engine's γ breaker do the work. OPTIONAL/UNION cannot
-    // be combined with aggregates (typed error, not a silent drop).
+    // the join-query fragment: the HSP plan carries the γ node and the
+    // modifiers. OPTIONAL/UNION cannot be combined with aggregates (typed
+    // error, not a silent drop).
     if !query.aggregates.is_empty() || !query.group_by.is_empty() || query.having.is_some() {
-        return evaluate_aggregate_in(ds, query, config, ctx);
+        let jq = JoinQuery::from_ast(query).map_err(|e| match e {
+            AlgebraError::UnsupportedFeature(what) => ExtendedError::Eval(format!(
+                "aggregation (GROUP BY / HAVING / aggregate functions) is only \
+                 supported over conjunctive patterns + FILTER; this query also \
+                 uses {what}"
+            )),
+            other => ExtendedError::Eval(other.to_string()),
+        })?;
+        let planned = HspPlanner::new()
+            .plan(&jq)
+            .map_err(|e| ExtendedError::Eval(e.to_string()))?;
+        return Ok((planned.plan, planned.query));
     }
-    let mut vars = VarTable::default();
-    let table = eval_group(ds, &query.where_clause, &mut vars, config, ctx)?;
 
-    if query.ask {
-        // ASK: zero columns; one empty row iff a solution exists.
-        let rows = BindingTable::unit(usize::from(!table.is_empty()));
-        return Ok((Vec::new(), IdRows::new(rows, &[], None, Vec::new())));
-    }
+    let mut composer = Composer::default();
+    let body = composer.group(&query.where_clause)?;
+    let bound = body.output_vars();
+    let vars = &mut composer.vars;
 
-    // Projection: named variables or everything, in declaration order.
+    // ASK: no columns, and DISTINCT over no columns keeps one row iff a
+    // solution exists. Otherwise the named variables, or for `SELECT *`
+    // every variable of the pattern, in declaration order.
     let projection: Vec<(String, Var)> = match &query.projection {
+        _ if query.ask => Vec::new(),
         Some(names) => names
             .iter()
-            .map(|name| {
-                vars.lookup(name)
-                    .map(|v| (name.clone(), v))
-                    .ok_or_else(|| ExtendedError::UnboundProjection(name.clone()))
+            .map(|name| match vars.by_name.get(name) {
+                Some(&v) => Ok((name.clone(), v)),
+                None => Err(ExtendedError::UnboundProjection(name.clone())),
             })
             .collect::<Result<_, _>>()?,
-        None => vars
-            .names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), Var(i as u32)))
-            .collect(),
+        None => (vars.names.iter().cloned()).zip((0..).map(Var)).collect(),
     };
-
-    let (columns, proj_vars): (Vec<String>, Vec<Var>) = projection.into_iter().unzip();
-    let dedup = query.distinct || query.reduced;
-    if query.order_by.is_empty() && !dedup && query.offset.is_none() && query.limit.is_none() {
-        // No modifier selects or reorders rows: the projected columns
-        // move out of the table as they are.
-        return Ok((columns, IdRows::new(table, &proj_vars, None, Vec::new())));
-    }
-
-    // Solution modifiers, in the spec's application order: ORDER BY, then
-    // DISTINCT/REDUCED (stable — keeps first occurrences), then
-    // OFFSET/LIMIT. All three work on row indices over the id table —
-    // ORDER BY decodes only its key values (which may reference
-    // non-projected variables), DISTINCT compares projected id tuples
-    // (the dictionary maps equal terms to equal ids) — and only the ids
-    // of the rows that survive are gathered.
-    // Row indices are `u32`, like every selection vector in the engine.
-    let n = u32::try_from(table.len())
-        .map_err(|_| ExtendedError::Eval("result exceeds u32::MAX rows".into()))?;
-    let mut order: Vec<u32> = (0..n).collect();
-
-    if !query.order_by.is_empty() {
-        let evaluator = hsp_sparql::Evaluator::new();
-        let mut keys = Vec::with_capacity(query.order_by.len());
+    let mut modifiers = Modifiers::default();
+    if !query.ask {
         for (ast, descending) in &query.order_by {
-            let expr = hsp_sparql::algebra::lower_expr_ast(ast, &mut |n| vars.var(n))
+            let expr = lower_expr_ast(ast, &mut |n| vars.var(n))
                 .map_err(|e| ExtendedError::Eval(e.to_string()))?;
-            keys.push((expr, *descending));
+            modifiers.order_by.push(SortKey {
+                expr,
+                descending: *descending,
+            });
         }
-        let key_vals: Vec<Vec<Option<hsp_sparql::Value>>> = (0..table.len())
-            .map(|row| {
-                let bindings = TableRow {
-                    ds,
-                    table: &table,
-                    row,
-                };
-                keys.iter()
-                    .map(|(e, _)| evaluator.eval(e, &bindings).ok())
-                    .collect()
-            })
-            .collect();
-        // Stable, so ties keep table order.
-        order.sort_by(|&a, &b| {
-            let (ka, kb) = (&key_vals[a as usize], &key_vals[b as usize]);
-            for ((_, desc), (va, vb)) in keys.iter().zip(ka.iter().zip(kb)) {
-                let ord = hsp_sparql::expr::compare_for_order(va.as_ref(), vb.as_ref());
-                let ord = if *desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
+        modifiers.limit = query.limit;
+        modifiers.offset = query.offset.unwrap_or(0);
     }
-
-    if dedup {
-        let cols: Vec<Option<&[TermId]>> = proj_vars
-            .iter()
-            .map(|&v| table.col_index(v).map(|c| table.columns()[c].as_slice()))
-            .collect();
-        let mut seen: HashSet<Vec<TermId>> = HashSet::new();
-        order.retain(|&i| {
-            seen.insert(
-                cols.iter()
-                    .map(|col| col.map_or(TermId::UNBOUND, |col| col[i as usize]))
-                    .collect(),
-            )
-        });
+    let distinct = query.ask || query.distinct || query.reduced;
+    // A projected variable only a FILTER mentions is bound by no operator:
+    // the plan projects the rest, and the result's id form carries such a
+    // column as unbound in every row.
+    let plan = PhysicalPlan::Project {
+        projection: (projection.iter())
+            .filter(|(_, v)| bound.contains(v))
+            .cloned()
+            .collect(),
+        input: Box::new(body),
+        distinct,
     }
-
-    let offset = query.offset.unwrap_or(0).min(order.len());
-    let end = match query.limit {
-        Some(n) => offset.saturating_add(n).min(order.len()),
-        None => order.len(),
+    .with_modifiers(&modifiers);
+    let described = JoinQuery {
+        patterns: composer.patterns,
+        filters: Vec::new(),
+        projection,
+        distinct,
+        var_names: composer.vars.names,
+        modifiers,
+        group_by: Vec::new(),
+        aggregates: Vec::new(),
+        having: None,
     };
-    let rows = IdRows::new(table, &proj_vars, Some(&order[offset..end]), Vec::new());
-    Ok((columns, rows))
-}
-
-/// Aggregate queries take the planner path end to end: the HSP plan gets a
-/// [`PhysicalPlan::HashAggregate`] between the residual filters and the
-/// projection, the engine's γ breaker (or its operator-at-a-time oracle)
-/// computes the groups, and `ORDER BY`/`DISTINCT`/`LIMIT` ride along as
-/// plan modifiers. Aggregate outputs are computed-overlay ids, so the
-/// result carries the execution's overlay
-/// ([`hsp_engine::ExecOutput::into_id_rows`]) beside its id columns.
-fn evaluate_aggregate_in(
-    ds: &Dataset,
-    query: &Query,
-    config: &ExecConfig,
-    ctx: &ExecContext,
-) -> Result<(Vec<String>, IdRows), ExtendedError> {
-    use hsp_sparql::algebra::AlgebraError;
-    let jq = JoinQuery::from_ast(query).map_err(|e| match e {
-        AlgebraError::UnsupportedFeature(what) => ExtendedError::Eval(format!(
-            "aggregation (GROUP BY / HAVING / aggregate functions) is only \
-             supported over conjunctive patterns + FILTER; this query also \
-             uses {what}"
-        )),
-        other => ExtendedError::Eval(other.to_string()),
-    })?;
-    let planned = HspPlanner::new()
-        .plan(&jq)
-        .map_err(|e| ExtendedError::Eval(e.to_string()))?;
-    let output = execute_in(&planned.plan, ds, config, ctx)
-        .map_err(|e| ExtendedError::Eval(e.to_string()))?;
-    let (columns, vars): (Vec<String>, Vec<Var>) = planned.query.projection.iter().cloned().unzip();
-    Ok((columns, output.into_id_rows(&vars)))
-}
-
-/// [`hsp_sparql::Bindings`] over one row of the final (pre-projection)
-/// extended-evaluation table.
-struct TableRow<'a> {
-    ds: &'a Dataset,
-    table: &'a BindingTable,
-    row: usize,
-}
-
-impl hsp_sparql::Bindings for TableRow<'_> {
-    fn term(&self, v: Var) -> Option<Term> {
-        let idx = self.table.col_index(v)?;
-        resolve_term(self.ds, &[], self.table.columns()[idx][self.row])
-    }
+    Ok((plan, described))
 }
 
 /// Global variable numbering shared by all groups of one query.
@@ -285,354 +209,130 @@ impl VarTable {
         self.by_name.insert(name.to_string(), v);
         v
     }
-
-    fn lookup(&self, name: &str) -> Option<Var> {
-        self.by_name.get(name).copied()
-    }
 }
 
-/// Evaluate one group: HSP over its triple block, then UNIONs (joined in),
-/// then OPTIONALs (left-outer), then the group's FILTERs.
-fn eval_group(
-    ds: &Dataset,
-    group: &GroupPattern,
-    vars: &mut VarTable,
-    config: &ExecConfig,
-    ctx: &ExecContext,
-) -> Result<BindingTable, ExtendedError> {
-    let mut patterns: Vec<TriplePattern> = Vec::new();
-    let mut filters: Vec<FilterExpr> = Vec::new();
-    let mut optionals: Vec<&GroupPattern> = Vec::new();
-    let mut unions: Vec<(&GroupPattern, &GroupPattern)> = Vec::new();
-
-    for element in &group.elements {
-        match element {
-            Element::Triple(t) => {
-                let s = lower_node(&t.subject, vars);
-                let p = lower_node(&t.predicate, vars);
-                let o = lower_node(&t.object, vars);
-                patterns.push(TriplePattern::new(s, p, o));
-            }
-            Element::Filter(expr) => filters.push(lower_filter(expr, vars)?),
-            Element::Optional(g) => optionals.push(g),
-            Element::Union(a, b) => unions.push((a, b)),
-        }
-    }
-
-    // 1. The conjunctive core, planned by HSP (when present) — and, when
-    // the whole group is a core plus plain OPTIONAL blocks, composed with
-    // them (and the group's FILTERs) into ONE physical plan executed
-    // through `execute_in`: the engine lowers it into morsel-driven
-    // pipelines, so the OPTIONAL
-    // left-outer probes and the FILTERs *stream* instead of materialising
-    // each step's input and output. `compose_group_plan` hands the core
-    // plan back untouched when the group needs the table-at-a-time path,
-    // so the core is planned exactly once either way.
-    let mut current: Option<BindingTable> = if patterns.is_empty() {
-        None
-    } else {
-        let core = block_plan(patterns, vars)?;
-        let core = if unions.is_empty() && optionals.iter().all(|g| plain_block(g)) {
-            match compose_group_plan(core, &filters, &optionals, vars)? {
-                Composed::Whole(plan) => {
-                    let out = execute_in(&plan, ds, config, ctx)
-                        .map_err(|e| ExtendedError::Eval(e.to_string()))?;
-                    return Ok(out.table);
-                }
-                Composed::CoreOnly(core) => core,
-            }
-        } else {
-            core
-        };
-        let out =
-            execute_in(&core, ds, config, ctx).map_err(|e| ExtendedError::Eval(e.to_string()))?;
-        Some(out.table)
-    };
-
-    // 2. UNION blocks: evaluate branches, concatenate, join with the core.
-    //
-    // Every table this function holds is charged against the governor's
-    // memory budget (`execute_in` charges its own outputs; the
-    // table-at-a-time steps below charge through `settle`), so each
-    // `ctx.recycle` releases exactly what was charged and an error leaves
-    // the accounting at zero.
-    for (a, b) in unions {
-        ctx.checkpoint("extended")
-            .map_err(|e| ExtendedError::Eval(e.to_string()))?;
-        let ta = eval_group(ds, a, vars, config, ctx)?;
-        let tb = match eval_group(ds, b, vars, config, ctx) {
-            Ok(tb) => tb,
-            Err(e) => {
-                ctx.recycle(ta);
-                if let Some(core) = current.take() {
-                    ctx.recycle(core);
-                }
-                return Err(e);
-            }
-        };
-        let union = ops::union_all(ctx, &ta, &tb);
-        ctx.recycle(ta);
-        ctx.recycle(tb);
-        let union = match settle(ctx, union) {
-            Ok(t) => t,
-            Err(e) => {
-                if let Some(core) = current.take() {
-                    ctx.recycle(core);
-                }
-                return Err(e);
-            }
-        };
-        current = Some(match current.take() {
-            None => union,
-            Some(core) => {
-                let joined = join_tables(ctx, &core, &union);
-                ctx.recycle(core);
-                ctx.recycle(union);
-                settle(ctx, joined)?
-            }
-        });
-    }
-
-    let mut table = current.ok_or_else(|| {
-        ExtendedError::Eval("group has neither triple patterns nor UNION branches".into())
-    })?;
-
-    // 3. OPTIONAL blocks: left-outer joins on the shared variables.
-    for g in optionals {
-        if let Err(e) = ctx.checkpoint("extended") {
-            ctx.recycle(table);
-            return Err(ExtendedError::Eval(e.to_string()));
-        }
-        let right = match eval_group(ds, g, vars, config, ctx) {
-            Ok(right) => right,
-            Err(e) => {
-                ctx.recycle(table);
-                return Err(e);
-            }
-        };
-        let shared: Vec<Var> = right
-            .vars()
-            .iter()
-            .copied()
-            .filter(|v| table.vars().contains(v))
-            .collect();
-        let joined = if !shared.is_empty() {
-            ops::left_outer_hash_join(ctx, &table, &right, &shared)
-        } else if right.is_empty() {
-            // OPTIONAL with no shared variables: every combination, or
-            // UNBOUND padding when the optional side is empty.
-            ops::union_all(ctx, &table, &BindingTable::empty(right.vars().to_vec()))
-        } else {
-            ops::cross_product(ctx, &table, &right)
-        };
-        ctx.recycle(table);
-        ctx.recycle(right);
-        table = settle(ctx, joined)?;
-    }
-
-    // 4. Group-level FILTERs (unbound comparisons are false).
-    for f in &filters {
-        if let Err(e) = ctx.checkpoint("extended") {
-            ctx.recycle(table);
-            return Err(ExtendedError::Eval(e.to_string()));
-        }
-        let filtered = ops::filter(ctx, ds, &table, f);
-        ctx.recycle(table);
-        table = settle(ctx, filtered)?;
-    }
-    Ok(table)
-}
-
-/// Charge a freshly produced table-at-a-time intermediate against the
-/// governor's memory budget, surfacing any trip the producing kernel
-/// recorded (the cross product bails out cooperatively).
-fn settle(ctx: &ExecContext, table: BindingTable) -> Result<BindingTable, ExtendedError> {
-    if let Some(e) = ctx
-        .governor()
-        .and_then(hsp_engine::QueryGovernor::trip_error)
-    {
-        // A tripped cross product returned an empty placeholder whose
-        // columns never came from the pool: drop, don't recycle.
-        drop(table);
-        return Err(ExtendedError::Eval(e.to_string()));
-    }
-    if let Err(e) = ctx.charge_table(&table, "extended") {
-        ctx.recycle(table);
-        return Err(ExtendedError::Eval(e.to_string()));
-    }
-    Ok(table)
-}
-
-fn lower_filter(
-    expr: &hsp_sparql::ast::ExprAst,
-    vars: &mut VarTable,
-) -> Result<FilterExpr, ExtendedError> {
-    hsp_sparql::algebra::lower_filter_ast(expr, &mut |n| vars.var(n))
-        .map_err(|e| ExtendedError::Eval(e.to_string()))
-}
-
-fn lower_node(node: &NodeAst, vars: &mut VarTable) -> TermOrVar {
-    match node {
-        NodeAst::Var(n) => TermOrVar::Var(vars.var(n)),
-        NodeAst::Const(t) => TermOrVar::Const(t.clone()),
-    }
-}
-
-/// Plan one conjunctive triple block with HSP, projecting every block
-/// variable (sorted) — the shape both evaluation paths share.
-fn block_plan(
+/// The state one query's composition threads through its groups.
+#[derive(Default)]
+struct Composer {
+    vars: VarTable,
+    /// Every triple pattern planned so far, block after block: a scan's
+    /// `pattern_idx` is its pattern's position here.
     patterns: Vec<TriplePattern>,
-    vars: &VarTable,
-) -> Result<PhysicalPlan, ExtendedError> {
-    let block_vars: Vec<Var> = {
-        let mut v: Vec<Var> = patterns.iter().flat_map(|p| p.vars()).collect();
-        v.sort();
-        v.dedup();
-        v
-    };
-    let query = JoinQuery {
-        patterns,
-        filters: Vec::new(), // group filters are composed/applied by the caller
-        projection: block_vars
-            .iter()
-            .map(|&v| (vars.names[v.index()].clone(), v))
-            .collect(),
-        distinct: false,
-        var_names: vars.names.clone(),
-        modifiers: Default::default(),
-        group_by: vec![],
-        aggregates: vec![],
-        having: None,
-    };
-    let planned = HspPlanner::new()
-        .plan(&query)
-        .map_err(|e| ExtendedError::Eval(e.to_string()))?;
-    Ok(planned.plan)
 }
 
-/// `true` when a group holds only triple patterns and FILTERs (no nested
-/// OPTIONAL/UNION) plus at least one triple — the shape that plans as a
-/// single conjunctive block.
-fn plain_block(group: &GroupPattern) -> bool {
-    let mut has_triple = false;
-    for element in &group.elements {
-        match element {
-            Element::Triple(_) => has_triple = true,
-            Element::Filter(_) => {}
-            Element::Optional(_) | Element::Union(..) => return false,
-        }
-    }
-    has_triple
-}
-
-/// [`compose_group_plan`]'s outcome: the whole group as one plan, or —
-/// when the group needs the table-at-a-time path — the core plan handed
-/// back untouched so the caller never plans it twice.
-enum Composed {
-    /// Core + OPTIONAL blocks + group FILTERs, as one plan.
-    Whole(PhysicalPlan),
-    /// Not composable: the caller's core plan, returned as received.
-    CoreOnly(PhysicalPlan),
-}
-
-/// Try to compose a whole group into one physical plan: the (already
-/// planned) conjunctive core, one [`PhysicalPlan::LeftOuterHashJoin`] per
-/// plain OPTIONAL block (the block's own FILTERs applied inside it), then
-/// the group's FILTERs on top.
-///
-/// Returns [`Composed::CoreOnly`] — fall back to table-at-a-time
-/// evaluation — when an OPTIONAL block shares no variable with the part
-/// already composed (the cross-product / padding special cases) or a
-/// FILTER reads a variable its input does not bind (plan validation would
-/// reject it; the table-at-a-time path evaluates such a variable as
-/// UNBOUND). The caller has already checked every block is plain (no
-/// nested OPTIONAL/UNION). Wrapping is deferred until every check has
-/// passed, so a bail returns the core exactly as it came in.
-fn compose_group_plan(
-    core: PhysicalPlan,
-    filters: &[FilterExpr],
-    optionals: &[&GroupPattern],
-    vars: &mut VarTable,
-) -> Result<Composed, ExtendedError> {
-    let mut bound = core.output_vars();
-    let mut joins: Vec<(PhysicalPlan, Vec<Var>)> = Vec::new();
-    for g in optionals {
-        let mut opt_patterns: Vec<TriplePattern> = Vec::new();
-        let mut opt_filters: Vec<FilterExpr> = Vec::new();
-        for element in &g.elements {
+impl Composer {
+    /// Compose one group: HSP over its triple block, then its UNIONs
+    /// (joined in), then its OPTIONALs (left-outer), then its FILTERs.
+    fn group(&mut self, group: &GroupPattern) -> Result<PhysicalPlan, ExtendedError> {
+        let mut patterns: Vec<TriplePattern> = Vec::new();
+        let mut filters: Vec<FilterExpr> = Vec::new();
+        let mut optionals: Vec<&GroupPattern> = Vec::new();
+        let mut unions: Vec<(&GroupPattern, &GroupPattern)> = Vec::new();
+        for element in &group.elements {
             match element {
                 Element::Triple(t) => {
-                    let s = lower_node(&t.subject, vars);
-                    let p = lower_node(&t.predicate, vars);
-                    let o = lower_node(&t.object, vars);
-                    opt_patterns.push(TriplePattern::new(s, p, o));
+                    let s = self.node(&t.subject);
+                    let p = self.node(&t.predicate);
+                    let o = self.node(&t.object);
+                    patterns.push(TriplePattern::new(s, p, o));
                 }
-                Element::Filter(expr) => opt_filters.push(lower_filter(expr, vars)?),
-                Element::Optional(_) | Element::Union(..) => unreachable!("plain block"),
+                Element::Filter(expr) => filters.push(
+                    lower_filter_ast(expr, &mut |n| self.vars.var(n))
+                        .map_err(|e| ExtendedError::Eval(e.to_string()))?,
+                ),
+                Element::Optional(g) => optionals.push(g),
+                Element::Union(a, b) => unions.push((a, b)),
             }
         }
-        let mut opt_plan = block_plan(opt_patterns, vars)?;
-        let opt_vars = opt_plan.output_vars();
-        for f in opt_filters {
-            if !f.vars().iter().all(|v| opt_vars.contains(v)) {
-                return Ok(Composed::CoreOnly(core));
-            }
-            opt_plan = PhysicalPlan::Filter {
-                input: Box::new(opt_plan),
-                expr: f,
+
+        let mut plan = if patterns.is_empty() {
+            None
+        } else {
+            Some(self.block(patterns)?)
+        };
+        for (a, b) in unions {
+            let union = PhysicalPlan::Union {
+                left: Box::new(self.group(a)?),
+                right: Box::new(self.group(b)?),
+            };
+            plan = Some(match plan {
+                None => union,
+                Some(core) => {
+                    let vars = shared_vars(&core, &union);
+                    let (left, right) = (Box::new(core), Box::new(union));
+                    if vars.is_empty() {
+                        PhysicalPlan::CrossProduct { left, right }
+                    } else {
+                        PhysicalPlan::HashJoin { left, right, vars }
+                    }
+                }
+            });
+        }
+        let mut plan = plan.ok_or_else(|| {
+            ExtendedError::Eval("group has neither triple patterns nor UNION branches".into())
+        })?;
+        for g in optionals {
+            let right = self.group(g)?;
+            plan = PhysicalPlan::LeftOuterHashJoin {
+                vars: shared_vars(&plan, &right),
+                left: Box::new(plan),
+                right: Box::new(right),
             };
         }
-        let shared: Vec<Var> = opt_vars
-            .iter()
-            .copied()
-            .filter(|v| bound.contains(v))
-            .collect();
-        if shared.is_empty() {
-            return Ok(Composed::CoreOnly(core));
+        for expr in filters {
+            plan = PhysicalPlan::Filter {
+                input: Box::new(plan),
+                expr,
+            };
         }
-        for v in opt_vars {
-            if !bound.contains(&v) {
-                bound.push(v);
-            }
-        }
-        joins.push((opt_plan, shared));
+        Ok(plan)
     }
-    for f in filters {
-        if !f.vars().iter().all(|v| bound.contains(v)) {
-            return Ok(Composed::CoreOnly(core));
+
+    fn node(&mut self, node: &NodeAst) -> TermOrVar {
+        match node {
+            NodeAst::Var(n) => TermOrVar::Var(self.vars.var(n)),
+            NodeAst::Const(t) => TermOrVar::Const(t.clone()),
         }
     }
-    let mut plan = core;
-    for (opt_plan, shared) in joins {
-        plan = PhysicalPlan::LeftOuterHashJoin {
-            left: Box::new(plan),
-            right: Box::new(opt_plan),
-            vars: shared,
+
+    /// Plan one conjunctive triple block with HSP, projecting every block
+    /// variable (sorted), its scans numbered after the blocks before it.
+    fn block(&mut self, patterns: Vec<TriplePattern>) -> Result<PhysicalPlan, ExtendedError> {
+        let block_vars: Vec<Var> = {
+            let mut v: Vec<Var> = patterns.iter().flat_map(|p| p.vars()).collect();
+            v.sort();
+            v.dedup();
+            v
         };
-    }
-    for f in filters {
-        plan = PhysicalPlan::Filter {
-            input: Box::new(plan),
-            expr: f.clone(),
+        let query = JoinQuery {
+            patterns,
+            filters: Vec::new(), // group filters go on top of the composed group
+            projection: block_vars
+                .iter()
+                .map(|&v| (self.vars.names[v.index()].clone(), v))
+                .collect(),
+            distinct: false,
+            var_names: self.vars.names.clone(),
+            modifiers: Default::default(),
+            group_by: vec![],
+            aggregates: vec![],
+            having: None,
         };
+        let mut planned = HspPlanner::new()
+            .plan(&query)
+            .map_err(|e| ExtendedError::Eval(e.to_string()))?;
+        planned.plan.shift_pattern_indices(self.patterns.len());
+        self.patterns.append(&mut planned.query.patterns);
+        Ok(planned.plan)
     }
-    Ok(Composed::Whole(plan))
 }
 
-/// Inner join two evaluated tables on their shared variables (hash join),
-/// or cross product when they share none.
-fn join_tables(ctx: &ExecContext, a: &BindingTable, b: &BindingTable) -> BindingTable {
-    let shared: Vec<Var> = b
-        .vars()
-        .iter()
-        .copied()
-        .filter(|v| a.vars().contains(v))
-        .collect();
-    if shared.is_empty() {
-        ops::cross_product(ctx, a, b)
-    } else {
-        ops::hash_join(ctx, a, b, &shared)
-    }
+/// The variables of `right` that `left` binds too, in `right`'s order.
+fn shared_vars(left: &PhysicalPlan, right: &PhysicalPlan) -> Vec<Var> {
+    let bound = left.output_vars();
+    let mut vars = right.output_vars();
+    vars.retain(|v| bound.contains(v));
+    vars
 }
 
 /// Re-export for tests/examples that need to inspect unbound cells.

@@ -21,7 +21,7 @@
 //!
 //! Responses are `OK <k=v …>\n<body>` or a single-line
 //! `ERR <CODE> <message>` with codes `PARSE`, `PLAN`, `EXEC`, `TIMEOUT`,
-//! `CANCELLED`, `MEM`, `UNSUPPORTED`, `BUSY`, `PROTO`, `SHUTDOWN`,
+//! `CANCELLED`, `MEM`, `BUSY`, `PROTO`, `SHUTDOWN`,
 //! `TOOLARGE` (the rendered result would not fit a frame of
 //! [`MAX_FRAME_BYTES`]; rendering stops at the cap and the connection
 //! stays usable — narrow the query or add `LIMIT`).

@@ -53,20 +53,20 @@ use hsp_baseline::{CdpPlanner, HybridPlanner, LeftDeepPlanner, StockerPlanner};
 use hsp_core::HspPlanner;
 use hsp_engine::plan::PhysicalPlan;
 use hsp_engine::{
-    execute_in, CancelToken, ExecConfig, ExecContext, IdRows, MorselConfig, PoolStats,
+    execute_in, CancelToken, ExecConfig, ExecContext, ExecError, IdRows, MorselConfig, PoolStats,
     RuntimeMetrics, SharedPool,
 };
 use hsp_rdf::Term;
 use hsp_sparql::JoinQuery;
 use hsp_store::Dataset;
 
-use crate::cache::{ast_reads, query_reads, CacheStats, CachedResult, QueryCache, Reads};
-use crate::extended::{evaluate_ast_encoded, ExtendedError, ExtendedOutput};
+use crate::cache::{plan_reads, CacheStats, CachedResult, QueryCache, Reads};
+use crate::extended::{compose, ExtendedError, ExtendedOutput};
 use crate::results::RowSource;
 use crate::update::{run_update_traced, UpdateError, UpdateStats};
 
 /// Which planner a [`Request`] runs through (join-fragment queries only;
-/// OPTIONAL/UNION queries always evaluate HSP-planned, per block).
+/// OPTIONAL/UNION queries are always composed from HSP-planned blocks).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Planner {
     /// The paper's heuristics-based planner (the default).
@@ -211,7 +211,8 @@ pub struct Response {
     /// [`render_runtime_metrics`](hsp_engine::explain::render_runtime_metrics)
     /// over [`Response::metrics`] for the full CLI explain output.
     pub explain: Option<String>,
-    /// A caller-facing note (e.g. "fell back to the extended evaluator").
+    /// A caller-facing note (e.g. a baseline planner was asked for a query
+    /// only the HSP-planned composer covers).
     pub note: Option<String>,
     /// What the engine did: parallel kernels, pipelines, pool counters —
     /// `shared_pool_batches` is the per-query count of batches scheduled
@@ -294,9 +295,6 @@ pub enum SessionError {
     Update(UpdateError),
     /// The chosen planner could not plan the query.
     Plan(String),
-    /// The request combination is unsupported (e.g. `explain` on a query
-    /// outside the join fragment).
-    Unsupported(String),
 }
 
 impl std::fmt::Display for SessionError {
@@ -305,7 +303,6 @@ impl std::fmt::Display for SessionError {
             SessionError::Query(e) => write!(f, "{e}"),
             SessionError::Update(e) => write!(f, "{e}"),
             SessionError::Plan(e) => write!(f, "{e}"),
-            SessionError::Unsupported(e) => write!(f, "{e}"),
         }
     }
 }
@@ -314,27 +311,20 @@ impl std::error::Error for SessionError {}
 
 impl SessionError {
     /// A short machine-readable code for protocol surfaces (the serve
-    /// layer's `ERR <CODE> …` responses). Governor trips are recognised
-    /// from the engine's error messages, which cross the extended
-    /// evaluator as strings.
+    /// layer's `ERR <CODE> …` responses).
     pub fn code(&self) -> &'static str {
         match self {
             SessionError::Query(ExtendedError::Parse(_))
             | SessionError::Update(UpdateError::Parse(_)) => "PARSE",
             SessionError::Plan(_) => "PLAN",
-            SessionError::Unsupported(_) => "UNSUPPORTED",
-            other => {
-                let msg = other.to_string();
-                if msg.contains("deadline exceeded") {
-                    "TIMEOUT"
-                } else if msg.contains("cancelled") {
-                    "CANCELLED"
-                } else if msg.contains("memory budget exceeded") {
-                    "MEM"
-                } else {
-                    "EXEC"
-                }
-            }
+            SessionError::Query(ExtendedError::Exec(e))
+            | SessionError::Update(UpdateError::Exec(e)) => match e {
+                ExecError::DeadlineExceeded => "TIMEOUT",
+                ExecError::Cancelled => "CANCELLED",
+                ExecError::MemoryBudgetExceeded { .. } => "MEM",
+                _ => "EXEC",
+            },
+            _ => "EXEC",
         }
     }
 }
@@ -699,11 +689,13 @@ fn result_cache_key(request: &Request) -> Option<String> {
     ))
 }
 
-/// The dispatch the CLI used to hand-roll, on one parse of the text: ASK
-/// short-circuits, join-fragment queries take the chosen planner,
-/// everything else goes to the extended (OPTIONAL/UNION) evaluator.
-/// Returns the response plus the predicate read set the result cache keys
-/// invalidation on.
+/// One parse of the text, two ways to obtain a plan, one way to run it:
+/// a join-fragment query takes the chosen planner (through the plan tier
+/// for HSP), everything else — OPTIONAL, UNION, ASK — is composed from
+/// HSP-planned blocks ([`compose`]); either way the result is one
+/// [`PhysicalPlan`] and the query it describes, and the tail below
+/// executes it once, explains it, moves the projected ids out and derives
+/// the predicate read set the result cache keys invalidation on.
 fn query_snapshot(
     snapshot: Arc<Dataset>,
     request: &Request,
@@ -714,89 +706,73 @@ fn query_snapshot(
     let ds: &Dataset = &snapshot;
     let ast = hsp_sparql::parse_query(&request.text)
         .map_err(|e| SessionError::Query(ExtendedError::Parse(e)))?;
+    let mut plan_cache_used = false;
+    let mut plan_cache_hit = false;
+    let mut note = None;
     let join = (!ast.ask).then(|| JoinQuery::from_ast(&ast));
-    let note = match join {
+    let (plan, planned_query) = match join {
         Some(Ok(query)) => {
             // Plan tier: HSP plans are statistics-free, so any query
             // with the same canonical shape reuses the cached plan with
             // its own constants substituted — planning runs only once
             // per shape. Baseline planners consult the data and are
             // planned fresh every time.
-            let mut plan_cache_used = false;
-            let mut plan_cache_hit = false;
-            let mut planned = None;
-            if request.planner == Planner::Hsp {
-                if let Some(c) = cache {
-                    if let Some(canon) = hsp_sparql::canonicalize(&query) {
-                        plan_cache_used = true;
-                        if let Some(pair) = c.plan_get(&canon, &query) {
-                            plan_cache_hit = true;
-                            planned = Some(pair);
-                        } else {
-                            let pair = plan_query(request.planner, ds, &query)
-                                .map_err(SessionError::Plan)?;
-                            c.plan_insert(canon, &query, &pair.0, &pair.1);
-                            planned = Some(pair);
-                        }
-                    }
+            let canon = match cache {
+                Some(c) if request.planner == Planner::Hsp => {
+                    hsp_sparql::canonicalize(&query).map(|canon| (c, canon))
                 }
-            }
-            let (plan, planned_query) = match planned {
-                Some(pair) => pair,
-                None => plan_query(request.planner, ds, &query).map_err(SessionError::Plan)?,
+                _ => None,
             };
-            let reads = query_reads(&planned_query);
-            let output = execute_in(&plan, ds, config, ctx)
-                .map_err(|e| SessionError::Query(ExtendedError::Eval(e.to_string())))?;
-            let explain = request.explain.then(|| {
-                let mut text = hsp_engine::explain::render_plan_with_profile(
-                    &plan,
-                    &output.profile,
-                    &planned_query,
-                );
-                text.push_str(&hsp_engine::explain::render_pipeline_dag(
-                    &plan,
-                    &planned_query,
-                ));
-                text
-            });
-            // The plan's own DISTINCT / ORDER BY / LIMIT have run on ids:
-            // the projected columns move out of the final table as the
-            // result.
-            let (columns, vars): (Vec<String>, Vec<_>) =
-                planned_query.projection.iter().cloned().unzip();
-            let mut metrics = output.runtime;
-            metrics.plan_cache_used = plan_cache_used;
-            metrics.plan_cache_hit = plan_cache_hit;
-            return Ok((
-                EncodedResponse {
-                    columns: columns.into(),
-                    rows: Arc::new(output.into_id_rows(&vars)),
-                    snapshot,
-                    ask: None,
-                    explain,
-                    note: None,
-                    metrics,
+            plan_cache_used = canon.is_some();
+            match canon {
+                Some((c, canon)) => match c.plan_get(&canon, &query) {
+                    Some(pair) => {
+                        plan_cache_hit = true;
+                        pair
+                    }
+                    None => {
+                        let pair =
+                            plan_query(request.planner, ds, &query).map_err(SessionError::Plan)?;
+                        c.plan_insert(canon, &query, &pair.0, &pair.1);
+                        pair
+                    }
                 },
-                reads,
-            ));
+                None => plan_query(request.planner, ds, &query).map_err(SessionError::Plan)?,
+            }
         }
-        Some(Err(_)) if request.explain => {
-            return Err(SessionError::Unsupported(
-                "--explain requires a join query (no OPTIONAL/UNION)".into(),
-            ));
+        other => {
+            if let Some(Err(join_err)) = other {
+                note = (request.planner != Planner::Hsp).then(|| {
+                    format!(
+                        "query is outside the join-query fragment ({join_err}); \
+                         using the extended evaluator (HSP-planned blocks)"
+                    )
+                });
+            }
+            compose(&ast).map_err(SessionError::Query)?
         }
-        Some(Err(join_err)) => (request.planner != Planner::Hsp).then(|| {
-            format!(
-                "query is outside the join-query fragment ({join_err}); \
-                 using the extended evaluator (HSP-planned blocks)"
-            )
-        }),
-        None => None,
     };
-    let reads = ast_reads(&ast.where_clause);
-    let (columns, rows) =
-        evaluate_ast_encoded(ds, &ast, config, ctx).map_err(SessionError::Query)?;
+
+    let reads = plan_reads(&plan);
+    let output = execute_in(&plan, ds, config, ctx)
+        .map_err(|e| SessionError::Query(ExtendedError::Exec(e)))?;
+    let explain = request.explain.then(|| {
+        let mut text =
+            hsp_engine::explain::render_plan_with_profile(&plan, &output.profile, &planned_query);
+        text.push_str(&hsp_engine::explain::render_pipeline_dag(
+            &plan,
+            &planned_query,
+        ));
+        text
+    });
+    // The plan's own DISTINCT / ORDER BY / LIMIT have run on ids: the
+    // projected columns move out of the final table as the result (an
+    // ASK plan projects none and keeps one row iff a solution exists).
+    let (columns, vars): (Vec<String>, Vec<_>) = planned_query.projection.iter().cloned().unzip();
+    let mut metrics = output.runtime;
+    metrics.plan_cache_used = plan_cache_used;
+    metrics.plan_cache_hit = plan_cache_hit;
+    let rows = output.into_id_rows(&vars);
     let ask = ast.ask.then_some(!rows.is_empty());
     Ok((
         EncodedResponse {
@@ -804,9 +780,9 @@ fn query_snapshot(
             rows: Arc::new(rows),
             snapshot,
             ask,
-            explain: None,
+            explain,
             note,
-            metrics: RuntimeMetrics::of(ctx),
+            metrics,
         },
         reads,
     ))
@@ -894,22 +870,93 @@ mod tests {
     }
 
     #[test]
-    fn explain_requires_join_fragment() {
+    fn explain_covers_composed_queries() {
         let session = Session::new(dataset());
         let out = session
             .query(Request::new("SELECT ?n WHERE { ?p <http://e/name> ?n . }").with_explain())
             .unwrap();
         assert!(out.explain.unwrap().contains("[tp0]"));
-        let err = session
-            .query(
-                Request::new(
-                    "SELECT ?n WHERE { ?p <http://e/name> ?n . \
-                     OPTIONAL { ?p <http://e/email> ?e . } }",
-                )
-                .with_explain(),
+        // OPTIONAL and UNION compose into one plan like any join query:
+        // the plan tree (scans numbered across blocks) plus its DAG.
+        for (text, operator) in [
+            (
+                "SELECT ?n WHERE { ?p <http://e/name> ?n . \
+                 OPTIONAL { ?p <http://e/email> ?e . } }",
+                "⟕hj ?p",
+            ),
+            (
+                "SELECT ?p WHERE { { ?p <http://e/name> ?n . } UNION \
+                 { ?p <http://e/email> ?e . } }",
+                "∪",
+            ),
+        ] {
+            let out = session
+                .query(Request::new(text).with_explain())
+                .unwrap_or_else(|e| panic!("{text}: {e}"));
+            let explain = out.explain.expect("explain text");
+            assert!(explain.contains(operator), "{explain}");
+            assert!(
+                explain.contains("[tp0]") && explain.contains("[tp1]"),
+                "{explain}"
+            );
+            assert!(explain.contains("pipeline DAG:"), "{explain}");
+        }
+    }
+
+    /// ORDER BY applies before the projection: a key may read a variable
+    /// the SELECT list drops, whichever way the plan was obtained.
+    #[test]
+    fn order_by_reads_variables_the_projection_drops() {
+        let session = Session::new(
+            Dataset::from_ntriples(
+                r#"<http://e/a1> <http://e/name> "Alice" .
+<http://e/a2> <http://e/name> "Bob" .
+<http://e/a3> <http://e/name> "Carol" .
+<http://e/a4> <http://e/name> "Bob" .
+<http://e/a1> <http://e/knows> <http://e/a2> .
+<http://e/a1> <http://e/knows> <http://e/a3> .
+<http://e/a3> <http://e/knows> <http://e/a4> .
+"#,
             )
-            .unwrap_err();
-        assert_eq!(err.code(), "UNSUPPORTED");
+            .unwrap(),
+        );
+        let column = |text: &str| -> Vec<String> {
+            let out = session
+                .query(Request::new(text))
+                .unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert_eq!(out.output.columns.len(), 1, "{text}");
+            out.output
+                .rows
+                .iter()
+                .map(|r| r[0].as_ref().expect("bound").lexical().to_string())
+                .collect()
+        };
+        // A plain join, and the same query through the composer.
+        let by_subject = ["Bob", "Carol", "Bob", "Alice"];
+        assert_eq!(
+            column("SELECT ?n WHERE { ?p <http://e/name> ?n . } ORDER BY DESC(?p)"),
+            by_subject
+        );
+        assert_eq!(
+            column(
+                "SELECT ?n WHERE { ?p <http://e/name> ?n . \
+                 OPTIONAL { ?p <http://e/email> ?e . } } ORDER BY DESC(?p)"
+            ),
+            by_subject
+        );
+        // DISTINCT keeps the first occurrence in sort order.
+        assert_eq!(
+            column("SELECT DISTINCT ?n WHERE { ?p <http://e/name> ?n . } ORDER BY DESC(?p)"),
+            ["Bob", "Carol", "Alice"]
+        );
+        // A group key that only orders the groups.
+        assert_eq!(
+            column(
+                "SELECT (COUNT(?q) AS ?c) WHERE { ?p <http://e/knows> ?q . } \
+                 GROUP BY ?p ORDER BY DESC(?p)"
+            ),
+            ["1", "2"]
+        );
     }
 
     #[test]

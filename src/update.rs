@@ -14,7 +14,7 @@
 use std::collections::HashSet;
 
 use hsp_core::HspPlanner;
-use hsp_engine::{execute_in, ExecConfig, ExecContext};
+use hsp_engine::{execute_in, ExecConfig, ExecContext, ExecError};
 use hsp_rdf::{IdTriple, Term, Triple};
 use hsp_sparql::ast::{GroupPattern, NodeAst, TriplePatternAst, UpdateOp};
 use hsp_sparql::{parse_update, JoinQuery, Query, Var};
@@ -82,8 +82,11 @@ impl Touched {
 pub enum UpdateError {
     /// The update text failed to parse.
     Parse(hsp_sparql::ParseError),
-    /// A `DELETE WHERE` pattern could not be planned or executed.
+    /// A `DELETE WHERE` pattern could not be lowered or planned.
     Eval(String),
+    /// Executing a `DELETE WHERE` pattern failed, or the request's
+    /// governor tripped between operations.
+    Exec(ExecError),
 }
 
 impl std::fmt::Display for UpdateError {
@@ -91,6 +94,7 @@ impl std::fmt::Display for UpdateError {
         match self {
             UpdateError::Parse(e) => write!(f, "{e}"),
             UpdateError::Eval(e) => write!(f, "{e}"),
+            UpdateError::Exec(e) => write!(f, "{e}"),
         }
     }
 }
@@ -160,7 +164,7 @@ pub(crate) fn run_update_traced(
     for op in &request.ops {
         if let Some(gov) = &governor {
             gov.check("update")
-                .map_err(|e| UpdateError::Eval(e.to_string()))?;
+                .map_err(|e| UpdateError::Exec(e.into()))?;
         }
         match op {
             UpdateOp::InsertData(triples) => {
@@ -230,8 +234,7 @@ fn delete_where(
     let planned = HspPlanner::new()
         .plan(&query)
         .map_err(|e| UpdateError::Eval(e.to_string()))?;
-    let out =
-        execute_in(&planned.plan, ds, config, ctx).map_err(|e| UpdateError::Eval(e.to_string()))?;
+    let out = execute_in(&planned.plan, ds, config, ctx).map_err(UpdateError::Exec)?;
 
     // Each pattern slot is a constant id or a column of the result table.
     // `DELETE WHERE` ran against the *rewritten* query (HSP substitutes

@@ -83,6 +83,29 @@ fn explain_prints_plan_tree() {
         assert!(stdout.contains("[tp0]"));
         assert!(stdout.contains("pipeline DAG:"), "{budget:?}: {stdout}");
     }
+    // OPTIONAL and UNION queries are one plan too: the same tree, with
+    // the scans of every block numbered apart.
+    for (query, operator) in [
+        (
+            "SELECT ?j ?t WHERE { ?j a <http://e/Journal> . \
+             OPTIONAL { ?j <http://e/title> ?t . } }",
+            "⟕hj ?j",
+        ),
+        (
+            "SELECT ?j WHERE { { ?j <http://e/title> ?t . } UNION \
+             { ?j <http://e/issued> ?yr . } }",
+            "∪",
+        ),
+    ] {
+        let (stdout, stderr, ok) = hsp(&[data.to_str().unwrap(), "--query", query, "--explain"]);
+        assert!(ok, "{query}: {stderr}");
+        assert!(stdout.contains(operator), "{stdout}");
+        assert!(
+            stdout.contains("[tp0]") && stdout.contains("[tp1]"),
+            "{stdout}"
+        );
+        assert!(stdout.contains("pipeline DAG:"), "{stdout}");
+    }
 }
 
 #[test]

@@ -307,7 +307,7 @@ fn injected_faults_fire_identically_on_re_execution() {
 }
 
 #[test]
-fn extended_evaluator_surfaces_faults_at_its_checkpoint_site() {
+fn composed_query_surfaces_faults_at_the_breaker_site() {
     let ds = Dataset::from_ntriples(&chain_doc()).unwrap();
     let query = "SELECT ?a ?y WHERE { { ?a <http://e/cites> ?b . } UNION \
                  { ?a <http://e/year> ?y . } }";
@@ -318,17 +318,23 @@ fn extended_evaluator_surfaces_faults_at_its_checkpoint_site() {
     });
     let plain = evaluate_extended_with(&ds, query, &ExecConfig::unlimited()).unwrap();
     assert_eq!(governed.rows, plain.rows);
-    let err = with_fault("alloc@extended", || {
+    // The UNION is a breaker of the one composed plan: the fault reaches
+    // it through the executor's own checkpoint and keeps its type.
+    let err = with_fault("alloc@breaker", || {
         evaluate_extended_with(&ds, query, &ExecConfig::unlimited().with_fault_injection())
-            .expect_err("fault at the extended checkpoint must surface")
+            .expect_err("fault at the breaker checkpoint must surface")
     });
-    match err {
-        ExtendedError::Eval(msg) => assert!(
-            msg.contains("memory budget exceeded at extended"),
-            "unexpected message: {msg}"
+    assert!(
+        matches!(
+            err,
+            ExtendedError::Exec(ExecError::MemoryBudgetExceeded {
+                budget: 0,
+                site: "breaker",
+                ..
+            })
         ),
-        other => panic!("expected Eval error, got {other:?}"),
-    }
+        "expected a typed memory-budget error at breaker, got {err:?}"
+    );
     // The store is untouched: the same query still evaluates cleanly.
     let after = evaluate_extended_with(&ds, query, &ExecConfig::unlimited()).unwrap();
     assert_eq!(after.rows, plain.rows);
@@ -336,7 +342,8 @@ fn extended_evaluator_surfaces_faults_at_its_checkpoint_site() {
 
 #[test]
 fn update_path_surfaces_faults_and_publishes_nothing() {
-    use sparql_hsp::session::{Request, Session};
+    use sparql_hsp::session::{Request, Session, SessionError};
+    use sparql_hsp::update::UpdateError;
     let session = Session::new(Dataset::from_ntriples("").unwrap());
     let text = r#"INSERT DATA { <http://e/s> <http://e/p> "v" . } ;
                   DELETE WHERE { ?s <http://e/p> ?o . }"#;
@@ -346,9 +353,16 @@ fn update_path_surfaces_faults_and_publishes_nothing() {
             .expect_err("fault at the update checkpoint must surface")
     });
     assert!(
-        err.to_string().contains("memory budget exceeded at update"),
+        matches!(
+            err,
+            SessionError::Update(UpdateError::Exec(ExecError::MemoryBudgetExceeded {
+                site: "update",
+                ..
+            }))
+        ),
         "unexpected error: {err}"
     );
+    assert_eq!(err.code(), "MEM");
     // The fault fired at the *first* per-operation checkpoint: nothing
     // was published, and the same request applies cleanly afterwards.
     assert!(session.snapshot().is_empty());
@@ -437,7 +451,7 @@ fn tiny_budget_battery_degrades_gracefully_across_query_shapes() {
             .expect("ungoverned run still succeeds after a budget trip");
     }
 
-    // Extended evaluator shapes: UNION, OPTIONAL, FILTER.
+    // Composed shapes: UNION, OPTIONAL, FILTER.
     for query in [
         "SELECT ?a ?b WHERE { { ?a <http://e/cites> ?b . } UNION { ?a <http://e/year> ?b . } }",
         "SELECT ?a ?y WHERE { ?a <http://e/cites> ?b . OPTIONAL { ?a <http://e/year> ?y . } }",
@@ -445,11 +459,10 @@ fn tiny_budget_battery_degrades_gracefully_across_query_shapes() {
     ] {
         match evaluate_extended_with(&ds, query, &tiny) {
             Ok(_) => {}
-            Err(ExtendedError::Eval(msg)) => assert!(
-                msg.contains("memory budget exceeded"),
-                "expected a budget message, got: {msg}"
-            ),
-            Err(other) => panic!("expected a budget Eval error, got {other:?}"),
+            Err(ExtendedError::Exec(ExecError::MemoryBudgetExceeded { budget, .. })) => {
+                assert_eq!(budget, TINY)
+            }
+            Err(other) => panic!("expected a typed budget error, got {other:?}"),
         }
         evaluate_extended_with(&ds, query, &ExecConfig::unlimited())
             .expect("ungoverned evaluation still succeeds");
@@ -465,9 +478,6 @@ fn tiny_budget_battery_degrades_gracefully_across_query_shapes() {
         .with_mem_budget(TINY),
     ) {
         Ok(_) => {}
-        Err(e) => assert!(
-            e.to_string().contains("memory budget exceeded"),
-            "expected a budget error, got: {e}"
-        ),
+        Err(e) => assert_eq!(e.code(), "MEM", "expected a budget error, got: {e}"),
     }
 }
