@@ -1,6 +1,7 @@
 //! Low-level building blocks of the vectorized join kernels: an FxHash-style
-//! mixer, a drop-in `BuildHasher` for `u64`-keyed std collections, and the
-//! allocation-free hash-join build table.
+//! mixer, a drop-in `BuildHasher` for `u64`-keyed std collections, the
+//! allocation-free hash-join build table, and the galloping search both
+//! merge kernels advance their sorted cursors with.
 //!
 //! The build table comes in two layouts, both flat (CSR-style: one offsets
 //! array + one row-index array, no per-key `Vec`s and no per-probe
@@ -564,16 +565,17 @@ pub fn merge_join_pairs(
 ) {
     let (mut i, l_end) = (l_range.start, l_range.end);
     let (mut j, r_end) = (r_range.start, r_range.end);
+    let (lcol, rcol) = (&lcol[..l_end], &rcol[..r_end]);
     while i < l_end && j < r_end {
         let (a, b) = (lcol[i], rcol[j]);
         if a < b {
-            i += 1;
+            i = gallop(lcol, i, |&x| x < b);
         } else if b < a {
-            j += 1;
+            j = gallop(rcol, j, |&x| x < a);
         } else {
             // Equal-key groups: cross-combine.
-            let i_end = i + lcol[i..l_end].partition_point(|&x| x == a);
-            let j_end = j + rcol[j..r_end].partition_point(|&x| x == a);
+            let i_end = gallop(lcol, i, |&x| x == a);
+            let j_end = gallop(rcol, j, |&x| x == a);
             if extra_pairs.is_empty() {
                 lidx.reserve((i_end - i) * (j_end - j));
                 ridx.reserve((i_end - i) * (j_end - j));
@@ -597,6 +599,36 @@ pub fn merge_join_pairs(
             j = j_end;
         }
     }
+}
+
+/// Galloping (exponential-then-binary) search: the first index `≥ from`
+/// at which `pred` fails, for a `pred` that holds on a prefix of
+/// `slice[from..]` — `from + slice[from..].partition_point(pred)`, in time
+/// logarithmic in the distance moved rather than in the slice's length.
+///
+/// This is the one cursor advance of the sorted kernels: the binary merge
+/// join ([`merge_join_pairs`]) skips unmatched keys and finds each
+/// equal-key group's end with it, and the pipeline's merge-block source
+/// leapfrogs its leaves to the driver's keys with it. A cursor already at
+/// its target costs a single comparison.
+pub fn gallop<T>(slice: &[T], from: usize, pred: impl Fn(&T) -> bool) -> usize {
+    if from >= slice.len() || !pred(&slice[from]) {
+        return from;
+    }
+    // `pred` holds at `lo`; double the step until it fails (or the slice
+    // ends), then binary-search the last step.
+    let (mut lo, mut step) = (from, 1);
+    let hi = loop {
+        match lo.checked_add(step).filter(|&p| p < slice.len()) {
+            Some(probe) if pred(&slice[probe]) => {
+                lo = probe;
+                step *= 2;
+            }
+            Some(probe) => break probe,
+            None => break slice.len(),
+        }
+    };
+    lo + 1 + slice[lo + 1..hi].partition_point(pred)
 }
 
 #[cfg(test)]
@@ -782,6 +814,38 @@ mod tests {
         );
         assert_eq!(part_l, full_l);
         assert_eq!(part_r, full_r);
+    }
+
+    #[test]
+    fn gallop_equals_partition_point_from_every_cursor() {
+        let col = random_cols(300, 40, 8);
+        let mut sorted = col.clone();
+        sorted.sort();
+        for from in 0..=sorted.len() {
+            for bound in [0, 1, 7, 20, 39, 40] {
+                let pred = |x: &TermId| x.0 < bound;
+                let want = from + sorted[from..].partition_point(pred);
+                assert_eq!(
+                    gallop(&sorted, from, pred),
+                    want,
+                    "from={from} bound={bound}"
+                );
+            }
+        }
+        assert_eq!(gallop::<TermId>(&[], 0, |_| true), 0);
+    }
+
+    #[test]
+    fn merge_join_pairs_skip_runs_of_unmatched_keys() {
+        // Long unmatched runs on both sides are galloped over; the pairs
+        // are those of the plain cursor walk.
+        let l = ids(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 50, 50, 60]);
+        let r = ids(&[0, 0, 0, 50, 51, 52, 53, 54, 55, 56, 60, 60]);
+        let mut lidx = Vec::new();
+        let mut ridx = Vec::new();
+        merge_join_pairs(&l, &r, &[], 0..l.len(), 0..r.len(), &mut lidx, &mut ridx);
+        assert_eq!(lidx, vec![9, 10, 11, 11]);
+        assert_eq!(ridx, vec![3, 3, 10, 11]);
     }
 
     #[test]

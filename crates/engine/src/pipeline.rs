@@ -10,24 +10,34 @@
 //!
 //! * **Lowering** ([`lower`]) cuts the plan tree into maximal breaker-free
 //!   operator chains. A *pipeline* is `source → stage* → sink`, where the
-//!   source is a scan (or a breaker's materialised output), the stages are
-//!   the streaming operators — FILTER, hash-join *probes* (inner **and
-//!   left-outer**: [`BuildTable::probe_range_outer`] emits the
+//!   source is a scan, a merge block, or a breaker's materialised output,
+//!   the stages are the streaming operators — FILTER, hash-join *probes*
+//!   (inner **and left-outer**: [`BuildTable::probe_range_outer`] emits the
 //!   unmatched-row sentinel per probe row, so morsel stitching is
 //!   unchanged), and plain projection (a pure layout change folded into
 //!   the stage chain and ultimately the sink gather) — and the sink is
 //!   the single materialisation point. Everything that must see its whole
 //!   input before emitting a row is a *breaker* and becomes its own step:
-//!   the hash-join **build** side, merge join (both sorted inputs), cross
-//!   product (and the keyless left-outer join, which pairs like one),
-//!   UNION, the sort order-enforcer, ORDER BY, grouped aggregation
-//!   (the morsel-parallel two-phase γ of [`crate::aggregate`]), and
-//!   LIMIT/OFFSET. DISTINCT, once a breaker, now **streams**: each
-//!   morsel dedups its projected rows locally, and the sink finishes
-//!   with one global first-occurrence pass over the gathered output —
-//!   order-preserving, so the result is byte-identical to the global
-//!   dedup (a DISTINCT that is *not* the top of its chain still
-//!   materialises, since later stages must see the deduped rows).
+//!   the hash-join **build** side, a merge join with a non-leaf side (a
+//!   sort-enforced input, a bushy tree), cross product (and the keyless
+//!   left-outer join, which pairs like one), UNION, the sort
+//!   order-enforcer, ORDER BY, grouped aggregation (the morsel-parallel
+//!   two-phase γ of [`crate::aggregate`]), and LIMIT/OFFSET. DISTINCT,
+//!   once a breaker, now **streams**: each morsel dedups its projected
+//!   rows locally, and the sink finishes with one global first-occurrence
+//!   pass over the gathered output — order-preserving, so the result is
+//!   byte-identical to the global dedup (a DISTINCT that is *not* the top
+//!   of its chain still materialises, since later stages must see the
+//!   deduped rows).
+//! * **Merge blocks**: the paper's unit of plan — a left-deep run of merge
+//!   joins on one variable over scan leaves
+//!   ([`PhysicalPlan::merge_block_leaves`]) — is one source, a k-way sorted
+//!   intersection straight over the leaves' ordered relations (the unary
+//!   case of leapfrog triejoin). Leaf 0 (the H1-first) drives, the other
+//!   leaves gallop to each driver key ([`crate::kernel::gallop`]), and a
+//!   key present in every leaf emits the product of its equal-key groups
+//!   in the binary chain's row order, as one index vector per leaf. No
+//!   leaf and no join output is materialised.
 //! * **Breaker hand-off**: a breaker whose output slot is consumed by
 //!   exactly one pipeline *source* is *handed off* — the materialised
 //!   table moves straight into that pipeline (counted as
@@ -39,23 +49,29 @@
 //!   (lowering emits them topologically). A pipeline pushes its source
 //!   through the whole stage chain **morsel at a time** on the
 //!   [`crate::morsel`] pool: each worker carries only thread-local `u32`
-//!   index vectors — one per *side* (the source plus each probed build
-//!   table) — through the stages, so the rows between operators are never
-//!   gathered into columns. Per-morsel index vectors stitch back in morsel
-//!   order (the same discipline as every parallel kernel, so the result is
-//!   byte-identical to the oracle), and the sink gathers each output
-//!   column exactly once through the [`crate::pool::BufferPool`].
+//!   index vectors — one per *side* (the source, or each merge-block leaf
+//!   a later stage reads, plus each probed build table) — through the
+//!   stages, so the rows between operators are never gathered into
+//!   columns. Per-morsel index vectors stitch back in morsel order (the
+//!   same discipline as every parallel kernel, so the result is
+//!   byte-identical to the oracle; a merge block's morsels are plain
+//!   driver ranges, since its driver is the outermost loop of every
+//!   product), and the sink gathers each output column exactly once
+//!   through the [`crate::pool::BufferPool`].
 //!
 //! What the oracle would have materialised between the pipeline's
 //! operators is reported as
 //! [`RuntimeMetrics::pipeline_rows_avoided`](crate::metrics::RuntimeMetrics::pipeline_rows_avoided);
 //! per-operator output cardinalities are still counted exactly, so the
-//! produced [`Profile`] matches the oracle's row for row.
+//! produced [`Profile`] matches the oracle's row for row — a merge block
+//! counts every join of its chain per key (Σ over keys of the product of
+//! the group sizes up to that join), rows it never emits included.
 //!
 //! Those exact cardinalities are also what the row budget
 //! ([`ExecConfig::max_intermediate_rows`](crate::exec::ExecConfig::max_intermediate_rows))
 //! is enforced on: after every step the nodes it finished are compared
-//! with the budget, and a Cartesian product is refused before it
+//! with the budget and the first offender in the oracle's evaluation
+//! order is reported, and a Cartesian product is refused before it
 //! materialises — the same plans trip as under the oracle.
 
 use std::collections::HashMap;
@@ -69,7 +85,7 @@ use hsp_store::{Dataset, Order, OrderScan, StorageBackend};
 use crate::binding::BindingTable;
 use crate::exec::{plan_label, ExecError, Profile};
 use crate::govern::QueryGovernor;
-use crate::kernel::BuildTable;
+use crate::kernel::{gallop, BuildTable};
 use crate::morsel::{self, MorselRun};
 use crate::ops::{self, RowValues};
 use crate::plan::{scan_sort_var, PhysicalPlan};
@@ -172,13 +188,25 @@ struct Pipeline<'p> {
 
 enum SourceSpec<'p> {
     /// Stream straight out of an ordered relation.
-    Scan {
-        node: NodeId,
-        pattern: &'p TriplePattern,
-        order: Order,
+    Scan(ScanLeaf<'p>),
+    /// A merge block: a left-deep run of merge joins on `var` whose every
+    /// input is a scan leaf, streamed as one k-way sorted intersection
+    /// ([`merge_block_morsel`]). `joins[j - 1]` is the join that brings in
+    /// `leaves[j]`.
+    MergeBlock {
+        var: Var,
+        leaves: Vec<ScanLeaf<'p>>,
+        joins: Vec<NodeId>,
     },
     /// Stream a breaker's materialised output.
     Slot(SlotId),
+}
+
+/// One scan leaf of a pipeline source.
+struct ScanLeaf<'p> {
+    node: NodeId,
+    pattern: &'p TriplePattern,
+    order: Order,
 }
 
 enum StageSpec<'p> {
@@ -274,6 +302,37 @@ pub fn lower(plan: &PhysicalPlan) -> Program<'_> {
     }
 }
 
+/// Append `plan`'s nodes in the operator-at-a-time oracle's evaluation
+/// order: every node after its inputs; a hash join's build (right) side
+/// before its probe side, every other operator's inputs left to right.
+fn push_oracle_order(
+    plan: &PhysicalPlan,
+    ids: &HashMap<*const PhysicalPlan, NodeId>,
+    out: &mut Vec<NodeId>,
+) {
+    match plan {
+        PhysicalPlan::Scan { .. } => {}
+        PhysicalPlan::HashJoin { left, right, .. }
+        | PhysicalPlan::LeftOuterHashJoin { left, right, .. } => {
+            push_oracle_order(right, ids, out);
+            push_oracle_order(left, ids, out);
+        }
+        PhysicalPlan::MergeJoin { left, right, .. }
+        | PhysicalPlan::CrossProduct { left, right }
+        | PhysicalPlan::Union { left, right } => {
+            push_oracle_order(left, ids, out);
+            push_oracle_order(right, ids, out);
+        }
+        PhysicalPlan::Sort { input, .. }
+        | PhysicalPlan::Filter { input, .. }
+        | PhysicalPlan::Project { input, .. }
+        | PhysicalPlan::OrderBy { input, .. }
+        | PhysicalPlan::HashAggregate { input, .. }
+        | PhysicalPlan::Slice { input, .. } => push_oracle_order(input, ids, out),
+    }
+    out.push(ids[&(plan as *const PhysicalPlan)]);
+}
+
 /// A pipeline under construction: a source plus the streaming stages
 /// accumulated so far (not yet sealed into a step).
 struct Chain<'p> {
@@ -304,6 +363,19 @@ impl<'p> Lowerer<'p, '_> {
         out
     }
 
+    fn scan_leaf(&self, plan: &'p PhysicalPlan) -> ScanLeaf<'p> {
+        let PhysicalPlan::Scan { pattern, order, .. } = plan else {
+            // invariant: callers pass scan nodes only (a scan arm, or a
+            // leaf of `merge_block_leaves`).
+            unreachable!("scan leaf expected");
+        };
+        ScanLeaf {
+            node: self.node_id(plan),
+            pattern,
+            order: *order,
+        }
+    }
+
     /// Lower `plan` into an open chain, emitting breaker steps for every
     /// sub-plan that must materialise (the classification is
     /// [`PhysicalPlan::is_pipeline_breaker`]; the match below must agree
@@ -315,17 +387,38 @@ impl<'p> Lowerer<'p, '_> {
     /// materialising: nothing downstream in the same chain ever observes
     /// the not-yet-globally-deduped rows.
     fn chain(&mut self, plan: &'p PhysicalPlan, last: bool) -> Chain<'p> {
+        let block = plan.merge_block_leaves();
         debug_assert_eq!(
             plan.is_pipeline_breaker(),
-            !matches!(
+            !(matches!(
                 plan,
                 PhysicalPlan::Scan { .. }
                     | PhysicalPlan::Filter { .. }
                     | PhysicalPlan::Project { .. }
-            ),
+            ) || block.is_some()),
             "lowering must agree with the breaker classification"
         );
         let node = self.node_id(plan);
+        if let (Some(leaves), PhysicalPlan::MergeJoin { var, .. }) = (block, plan) {
+            // A merge block: one streaming source over all its leaves.
+            // Its joins are the left spine, listed bottom-up.
+            let mut joins = Vec::with_capacity(leaves.len() - 1);
+            let mut spine = plan;
+            while let PhysicalPlan::MergeJoin { left, .. } = spine {
+                joins.push(self.node_id(spine));
+                spine = left;
+            }
+            joins.reverse();
+            let leaves = leaves.into_iter().map(|l| self.scan_leaf(l)).collect();
+            return Chain {
+                source: SourceSpec::MergeBlock {
+                    var: *var,
+                    leaves,
+                    joins,
+                },
+                stages: Vec::new(),
+            };
+        }
         match plan {
             PhysicalPlan::Scan { pattern, order, .. } => {
                 if pattern.vars().is_empty() {
@@ -344,11 +437,7 @@ impl<'p> Lowerer<'p, '_> {
                     }
                 } else {
                     Chain {
-                        source: SourceSpec::Scan {
-                            node,
-                            pattern,
-                            order: *order,
-                        },
+                        source: SourceSpec::Scan(self.scan_leaf(plan)),
                         stages: Vec::new(),
                     }
                 }
@@ -406,6 +495,8 @@ impl<'p> Lowerer<'p, '_> {
                 chain
             }
             PhysicalPlan::MergeJoin { left, right, var } => {
+                // A side that is not a scan leaf (a sort-enforced input, a
+                // bushy subtree): both sides materialise, sorted.
                 let l = self.seal_subplan(left);
                 let r = self.seal_subplan(right);
                 let slot = self.push_breaker(
@@ -562,17 +653,18 @@ impl<'p> Lowerer<'p, '_> {
 
     /// Close an open chain into a slot: an already-materialised stage-less
     /// chain is its slot; a stage-less scan materialises directly; anything
-    /// else becomes a pipeline step.
+    /// else (a merge block included) becomes a pipeline step.
     fn seal(&mut self, chain: Chain<'p>) -> SlotId {
         if chain.stages.is_empty() {
-            return match chain.source {
-                SourceSpec::Slot(slot) => slot,
-                SourceSpec::Scan {
+            match chain.source {
+                SourceSpec::Slot(slot) => return slot,
+                SourceSpec::Scan(ScanLeaf {
                     node,
                     pattern,
                     order,
-                } => self.push_breaker(node, BreakerOp::Scan { pattern, order }),
-            };
+                }) => return self.push_breaker(node, BreakerOp::Scan { pattern, order }),
+                SourceSpec::MergeBlock { .. } => {}
+            }
         }
         let out = self.new_slot();
         self.steps.push(Step::Pipeline(Pipeline {
@@ -639,6 +731,12 @@ impl Program<'_> {
         rows: &mut [usize],
         nanos: &mut [u128],
     ) -> Result<(), ExecError> {
+        // Every node in the order the oracle finishes it — the order its
+        // row-budget check meets them in (only a budget reads it).
+        let mut oracle_order = Vec::new();
+        if row_budget.is_some() {
+            push_oracle_order(self.plan, &self.ids, &mut oracle_order);
+        }
         for step in &self.steps {
             match step {
                 Step::Breaker { node, out, op } => {
@@ -715,10 +813,12 @@ impl Program<'_> {
             // The step's output is stored (and charged), so a trip drains
             // through the caller's slot sweep like any governor error.
             // Earlier steps passed, so an offender is one of this step's
-            // nodes; a pipeline's lie on one left spine, where the highest
-            // pre-order id is the bottom-most — the one the oracle reports.
+            // nodes; steps run in the oracle's order, so the first
+            // offender in that order is the one the oracle reports —
+            // inside a merge block too, whose right leaves sit off the
+            // pipeline's left spine.
             if let Some(budget) = row_budget {
-                if let Some(node) = rows.iter().rposition(|&n| n > budget) {
+                if let Some(&node) = oracle_order.iter().find(|&&n| rows[n] > budget) {
                     return Err(self.budget_exceeded(node, rows[node], budget));
                 }
             }
@@ -765,7 +865,8 @@ impl Program<'_> {
     }
 
     /// Render the pipeline DAG as text: one line per step, slots named
-    /// `s0, s1, …`, pipelines shown as `source → stage → … → sink`.
+    /// `s0, s1, …`, pipelines shown as `source → stage → … → sink` (a
+    /// merge-block source as `⋈k ?var [leaf scans]`).
     pub fn render(&self, query: &hsp_sparql::JoinQuery) -> String {
         use std::fmt::Write as _;
         let mut out = format!(
@@ -853,8 +954,16 @@ impl Program<'_> {
                 Step::Pipeline(p) => {
                     let mut line = format!("  s{} ← pipeline: ", p.out);
                     match &p.source {
-                        SourceSpec::Scan { pattern, order, .. } => {
-                            line.push_str(&scan_desc(pattern, *order));
+                        SourceSpec::Scan(leaf) => {
+                            line.push_str(&scan_desc(leaf.pattern, leaf.order));
+                        }
+                        SourceSpec::MergeBlock { var, leaves, .. } => {
+                            let scans: Vec<String> = leaves
+                                .iter()
+                                .map(|l| scan_desc(l.pattern, l.order))
+                                .collect();
+                            let _ =
+                                write!(line, "⋈k ?{} [{}]", query.var_name(*var), scans.join(", "));
                         }
                         SourceSpec::Slot(slot) => {
                             let _ = write!(line, "s{slot}");
@@ -1005,12 +1114,16 @@ fn run_aggregate(
 }
 
 /// How a pipeline stage reads one value of a composed row: either a key
-/// coordinate of the scan source's relation rows, or a column of a
+/// coordinate of a source leaf's relation rows, or a column of a
 /// materialised side table, indexed through that side's index vector.
 #[derive(Clone, Copy)]
 enum ColRef<'a> {
-    /// `scan_rows[sides[0][row]][key]`.
-    Key { key: usize },
+    /// `leaves[leaf].rows[sides[side][row]][key]`.
+    Key {
+        side: usize,
+        leaf: usize,
+        key: usize,
+    },
     /// `col[sides[side][row]]`. `idx` is the column's index within its
     /// side's table (what the sink's column-move fast path needs);
     /// `nullable` marks sides introduced by an *outer* probe, whose index
@@ -1061,15 +1174,59 @@ enum PreparedStage<'a> {
     },
 }
 
+/// A scan leaf of the source, resolved against the dataset.
+struct PreparedLeaf<'a> {
+    node: NodeId,
+    rows: &'a [IdTriple],
+    /// The key coordinate the rows are sorted by (the first variable in
+    /// key order — a merge block's variable).
+    key: usize,
+    /// Repeated-variable equalities of the pattern (key-index pairs): a
+    /// row violating one is not part of the leaf's output.
+    equalities: Vec<(usize, usize)>,
+}
+
+impl PreparedLeaf<'_> {
+    fn keeps(&self, i: usize) -> bool {
+        let row = &self.rows[i];
+        self.equalities.iter().all(|&(a, b)| row[a] == row[b])
+    }
+
+    /// The leaf's exact output cardinality — what the oracle's scan
+    /// materialises.
+    fn output_rows(&self) -> usize {
+        if self.equalities.is_empty() {
+            self.rows.len()
+        } else {
+            (0..self.rows.len()).filter(|&i| self.keeps(i)).count()
+        }
+    }
+}
+
+/// A merge join inside a merge block: the node that brings in leaf `j`,
+/// and the non-block variables leaf `j` shares with earlier leaves as
+/// `(earlier leaf, its key, leaf j's key)` — the `extra_pairs` check of
+/// the binary merge join.
+struct PreparedJoin {
+    node: NodeId,
+    checks: Vec<(usize, usize, usize)>,
+}
+
 /// Everything a morsel worker needs, borrowed for the pipeline run.
 struct PreparedPipeline<'a> {
-    /// Relation rows of a scan source (empty for slot sources).
-    scan_rows: &'a [IdTriple],
-    /// `true` when the source is a scan (node cardinality + equalities
-    /// apply; the scan's rows count as avoided materialisation).
-    scan_source: Option<NodeId>,
-    /// Repeated-variable equalities of the scan pattern (key-index pairs).
-    equalities: Vec<(usize, usize)>,
+    /// The source's scan leaves: one for a scan, k for a merge block,
+    /// none for a slot (whose rows were materialised by their breaker).
+    leaves: Vec<PreparedLeaf<'a>>,
+    /// A merge block's joins (`joins[j - 1]` brings in `leaves[j]`);
+    /// empty for any other source.
+    joins: Vec<PreparedJoin>,
+    /// The leaves a merge block emits an index vector for — the ones a
+    /// stage or the sink reads — in leaf order: side `s` is leaf
+    /// `emit[s]` (empty for any other source).
+    emit: Vec<usize>,
+    /// Sides the source contributes (`0..source_sides`); probe sides
+    /// follow.
+    source_sides: usize,
     /// Output layout: one entry per output column, in output order.
     layout: Vec<(Var, ColRef<'a>)>,
     stages: Vec<PreparedStage<'a>>,
@@ -1077,8 +1234,55 @@ struct PreparedPipeline<'a> {
     sorted: Option<Var>,
 }
 
+impl<'a> PreparedPipeline<'a> {
+    /// Visit every column reference of the layout and the stages.
+    fn for_each_ref(&mut self, mut f: impl FnMut(&mut ColRef<'a>)) {
+        self.layout.iter_mut().for_each(|(_, r)| f(r));
+        for stage in &mut self.stages {
+            match stage {
+                PreparedStage::Filter { used, .. } => used.iter_mut().for_each(|(_, r)| f(r)),
+                PreparedStage::Probe {
+                    key_refs,
+                    extra_checks,
+                    ..
+                } => {
+                    key_refs.iter_mut().for_each(&mut f);
+                    extra_checks.iter_mut().for_each(|(r, _)| f(r));
+                }
+                PreparedStage::Project { .. } => {}
+                PreparedStage::Distinct { refs, .. } => refs.iter_mut().for_each(&mut f),
+            }
+        }
+    }
+
+    /// A merge block emits index vectors only for the leaves some stage
+    /// or the sink reads: renumber the sides so those come first (in leaf
+    /// order) and the probe sides follow them.
+    fn prune_block_sides(&mut self) {
+        let k = self.leaves.len();
+        let mut live = vec![false; k];
+        self.for_each_ref(|r| {
+            if let ColRef::Key { leaf, .. } = *r {
+                live[leaf] = true;
+            }
+        });
+        self.emit = (0..k).filter(|&l| live[l]).collect();
+        let mut side_of = vec![0usize; k];
+        for (s, &l) in self.emit.iter().enumerate() {
+            side_of[l] = s;
+        }
+        let dead = k - self.emit.len();
+        self.for_each_ref(|r| match r {
+            ColRef::Key { side, leaf, .. } => *side = side_of[*leaf],
+            ColRef::Col { side, .. } => *side -= dead,
+        });
+        self.source_sides = self.emit.len();
+    }
+}
+
 /// The per-morsel result: one index vector per side plus the per-stage
-/// surviving-row counts (source first).
+/// surviving-row counts (the source's levels first: its rows, then each
+/// merge-block join's).
 struct MorselOut {
     sides: Vec<Vec<u32>>,
     counts: Vec<usize>,
@@ -1103,7 +1307,7 @@ struct MorselOut {
 /// as the morsel's row range (`ident`) instead of a materialised identity
 /// vector — reads off it are sequential slice accesses.
 struct View<'a, 'b> {
-    scan_rows: &'a [IdTriple],
+    leaves: &'b [PreparedLeaf<'a>],
     sides: &'b [Vec<u32>],
     /// `Some(start)` while side 0 is still the untouched morsel range
     /// starting at `start` (its length is the current row count).
@@ -1117,15 +1321,20 @@ impl View<'_, '_> {
     fn gather(&self, r: ColRef<'_>, n: usize, scratch: &Scratch<'_>) -> Vec<TermId> {
         let mut out = scratch.take_col(n);
         match (r, self.ident) {
-            (ColRef::Key { key }, Some(start)) => {
+            // A lazy side 0 only exists over a single scan or slot source,
+            // so a key reference under it reads leaf 0.
+            (ColRef::Key { leaf, key, .. }, Some(start)) => {
                 let start = start as usize;
-                out.extend(self.scan_rows[start..start + n].iter().map(|row| row[key]));
+                out.extend(
+                    self.leaves[leaf].rows[start..start + n]
+                        .iter()
+                        .map(|row| row[key]),
+                );
             }
-            (ColRef::Key { key }, None) => out.extend(
-                self.sides[0][..n]
-                    .iter()
-                    .map(|&i| self.scan_rows[i as usize][key]),
-            ),
+            (ColRef::Key { side, leaf, key }, None) => {
+                let rows = self.leaves[leaf].rows;
+                out.extend(self.sides[side][..n].iter().map(|&i| rows[i as usize][key]));
+            }
             (ColRef::Col { side: 0, col, .. }, Some(start)) => {
                 let start = start as usize;
                 out.extend_from_slice(&col[start..start + n]);
@@ -1218,6 +1427,8 @@ impl RowValues for ScratchCols<'_, '_> {
 /// the input tables apart.
 enum SinkRef {
     Key {
+        side: usize,
+        leaf: usize,
         key: usize,
     },
     Col {
@@ -1250,7 +1461,7 @@ fn run_pipeline(
     // source and build slot before the pipeline that consumes it.
     let mut source_table: Option<BindingTable> = match &p.source {
         SourceSpec::Slot(slot) => Some(slots[*slot].take().expect("source slot filled")),
-        SourceSpec::Scan { .. } => None,
+        SourceSpec::Scan(_) | SourceSpec::MergeBlock { .. } => None,
     };
     let build_tables: Vec<BindingTable> = p
         .stages
@@ -1265,21 +1476,21 @@ fn run_pipeline(
         })
         .collect();
 
-    // Resolve a scan source against the dataset here — not inside
-    // `prepare` — so the rows borrow `ds` alone (or the merged scan
-    // buffer, which outlives `prepared`) and stay usable by the sink
+    // Resolve the source's scan leaves against the dataset here — not
+    // inside `prepare` — so the rows borrow `ds` alone (or the merged scan
+    // buffers, which outlive `prepared`) and stay usable by the sink
     // after the prepared stages (which borrow the input tables) are
     // dropped.
-    let scan = match &p.source {
-        SourceSpec::Scan { pattern, order, .. } => resolve_scan(ds, pattern, *order),
-        SourceSpec::Slot(_) => OrderScan::empty(),
-    };
-    if !scan.is_contiguous() {
+    let scans: Vec<OrderScan<'_>> = source_leaves(&p.source)
+        .iter()
+        .map(|leaf| resolve_scan(ds, leaf.pattern, leaf.order))
+        .collect();
+    for _ in scans.iter().filter(|s| !s.is_contiguous()) {
         ctx.note_merged_scan();
     }
-    let scan_rows: &[IdTriple] = &scan;
+    let leaf_rows: Vec<&[IdTriple]> = scans.iter().map(OrderScan::as_slice).collect();
 
-    let prepared = prepare(p, ctx, scan_rows, source_table.as_ref(), &build_tables);
+    let prepared = prepare(p, ctx, &leaf_rows, source_table.as_ref(), &build_tables);
 
     // The hand-off column-move precondition that is known *before* any
     // morsel runs: the source was handed off, no probe adds a side, and
@@ -1368,12 +1579,15 @@ fn run_pipeline(
 
     // Stitch the per-morsel index vectors in morsel order and total the
     // per-stage counts.
-    let side_count = 1 + prepared
-        .stages
-        .iter()
-        .filter(|s| matches!(s, PreparedStage::Probe { .. }))
-        .count();
-    let mut counts = vec![0usize; 1 + stage_count];
+    let side_count = prepared.source_sides
+        + prepared
+            .stages
+            .iter()
+            .filter(|s| matches!(s, PreparedStage::Probe { .. }))
+            .count();
+    // Source levels: the source's own count, then one per merge-block join.
+    let levels = 1 + prepared.joins.len();
+    let mut counts = vec![0usize; levels + stage_count];
     let mut total_rows = 0usize;
     for part in &parts {
         total_rows += part.rows;
@@ -1417,28 +1631,38 @@ fn run_pipeline(
     };
 
     // Record per-operator cardinalities (exactly what the oracle would
-    // report): the scan source's output, then each stage's.
-    if let Some(node) = prepared.scan_source {
-        rows_by_node[node] = counts[0];
-    }
-    for (stage, &n) in prepared.stages.iter().zip(&counts[1..]) {
-        let node = match stage {
-            PreparedStage::Filter { node, .. }
-            | PreparedStage::Probe { node, .. }
-            | PreparedStage::Project { node }
-            | PreparedStage::Distinct { node, .. } => *node,
-        };
+    // report): the source's levels (leaf 0, then each merge-block join),
+    // the other leaves of a merge block (whole-scan counts, independent of
+    // the morsels), then each stage's.
+    let source_nodes = prepared
+        .leaves
+        .first()
+        .map(|leaf| leaf.node)
+        .into_iter()
+        .chain(prepared.joins.iter().map(|j| j.node));
+    for (node, &n) in source_nodes.zip(&counts) {
         rows_by_node[node] = n;
+    }
+    let mut other_leaf_rows = 0usize;
+    for leaf in prepared.leaves.iter().skip(1) {
+        let n = leaf.output_rows();
+        rows_by_node[leaf.node] = n;
+        other_leaf_rows += n;
+    }
+    for (stage, &n) in prepared.stages.iter().zip(&counts[levels..]) {
+        rows_by_node[stage_node(stage)] = n;
     }
 
     // The rows the oracle would have materialised between operators but
     // this pipeline kept as index vectors: every count except the final
-    // stage's (which the sink materialises); a slot source was already
-    // materialised by its breaker, so it does not count.
+    // one (which the sink materialises), plus the merge block's other
+    // leaves; a slot source was already materialised by its breaker, so
+    // it does not count.
     let avoided: usize = counts[..counts.len() - 1]
         .iter()
-        .skip(if prepared.scan_source.is_some() { 0 } else { 1 })
-        .sum();
+        .skip(usize::from(prepared.leaves.is_empty()))
+        .sum::<usize>()
+        + other_leaf_rows;
     ctx.note_pipeline(run, avoided);
     let outer_probes = prepared
         .stages
@@ -1451,17 +1675,14 @@ fn run_pipeline(
 
     // The topmost operator of the pipeline owns its wall time (inner
     // stages never run in isolation, so they report 0).
-    let top_node = match prepared.stages.last() {
-        Some(
-            PreparedStage::Filter { node, .. }
-            | PreparedStage::Probe { node, .. }
-            | PreparedStage::Project { node }
-            | PreparedStage::Distinct { node, .. },
-        ) => *node,
-        // invariant: `lower` never emits a stage-less pipeline — a bare
-        // scan still carries its sink projection stage.
-        None => unreachable!("pipelines have at least one stage"),
-    };
+    let top_node = prepared
+        .stages
+        .last()
+        .map(stage_node)
+        .or_else(|| prepared.joins.last().map(|j| j.node))
+        // invariant: `lower` emits a stage-less pipeline only for a merge
+        // block (a bare scan seals as a breaker).
+        .expect("a pipeline has a stage or is a merge block");
 
     // Strip the layout of its borrows so the prepared stages (which borrow
     // the input tables) can drop before the sink consumes those tables.
@@ -1470,7 +1691,7 @@ fn run_pipeline(
         .iter()
         .map(|&(v, r)| {
             let sink = match r {
-                ColRef::Key { key } => SinkRef::Key { key },
+                ColRef::Key { side, leaf, key } => SinkRef::Key { side, leaf, key },
                 ColRef::Col {
                     side,
                     idx,
@@ -1486,6 +1707,7 @@ fn run_pipeline(
         })
         .collect();
     let sorted = prepared.sorted;
+    let source_sides = prepared.source_sides;
     let distinct_node = prepared.stages.iter().find_map(|s| match s {
         PreparedStage::Distinct { node, .. } => Some(*node),
         _ => None,
@@ -1534,20 +1756,21 @@ fn run_pipeline(
         for (_, r) in &sink_refs {
             let mut col = ctx.pool.take_col(out_rows);
             match *r {
-                SinkRef::Key { key } => {
-                    col.extend(sides[0].iter().map(|&i| scan_rows[i as usize][key]));
+                SinkRef::Key { side, leaf, key } => {
+                    let rows = leaf_rows[leaf];
+                    col.extend(sides[side].iter().map(|&i| rows[i as usize][key]));
                 }
                 SinkRef::Col {
                     side,
                     idx,
                     nullable,
                 } => {
-                    let src: &[TermId] = if side == 0 {
-                        // invariant: a side-0 column reference implies a
-                        // slot source (scan sources emit key references).
+                    let src: &[TermId] = if side < source_sides {
+                        // invariant: a source-side column reference implies
+                        // a slot source (scan leaves emit key references).
                         &source_table.as_ref().expect("slot source").columns()[idx]
                     } else {
-                        &build_tables[side - 1].columns()[idx]
+                        &build_tables[side - source_sides].columns()[idx]
                     };
                     gather_indices(&mut col, src, &sides[side], nullable);
                 }
@@ -1619,6 +1842,26 @@ fn run_pipeline(
     Ok(())
 }
 
+/// The plan node a prepared stage reports its cardinality for.
+fn stage_node(stage: &PreparedStage<'_>) -> NodeId {
+    match stage {
+        PreparedStage::Filter { node, .. }
+        | PreparedStage::Probe { node, .. }
+        | PreparedStage::Project { node }
+        | PreparedStage::Distinct { node, .. } => *node,
+    }
+}
+
+/// The scan leaves a source reads: one for a scan, every leaf of a merge
+/// block, none for a slot.
+fn source_leaves<'s, 'p>(source: &'s SourceSpec<'p>) -> &'s [ScanLeaf<'p>] {
+    match source {
+        SourceSpec::Scan(leaf) => std::slice::from_ref(leaf),
+        SourceSpec::MergeBlock { leaves, .. } => leaves,
+        SourceSpec::Slot(_) => &[],
+    }
+}
+
 /// Resolve a scan source's relation range exactly like `ops::scan`: a
 /// constant missing from the dictionary matches nothing (the empty output
 /// still advertises the scan's sortedness, like the oracle's — a merge
@@ -1643,46 +1886,81 @@ fn resolve_scan<'d>(ds: &'d Dataset, pattern: &TriplePattern, order: Order) -> O
 }
 
 /// Resolve the pipeline's source and stages against the (already
-/// resolved) scan rows and the taken input tables: key layout for a scan
-/// source, hash-table builds (the breaker half of each hash join) for the
-/// probes, layout rewrites for projection stages.
+/// resolved) leaf rows and the taken input tables: key layout for a scan
+/// or merge-block source (a merge block's layout is the binary chain's —
+/// each leaf's new variables after the earlier leaves'), hash-table builds
+/// (the breaker half of each hash join) for the probes, layout rewrites
+/// for projection stages.
 fn prepare<'a>(
     p: &'a Pipeline<'_>,
     ctx: &ExecContext,
-    scan_rows: &'a [IdTriple],
+    leaf_rows: &[&'a [IdTriple]],
     source_table: Option<&'a BindingTable>,
     build_tables: &'a [BindingTable],
 ) -> PreparedPipeline<'a> {
     let mut layout: Vec<(Var, ColRef<'a>)> = Vec::new();
-    let mut equalities: Vec<(usize, usize)> = Vec::new();
-    let scan_source;
+    let mut leaves: Vec<PreparedLeaf<'a>> = Vec::new();
+    let mut joins: Vec<PreparedJoin> = Vec::new();
     let rows;
     let mut sorted;
     match &p.source {
-        SourceSpec::Scan {
-            node,
-            pattern,
-            order,
-        } => {
-            scan_source = Some(*node);
-            let out_vars = pattern.vars();
-            for &v in &out_vars {
-                let pos = pattern.positions_of(v)[0];
-                layout.push((
-                    v,
-                    ColRef::Key {
-                        key: order.key_index(pos),
-                    },
-                ));
-            }
-            for &v in &out_vars {
-                let positions = pattern.positions_of(v);
-                for pair in positions.windows(2) {
-                    equalities.push((order.key_index(pair[0]), order.key_index(pair[1])));
+        SourceSpec::Scan(_) | SourceSpec::MergeBlock { .. } => {
+            let join_nodes: &[NodeId] = match &p.source {
+                SourceSpec::MergeBlock { joins, .. } => joins,
+                _ => &[],
+            };
+            let specs = source_leaves(&p.source);
+            let first = &specs[0];
+            sorted = scan_sort_var(first.pattern, first.order);
+            for (j, (spec, &relation)) in specs.iter().zip(leaf_rows).enumerate() {
+                let (pattern, order) = (spec.pattern, spec.order);
+                let mut equalities = Vec::new();
+                let mut checks = Vec::new();
+                for v in pattern.vars() {
+                    let key = order.key_index(pattern.positions_of(v)[0]);
+                    for pair in pattern.positions_of(v).windows(2) {
+                        equalities.push((order.key_index(pair[0]), order.key_index(pair[1])));
+                    }
+                    match layout.iter().find(|&&(lv, _)| lv == v) {
+                        None => layout.push((
+                            v,
+                            ColRef::Key {
+                                side: j,
+                                leaf: j,
+                                key,
+                            },
+                        )),
+                        // A non-block variable an earlier leaf bound: the
+                        // join must check it (the block variable is what
+                        // the merge matches on).
+                        Some(&(_, ColRef::Key { leaf, key: at, .. })) if Some(v) != sorted => {
+                            checks.push((leaf, at, key));
+                        }
+                        Some(_) => {}
+                    }
+                }
+                // The rows are sorted by the first variable slot in key
+                // order (validated merge inputs: the block variable).
+                // invariant: a pipeline's scan leaf binds a variable.
+                let key = order
+                    .positions()
+                    .iter()
+                    .position(|&pos| pattern.slot(pos).as_var().is_some())
+                    .expect("scan leaf binds a variable");
+                leaves.push(PreparedLeaf {
+                    node: spec.node,
+                    rows: relation,
+                    key,
+                    equalities,
+                });
+                if j > 0 {
+                    joins.push(PreparedJoin {
+                        node: join_nodes[j - 1],
+                        checks,
+                    });
                 }
             }
-            rows = scan_rows.len();
-            sorted = scan_sort_var(pattern, *order);
+            rows = leaves[0].rows.len();
         }
         SourceSpec::Slot(_) => {
             // invariant: `run_pipeline` takes the slot table before calling
@@ -1703,14 +1981,15 @@ fn prepare<'a>(
                     },
                 ));
             }
-            scan_source = None;
             rows = table.len();
             sorted = table.sorted_by();
         }
     }
 
     let mut stages: Vec<PreparedStage<'a>> = Vec::with_capacity(p.stages.len());
-    let mut side_count = 1usize;
+    // Before pruning, a merge block numbers one side per leaf.
+    let source_sides = leaves.len().max(1);
+    let mut side_count = source_sides;
     let mut builds = build_tables.iter();
     for stage in &p.stages {
         match stage {
@@ -1809,15 +2088,20 @@ fn prepare<'a>(
         }
     }
 
-    PreparedPipeline {
-        scan_rows,
-        scan_source,
-        equalities,
+    let mut prepared = PreparedPipeline {
+        leaves,
+        joins,
+        emit: Vec::new(),
+        source_sides,
         layout,
         stages,
         rows,
         sorted,
+    };
+    if !prepared.joins.is_empty() {
+        prepared.prune_block_sides();
     }
+    prepared
 }
 
 /// Narrow a pipeline layout to a projection's variables, in projection
@@ -1858,35 +2142,34 @@ fn process_morsel(
     defer_side0: bool,
 ) -> MorselOut {
     let range_start = range.start as u32;
-    let mut counts = Vec::with_capacity(1 + p.stages.len());
+    let mut counts = Vec::with_capacity(1 + p.joins.len() + p.stages.len());
     let mut sides: Vec<Vec<u32>> = Vec::with_capacity(4);
 
     // Source selection: the morsel's row range, minus scan rows violating
     // repeated-variable equalities (same order as the oracle's scan).
     // While nothing has been dropped, side 0 stays *lazy* (`ident`) — no
     // identity vector is materialised and reads off the source are
-    // sequential.
+    // sequential. A merge block emits its product as index vectors.
     let mut ident: Option<u32> = None;
     let mut rows_now: usize;
-    if p.equalities.is_empty() {
+    if !p.joins.is_empty() {
+        let (block_sides, block_counts) = merge_block_morsel(range, p, scratch);
+        sides = block_sides;
+        // invariant: a merge block reports one count per level.
+        rows_now = *block_counts.last().expect("merge-block levels");
+        counts.extend(block_counts);
+    } else if let Some(leaf) = p.leaves.first().filter(|l| !l.equalities.is_empty()) {
+        let mut sel: Vec<u32> = scratch.take_idx(range.len());
+        sel.extend(range.filter(|&i| leaf.keeps(i)).map(|i| i as u32));
+        rows_now = sel.len();
+        sides.push(sel);
+        counts.push(rows_now);
+    } else {
         ident = Some(range.start as u32);
         rows_now = range.len();
         sides.push(Vec::new()); // placeholder while side 0 is lazy
-    } else {
-        let mut sel: Vec<u32> = scratch.take_idx(range.len());
-        sel.extend(
-            range
-                .filter(|&i| {
-                    p.equalities
-                        .iter()
-                        .all(|&(a, b)| p.scan_rows[i][a] == p.scan_rows[i][b])
-                })
-                .map(|i| i as u32),
-        );
-        rows_now = sel.len();
-        sides.push(sel);
+        counts.push(rows_now);
     }
-    counts.push(rows_now);
 
     for stage in &p.stages {
         match stage {
@@ -1894,7 +2177,7 @@ fn process_morsel(
                 let n = rows_now;
                 let keep: Vec<u32> = {
                     let view = View {
-                        scan_rows: p.scan_rows,
+                        leaves: &p.leaves,
                         sides: &sides,
                         ident,
                     };
@@ -1932,7 +2215,7 @@ fn process_morsel(
                 let n = rows_now;
                 let (keep, matched) = {
                     let view = View {
-                        scan_rows: p.scan_rows,
+                        leaves: &p.leaves,
                         sides: &sides,
                         ident,
                     };
@@ -2011,7 +2294,7 @@ fn process_morsel(
                     }
                 } else {
                     let view = View {
-                        scan_rows: p.scan_rows,
+                        leaves: &p.leaves,
                         sides: &sides,
                         ident,
                     };
@@ -2079,6 +2362,214 @@ fn apply_keep(
         let mut gathered = scratch.take_idx(keep.len());
         gathered.extend(keep.iter().map(|&k| side[k as usize]));
         scratch.put_idx(std::mem::replace(side, gathered));
+    }
+}
+
+/// The merge-block source over one morsel of driver (leaf 0) rows: a
+/// k-way sorted intersection on the block variable. Returns one index
+/// vector per emitted leaf (`p.emit`) and the morsel's exact count per
+/// level — leaf 0's rows, then each join's output.
+///
+/// * **Morsels.** Any driver range is a valid morsel, even one that cuts
+///   a key group: leaf 0 is the outermost loop of every product, so the
+///   rows (and counts) of a group are those of its driver rows taken in
+///   order, and per-morsel outputs stitch in morsel order like every
+///   other kernel — a giant group spreads over several workers. The other
+///   leaves' cursors gallop from 0 to the morsel's first key.
+/// * **Keys.** Each driver key's group is matched leaf by leaf with
+///   [`gallop`]. Join `j` is credited with the (checked) product of the
+///   groups of leaves `0..=j`, so a key that leaf `j + 1` misses still
+///   counts toward join `j` — which is why only a miss in **leaf 1** may
+///   leapfrog the driver (to leaf 1's next key), a deeper miss advances it
+///   by one key, and an exhausted leaf 1 ends the morsel.
+/// * **Rows.** A key present in every leaf emits the product of its
+///   groups, leaf 0 outermost — the binary chain's row order, so the
+///   result is byte-identical to it.
+fn merge_block_morsel(
+    range: std::ops::Range<usize>,
+    p: &PreparedPipeline<'_>,
+    scratch: &Scratch<'_>,
+) -> (Vec<Vec<u32>>, Vec<usize>) {
+    let leaves = &p.leaves;
+    let driver = &leaves[0];
+    let (start, end) = (range.start, range.end);
+    let d = &driver.rows[..end];
+    // Without repeated variables or shared non-block variables every
+    // product is a plain Cartesian one: counted as a product, emitted as
+    // ranges. Otherwise the per-key partial products are built and checked.
+    let plain = leaves.iter().all(|l| l.equalities.is_empty())
+        && p.joins.iter().all(|j| j.checks.is_empty());
+    let mut partial = Partial::new(leaves.len());
+
+    let mut counts = vec![0usize; leaves.len()];
+    counts[0] = if driver.equalities.is_empty() {
+        end - start
+    } else {
+        (start..end).filter(|&i| driver.keeps(i)).count()
+    };
+    let mut sides: Vec<Vec<u32>> = p
+        .emit
+        .iter()
+        .map(|_| scratch.take_idx(end - start))
+        .collect();
+    let mut cursors = vec![0usize; leaves.len()];
+    let mut groups = vec![0..0; leaves.len()];
+    let mut i = start;
+    'keys: while i < end {
+        let key = d[i][driver.key];
+        let group_end = gallop(d, i, |r| r[driver.key] == key);
+        let mut next = group_end;
+        groups[0] = i..group_end;
+        let mut width = if plain {
+            groups[0].len()
+        } else {
+            partial.seed(driver, i..group_end)
+        };
+        let mut complete = true;
+        for (j, leaf) in leaves.iter().enumerate().skip(1) {
+            let c = gallop(leaf.rows, cursors[j], |r| r[leaf.key] < key);
+            if leaf.rows.get(c).is_none_or(|r| r[leaf.key] != key) {
+                cursors[j] = c;
+                if j == 1 {
+                    // No driver key below leaf 1's next key reaches any
+                    // join: leapfrog there, or stop once leaf 1 runs out.
+                    let Some(row) = leaf.rows.get(c) else {
+                        break 'keys;
+                    };
+                    let target = row[leaf.key];
+                    next = gallop(d, group_end, |r| r[driver.key] < target);
+                }
+                complete = false;
+                break;
+            }
+            let e = gallop(leaf.rows, c, |r| r[leaf.key] == key);
+            cursors[j] = e;
+            groups[j] = c..e;
+            // Saturating: an inner join's count may be far too large to
+            // materialise — it only has to trip the row budget.
+            width = if plain {
+                width.saturating_mul(e - c)
+            } else {
+                partial.extend(leaves, j, c..e, &p.joins[j - 1].checks)
+            };
+            counts[j] = counts[j].saturating_add(width);
+            if width == 0 {
+                complete = false;
+                break;
+            }
+        }
+        if complete {
+            if plain {
+                emit_product(&groups, &p.emit, width, &mut sides);
+            } else {
+                partial.emit(&p.emit, &mut sides);
+            }
+        }
+        i = next;
+    }
+    (sides, counts)
+}
+
+/// Append the product of one key's equal-key groups (`groups[l]` is leaf
+/// `l`'s) to the emitted leaves' sides, leaf 0 outermost. The innermost
+/// group goes in as a contiguous range and outer groups as repeats; one
+/// row per key — the common star — is a plain push.
+fn emit_product(
+    groups: &[std::ops::Range<usize>],
+    emit: &[usize],
+    width: usize,
+    sides: &mut [Vec<u32>],
+) {
+    if width == 1 {
+        for (side, &leaf) in sides.iter_mut().zip(emit) {
+            side.push(groups[leaf].start as u32);
+        }
+        return;
+    }
+    for (side, &leaf) in sides.iter_mut().zip(emit) {
+        let outer: usize = groups[..leaf].iter().map(ExactSizeIterator::len).product();
+        let inner: usize = groups[leaf + 1..]
+            .iter()
+            .map(ExactSizeIterator::len)
+            .product();
+        let group = groups[leaf].start as u32..groups[leaf].end as u32;
+        side.reserve(width);
+        for _ in 0..outer {
+            if inner == 1 {
+                side.extend(group.clone());
+            } else {
+                for r in group.clone() {
+                    side.extend(std::iter::repeat_n(r, inner));
+                }
+            }
+        }
+    }
+}
+
+/// One key's partial products on the merge block's checked path (leaves
+/// with repeated variables, or joins sharing non-block variables): after
+/// level `j`, `cols[l][t]` is leaf `l`'s row in tuple `t`, for `l ≤ j`.
+struct Partial {
+    cols: Vec<Vec<u32>>,
+    next: Vec<Vec<u32>>,
+    group: Vec<u32>,
+}
+
+impl Partial {
+    fn new(leaves: usize) -> Self {
+        Partial {
+            cols: vec![Vec::new(); leaves],
+            next: vec![Vec::new(); leaves],
+            group: Vec::new(),
+        }
+    }
+
+    /// Start a key from the driver's group; returns the tuple count.
+    fn seed(&mut self, driver: &PreparedLeaf<'_>, group: std::ops::Range<usize>) -> usize {
+        self.cols[0].clear();
+        self.cols[0].extend(group.filter(|&r| driver.keeps(r)).map(|r| r as u32));
+        self.cols[0].len()
+    }
+
+    /// Pair every tuple with every row of leaf `j`'s group that keeps its
+    /// equalities and passes the join's checks, in tuple-major order;
+    /// returns the new tuple count.
+    fn extend(
+        &mut self,
+        leaves: &[PreparedLeaf<'_>],
+        j: usize,
+        group: std::ops::Range<usize>,
+        checks: &[(usize, usize, usize)],
+    ) -> usize {
+        let leaf = &leaves[j];
+        self.group.clear();
+        self.group
+            .extend(group.filter(|&r| leaf.keeps(r)).map(|r| r as u32));
+        for col in &mut self.next[..=j] {
+            col.clear();
+        }
+        for t in 0..self.cols[0].len() {
+            for &r in &self.group {
+                let row = &leaf.rows[r as usize];
+                let pass = checks
+                    .iter()
+                    .all(|&(l, at, key)| leaves[l].rows[self.cols[l][t] as usize][at] == row[key]);
+                if pass {
+                    for l in 0..j {
+                        self.next[l].push(self.cols[l][t]);
+                    }
+                    self.next[j].push(r);
+                }
+            }
+        }
+        std::mem::swap(&mut self.cols, &mut self.next);
+        self.cols[j].len()
+    }
+
+    fn emit(&self, emit: &[usize], sides: &mut [Vec<u32>]) {
+        for (side, &leaf) in sides.iter_mut().zip(emit) {
+            side.extend_from_slice(&self.cols[leaf]);
+        }
     }
 }
 
@@ -2238,15 +2729,24 @@ mod tests {
         assert!(out.runtime.pipeline_morsels >= 1);
     }
 
+    /// A merge join whose left side is a sort-enforced input, not a scan
+    /// leaf: it stays a binary breaker.
+    fn sorted_merge_join() -> PhysicalPlan {
+        PhysicalPlan::MergeJoin {
+            left: Box::new(PhysicalPlan::Sort {
+                input: Box::new(scan(0, vv(0), cv("p"), vv(1), Order::Pso)),
+                var: Var(0),
+            }),
+            right: Box::new(scan(1, vv(0), cv("q"), vv(2), Order::Pso)),
+            var: Var(0),
+        }
+    }
+
     #[test]
     fn breaker_only_plans_still_run() {
         let ds = dataset();
         let plan = PhysicalPlan::Slice {
-            input: Box::new(PhysicalPlan::MergeJoin {
-                left: Box::new(scan(0, vv(0), cv("p"), vv(1), Order::Pso)),
-                right: Box::new(scan(1, vv(0), cv("q"), vv(2), Order::Pso)),
-                var: Var(0),
-            }),
+            input: Box::new(sorted_merge_join()),
             offset: 0,
             limit: Some(2),
         };
@@ -2568,16 +3068,12 @@ mod tests {
 
     #[test]
     fn single_consumer_breaker_hands_off_to_projection() {
-        // π(mergejoin(...)): the merge join's output has exactly one
-        // consumer (the projection pipeline's source), so it is handed
-        // off and its projected columns move into the sink.
+        // π(mergejoin(sort(...), ...)): the merge join's output has
+        // exactly one consumer (the projection pipeline's source), so it is
+        // handed off and its projected columns move into the sink.
         let ds = dataset();
         let plan = PhysicalPlan::Project {
-            input: Box::new(PhysicalPlan::MergeJoin {
-                left: Box::new(scan(0, vv(0), cv("p"), vv(1), Order::Pso)),
-                right: Box::new(scan(1, vv(0), cv("q"), vv(2), Order::Pso)),
-                var: Var(0),
-            }),
+            input: Box::new(sorted_merge_join()),
             projection: vec![("s".into(), Var(0)), ("o".into(), Var(1))],
             distinct: false,
         };
@@ -2600,15 +3096,12 @@ mod tests {
 
     #[test]
     fn handoff_survives_a_dropping_filter_between() {
-        // σ(mergejoin(...)) as a pipeline: the filter drops rows, so the
-        // hand-off falls back to the gather path — output must still match.
+        // σ(mergejoin(sort(...), ...)) as a pipeline: the filter drops
+        // rows, so the hand-off falls back to the gather path — output must
+        // still match.
         let ds = dataset();
         let plan = PhysicalPlan::Filter {
-            input: Box::new(PhysicalPlan::MergeJoin {
-                left: Box::new(scan(0, vv(0), cv("p"), vv(1), Order::Pso)),
-                right: Box::new(scan(1, vv(0), cv("q"), vv(2), Order::Pso)),
-                var: Var(0),
-            }),
+            input: Box::new(sorted_merge_join()),
             expr: FilterExpr::Cmp {
                 op: CmpOp::Gt,
                 lhs: Operand::Var(Var(2)),
@@ -2630,11 +3123,7 @@ mod tests {
     fn dag_renders_outer_probe_projection_and_handoff() {
         let plan = PhysicalPlan::Project {
             input: Box::new(PhysicalPlan::LeftOuterHashJoin {
-                left: Box::new(PhysicalPlan::MergeJoin {
-                    left: Box::new(scan(0, vv(0), cv("p"), vv(1), Order::Pso)),
-                    right: Box::new(scan(1, vv(0), cv("q"), vv(2), Order::Pso)),
-                    var: Var(0),
-                }),
+                left: Box::new(sorted_merge_join()),
                 right: Box::new(scan(2, vv(1), cv("r"), vv(3), Order::Pso)),
                 vars: vec![Var(1)],
             }),
@@ -2650,6 +3139,78 @@ mod tests {
         assert!(dag.contains("⟕hj"), "{dag}");
         assert!(dag.contains("→ π ?a,?d"), "{dag}");
         assert!(dag.contains("[handoff]"), "{dag}");
+    }
+
+    /// `?a p ?b . ?a q ?c . ?a p ?d` as one merge block on `?a`.
+    fn block_plan() -> PhysicalPlan {
+        PhysicalPlan::MergeJoin {
+            left: Box::new(PhysicalPlan::MergeJoin {
+                left: Box::new(scan(0, vv(0), cv("p"), vv(1), Order::Pso)),
+                right: Box::new(scan(1, vv(0), cv("q"), vv(2), Order::Pso)),
+                var: Var(0),
+            }),
+            right: Box::new(scan(2, vv(0), cv("p"), vv(3), Order::Pso)),
+            var: Var(0),
+        }
+    }
+
+    #[test]
+    fn merge_block_lowers_to_one_source_and_renders_as_one_line() {
+        let plan = PhysicalPlan::Project {
+            input: Box::new(block_plan()),
+            projection: vec![("d".into(), Var(3))],
+            distinct: false,
+        };
+        let program = lower(&plan);
+        // No scan breakers, no merge-join breakers: one pipeline.
+        assert_eq!(program.steps.len(), 1);
+        assert_eq!(program.pipeline_count(), 1);
+        let query = hsp_sparql::JoinQuery::parse(
+            "SELECT ?d WHERE { ?a <http://e/p> ?b . ?a <http://e/q> ?c . ?a <http://e/p> ?d . }",
+        )
+        .unwrap();
+        let dag = program.render(&query);
+        assert!(
+            dag.starts_with("pipeline DAG: 1 pipeline, 0 breakers"),
+            "{dag}"
+        );
+        assert!(dag.contains("← pipeline: ⋈k ?a [σ(PSO) "), "{dag}");
+        assert!(dag.contains("] → π ?d → sink"), "{dag}");
+        assert!(!dag.contains("⋈mj"), "{dag}");
+    }
+
+    #[test]
+    fn merge_block_matches_the_binary_chain_and_its_cardinalities() {
+        // a1 has two p-rows, so the block's product is 2 × 1 × 2 for a1
+        // and 1 × 1 × 1 for a2.
+        let ds = dataset();
+        let oracle = execute(
+            &block_plan(),
+            &ds,
+            &ExecConfig::unlimited().with_strategy(ExecStrategy::OperatorAtATime),
+        )
+        .unwrap();
+        assert_eq!(oracle.table.len(), 5);
+        for threads in 1..=4 {
+            let out = execute_in(
+                &block_plan(),
+                &ds,
+                &ExecConfig::unlimited(),
+                &forced_ctx(threads),
+            )
+            .unwrap();
+            assert_eq!(out.table, oracle.table, "threads={threads}");
+            let rows = |p: &Profile| {
+                let mut out = Vec::new();
+                p.visit(&mut |n| out.push((n.label.clone(), n.output_rows)));
+                out
+            };
+            assert_eq!(rows(&out.profile), rows(&oracle.profile));
+            assert_eq!(out.runtime.breaker_handoffs, 0);
+            // The three leaf scans (3 + 2 + 3 rows) and the inner join
+            // (3 rows) stay index vectors; only the top join materialises.
+            assert_eq!(out.runtime.pipeline_rows_avoided, 3 + 2 + 3 + 3);
+        }
     }
 
     #[test]

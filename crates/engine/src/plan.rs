@@ -284,7 +284,7 @@ impl PhysicalPlan {
     ///
     /// | operator            | breaks because                                  |
     /// |---------------------|--------------------------------------------------|
-    /// | `MergeJoin`         | both inputs must be complete and sorted          |
+    /// | `MergeJoin`         | only when a side is not a scan leaf: a non-leaf side must be complete and sorted (a run of merge joins over scan leaves is one streaming k-way merge, see [`merge_block_leaves`](Self::merge_block_leaves)) |
     /// | `HashJoin`          | the build (right) side must be fully hashed — the probe side streams |
     /// | `LeftOuterHashJoin` | same as `HashJoin`: build side breaks, the probe side streams (unmatched rows emit a sentinel per probe row) |
     /// | `CrossProduct`      | tiles one whole side over the other              |
@@ -308,8 +308,8 @@ impl PhysicalPlan {
         match self {
             PhysicalPlan::Scan { .. } | PhysicalPlan::Filter { .. } => false,
             PhysicalPlan::Project { .. } => false,
-            PhysicalPlan::MergeJoin { .. }
-            | PhysicalPlan::HashJoin { .. }
+            PhysicalPlan::MergeJoin { .. } => self.merge_block_leaves().is_none(),
+            PhysicalPlan::HashJoin { .. }
             | PhysicalPlan::LeftOuterHashJoin { .. }
             | PhysicalPlan::CrossProduct { .. }
             | PhysicalPlan::Union { .. }
@@ -318,6 +318,29 @@ impl PhysicalPlan {
             | PhysicalPlan::OrderBy { .. }
             | PhysicalPlan::Slice { .. } => true,
         }
+    }
+
+    /// The scan leaves of a **merge block** rooted here — a left-deep run
+    /// of `MergeJoin`s on one variable whose every input is a `Scan` — in
+    /// chain order (the bottom-left scan first, then each join's right
+    /// leaf). `None` for any other node, including a merge join with a
+    /// non-leaf side.
+    pub fn merge_block_leaves(&self) -> Option<Vec<&PhysicalPlan>> {
+        let PhysicalPlan::MergeJoin { left, right, var } = self else {
+            return None;
+        };
+        if !matches!(**right, PhysicalPlan::Scan { .. }) {
+            return None;
+        }
+        let mut leaves = match &**left {
+            PhysicalPlan::Scan { .. } => vec![&**left],
+            PhysicalPlan::MergeJoin { var: inner, .. } if inner == var => {
+                left.merge_block_leaves()?
+            }
+            _ => return None,
+        };
+        leaves.push(&**right);
+        Some(leaves)
     }
 
     /// Indices of the patterns scanned by this plan, in leaf order.
@@ -886,10 +909,32 @@ mod tests {
         };
         assert!(agg.is_pipeline_breaker());
         let sort = PhysicalPlan::Sort {
-            input: Box::new(s),
+            input: Box::new(s.clone()),
             var: Var(0),
         };
         assert!(sort.is_pipeline_breaker());
+        // A merge join over scan leaves (and a left-deep run of them on
+        // one variable) is a merge block and streams; a non-leaf side
+        // breaks.
+        let leaf = |i| scan(i, pat(v(0), c("q"), v(i as u32 + 1)), Order::Pso);
+        let block = PhysicalPlan::MergeJoin {
+            left: Box::new(PhysicalPlan::MergeJoin {
+                left: Box::new(s.clone()),
+                right: Box::new(leaf(1)),
+                var: Var(0),
+            }),
+            right: Box::new(leaf(2)),
+            var: Var(0),
+        };
+        assert!(!block.is_pipeline_breaker());
+        assert_eq!(block.merge_block_leaves().map(|l| l.len()), Some(3));
+        let sorted_side = PhysicalPlan::MergeJoin {
+            left: Box::new(sort),
+            right: Box::new(leaf(1)),
+            var: Var(0),
+        };
+        assert!(sorted_side.is_pipeline_breaker());
+        assert!(sorted_side.merge_block_leaves().is_none());
     }
 
     #[test]

@@ -276,7 +276,8 @@ proptest! {
         prop_assert_eq!(out.runtime.pipeline_outer_probes, 1);
     }
 
-    /// Plain root projection over a breaker (merge join): the breaker's
+    /// Plain root projection over a breaker (a merge join with a
+    /// sort-enforced side, which no merge block absorbs): the breaker's
     /// single-consumer output hands off to the projection pipeline, whose
     /// sink moves the projected columns instead of copying.
     #[test]
@@ -287,7 +288,10 @@ proptest! {
         let ds = Dataset::from_ntriples(&sp2b_doc(&cites, &years)).unwrap();
         let plan = PhysicalPlan::Project {
             input: Box::new(PhysicalPlan::MergeJoin {
-                left: Box::new(scan(0, vv(0), cv("cites"), vv(1), Order::Pso)),
+                left: Box::new(PhysicalPlan::Sort {
+                    input: Box::new(scan(0, vv(0), cv("cites"), vv(1), Order::Pso)),
+                    var: Var(0),
+                }),
                 right: Box::new(scan(1, vv(0), cv("year"), vv(2), Order::Pso)),
                 var: Var(0),
             }),

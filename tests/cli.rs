@@ -108,6 +108,51 @@ fn explain_prints_plan_tree() {
     }
 }
 
+/// The pipeline DAG section of an `--explain` output: from its header to
+/// its `result:` line.
+fn dag_of(explain: &str) -> &str {
+    let start = explain.find("pipeline DAG:").expect("a DAG section");
+    let end = start + explain[start..].find("result:").expect("a result line");
+    &explain[start..end]
+}
+
+#[test]
+fn explain_shows_merge_blocks_as_one_source() {
+    // The DAG depends on the plan alone, so any data file will do.
+    let data = data_file("merge-blocks");
+    let query = |id: &str| {
+        sparql_hsp::datagen::workload()
+            .into_iter()
+            .find(|q| q.id == id)
+            .expect("a paper query")
+            .text
+    };
+    // SP2a's ten-pattern star is one merge block: one pipeline, no
+    // materialised scan or merge-join breaker.
+    let (stdout, stderr, ok) = hsp(&[
+        data.to_str().unwrap(),
+        "--query",
+        query("SP2a"),
+        "--explain",
+    ]);
+    assert!(ok, "{stderr}");
+    let dag = dag_of(&stdout);
+    assert!(
+        dag.starts_with("pipeline DAG: 1 pipeline, 0 breakers"),
+        "{dag}"
+    );
+    assert!(dag.contains("← pipeline: ⋈k ?inproc [σ("), "{dag}");
+    assert!(!dag.contains("⋈mj"), "{dag}");
+    // Y1's blocks stream too, but its hash joins keep their build slots.
+    let (stdout, stderr, ok) = hsp(&[data.to_str().unwrap(), "--query", query("Y1"), "--explain"]);
+    assert!(ok, "{stderr}");
+    let dag = dag_of(&stdout);
+    assert!(dag.contains("⋈k ?p ["), "{dag}");
+    assert!(dag.contains("⋈hj ?uni [build s"), "{dag}");
+    assert!(dag.contains("⋈hj ?city,?lcity [build s"), "{dag}");
+    assert!(!dag.contains("⋈mj"), "{dag}");
+}
+
 #[test]
 fn ask_and_filter() {
     let data = data_file("ask");
