@@ -7,11 +7,8 @@
 //! ```
 //!
 //! Experiments: `table1 table2 table3 table4 table6 table7 table8 queries
-//! figure1 figure2 figure3 mwis ablation ops all`.
-//!
-//! `ops` measures the vectorized kernels against their row-at-a-time
-//! predecessors and additionally writes the machine-readable
-//! `BENCH_ops.json` to the current directory.
+//! figure1 figure2 figure3 mwis ablation all`. An unknown name prints the
+//! usage and exits 2 before any dataset is generated.
 
 use hsp_bench::tables;
 use hsp_bench::{BenchEnv, EnvConfig};
@@ -32,21 +29,27 @@ fn loaded_env<'e>(env: &'e Option<BenchEnv>, experiment: &str) -> &'e BenchEnv {
     })
 }
 
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: [&str; 13] = [
+    "table1", "table2", "table3", "table4", "table6", "table7", "table8", "queries", "figure1",
+    "figure2", "figure3", "mwis", "ablation",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
+    if args.is_empty()
+        || args
+            .iter()
+            .any(|a| a != "all" && !EXPERIMENTS.contains(&a.as_str()))
+    {
         eprintln!(
-            "usage: repro <experiment>...\n\
-             experiments: table1 table2 table3 table4 table6 table7 table8\n\
-             queries figure1 figure2 figure3 mwis ablation ops all"
+            "usage: repro <experiment>...\nexperiments: {} all",
+            EXPERIMENTS.join(" ")
         );
         std::process::exit(2);
     }
     let wanted: Vec<&str> = if args.iter().any(|a| a == "all") {
-        vec![
-            "table1", "table2", "table3", "table4", "table6", "table7", "table8", "queries",
-            "figure1", "figure2", "figure3", "mwis", "ablation", "ops",
-        ]
+        EXPERIMENTS.to_vec()
     } else {
         args.iter().map(String::as_str).collect()
     };
@@ -98,19 +101,7 @@ fn main() {
             "figure3" => tables::figure3(loaded_env(&env, w)),
             "mwis" => tables::mwis_scaling(),
             "ablation" => tables::ablation(loaded_env(&env, w)),
-            "ops" => {
-                let results = hsp_bench::kernels::measure_kernels();
-                let json = hsp_bench::kernels::render_json(&results);
-                match std::fs::write("BENCH_ops.json", &json) {
-                    Ok(()) => eprintln!("wrote BENCH_ops.json"),
-                    Err(e) => eprintln!("could not write BENCH_ops.json: {e}"),
-                }
-                hsp_bench::kernels::render_text(&results)
-            }
-            other => {
-                eprintln!("unknown experiment: {other}");
-                continue;
-            }
+            other => unreachable!("`{other}` passed the EXPERIMENTS check"),
         };
         println!("{text}");
     }

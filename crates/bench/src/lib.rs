@@ -16,7 +16,6 @@
 //!   the SQL baseline's Cartesian plans trip it and report `XXX`).
 
 pub mod env;
-pub mod kernels;
 pub mod planners;
 pub mod tables;
 

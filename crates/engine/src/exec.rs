@@ -33,8 +33,7 @@ pub enum ExecStrategy {
     Pipelined,
     /// The operator-at-a-time tree evaluator — every operator materialises
     /// its full output. Retained as the byte-identity oracle for the
-    /// pipeline executor (and as the measured baseline of the
-    /// `pipeline_chain_*` bench rows); nothing selects it implicitly.
+    /// pipeline executor; nothing selects it implicitly.
     OperatorAtATime,
 }
 

@@ -306,12 +306,6 @@ pub fn render_runtime_metrics(m: &crate::metrics::RuntimeMetrics) -> String {
         if m.parallel_builds > 0 {
             stages.push(format!("{} parallel builds", m.parallel_builds));
         }
-        if m.merge_partitions > 0 {
-            stages.push(format!("{} merge partitions", m.merge_partitions));
-        }
-        if m.parallel_filters > 0 {
-            stages.push(format!("{} parallel filters", m.parallel_filters));
-        }
         if m.parallel_sorts > 0 {
             stages.push(format!("{} parallel sorts", m.parallel_sorts));
         }
@@ -661,17 +655,17 @@ mod tests {
         assert!(!line.contains('['));
         let staged = RuntimeMetrics {
             parallel_builds: 1,
-            merge_partitions: 4,
-            parallel_filters: 2,
             ..parallel
         };
         let line = render_runtime_metrics(&staged);
-        assert!(line.contains("[1 parallel builds, 4 merge partitions, 2 parallel filters]"));
+        assert!(line.contains("[1 parallel builds]"));
         let with_sorts = RuntimeMetrics {
             parallel_sorts: 3,
             ..staged
         };
-        assert!(render_runtime_metrics(&with_sorts).contains("3 parallel sorts"));
+        assert!(
+            render_runtime_metrics(&with_sorts).contains("[1 parallel builds, 3 parallel sorts]")
+        );
     }
 
     #[test]

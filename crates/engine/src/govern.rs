@@ -204,7 +204,7 @@ pub struct QueryGovernor {
 
 impl QueryGovernor {
     /// A governor with no limits — checkpoints are near-free counter
-    /// bumps (what the `governed_chain_100k` bench row measures).
+    /// bumps.
     pub fn new() -> Self {
         QueryGovernor::default()
     }

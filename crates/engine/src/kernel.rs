@@ -542,31 +542,19 @@ impl BuildTable {
     }
 }
 
-/// The merge join's cursor-pair scan over explicit subranges of the two
-/// sorted key columns: append every matching `(left_row, right_row)` pair
-/// with `left_row ∈ l_range`, `right_row ∈ r_range` to `lidx`/`ridx`, in
-/// left order (right order within an equal-key group), filtered by the
+/// The merge join's cursor-pair scan over two sorted key columns: append
+/// every matching `(left_row, right_row)` pair to `lidx`/`ridx`, in left
+/// order (right order within an equal-key group), filtered by the
 /// `extra_pairs` repeated-variable checks.
-///
-/// This is the one merge scan: the sequential merge join calls it over the
-/// full columns, the range-partitioned parallel merge join calls it once
-/// per partition. As long as no equal-key group spans a partition boundary
-/// (the partitioner splits at key-group starts), concatenating per-
-/// partition outputs in partition order reproduces the sequential output
-/// exactly.
 pub fn merge_join_pairs(
     lcol: &[TermId],
     rcol: &[TermId],
     extra_pairs: &[(&[TermId], &[TermId])],
-    l_range: std::ops::Range<usize>,
-    r_range: std::ops::Range<usize>,
     lidx: &mut Vec<u32>,
     ridx: &mut Vec<u32>,
 ) {
-    let (mut i, l_end) = (l_range.start, l_range.end);
-    let (mut j, r_end) = (r_range.start, r_range.end);
-    let (lcol, rcol) = (&lcol[..l_end], &rcol[..r_end]);
-    while i < l_end && j < r_end {
+    let (mut i, mut j) = (0, 0);
+    while i < lcol.len() && j < rcol.len() {
         let (a, b) = (lcol[i], rcol[j]);
         if a < b {
             i = gallop(lcol, i, |&x| x < b);
@@ -777,43 +765,10 @@ mod tests {
         let r = ids(&[1, 2, 2, 4, 6]);
         let mut lidx = Vec::new();
         let mut ridx = Vec::new();
-        merge_join_pairs(&l, &r, &[], 0..l.len(), 0..r.len(), &mut lidx, &mut ridx);
+        merge_join_pairs(&l, &r, &[], &mut lidx, &mut ridx);
         // 1×1 (two left 1s), 2×2 (two right 2s), 4×4 (three left 4s).
         assert_eq!(lidx, vec![0, 1, 2, 2, 3, 4, 5]);
         assert_eq!(ridx, vec![0, 0, 1, 2, 3, 3, 3]);
-    }
-
-    #[test]
-    fn merge_join_pairs_partitioned_at_key_boundaries_concatenates() {
-        let l = ids(&[1, 1, 2, 4, 4, 4, 7]);
-        let r = ids(&[1, 2, 2, 4, 6]);
-        let mut full_l = Vec::new();
-        let mut full_r = Vec::new();
-        merge_join_pairs(
-            &l,
-            &r,
-            &[],
-            0..l.len(),
-            0..r.len(),
-            &mut full_l,
-            &mut full_r,
-        );
-        // Split both sides at the start of key 4's groups.
-        let (ls, rs) = (3, 3);
-        let mut part_l = Vec::new();
-        let mut part_r = Vec::new();
-        merge_join_pairs(&l, &r, &[], 0..ls, 0..rs, &mut part_l, &mut part_r);
-        merge_join_pairs(
-            &l,
-            &r,
-            &[],
-            ls..l.len(),
-            rs..r.len(),
-            &mut part_l,
-            &mut part_r,
-        );
-        assert_eq!(part_l, full_l);
-        assert_eq!(part_r, full_r);
     }
 
     #[test]
@@ -843,7 +798,7 @@ mod tests {
         let r = ids(&[0, 0, 0, 50, 51, 52, 53, 54, 55, 56, 60, 60]);
         let mut lidx = Vec::new();
         let mut ridx = Vec::new();
-        merge_join_pairs(&l, &r, &[], 0..l.len(), 0..r.len(), &mut lidx, &mut ridx);
+        merge_join_pairs(&l, &r, &[], &mut lidx, &mut ridx);
         assert_eq!(lidx, vec![9, 10, 11, 11]);
         assert_eq!(ridx, vec![3, 3, 10, 11]);
     }

@@ -32,8 +32,7 @@
 //!    (slice, union, cross product, plain projection).
 //!
 //! Compared with the original row-at-a-time kernels (preserved in
-//! [`mod@reference`] as the benchmark baseline and differential-testing
-//! oracle), this removes the three scalar costs that dominated profiles: a
+//! [`mod@reference`] as the differential-testing oracle), this removes the three scalar costs that dominated profiles: a
 //! linear `col_index` lookup per *value* in `value()`, a `Vec<TermId>` key
 //! allocation per hash-join *probe*, and a `push_row` call per output
 //! *row*.
@@ -54,17 +53,15 @@
 //!   stage runs as task batches on one [`SharedPool`] (the one its
 //!   context names, else the process default): the hash-join *build*
 //!   (morsel-parallel hashing plus a two-pass partitioned counting sort that
-//!   reproduces the sequential bucket directory byte-for-byte), the
-//!   hash-join *probe* and scan fast paths (fixed-size morsels pulled
-//!   from a shared cursor, thread-local pair buffers stitched back in
-//!   morsel order), the *merge join* (both sorted inputs range-partitioned
-//!   at common key boundaries, one independent cursor pair per partition,
-//!   outputs stitched in partition order), *FILTER* / *ORDER BY* key
-//!   extraction (one expression evaluator per worker — the compiled-regex
-//!   cache stays single-threaded), the *ORDER BY / sort-enforcer*
-//!   comparison sort (parallel merge sort over per-worker runs), and
-//!   whole *pipelines* (each worker pushes a morsel through every stage
-//!   of a breaker-free chain). Every parallel path is byte-identical
+//!   reproduces the sequential bucket directory byte-for-byte), the scan
+//!   fast paths (fixed-size morsels pulled from a shared cursor, outputs
+//!   stitched back in morsel order), *ORDER BY* key extraction (one
+//!   expression evaluator per worker — the compiled-regex cache stays
+//!   single-threaded), the *ORDER BY / sort-enforcer* comparison sort
+//!   (parallel merge sort over per-worker runs), the γ fold, and whole
+//!   *pipelines* (each worker pushes a morsel through every stage of a
+//!   breaker-free chain: merge-block sources, filters and hash-join
+//!   probes). Every parallel path is byte-identical
 //!   to its sequential counterpart by construction. Parallelism is gated
 //!   on `available_parallelism` and a row threshold, like the store's
 //!   six-order build; tests force a thread count (or the
@@ -107,8 +104,7 @@
 //!   gathering each output column once at the sink, and a breaker output
 //!   with a single consuming pipeline is handed off (its columns move
 //!   into the sink when no stage drops a row).
-//! * [`mod@reference`] — the retired row-at-a-time kernels, kept as oracle and
-//!   benchmark baseline.
+//! * [`mod@reference`] — the retired row-at-a-time kernels, kept as oracle.
 //! * [`exec`] — `execute` (always lower-then-run), the configuration with
 //!   its intermediate-result row budget (enforced by the pipeline
 //!   executor; it makes the SQL baseline's Cartesian plans fail fast, the

@@ -21,11 +21,6 @@ pub struct RuntimeMetrics {
     /// Hash-join build phases that ran parallel (morsel-parallel hashing
     /// plus the partitioned counting-sort bucket fill).
     pub parallel_builds: usize,
-    /// Partitions processed by range-partitioned parallel merge joins.
-    pub merge_partitions: usize,
-    /// FILTER evaluations / ORDER BY key extractions that ran parallel
-    /// (per-worker expression evaluators).
-    pub parallel_filters: usize,
     /// Comparison sorts (ORDER BY merge phase, sort order-enforcer) that
     /// ran parallel (per-worker sorted runs + parallel run merges).
     pub parallel_sorts: usize,
@@ -113,8 +108,6 @@ impl RuntimeMetrics {
             parallel_kernels: ctx.parallel_kernels(),
             morsels: ctx.morsels_run(),
             parallel_builds: ctx.parallel_builds(),
-            merge_partitions: ctx.merge_partitions(),
-            parallel_filters: ctx.parallel_filters(),
             parallel_sorts: ctx.parallel_sorts(),
             pipelines: ctx.pipelines(),
             pipeline_morsels: ctx.pipeline_morsels(),

@@ -248,10 +248,9 @@ pub fn run_morsels<T: Send>(
 ///
 /// This is the one entry to the scheduler: [`run_morsels`] delegates here
 /// with one task per morsel, [`fill_stripes`] with one task per stripe,
-/// and *partitioned* work — the range-partitioned merge join, the
-/// partitioned counting sort of the parallel hash-join build, whose
-/// per-task ranges are data-dependent and non-uniform — calls it
-/// directly.
+/// and *partitioned* work — the partitioned counting sort of the parallel
+/// hash-join build and the run merges of [`merge_sort`], whose per-task
+/// ranges are data-dependent and non-uniform — calls it directly.
 pub fn run_tasks<T: Send>(
     count: usize,
     threads: usize,

@@ -9,15 +9,16 @@
 //! gather primitives on [`BindingTable`] ([`BindingTable::gather`] /
 //! [`BindingTable::from_join_pairs`]) instead of per-value `push_row`
 //! appends. The previous row-at-a-time kernels live on in
-//! [`crate::reference`] as the benchmark baseline and differential-testing
-//! oracle.
+//! [`crate::reference`] as the differential-testing oracle.
 //!
 //! Every operator takes the execution's [`ExecContext`], which supplies the
-//! [`crate::morsel`] thread budget for the parallel fast paths (hash-join
-//! build and probe, the range-partitioned merge join, scan
-//! gather/selection, FILTER evaluation and ORDER BY key extraction) and the
-//! [`crate::pool::BufferPool`] the gather phase checks output columns out
-//! of.
+//! [`crate::morsel`] thread budget for the parallel fast paths (scan
+//! gather/selection, ORDER BY key extraction and the merge sort behind
+//! ORDER BY and the sort enforcer) and the [`crate::pool::BufferPool`] the
+//! gather phase checks output columns out of. The joins and FILTER run one
+//! sequential cursor or probe loop each: production queries probe, filter
+//! and merge inside morsel-parallel [`crate::pipeline`] stages, and these
+//! kernels serve the pipeline's breakers and the operator-at-a-time oracle.
 
 use std::collections::HashSet;
 
@@ -89,7 +90,7 @@ pub fn scan(
 
     let scan = ds.store().scan(order, &prefix);
     if !scan.is_contiguous() {
-        ctx.note_merged_scan();
+        ctx.note_overlay_scan();
     }
     let rows = scan.as_slice();
 
@@ -180,20 +181,11 @@ pub fn scan(
 /// the left table's variables followed by the right table's non-shared
 /// variables, and stays sorted by `var`.
 ///
-/// This is the **range-partitioned parallel merge join**: when the
-/// combined input size clears the context's morsel threshold (and the
-/// thread budget allows), both sorted inputs are split at
-/// *common key boundaries*: partition `k`'s target position on the left
-/// is binary-searched back to the start of its key group, and the right
-/// split gallops to the same key — so no equal-key group ever spans two
-/// partitions. Each partition then runs an independent cursor pair (the
-/// same scan as the sequential join, see
-/// [`crate::kernel::merge_join_pairs`]) and the per-partition pair
-/// vectors are stitched in partition order, which reproduces the
-/// sequential output byte-for-byte: merge-join output is ordered by key
-/// group, and the partitions tile the key space in order. Below the
-/// threshold the single cursor pair runs sequentially into pooled
-/// buffers; either way the gather phase draws from the context's pool.
+/// One cursor pair ([`crate::kernel::merge_join_pairs`]) emits the
+/// matching `(left_row, right_row)` pairs into pooled buffers, and the
+/// output is gathered column at a time. The pipeline executor calls it only
+/// for merges with a non-leaf side: a left-deep run of merge joins over
+/// scan leaves is one merge-block source instead.
 ///
 /// # Panics
 /// Panics if an input is not sorted by `var`.
@@ -224,82 +216,16 @@ pub fn merge_join(
         .map(|&v| (left.column(v), right.column(v)))
         .collect();
 
-    // Phase 1: emit compact (left_row, right_row) index pairs — one
-    // cursor pair per key-range partition when parallelism can win.
-    let workers = ctx.morsel.workers_for(lcol.len() + rcol.len());
-    let (lidx, ridx) = if workers > 1 && !lcol.is_empty() && !rcol.is_empty() {
-        merge_pairs_partitioned(ctx, lcol, rcol, &extra_pairs, workers)
-    } else {
-        let mut lidx: Vec<u32> = ctx.pool.take_idx(lcol.len().min(rcol.len()));
-        let mut ridx: Vec<u32> = ctx.pool.take_idx(lcol.len().min(rcol.len()));
-        crate::kernel::merge_join_pairs(
-            lcol,
-            rcol,
-            &extra_pairs,
-            0..lcol.len(),
-            0..rcol.len(),
-            &mut lidx,
-            &mut ridx,
-        );
-        (lidx, ridx)
-    };
+    let mut lidx = ctx.pool.take_idx(lcol.len().min(rcol.len()));
+    let mut ridx = ctx.pool.take_idx(lcol.len().min(rcol.len()));
+    crate::kernel::merge_join_pairs(lcol, rcol, &extra_pairs, &mut lidx, &mut ridx);
 
-    // Phase 2: gather the output column at a time.
     let mut out =
         BindingTable::from_join_pairs_in(left, right, &right_extra, &lidx, &ridx, &ctx.pool);
     ctx.pool.put_idx(lidx);
     ctx.pool.put_idx(ridx);
     out.set_sorted_by(Some(var));
     out
-}
-
-/// The parallel phase 1 of [`merge_join`]: cut both sorted key columns
-/// at (up to) `workers − 1` common key boundaries and run an independent
-/// cursor-pair scan per partition on the morsel task pool, returning the
-/// pair vectors stitched in partition order (checked out of the pool;
-/// the caller returns them after the gather).
-fn merge_pairs_partitioned(
-    ctx: &ExecContext,
-    lcol: &[TermId],
-    rcol: &[TermId],
-    extra_pairs: &[(&[TermId], &[TermId])],
-    workers: usize,
-) -> (Vec<u32>, Vec<u32>) {
-    // Partition boundaries: aim for even left shares, then snap each
-    // boundary back to the start of its key group on the left and find
-    // the matching position on the right. Boundaries are non-decreasing
-    // by construction; duplicates (a giant key group swallowing several
-    // targets) collapse via dedup.
-    let mut bounds: Vec<(usize, usize)> = Vec::with_capacity(workers + 1);
-    bounds.push((0, 0));
-    for k in 1..workers {
-        let key = lcol[k * lcol.len() / workers];
-        let ls = lcol.partition_point(|&x| x < key);
-        let rs = rcol.partition_point(|&x| x < key);
-        bounds.push((ls, rs));
-    }
-    bounds.push((lcol.len(), rcol.len()));
-    bounds.dedup();
-
-    let parts: Vec<((usize, usize), (usize, usize))> =
-        bounds.windows(2).map(|w| (w[0], w[1])).collect();
-    let (results, run) = morsel::run_tasks(parts.len(), workers, &ctx.morsel, |p| {
-        let ((ls, rs), (le, re)) = parts[p];
-        // Thread-local pair buffers, sized for ~1 match per left row.
-        let mut l: Vec<u32> = Vec::with_capacity(le - ls);
-        let mut r: Vec<u32> = Vec::with_capacity(le - ls);
-        crate::kernel::merge_join_pairs(lcol, rcol, extra_pairs, ls..le, rs..re, &mut l, &mut r);
-        (l, r)
-    });
-    ctx.note_merge(run);
-    let total: usize = results.iter().map(|(l, _)| l.len()).sum();
-    let mut lidx = ctx.pool.take_idx(total);
-    let mut ridx = ctx.pool.take_idx(total);
-    for (l, r) in results {
-        lidx.extend_from_slice(&l);
-        ridx.extend_from_slice(&r);
-    }
-    (lidx, ridx)
 }
 
 /// Hash join on `vars`: builds a table over the smaller conceptual side —
@@ -311,19 +237,10 @@ fn merge_pairs_partitioned(
 /// one- and two-variable joins (the dominant case), falling back to a
 /// CSR-style bucket directory verified against the key columns for wider
 /// keys — no per-probe key allocation either way (see
-/// [`crate::kernel::BuildTable`]). Matching index pairs are gathered
-/// column-at-a-time.
-///
-/// The probe is **morsel-driven**: when the probe side clears the
-/// context's morsel threshold (and the thread budget allows), the probe
-/// index range is cut into fixed-size
-/// morsels; the context's pool pulls morsels from a shared cursor and
-/// probes the shared read-only [`BuildTable`], each morsel emitting into
-/// its own pair buffers. The buffers are stitched back in morsel
-/// order, so the output is byte-identical to the sequential probe and the
-/// left ordering still survives. Below the threshold the probe runs
-/// sequentially into pooled buffers; either way the gather phase checks
-/// its output columns out of the context's pool.
+/// [`crate::kernel::BuildTable`]). One sequential probe emits index pairs
+/// into pooled buffers, which are gathered column-at-a-time. Pipelines
+/// probe the same table morsel-parallel in their probe stages; this
+/// kernel serves the operator-at-a-time oracle.
 ///
 /// # Panics
 /// Panics if `vars` is empty or not shared by both inputs.
@@ -348,22 +265,24 @@ pub fn hash_join(
     check_indexable(right);
     let (_, right_extra, extra_shared) = join_layout(left, right, vars);
 
-    // Build on the right (morsel-parallel hashing + partitioned counting
-    // sort when the build side clears the threshold — byte-identical to
-    // the sequential build either way).
     let build_cols: Vec<&[TermId]> = vars.iter().map(|&v| right.column(v)).collect();
     let probe_cols: Vec<&[TermId]> = vars.iter().map(|&v| left.column(v)).collect();
-    let (table, build_run) = BuildTable::build_par(&build_cols, right.len(), &ctx.morsel);
-    ctx.note_build(build_run);
+    let table = BuildTable::build(&build_cols, right.len());
     let extra_pairs: Vec<(&[TermId], &[TermId])> = extra_shared
         .iter()
         .map(|&v| (left.column(v), right.column(v)))
         .collect();
 
-    // Probe, emitting index pairs (morsel-parallel over the probe side).
-    let (lidx, ridx) = probe_pairs(ctx, left.len(), |range, l, r| {
-        table.probe_range(&build_cols, &probe_cols, &extra_pairs, range, l, r)
-    });
+    let mut lidx = ctx.pool.take_idx(left.len());
+    let mut ridx = ctx.pool.take_idx(left.len());
+    table.probe_range(
+        &build_cols,
+        &probe_cols,
+        &extra_pairs,
+        0..left.len(),
+        &mut lidx,
+        &mut ridx,
+    );
 
     let mut out =
         BindingTable::from_join_pairs_in(left, right, &right_extra, &lidx, &ridx, &ctx.pool);
@@ -372,47 +291,6 @@ pub fn hash_join(
     // Probe order is preserved, so the left ordering survives.
     out.set_sorted_by(left.sorted_by());
     out
-}
-
-/// Shared probe driver of the two hash joins: run `probe` over the probe
-/// index range — morsel-driven on the context's pool when `ctx` allows,
-/// sequentially into pooled buffers otherwise — and return the stitched
-/// `(left, right)` pair vectors (checked out of the pool; callers return
-/// them after the gather).
-///
-/// `probe` must append, for any subrange, the same pairs in the same order
-/// the full sequential probe would produce over that subrange; stitching
-/// the per-morsel buffers in morsel order then reproduces the sequential
-/// output exactly, which is what keeps parallel results deterministic.
-fn probe_pairs(
-    ctx: &ExecContext,
-    probe_rows: usize,
-    probe: impl Fn(std::ops::Range<usize>, &mut Vec<u32>, &mut Vec<u32>) + Sync,
-) -> (Vec<u32>, Vec<u32>) {
-    if ctx.morsel.workers_for(probe_rows) > 1 {
-        let (parts, run) = morsel::run_morsels(probe_rows, &ctx.morsel, |range| {
-            // Thread-local pair buffers; sized for the common ~1 match per
-            // probe row so most morsels never reallocate.
-            let mut l = Vec::with_capacity(range.len());
-            let mut r = Vec::with_capacity(range.len());
-            probe(range, &mut l, &mut r);
-            (l, r)
-        });
-        ctx.note_run(run);
-        let total: usize = parts.iter().map(|(l, _)| l.len()).sum();
-        let mut lidx = ctx.pool.take_idx(total);
-        let mut ridx = ctx.pool.take_idx(total);
-        for (l, r) in parts {
-            lidx.extend_from_slice(&l);
-            ridx.extend_from_slice(&r);
-        }
-        (lidx, ridx)
-    } else {
-        let mut lidx = ctx.pool.take_idx(probe_rows);
-        let mut ridx = ctx.pool.take_idx(probe_rows);
-        probe(0..probe_rows, &mut lidx, &mut ridx);
-        (lidx, ridx)
-    }
 }
 
 /// Cartesian product (left-major order, so the left ordering survives);
@@ -537,9 +415,7 @@ pub(crate) fn product_rows(left: usize, right: usize, outer: bool) -> usize {
 
 /// Left-outer hash join on `vars` (the OPTIONAL operator): every left row
 /// survives; unmatched rows carry [`TermId::UNBOUND`] in the right-only
-/// columns. Same morsel-driven probe as [`hash_join`] — the unmatched-row
-/// sentinel is emitted per probe row, so per-morsel outputs still stitch
-/// deterministically.
+/// columns. Same build and sequential probe as [`hash_join`].
 ///
 /// With `vars` empty (inputs sharing no variable) every left row pairs
 /// with every right row — the [`cross_product`] — or, when `right` is
@@ -576,8 +452,7 @@ pub fn left_outer_hash_join(
 
     let build_cols: Vec<&[TermId]> = vars.iter().map(|&v| right.column(v)).collect();
     let probe_cols: Vec<&[TermId]> = vars.iter().map(|&v| left.column(v)).collect();
-    let (table, build_run) = BuildTable::build_par(&build_cols, right.len(), &ctx.morsel);
-    ctx.note_build(build_run);
+    let table = BuildTable::build(&build_cols, right.len());
     let extra_pairs: Vec<(&[TermId], &[TermId])> = extra_shared
         .iter()
         .map(|&v| (left.column(v), right.column(v)))
@@ -585,9 +460,16 @@ pub fn left_outer_hash_join(
 
     // Index pairs; an unmatched left row pairs with the `u32::MAX` sentinel,
     // which the gather turns into UNBOUND padding.
-    let (lidx, ridx) = probe_pairs(ctx, left.len(), |range, l, r| {
-        table.probe_range_outer(&build_cols, &probe_cols, &extra_pairs, range, l, r)
-    });
+    let mut lidx = ctx.pool.take_idx(left.len());
+    let mut ridx = ctx.pool.take_idx(left.len());
+    table.probe_range_outer(
+        &build_cols,
+        &probe_cols,
+        &extra_pairs,
+        0..left.len(),
+        &mut lidx,
+        &mut ridx,
+    );
 
     let mut out =
         BindingTable::from_join_pairs_in(left, right, &right_extra, &lidx, &ridx, &ctx.pool);
@@ -628,11 +510,12 @@ pub fn union_all(ctx: &ExecContext, a: &BindingTable, b: &BindingTable) -> Bindi
 }
 
 thread_local! {
-    /// The per-worker expression evaluator of the parallel FILTER /
-    /// ORDER BY paths. A morsel worker may process many morsels, and
-    /// constructing a fresh [`Evaluator`](hsp_sparql::Evaluator) per
-    /// *morsel* would recompile every cached regex once per morsel — so
-    /// the evaluator lives in a thread-local instead: one per worker
+    /// The per-worker expression evaluator of the parallel pipeline
+    /// stages and ORDER BY key extraction. A morsel worker may process
+    /// many morsels, and constructing a fresh
+    /// [`Evaluator`](hsp_sparql::Evaluator) per *morsel* would recompile
+    /// every cached regex once per morsel — so the evaluator lives in a
+    /// thread-local instead: one per worker
     /// thread, created lazily on the thread's first morsel. The threads
     /// that run morsels — the pool's workers and every submitter helping
     /// on its own batch, e.g. a server's connection threads — live as
@@ -647,19 +530,11 @@ thread_local! {
 ///
 /// Simple (in)equality shapes compare interned ids directly; full-grammar
 /// [`FilterExpr::Complex`] expressions are evaluated with the SPARQL typed
-/// value semantics of [`hsp_sparql::expr`], one
+/// value semantics of [`hsp_sparql::expr`] by one local
 /// [`Evaluator`](hsp_sparql::Evaluator) (and hence one compiled-regex
-/// cache) per worker thread.
-///
-/// This is the **morsel-parallel FILTER**: when the input clears the
-/// context's morsel threshold, rows are evaluated morsel-at-a-time on the
-/// worker pool, each worker owning its own thread-local
-/// [`Evaluator`](hsp_sparql::Evaluator) — the compiled-regex cache is
-/// deliberately single-threaded, see the `Evaluator` docs. Per-morsel
-/// selection vectors are stitched in morsel order, so the output is
-/// byte-identical to the sequential evaluation. Below the threshold one
-/// evaluator scans all rows sequentially; either way the selection vector
-/// and the output columns come from the context's pool.
+/// cache) over all rows. The selection vector and the output columns come
+/// from the context's pool. Pipelines evaluate FILTER as a morsel-parallel
+/// stage; this kernel serves the operator-at-a-time oracle.
 pub fn filter(
     ctx: &ExecContext,
     ds: &Dataset,
@@ -667,35 +542,13 @@ pub fn filter(
     expr: &FilterExpr,
 ) -> BindingTable {
     check_indexable(input);
-    let sel = if ctx.morsel.workers_for(input.len()) > 1 {
-        let (parts, run) = morsel::run_morsels(input.len(), &ctx.morsel, |range| {
-            WORKER_EVALUATOR.with(|evaluator| {
-                let mut part: Vec<u32> = Vec::new();
-                for i in range {
-                    if eval_expr(ds, input, expr, i, evaluator) {
-                        part.push(i as u32);
-                    }
-                }
-                part
-            })
-        });
-        ctx.note_filter(run);
-        let total: usize = parts.iter().map(Vec::len).sum();
-        let mut sel = ctx.pool.take_idx(total);
-        for part in parts {
-            sel.extend_from_slice(&part);
-        }
-        sel
-    } else {
-        let evaluator = hsp_sparql::Evaluator::new();
-        let mut sel = ctx.pool.take_idx(input.len());
-        sel.extend(
-            (0..input.len())
-                .filter(|&i| eval_expr(ds, input, expr, i, &evaluator))
-                .map(|i| i as u32),
-        );
-        sel
-    };
+    let evaluator = hsp_sparql::Evaluator::new();
+    let mut sel = ctx.pool.take_idx(input.len());
+    sel.extend(
+        (0..input.len())
+            .filter(|&i| eval_expr(ds, input, expr, i, &evaluator))
+            .map(|i| i as u32),
+    );
     let mut out = input.gather_in(&sel, &ctx.pool);
     ctx.pool.put_idx(sel);
     out.set_sorted_by(input.sorted_by());
@@ -710,10 +563,10 @@ pub fn filter(
 ///
 /// The selection vector and output columns are pooled. The decorate
 /// phase — evaluating every key expression for every row — runs
-/// morsel-parallel with per-worker evaluators, like
-/// [`filter`]; per-morsel decorations stitch back in row order. The
-/// comparison sort then runs as a **parallel merge sort**
-/// ([`morsel::merge_sort`]) over per-worker sorted runs when the input
+/// morsel-parallel with per-worker evaluators; per-morsel decorations
+/// stitch back in row order. The comparison sort then runs as a
+/// **parallel merge sort** ([`morsel::merge_sort`]) over per-worker
+/// sorted runs when the input
 /// clears the morsel threshold; an original-row-index tie-break makes the
 /// order total, so the parallel output is byte-identical to the
 /// sequential stable sort.
@@ -753,7 +606,7 @@ pub fn order_by(
             let (parts, run) = morsel::run_morsels(input.len(), &ctx.morsel, |range| {
                 WORKER_EVALUATOR.with(|evaluator| decorate(range, evaluator))
             });
-            ctx.note_filter(run);
+            ctx.note_run(run);
             parts.into_iter().flatten().collect()
         } else {
             decorate(0..input.len(), &hsp_sparql::Evaluator::new())
@@ -1646,57 +1499,6 @@ mod tests {
     }
 
     #[test]
-    fn morsel_probe_is_byte_identical_to_sequential() {
-        let (l, r) = big_join_inputs(3_000);
-        let sequential = hash_join(&ExecContext::with_threads(1), &l, &r, &[Var(0)]);
-        for threads in 2..=4 {
-            let ctx = forced_ctx(threads);
-            let parallel = hash_join(&ctx, &l, &r, &[Var(0)]);
-            // Full structural equality: same columns, same row order, same
-            // metadata — not just the same row multiset.
-            assert_eq!(parallel, sequential, "threads={threads}");
-            // Two parallel kernels: the build phase and the probe.
-            assert_eq!(ctx.parallel_kernels(), 2);
-            assert_eq!(ctx.parallel_builds(), 1);
-            assert!(ctx.morsels_run() > 1);
-        }
-    }
-
-    #[test]
-    fn morsel_outer_probe_is_byte_identical_to_sequential() {
-        let (l, r) = big_join_inputs(2_000);
-        let sequential = left_outer_hash_join(&ExecContext::with_threads(1), &l, &r, &[Var(0)]);
-        for threads in 2..=4 {
-            let parallel = left_outer_hash_join(&forced_ctx(threads), &l, &r, &[Var(0)]);
-            assert_eq!(parallel, sequential, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn morsel_probe_with_extra_shared_var_is_identical() {
-        // Shared non-key column ?1 on both sides: the extra-pair check runs
-        // inside every worker.
-        let n = 1_500;
-        let (l0, r0) = big_join_inputs(n);
-        let shared: Vec<TermId> = (0..n as u32).map(|i| TermId(i % 7)).collect();
-        let l = BindingTable::from_columns(
-            vec![Var(0), Var(1)],
-            vec![l0.column(Var(0)).to_vec(), shared.clone()],
-            None,
-        );
-        let r = BindingTable::from_columns(
-            vec![Var(0), Var(1)],
-            vec![r0.column(Var(0)).to_vec(), shared],
-            None,
-        );
-        let sequential = hash_join(&ExecContext::with_threads(1), &l, &r, &[Var(0)]);
-        for threads in 2..=4 {
-            let parallel = hash_join(&forced_ctx(threads), &l, &r, &[Var(0)]);
-            assert_eq!(parallel, sequential, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn parallel_scan_is_byte_identical_to_sequential() {
         // 300 triples: several 64-row morsels under the forced config.
         let mut doc = String::new();
@@ -1722,83 +1524,6 @@ mod tests {
         }
     }
 
-    /// Sorted variants of [`big_join_inputs`] for the merge-join tests.
-    fn big_sorted_inputs(n: usize) -> (BindingTable, BindingTable) {
-        let ctx = ExecContext::new();
-        let (l, r) = big_join_inputs(n);
-        (sort_by(&ctx, &l, Var(0)), sort_by(&ctx, &r, Var(0)))
-    }
-
-    #[test]
-    fn parallel_build_table_join_is_byte_identical_to_sequential() {
-        // Both sides large: the *build* side (right) clears the forced
-        // threshold, so the partitioned counting sort runs.
-        let (l, r) = big_join_inputs(3_000);
-        let sequential = hash_join(&ExecContext::with_threads(1), &l, &r, &[Var(0)]);
-        for threads in 2..=4 {
-            let ctx = forced_ctx(threads);
-            let parallel = hash_join(&ctx, &l, &r, &[Var(0)]);
-            assert_eq!(parallel, sequential, "threads={threads}");
-            assert_eq!(ctx.parallel_builds(), 1, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_merge_join_is_byte_identical_to_sequential() {
-        let (l, r) = big_sorted_inputs(3_000);
-        let sequential = merge_join(&ExecContext::with_threads(1), &l, &r, Var(0));
-        for threads in 2..=4 {
-            let ctx = forced_ctx(threads);
-            let parallel = merge_join(&ctx, &l, &r, Var(0));
-            assert_eq!(parallel, sequential, "threads={threads}");
-            assert!(ctx.merge_partitions() >= 1, "threads={threads}");
-            assert_eq!(ctx.parallel_kernels(), 1, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_merge_join_with_extra_shared_var_is_identical() {
-        // Shared non-key column ?1: the extra-pair check runs inside every
-        // partition's cursor pair.
-        let n = 2_000;
-        let (l0, r0) = big_join_inputs(n);
-        let shared: Vec<TermId> = (0..n as u32).map(|i| TermId(i % 5)).collect();
-        let mut lk = l0.column(Var(0)).to_vec();
-        let mut rk = r0.column(Var(0)).to_vec();
-        lk.sort_unstable();
-        rk.sort_unstable();
-        let l = BindingTable::from_columns(
-            vec![Var(0), Var(1)],
-            vec![lk, shared.clone()],
-            Some(Var(0)),
-        );
-        let r = BindingTable::from_columns(vec![Var(0), Var(1)], vec![rk, shared], Some(Var(0)));
-        let sequential = merge_join(&ExecContext::with_threads(1), &l, &r, Var(0));
-        for threads in 2..=4 {
-            let parallel = merge_join(&forced_ctx(threads), &l, &r, Var(0));
-            assert_eq!(parallel, sequential, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_merge_join_single_giant_key_group_degenerates() {
-        // Every key equal: all split targets snap to position 0, so the
-        // dedup leaves one partition and the join runs as a single task.
-        let n = 1_000;
-        let keys = vec![TermId(7); n];
-        let lp: Vec<TermId> = (0..n as u32).map(|i| TermId(1_000 + i)).collect();
-        let rp: Vec<TermId> = (0..n as u32).map(|i| TermId(50_000 + i)).collect();
-        let l =
-            BindingTable::from_columns(vec![Var(0), Var(1)], vec![keys.clone(), lp], Some(Var(0)));
-        let r = BindingTable::from_columns(vec![Var(0), Var(2)], vec![keys, rp], Some(Var(0)));
-        let sequential = merge_join(&ExecContext::with_threads(1), &l, &r, Var(0));
-        assert_eq!(sequential.len(), n * n);
-        for threads in 2..=4 {
-            let parallel = merge_join(&forced_ctx(threads), &l, &r, Var(0));
-            assert_eq!(parallel, sequential, "threads={threads}");
-        }
-    }
-
     /// A dataset of `n` title triples, roughly half matching `\(19\d\d\)`.
     fn titles_dataset(n: usize) -> Dataset {
         let mut doc = String::new();
@@ -1809,30 +1534,6 @@ mod tests {
             ));
         }
         Dataset::from_ntriples(&doc).unwrap()
-    }
-
-    #[test]
-    fn parallel_filter_is_byte_identical_to_sequential() {
-        let ds = titles_dataset(800);
-        let pat = TriplePattern::new(vv(0), TermOrVar::Const(Term::iri("http://e/title")), vv(1));
-        let t = scan(&ExecContext::new(), &ds, &pat, Order::Pso);
-        // A REGEX filter: every worker compiles the pattern into its own
-        // evaluator's cache.
-        let expr = FilterExpr::Complex(Box::new(hsp_sparql::Expr::Call {
-            func: hsp_sparql::Func::Regex,
-            args: vec![
-                hsp_sparql::Expr::Var(Var(1)),
-                hsp_sparql::Expr::Const(Term::literal(r"\(19\d\d\)")),
-            ],
-        }));
-        let sequential = filter(&ExecContext::with_threads(1), &ds, &t, &expr);
-        assert!(!sequential.is_empty() && sequential.len() < t.len());
-        for threads in 2..=4 {
-            let ctx = forced_ctx(threads);
-            let parallel = filter(&ctx, &ds, &t, &expr);
-            assert_eq!(parallel, sequential, "threads={threads}");
-            assert_eq!(ctx.parallel_filters(), 1, "threads={threads}");
-        }
     }
 
     #[test]
@@ -1850,7 +1551,9 @@ mod tests {
                 let ctx = forced_ctx(threads);
                 let parallel = order_by(&ctx, &ds, &t, &keys);
                 assert_eq!(parallel, sequential, "threads={threads} desc={descending}");
-                assert_eq!(ctx.parallel_filters(), 1);
+                // The decorate phase and the merge sort.
+                assert_eq!(ctx.parallel_kernels(), 2);
+                assert_eq!(ctx.parallel_sorts(), 1);
             }
         }
     }
@@ -1890,5 +1593,36 @@ mod tests {
         let j = merge_join(&ctx, &l, &r, Var(0));
         assert_eq!(j.len(), 1); // only (1, 6) matches on both columns
         assert_eq!(j.row(0), vec![TermId(1), TermId(6)]);
+
+        // Many key groups with the shared column drawn from a tiny domain,
+        // and one key group spanning both whole inputs: the cursor pair
+        // agrees with the nested-loop reference.
+        let n = 1_000;
+        let (l0, r0) = big_join_inputs(n);
+        let sorted_keys = |t: &BindingTable| {
+            let mut keys = t.column(Var(0)).to_vec();
+            keys.sort_unstable();
+            keys
+        };
+        let shared: Vec<TermId> = (0..n as u32).map(|i| TermId(i % 5)).collect();
+        let giant = vec![TermId(7); n];
+        for (lk, rk) in [(sorted_keys(&l0), sorted_keys(&r0)), (giant.clone(), giant)] {
+            let l = BindingTable::from_columns(
+                vec![Var(0), Var(1)],
+                vec![lk, shared.clone()],
+                Some(Var(0)),
+            );
+            let r = BindingTable::from_columns(
+                vec![Var(0), Var(1)],
+                vec![rk, shared.clone()],
+                Some(Var(0)),
+            );
+            let j = merge_join(&ctx, &l, &r, Var(0));
+            assert!(j.check_sortedness());
+            assert_eq!(
+                j.sorted_rows(),
+                crate::reference::nested_loop_join_rows(&l, &r)
+            );
+        }
     }
 }

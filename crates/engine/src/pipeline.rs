@@ -1486,7 +1486,7 @@ fn run_pipeline(
         .map(|leaf| resolve_scan(ds, leaf.pattern, leaf.order))
         .collect();
     for _ in scans.iter().filter(|s| !s.is_contiguous()) {
-        ctx.note_merged_scan();
+        ctx.note_overlay_scan();
     }
     let leaf_rows: Vec<&[IdTriple]> = scans.iter().map(OrderScan::as_slice).collect();
 

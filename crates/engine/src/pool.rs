@@ -209,8 +209,6 @@ pub struct ExecContext {
     morsels: Cell<usize>,
     parallel_kernels: Cell<usize>,
     parallel_builds: Cell<usize>,
-    merge_partitions: Cell<usize>,
-    parallel_filters: Cell<usize>,
     parallel_sorts: Cell<usize>,
     pipelines: Cell<usize>,
     pipeline_morsels: Cell<usize>,
@@ -260,8 +258,6 @@ impl ExecContext {
             morsels: Cell::default(),
             parallel_kernels: Cell::default(),
             parallel_builds: Cell::default(),
-            merge_partitions: Cell::default(),
-            parallel_filters: Cell::default(),
             parallel_sorts: Cell::default(),
             pipelines: Cell::default(),
             pipeline_morsels: Cell::default(),
@@ -370,26 +366,6 @@ impl ExecContext {
         self.note_run(run);
     }
 
-    /// Record a range-partitioned merge join: `run.morsels` carries the
-    /// partition count.
-    pub(crate) fn note_merge(&self, run: crate::morsel::MorselRun) {
-        self.pool_batches.set(self.pool_batches.get() + run.batches);
-        if run.threads > 1 {
-            self.merge_partitions
-                .set(self.merge_partitions.get() + run.morsels);
-            self.parallel_kernels.set(self.parallel_kernels.get() + 1);
-        }
-    }
-
-    /// Record a FILTER / ORDER BY key-extraction run ([`note_run`](Self::note_run)
-    /// plus the parallel-filter counter).
-    pub(crate) fn note_filter(&self, run: crate::morsel::MorselRun) {
-        if run.threads > 1 {
-            self.parallel_filters.set(self.parallel_filters.get() + 1);
-        }
-        self.note_run(run);
-    }
-
     /// Record a parallel merge sort (`run.morsels` carries the initial
     /// sorted-run count) — the comparison-sort stage of ORDER BY and the
     /// sort order-enforcer.
@@ -450,7 +426,7 @@ impl ExecContext {
 
     /// Record one scan that had to merge the storage delta overlay with
     /// the base run (no contiguous-slice fast path).
-    pub(crate) fn note_merged_scan(&self) {
+    pub(crate) fn note_overlay_scan(&self) {
         self.merged_scans.set(self.merged_scans.get() + 1);
     }
 
@@ -508,16 +484,6 @@ impl ExecContext {
     /// Hash-join build phases that ran parallel so far.
     pub fn parallel_builds(&self) -> usize {
         self.parallel_builds.get()
-    }
-
-    /// Partitions processed by range-partitioned parallel merge joins.
-    pub fn merge_partitions(&self) -> usize {
-        self.merge_partitions.get()
-    }
-
-    /// FILTER / ORDER BY key extractions that ran parallel so far.
-    pub fn parallel_filters(&self) -> usize {
-        self.parallel_filters.get()
     }
 
     /// Comparison sorts (ORDER BY / sort enforcer) that ran parallel so far.
@@ -707,15 +673,13 @@ mod tests {
     }
 
     #[test]
-    fn context_counts_builds_merges_and_filters() {
+    fn context_counts_builds_and_sorts() {
         let ctx = ExecContext::with_threads(4);
         // Sequential runs count nothing.
         ctx.note_build(crate::morsel::MorselRun::SEQUENTIAL);
-        ctx.note_merge(crate::morsel::MorselRun::SEQUENTIAL);
-        ctx.note_filter(crate::morsel::MorselRun::SEQUENTIAL);
+        ctx.note_sort(crate::morsel::MorselRun::SEQUENTIAL);
         assert_eq!(ctx.parallel_builds(), 0);
-        assert_eq!(ctx.merge_partitions(), 0);
-        assert_eq!(ctx.parallel_filters(), 0);
+        assert_eq!(ctx.parallel_sorts(), 0);
         assert_eq!(ctx.parallel_kernels(), 0);
         // Parallel runs count in their own counter and as kernels.
         ctx.note_build(crate::morsel::MorselRun {
@@ -723,21 +687,15 @@ mod tests {
             threads: 2,
             batches: 1,
         });
-        ctx.note_merge(crate::morsel::MorselRun {
-            morsels: 4,
-            threads: 2,
-            batches: 1,
-        });
-        ctx.note_filter(crate::morsel::MorselRun {
+        ctx.note_sort(crate::morsel::MorselRun {
             morsels: 2,
             threads: 3,
-            batches: 1,
+            batches: 2,
         });
         assert_eq!(ctx.parallel_builds(), 1);
-        assert_eq!(ctx.merge_partitions(), 4);
-        assert_eq!(ctx.parallel_filters(), 1);
-        assert_eq!(ctx.parallel_kernels(), 3);
-        assert_eq!(ctx.morsels_run(), 3 + 2); // merge partitions are not morsels
+        assert_eq!(ctx.parallel_sorts(), 1);
+        assert_eq!(ctx.parallel_kernels(), 2);
+        assert_eq!(ctx.morsels_run(), 3 + 2);
         assert_eq!(ctx.pool_batches(), 3);
     }
 }

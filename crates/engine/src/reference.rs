@@ -1,13 +1,11 @@
 //! The scalar, row-at-a-time join kernels the engine shipped with before
 //! the vectorized rework, plus a naive nested-loop join.
 //!
-//! These are kept as the **differential-testing oracle** (the property
+//! These are kept as the **differential-testing oracle**: the property
 //! tests assert the vectorized kernels in [`crate::ops`] produce identical
-//! row-sets) and as the **baseline side of the kernel benchmarks**
-//! (`benches/operators.rs` reports vectorized speedup against them). They
-//! are correct and simple, but they pay a per-value `col_index` lookup in
-//! `value()`, a per-probe `Vec<TermId>` key allocation, and a per-row
-//! `push_row`; do not use them on hot paths.
+//! row-sets. They are correct and simple, but they pay a per-value
+//! `col_index` lookup in `value()`, a per-probe `Vec<TermId>` key
+//! allocation, and a per-row `push_row`; do not use them on hot paths.
 
 use std::collections::{HashMap, HashSet};
 

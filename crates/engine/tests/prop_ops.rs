@@ -3,14 +3,13 @@
 //! including the vectorized kernels against the retired row-at-a-time
 //! kernels ([`hsp_engine::reference`]) on repeated-variable (extra shared
 //! column), multi-variable-key (packed and CSR layouts), and zero-column
-//! (unit) inputs — plus the morsel/pool layer: every kernel property also
-//! runs through a pooled, forced-multi-thread execution context and must
-//! produce byte-identical tables. The parallel stages each get their own
-//! oracle property: the partitioned-counting-sort hash-join build must be
-//! byte-identical to the sequential build across all key layouts, the
-//! range-partitioned merge join must match both the sequential merge join
-//! and the row-at-a-time reference kernel, and the per-worker-evaluator
-//! FILTER must keep exactly the sequential row set.
+//! (unit) inputs — plus the morsel/pool layer: the sort, projection, slice
+//! and union kernels also run through a pooled, forced-multi-thread
+//! execution context and must produce byte-identical tables. The parallel stages each get their
+//! own oracle property: the partitioned-counting-sort hash-join build must
+//! be byte-identical to the sequential build across all key layouts, and
+//! the parallel merge sorts behind the sort enforcer and ORDER BY must
+//! reproduce the sequential stable sort.
 
 use hsp_engine::binding::BindingTable;
 use hsp_engine::{ops, reference, ExecContext, MorselConfig};
@@ -343,10 +342,11 @@ proptest! {
         prop_assert_eq!(ask.len(), table.len().min(1));
     }
 
-    /// Every kernel, run through a pooled execution context with a forced
-    /// 3-thread morsel pool (tiny morsels, no row threshold, so even these
-    /// small inputs split), produces tables byte-identical to the default
-    /// path — and a second pass over warm (recycled) buffers agrees too.
+    /// The sort, projection, slice and union kernels, run through a pooled
+    /// execution context with a forced multi-thread morsel pool (tiny
+    /// morsels, no row threshold, so even these small inputs split),
+    /// produce tables byte-identical to the default path — and a second
+    /// pass over warm (recycled) buffers agrees too.
     #[test]
     fn pooled_parallel_context_is_byte_identical(
         left in arb_table(1),
@@ -359,16 +359,8 @@ proptest! {
                 .with_min_parallel_rows(0),
         );
         let plain = ExecContext::new();
+        let hj = ops::hash_join(&plain, &left, &right, &[Var(0)]);
         for _pass in 0..2 {
-            let hj = ops::hash_join(&ctx, &left, &right, &[Var(0)]);
-            prop_assert_eq!(&hj, &ops::hash_join(&plain, &left, &right, &[Var(0)]));
-
-            let oj = ops::left_outer_hash_join(&ctx, &left, &right, &[Var(0)]);
-            prop_assert_eq!(&oj, &ops::left_outer_hash_join(&plain, &left, &right, &[Var(0)]));
-
-            let mj = ops::merge_join(&ctx, &left, &right, Var(0));
-            prop_assert_eq!(&mj, &ops::merge_join(&plain, &left, &right, Var(0)));
-
             let sorted = ops::sort_by(&ctx, &hj, Var(1));
             prop_assert_eq!(&sorted, &ops::sort_by(&plain, &hj, Var(1)));
 
@@ -383,28 +375,11 @@ proptest! {
 
             // Recycle this pass's intermediates so the second pass runs on
             // warm buffers (the pool-hit path).
-            for table in [hj, oj, mj, sorted, proj, sliced, unioned] {
+            for table in [sorted, proj, sliced, unioned] {
                 ctx.pool.recycle(table);
             }
         }
         prop_assert!(ctx.pool.stats().hits > 0 || left.is_empty() || right.is_empty());
-    }
-
-    /// The morsel-parallel probe agrees with the nested-loop oracle on the
-    /// extra-shared-column inputs (the worker-side extra-pair check).
-    #[test]
-    fn pooled_parallel_probe_matches_nested_loop(
-        left in arb_shared_table(5),
-        right in arb_shared_table(6),
-    ) {
-        let ctx = ExecContext::with_morsel_config(
-            MorselConfig::with_threads(3)
-                .with_morsel_rows(4)
-                .with_min_parallel_rows(0),
-        );
-        let oracle = reference::nested_loop_join_rows(&left, &right);
-        let joined = ops::hash_join(&ctx, &left, &right, &[Var(0)]);
-        prop_assert_eq!(joined.sorted_rows_for(&[Var(0), Var(1), Var(5), Var(6)]), oracle);
     }
 
     /// The parallel hash-join build (morsel-parallel hashing + partitioned
@@ -438,92 +413,6 @@ proptest! {
             wide.sorted_rows_for(&[Var(0), Var(1), Var(2), Var(5), Var(6)]),
             oracle
         );
-    }
-
-    /// The range-partitioned parallel merge join is byte-identical to the
-    /// sequential merge join and agrees with the row-at-a-time
-    /// [`reference::merge_join`] oracle on arbitrary sorted inputs
-    /// (including an extra shared non-key column checked inside every
-    /// partition).
-    #[test]
-    fn parallel_merge_join_matches_reference(
-        left in arb_table(1),
-        right in arb_table(2),
-        threads in 2usize..=4,
-    ) {
-        let ctx = ExecContext::with_morsel_config(
-            MorselConfig::with_threads(threads)
-                .with_morsel_rows(4)
-                .with_min_parallel_rows(0),
-        );
-        let sequential = ops::merge_join(&ExecContext::new(), &left, &right, Var(0));
-        let parallel = ops::merge_join(&ctx, &left, &right, Var(0));
-        prop_assert_eq!(&parallel, &sequential);
-        let oracle = reference::merge_join(&left, &right, Var(0));
-        prop_assert_eq!(parallel.sorted_rows(), oracle.sorted_rows());
-        prop_assert_eq!(parallel.sorted_by(), oracle.sorted_by());
-    }
-
-    /// Parallel merge join with an extra shared (repeated) variable:
-    /// byte-identical to sequential, row-set-identical to the nested-loop
-    /// oracle over all shared variables.
-    #[test]
-    fn parallel_merge_join_with_shared_var_matches_oracle(
-        left in arb_shared_table(5),
-        right in arb_shared_table(6),
-        threads in 2usize..=4,
-    ) {
-        let plain = ExecContext::new();
-        let ls = ops::sort_by(&plain, &left, Var(0));
-        let rs = ops::sort_by(&plain, &right, Var(0));
-        let ctx = ExecContext::with_morsel_config(
-            MorselConfig::with_threads(threads)
-                .with_morsel_rows(4)
-                .with_min_parallel_rows(0),
-        );
-        let sequential = ops::merge_join(&plain, &ls, &rs, Var(0));
-        let parallel = ops::merge_join(&ctx, &ls, &rs, Var(0));
-        prop_assert_eq!(&parallel, &sequential);
-        let oracle = reference::nested_loop_join_rows(&left, &right);
-        prop_assert_eq!(parallel.sorted_rows_for(&[Var(0), Var(1), Var(5), Var(6)]), oracle);
-    }
-
-    /// The morsel-parallel FILTER (per-worker evaluators) keeps exactly
-    /// the rows the sequential evaluation keeps, byte-identically —
-    /// exercised through a REGEX expression so every worker compiles into
-    /// its own cache.
-    #[test]
-    fn parallel_filter_matches_sequential(
-        rows in proptest::collection::vec(0u32..60, 0..50),
-        threads in 2usize..=4,
-    ) {
-        use hsp_sparql::{Expr, FilterExpr, Func};
-        let mut doc = String::new();
-        for i in 0..60 {
-            doc.push_str(&format!("<http://e/s{i}> <http://e/p> \"val {i}\" .\n"));
-        }
-        let ds = hsp_store::Dataset::from_ntriples(&doc).unwrap();
-        // A table over ?0 whose ids all decode through the dictionary.
-        let ids: Vec<TermId> = rows
-            .iter()
-            .map(|&v| ds.dict().id(&hsp_rdf::Term::literal(format!("val {v}"))).unwrap())
-            .collect();
-        let table = BindingTable::from_columns(vec![Var(0)], vec![ids], None);
-        let expr = FilterExpr::Complex(Box::new(Expr::Call {
-            func: Func::Regex,
-            args: vec![
-                Expr::Var(Var(0)),
-                Expr::Const(hsp_rdf::Term::literal(r"val [0-2]\d?$")),
-            ],
-        }));
-        let sequential = ops::filter(&ExecContext::with_threads(1), &ds, &table, &expr);
-        let ctx = ExecContext::with_morsel_config(
-            MorselConfig::with_threads(threads)
-                .with_morsel_rows(4)
-                .with_min_parallel_rows(0),
-        );
-        let parallel = ops::filter(&ctx, &ds, &table, &expr);
-        prop_assert_eq!(parallel, sequential);
     }
 
     /// The parallel merge sort behind the sort order-enforcer is

@@ -1,16 +1,19 @@
 //! Property-based cross-crate tests: random join queries over a small
 //! random dataset; every planner's plan is valid and agrees with an
-//! independent nested-loop reference evaluator.
+//! independent nested-loop reference evaluator, and HSP's merge joins all
+//! lower to merge-block pipeline sources.
 
 use std::collections::HashMap;
 
 use hsp_baseline::{CdpPlanner, LeftDeepPlanner};
 use hsp_core::HspPlanner;
-use hsp_engine::{execute, ExecConfig};
+use hsp_engine::explain::render_pipeline_dag;
+use hsp_engine::{execute, ExecConfig, PhysicalPlan};
 use hsp_rdf::{Dictionary, IdTriple, Term, TermId};
 use hsp_sparql::{JoinQuery, TermOrVar, TriplePattern, Var};
 use hsp_store::Dataset;
 use proptest::prelude::*;
+use sparql_hsp::session::{Request, Session};
 
 /// A small random dataset: subjects `e0..e9`, predicates `p0..p3`,
 /// objects mix entities and literals.
@@ -242,5 +245,74 @@ proptest! {
         scanned.sort();
         let expected: Vec<usize> = (0..query.patterns.len()).collect();
         prop_assert_eq!(scanned, expected);
+    }
+
+    /// HSP emits merge joins only as merge blocks — left-deep runs on one
+    /// variable over scan leaves — so lowering turns every one into a
+    /// pipeline source and no HSP request reaches the binary `⋈mj`
+    /// breaker. Checked on generated queries, the paper's 14 queries, and
+    /// an OPTIONAL and a UNION query composed around HSP-planned blocks.
+    #[test]
+    fn hsp_merge_joins_are_merge_blocks(query in arb_query()) {
+        // The fixed inputs need one pass, not one per generated case.
+        static FIXED_INPUTS: std::sync::Once = std::sync::Once::new();
+        FIXED_INPUTS.call_once(fixed_queries_lower_merge_joins_to_merge_blocks);
+        let plan = HspPlanner::new().plan(&query).expect("plannable").plan;
+        prop_assert_eq!(merge_joins_outside_blocks(&plan), 0);
+        prop_assert!(!render_pipeline_dag(&plan, &query).contains("⋈mj"));
+    }
+}
+
+/// Merge joins of `plan` that are not part of a merge block. Every merge
+/// join inside a block roots a block of its own (a left-deep prefix of the
+/// run), so this counts the nodes whose [`PhysicalPlan::merge_block_leaves`]
+/// is `None`.
+fn merge_joins_outside_blocks(plan: &PhysicalPlan) -> usize {
+    let mut outside = 0;
+    plan.visit(&mut |node| {
+        if matches!(node, PhysicalPlan::MergeJoin { .. }) && node.merge_block_leaves().is_none() {
+            outside += 1;
+        }
+    });
+    outside
+}
+
+fn fixed_queries_lower_merge_joins_to_merge_blocks() {
+    let mut merge_joins = 0;
+    for q in hsp_datagen::workload() {
+        let query = q.parse();
+        let plan = HspPlanner::new().plan(&query).expect("plannable").plan;
+        plan.visit(&mut |node| {
+            merge_joins += usize::from(matches!(node, PhysicalPlan::MergeJoin { .. }))
+        });
+        assert_eq!(merge_joins_outside_blocks(&plan), 0, "{}", q.id);
+        assert!(
+            !render_pipeline_dag(&plan, &query).contains("⋈mj"),
+            "{}",
+            q.id
+        );
+    }
+    assert!(merge_joins > 0, "the paper's queries plan merge joins");
+
+    // Composed plans are reachable through `--explain` only: the plan tree
+    // shows each merge join, the pipeline DAG after it only the breakers.
+    let ds = Dataset::from_ntriples("<http://e/s> <http://e/p1> <http://e/o> .\n").unwrap();
+    let session = Session::new(ds);
+    for text in [
+        "SELECT * WHERE { ?a <http://e/p1> ?x . ?a <http://e/p2> ?y . \
+         OPTIONAL { ?a <http://e/p3> ?z . ?a <http://e/p4> ?w . } }",
+        "SELECT * WHERE { { ?a <http://e/p1> ?x . ?a <http://e/p2> ?y . } UNION \
+         { ?b <http://e/p3> ?x . ?b <http://e/p4> ?z . ?b <http://e/p5> ?w . } }",
+    ] {
+        let explain = session
+            .query(Request::new(text).with_explain())
+            .expect("composed query runs")
+            .explain
+            .expect("explain text");
+        let (tree, dag) = explain.split_at(explain.find("pipeline DAG").expect("a DAG"));
+        assert!(tree.contains("⋈mj"), "{explain}");
+        // One merge block per HSP-planned block.
+        assert_eq!(dag.matches("⋈k").count(), 2, "{explain}");
+        assert!(!dag.contains("⋈mj"), "{explain}");
     }
 }
