@@ -39,7 +39,7 @@
 //! split only cost a duplicate cache entry, never a wrong hit.
 //!
 //! [`canonicalize`] returns `None` for shapes the plan cache must not
-//! serve (see the guards at the end of the function); callers fall back
+//! serve (see the guards of `cacheable_param`); callers fall back
 //! to planning from scratch.
 
 use std::collections::hash_map::DefaultHasher;
@@ -147,20 +147,8 @@ pub fn canonicalize(query: &JoinQuery) -> Option<CanonicalQuery> {
         query.modifiers.limit, query.modifiers.offset
     );
 
-    // Guards. (a) A parameter value that also occurs as a kept-literal
-    // constant (a predicate) would be clobbered by the by-value
-    // substitution a cache hit performs. (b) Boolean-literal parameters
-    // could collide with the constant the BOUND() rewrite synthesizes
-    // into plans. Both shapes are vanishingly rare; plan them fresh.
-    for p in &cx.params {
-        if cx.kept.contains(p) {
-            return None;
-        }
-        if let Term::Literal { datatype, .. } = p {
-            if datatype.as_deref() == Some(vocab::XSD_BOOLEAN) {
-                return None;
-            }
-        }
+    if !cx.params.iter().all(|p| cacheable_param(p, &cx.kept)) {
+        return None;
     }
 
     Some(CanonicalQuery {
@@ -168,6 +156,19 @@ pub fn canonicalize(query: &JoinQuery) -> Option<CanonicalQuery> {
         params: cx.params,
         canon_vars: cx.canon_vars,
     })
+}
+
+/// The guards every parameter of a cached shape must pass, given the
+/// constants the key keeps literal. (a) A parameter value that also
+/// occurs as a kept constant (a predicate) would be clobbered by the
+/// by-value substitution a cache hit performs. (b) Boolean-literal
+/// parameters could collide with the constant the BOUND() rewrite
+/// synthesizes into plans. Both shapes are vanishingly rare; plan them
+/// fresh.
+pub(crate) fn cacheable_param(param: &Term, kept: &[Term]) -> bool {
+    let boolean = matches!(param, Term::Literal { datatype, .. }
+        if datatype.as_deref() == Some(vocab::XSD_BOOLEAN));
+    !boolean && !kept.contains(param)
 }
 
 /// Rendering state: α-renaming table, parameter vector, kept literals.

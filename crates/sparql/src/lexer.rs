@@ -1,38 +1,46 @@
 //! Tokeniser for the SPARQL subset.
+//!
+//! Tokens borrow their text from the input: lexing allocates the token
+//! vector and nothing else, except the unescaped form of a literal that
+//! contains escapes.
 
+use std::borrow::Cow;
 use std::fmt;
 
-/// A lexical token with its source position (byte offset) for diagnostics.
+/// A lexical token: its kind and payload, the exact source text it was
+/// read from, and its byte offset for diagnostics.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub struct Token<'a> {
     /// The token payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
+    /// The token's text in the input, exactly as written.
+    pub text: &'a str,
     /// Byte offset of the token start in the input.
     pub offset: usize,
 }
 
 /// The kinds of token the parser consumes.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub enum TokenKind<'a> {
     /// A keyword such as `SELECT` (case-insensitive, stored uppercased).
-    Keyword(String),
+    Keyword(&'static str),
     /// `?name` or `$name`.
-    Var(String),
+    Var(&'a str),
     /// `<iri>`.
-    Iri(String),
+    Iri(&'a str),
     /// `prefix:local` — kept unresolved until parsing.
-    Prefixed(String, String),
+    Prefixed(&'a str, &'a str),
     /// `"lexical"` with optional `@lang` or `^^<datatype>`.
     Literal {
         /// Unescaped lexical form.
-        lexical: String,
+        lexical: Cow<'a, str>,
         /// Language tag, if present.
-        language: Option<String>,
+        language: Option<&'a str>,
         /// Datatype IRI, if present.
-        datatype: Option<String>,
+        datatype: Option<&'a str>,
     },
     /// Bare integer/decimal, e.g. `1942` (sugar for an `xsd` typed literal).
-    Number(String),
+    Number(&'a str),
     /// `a` — sugar for `rdf:type`.
     A,
     /// Punctuation and operators: `{ } ( ) . ; , * = != < <= > >= && ||`.
@@ -41,7 +49,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Keyword(k) => write!(f, "keyword `{k}`"),
@@ -135,9 +143,18 @@ const KEYWORDS: &[&str] = &[
 
 /// Tokenise a query string. The returned vector always ends with
 /// [`TokenKind::Eof`].
-pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
+pub fn tokenize<'a>(input: &'a str) -> Result<Vec<Token<'a>>, LexError> {
     let bytes = input.as_bytes();
-    let mut tokens = Vec::new();
+    // About one token per eight bytes of a typical query; capped, as an
+    // update can carry megabytes of data.
+    let mut tokens = Vec::with_capacity((input.len() / 8 + 2).min(256));
+    let mut push = |kind: TokenKind<'a>, start: usize, end: usize| {
+        tokens.push(Token {
+            kind,
+            text: &input[start..end],
+            offset: start,
+        })
+    };
     let mut i = 0;
     while i < bytes.len() {
         let c = bytes[i] as char;
@@ -148,7 +165,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
                     i += 1;
                 }
             }
-            '{' | '}' | '(' | ')' | '.' | ';' | ',' | '*' | '+' | '-' | '/' => {
+            '{' | '}' | '(' | ')' | '.' | ';' | ',' | '*' | '+' | '-' | '/' | '=' => {
                 let p: &'static str = match c {
                     '{' => "{",
                     '}' => "}",
@@ -160,102 +177,56 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
                     '*' => "*",
                     '+' => "+",
                     '-' => "-",
+                    '=' => "=",
                     _ => "/",
                 };
-                tokens.push(Token {
-                    kind: TokenKind::Punct(p),
-                    offset: i,
-                });
-                i += 1;
-            }
-            '=' => {
-                tokens.push(Token {
-                    kind: TokenKind::Punct("="),
-                    offset: i,
-                });
+                push(TokenKind::Punct(p), i, i + 1);
                 i += 1;
             }
             '!' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token {
-                        kind: TokenKind::Punct("!="),
-                        offset: i,
-                    });
-                    i += 2;
+                let p = if bytes.get(i + 1) == Some(&b'=') {
+                    "!="
                 } else {
-                    tokens.push(Token {
-                        kind: TokenKind::Punct("!"),
-                        offset: i,
-                    });
-                    i += 1;
-                }
+                    "!"
+                };
+                push(TokenKind::Punct(p), i, i + p.len());
+                i += p.len();
             }
             '<' => {
                 // Either an IRI or the `<`/`<=` operator; IRIs never contain
                 // whitespace, so look ahead for a closing '>' before any space.
                 if let Some(end) = scan_iri_end(input, i) {
-                    let iri = &input[i + 1..end];
-                    tokens.push(Token {
-                        kind: TokenKind::Iri(iri.to_string()),
-                        offset: i,
-                    });
+                    push(TokenKind::Iri(&input[i + 1..end]), i, end + 1);
                     i = end + 1;
-                } else if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token {
-                        kind: TokenKind::Punct("<="),
-                        offset: i,
-                    });
-                    i += 2;
                 } else {
-                    tokens.push(Token {
-                        kind: TokenKind::Punct("<"),
-                        offset: i,
-                    });
-                    i += 1;
+                    let p = if bytes.get(i + 1) == Some(&b'=') {
+                        "<="
+                    } else {
+                        "<"
+                    };
+                    push(TokenKind::Punct(p), i, i + p.len());
+                    i += p.len();
                 }
             }
             '>' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token {
-                        kind: TokenKind::Punct(">="),
-                        offset: i,
-                    });
-                    i += 2;
+                let p = if bytes.get(i + 1) == Some(&b'=') {
+                    ">="
                 } else {
-                    tokens.push(Token {
-                        kind: TokenKind::Punct(">"),
-                        offset: i,
-                    });
-                    i += 1;
-                }
+                    ">"
+                };
+                push(TokenKind::Punct(p), i, i + p.len());
+                i += p.len();
             }
-            '&' => {
-                if bytes.get(i + 1) == Some(&b'&') {
-                    tokens.push(Token {
-                        kind: TokenKind::Punct("&&"),
-                        offset: i,
-                    });
-                    i += 2;
-                } else {
+            '&' | '|' => {
+                let p = if c == '&' { "&&" } else { "||" };
+                if bytes.get(i + 1) != Some(&bytes[i]) {
                     return Err(LexError {
                         offset: i,
-                        message: "expected `&&`".into(),
+                        message: format!("expected `{p}`"),
                     });
                 }
-            }
-            '|' => {
-                if bytes.get(i + 1) == Some(&b'|') {
-                    tokens.push(Token {
-                        kind: TokenKind::Punct("||"),
-                        offset: i,
-                    });
-                    i += 2;
-                } else {
-                    return Err(LexError {
-                        offset: i,
-                        message: "expected `||`".into(),
-                    });
-                }
+                push(TokenKind::Punct(p), i, i + 2);
+                i += 2;
             }
             '?' | '$' => {
                 let start = i + 1;
@@ -269,18 +240,12 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
                         message: "empty variable name".into(),
                     });
                 }
-                tokens.push(Token {
-                    kind: TokenKind::Var(input[start..j].to_string()),
-                    offset: i,
-                });
+                push(TokenKind::Var(&input[start..j]), i, j);
                 i = j;
             }
             '"' => {
-                let (tok, next) = scan_literal(input, i)?;
-                tokens.push(Token {
-                    kind: tok,
-                    offset: i,
-                });
+                let (kind, next) = scan_literal(input, i)?;
+                push(kind, i, next);
                 i = next;
             }
             c if c.is_ascii_digit() => {
@@ -312,10 +277,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
                         j = k;
                     }
                 }
-                tokens.push(Token {
-                    kind: TokenKind::Number(input[start..j].to_string()),
-                    offset: start,
-                });
+                push(TokenKind::Number(&input[start..j]), start, j);
                 i = j;
             }
             c if is_name_start(c) => {
@@ -332,34 +294,20 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
                     while k < bytes.len() && is_name_char(bytes[k] as char) {
                         k += 1;
                     }
-                    tokens.push(Token {
-                        kind: TokenKind::Prefixed(
-                            word.to_string(),
-                            input[local_start..k].to_string(),
-                        ),
-                        offset: start,
-                    });
+                    push(TokenKind::Prefixed(word, &input[local_start..k]), start, k);
                     i = k;
                 } else if word == "a" {
-                    tokens.push(Token {
-                        kind: TokenKind::A,
-                        offset: start,
-                    });
+                    push(TokenKind::A, start, j);
+                    i = j;
+                } else if let Some(keyword) = KEYWORDS.iter().find(|k| k.eq_ignore_ascii_case(word))
+                {
+                    push(TokenKind::Keyword(keyword), start, j);
                     i = j;
                 } else {
-                    let upper = word.to_ascii_uppercase();
-                    if KEYWORDS.contains(&upper.as_str()) {
-                        tokens.push(Token {
-                            kind: TokenKind::Keyword(upper),
-                            offset: start,
-                        });
-                        i = j;
-                    } else {
-                        return Err(LexError {
-                            offset: start,
-                            message: format!("unexpected word `{word}`"),
-                        });
-                    }
+                    return Err(LexError {
+                        offset: start,
+                        message: format!("unexpected word `{word}`"),
+                    });
                 }
             }
             ':' => {
@@ -369,10 +317,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
                 while k < bytes.len() && is_name_char(bytes[k] as char) {
                     k += 1;
                 }
-                tokens.push(Token {
-                    kind: TokenKind::Prefixed(String::new(), input[local_start..k].to_string()),
-                    offset: i,
-                });
+                push(TokenKind::Prefixed("", &input[local_start..k]), i, k);
                 i = k;
             }
             other => {
@@ -383,10 +328,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
             }
         }
     }
-    tokens.push(Token {
-        kind: TokenKind::Eof,
-        offset: input.len(),
-    });
+    push(TokenKind::Eof, input.len(), input.len());
     Ok(tokens)
 }
 
@@ -414,23 +356,32 @@ fn scan_iri_end(input: &str, start: usize) -> Option<usize> {
 }
 
 /// Scan a quoted literal starting at `input[start] == '"'`; returns the token
-/// and the offset just past it.
-fn scan_literal(input: &str, start: usize) -> Result<(TokenKind, usize), LexError> {
+/// and the offset just past it. The lexical form borrows the input unless
+/// it contains escapes.
+fn scan_literal(input: &str, start: usize) -> Result<(TokenKind<'_>, usize), LexError> {
     let bytes = input.as_bytes();
-    let mut lexical = String::new();
+    let mut escaped: Option<String> = None;
+    let mut run = start + 1; // start of the bytes not yet copied
     let mut j = start + 1;
-    loop {
+    let lexical = loop {
         match bytes.get(j) {
             Some(b'"') => {
+                let tail = &input[run..j];
                 j += 1;
-                break;
+                break match escaped {
+                    Some(mut text) => {
+                        text.push_str(tail);
+                        Cow::Owned(text)
+                    }
+                    None => Cow::Borrowed(tail),
+                };
             }
             Some(b'\\') => {
                 let esc = bytes.get(j + 1).ok_or_else(|| LexError {
                     offset: j,
                     message: "dangling escape".into(),
                 })?;
-                lexical.push(match esc {
+                let unescaped = match esc {
                     b'"' => '"',
                     b'\\' => '\\',
                     b'n' => '\n',
@@ -442,14 +393,17 @@ fn scan_literal(input: &str, start: usize) -> Result<(TokenKind, usize), LexErro
                             message: format!("unsupported escape `\\{}`", *other as char),
                         })
                     }
-                });
+                };
+                let text = escaped.get_or_insert_with(String::new);
+                text.push_str(&input[run..j]);
+                text.push(unescaped);
                 j += 2;
+                run = j;
             }
-            Some(_) => {
-                let c = input[j..].chars().next().expect("in-bounds char");
-                lexical.push(c);
-                j += c.len_utf8();
-            }
+            // Quotes and backslashes are ASCII, so they never occur inside
+            // a multi-byte character: stepping bytewise stays on boundaries
+            // wherever it stops.
+            Some(_) => j += 1,
             None => {
                 return Err(LexError {
                     offset: start,
@@ -457,7 +411,7 @@ fn scan_literal(input: &str, start: usize) -> Result<(TokenKind, usize), LexErro
                 })
             }
         }
-    }
+    };
     // Optional @lang or ^^<datatype>.
     if bytes.get(j) == Some(&b'@') {
         let lang_start = j + 1;
@@ -474,7 +428,7 @@ fn scan_literal(input: &str, start: usize) -> Result<(TokenKind, usize), LexErro
         return Ok((
             TokenKind::Literal {
                 lexical,
-                language: Some(input[lang_start..k].to_string()),
+                language: Some(&input[lang_start..k]),
                 datatype: None,
             },
             k,
@@ -496,7 +450,7 @@ fn scan_literal(input: &str, start: usize) -> Result<(TokenKind, usize), LexErro
             TokenKind::Literal {
                 lexical,
                 language: None,
-                datatype: Some(input[iri_start + 1..end].to_string()),
+                datatype: Some(&input[iri_start + 1..end]),
             },
             end + 1,
         ));
@@ -515,7 +469,7 @@ fn scan_literal(input: &str, start: usize) -> Result<(TokenKind, usize), LexErro
 mod tests {
     use super::*;
 
-    fn kinds(input: &str) -> Vec<TokenKind> {
+    fn kinds(input: &str) -> Vec<TokenKind<'_>> {
         tokenize(input)
             .unwrap()
             .into_iter()
@@ -526,13 +480,13 @@ mod tests {
     #[test]
     fn tokenizes_basic_query_shape() {
         let ks = kinds("SELECT ?x WHERE { ?x a <http://e/C> . }");
-        assert_eq!(ks[0], TokenKind::Keyword("SELECT".into()));
-        assert_eq!(ks[1], TokenKind::Var("x".into()));
-        assert_eq!(ks[2], TokenKind::Keyword("WHERE".into()));
+        assert_eq!(ks[0], TokenKind::Keyword("SELECT"));
+        assert_eq!(ks[1], TokenKind::Var("x"));
+        assert_eq!(ks[2], TokenKind::Keyword("WHERE"));
         assert_eq!(ks[3], TokenKind::Punct("{"));
-        assert_eq!(ks[4], TokenKind::Var("x".into()));
+        assert_eq!(ks[4], TokenKind::Var("x"));
         assert_eq!(ks[5], TokenKind::A);
-        assert_eq!(ks[6], TokenKind::Iri("http://e/C".into()));
+        assert_eq!(ks[6], TokenKind::Iri("http://e/C"));
         assert_eq!(ks[7], TokenKind::Punct("."));
         assert_eq!(ks[8], TokenKind::Punct("}"));
         assert_eq!(ks[9], TokenKind::Eof);
@@ -540,16 +494,16 @@ mod tests {
 
     #[test]
     fn keywords_are_case_insensitive() {
-        assert_eq!(kinds("select")[0], TokenKind::Keyword("SELECT".into()));
-        assert_eq!(kinds("FiLtEr")[0], TokenKind::Keyword("FILTER".into()));
+        assert_eq!(kinds("select")[0], TokenKind::Keyword("SELECT"));
+        assert_eq!(kinds("FiLtEr")[0], TokenKind::Keyword("FILTER"));
     }
 
     #[test]
     fn prefixed_names() {
         let ks = kinds("rdf:type bench:Journal :local");
-        assert_eq!(ks[0], TokenKind::Prefixed("rdf".into(), "type".into()));
-        assert_eq!(ks[1], TokenKind::Prefixed("bench".into(), "Journal".into()));
-        assert_eq!(ks[2], TokenKind::Prefixed("".into(), "local".into()));
+        assert_eq!(ks[0], TokenKind::Prefixed("rdf", "type"));
+        assert_eq!(ks[1], TokenKind::Prefixed("bench", "Journal"));
+        assert_eq!(ks[2], TokenKind::Prefixed("", "local"));
     }
 
     #[test]
@@ -567,7 +521,7 @@ mod tests {
             ks[1],
             TokenKind::Literal {
                 lexical: "x".into(),
-                language: Some("en".into()),
+                language: Some("en"),
                 datatype: None
             }
         );
@@ -576,7 +530,7 @@ mod tests {
             TokenKind::Literal {
                 lexical: "5".into(),
                 language: None,
-                datatype: Some("http://w3/int".into())
+                datatype: Some("http://w3/int")
             }
         );
     }
@@ -595,18 +549,50 @@ mod tests {
     }
 
     #[test]
+    fn tokens_carry_their_exact_source_text() {
+        let input = "select ?x { ?x <http://e/p> \"é\\\"t\"@fr , 12.5 . }";
+        let tokens = tokenize(input).unwrap();
+        let texts: Vec<&str> = tokens.iter().map(|t| t.text).collect();
+        assert_eq!(
+            texts,
+            [
+                "select",
+                "?x",
+                "{",
+                "?x",
+                "<http://e/p>",
+                "\"é\\\"t\"@fr",
+                ",",
+                "12.5",
+                ".",
+                "}",
+                ""
+            ]
+        );
+        assert!(tokens.iter().all(|t| input[t.offset..].starts_with(t.text)));
+        assert_eq!(
+            tokens[5].kind,
+            TokenKind::Literal {
+                lexical: "é\"t".into(),
+                language: Some("fr"),
+                datatype: None
+            }
+        );
+    }
+
+    #[test]
     fn comparison_operators_vs_iris() {
         let ks = kinds("?x < ?y FILTER(?a <= ?b) <http://e/i>");
         assert!(ks.contains(&TokenKind::Punct("<")));
         assert!(ks.contains(&TokenKind::Punct("<=")));
-        assert!(ks.contains(&TokenKind::Iri("http://e/i".into())));
+        assert!(ks.contains(&TokenKind::Iri("http://e/i")));
     }
 
     #[test]
     fn numbers_do_not_swallow_dot_terminator() {
         let ks = kinds("?x ?p 42 . ?y ?q 3.5 .");
-        assert!(ks.contains(&TokenKind::Number("42".into())));
-        assert!(ks.contains(&TokenKind::Number("3.5".into())));
+        assert!(ks.contains(&TokenKind::Number("42")));
+        assert!(ks.contains(&TokenKind::Number("3.5")));
         assert_eq!(
             ks.iter().filter(|k| **k == TokenKind::Punct(".")).count(),
             2

@@ -22,6 +22,7 @@ pub mod lexer;
 pub mod parser;
 pub mod regex;
 pub mod rewrite;
+pub mod template;
 
 pub use algebra::{
     AggFunc, AggSpec, CmpOp, FilterExpr, JoinQuery, Modifiers, Operand, SortKey, TermOrVar,
@@ -31,5 +32,6 @@ pub use analysis::QueryCharacteristics;
 pub use ast::{Query, UpdateOp, UpdateRequest};
 pub use canon::{canonicalize, CanonicalQuery};
 pub use expr::{ArithOp, Bindings, Evaluator, Expr, ExprError, Func, Value};
-pub use parser::{parse_query, parse_update, ParseError};
+pub use parser::{parse_query, parse_tokens, parse_update, ParseError};
 pub use regex::Regex;
+pub use template::{skeleton, Template};

@@ -39,34 +39,94 @@ impl From<LexError> for ParseError {
 
 /// Parse a SPARQL query string into an AST.
 pub fn parse_query(input: &str) -> Result<Query, ParseError> {
-    let tokens = tokenize(input)?;
-    let mut parser = Parser {
-        tokens,
-        pos: 0,
-        prefixes: HashMap::new(),
-    };
-    parser.parse()
+    Ok(parse_tokens(&tokenize(input)?)?.0)
+}
+
+/// Parse an already lexed query (see [`tokenize`]). Beside the AST it
+/// reports, in token order, the index of every token whose constant the
+/// canonicaliser hoists as a parameter: subject, object and expression
+/// constants — never a predicate, a `PREFIX` IRI or a `LIMIT` / `OFFSET`
+/// count.
+pub fn parse_tokens(tokens: &[Token<'_>]) -> Result<(Query, Vec<usize>), ParseError> {
+    let mut parser = Parser::new(tokens)?;
+    let query = parser.parse()?;
+    Ok((query, parser.hoisted))
 }
 
 /// Parse a SPARQL 1.1 Update request (`INSERT DATA` / `DELETE DATA` /
 /// `DELETE WHERE`, separated by `;`).
 pub fn parse_update(input: &str) -> Result<UpdateRequest, ParseError> {
-    let tokens = tokenize(input)?;
-    let mut parser = Parser {
-        tokens,
-        pos: 0,
-        prefixes: HashMap::new(),
-    };
-    parser.parse_update()
+    Parser::new(&tokenize(input)?)?.parse_update()
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+/// The constant a token denotes: an IRI, a prefixed name resolved through
+/// `prefixes`, a literal, a number (an `xsd:integer`, `xsd:decimal` or
+/// `xsd:double` by its spelling) or `TRUE` / `FALSE`. The parser and the
+/// plan cache's token-shape hits share this one definition. The error is
+/// the parser's message for a token that denotes no constant or names an
+/// undeclared prefix.
+pub(crate) fn token_term(
+    kind: &TokenKind<'_>,
+    prefixes: &HashMap<String, String>,
+) -> Result<Term, String> {
+    match kind {
+        TokenKind::Iri(iri) => Ok(Term::iri(*iri)),
+        TokenKind::Prefixed(prefix, local) => prefixes
+            .get(*prefix)
+            .map(|base| Term::iri(format!("{base}{local}")))
+            .ok_or_else(|| format!("undeclared prefix `{prefix}:`")),
+        TokenKind::Literal {
+            lexical,
+            language,
+            datatype,
+        } => Ok(match (language, datatype) {
+            (Some(lang), _) => Term::lang_literal(lexical.as_ref(), *lang),
+            (None, Some(dt)) => Term::typed_literal(lexical.as_ref(), *dt),
+            (None, None) => Term::literal(lexical.as_ref()),
+        }),
+        TokenKind::Number(n) => {
+            let dt = if n.contains('e') || n.contains('E') {
+                hsp_rdf::vocab::XSD_DOUBLE
+            } else if n.contains('.') {
+                hsp_rdf::vocab::XSD_DECIMAL
+            } else {
+                hsp_rdf::vocab::XSD_INTEGER
+            };
+            Ok(Term::typed_literal(*n, dt))
+        }
+        TokenKind::Keyword(kw @ ("TRUE" | "FALSE")) => Ok(Term::typed_literal(
+            kw.to_ascii_lowercase(),
+            hsp_rdf::vocab::XSD_BOOLEAN,
+        )),
+        other => Err(format!("expected a term, found {other}")),
+    }
+}
+
+struct Parser<'t, 'a> {
+    /// Ends with [`TokenKind::Eof`], which `advance` never moves past.
+    tokens: &'t [Token<'a>],
     pos: usize,
     prefixes: HashMap<String, String>,
+    /// See [`parse_tokens`].
+    hoisted: Vec<usize>,
 }
 
-impl Parser {
+impl<'t, 'a> Parser<'t, 'a> {
+    fn new(tokens: &'t [Token<'a>]) -> Result<Self, ParseError> {
+        match tokens.last() {
+            Some(last) if last.kind == TokenKind::Eof => Ok(Parser {
+                tokens,
+                pos: 0,
+                prefixes: HashMap::new(),
+                hoisted: Vec::new(),
+            }),
+            last => Err(ParseError {
+                offset: last.map_or(0, |t| t.offset),
+                message: "the token stream does not end with end of input".into(),
+            }),
+        }
+    }
+
     fn parse(&mut self) -> Result<Query, ParseError> {
         // PREFIX declarations.
         let mut prefixes = Vec::new();
@@ -124,7 +184,7 @@ impl Parser {
                 match self.peek().clone() {
                     TokenKind::Var(name) => {
                         self.advance();
-                        vars.push(name);
+                        vars.push(name.to_string());
                         // Optional comma between projection variables (the
                         // paper writes `SELECT ?yr,?jrnl`).
                         if self.at_punct(",") {
@@ -160,7 +220,7 @@ impl Parser {
             self.expect_keyword("BY")?;
             while let TokenKind::Var(name) = self.peek().clone() {
                 self.advance();
-                group_by.push(name);
+                group_by.push(name.to_string());
                 if self.at_punct(",") {
                     self.advance();
                 }
@@ -236,9 +296,9 @@ impl Parser {
     fn parse_agg_select_item(&mut self) -> Result<AggAst, ParseError> {
         self.expect_punct("(")?;
         let func = match self.peek().clone() {
-            TokenKind::Keyword(kw) if Self::agg_func(&kw).is_some() => {
+            TokenKind::Keyword(kw) if Self::agg_func(kw).is_some() => {
                 self.advance();
-                Self::agg_func(&kw).expect("guarded")
+                Self::agg_func(kw).expect("guarded")
             }
             other => {
                 return Err(self.err(format!(
@@ -251,7 +311,7 @@ impl Parser {
         let alias = match self.peek().clone() {
             TokenKind::Var(name) => {
                 self.advance();
-                name
+                name.to_string()
             }
             other => return Err(self.err(format!("expected `?alias` after AS, found {other}"))),
         };
@@ -283,7 +343,7 @@ impl Parser {
             match self.peek().clone() {
                 TokenKind::Var(name) => {
                     self.advance();
-                    Some(name)
+                    Some(name.to_string())
                 }
                 other => {
                     return Err(self.err(format!(
@@ -305,7 +365,7 @@ impl Parser {
             match self.peek().clone() {
                 TokenKind::Var(name) => {
                     self.advance();
-                    keys.push((ExprAst::Var(name), false));
+                    keys.push((ExprAst::Var(name.to_string()), false));
                 }
                 TokenKind::Keyword(kw) if kw == "ASC" || kw == "DESC" => {
                     self.advance();
@@ -320,7 +380,7 @@ impl Parser {
                     self.expect_punct(")")?;
                     keys.push((e, false));
                 }
-                TokenKind::Keyword(kw) if crate::expr::Func::from_name(&kw).is_some() => {
+                TokenKind::Keyword(kw) if crate::expr::Func::from_name(kw).is_some() => {
                     keys.push((self.parse_primary_expr()?, false));
                 }
                 _ => break,
@@ -427,12 +487,12 @@ impl Parser {
         // `PREFIX name: <iri>` — the lexer merges `name:` into a Prefixed
         // token with empty local part (or `name:` followed by nothing).
         match self.peek().clone() {
-            TokenKind::Prefixed(name, local) if local.is_empty() => {
+            TokenKind::Prefixed(name, "") => {
                 self.advance();
                 match self.peek().clone() {
                     TokenKind::Iri(iri) => {
                         self.advance();
-                        Ok((name, iri))
+                        Ok((name.to_string(), iri.to_string()))
                     }
                     other => Err(self.err(format!("expected IRI after PREFIX, found {other}"))),
                 }
@@ -490,11 +550,11 @@ impl Parser {
             }
             // A triple pattern, possibly with `;` predicate-object lists and
             // `,` object lists.
-            let subject = self.parse_node()?;
+            let subject = self.parse_node(true)?;
             loop {
                 let predicate = self.parse_verb()?;
                 loop {
-                    let object = self.parse_node()?;
+                    let object = self.parse_node(true)?;
                     elements.push(Element::Triple(TriplePatternAst {
                         subject: subject.clone(),
                         predicate: predicate.clone(),
@@ -533,66 +593,28 @@ impl Parser {
             self.advance();
             return Ok(NodeAst::Const(Term::iri(hsp_rdf::vocab::RDF_TYPE)));
         }
-        self.parse_node()
+        self.parse_node(false)
     }
 
-    fn parse_node(&mut self) -> Result<NodeAst, ParseError> {
+    /// A variable or a constant; `hoisted` says whether the canonicaliser
+    /// hoists the constant as a parameter (see [`parse_tokens`]).
+    fn parse_node(&mut self, hoisted: bool) -> Result<NodeAst, ParseError> {
         match self.peek().clone() {
             TokenKind::Var(name) => {
                 self.advance();
-                Ok(NodeAst::Var(name))
+                Ok(NodeAst::Var(name.to_string()))
             }
-            _ => Ok(NodeAst::Const(self.parse_const()?)),
+            _ => Ok(NodeAst::Const(self.parse_const(hoisted)?)),
         }
     }
 
-    fn parse_const(&mut self) -> Result<Term, ParseError> {
-        match self.peek().clone() {
-            TokenKind::Iri(iri) => {
-                self.advance();
-                Ok(Term::iri(iri))
-            }
-            TokenKind::Prefixed(prefix, local) => {
-                let base = self
-                    .prefixes
-                    .get(&prefix)
-                    .cloned()
-                    .ok_or_else(|| self.err(format!("undeclared prefix `{prefix}:`")))?;
-                self.advance();
-                Ok(Term::iri(format!("{base}{local}")))
-            }
-            TokenKind::Literal {
-                lexical,
-                language,
-                datatype,
-            } => {
-                self.advance();
-                Ok(match (language, datatype) {
-                    (Some(lang), _) => Term::lang_literal(lexical, lang),
-                    (None, Some(dt)) => Term::typed_literal(lexical, dt),
-                    (None, None) => Term::literal(lexical),
-                })
-            }
-            TokenKind::Number(n) => {
-                self.advance();
-                let dt = if n.contains('e') || n.contains('E') {
-                    hsp_rdf::vocab::XSD_DOUBLE
-                } else if n.contains('.') {
-                    hsp_rdf::vocab::XSD_DECIMAL
-                } else {
-                    hsp_rdf::vocab::XSD_INTEGER
-                };
-                Ok(Term::typed_literal(n, dt))
-            }
-            TokenKind::Keyword(kw) if kw == "TRUE" || kw == "FALSE" => {
-                self.advance();
-                Ok(Term::typed_literal(
-                    kw.to_ascii_lowercase(),
-                    hsp_rdf::vocab::XSD_BOOLEAN,
-                ))
-            }
-            other => Err(self.err(format!("expected a term, found {other}"))),
+    fn parse_const(&mut self, hoisted: bool) -> Result<Term, ParseError> {
+        let term = token_term(self.peek(), &self.prefixes).map_err(|m| self.err(m))?;
+        if hoisted {
+            self.hoisted.push(self.pos);
         }
+        self.advance();
+        Ok(term)
     }
 
     // --- the expression grammar (SPARQL precedence ladder) ---
@@ -706,19 +728,12 @@ impl Parser {
             }
             TokenKind::Var(name) => {
                 self.advance();
-                Ok(ExprAst::Var(name))
+                Ok(ExprAst::Var(name.to_string()))
             }
-            TokenKind::Keyword(kw) if kw == "TRUE" || kw == "FALSE" => {
-                self.advance();
-                Ok(ExprAst::Const(Term::typed_literal(
-                    kw.to_ascii_lowercase(),
-                    hsp_rdf::vocab::XSD_BOOLEAN,
-                )))
-            }
-            TokenKind::Keyword(kw) if Self::agg_func(&kw).is_some() => {
+            TokenKind::Keyword(kw) if Self::agg_func(kw).is_some() => {
                 // Aggregate call — only meaningful inside HAVING; lowering
                 // rejects it anywhere else.
-                let func = Self::agg_func(&kw).expect("guarded");
+                let func = Self::agg_func(kw).expect("guarded");
                 self.advance();
                 let (distinct, arg) = self.parse_agg_body(func)?;
                 Ok(ExprAst::Agg {
@@ -727,7 +742,7 @@ impl Parser {
                     arg,
                 })
             }
-            TokenKind::Keyword(kw) if crate::expr::Func::from_name(&kw).is_some() => {
+            TokenKind::Keyword(kw) if crate::expr::Func::from_name(kw).is_some() => {
                 self.advance();
                 self.expect_punct("(")?;
                 let mut args = Vec::new();
@@ -742,15 +757,18 @@ impl Parser {
                     }
                 }
                 self.expect_punct(")")?;
-                Ok(ExprAst::Call { func: kw, args })
+                Ok(ExprAst::Call {
+                    func: kw.to_string(),
+                    args,
+                })
             }
-            _ => Ok(ExprAst::Const(self.parse_const()?)),
+            _ => Ok(ExprAst::Const(self.parse_const(true)?)),
         }
     }
 
     // --- token helpers ---
 
-    fn peek(&self) -> &TokenKind {
+    fn peek(&self) -> &TokenKind<'a> {
         &self.tokens[self.pos].kind
     }
 
@@ -761,7 +779,7 @@ impl Parser {
     }
 
     fn at_keyword(&self, kw: &str) -> bool {
-        matches!(self.peek(), TokenKind::Keyword(k) if k == kw)
+        matches!(self.peek(), TokenKind::Keyword(k) if *k == kw)
     }
 
     fn at_punct(&self, p: &str) -> bool {

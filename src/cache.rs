@@ -4,12 +4,24 @@
 //! depends only on the *syntactic shape* of the query (paper §3 — the
 //! heuristics consult no data statistics). Two queries with the same
 //! [canonical shape](hsp_sparql::canonicalize) therefore get the same
-//! plan modulo the hoisted constants, so the session caches the lowered
-//! [`PhysicalPlan`] per shape key and re-instantiates it with the new
-//! request's constants — skipping parsing-to-plan lowering (including
-//! the MWIS independence search) entirely. Because the plan never
-//! depended on the data, this tier needs **no invalidation**: updates
-//! cannot make a cached plan wrong, only a cached *result* stale.
+//! plan modulo the hoisted constants, so the session caches, per shape
+//! key, the planned [`PhysicalPlan`] (not yet lowered to pipelines) and
+//! the rewritten query. A hit by canonical key has parsed and
+//! canonicalised the request; it skips the planner (including the MWIS
+//! independence search) and re-targets the entry at the request's
+//! constants and names, after the tier's mutex is released.
+//!
+//! In front of the key, each request served that way leaves a token-shape
+//! **alias**: under its [skeleton](hsp_sparql::skeleton), a
+//! [`Template`] with the plan and query the request got. A later request
+//! is lexed once; when an alias of its skeleton accepts its tokens and the
+//! canonical entry behind the alias is still cached, the request gets that
+//! plan and query with its own constants put in by position — no parse,
+//! no canonical key, no search by value — and the hit counts exactly as
+//! the canonical path's would. Aliases and shapes share the tier's recency
+//! list and its bound. Because the plan never depended on the data, this
+//! tier needs **no invalidation**: updates cannot make a cached plan
+//! wrong, only a cached *result* stale.
 //!
 //! **Tier 2 — result cache.** A bounded LRU (entries + approximate
 //! bytes, the request text an entry is keyed by included) of query
@@ -57,6 +69,7 @@
 //! published in between — a reader can therefore never observe a
 //! pre-update result after the publishing swap.
 
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -64,13 +77,18 @@ use std::sync::{Arc, Mutex};
 use hsp_engine::plan::PhysicalPlan;
 use hsp_engine::{IdRows, RuntimeMetrics};
 use hsp_rdf::Term;
-use hsp_sparql::{CanonicalQuery, JoinQuery, TermOrVar, Var};
+use hsp_sparql::lexer::Token;
+use hsp_sparql::{CanonicalQuery, JoinQuery, Template, TermOrVar, Var};
 
 use crate::update::Touched;
 
-/// Maximum cached plans (shape keys). Plans are small; this bound only
-/// guards against unbounded template churn.
+/// Maximum plan-tier entries: canonical shapes and token skeletons
+/// together. Plans are small; this bound only guards against unbounded
+/// template churn.
 const MAX_PLAN_ENTRIES: usize = 512;
+/// Maximum aliases under one token skeleton (templates that differ only
+/// in their kept constants, e.g. their predicates, share a skeleton).
+const MAX_ALIASES_PER_SKELETON: usize = 8;
 /// Maximum cached results.
 const MAX_RESULT_ENTRIES: usize = 1024;
 /// Approximate byte budget for cached results (32 MiB).
@@ -120,6 +138,16 @@ pub struct CacheStats {
     pub result_entries: usize,
     /// Approximate bytes held by live result entries.
     pub result_bytes: usize,
+}
+
+/// One plan-tier entry. Both kinds share the tier's recency list and its
+/// bound.
+enum PlanSlot {
+    /// The plan of a canonical shape key.
+    Shape(Arc<PlanEntry>),
+    /// The aliases of a token skeleton, one per template served through
+    /// the canonical path with it.
+    Aliases(Arc<[Arc<Alias>]>),
 }
 
 /// A cached plan for one canonical shape: the physical plan and the
@@ -202,6 +230,69 @@ impl PlanEntry {
         }
         Some((plan, query))
     }
+}
+
+/// A token-shape alias of a canonical entry: the plan and query one
+/// request was served with, and the [`Template`] that tells which other
+/// texts are the same shape. Such a text gets the plan and query back with
+/// its own parameters put in by position — no parse, no canonical key, no
+/// search by value. Variable and output names need no mapping: the
+/// skeleton repeats them exactly.
+struct Alias {
+    template: Template,
+    /// The canonical key and entry the request was served from. The alias
+    /// hits only while that entry is the key's — exactly when the
+    /// canonical path would hit.
+    key: Arc<str>,
+    entry: Arc<PlanEntry>,
+    plan: PhysicalPlan,
+    query: JoinQuery,
+    /// The canonical parameter each constant of `plan`, then of `query`,
+    /// holds, in the order [`PhysicalPlan::instantiate`] and
+    /// [`instantiate_query`] visit them; `None` for a kept constant.
+    consts: Vec<Option<usize>>,
+}
+
+impl Alias {
+    /// The plan and query with `params`, the canonical parameters of a text
+    /// the template accepted, in place of the alias's own.
+    fn instantiate(&self, params: &[Term]) -> (PhysicalPlan, JoinQuery) {
+        let visited = Cell::new(0);
+        let term = |_: &Term| {
+            let at = visited.get();
+            visited.set(at + 1);
+            // The walk is the one `positional` recorded over the same plan
+            // and query, so it visits exactly `consts.len()` constants.
+            self.consts[at].map(|k| params[k].clone())
+        };
+        let same = |_: &str| None;
+        (
+            self.plan.instantiate(&term, &same),
+            instantiate_query(&self.query, &term, &same),
+        )
+    }
+}
+
+/// Copies of `plan` and `query` with, for each constant in the order
+/// [`Alias::instantiate`] visits them, the index of the parameter in
+/// `params` it holds. Under the guards `canonicalize` passed, a constant
+/// equal to a parameter *is* that parameter — the rule
+/// `PlanEntry::instantiate` substitutes by, applied once here instead of
+/// on every hit.
+fn positional(
+    plan: &PhysicalPlan,
+    query: &JoinQuery,
+    params: &[Term],
+) -> (PhysicalPlan, JoinQuery, Vec<Option<usize>>) {
+    let consts = RefCell::new(Vec::new());
+    let record = |t: &Term| {
+        consts.borrow_mut().push(params.iter().position(|p| p == t));
+        None
+    };
+    let same = |_: &str| None;
+    let plan = plan.instantiate(&record, &same);
+    let query = instantiate_query(query, &record, &same);
+    (plan, query, consts.into_inner())
 }
 
 /// Clone `q` with constants and output names substituted. Variables are
@@ -508,7 +599,7 @@ impl ResultStore {
 /// The session-owned two-tier cache. See the module docs for the
 /// design and the concurrency contract.
 pub(crate) struct QueryCache {
-    plans: Mutex<Lru<PlanEntry>>,
+    plans: Mutex<Lru<PlanSlot>>,
     results: Mutex<ResultStore>,
     /// Bumped (under the store's write lock) every time an update
     /// publishes a new snapshot; guards result inserts against races.
@@ -543,20 +634,51 @@ impl QueryCache {
         self.version.load(Ordering::Acquire)
     }
 
-    /// Plan-tier lookup: returns the cached plan re-instantiated for
-    /// `query` on a hit. Counts a miss when absent *or* when the entry
-    /// cannot be safely re-targeted (the caller plans fresh either way).
+    /// Plan-tier lookup by token shape: the cached plan and query with
+    /// the constants of `tokens` put in, when an alias of its skeleton
+    /// accepts them and the canonical entry behind it is still cached.
+    /// Counts a hit then and nothing otherwise: the caller falls back to
+    /// [`QueryCache::plan_get`], which counts as it always did.
+    pub(crate) fn alias_get(&self, tokens: &[Token]) -> Option<(PhysicalPlan, JoinQuery)> {
+        let skeleton = hsp_sparql::skeleton(tokens);
+        let mut plans = self.plans.lock().unwrap_or_else(|e| e.into_inner());
+        let aliases = match plans.get(&skeleton) {
+            Some(PlanSlot::Aliases(aliases)) => Arc::clone(aliases),
+            _ => return None,
+        };
+        drop(plans);
+        let (alias, params) = aliases
+            .iter()
+            .find_map(|alias| Some((alias, alias.template.params(tokens)?)))?;
+        // Touch the canonical entry as the canonical path's hit would.
+        let mut plans = self.plans.lock().unwrap_or_else(|e| e.into_inner());
+        let live = matches!(plans.get(&alias.key),
+            Some(PlanSlot::Shape(entry)) if Arc::ptr_eq(entry, &alias.entry));
+        drop(plans);
+        if !live {
+            return None;
+        }
+        self.plan_hits.fetch_add(1, Ordering::Relaxed);
+        Some(alias.instantiate(&params))
+    }
+
+    /// Plan-tier lookup by canonical key: returns the cached plan
+    /// re-instantiated for `query` on a hit. Counts a miss when absent *or*
+    /// when the entry cannot be safely re-targeted (the caller plans fresh
+    /// either way). The entry is re-instantiated after the tier's mutex is
+    /// released, so concurrent hits do not queue behind one another.
     pub(crate) fn plan_get(
         &self,
         canon: &CanonicalQuery,
         query: &JoinQuery,
     ) -> Option<(PhysicalPlan, JoinQuery)> {
         let mut plans = self.plans.lock().unwrap_or_else(|e| e.into_inner());
-        let instantiated = plans
-            .get(&canon.key)
-            .and_then(|entry| entry.instantiate(canon, query));
+        let entry = match plans.get(&canon.key) {
+            Some(PlanSlot::Shape(entry)) => Some(Arc::clone(entry)),
+            _ => None,
+        };
         drop(plans);
-        match instantiated {
+        match entry.and_then(|entry| entry.instantiate(canon, query)) {
             Some(pair) => {
                 self.plan_hits.fetch_add(1, Ordering::Relaxed);
                 Some(pair)
@@ -571,7 +693,7 @@ impl QueryCache {
     /// Store a freshly planned query under its shape key.
     pub(crate) fn plan_insert(
         &self,
-        canon: CanonicalQuery,
+        canon: &CanonicalQuery,
         query: &JoinQuery,
         plan: &PhysicalPlan,
         planned_query: &JoinQuery,
@@ -579,17 +701,56 @@ impl QueryCache {
         let entry = PlanEntry {
             plan: plan.clone(),
             planned_query: planned_query.clone(),
-            params: canon.params,
-            canon_vars: canon.canon_vars,
+            params: canon.params.clone(),
+            canon_vars: canon.canon_vars.clone(),
             proj_names: query.projection.iter().map(|(n, _)| n.clone()).collect(),
             agg_names: query.aggregates.iter().map(|a| a.name.clone()).collect(),
         };
-        let key = Arc::from(canon.key);
+        let key = Arc::from(canon.key.as_str());
         let mut plans = self.plans.lock().unwrap_or_else(|e| e.into_inner());
-        plans.insert(key, entry);
-        if plans.len() > MAX_PLAN_ENTRIES {
-            plans.pop_lru();
+        insert_plan_slot(&mut plans, key, PlanSlot::Shape(Arc::new(entry)));
+    }
+
+    /// Record the token shape of a request the canonical path just served
+    /// `plan` and `planned_query` for under `canon`, as an alias of that
+    /// canonical entry — replacing an alias with the same template. Does
+    /// nothing when the entry is no longer cached.
+    pub(crate) fn alias_insert(
+        &self,
+        tokens: &[Token],
+        template: Template,
+        canon: &CanonicalQuery,
+        plan: &PhysicalPlan,
+        planned_query: &JoinQuery,
+    ) {
+        let skeleton = hsp_sparql::skeleton(tokens);
+        let (plan, query, consts) = positional(plan, planned_query, &canon.params);
+        let mut plans = self.plans.lock().unwrap_or_else(|e| e.into_inner());
+        let entry = match plans.get(&canon.key) {
+            Some(PlanSlot::Shape(entry)) => Arc::clone(entry),
+            _ => return,
+        };
+        let mut aliases: Vec<Arc<Alias>> = match plans.get(&skeleton) {
+            Some(PlanSlot::Aliases(aliases)) => aliases
+                .iter()
+                .filter(|alias| alias.template != template)
+                .cloned()
+                .collect(),
+            _ => Vec::new(),
+        };
+        if aliases.len() >= MAX_ALIASES_PER_SKELETON {
+            aliases.remove(0);
         }
+        aliases.push(Arc::new(Alias {
+            template,
+            key: Arc::from(canon.key.as_str()),
+            entry,
+            plan,
+            query,
+            consts,
+        }));
+        let slot = PlanSlot::Aliases(aliases.into());
+        insert_plan_slot(&mut plans, Arc::from(skeleton), slot);
     }
 
     /// Result-tier lookup. Call while holding the store's read lock, and
@@ -666,6 +827,15 @@ impl QueryCache {
             result_entries: entries,
             result_bytes: bytes,
         }
+    }
+}
+
+/// Store `slot` under `key` as the most recently used plan-tier entry and
+/// evict the least recently used one past the bound.
+fn insert_plan_slot(plans: &mut Lru<PlanSlot>, key: Arc<str>, slot: PlanSlot) {
+    plans.insert(key, slot);
+    if plans.len() > MAX_PLAN_ENTRIES {
+        plans.pop_lru();
     }
 }
 
@@ -859,7 +1029,7 @@ mod tests {
         let insert = |i: usize| {
             let (canon, query) = shape(i);
             let planned = HspPlanner::new().plan(&query).expect("plans");
-            cache.plan_insert(canon, &query, &planned.plan, &planned.query);
+            cache.plan_insert(&canon, &query, &planned.plan, &planned.query);
         };
         let cached = |i: usize| {
             let (canon, query) = shape(i);
@@ -876,6 +1046,82 @@ mod tests {
         let plans = cache.plans.lock().unwrap();
         assert_eq!(plans.len(), MAX_PLAN_ENTRIES);
         plans.check();
+    }
+
+    /// What the session's canonical path does for `text`: plan it (or
+    /// re-instantiate the cached plan) and record its token shape.
+    fn serve_canonically(cache: &QueryCache, text: &str) -> (PhysicalPlan, JoinQuery) {
+        let tokens = hsp_sparql::lexer::tokenize(text).expect("lexes");
+        let (ast, hoisted) = hsp_sparql::parse_tokens(&tokens).expect("parses");
+        let query = JoinQuery::from_ast(&ast).expect("a join query");
+        let canon = hsp_sparql::canonicalize(&query).expect("canonicalises");
+        let pair = cache.plan_get(&canon, &query).unwrap_or_else(|| {
+            let planned = HspPlanner::new().plan(&query).expect("plans");
+            cache.plan_insert(&canon, &query, &planned.plan, &planned.query);
+            (planned.plan, planned.query)
+        });
+        let template = Template::new(&tokens, &hoisted, &ast, &query, &canon).expect("a template");
+        cache.alias_insert(&tokens, template, &canon, &pair.0, &pair.1);
+        pair
+    }
+
+    fn alias_get(cache: &QueryCache, text: &str) -> Option<(PhysicalPlan, JoinQuery)> {
+        cache.alias_get(&hsp_sparql::lexer::tokenize(text).expect("lexes"))
+    }
+
+    #[test]
+    fn token_aliases_serve_what_the_canonical_path_would_while_its_entry_lives() {
+        let text = |o: &str, limit: usize| {
+            format!(
+                "SELECT ?s ?o WHERE {{ ?s <http://e/p> {o} . ?s <http://e/q> ?o . \
+                 FILTER (?o > 5) }} LIMIT {limit}"
+            )
+        };
+        let cache = QueryCache::default();
+        serve_canonically(&cache, &text("<http://e/a>", 5));
+        let counts = |cache: &QueryCache| (cache.stats().plan_hits, cache.stats().plan_misses);
+        assert_eq!(counts(&cache), (0, 1));
+
+        // An instance: the alias hands out what a fresh canonical-path
+        // lookup of the same text would, counted as that lookup's hit.
+        let instance = text("<http://e/b>", 5);
+        let via_alias = alias_get(&cache, &instance).expect("an alias hit");
+        assert_eq!(counts(&cache), (1, 1));
+        assert_eq!(
+            via_alias,
+            serve_canonically(&QueryCache::default(), &instance)
+        );
+        assert_eq!(via_alias, serve_canonically(&cache, &instance));
+        assert_eq!(counts(&cache), (2, 1));
+
+        // Not instances, and counted as nothing: another LIMIT, another
+        // kind of object, another predicate.
+        for other in [
+            text("<http://e/b>", 7),
+            text("\"b\"", 5),
+            text("<http://e/b>", 5).replace("http://e/q", "http://e/r"),
+        ] {
+            assert!(alias_get(&cache, &other).is_none(), "{other}");
+        }
+        assert_eq!(counts(&cache), (2, 1));
+
+        // The alias dies with its canonical entry. The lookups above made
+        // the alias more recent than the entry; 510 new shapes (one shared
+        // skeleton) evict the entry alone. The canonical path would miss
+        // now, and so does the alias, though it is still cached.
+        for i in 0..MAX_PLAN_ENTRIES - 2 {
+            serve_canonically(
+                &cache,
+                &format!("SELECT ?s WHERE {{ ?s <http://e/p{i}> ?o . }}"),
+            );
+        }
+        assert!(alias_get(&cache, &instance).is_none());
+        assert_eq!(counts(&cache), (2, 1 + MAX_PLAN_ENTRIES as u64 - 2));
+        let mut plans = cache.plans.lock().unwrap();
+        assert_eq!(plans.len(), MAX_PLAN_ENTRIES);
+        plans.check();
+        let skeleton = hsp_sparql::skeleton(&hsp_sparql::lexer::tokenize(&instance).unwrap());
+        assert!(matches!(plans.get(&skeleton), Some(PlanSlot::Aliases(_))));
     }
 
     impl<V> Lru<V> {

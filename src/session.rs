@@ -58,7 +58,8 @@ use hsp_engine::{
     RuntimeMetrics, SharedPool,
 };
 use hsp_rdf::Term;
-use hsp_sparql::JoinQuery;
+use hsp_sparql::lexer::{tokenize, Token};
+use hsp_sparql::{JoinQuery, ParseError, Template};
 use hsp_store::Dataset;
 
 use crate::cache::{plan_reads, CacheStats, CachedResult, QueryCache, Reads};
@@ -469,9 +470,11 @@ impl Session {
     /// Caching (on by default, [`Request::without_cache`] opts out):
     /// a result-cacheable request is first looked up in the result tier
     /// and a hit returns the stored id rows without executing at all;
-    /// on a miss, HSP join queries consult the plan tier by canonical
-    /// shape, skipping planning when an isomorphic query was planned
-    /// before. [`Response::metrics`] reports both tiers' outcomes.
+    /// on a miss, HSP join queries consult the plan tier — by token shape,
+    /// skipping even the parser when an instance of the same template was
+    /// served before, else by canonical shape, skipping planning when an
+    /// isomorphic query was planned before. [`Response::metrics`] reports
+    /// both tiers' outcomes.
     pub fn query_encoded(&self, request: Request) -> Result<EncodedResponse, SessionError> {
         let result_key = result_cache_key(&request);
         // Look up and snapshot under one store read guard: invalidation
@@ -711,13 +714,16 @@ fn result_cache_key(request: &Request) -> Option<String> {
     ))
 }
 
-/// One parse of the text, two ways to obtain a plan, one way to run it:
-/// a join-fragment query takes the chosen planner (through the plan tier
-/// for HSP), everything else — OPTIONAL, UNION, ASK — is composed from
-/// HSP-planned blocks ([`compose`]); either way the result is one
-/// [`PhysicalPlan`] and the query it describes, and the tail below
-/// executes it once, explains it, moves the projected ids out and derives
-/// the predicate read set the result cache keys invalidation on.
+/// One lexer pass, three ways to obtain a plan, one way to run it. An HSP
+/// request whose token shape the plan tier knows takes the cached plan
+/// with its own constants put in, unparsed ([`QueryCache::alias_get`]);
+/// any other join-fragment query is parsed and takes the chosen planner
+/// (through the canonical plan tier for HSP); everything else — OPTIONAL,
+/// UNION, ASK — is composed from HSP-planned blocks ([`compose`]). Either
+/// way the result is one [`PhysicalPlan`] and the query it describes, and
+/// the tail below executes it once, explains it, moves the projected ids
+/// out and derives the predicate read set the result cache keys
+/// invalidation on.
 fn query_snapshot(
     snapshot: Arc<Dataset>,
     request: &Request,
@@ -726,53 +732,27 @@ fn query_snapshot(
     cache: Option<&QueryCache>,
 ) -> Result<(EncodedResponse, Reads), SessionError> {
     let ds: &Dataset = &snapshot;
-    let ast = hsp_sparql::parse_query(&request.text)
-        .map_err(|e| SessionError::Query(ExtendedError::Parse(e)))?;
-    let mut plan_cache_used = false;
-    let mut plan_cache_hit = false;
-    let mut note = None;
-    let join = (!ast.ask).then(|| JoinQuery::from_ast(&ast));
-    let (plan, planned_query) = match join {
-        Some(Ok(query)) => {
-            // Plan tier: HSP plans are statistics-free, so any query
-            // with the same canonical shape reuses the cached plan with
-            // its own constants substituted — planning runs only once
-            // per shape. Baseline planners consult the data and are
-            // planned fresh every time.
-            let canon = match cache {
-                Some(c) if request.planner == Planner::Hsp => {
-                    hsp_sparql::canonicalize(&query).map(|canon| (c, canon))
-                }
-                _ => None,
-            };
-            plan_cache_used = canon.is_some();
-            match canon {
-                Some((c, canon)) => match c.plan_get(&canon, &query) {
-                    Some(pair) => {
-                        plan_cache_hit = true;
-                        pair
-                    }
-                    None => {
-                        let pair =
-                            plan_query(request.planner, ds, &query).map_err(SessionError::Plan)?;
-                        c.plan_insert(canon, &query, &pair.0, &pair.1);
-                        pair
-                    }
-                },
-                None => plan_query(request.planner, ds, &query).map_err(SessionError::Plan)?,
-            }
-        }
-        other => {
-            if let Some(Err(join_err)) = other {
-                note = (request.planner != Planner::Hsp).then(|| {
-                    format!(
-                        "query is outside the join-query fragment ({join_err}); \
-                         using the extended evaluator (HSP-planned blocks)"
-                    )
-                });
-            }
-            compose(&ast).map_err(SessionError::Query)?
-        }
+    let tokens = tokenize(&request.text).map_err(|e| parse_error(e.into()))?;
+    // Plan tier: HSP plans are statistics-free, so any query with the same
+    // shape reuses a cached plan with its own constants substituted —
+    // planning runs only once per shape. Baseline planners consult the
+    // data and are planned fresh every time.
+    let plan_tier = cache.filter(|_| request.planner == Planner::Hsp);
+    let Planned {
+        plan,
+        query: planned_query,
+        ask,
+        note,
+        plan_cache,
+    } = match plan_tier.and_then(|c| c.alias_get(&tokens)) {
+        Some((plan, query)) => Planned {
+            plan,
+            query,
+            ask: false,
+            note: None,
+            plan_cache: Some(true),
+        },
+        None => plan_parsed(ds, request, &tokens, plan_tier)?,
     };
 
     let reads = plan_reads(&plan);
@@ -792,10 +772,10 @@ fn query_snapshot(
     // ASK plan projects none and keeps one row iff a solution exists).
     let (columns, vars): (Vec<String>, Vec<_>) = planned_query.projection.iter().cloned().unzip();
     let mut metrics = output.runtime;
-    metrics.plan_cache_used = plan_cache_used;
-    metrics.plan_cache_hit = plan_cache_hit;
+    metrics.plan_cache_used = plan_cache.is_some();
+    metrics.plan_cache_hit = plan_cache == Some(true);
     let rows = output.into_id_rows(&vars);
-    let ask = ast.ask.then_some(!rows.is_empty());
+    let ask = ask.then_some(!rows.is_empty());
     Ok((
         EncodedResponse {
             columns: columns.into(),
@@ -809,6 +789,80 @@ fn query_snapshot(
         },
         reads,
     ))
+}
+
+/// A request's plan and the query it describes, with what the response
+/// reports about how they were obtained.
+struct Planned {
+    plan: PhysicalPlan,
+    query: JoinQuery,
+    ask: bool,
+    note: Option<String>,
+    /// `Some(hit)` when the plan tier was consulted.
+    plan_cache: Option<bool>,
+}
+
+fn parse_error(e: ParseError) -> SessionError {
+    SessionError::Query(ExtendedError::Parse(e))
+}
+
+/// Parse `tokens` and obtain their plan, through the canonical plan tier
+/// when `plan_tier` is given. A request served that way also leaves its
+/// token shape behind as an alias, so the next instance of its template
+/// skips everything here.
+fn plan_parsed(
+    ds: &Dataset,
+    request: &Request,
+    tokens: &[Token],
+    plan_tier: Option<&QueryCache>,
+) -> Result<Planned, SessionError> {
+    let (ast, hoisted) = hsp_sparql::parse_tokens(tokens).map_err(parse_error)?;
+    let join = (!ast.ask).then(|| JoinQuery::from_ast(&ast));
+    let (plan, query, plan_cache, note) = match join {
+        Some(Ok(query)) => {
+            let canon = plan_tier.and_then(|c| Some((c, hsp_sparql::canonicalize(&query)?)));
+            match canon {
+                Some((c, canon)) => {
+                    let (pair, hit) = match c.plan_get(&canon, &query) {
+                        Some(pair) => (pair, true),
+                        None => {
+                            let pair = plan_query(request.planner, ds, &query)
+                                .map_err(SessionError::Plan)?;
+                            c.plan_insert(&canon, &query, &pair.0, &pair.1);
+                            (pair, false)
+                        }
+                    };
+                    if let Some(template) = Template::new(tokens, &hoisted, &ast, &query, &canon) {
+                        c.alias_insert(tokens, template, &canon, &pair.0, &pair.1);
+                    }
+                    (pair.0, pair.1, Some(hit), None)
+                }
+                None => {
+                    let (plan, planned) =
+                        plan_query(request.planner, ds, &query).map_err(SessionError::Plan)?;
+                    (plan, planned, None, None)
+                }
+            }
+        }
+        other => {
+            let note = match other {
+                Some(Err(join_err)) if request.planner != Planner::Hsp => Some(format!(
+                    "query is outside the join-query fragment ({join_err}); \
+                     using the extended evaluator (HSP-planned blocks)"
+                )),
+                _ => None,
+            };
+            let (plan, query) = compose(&ast).map_err(SessionError::Query)?;
+            (plan, query, None, note)
+        }
+    };
+    Ok(Planned {
+        plan,
+        query,
+        ask: ast.ask,
+        note,
+        plan_cache,
+    })
 }
 
 #[cfg(test)]

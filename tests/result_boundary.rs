@@ -672,3 +672,57 @@ fn cache_churn_under_a_concurrent_writer_stays_consistent() {
             >= stats.result_entries as u64 + stats.result_evictions + stats.invalidations
     );
 }
+
+/// Four threads issue templated requests with fresh constants — distinct
+/// texts, so every one misses the result tier and reaches the plan tier —
+/// against one session at once. Some spell their variable differently, so
+/// token-shape misses, canonical hits and alias inserts interleave with
+/// alias hits, and the three templates share their plans across threads.
+/// Every response renders what an uncached run of its text does, and every
+/// request counts one plan-tier hit or miss.
+#[test]
+fn concurrent_plan_tier_hits_equal_uncached_runs() {
+    const THREADS: usize = 4;
+    const PER_THREAD: usize = 150;
+    let request = |i: usize| -> String {
+        let v = if i.is_multiple_of(7) { "x" } else { "n" };
+        match i % 3 {
+            0 => format!("SELECT ?{v} WHERE {{ <http://e/s{i}> <http://e/name> ?{v} . }}"),
+            1 => format!(
+                "SELECT ?s ?a WHERE {{ ?s <http://e/name> \"name {i}\" . ?s <http://e/age> ?a . }}"
+            ),
+            // The LIMIT count equals the FILTER constant now and then.
+            _ => format!(
+                "SELECT ?s ?{v} WHERE {{ ?s <http://e/age> ?a . ?s <http://e/name> ?{v} . \
+                 FILTER (?a < {} && ?s != <http://e/s{i}>) }} ORDER BY ?{v} LIMIT 3",
+                i % 90
+            ),
+        }
+    };
+    let total = THREADS * PER_THREAD;
+    let ds = churn_dataset();
+    let uncached = Session::new(ds.clone());
+    let expected: Vec<[String; 4]> = (0..total)
+        .map(|i| library_bytes(&uncached, &request(i)))
+        .collect();
+    let session = Session::new(ds);
+    let start = std::sync::Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for thread in 0..THREADS {
+            let (session, expected, start, request) = (&session, &expected, &start, &request);
+            scope.spawn(move || {
+                start.wait();
+                for i in (thread..total).step_by(THREADS) {
+                    let response = session.query_encoded(Request::new(request(i))).unwrap();
+                    assert!(response.metrics.plan_cache_used, "request {i}");
+                    assert_eq!(wire_bytes(&response), expected[i], "request {i}");
+                }
+            });
+        }
+    });
+    let stats = session.cache_stats();
+    assert_eq!(stats.result_misses, total as u64);
+    assert_eq!(stats.plan_hits + stats.plan_misses, total as u64);
+    // Only the threads racing the first instance of a shape can miss.
+    assert!(stats.plan_misses <= (3 * THREADS) as u64, "{stats:?}");
+}

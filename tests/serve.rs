@@ -259,7 +259,11 @@ fn updates_never_tear_a_concurrent_reader() {
         let writer = scope.spawn(move || {
             let mut client = Client::connect(addr).expect("writer connects");
             for i in 0..TRANSITIONS {
-                let text = if i % 2 == 0 { &insert } else { &delete };
+                let text = if i.is_multiple_of(2) {
+                    &insert
+                } else {
+                    &delete
+                };
                 let response = client.update("", text).expect("update transport");
                 assert!(response.starts_with("OK "), "writer: {response}");
             }
@@ -419,6 +423,191 @@ fn invalidation_is_exact_and_cached_responses_stay_byte_identical() {
     assert_eq!(final_stats.invalidations, before.invalidations + 4);
     assert!(run(&cached, name_q, 1, false).1.result_cache_hit);
     assert!(!run(&cached, knows_q, 1, false).1.result_cache_hit);
+}
+
+/// Twelve subjects with what the alias families below look up: ages to
+/// filter and limit, `knows` / `likes` edges (to `e:` and `f:` subjects and
+/// to the bare namespace IRIs a PREFIX declares), the same tag as an IRI
+/// and as a literal, classes, boolean and integer flags, and one object
+/// equal to a predicate.
+fn alias_dataset() -> Dataset {
+    const XSD: &str = "http://www.w3.org/2001/XMLSchema#";
+    let mut nt = String::new();
+    for i in 0..12usize {
+        let s = format!("<http://e/s{i}>");
+        let (next, skip) = ((i + 1) % 12, (i + 2 - i % 2) % 12);
+        let flag = if i.is_multiple_of(2) {
+            format!("\"true\"^^<{XSD}boolean>")
+        } else {
+            format!("\"1\"^^<{XSD}integer>")
+        };
+        nt.push_str(&format!(
+            "{s} <http://e/age> \"{age}\"^^<{XSD}integer> .\n\
+             {s} <http://e/knows> <http://e/s{next}> .\n\
+             {s} <http://e/likes> <http://e/s{skip}> .\n\
+             {s} <http://e/tag> <http://e/t{t}> .\n\
+             {s} <http://e/tag> \"t{t}\" .\n\
+             {s} <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://e/C{t}> .\n\
+             {s} <http://e/flag> {flag} .\n",
+            age = i % 4,
+            t = i % 2,
+        ));
+        if i.is_multiple_of(3) {
+            nt.push_str(&format!("{s} <http://e/knows> <http://e/> .\n"));
+        }
+        if i.is_multiple_of(2) {
+            nt.push_str(&format!("{s} <http://f/knows> <http://f/> .\n"));
+        }
+    }
+    nt.push_str("<http://e/s5> <http://e/knows> <http://e/knows> .\n");
+    Dataset::from_ntriples(&nt).unwrap()
+}
+
+/// Instance `r` of alias family `family % 9`, each family a template built
+/// to trip a key made from tokens, with its variable spelled `v`.
+fn alias_request(family: u64, r: u64, v: &str) -> String {
+    let pick = |options: &[&str], salt: u64| {
+        options[((r >> salt) % options.len() as u64) as usize].to_string()
+    };
+    let e = |local: &str| format!("<http://e/{local}>");
+    match family % 9 {
+        // LIMIT / OFFSET counts that equal the FILTER constant.
+        0 => format!(
+            "SELECT ?{v} ?a WHERE {{ ?{v} <http://e/age> ?a . FILTER (?a > {}) }} \
+             ORDER BY ?{v} LIMIT {} OFFSET {}",
+            pick(&["0", "1", "2"], 0),
+            pick(&["1", "2", "3"], 8),
+            pick(&["0", "1", "2"], 16),
+        ),
+        // A PREFIX IRI equal to the object IRI.
+        1 => format!(
+            "PREFIX e: <{}> SELECT ?{v} WHERE {{ ?{v} e:knows <{}> . }}",
+            pick(&["http://e/", "http://f/"], 0),
+            pick(&["http://e/", "http://f/", "http://e/s1"], 8),
+        ),
+        // Shared and split constants.
+        2 => format!(
+            "SELECT ?{v} WHERE {{ ?{v} <http://e/knows> {} . ?{v} <http://e/likes> {} . }}",
+            e(&pick(&["s1", "s2", "s3"], 0)),
+            e(&pick(&["s1", "s2", "s3"], 8)),
+        ),
+        // IRI ↔ literal swaps.
+        3 => format!(
+            "SELECT ?{v} WHERE {{ ?{v} <http://e/tag> {} . }}",
+            pick(&["<http://e/t0>", "<http://e/t1>", "\"t0\"", "\"t1\""], 0),
+        ),
+        // Prefixed and full IRIs.
+        4 => format!(
+            "PREFIX e: <http://e/> SELECT ?{v} WHERE {{ ?{v} e:knows {} . }}",
+            pick(&["e:s1", "<http://e/s1>", "e:s2", "<http://e/s2>"], 0),
+        ),
+        // `a` and `rdf:type`.
+        5 => format!(
+            "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> \
+             SELECT ?{v} WHERE {{ ?{v} {} {} . }}",
+            pick(
+                &[
+                    "a",
+                    "rdf:type",
+                    "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
+                ],
+                0
+            ),
+            e(&pick(&["C0", "C1"], 8)),
+        ),
+        // Boolean literals, typed and bare, beside an integer.
+        6 => format!(
+            "SELECT ?{v} WHERE {{ ?{v} <http://e/flag> {} . }}",
+            pick(
+                &[
+                    "\"true\"^^<http://www.w3.org/2001/XMLSchema#boolean>",
+                    "true",
+                    "\"1\"^^<http://www.w3.org/2001/XMLSchema#integer>",
+                    "1",
+                ],
+                0
+            ),
+        ),
+        // A parameter equal to a predicate.
+        7 => format!(
+            "SELECT ?{v} WHERE {{ ?{v} <http://e/knows> {} . }}",
+            e(&pick(&["knows", "s6", "s7"], 0)),
+        ),
+        // A changed predicate.
+        _ => format!(
+            "SELECT ?{v} WHERE {{ ?{v} {} <http://e/s3> . }}",
+            e(&pick(&["knows", "likes"], 0)),
+        ),
+    }
+}
+
+/// The plan tier's token-shape aliases against the canonical path they
+/// stand in for. Generated instances of the alias families — fresh
+/// constants drawn from pools small enough to repeat, share, swap kinds and
+/// collide with LIMIT counts, PREFIX IRIs and predicates, under two
+/// variable spellings — each render the bytes of an uncached run, and each
+/// counts exactly what the canonical key alone predicts: a result hit iff
+/// its text ran before ungoverned, otherwise a plan-tier hit iff a query
+/// with its key was planned before, and no plan-tier lookup when it has no
+/// key.
+#[test]
+fn token_aliases_match_uncached_runs_and_the_canonical_counts() {
+    use std::collections::HashSet;
+    let ds = alias_dataset();
+    let cached = Session::with_options(ds.clone(), pooled_options());
+    let uncached = Session::with_options(ds, pooled_options());
+    let (mut texts, mut keys) = (HashSet::new(), HashSet::new());
+    let (mut plan_hits, mut plan_misses) = (0, 0);
+    let mut state = 0x2545_f491_4f6c_dd1d_u64;
+    for step in 0..600 {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let r = state >> 24;
+        let text = alias_request(r % 9, r >> 4, if r >> 30 & 1 == 0 { "s" } else { "x" });
+        // A deadline keeps a request out of the result tier but not out of
+        // the plan tier: repeated texts then reach the aliases too.
+        let governed = r >> 31 & 1 == 1;
+        let mut request = Request::new(&text);
+        if governed {
+            request = request.with_timeout(std::time::Duration::from_secs(600));
+        }
+        let response = cached
+            .query(request)
+            .unwrap_or_else(|e| panic!("{text}: {e}"));
+        let expected = uncached
+            .query(Request::new(&text).without_cache())
+            .unwrap_or_else(|e| panic!("{text}: {e}"));
+        assert_eq!(
+            results::to_sparql_json(&response.output),
+            results::to_sparql_json(&expected.output),
+            "step {step}: {text}"
+        );
+        let m = response.metrics;
+        let result_hit = !governed && !texts.insert(text.clone());
+        assert_eq!(m.result_cache_hit, result_hit, "step {step}: {text}");
+        if result_hit {
+            continue;
+        }
+        let query = hsp_sparql::JoinQuery::parse(&text).expect("a join query");
+        let key = hsp_sparql::canonicalize(&query).map(|canon| canon.key);
+        assert_eq!(m.plan_cache_used, key.is_some(), "step {step}: {text}");
+        if let Some(key) = key {
+            let hit = !keys.insert(key);
+            assert_eq!(m.plan_cache_hit, hit, "step {step}: {text}");
+            if hit {
+                plan_hits += 1;
+            } else {
+                plan_misses += 1;
+            }
+        }
+    }
+    let stats = cached.cache_stats();
+    assert_eq!(
+        (stats.plan_hits, stats.plan_misses),
+        (plan_hits, plan_misses)
+    );
+    assert!(plan_hits > 200, "only {plan_hits} plan-tier hits");
 }
 
 /// Admission control under a deliberately tiny capacity: every response
