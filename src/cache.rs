@@ -47,8 +47,21 @@
 //!   have changed before the snapshot that changed them is published.
 //!
 //! So a hit is byte-identical to a cold run against the current snapshot.
-//! Neither insert nor hit copies, walks or drops a row: both are a few
-//! reference-count bumps, and the tier's mutex is held for no more.
+//! An insert copies, walks or drops no row, nor does a hit: both are a few
+//! reference-count bumps under the tier's mutex (an entry's first hit also
+//! makes its empty body slots).
+//!
+//! Beside its ids an entry keeps one wire **body** per result format,
+//! filled lazily: `hsp-serve`'s first hit on the entry in a format renders
+//! the body as a miss would and stores it (`QueryCache::body_insert`),
+//! and every later hit in that format sends the status line plus the
+//! stored pieces in one vectored write — no id resolved, no value escaped.
+//! A body is a function of the entry's ids, columns and format alone, so
+//! it is sound for the same two reasons; invalidation drops it with its
+//! entry. A fill is charged to the byte bound under the tier's mutex,
+//! evicts from the tail as an insert does, and is dropped when its entry
+//! left the tier since the hit. Misses, library callers and ASK answers
+//! store no body.
 //!
 //! **One recency mechanism.** Both tiers keep their entries in an `Lru`:
 //! a slab of nodes linked by index into a recency list, plus a hash map
@@ -72,7 +85,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use hsp_engine::plan::PhysicalPlan;
 use hsp_engine::{IdRows, RuntimeMetrics};
@@ -80,6 +93,7 @@ use hsp_rdf::Term;
 use hsp_sparql::lexer::Token;
 use hsp_sparql::{CanonicalQuery, JoinQuery, Template, TermOrVar, Var};
 
+use crate::results::Format;
 use crate::update::Touched;
 
 /// Maximum plan-tier entries: canonical shapes and token skeletons
@@ -365,14 +379,79 @@ pub(crate) struct CachedResult {
 
 struct ResultEntry {
     result: CachedResult,
+    /// The entry's wire body slots, shared with the responses its hits
+    /// return; made by its first hit, so a miss allocates none.
+    bodies: Option<Arc<Bodies>>,
     reads: Reads,
+    /// The entry's bytes, its filled bodies included.
     bytes: usize,
 }
 
-/// What a result entry costs before its key and rows: the entry and the
-/// two list links of its node.
-const RESULT_ENTRY_BYTES: usize =
-    std::mem::size_of::<ResultEntry>() + 2 * std::mem::size_of::<u32>();
+/// A response body as it goes on the wire: pieces that concatenate to the
+/// body, in order.
+pub(crate) type Body = Arc<[String]>;
+
+/// One result entry's bodies, a slot per [`Format`]. A slot is filled at
+/// most once, under the tier's mutex and only while the entry is live, and
+/// read without a lock; the body is a function of the entry's rows and the
+/// format alone, because ids never move.
+#[derive(Default)]
+struct Bodies([OnceLock<Body>; 4]);
+
+impl Bodies {
+    fn slot(&self, format: Format) -> &OnceLock<Body> {
+        &self.0[match format {
+            Format::Json => 0,
+            Format::Csv => 1,
+            Format::Tsv => 2,
+            Format::Table => 3,
+        }]
+    }
+}
+
+/// A hit's handle on its entry's bodies: the slots, and the key that finds
+/// the entry again when a body is stored in them.
+#[derive(Clone)]
+pub(crate) struct BodySlots {
+    key: Arc<str>,
+    bodies: Arc<Bodies>,
+}
+
+impl BodySlots {
+    /// The stored body in `format`, if a hit has stored one.
+    pub(crate) fn get(&self, format: Format) -> Option<&Body> {
+        self.bodies.slot(format).get()
+    }
+}
+
+impl std::fmt::Debug for BodySlots {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BodySlots")
+            .field("key", &self.key)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Strong + weak counts in front of an `Arc`'s value.
+const ARC_HEADER: usize = 2 * std::mem::size_of::<usize>();
+
+/// What a result entry costs before its key and rows: the entry, the two
+/// list links of its node and its body slots, charged whether or not a
+/// hit has made them.
+const RESULT_ENTRY_BYTES: usize = std::mem::size_of::<ResultEntry>()
+    + 2 * std::mem::size_of::<u32>()
+    + ARC_HEADER
+    + std::mem::size_of::<Bodies>();
+
+/// What a stored body costs: its pieces' bytes, their `String`s and the
+/// slice's `Arc` header.
+fn body_bytes(body: &[String]) -> usize {
+    ARC_HEADER
+        + body
+            .iter()
+            .map(|piece| std::mem::size_of::<String>() + piece.capacity())
+            .sum::<usize>()
+}
 
 /// "No node": the `prev` of the head, the `next` of the tail, and both
 /// ends of an empty list.
@@ -489,6 +568,21 @@ impl<V> Lru<V> {
         Some(&self.node(idx).value)
     }
 
+    /// [`Lru::get`], with the key as the list stores it and the value
+    /// mutable.
+    fn get_keyed(&mut self, key: &str) -> Option<(&Arc<str>, &mut V)> {
+        let idx = *self.map.get(key)?;
+        self.touch(idx);
+        let node = self.node_mut(idx);
+        Some((&node.key, &mut node.value))
+    }
+
+    /// Look `key` up without marking it used.
+    fn peek_mut(&mut self, key: &str) -> Option<&mut V> {
+        let idx = *self.map.get(key)?;
+        Some(&mut self.node_mut(idx).value)
+    }
+
     /// Store `value` under `key` as the most recently used entry,
     /// returning the value it displaces if the key was present.
     fn insert(&mut self, key: Arc<str>, value: V) -> Option<V> {
@@ -577,6 +671,12 @@ impl ResultStore {
         if let Some(old) = &displaced {
             self.bytes -= old.bytes;
         }
+        (displaced, self.evict())
+    }
+
+    /// Pop the tail until both bounds hold; returns the victims, least
+    /// recently used first.
+    fn evict(&mut self) -> Removed {
         let mut evicted = Vec::new();
         while self.lru.len() > self.max_entries || self.bytes > self.max_bytes {
             let Some(victim) = self.lru.pop_lru() else {
@@ -585,7 +685,29 @@ impl ResultStore {
             self.bytes -= victim.1.bytes;
             evicted.push(victim);
         }
-        (displaced, evicted)
+        evicted
+    }
+
+    /// Store `body` in the `format` slot of the entry `slots` came from,
+    /// charge it `bytes` and evict from the tail as an insert does. Stores
+    /// nothing when that entry is no longer the key's (evicted, invalidated
+    /// or displaced since the hit), when the slot is already filled, or
+    /// when the entry would outgrow the byte bound on its own. A fill is
+    /// not a use: the entry keeps its place in the recency list.
+    fn fill(&mut self, slots: &BodySlots, format: Format, body: &Body, bytes: usize) -> Removed {
+        let Some(entry) = self.lru.peek_mut(&slots.key) else {
+            return Vec::new();
+        };
+        let live = entry.bodies.as_ref();
+        if !live.is_some_and(|bodies| Arc::ptr_eq(bodies, &slots.bodies))
+            || entry.bytes + bytes > self.max_bytes
+            || slots.bodies.slot(format).set(Arc::clone(body)).is_err()
+        {
+            return Vec::new();
+        }
+        entry.bytes += bytes;
+        self.bytes += bytes;
+        self.evict()
     }
 
     /// Remove every entry whose read set intersects `touched`.
@@ -753,11 +875,19 @@ impl QueryCache {
         insert_plan_slot(&mut plans, Arc::from(skeleton), slot);
     }
 
-    /// Result-tier lookup. Call while holding the store's read lock, and
-    /// resolve the hit against the snapshot read under that same guard.
-    pub(crate) fn result_get(&self, key: &str) -> Option<CachedResult> {
+    /// Result-tier lookup: the entry's result and a handle on its body
+    /// slots. Call while holding the store's read lock, and resolve the hit
+    /// against the snapshot read under that same guard.
+    pub(crate) fn result_get(&self, key: &str) -> Option<(CachedResult, BodySlots)> {
         let mut store = self.results.lock().unwrap_or_else(|e| e.into_inner());
-        let found = store.lru.get(key).map(|entry| entry.result.clone());
+        let found = store.lru.get_keyed(key).map(|(key, entry)| {
+            let bodies = entry.bodies.get_or_insert_with(Arc::default);
+            let slots = BodySlots {
+                key: Arc::clone(key),
+                bodies: Arc::clone(bodies),
+            };
+            (entry.result.clone(), slots)
+        });
         drop(store);
         let counter = match found {
             Some(_) => &self.result_hits,
@@ -787,12 +917,27 @@ impl QueryCache {
         let key = Arc::from(key);
         let entry = ResultEntry {
             result,
+            bodies: None,
             reads,
             bytes,
         };
         let mut store = self.results.lock().unwrap_or_else(|e| e.into_inner());
         let (_displaced, evicted) = store.insert(key, entry);
         // Whatever the insert pushed out is freed after the mutex.
+        drop(store);
+        self.result_evictions
+            .fetch_add(evicted.len() as u64, Ordering::Relaxed);
+    }
+
+    /// Store `body`, the wire body of a hit's entry in `format`, in the
+    /// entry's slot — unless the entry left the tier since the hit or the
+    /// slot is taken (see `ResultStore::fill`). No store lock is needed:
+    /// the body depends on the entry alone, and a fill can only land in
+    /// the live entry it was rendered from.
+    pub(crate) fn body_insert(&self, slots: &BodySlots, format: Format, body: &Body) {
+        let bytes = body_bytes(body);
+        let mut store = self.results.lock().unwrap_or_else(|e| e.into_inner());
+        let evicted = store.fill(slots, format, body, bytes);
         drop(store);
         self.result_evictions
             .fetch_add(evicted.len() as u64, Ordering::Relaxed);
@@ -849,8 +994,6 @@ fn insert_plan_slot(plans: &mut Lru<PlanSlot>, key: Arc<str>, slot: PlanSlot) {
 /// with the `Arc` headers. Dictionary text costs an entry nothing.
 fn approx_result_bytes(key: &str, result: &CachedResult) -> usize {
     use std::mem::size_of;
-    /// Strong + weak counts in front of an `Arc<str>`'s bytes.
-    const ARC_HEADER: usize = 2 * size_of::<usize>();
     let text = |s: &Arc<str>| s.len() + ARC_HEADER;
     let rows = &result.rows;
     let mut bytes = RESULT_ENTRY_BYTES + key.len() + size_of::<IdRows>();
@@ -954,7 +1097,7 @@ mod tests {
         assert_eq!(stats.result_bytes, 3 * each);
         assert!(cache.result_get("b").is_none(), "LRU entry was evicted");
         for key in ["a", "c", "d"] {
-            let hit = cache.result_get(key).expect("recent entries survive");
+            let (hit, _) = cache.result_get(key).expect("recent entries survive");
             // The entry is the inserted rows themselves, never a copy.
             assert!(Arc::ptr_eq(&hit.rows, &big.rows));
         }
@@ -982,6 +1125,100 @@ mod tests {
             "LRU entry was evicted"
         );
         assert!(cache.result_get(&key('d')).is_some());
+    }
+
+    /// A body of `len` bytes in one piece, and what storing it costs.
+    fn body(len: usize) -> (Body, usize) {
+        let body: Body = vec!["b".repeat(len)].into();
+        let bytes = body_bytes(&body);
+        (body, bytes)
+    }
+
+    #[test]
+    fn stored_bodies_count_toward_the_byte_budget_and_evict_in_lru_order() {
+        let small = result(vec![TermId(1)], vec![]);
+        let each = approx_result_bytes("a", &small);
+        let cache = QueryCache::default();
+        for key in ["a", "b", "c"] {
+            cache.result_insert(key.into(), small.clone(), Reads::All, cache.version());
+        }
+        // A hit on "a" makes "b" the oldest; its body is charged to "a".
+        let (_, slots) = cache.result_get("a").unwrap();
+        let (json, json_bytes) = body(1000);
+        cache.body_insert(&slots, Format::Json, &json);
+        let stats = cache.stats();
+        assert_eq!(stats.result_bytes, 3 * each + json_bytes);
+        assert!(Arc::ptr_eq(slots.get(Format::Json).unwrap(), &json));
+        assert!(slots.get(Format::Csv).is_none());
+        // A slot is filled once: a second fill is dropped and costs nothing.
+        cache.body_insert(&slots, Format::Json, &body(10).0);
+        assert_eq!(cache.stats().result_bytes, 3 * each + json_bytes);
+        assert!(Arc::ptr_eq(slots.get(Format::Json).unwrap(), &json));
+        // A body that takes the tier past its bound evicts from the tail —
+        // "b", then "c" — exactly as an insert would, and the filled entry
+        // keeps its place.
+        let (_, slots) = cache.result_get("c").unwrap();
+        let (csv, csv_bytes) = body(MAX_RESULT_BYTES - 2 * each - json_bytes - 64);
+        let (_, a) = cache.result_get("a").unwrap();
+        cache.body_insert(&slots, Format::Csv, &csv);
+        let stats = cache.stats();
+        assert_eq!((stats.result_entries, stats.result_evictions), (2, 1));
+        assert_eq!(stats.result_bytes, 2 * each + json_bytes + csv_bytes);
+        assert!(cache.result_get("b").is_none(), "LRU entry was evicted");
+        // "c" is now the oldest: a body on "a" that overflows evicts it, and
+        // its stored body goes with it.
+        let (tsv, tsv_bytes) = body(128);
+        cache.body_insert(&a, Format::Tsv, &tsv);
+        let stats = cache.stats();
+        assert_eq!((stats.result_entries, stats.result_evictions), (1, 2));
+        assert_eq!(stats.result_bytes, each + json_bytes + tsv_bytes);
+        assert!(cache.result_get("c").is_none());
+        // A body that would not fit the bound with its own entry is dropped.
+        let (_, a) = cache.result_get("a").unwrap();
+        cache.body_insert(&a, Format::Table, &body(MAX_RESULT_BYTES).0);
+        assert!(a.get(Format::Table).is_none());
+        assert_eq!(cache.stats().result_bytes, each + json_bytes + tsv_bytes);
+        assert_eq!(cache.stats().result_evictions, 2);
+    }
+
+    #[test]
+    fn fills_after_eviction_or_invalidation_are_dropped() {
+        let touched = |p: &str| Touched {
+            all: false,
+            predicates: HashSet::from([Term::iri(p)]),
+        };
+        let reads = |p: &str| Reads::Predicates(vec![Term::iri(p)]);
+        let cache = QueryCache::default();
+        let old = result(vec![TermId(1)], vec![]);
+        cache.result_insert("k".into(), old, reads("http://e/p"), cache.version());
+        let (_, stale) = cache.result_get("k").unwrap();
+        // An update drops the entry; a miss stores new rows under the key.
+        cache.invalidate(&touched("http://e/p"));
+        let new = result(vec![TermId(2)], vec![]);
+        cache.result_insert("k".into(), new, reads("http://e/p"), cache.version());
+        let (_, live) = cache.result_get("k").unwrap();
+        let before = cache.stats();
+        // The body rendered from the dropped entry's rows finds another
+        // entry, hit and with slots of its own, under its key: it must not
+        // land there.
+        cache.body_insert(&stale, Format::Json, &body(100).0);
+        assert_eq!(cache.stats(), before);
+        assert!(live.get(Format::Json).is_none(), "a stale body was stored");
+        assert!(stale.get(Format::Json).is_none());
+
+        // Evicted: the key's entry is gone altogether.
+        let cache = QueryCache::default();
+        let small = result(vec![TermId(1)], vec![]);
+        cache.result_insert("k0".into(), small.clone(), Reads::All, cache.version());
+        let (_, evicted) = cache.result_get("k0").unwrap();
+        for i in 1..=MAX_RESULT_ENTRIES {
+            cache.result_insert(format!("k{i}"), small.clone(), Reads::All, cache.version());
+        }
+        let before = cache.stats();
+        assert_eq!(before.result_evictions, 1);
+        cache.body_insert(&evicted, Format::Csv, &body(100).0);
+        assert_eq!(cache.stats(), before);
+        assert!(evicted.get(Format::Csv).is_none());
     }
 
     #[test]
@@ -1190,6 +1427,7 @@ mod tests {
         bytes: usize,
         predicate: u8,
         used: u64,
+        filled: bool,
     }
 
     impl ScanTier {
@@ -1212,9 +1450,30 @@ mod tests {
                 bytes,
                 predicate,
                 used: self.tick,
+                filled: false,
             };
             let displaced = self.map.insert(key.to_string(), entry).map(|old| old.bytes);
             self.bytes = self.bytes + bytes - displaced.unwrap_or(0);
+            (displaced, self.evict())
+        }
+
+        /// A body of `bytes` for `key`'s entry: charged once, if it fits
+        /// the bound with its entry, without a use; the victims, oldest
+        /// first.
+        fn fill(&mut self, key: &str, bytes: usize) -> Vec<String> {
+            let max_bytes = self.max_bytes;
+            match self.map.get_mut(key) {
+                Some(e) if !e.filled && e.bytes + bytes <= max_bytes => {
+                    e.filled = true;
+                    e.bytes += bytes;
+                    self.bytes += bytes;
+                    self.evict()
+                }
+                _ => Vec::new(),
+            }
+        }
+
+        fn evict(&mut self) -> Vec<String> {
             let mut victims = Vec::new();
             while self.map.len() > self.max_entries || self.bytes > self.max_bytes {
                 let Some(oldest) = self
@@ -1230,7 +1489,7 @@ mod tests {
                     victims.push(oldest);
                 }
             }
-            (displaced, victims)
+            victims
         }
 
         /// The removed keys, sorted (the scan met them in map order).
@@ -1262,6 +1521,7 @@ mod tests {
     enum Op {
         Get(u8),
         Insert(u8, usize, u8),
+        Fill(u8, usize),
         Invalidate(u8),
     }
 
@@ -1271,6 +1531,7 @@ mod tests {
         let op = prop_oneof![
             3 => (0u8..12).prop_map(Op::Get),
             5 => (0u8..12, 1usize..=8, 0u8..3).prop_map(|(k, b, p)| Op::Insert(k, b, p)),
+            2 => (0u8..12, 1usize..=16).prop_map(|(k, b)| Op::Fill(k, b)),
             1 => (0u8..3).prop_map(Op::Invalidate),
         ];
         proptest::collection::vec(op, 1..160)
@@ -1286,7 +1547,8 @@ mod tests {
         /// The linked-list tier and the stamp-scan tier it replaced hold
         /// the same entries in the same recency order, pick the same
         /// victims in the same order and agree on the byte total after
-        /// every step of a random get / insert / invalidate sequence.
+        /// every step of a random get / insert / body fill / invalidate
+        /// sequence.
         #[test]
         fn lru_matches_the_tick_scan_it_replaced(
             max_entries in 1usize..=8,
@@ -1316,6 +1578,7 @@ mod tests {
                         let key = format!("k{k}");
                         let entry = ResultEntry {
                             result: payload.clone(),
+                            bodies: None,
                             reads: Reads::Predicates(vec![predicate(p)]),
                             bytes,
                         };
@@ -1323,6 +1586,20 @@ mod tests {
                         let (model_displaced, victims) = oracle.insert(&key, bytes, p);
                         prop_assert_eq!(displaced.map(|e| e.bytes), model_displaced, "{:?}", op);
                         prop_assert_eq!(keys(&evicted), victims, "{:?}", op);
+                    }
+                    Op::Fill(k, bytes) => {
+                        // A body of `bytes` (charged as given) on whatever
+                        // entry the key holds, as a hit on it would store.
+                        let key: Arc<str> = Arc::from(format!("k{k}"));
+                        let slots = store.lru.peek_mut(&key).map(|e| BodySlots {
+                            key: Arc::clone(&key),
+                            bodies: Arc::clone(e.bodies.get_or_insert_with(Arc::default)),
+                        });
+                        let evicted = match slots {
+                            Some(slots) => store.fill(&slots, Format::Json, &body(0).0, bytes),
+                            None => Vec::new(),
+                        };
+                        prop_assert_eq!(keys(&evicted), oracle.fill(&key, bytes), "{:?}", op);
                     }
                     Op::Invalidate(p) => {
                         let touched = Touched {

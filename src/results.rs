@@ -953,6 +953,7 @@ mod tests {
             note: None,
             metrics: RuntimeMetrics::default(),
             morsel: MorselConfig::sequential(),
+            bodies: None,
         }
     }
 

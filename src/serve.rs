@@ -26,12 +26,17 @@
 //! [`MAX_FRAME_BYTES`]; rendering stops at the cap and the connection
 //! stays usable — narrow the query or add `LIMIT`).
 //!
-//! A query response is rendered straight from the result's id columns
-//! into the frame that goes to the socket: each cell's term is borrowed
-//! from the dictionary while its bytes are written, so no term row is
-//! ever built, cloned or dropped on this path. A large JSON / CSV / TSV
-//! result renders in morsels on the session's pool, each into a chunk of
-//! its own, and the chunks go out in row order with vectored writes.
+//! A miss, or a request with `cache=off`, is rendered straight from the
+//! result's id columns into the frame that goes to the socket: each cell's
+//! term is borrowed from the dictionary while its bytes are written, so no
+//! term row is ever built, cloned or dropped on this path. A large JSON /
+//! CSV / TSV result renders in morsels on the session's pool, each into a
+//! chunk of its own, and the chunks go out in row order with vectored
+//! writes. A result-cache hit sends the body its entry stores for the
+//! format — the entry's first hit in that format renders it the same way
+//! and stores it — so a repeated request costs a lookup and one vectored
+//! write of shared chunks. Every hit checks the stored body against this
+//! server's cap.
 //!
 //! # Concurrency
 //!
@@ -57,6 +62,7 @@ use hsp_engine::explain::render_runtime_metrics;
 use hsp_engine::morsel::{run_morsels, DEFAULT_MIN_PARALLEL_ROWS};
 use hsp_engine::MorselConfig;
 
+use crate::cache::{Body, BodySlots};
 use crate::results::{Format, RowFormat};
 use crate::session::{EncodedResponse, Planner, Request, Session};
 
@@ -82,13 +88,32 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// length prefix, then the start of the payload — and the rest of the
 /// payload as chunks, in order. The server renders a response straight
 /// into one of these: the status line into the head, a result's rows into
-/// chunks of their own (one per morsel when several workers render them),
-/// and [`Frame::send`] hands the pieces to the socket as they are — never
+/// chunks of their own (one per morsel when several workers render them)
+/// or a result-tier entry's stored body as shared chunks, and
+/// [`Frame::send`] hands the pieces to the socket as they are — never
 /// re-formatted behind the status line, copied behind the length, or
 /// concatenated into one buffer.
 struct Frame {
     head: Vec<u8>,
-    chunks: Vec<String>,
+    chunks: Chunks,
+}
+
+/// The payload after a frame's head: chunks the frame owns, or a body it
+/// shares with the result-tier entry that stores it.
+enum Chunks {
+    Owned(Vec<String>),
+    Shared(Body),
+}
+
+impl std::ops::Deref for Chunks {
+    type Target = [String];
+
+    fn deref(&self) -> &[String] {
+        match self {
+            Chunks::Owned(chunks) => chunks,
+            Chunks::Shared(body) => body,
+        }
+    }
 }
 
 impl Frame {
@@ -102,7 +127,7 @@ impl Frame {
         head.extend_from_slice(payload);
         Frame {
             head,
-            chunks: Vec::new(),
+            chunks: Chunks::Owned(Vec::new()),
         }
     }
 
@@ -684,9 +709,10 @@ fn run_query(shared: &ServerShared, opts: &ReqOpts, text: &str) -> Frame {
         }
     };
     let max_len = Frame::HEADER + shared.max_frame;
-    // The status line goes into the frame's head, and so does the body —
+    // The status line goes into the frame's head. So does the body —
     // rendered straight from the id columns — unless its rows render on
-    // the pool, into chunks of their own. `pool_batches=` counts the
+    // the pool, into chunks of their own, or the response is a result-tier
+    // hit, whose body its entry stores. `pool_batches=` counts the
     // execution's batches: it is written before the rows are rendered.
     let mut head = Frame::head();
     writeln!(
@@ -697,20 +723,19 @@ fn run_query(shared: &ServerShared, opts: &ReqOpts, text: &str) -> Frame {
         response.metrics.shared_pool_batches,
     )
     .expect("writing to String");
+    let no_chunks = || Chunks::Owned(Vec::new());
     let chunks = if let Some(plan) = &response.explain {
         head.push_str(plan);
         head.push_str(&render_runtime_metrics(&response.metrics));
-        (head.len() <= max_len).then(Vec::new)
+        (head.len() <= max_len).then(no_chunks)
     } else if let Some(answer) = response.ask {
         opts.format.write_ask(&mut head, answer);
-        (head.len() <= max_len).then(Vec::new)
-    } else if let Some(format) = opts.format.row_format() {
-        let spent = AtomicUsize::new(0);
-        render_rows(format, &mut head, &response, max_len, &spent)
+        (head.len() <= max_len).then(no_chunks)
+    } else if let Some(slots) = &response.bodies {
+        let room = max_len.saturating_sub(head.len());
+        hit_body(&shared.session, slots, opts.format, &response, room).map(Chunks::Shared)
     } else {
-        opts.format
-            .write(&mut head, &response, max_len)
-            .then(Vec::new)
+        render_body(opts.format, &mut head, &response, max_len).map(Chunks::Owned)
     };
     match chunks {
         Some(chunks) => {
@@ -730,6 +755,48 @@ fn run_query(shared: &ServerShared, opts: &ReqOpts, text: &str) -> Frame {
                 shared.max_frame,
             ))
         }
+    }
+}
+
+/// The body of a result-tier hit in `format`, when it fits in `max_len`
+/// bytes: the body its entry stores, or — on the entry's first hit in
+/// `format` — the body rendered as a miss's is, then stored for the next
+/// hit. A stored body is checked against this server's cap, whichever
+/// server stored it; a body over the cap is refused and never stored.
+fn hit_body(
+    session: &Session,
+    slots: &BodySlots,
+    format: Format,
+    response: &EncodedResponse,
+    max_len: usize,
+) -> Option<Body> {
+    if let Some(body) = slots.get(format) {
+        let len: usize = body.iter().map(String::len).sum();
+        return (len <= max_len).then(|| Arc::clone(body));
+    }
+    let mut first = String::new();
+    let mut pieces = render_body(format, &mut first, response, max_len)?;
+    pieces.insert(0, first);
+    pieces.retain(|piece| !piece.is_empty());
+    // The pieces outlive this request: keep no spare capacity.
+    pieces.iter_mut().for_each(String::shrink_to_fit);
+    let body: Body = pieces.into();
+    session.store_body(slots, format, &body);
+    Some(body)
+}
+
+/// Render the body of `response` in `format` behind `head`, stopping once
+/// the frame would exceed `max_len`: a JSON / CSV / TSV body through
+/// [`render_rows`], a table whole into `head`.
+fn render_body(
+    format: Format,
+    head: &mut String,
+    response: &EncodedResponse,
+    max_len: usize,
+) -> Option<Vec<String>> {
+    match format.row_format() {
+        Some(rows) => render_rows(rows, head, response, max_len, &AtomicUsize::new(0)),
+        None => format.write(head, response, max_len).then(Vec::new),
     }
 }
 
@@ -1078,7 +1145,7 @@ mod tests {
         head.push_str(status);
         let frame = Frame {
             head: head.into_bytes(),
-            chunks: chunks.map(String::from).to_vec(),
+            chunks: Chunks::Owned(chunks.map(String::from).to_vec()),
         };
         let mut sink = Dribble::default();
         frame.send(&mut sink).unwrap();
@@ -1102,8 +1169,9 @@ mod tests {
     }
 
     /// A response that would not fit a frame is refused with a typed
-    /// error — in every format — and the connection, the admission permit
-    /// and the server all stay usable. The cap is lowered for the test;
+    /// error — in every format, as a miss and as a result-tier hit, which
+    /// then stores no body — and the connection, the admission permit and
+    /// the server all stay usable. The cap is lowered for the test;
     /// [`Server::start`] passes [`MAX_FRAME_BYTES`] through the same path.
     #[test]
     fn oversized_responses_are_refused_and_the_connection_stays_usable() {
@@ -1114,23 +1182,32 @@ mod tests {
         };
         let server = Server::start_capped(demo_session(), config, 64).unwrap();
         let mut client = Client::connect(server.addr()).unwrap();
+        let cached_bytes = || server.session().cache_stats().result_bytes;
         let both = "SELECT ?p ?n WHERE { ?p <http://e/name> ?n . } ORDER BY ?n";
+        let mut entry_bytes = None;
         for format in ["json", "csv", "tsv", "table"] {
-            let response = client.query(&format!("format={format}"), both).unwrap();
-            assert!(
-                response.starts_with("ERR TOOLARGE response of 2 rows x 2 columns"),
-                "{format}: {response}"
-            );
-            assert!(!response.contains('\n'), "one line: {response}");
-            // Same connection, next request: still in frame.
-            assert_eq!(client.ping().unwrap(), "OK pong");
+            for attempt in 0..2 {
+                let response = client.query(&format!("format={format}"), both).unwrap();
+                assert!(
+                    response.starts_with("ERR TOOLARGE response of 2 rows x 2 columns"),
+                    "{format} #{attempt}: {response}"
+                );
+                assert!(!response.contains('\n'), "one line: {response}");
+                // The first request cached the ids; no refusal stores a body.
+                let bytes = *entry_bytes.get_or_insert_with(cached_bytes);
+                assert_eq!(cached_bytes(), bytes, "{format} #{attempt} stored a body");
+                // Same connection, next request: still in frame.
+                assert_eq!(client.ping().unwrap(), "OK pong");
+            }
         }
+        let stats = server.session().cache_stats();
+        assert_eq!((stats.result_misses, stats.result_hits), (1, 7));
         // The only permit was released each time, and a response that
         // fits the cap is served as usual.
         let one = "SELECT ?n WHERE { <http://e/a1> <http://e/name> ?n . }";
         let response = client.query("format=csv", one).unwrap();
         assert_eq!(response, "OK rows=1 cols=1 pool_batches=0\nn\r\nAlice\r\n");
-        assert_eq!(server.metrics().errors(), 4);
+        assert_eq!(server.metrics().errors(), 8);
         assert_eq!(server.metrics().queries_ok(), 1);
         assert_eq!(server.metrics().rejected(), 0);
         server.shutdown();
@@ -1171,16 +1248,25 @@ mod tests {
         let workers = server.session().pool_stats().unwrap().threads + 1;
         for format in [RowFormat::Json, RowFormat::Csv, RowFormat::Tsv] {
             let name = format!("{format:?}").to_lowercase();
-            let batches = server.session().pool_stats().unwrap().batches;
-            let reply = client
-                .query(&format!("format={name} threads=2"), all)
-                .unwrap();
-            assert_eq!(reply, refusal, "{name}");
-            assert!(
-                server.session().pool_stats().unwrap().batches > batches,
-                "{name}: rendered on the pool"
-            );
-            assert_eq!(client.ping().unwrap(), "OK pong");
+            // A miss or hit, then a hit: the hit renders too, and stores
+            // nothing.
+            for attempt in 0..2 {
+                let batches = server.session().pool_stats().unwrap().batches;
+                let bytes = server.session().cache_stats().result_bytes;
+                let reply = client
+                    .query(&format!("format={name} threads=2"), all)
+                    .unwrap();
+                assert_eq!(reply, refusal, "{name} #{attempt}");
+                assert!(
+                    server.session().pool_stats().unwrap().batches > batches,
+                    "{name} #{attempt}: rendered on the pool"
+                );
+                if bytes > 0 {
+                    let after = server.session().cache_stats().result_bytes;
+                    assert_eq!(after, bytes, "{name} #{attempt} stored a body");
+                }
+                assert_eq!(client.ping().unwrap(), "OK pong");
+            }
 
             // What the workers rendered before they stopped: the cap plus
             // at most one block each.
@@ -1212,7 +1298,7 @@ mod tests {
         let reply = client.query("format=csv threads=2", few).unwrap();
         assert!(reply.starts_with("OK rows=12 cols=2"), "{reply}");
         assert_eq!(reply.lines().count(), 1 + 1 + 12);
-        assert_eq!(server.metrics().errors(), 3);
+        assert_eq!(server.metrics().errors(), 6);
         assert_eq!(server.metrics().queries_ok(), 1);
         assert_eq!(server.metrics().rejected(), 0);
         server.shutdown();
@@ -1223,20 +1309,24 @@ mod tests {
         let server = Server::start(demo_session(), ServeConfig::default()).unwrap();
         let mut client = Client::connect(server.addr()).unwrap();
         assert_eq!(client.ping().unwrap(), "OK pong");
-        let response = client
-            .query(
-                "format=csv",
-                "SELECT ?n WHERE { ?p <http://e/name> ?n . } ORDER BY ?n",
-            )
-            .unwrap();
-        let (header, body) = response.split_once('\n').unwrap();
-        assert!(header.starts_with("OK rows=2 cols=1"), "{header}");
-        assert_eq!(body, "n\r\nAlice\r\nBob\r\n");
+        let text = "SELECT ?n WHERE { ?p <http://e/name> ?n . } ORDER BY ?n";
+        let mut entry_bytes = 0;
+        // A miss, a hit that stores its CSV body, a hit that sends it.
+        for attempt in 0..3 {
+            let response = client.query("format=csv", text).unwrap();
+            let (header, body) = response.split_once('\n').unwrap();
+            assert!(header.starts_with("OK rows=2 cols=1"), "{header}");
+            assert_eq!(body, "n\r\nAlice\r\nBob\r\n", "#{attempt}");
+            if attempt == 0 {
+                entry_bytes = server.session().cache_stats().result_bytes;
+            }
+        }
         let stats = client.stats().unwrap();
-        assert!(stats.contains("queries_ok=1"), "{stats}");
-        // The one cached result: its size is reported, nothing evicted.
+        assert!(stats.contains("queries_ok=3"), "{stats}");
+        // The one cached result, its stored body included: its size is
+        // reported, nothing evicted.
         let cache = server.session().cache_stats();
-        assert!(cache.result_bytes > 0);
+        assert!(cache.result_bytes > entry_bytes && entry_bytes > 0);
         for line in [
             "result_cache_entries=1".to_string(),
             format!("result_cache_bytes={}", cache.result_bytes),

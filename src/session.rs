@@ -62,9 +62,9 @@ use hsp_sparql::lexer::{tokenize, Token};
 use hsp_sparql::{JoinQuery, ParseError, Template};
 use hsp_store::Dataset;
 
-use crate::cache::{plan_reads, CacheStats, CachedResult, QueryCache, Reads};
+use crate::cache::{plan_reads, Body, BodySlots, CacheStats, CachedResult, QueryCache, Reads};
 use crate::extended::{compose, ExtendedError, ExtendedOutput};
-use crate::results::RowSource;
+use crate::results::{Format, RowSource};
 use crate::update::{run_update_traced, UpdateError, UpdateStats};
 
 /// Which planner a [`Request`] runs through (join-fragment queries only;
@@ -249,6 +249,10 @@ pub struct EncodedResponse {
     /// The request's morsel config — its thread budget, on the session's
     /// pool under the query's tag — for the server to render under.
     pub(crate) morsel: MorselConfig,
+    /// On a result-tier hit, the entry's stored wire bodies — for the
+    /// server to send, or to fill the first time a format is asked for
+    /// ([`Session::store_body`]); `None` when the response is not a hit.
+    pub(crate) bodies: Option<BodySlots>,
 }
 
 impl EncodedResponse {
@@ -487,7 +491,7 @@ impl Session {
                 .read()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             if let Some(key) = &result_key {
-                if let Some(mut hit) = self.inner.cache.result_get(key) {
+                if let Some((mut hit, bodies)) = self.inner.cache.result_get(key) {
                     hit.metrics.result_cache_used = true;
                     hit.metrics.result_cache_hit = true;
                     // Execution was skipped; nothing ran on the pool.
@@ -501,6 +505,7 @@ impl Session {
                         note: hit.note,
                         metrics: hit.metrics,
                         morsel: self.morsel(&self.exec_config(&request)),
+                        bodies: Some(bodies),
                     });
                 }
             }
@@ -605,6 +610,13 @@ impl Session {
     /// Lifetime counters of the two-tier query cache.
     pub fn cache_stats(&self) -> CacheStats {
         self.inner.cache.stats()
+    }
+
+    /// Keep `body`, a hit's result rendered in `format`, in the result-tier
+    /// entry `slots` belongs to, charged to the tier's byte bound; dropped
+    /// if the entry left the tier since the hit.
+    pub(crate) fn store_body(&self, slots: &BodySlots, format: Format, body: &Body) {
+        self.inner.cache.body_insert(slots, format, body);
     }
 
     /// The [`ExecConfig`] a request asks for, under this session's
@@ -786,6 +798,7 @@ fn query_snapshot(
             note,
             metrics,
             morsel: ctx.morsel.clone(),
+            bodies: None,
         },
         reads,
     ))

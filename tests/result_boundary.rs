@@ -4,8 +4,9 @@
 //! return the rows a term-level application would, and the wire edge
 //! (rendering straight from an [`EncodedResponse`]'s id columns) writes
 //! the bytes the library edge (`to_*` over decoded rows) does — cold, from
-//! the result cache, and from an entry resolved against a newer dictionary
-//! than it was produced under.
+//! the result cache, as the body a result-cache entry stores for the
+//! server, and from an entry resolved against a newer dictionary than it
+//! was produced under.
 
 use std::collections::HashSet;
 use std::sync::OnceLock;
@@ -19,6 +20,7 @@ use hsp_sparql::{JoinQuery, TermOrVar, TriplePattern, Value};
 use sparql_hsp::engine::ExecConfig;
 use sparql_hsp::extended::{evaluate_extended_in, ExtendedOutput};
 use sparql_hsp::results::{self, Format};
+use sparql_hsp::serve::{Client, ServeConfig, Server, ServerHandle};
 use sparql_hsp::session::{EncodedResponse, Request, Session, SessionOptions};
 use sparql_hsp::store::Dataset;
 
@@ -322,6 +324,8 @@ fn with_page_counts(ds: &Dataset) -> Dataset {
 }
 
 const FORMATS: [Format; 4] = [Format::Json, Format::Csv, Format::Tsv, Format::Table];
+/// [`FORMATS`] as `format=` spells them.
+const FORMAT_NAMES: [&str; 4] = ["json", "csv", "tsv", "table"];
 
 /// The library edge: decoded rows through the public `to_*` renderers.
 fn library_bytes(session: &Session, text: &str) -> [String; 4] {
@@ -341,13 +345,75 @@ fn wire_bytes(response: &EncodedResponse) -> [String; 4] {
     })
 }
 
+/// The body of a reply, after its status line.
+fn reply_body(reply: &str) -> &str {
+    let (header, body) = reply.split_once('\n').unwrap_or((reply, ""));
+    assert!(header.starts_with("OK "), "{header}");
+    body
+}
+
+/// The "stored" pass: over the socket, in every format, a hit — which
+/// stores its body unless an earlier hit did, or the result is an ASK
+/// answer — then a hit sent from that body, both the library edge's bytes
+/// (`want`, or the answer for an ASK query).
+fn stored_pass(
+    server: &ServerHandle,
+    client: &mut Client,
+    pass: &str,
+    texts: &[String],
+    expected: &[[String; 4]],
+    asks: &[Option<bool>],
+) {
+    let cache = || server.session().cache_stats();
+    for ((text, want), ask) in texts.iter().zip(expected).zip(asks) {
+        for ((format, want), name) in FORMATS.iter().zip(want).zip(FORMAT_NAMES) {
+            let mut ask_body = String::new();
+            let want = match ask {
+                Some(answer) => {
+                    format.write_ask(&mut ask_body, *answer);
+                    &ask_body
+                }
+                None => want,
+            };
+            let options = format!("format={name}");
+            let before = cache();
+            let reply = client.query(&options, text).unwrap();
+            assert_eq!(reply_body(&reply), want, "{pass} {name}: {text}");
+            let first = cache();
+            assert_eq!(
+                first.result_hits,
+                before.result_hits + 1,
+                "{pass} {name}: {text}"
+            );
+            if pass == "stored" {
+                // A body that would take its entry past the tier's byte
+                // bound is not stored either.
+                let stored = first.result_bytes > before.result_bytes;
+                let fits = before.result_bytes + want.len() <= RESULT_TIER_BYTES;
+                assert!(stored || ask.is_some() || !fits, "{pass} {name}: {text}");
+                assert!(!stored || ask.is_none(), "{pass} {name}: {text}");
+            }
+            let reply = client.query(&options, text).unwrap();
+            assert_eq!(reply_body(&reply), want, "{pass} {name} again: {text}");
+            let second = cache();
+            assert_eq!(second.result_hits, first.result_hits + 1);
+            assert_eq!(
+                second.result_bytes, first.result_bytes,
+                "{pass} {name}: the second hit stored a body: {text}"
+            );
+        }
+    }
+}
+
 /// For the ten SP queries, the nine `analytic.tcp.c2` bodies, the edge
 /// shapes and Y1–Y4, in all four formats: rendering from the encoded
 /// response equals `to_*` over `Session::query`'s decoded output — cold,
-/// as a result-cache hit, and as a hit that survived an update to an
-/// unrelated predicate (the entry's ids are then resolved against a
-/// dictionary that has grown, and, at threshold 1, been compacted into a
-/// new base segment since the entry was made).
+/// as a result-cache hit, as the body `hsp-serve` stores in the entry and
+/// sends on every later hit ("stored"), and as a hit that survived an
+/// update to an unrelated predicate (the entry's ids are then resolved
+/// against a dictionary that has grown, and, at threshold 1, been
+/// compacted into a new base segment since the entry was made; a stored
+/// body survives with its entry).
 #[test]
 fn wire_edge_equals_library_edge_cold_cached_and_across_dictionary_growth() {
     let sp2b = with_page_counts(env().dataset(DatasetKind::Sp2Bench));
@@ -380,7 +446,11 @@ fn wire_edge_equals_library_edge_cold_cached_and_across_dictionary_growth() {
             let library = Session::with_options((*ds).clone(), options);
             let expected: Vec<[String; 4]> =
                 texts.iter().map(|t| library_bytes(&library, t)).collect();
+            // The server shares the session, and so its result tier.
+            let server = Server::start(session.clone(), ServeConfig::default()).unwrap();
+            let mut client = Client::connect(server.addr()).unwrap();
 
+            let mut asks = Vec::new();
             for pass in ["cold", "cached"] {
                 for (text, want) in texts.iter().zip(&expected) {
                     let response = session.query_encoded(Request::new(text)).unwrap();
@@ -391,6 +461,7 @@ fn wire_edge_equals_library_edge_cold_cached_and_across_dictionary_growth() {
                     );
                     assert_eq!(&wire_bytes(&response), want, "{pass}: {text}");
                     if pass == "cold" {
+                        asks.push(response.ask);
                         computed_cells += response.rows.computed().len();
                         unbound_columns += (0..response.rows.width())
                             .filter(|&c| response.rows.column(c).is_none())
@@ -398,6 +469,7 @@ fn wire_edge_equals_library_edge_cold_cached_and_across_dictionary_growth() {
                     }
                 }
             }
+            stored_pass(&server, &mut client, "stored", texts, &expected, &asks);
 
             let terms_before = session.snapshot().dict().len();
             for s in [&session, &library] {
@@ -433,6 +505,9 @@ fn wire_edge_equals_library_edge_cold_cached_and_across_dictionary_growth() {
                     "the update changed {text}"
                 );
             }
+            let pass = "stored after growth";
+            stored_pass(&server, &mut client, pass, texts, &expected, &asks);
+            server.shutdown();
         }
     }
     assert!(computed_cells > 0, "no query produced computed-overlay ids");
@@ -446,6 +521,8 @@ fn wire_edge_equals_library_edge_cold_cached_and_across_dictionary_growth() {
 
 /// The result tier's entry bound (`MAX_RESULT_ENTRIES` in `src/cache.rs`).
 const RESULT_TIER_ENTRIES: usize = 1024;
+/// The result tier's byte bound (`MAX_RESULT_BYTES` in `src/cache.rs`).
+const RESULT_TIER_BYTES: usize = 32 << 20;
 /// Distinct cacheable requests the churn tests cycle through — more than
 /// the tier holds, so a cycle evicts.
 const CHURN_REQUESTS: usize = 1100;
@@ -725,4 +802,72 @@ fn concurrent_plan_tier_hits_equal_uncached_runs() {
     assert_eq!(stats.plan_hits + stats.plan_misses, total as u64);
     // Only the threads racing the first instance of a shape can miss.
     assert!(stats.plan_misses <= (3 * THREADS) as u64, "{stats:?}");
+}
+
+/// Two connections race the first hit on one entry, in every format, over
+/// a dozen entries of a few hundred to a thousand rows: both get the bytes
+/// an uncached run renders, and exactly one body is stored — the tier grows
+/// by what a lone first hit stores on a session of its own — which the next
+/// hit then sends.
+#[test]
+fn racing_first_hits_store_one_body() {
+    const ROUNDS: usize = 12;
+    let text = |round: usize| {
+        format!(
+            "SELECT ?s ?n ?a WHERE {{ ?s <http://e/name> ?n . ?s <http://e/age> ?a . }} LIMIT {}",
+            CHURN_REQUESTS - 60 * round
+        )
+    };
+    let ds = churn_dataset();
+    let library = Session::new(ds.clone());
+    let solo = Server::start(Session::new(ds.clone()), ServeConfig::default()).unwrap();
+    let race = Server::start(Session::new(ds), ServeConfig::default()).unwrap();
+    let bytes = |server: &ServerHandle| server.session().cache_stats().result_bytes;
+    let mut alone = Client::connect(solo.addr()).unwrap();
+    let mut racers = [race.addr(), race.addr()].map(|addr| Client::connect(addr).unwrap());
+    for text in (0..ROUNDS).map(text) {
+        // The entry, from one miss on each server.
+        reply_body(&alone.query("", &text).unwrap());
+        reply_body(&racers[0].query("", &text).unwrap());
+        for (name, want) in FORMAT_NAMES.iter().zip(library_bytes(&library, &text)) {
+            let options = format!("format={name}");
+            let before = bytes(&solo);
+            assert_eq!(reply_body(&alone.query(&options, &text).unwrap()), want);
+            let one_body = bytes(&solo) - before;
+            assert!(one_body > 0, "{name}: the lone first hit stored nothing");
+
+            let before = bytes(&race);
+            let start = std::sync::Barrier::new(racers.len());
+            let replies: Vec<String> = std::thread::scope(|scope| {
+                let racing: Vec<_> = racers
+                    .iter_mut()
+                    .map(|client| {
+                        let (start, options, text) = (&start, &options, &text);
+                        scope.spawn(move || {
+                            start.wait();
+                            client.query(options, text).unwrap()
+                        })
+                    })
+                    .collect();
+                racing.into_iter().map(|r| r.join().unwrap()).collect()
+            });
+            for reply in &replies {
+                assert_eq!(reply_body(reply), want, "{name}: {text}");
+            }
+            assert_eq!(
+                bytes(&race) - before,
+                one_body,
+                "{name}: the race stored other than one body: {text}"
+            );
+            let before = bytes(&race);
+            assert_eq!(reply_body(&racers[1].query(&options, &text).unwrap()), want);
+            assert_eq!(bytes(&race), before, "{name}: the stored body was not sent");
+        }
+    }
+    let stats = race.session().cache_stats();
+    assert_eq!(stats.result_misses, ROUNDS as u64);
+    assert_eq!(stats.result_hits, (ROUNDS * FORMAT_NAMES.len() * 3) as u64);
+    assert_eq!(stats.result_evictions, 0);
+    solo.shutdown();
+    race.shutdown();
 }

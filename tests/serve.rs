@@ -116,8 +116,10 @@ fn concurrent_clients_are_byte_identical_to_serial_execution() {
 /// query and an OPTIONAL / aggregate / ASK trio, the body `hsp-serve`
 /// frames — rendered straight from id columns — is what the library
 /// renderers write over `Session::query`'s decoded rows, in all four
-/// formats, cold and as a result-cache hit; the status line counts the
-/// rows and columns the library sees.
+/// formats: cold, as a result-cache hit (the first in a format renders and
+/// stores its body; an ASK answer stores none) and as a hit sent from the
+/// stored body; the status line counts the rows and columns the library
+/// sees.
 #[test]
 fn wire_edge_equals_library_edge_over_tcp_in_every_format() {
     let ds = env().dataset(DatasetKind::Sp2Bench);
@@ -163,23 +165,42 @@ fn wire_edge_equals_library_edge_over_tcp_in_every_format() {
                 response.output.rows.len(),
                 response.output.columns.len()
             );
-            for attempt in 0..2 {
+            // JSON, the first format: a miss, a hit that stores the body,
+            // a hit that sends it. Every later format starts at the hit
+            // that stores.
+            let first_hit = usize::from(format == "json");
+            for attempt in 0..3 {
+                let pass = match attempt.cmp(&first_hit) {
+                    std::cmp::Ordering::Less => "cold",
+                    std::cmp::Ordering::Equal => "cached",
+                    std::cmp::Ordering::Greater => "stored",
+                };
+                let bytes = server.session().cache_stats().result_bytes;
                 let reply = client
                     .query(&format!("format={format}"), text)
                     .unwrap_or_else(|e| panic!("{id}: transport error: {e}"));
                 let (header, body) = reply.split_once('\n').unwrap_or((reply.as_str(), ""));
                 assert!(
                     header.starts_with(&status),
-                    "{id} {format} #{attempt}: {header}"
+                    "{id} {format} {pass}: {header}"
                 );
-                assert_eq!(body, want, "{id} {format} #{attempt}");
+                assert_eq!(body, want, "{id} {format} {pass}");
+                if pass != "cold" {
+                    let stores = pass == "cached" && response.ask.is_none();
+                    let after = server.session().cache_stats().result_bytes;
+                    assert_eq!(
+                        after > bytes,
+                        stores,
+                        "{id} {format} {pass}: {bytes} -> {after}"
+                    );
+                }
             }
         }
     }
     let stats = server.session().cache_stats();
     // One miss per query (formats share the entry), every other request hits.
     assert_eq!(stats.result_misses, queries.len() as u64);
-    assert_eq!(stats.result_hits, 7 * queries.len() as u64);
+    assert_eq!(stats.result_hits, 11 * queries.len() as u64);
     server.shutdown();
 }
 
@@ -307,9 +328,9 @@ fn updates_never_tear_a_concurrent_reader() {
 
 /// The two-tier cache end to end: a templated query plans once and then
 /// reuses the cached plan; result entries are invalidated exactly when
-/// an update touches a predicate they read; every cached or refreshed
-/// response is byte-identical to an uncached session — across thread
-/// budgets 1–4.
+/// an update touches a predicate they read, their stored wire bodies with
+/// them; every cached, stored or refreshed response is byte-identical to
+/// an uncached session — across thread budgets 1–4.
 #[test]
 fn invalidation_is_exact_and_cached_responses_stay_byte_identical() {
     let ds = name_dataset(200);
@@ -325,6 +346,23 @@ fn invalidation_is_exact_and_cached_responses_stay_byte_identical() {
         }
         let response = s.query(request).unwrap_or_else(|e| panic!("{text}: {e}"));
         (results::to_sparql_json(&response.output), response.metrics)
+    };
+    // The wire edge over the same cache: the JSON body `hsp-serve` sends
+    // for a hit, and whether the hit stored a body (a fresh render) rather
+    // than send a stored one.
+    let server = Server::start(cached.clone(), ServeConfig::default()).expect("server starts");
+    let mut client = Client::connect(server.addr()).expect("client connects");
+    let mut wire = |text: &str, threads: usize| {
+        let bytes = cached.cache_stats().result_bytes;
+        let hits = cached.cache_stats().result_hits;
+        let reply = client
+            .query(&format!("threads={threads}"), text)
+            .unwrap_or_else(|e| panic!("{text}: transport error: {e}"));
+        let (header, body) = reply.split_once('\n').unwrap_or((reply.as_str(), ""));
+        assert!(header.starts_with("OK "), "{text}: {header}");
+        let stats = cached.cache_stats();
+        assert_eq!(stats.result_hits, hits + 1, "{text}: not a hit");
+        (body.to_string(), stats.result_bytes > bytes)
     };
 
     // Plan tier: same shape, different constant — planned once.
@@ -369,6 +407,15 @@ fn invalidation_is_exact_and_cached_responses_stay_byte_identical() {
         assert!(run(&cached, name_q, threads, false).1.result_cache_hit);
         assert!(run(&cached, knows_q, threads, false).1.result_cache_hit);
     }
+    // Over the socket, each entry's first hit renders and stores its JSON
+    // body; the next sends it.
+    for threads in 1..=4 {
+        for text in [name_q, knows_q] {
+            let (expected, _) = run(&uncached, text, threads, true);
+            assert_eq!(wire(text, threads), (expected.clone(), true), "{text}");
+            assert_eq!(wire(text, threads), (expected, false), "{text}");
+        }
+    }
     let warm = cached.cache_stats();
 
     // A no-op update (duplicate insert) publishes nothing and must keep
@@ -390,11 +437,18 @@ fn invalidation_is_exact_and_cached_responses_stay_byte_identical() {
         "expected exactly the 4 name entries + cold/templated entries to drop"
     );
     for threads in 1..=4 {
-        // Entries over the untouched predicate survived.
+        // Entries over the untouched predicate survived, and keep sending
+        // their stored bodies.
         let (_, m) = run(&cached, knows_q, threads, false);
         assert!(
             m.result_cache_hit,
             "untouched-predicate entry was invalidated"
+        );
+        let (expected, _) = run(&uncached, knows_q, threads, true);
+        assert_eq!(
+            wire(knows_q, threads),
+            (expected, false),
+            "threads={threads}: untouched entry lost or changed its stored body"
         );
         // Name entries re-execute and match the uncached session.
         let (body, m) = run(&cached, name_q, threads, false);
@@ -411,6 +465,14 @@ fn invalidation_is_exact_and_cached_responses_stay_byte_identical() {
             again, expected,
             "threads={threads}: cache hit is not byte-identical"
         );
+        // Its first hit over the socket is a fresh render — the body stored
+        // before the update went with its entry — and stores it.
+        assert_eq!(
+            wire(name_q, threads),
+            (expected.clone(), true),
+            "threads={threads}: touched entry sent a body stored before the update"
+        );
+        assert_eq!(wire(name_q, threads), (expected, false));
     }
 
     // DELETE WHERE over knows flushes the knows entries (and only them:
@@ -422,7 +484,10 @@ fn invalidation_is_exact_and_cached_responses_stay_byte_identical() {
     let final_stats = cached.cache_stats();
     assert_eq!(final_stats.invalidations, before.invalidations + 4);
     assert!(run(&cached, name_q, 1, false).1.result_cache_hit);
+    let (expected, _) = run(&uncached, name_q, 1, true);
+    assert_eq!(wire(name_q, 1), (expected, false));
     assert!(!run(&cached, knows_q, 1, false).1.result_cache_hit);
+    server.shutdown();
 }
 
 /// Twelve subjects with what the alias families below look up: ages to
