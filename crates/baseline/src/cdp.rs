@@ -5,12 +5,11 @@
 //! (one best candidate per sort variable per subset), the paper's cost
 //! formulas, exact leaf statistics. Like RDF-3X, CDP "recognizes the
 //! existence of the cross product at query compile time, and hence does not
-//! produce any plan" — [`CdpError::CrossProduct`].
+//! produce any plan" — [`PlanError::CrossProduct`].
 
 use std::collections::BTreeMap;
-use std::fmt;
 
-use hsp_core::assign_ordered_relation;
+use hsp_core::{assign_ordered_relation, PlanError};
 use hsp_engine::cost::{cost_hashjoin, cost_mergejoin};
 use hsp_engine::plan::PhysicalPlan;
 use hsp_sparql::rewrite::push_down_const_equalities;
@@ -19,38 +18,8 @@ use hsp_store::Dataset;
 
 use crate::cardinality::{EstimatedRel, Estimator};
 
-/// CDP planning failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CdpError {
-    /// The query's join graph is disconnected (requires a cross product).
-    CrossProduct,
-    /// The query has no triple patterns.
-    EmptyQuery,
-    /// Too many patterns for exhaustive DP (limit: 20).
-    TooLarge(usize),
-}
-
-impl fmt::Display for CdpError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CdpError::CrossProduct => {
-                write!(
-                    f,
-                    "CDP refuses queries containing a cross product (as RDF-3X does)"
-                )
-            }
-            CdpError::EmptyQuery => write!(f, "cannot plan a query without triple patterns"),
-            CdpError::TooLarge(n) => {
-                write!(
-                    f,
-                    "CDP dynamic programming limited to 20 patterns, query has {n}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for CdpError {}
+/// [`PlanError`] under the name CDP's failures had before planners shared it.
+pub use hsp_core::PlanError as CdpError;
 
 /// A CDP plan with its estimated cost.
 #[derive(Debug, Clone)]
@@ -89,19 +58,19 @@ impl CdpPlanner {
     }
 
     /// Plan `query` against the statistics of `ds`.
-    pub fn plan(&self, ds: &Dataset, query: &JoinQuery) -> Result<CdpPlan, CdpError> {
+    pub fn plan(&self, ds: &Dataset, query: &JoinQuery) -> Result<CdpPlan, PlanError> {
         // Selection pushdown only — no variable unification (that is HSP's
         // distinctive rewrite).
         let (query, _) = push_down_const_equalities(query);
         let n = query.patterns.len();
         if n == 0 {
-            return Err(CdpError::EmptyQuery);
+            return Err(PlanError::EmptyQuery);
         }
         if n > 20 {
-            return Err(CdpError::TooLarge(n));
+            return Err(PlanError::TooLarge(n));
         }
         if !is_connected(&query) {
-            return Err(CdpError::CrossProduct);
+            return Err(PlanError::CrossProduct);
         }
 
         let est = Estimator::new(ds);
@@ -306,7 +275,7 @@ impl CdpPlanner {
                     .then(a.left_card.total_cmp(&b.left_card))
             })
             .cloned()
-            .ok_or(CdpError::CrossProduct)?;
+            .ok_or(PlanError::CrossProduct)?;
 
         let mut plan = best.plan;
         for f in &query.filters {
@@ -426,7 +395,7 @@ mod tests {
             ?y <http://e/homepage> ?h . }");
         assert_eq!(
             CdpPlanner::new().plan(&ds, &query).unwrap_err(),
-            CdpError::CrossProduct
+            PlanError::CrossProduct
         );
     }
 
@@ -440,7 +409,7 @@ mod tests {
             FILTER (?h1 = ?h2) }");
         assert_eq!(
             CdpPlanner::new().plan(&ds, &query).unwrap_err(),
-            CdpError::CrossProduct
+            PlanError::CrossProduct
         );
     }
 
@@ -503,7 +472,7 @@ mod tests {
         };
         assert_eq!(
             CdpPlanner::new().plan(&ds, &query).unwrap_err(),
-            CdpError::EmptyQuery
+            PlanError::EmptyQuery
         );
     }
 

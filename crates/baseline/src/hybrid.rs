@@ -9,41 +9,14 @@
 //! failure mode the paper reports for SP2a/SP2b ("HSP … chooses randomly
 //! among all possible join orders").
 
-use std::fmt;
-
-use hsp_core::{assign_ordered_relation, HspConfig, HspPlanner};
+use hsp_core::{assign_ordered_relation, HspPlanner, PlanError};
 use hsp_engine::cost::{cost_crossproduct, cost_hashjoin};
 use hsp_engine::plan::PhysicalPlan;
 use hsp_sparql::{JoinQuery, Var};
 use hsp_store::Dataset;
 
 use crate::cardinality::{EstimatedRel, Estimator};
-
-/// Hybrid planning failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HybridError {
-    /// HSP's structural phase failed (empty query).
-    EmptyQuery,
-}
-
-impl fmt::Display for HybridError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            HybridError::EmptyQuery => write!(f, "cannot plan a query without triple patterns"),
-        }
-    }
-}
-
-impl std::error::Error for HybridError {}
-
-/// A hybrid plan.
-#[derive(Debug, Clone)]
-pub struct HybridPlan {
-    /// The physical plan (root is a `Project`).
-    pub plan: PhysicalPlan,
-    /// The rewritten query the plan refers to.
-    pub query: JoinQuery,
-}
+use crate::Planned;
 
 /// The hybrid heuristic+cost planner.
 #[derive(Debug, Clone, Default)]
@@ -56,11 +29,9 @@ impl HybridPlanner {
     }
 
     /// Plan `query`: HSP structure, cost-based ordering.
-    pub fn plan(&self, ds: &Dataset, query: &JoinQuery) -> Result<HybridPlan, HybridError> {
+    pub fn plan(&self, ds: &Dataset, query: &JoinQuery) -> Result<Planned, PlanError> {
         // Phase 1: HSP's structural decisions (merge variables + coverage).
-        let hsp = HspPlanner::with_config(HspConfig::default())
-            .plan(query)
-            .map_err(|_| HybridError::EmptyQuery)?;
+        let hsp = HspPlanner::new().plan(query)?;
         let query = hsp.query;
         let est = Estimator::new(ds);
 
@@ -159,7 +130,11 @@ impl HybridPlanner {
             distinct: query.distinct,
         }
         .with_modifiers(&query.modifiers);
-        Ok(HybridPlan { plan, query })
+        Ok(Planned {
+            plan,
+            query,
+            note: None,
+        })
     }
 }
 

@@ -13,9 +13,7 @@
 //!   optimizer chooses to execute a Cartesian product and thus fails to
 //!   terminate" — our executor's row budget turns that into a clean DNF).
 
-use std::fmt;
-
-use hsp_core::assign_ordered_relation;
+use hsp_core::{assign_ordered_relation, PlanError};
 use hsp_engine::cost::{cost_crossproduct, cost_hashjoin, cost_mergejoin};
 use hsp_engine::plan::PhysicalPlan;
 use hsp_sparql::rewrite::push_down_const_equalities;
@@ -23,23 +21,6 @@ use hsp_sparql::{JoinQuery, Var};
 use hsp_store::Dataset;
 
 use crate::cardinality::{EstimatedRel, Estimator};
-
-/// Left-deep planning failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LeftDeepError {
-    /// The query has no triple patterns.
-    EmptyQuery,
-}
-
-impl fmt::Display for LeftDeepError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LeftDeepError::EmptyQuery => write!(f, "cannot plan a query without triple patterns"),
-        }
-    }
-}
-
-impl std::error::Error for LeftDeepError {}
 
 /// A left-deep plan with its estimated cost.
 #[derive(Debug, Clone)]
@@ -65,11 +46,11 @@ impl LeftDeepPlanner {
     }
 
     /// Plan `query` against `ds`'s statistics (left-deep only).
-    pub fn plan(&self, ds: &Dataset, query: &JoinQuery) -> Result<LeftDeepPlan, LeftDeepError> {
+    pub fn plan(&self, ds: &Dataset, query: &JoinQuery) -> Result<LeftDeepPlan, PlanError> {
         let (query, _) = push_down_const_equalities(query);
         let n = query.patterns.len();
         if n == 0 {
-            return Err(LeftDeepError::EmptyQuery);
+            return Err(PlanError::EmptyQuery);
         }
         let est = Estimator::new(ds);
 
@@ -308,7 +289,7 @@ mod tests {
         };
         assert_eq!(
             LeftDeepPlanner::new().plan(&ds, &query).unwrap_err(),
-            LeftDeepError::EmptyQuery
+            PlanError::EmptyQuery
         );
     }
 }

@@ -1,4 +1,5 @@
-//! Cost-based baseline planners.
+//! Cost-based baseline planners, and [`plan`]: the one dispatcher over
+//! every planner of the evaluation.
 //!
 //! * [`cdp`] — **CDP**, a reconstruction of RDF-3X's cost-based
 //!   dynamic-programming optimizer: bushy plans over connected subgraphs,
@@ -19,20 +20,246 @@
 //!   structure combined with cost-based ordering of blocks.
 //! * [`cardinality`] — the shared estimator (exact leaves, containment
 //!   assumption for joins).
-//! * [`charsets`] — characteristic sets (Neumann & Moerkotte, the paper's
-//!   \[21\]): exact star-join cardinalities, the statistics-side answer to
-//!   the correlation problem the paper's introduction describes.
+//!
+//! Callers that choose a planner by value go through [`plan`], which
+//! decides the two rules the planners do not share: CDP's refused cross
+//! products are re-planned on the FILTER-rewritten query, and only HSP
+//! plans aggregates.
+
+use std::str::FromStr;
+
+use hsp_core::HspPlanner;
+use hsp_engine::plan::PhysicalPlan;
+use hsp_sparql::rewrite::rewrite_filters;
+use hsp_sparql::JoinQuery;
+use hsp_store::Dataset;
 
 pub mod cardinality;
 pub mod cdp;
-pub mod charsets;
 pub mod hybrid;
 pub mod leftdeep;
 pub mod stocker;
 
 pub use cardinality::Estimator;
-pub use cdp::{CdpError, CdpPlanner};
-pub use charsets::CharacteristicSets;
+pub use cdp::CdpPlanner;
+pub use hsp_core::PlanError;
 pub use hybrid::HybridPlanner;
 pub use leftdeep::LeftDeepPlanner;
 pub use stocker::{StockerPlanner, StockerStats};
+
+/// The planners compared in the paper's evaluation, plus the hybrid
+/// extension from its future-work section.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Planner {
+    /// The heuristic planner (the paper's contribution) — `MonetDB/HSP`.
+    #[default]
+    Hsp,
+    /// The RDF-3X-style cost-based DP baseline — `RDF-3X/CDP`.
+    Cdp,
+    /// The SQL-style left-deep baseline — `MonetDB/SQL`.
+    Sql,
+    /// HSP structure + cost-based ordering (paper §7 future work).
+    Hybrid,
+    /// Stocker et al.'s selectivity-estimation framework (the paper's
+    /// related-work reference \[32\]).
+    Stocker,
+}
+
+impl Planner {
+    /// All five planners, in [`Planner`]'s declaration order.
+    pub const ALL: [Planner; 5] = [
+        Planner::Hsp,
+        Planner::Cdp,
+        Planner::Sql,
+        Planner::Hybrid,
+        Planner::Stocker,
+    ];
+
+    /// The paper's three evaluated systems.
+    pub const PAPER: [Planner; 3] = [Planner::Hsp, Planner::Cdp, Planner::Sql];
+
+    /// The name [`FromStr`] accepts (the CLI's `--planner` value).
+    pub fn name(self) -> &'static str {
+        ["hsp", "cdp", "sql", "hybrid", "stocker"][self as usize]
+    }
+
+    /// Row label used in the paper's tables.
+    pub fn label(self) -> &'static str {
+        [
+            "MonetDB/HSP",
+            "RDF-3X/CDP",
+            "MonetDB/SQL",
+            "Hybrid",
+            "Stocker-SEL",
+        ][self as usize]
+    }
+
+    /// Every planner's [`name`](Planner::name), `|`-separated.
+    pub fn names() -> String {
+        Planner::ALL.map(Planner::name).join("|")
+    }
+}
+
+impl FromStr for Planner {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let name = s.trim().to_ascii_lowercase();
+        Planner::ALL
+            .into_iter()
+            .find(|p| p.name() == name)
+            .ok_or_else(|| format!("unknown planner `{name}` ({})", Planner::names()))
+    }
+}
+
+/// A planned query, ready for execution.
+#[derive(Debug, Clone)]
+pub struct Planned {
+    /// The physical plan (root is a `Project`).
+    pub plan: PhysicalPlan,
+    /// The query the plan's pattern indices refer to (after the planner's
+    /// own rewriting).
+    pub query: JoinQuery,
+    /// What the caller should be told about how the plan was obtained.
+    pub note: Option<String>,
+}
+
+/// Plan `query` with `planner` against `ds`'s statistics (HSP reads none).
+///
+/// CDP refuses cross products, as RDF-3X does; for those queries `plan`
+/// re-plans on the FILTER-rewritten form — the paper rewrote SP4a by hand
+/// for RDF-3X — and says so in [`Planned::note`]. Aggregation is planned
+/// by HSP only: every baseline gets [`PlanError::Aggregate`].
+pub fn plan(planner: Planner, ds: &Dataset, query: &JoinQuery) -> Result<Planned, PlanError> {
+    if planner != Planner::Hsp && query.is_aggregate() {
+        return Err(PlanError::Aggregate);
+    }
+    let mut note = None;
+    let (plan, query) = match planner {
+        Planner::Hsp => HspPlanner::new().plan(query).map(|p| (p.plan, p.query))?,
+        Planner::Cdp => {
+            let cdp = CdpPlanner::new();
+            let p = match cdp.plan(ds, query) {
+                Err(PlanError::CrossProduct) => {
+                    note = Some(
+                        "CDP refuses cross products (as RDF-3X does); \
+                         it planned the FILTER-rewritten query"
+                            .to_string(),
+                    );
+                    cdp.plan(ds, &rewrite_filters(query).0)?
+                }
+                other => other?,
+            };
+            (p.plan, p.query)
+        }
+        Planner::Sql => LeftDeepPlanner::new()
+            .plan(ds, query)
+            .map(|p| (p.plan, p.query))?,
+        Planner::Hybrid => return HybridPlanner::new().plan(ds, query),
+        Planner::Stocker => StockerPlanner::new()
+            .plan(ds, query)
+            .map(|p| (p.plan, p.query))?,
+    };
+    Ok(Planned { plan, query, note })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hsp_datagen::{generate_sp2bench, Sp2BenchConfig};
+    use hsp_engine::{execute, ExecConfig};
+
+    fn ds() -> Dataset {
+        generate_sp2bench(Sp2BenchConfig {
+            target_triples: 10_000,
+            seed: 1,
+        })
+    }
+
+    fn workload_query(id: &str) -> JoinQuery {
+        hsp_datagen::workload()
+            .into_iter()
+            .find(|q| q.id == id)
+            .unwrap()
+            .parse()
+    }
+
+    #[test]
+    fn names_parse_back_and_unknown_names_list_them_all() {
+        for p in Planner::ALL {
+            assert_eq!(p.name().parse::<Planner>(), Ok(p));
+            assert_eq!(p.name().to_uppercase().parse::<Planner>(), Ok(p));
+        }
+        let err = "rdf3x".parse::<Planner>().unwrap_err();
+        assert_eq!(err, "unknown planner `rdf3x` (hsp|cdp|sql|hybrid|stocker)");
+    }
+
+    #[test]
+    fn all_planners_plan_sp1() {
+        let ds = ds();
+        let q = workload_query("SP1");
+        for p in Planner::ALL {
+            let planned = plan(p, &ds, &q).unwrap_or_else(|e| panic!("{p:?}: {e}"));
+            assert!(planned.plan.validate().is_ok(), "{p:?}");
+            assert!(planned.note.is_none(), "{p:?}");
+        }
+    }
+
+    #[test]
+    fn planners_agree_on_sp1_result() {
+        let ds = ds();
+        let q = workload_query("SP1");
+        let results: Vec<_> = Planner::ALL
+            .into_iter()
+            .map(|p| {
+                let planned = plan(p, &ds, &q).unwrap();
+                let out = execute(&planned.plan, &ds, &ExecConfig::unlimited()).unwrap();
+                let proj: Vec<_> = planned.query.projection.iter().map(|&(_, v)| v).collect();
+                out.table.sorted_rows_for(&proj)
+            })
+            .collect();
+        for r in &results[1..] {
+            assert_eq!(r, &results[0]);
+        }
+    }
+
+    #[test]
+    fn cdp_falls_back_to_rewritten_sp4a() {
+        let ds = ds();
+        let q = workload_query("SP4a");
+        assert_eq!(
+            CdpPlanner::new().plan(&ds, &q).unwrap_err(),
+            PlanError::CrossProduct
+        );
+        let planned = plan(Planner::Cdp, &ds, &q).unwrap();
+        assert!(planned.note.is_some());
+        assert!(planned.plan.validate().is_ok());
+    }
+
+    #[test]
+    fn only_hsp_plans_aggregates() {
+        let ds = Dataset::from_ntriples(
+            "<http://e/a> <http://e/p> <http://e/x> .\n\
+             <http://e/a> <http://e/p> <http://e/y> .\n\
+             <http://e/b> <http://e/p> <http://e/x> .\n",
+        )
+        .unwrap();
+        let q = JoinQuery::parse(
+            "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s <http://e/p> ?o . } GROUP BY ?s",
+        )
+        .unwrap();
+        for p in Planner::ALL {
+            match plan(p, &ds, &q) {
+                Ok(planned) => {
+                    assert_eq!(p, Planner::Hsp);
+                    let out = execute(&planned.plan, &ds, &ExecConfig::unlimited()).unwrap();
+                    assert_eq!(out.table.len(), 2);
+                }
+                Err(e) => {
+                    assert_ne!(p, Planner::Hsp);
+                    assert_eq!(e, PlanError::Aggregate, "{p:?}");
+                }
+            }
+        }
+    }
+}

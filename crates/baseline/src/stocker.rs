@@ -28,9 +28,8 @@
 //! queries keep their cross product.
 
 use std::collections::HashMap;
-use std::fmt;
 
-use hsp_core::assign_ordered_relation;
+use hsp_core::{assign_ordered_relation, PlanError};
 use hsp_engine::plan::PhysicalPlan;
 use hsp_rdf::{TermId, TriplePos};
 use hsp_sparql::rewrite::push_down_const_equalities;
@@ -145,23 +144,6 @@ impl StockerStats {
     }
 }
 
-/// Stocker-planning failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StockerError {
-    /// The query has no triple patterns.
-    EmptyQuery,
-}
-
-impl fmt::Display for StockerError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StockerError::EmptyQuery => write!(f, "cannot plan a query without triple patterns"),
-        }
-    }
-}
-
-impl std::error::Error for StockerError {}
-
 /// A Stocker plan.
 #[derive(Debug, Clone)]
 pub struct StockerPlan {
@@ -187,7 +169,7 @@ impl StockerPlanner {
     }
 
     /// Plan `query` against summary statistics gathered from `ds`.
-    pub fn plan(&self, ds: &Dataset, query: &JoinQuery) -> Result<StockerPlan, StockerError> {
+    pub fn plan(&self, ds: &Dataset, query: &JoinQuery) -> Result<StockerPlan, PlanError> {
         let stats = StockerStats::build(ds);
         self.plan_with_stats(ds, query, &stats)
     }
@@ -199,11 +181,11 @@ impl StockerPlanner {
         ds: &Dataset,
         query: &JoinQuery,
         stats: &StockerStats,
-    ) -> Result<StockerPlan, StockerError> {
+    ) -> Result<StockerPlan, PlanError> {
         let (query, _) = push_down_const_equalities(query);
         let n = query.patterns.len();
         if n == 0 {
-            return Err(StockerError::EmptyQuery);
+            return Err(PlanError::EmptyQuery);
         }
 
         let selectivities: Vec<f64> = query
@@ -453,7 +435,7 @@ mod tests {
         };
         assert_eq!(
             StockerPlanner::new().plan(&ds, &query).unwrap_err(),
-            StockerError::EmptyQuery
+            PlanError::EmptyQuery
         );
     }
 

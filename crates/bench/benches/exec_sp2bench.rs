@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use hsp_bench::planners::{plan_query, PlannerKind};
+use hsp_baseline::{plan, Planner};
 use hsp_datagen::{generate_sp2bench, workload, DatasetKind, Sp2BenchConfig};
 use hsp_engine::{execute, ExecConfig};
 
@@ -25,21 +25,14 @@ fn bench_exec(c: &mut Criterion) {
         .filter(|q| q.dataset == DatasetKind::Sp2Bench)
     {
         let parsed = q.parse();
-        for kind in PlannerKind::PAPER {
-            if kind == PlannerKind::Sql && q.id == "SP4a" {
+        for kind in Planner::PAPER {
+            if kind == Planner::Sql && q.id == "SP4a" {
                 continue; // Cartesian product — reported as XXX in table7.
             }
-            let Ok(planned) = plan_query(kind, &ds, &parsed) else {
+            let Ok(planned) = plan(kind, &ds, &parsed) else {
                 continue;
             };
-            let label = match kind {
-                PlannerKind::Hsp => "hsp",
-                PlannerKind::Cdp => "cdp",
-                PlannerKind::Sql => "sql",
-                PlannerKind::Hybrid => "hybrid",
-                PlannerKind::Stocker => "stocker",
-            };
-            group.bench_function(BenchmarkId::new(label, q.id), |b| {
+            group.bench_function(BenchmarkId::new(kind.name(), q.id), |b| {
                 b.iter(|| black_box(execute(&planned.plan, &ds, &config).unwrap()))
             });
         }

@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use hsp_bench::planners::{plan_query, PlannerKind};
+use hsp_baseline::{plan, Planner};
 use hsp_datagen::{generate_yago, workload, DatasetKind, YagoConfig};
 use hsp_engine::{execute, ExecConfig};
 
@@ -21,18 +21,11 @@ fn bench_exec(c: &mut Criterion) {
         .filter(|q| q.dataset == DatasetKind::Yago)
     {
         let parsed = q.parse();
-        for kind in PlannerKind::PAPER {
-            let Ok(planned) = plan_query(kind, &ds, &parsed) else {
+        for kind in Planner::PAPER {
+            let Ok(planned) = plan(kind, &ds, &parsed) else {
                 continue;
             };
-            let label = match kind {
-                PlannerKind::Hsp => "hsp",
-                PlannerKind::Cdp => "cdp",
-                PlannerKind::Sql => "sql",
-                PlannerKind::Hybrid => "hybrid",
-                PlannerKind::Stocker => "stocker",
-            };
-            group.bench_function(BenchmarkId::new(label, q.id), |b| {
+            group.bench_function(BenchmarkId::new(kind.name(), q.id), |b| {
                 b.iter(|| black_box(execute(&planned.plan, &ds, &config).unwrap()))
             });
         }

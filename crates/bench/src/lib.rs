@@ -1,10 +1,9 @@
 //! Benchmark harness reproducing every table and figure of the paper.
 //!
 //! The [`mod@env`] module loads the two generated datasets (sizes configurable
-//! through environment variables), [`planners`] dispatches the three
-//! planners of the evaluation (HSP, CDP, SQL-left-deep) plus the hybrid
-//! extension, and [`tables`] renders each table/figure of the paper from
-//! live runs. The `repro` binary is the command-line front-end.
+//! through environment variables), and [`tables`] renders each table/figure
+//! of the paper from live runs, choosing planners through
+//! [`hsp_baseline::plan`]. The `repro` binary is the command-line front-end.
 //!
 //! Environment variables:
 //!
@@ -16,8 +15,6 @@
 //!   the SQL baseline's Cartesian plans trip it and report `XXX`).
 
 pub mod env;
-pub mod planners;
 pub mod tables;
 
 pub use env::{BenchEnv, EnvConfig};
-pub use planners::{plan_query, PlannedQuery, PlannerKind};

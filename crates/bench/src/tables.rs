@@ -6,18 +6,19 @@
 
 use std::time::Instant;
 
+use hsp_baseline::{plan, Planner};
 use hsp_core::{HspConfig, HspPlanner, VariableGraph};
 use hsp_datagen::graphs::{random_variable_graph, star_chain_graph};
 use hsp_datagen::{workload, DatasetKind, WorkloadQuery};
 use hsp_engine::cost::plan_cost;
 use hsp_engine::explain::render_plan_with_profile;
 use hsp_engine::metrics::{plans_similar, PlanMetrics};
-use hsp_engine::{execute, ExecConfig};
+use hsp_engine::{execute, ExecConfig, ExecError, PhysicalPlan};
 use hsp_sparql::rewrite::rewrite_filters;
 use hsp_sparql::QueryCharacteristics;
+use hsp_store::Dataset;
 
 use crate::env::BenchEnv;
-use crate::planners::{plan_query, timed_warm_runs, PlannerKind, TimedRun};
 
 /// Table 1 — a sample of the generated SP2Bench-like triples.
 pub fn table1(env: &BenchEnv) -> String {
@@ -84,8 +85,8 @@ pub fn table3(env: &BenchEnv) -> String {
         }
         let ds = env.dataset(q.dataset);
         let mut cells = Vec::new();
-        for kind in [PlannerKind::Hsp, PlannerKind::Cdp] {
-            let cell = match plan_query(kind, ds, &parsed) {
+        for kind in [Planner::Hsp, Planner::Cdp] {
+            let cell = match plan(kind, ds, &parsed) {
                 Ok(planned) => match execute(&planned.plan, ds, &ExecConfig::unlimited()) {
                     Ok(exec) => plan_cost(&planned.plan, &exec.profile).table3_cell(),
                     Err(e) => format!("exec failed: {e}"),
@@ -110,8 +111,8 @@ pub fn table4(env: &BenchEnv) -> String {
     for q in workload() {
         let parsed = q.parse();
         let ds = env.dataset(q.dataset);
-        let hsp = plan_query(PlannerKind::Hsp, ds, &parsed);
-        let cdp = plan_query(PlannerKind::Cdp, ds, &parsed);
+        let hsp = plan(Planner::Hsp, ds, &parsed);
+        let cdp = plan(Planner::Cdp, ds, &parsed);
         match (hsp, cdp) {
             (Ok(h), Ok(c)) => {
                 let hm = PlanMetrics::of(&h.plan);
@@ -137,8 +138,8 @@ pub fn table4(env: &BenchEnv) -> String {
                 out.push_str(&format!(
                     "{:<6} hsp: {} cdp: {}\n",
                     q.id,
-                    h.err().unwrap_or_default(),
-                    c.err().unwrap_or_default()
+                    h.err().map_or(String::new(), |e| e.to_string()),
+                    c.err().map_or(String::new(), |e| e.to_string())
                 ));
             }
         }
@@ -184,26 +185,46 @@ pub fn execution_table(env: &BenchEnv, dataset: DatasetKind) -> String {
         out.push_str(&format!(" {:>12}", q.id));
     }
     out.push('\n');
-    for kind in PlannerKind::PAPER {
+    for kind in Planner::PAPER {
         out.push_str(&format!("{:<12}", kind.label()));
         for q in &queries {
             let parsed = q.parse();
             let ds = env.dataset(dataset);
-            let cell = match plan_query(kind, ds, &parsed) {
-                Ok(planned) => {
-                    match timed_warm_runs(&planned.plan, ds, env.config.runs, env.config.row_budget)
-                    {
-                        TimedRun::Ok { mean_ms, .. } => format!("{mean_ms:.2}"),
-                        TimedRun::Failed(_) => "XXX".to_string(),
-                    }
-                }
-                Err(_) => "XXX".to_string(),
-            };
+            let cell = plan(kind, ds, &parsed)
+                .ok()
+                .and_then(|planned| {
+                    timed_warm_runs(&planned.plan, ds, env.config.runs, env.config.row_budget).ok()
+                })
+                .map_or("XXX".to_string(), |ms| format!("{ms:.2}"));
             out.push_str(&format!(" {cell:>12}"));
         }
         out.push('\n');
     }
     out
+}
+
+/// The paper's §6.1 protocol: run `runs` times warm, drop the first run,
+/// and return the mean milliseconds of the rest — or the error of the
+/// first failed run (e.g. the row budget tripped on a Cartesian product,
+/// which the tables print as `XXX`).
+pub fn timed_warm_runs(
+    plan: &PhysicalPlan,
+    ds: &Dataset,
+    runs: usize,
+    row_budget: usize,
+) -> Result<f64, ExecError> {
+    let config = ExecConfig::with_row_budget(row_budget);
+    let timed = runs.max(2) - 1;
+    let mut total = 0.0;
+    for i in 0..=timed {
+        let start = Instant::now();
+        // Held past the clock: freeing the result is not execution.
+        let _output = execute(plan, ds, &config)?;
+        if i > 0 {
+            total += start.elapsed().as_secs_f64() * 1e3;
+        }
+    }
+    Ok(total / timed as f64)
 }
 
 /// The query texts (covers the paper's Tables 5 and 9).
@@ -254,7 +275,7 @@ pub fn figure2(env: &BenchEnv) -> String {
     plan_figure(
         env,
         "Y3",
-        PlannerKind::Hsp,
+        Planner::Hsp,
         "Figure 2: HSP plan for YAGO query Y3",
     )
 }
@@ -264,27 +285,27 @@ pub fn figure3(env: &BenchEnv) -> String {
     let mut out = plan_figure(
         env,
         "Y2",
-        PlannerKind::Hsp,
+        Planner::Hsp,
         "Figure 3(a): HSP plan for YAGO query Y2",
     );
     out.push('\n');
     out.push_str(&plan_figure(
         env,
         "Y2",
-        PlannerKind::Cdp,
+        Planner::Cdp,
         "Figure 3(b): CDP plan for YAGO query Y2",
     ));
     out
 }
 
-fn plan_figure(env: &BenchEnv, id: &str, kind: PlannerKind, title: &str) -> String {
+fn plan_figure(env: &BenchEnv, id: &str, kind: Planner, title: &str) -> String {
     let q = workload()
         .into_iter()
         .find(|q| q.id == id)
         .expect("workload query");
     let parsed = q.parse();
     let ds = env.dataset(q.dataset);
-    let planned = match plan_query(kind, ds, &parsed) {
+    let planned = match plan(kind, ds, &parsed) {
         Ok(p) => p,
         Err(e) => return format!("{title}\nplanning failed: {e}\n"),
     };
@@ -411,13 +432,13 @@ pub fn ablation(env: &BenchEnv) -> String {
         "{:<15} {:>16} {:>10} {:>10} {:>8}\n",
         "planner", "total cost", "merge", "hash", "cross"
     ));
-    for kind in crate::planners::PlannerKind::ALL {
+    for kind in Planner::ALL {
         let mut total_cost = 0.0;
         let (mut merge, mut hash, mut cross) = (0usize, 0usize, 0usize);
         for q in workload() {
             let parsed = q.parse();
             let ds = env.dataset(q.dataset);
-            let Ok(planned) = crate::planners::plan_query(kind, ds, &parsed) else {
+            let Ok(planned) = plan(kind, ds, &parsed) else {
                 continue;
             };
             let m = PlanMetrics::of(&planned.plan);
@@ -516,6 +537,26 @@ mod tests {
         assert!(sql_line.contains("XXX"), "{sql_line}");
         let t8 = execution_table(env(), DatasetKind::Yago);
         assert!(t8.contains("Y4"));
+    }
+
+    #[test]
+    fn warm_runs_report_mean() {
+        let q = workload().into_iter().find(|q| q.id == "SP1").unwrap();
+        let ds = env().dataset(q.dataset);
+        let planned = plan(Planner::Hsp, ds, &q.parse()).unwrap();
+        let mean_ms = timed_warm_runs(&planned.plan, ds, 3, 1_000_000).unwrap();
+        assert!(mean_ms >= 0.0);
+    }
+
+    #[test]
+    fn sql_sp4a_trips_budget() {
+        let q = workload().into_iter().find(|q| q.id == "SP4a").unwrap();
+        let ds = env().dataset(q.dataset);
+        let planned = plan(Planner::Sql, ds, &q.parse()).unwrap();
+        assert!(matches!(
+            timed_warm_runs(&planned.plan, ds, 2, 10_000),
+            Err(ExecError::BudgetExceeded { .. })
+        ));
     }
 
     #[test]

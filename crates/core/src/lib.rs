@@ -27,5 +27,5 @@ pub mod planner;
 pub mod vargraph;
 
 pub use mwis::BitSet;
-pub use planner::{assign_ordered_relation, HspConfig, HspPlan, HspPlanner};
+pub use planner::{assign_ordered_relation, HspConfig, HspPlan, HspPlanner, PlanError};
 pub use vargraph::VariableGraph;

@@ -84,22 +84,43 @@ pub struct HspPlan {
     pub merge_vars: Vec<(Var, Vec<usize>)>,
 }
 
-/// Planning failure.
+/// Why a planner produced no plan — the one failure type of every planner
+/// in the workspace (HSP here, the baselines in `hsp-baseline`).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HspError {
+pub enum PlanError {
     /// The query has no triple patterns.
     EmptyQuery,
+    /// The query's join graph is disconnected, and the planner refuses
+    /// cross products (CDP, as RDF-3X does).
+    CrossProduct,
+    /// Too many patterns for exhaustive dynamic programming (limit: 20).
+    TooLarge(usize),
+    /// The query aggregates, and only HSP plans aggregation.
+    Aggregate,
 }
 
-impl fmt::Display for HspError {
+impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            HspError::EmptyQuery => write!(f, "cannot plan a query without triple patterns"),
+            PlanError::EmptyQuery => write!(f, "cannot plan a query without triple patterns"),
+            PlanError::CrossProduct => write!(
+                f,
+                "CDP refuses queries containing a cross product (as RDF-3X does)"
+            ),
+            PlanError::TooLarge(n) => write!(
+                f,
+                "CDP dynamic programming limited to 20 patterns, query has {n}"
+            ),
+            PlanError::Aggregate => write!(
+                f,
+                "aggregation (GROUP BY / HAVING / aggregate functions) is only \
+                 planned by the hsp planner"
+            ),
         }
     }
 }
 
-impl std::error::Error for HspError {}
+impl std::error::Error for PlanError {}
 
 /// The Heuristic SPARQL Planner.
 #[derive(Debug, Clone, Default)]
@@ -124,9 +145,9 @@ impl HspPlanner {
     }
 
     /// Plan a join query (Algorithm 1 + plan assembly).
-    pub fn plan(&self, query: &JoinQuery) -> Result<HspPlan, HspError> {
+    pub fn plan(&self, query: &JoinQuery) -> Result<HspPlan, PlanError> {
         if query.patterns.is_empty() {
-            return Err(HspError::EmptyQuery);
+            return Err(PlanError::EmptyQuery);
         }
         let (query, rewrite) = if self.config.rewrite_filters {
             rewrite_filters(query)
@@ -674,7 +695,7 @@ mod tests {
             aggregates: vec![],
             having: None,
         };
-        assert_eq!(planner.plan(&q).unwrap_err(), HspError::EmptyQuery);
+        assert_eq!(planner.plan(&q).unwrap_err(), PlanError::EmptyQuery);
     }
 
     #[test]

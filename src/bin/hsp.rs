@@ -10,7 +10,8 @@
 //!   --update <text|@file>   SPARQL update (INSERT DATA / DELETE DATA /
 //!                           DELETE WHERE); prints the mutated dataset to
 //!                           --out (or stdout) as N-Triples
-//!   --planner <name>        hsp (default) | cdp | sql | hybrid | stocker
+//!   --planner <name>        a `Planner` name (default hsp); the usage
+//!                           line lists every planner
 //!   --format <name>         table (default) | json | csv | tsv
 //!   --explain               print the physical plan (with cardinalities),
 //!                           the pipeline DAG it lowers into, and the
@@ -44,7 +45,7 @@ struct Args {
     data: String,
     query: Option<String>,
     update: Option<String>,
-    planner: String,
+    planner: Planner,
     format: Format,
     explain: bool,
     budget: Option<usize>,
@@ -55,21 +56,24 @@ struct Args {
     out: Option<String>,
 }
 
-fn usage() -> &'static str {
-    "usage: hsp <data.nt> (--query <text|@file> | --update <text|@file>)\n\
-     \x20      [--planner hsp|cdp|sql|hybrid|stocker] [--format table|json|csv|tsv]\n\
-     \x20      [--explain] [--budget <rows>] [--threads <n>]\n\
-     \x20      [--timeout-ms <n>] [--mem-budget-mb <n>] [--no-cache] [--out <file>]"
+fn usage() -> String {
+    format!(
+        "usage: hsp <data.nt> (--query <text|@file> | --update <text|@file>)\n\
+         \x20      [--planner {}] [--format table|json|csv|tsv]\n\
+         \x20      [--explain] [--budget <rows>] [--threads <n>]\n\
+         \x20      [--timeout-ms <n>] [--mem-budget-mb <n>] [--no-cache] [--out <file>]",
+        Planner::names()
+    )
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut argv = std::env::args().skip(1);
-    let data = argv.next().ok_or_else(|| usage().to_string())?;
+    let data = argv.next().ok_or_else(usage)?;
     let mut args = Args {
         data,
         query: None,
         update: None,
-        planner: "hsp".into(),
+        planner: Planner::Hsp,
         format: Format::Table,
         explain: false,
         budget: None,
@@ -87,7 +91,7 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--query" => args.query = Some(value("--query")?),
             "--update" => args.update = Some(value("--update")?),
-            "--planner" => args.planner = value("--planner")?.to_lowercase(),
+            "--planner" => args.planner = value("--planner")?.parse()?,
             "--format" => args.format = value("--format")?.parse()?,
             "--explain" => args.explain = true,
             "--budget" => {
@@ -145,7 +149,6 @@ fn load_text(spec: &str) -> Result<String, String> {
 
 fn run() -> Result<(), String> {
     let args = parse_args()?;
-    let planner: Planner = args.planner.parse()?;
     let document = std::fs::read_to_string(&args.data)
         .map_err(|e| format!("cannot read {}: {e}", args.data))?;
     // Turtle by extension (.ttl); N-Triples (a Turtle subset) otherwise.
@@ -160,7 +163,7 @@ fn run() -> Result<(), String> {
     // parallel kernels schedule on; `--threads` sets the request's budget.
     let session = Session::new(ds);
     let build_request = |text: &str| {
-        let mut request = Request::new(text).with_planner(planner);
+        let mut request = Request::new(text).with_planner(args.planner);
         if args.explain {
             request = request.with_explain();
         }

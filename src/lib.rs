@@ -43,7 +43,7 @@
 //! | [`sparql`] | parser, join-query algebra, FILTER rewriting, analysis |
 //! | [`engine`] | columnar operators, executor, cost model, explain |
 //! | [`hsp`] | **the paper**: variable graph, MWIS, heuristics, planner |
-//! | [`baseline`] | CDP, SQL-left-deep and hybrid planners |
+//! | [`baseline`] | CDP, SQL-left-deep, Stocker and hybrid planners; `plan`, the one dispatcher |
 //! | [`datagen`] | SP2Bench-like + YAGO-like generators, the workload |
 //! | [`extended`] | OPTIONAL / UNION / ASK evaluation over HSP-planned blocks |
 //! | [`update`] | SPARQL Update (INSERT DATA / DELETE DATA / DELETE WHERE) |

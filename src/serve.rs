@@ -8,9 +8,8 @@
 //! plus an optional body:
 //!
 //! ```text
-//! QUERY [planner=hsp] [format=json|table|csv|tsv] [explain=1]
-//!       [threads=N] [timeout_ms=N] [mem_budget_mb=N] [row_budget=N]
-//!       [cache=off]
+//! QUERY [format=json|table|csv|tsv] [explain=1] [threads=N]
+//!       [timeout_ms=N] [mem_budget_mb=N] [row_budget=N] [cache=off]
 //! <query text>
 //!
 //! UPDATE [timeout_ms=N] [mem_budget_mb=N]
@@ -64,7 +63,7 @@ use hsp_engine::MorselConfig;
 
 use crate::cache::{Body, BodySlots};
 use crate::results::{Format, RowFormat};
-use crate::session::{EncodedResponse, Planner, Request, Session};
+use crate::session::{EncodedResponse, Request, Session};
 
 /// Frames larger than this are rejected as a protocol error by whoever
 /// reads them; the server answers `ERR TOOLARGE` rather than send one.
@@ -555,7 +554,6 @@ fn connection_loop(stream: TcpStream, shared: Arc<ServerShared>) {
 
 /// Options parsed from a request header line.
 struct ReqOpts {
-    planner: Planner,
     format: Format,
     explain: bool,
     threads: Option<usize>,
@@ -568,7 +566,6 @@ struct ReqOpts {
 impl ReqOpts {
     fn parse(tokens: std::str::SplitWhitespace<'_>) -> Result<ReqOpts, String> {
         let mut opts = ReqOpts {
-            planner: Planner::Hsp,
             format: Format::Json,
             explain: false,
             threads: None,
@@ -592,7 +589,6 @@ impl ReqOpts {
                 _ => Err(format!("option {key} needs 0|1|true|false, got `{value}`")),
             };
             match key {
-                "planner" => opts.planner = value.parse()?,
                 "format" => opts.format = value.parse()?,
                 "explain" => opts.explain = flag()?,
                 "threads" => opts.threads = Some(int("threads")?.max(1)),
@@ -613,7 +609,7 @@ impl ReqOpts {
     }
 
     fn request(&self, text: &str) -> Request {
-        let mut request = Request::new(text).with_planner(self.planner);
+        let mut request = Request::new(text);
         if self.explain {
             request = request.with_explain();
         }

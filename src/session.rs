@@ -50,8 +50,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
-use hsp_baseline::{CdpPlanner, HybridPlanner, LeftDeepPlanner, StockerPlanner};
-use hsp_core::HspPlanner;
+use hsp_core::PlanError;
 use hsp_engine::plan::PhysicalPlan;
 use hsp_engine::{
     execute_in, CancelToken, ExecConfig, ExecContext, ExecError, IdRows, MorselConfig, PoolStats,
@@ -69,37 +68,7 @@ use crate::update::{run_update_traced, UpdateError, UpdateStats};
 
 /// Which planner a [`Request`] runs through (join-fragment queries only;
 /// OPTIONAL/UNION queries are always composed from HSP-planned blocks).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Planner {
-    /// The paper's heuristics-based planner (the default).
-    #[default]
-    Hsp,
-    /// The RDF-3X-style dynamic-programming baseline.
-    Cdp,
-    /// The SQL-style left-deep baseline.
-    Sql,
-    /// CDP over HSP's rewritten query.
-    Hybrid,
-    /// The Stocker et al. selectivity-ordering baseline.
-    Stocker,
-}
-
-impl std::str::FromStr for Planner {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "hsp" => Ok(Planner::Hsp),
-            "cdp" => Ok(Planner::Cdp),
-            "sql" => Ok(Planner::Sql),
-            "hybrid" => Ok(Planner::Hybrid),
-            "stocker" => Ok(Planner::Stocker),
-            other => Err(format!(
-                "unknown planner `{other}` (hsp|cdp|sql|hybrid|stocker)"
-            )),
-        }
-    }
-}
+pub use hsp_baseline::Planner;
 
 /// One query or update request: the text plus every execution option the
 /// engine understands, builder-style. All options default off.
@@ -314,7 +283,7 @@ pub enum SessionError {
     /// Update parsing or execution failed (nothing was published).
     Update(UpdateError),
     /// The chosen planner could not plan the query.
-    Plan(String),
+    Plan(PlanError),
 }
 
 impl std::fmt::Display for SessionError {
@@ -658,52 +627,6 @@ impl Session {
     }
 }
 
-/// Plan a join-fragment query with the chosen planner (aggregates are
-/// HSP-only, as in the CLI).
-fn plan_query(
-    planner: Planner,
-    ds: &Dataset,
-    query: &JoinQuery,
-) -> Result<(PhysicalPlan, JoinQuery), String> {
-    if query.is_aggregate() && planner != Planner::Hsp {
-        return Err(
-            "aggregation (GROUP BY / HAVING / aggregate functions) is only \
-             planned by the hsp planner"
-                .to_string(),
-        );
-    }
-    match planner {
-        Planner::Hsp => {
-            let p = HspPlanner::new().plan(query).map_err(|e| e.to_string())?;
-            Ok((p.plan, p.query))
-        }
-        Planner::Cdp => {
-            let p = CdpPlanner::new()
-                .plan(ds, query)
-                .map_err(|e| e.to_string())?;
-            Ok((p.plan, p.query))
-        }
-        Planner::Sql => {
-            let p = LeftDeepPlanner::new()
-                .plan(ds, query)
-                .map_err(|e| e.to_string())?;
-            Ok((p.plan, p.query))
-        }
-        Planner::Hybrid => {
-            let p = HybridPlanner::new()
-                .plan(ds, query)
-                .map_err(|e| e.to_string())?;
-            Ok((p.plan, p.query))
-        }
-        Planner::Stocker => {
-            let p = StockerPlanner::new()
-                .plan(ds, query)
-                .map_err(|e| e.to_string())?;
-            Ok((p.plan, p.query))
-        }
-    }
-}
-
 /// The result-tier cache key, when the request is result-cacheable at
 /// all. Governed requests (timeout / budgets / cancellation / fault
 /// injection) and explain runs are never served from the result tier —
@@ -833,16 +756,19 @@ fn plan_parsed(
     let join = (!ast.ask).then(|| JoinQuery::from_ast(&ast));
     let (plan, query, plan_cache, note) = match join {
         Some(Ok(query)) => {
+            let plan =
+                || hsp_baseline::plan(request.planner, ds, &query).map_err(SessionError::Plan);
             let canon = plan_tier.and_then(|c| Some((c, hsp_sparql::canonicalize(&query)?)));
             match canon {
+                // Only HSP requests reach the plan tier, and HSP plans
+                // carry no note.
                 Some((c, canon)) => {
                     let (pair, hit) = match c.plan_get(&canon, &query) {
                         Some(pair) => (pair, true),
                         None => {
-                            let pair = plan_query(request.planner, ds, &query)
-                                .map_err(SessionError::Plan)?;
-                            c.plan_insert(&canon, &query, &pair.0, &pair.1);
-                            (pair, false)
+                            let planned = plan()?;
+                            c.plan_insert(&canon, &query, &planned.plan, &planned.query);
+                            ((planned.plan, planned.query), false)
                         }
                     };
                     if let Some(template) = Template::new(tokens, &hoisted, &ast, &query, &canon) {
@@ -851,9 +777,8 @@ fn plan_parsed(
                     (pair.0, pair.1, Some(hit), None)
                 }
                 None => {
-                    let (plan, planned) =
-                        plan_query(request.planner, ds, &query).map_err(SessionError::Plan)?;
-                    (plan, planned, None, None)
+                    let planned = plan()?;
+                    (planned.plan, planned.query, None, planned.note)
                 }
             }
         }

@@ -64,6 +64,47 @@ fn json_output_across_planners() {
     }
 }
 
+/// SP4a (author pairs sharing a homepage, joined only through a FILTER
+/// equality) on two articles whose authors share one homepage.
+#[test]
+fn cdp_answers_sp4a_through_the_filter_rewrite() {
+    let path = std::env::temp_dir().join("hsp-cli-test-sp4a.nt");
+    let mut doc = String::new();
+    for i in 1..=2 {
+        doc.push_str(&format!(
+            "<http://e/a{i}> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://e/Article> .\n\
+             <http://e/a{i}> <http://e/creator> <http://e/au{i}> .\n\
+             <http://e/au{i}> <http://e/homepage> <http://e/hp> .\n"
+        ));
+    }
+    std::fs::write(&path, doc).expect("writable temp dir");
+    let query = "SELECT ?au1 ?au2 WHERE {
+        ?a1 a <http://e/Article> . ?a1 <http://e/creator> ?au1 . ?au1 <http://e/homepage> ?hp1 .
+        ?a2 a <http://e/Article> . ?a2 <http://e/creator> ?au2 . ?au2 <http://e/homepage> ?hp2 .
+        FILTER (?hp1 = ?hp2) }";
+    let rows = |planner: &str| {
+        let (stdout, stderr, ok) = hsp(&[
+            path.to_str().unwrap(),
+            "--query",
+            query,
+            "--planner",
+            planner,
+            "--format",
+            "csv",
+        ]);
+        assert!(ok, "{planner} failed: {stderr}");
+        let mut lines: Vec<String> = stdout.lines().map(str::to_string).collect();
+        lines.sort();
+        (lines, stderr)
+    };
+    let (hsp_rows, hsp_stderr) = rows("hsp");
+    assert_eq!(hsp_rows.len(), 5, "header + 4 rows: {hsp_rows:?}");
+    assert!(!hsp_stderr.contains("note:"), "{hsp_stderr}");
+    let (cdp_rows, cdp_stderr) = rows("cdp");
+    assert_eq!(cdp_rows, hsp_rows);
+    assert!(cdp_stderr.contains("note:"), "{cdp_stderr}");
+}
+
 #[test]
 fn explain_prints_plan_tree() {
     let data = data_file("explain");

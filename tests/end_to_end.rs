@@ -1,10 +1,10 @@
-//! End-to-end integration: all 14 workload queries, all four planners, on
+//! End-to-end integration: all 14 workload queries, all five planners, on
 //! generated SP2Bench-like and YAGO-like datasets — identical result sets
 //! everywhere a plan exists.
 
 use std::sync::OnceLock;
 
-use hsp_bench::planners::{plan_query, PlannerKind};
+use hsp_baseline::{plan, Planner};
 use hsp_bench::{BenchEnv, EnvConfig};
 use hsp_datagen::workload;
 use hsp_engine::{execute, ExecConfig};
@@ -22,8 +22,8 @@ fn all_queries_all_planners_agree_on_results() {
         let parsed = q.parse();
         let ds = env.dataset(q.dataset);
         let mut reference: Option<Vec<Vec<hsp_rdf::TermId>>> = None;
-        for kind in PlannerKind::ALL {
-            let planned = plan_query(kind, ds, &parsed)
+        for kind in Planner::ALL {
+            let planned = plan(kind, ds, &parsed)
                 .unwrap_or_else(|e| panic!("{} via {kind:?} failed to plan: {e}", q.id));
             planned
                 .plan
@@ -32,7 +32,7 @@ fn all_queries_all_planners_agree_on_results() {
             // The SQL and Stocker baselines plan SP4a as a Cartesian
             // product (no FILTER unification); skip executing those (that
             // behaviour is asserted separately).
-            if matches!(kind, PlannerKind::Sql | PlannerKind::Stocker) && q.id == "SP4a" {
+            if matches!(kind, Planner::Sql | Planner::Stocker) && q.id == "SP4a" {
                 continue;
             }
             let out = execute(&planned.plan, ds, &ExecConfig::unlimited())
@@ -61,7 +61,7 @@ fn workload_queries_return_expected_emptiness() {
     for q in workload() {
         let parsed = q.parse();
         let ds = env.dataset(q.dataset);
-        let planned = plan_query(PlannerKind::Hsp, ds, &parsed).unwrap();
+        let planned = plan(Planner::Hsp, ds, &parsed).unwrap();
         let out = execute(&planned.plan, ds, &ExecConfig::unlimited()).unwrap();
         if q.id == "SP3c" {
             assert!(
@@ -78,7 +78,7 @@ fn workload_queries_return_expected_emptiness() {
 fn sp1_returns_exactly_one_journal() {
     let env = env();
     let q = workload().into_iter().find(|q| q.id == "SP1").unwrap();
-    let planned = plan_query(PlannerKind::Hsp, env.dataset(q.dataset), &q.parse()).unwrap();
+    let planned = plan(Planner::Hsp, env.dataset(q.dataset), &q.parse()).unwrap();
     let out = execute(
         &planned.plan,
         env.dataset(q.dataset),
@@ -95,8 +95,8 @@ fn hsp_plans_are_statistics_free() {
     let env = env();
     for q in workload() {
         let parsed = q.parse();
-        let a = plan_query(PlannerKind::Hsp, &env.sp2b, &parsed).unwrap();
-        let b = plan_query(PlannerKind::Hsp, &env.yago, &parsed).unwrap();
+        let a = plan(Planner::Hsp, &env.sp2b, &parsed).unwrap();
+        let b = plan(Planner::Hsp, &env.yago, &parsed).unwrap();
         assert_eq!(a.plan, b.plan, "{} HSP plan depends on the dataset", q.id);
     }
 }
@@ -109,8 +109,8 @@ fn modifiers_run_through_planned_queries() {
     let ds = env.dataset(q.dataset);
     let text = format!("{} ORDER BY ?isbn LIMIT 5", q.text.trim_end());
     let parsed = hsp_sparql::JoinQuery::parse(&text).expect("modified SP5 parses");
-    for kind in [PlannerKind::Hsp, PlannerKind::Cdp] {
-        let planned = plan_query(kind, ds, &parsed).unwrap();
+    for kind in [Planner::Hsp, Planner::Cdp] {
+        let planned = plan(kind, ds, &parsed).unwrap();
         let out = execute(&planned.plan, ds, &ExecConfig::unlimited()).unwrap();
         assert!(out.table.len() <= 5, "{kind:?} ignored LIMIT");
     }
@@ -123,7 +123,7 @@ fn profile_cardinalities_are_consistent() {
     let env = env();
     let q = workload().into_iter().find(|q| q.id == "Y3").unwrap();
     let ds = env.dataset(q.dataset);
-    let planned = plan_query(PlannerKind::Hsp, ds, &q.parse()).unwrap();
+    let planned = plan(Planner::Hsp, ds, &q.parse()).unwrap();
     let out = execute(&planned.plan, ds, &ExecConfig::unlimited()).unwrap();
     assert_eq!(out.profile.output_rows, out.table.len());
     // Total intermediate rows bound the memory footprint measure.

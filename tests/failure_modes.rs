@@ -1,8 +1,7 @@
 //! Failure-injection integration tests: malformed inputs, planner
 //! rejections, and execution guards behave as documented.
 
-use hsp_baseline::cdp::CdpError;
-use hsp_baseline::CdpPlanner;
+use hsp_baseline::{CdpPlanner, PlanError};
 use hsp_core::HspPlanner;
 use hsp_datagen::{generate_sp2bench, Sp2BenchConfig};
 use hsp_engine::{execute, ExecConfig, ExecError, ExecStrategy};
@@ -42,7 +41,7 @@ fn cdp_rejects_disconnected_queries() {
         .unwrap();
     assert_eq!(
         CdpPlanner::new().plan(&ds, &q).unwrap_err(),
-        CdpError::CrossProduct
+        PlanError::CrossProduct
     );
 }
 

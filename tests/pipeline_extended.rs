@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use hsp_bench::planners::{plan_query, PlannerKind};
+use hsp_baseline::{plan, Planner};
 use hsp_bench::{BenchEnv, EnvConfig};
 use hsp_datagen::workload;
 use hsp_engine::{execute, ExecConfig, ExecError, ExecStrategy, MorselConfig, RuntimeMetrics};
@@ -41,7 +41,7 @@ fn workload_queries_pipeline_matches_oracle_at_all_thread_counts() {
     for q in workload() {
         let parsed = q.parse();
         let ds = env.dataset(q.dataset);
-        let planned = plan_query(PlannerKind::Hsp, ds, &parsed)
+        let planned = plan(Planner::Hsp, ds, &parsed)
             .unwrap_or_else(|e| panic!("{} failed to plan: {e}", q.id));
         let oracle = execute(
             &planned.plan,

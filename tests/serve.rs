@@ -774,7 +774,8 @@ fn slow_writers_do_not_desynchronise_the_frame_stream() {
     server.shutdown();
 }
 
-/// Options the protocol no longer has (`sip=`, `strategy=`), malformed
+/// Options the protocol no longer has (`sip=`, `strategy=`, `planner=` —
+/// the wire always plans with HSP; only the CLI chooses), malformed
 /// booleans, and a row-budget trip each answer a typed `ERR`; the
 /// connection stays usable and — with room for exactly one request in
 /// flight — the next query is admitted, so no permit leaked.
@@ -794,6 +795,7 @@ fn rejected_options_and_budget_trips_leave_the_connection_usable() {
     for (options, error) in [
         ("sip=1", "ERR PROTO unknown option `sip`"),
         ("strategy=operator", "ERR PROTO unknown option `strategy`"),
+        ("planner=cdp", "ERR PROTO unknown option `planner`"),
         (
             "explain=yes",
             "ERR PROTO option explain needs 0|1|true|false",
