@@ -18,9 +18,6 @@ use hsp_store::Dataset;
 
 use crate::cardinality::{EstimatedRel, Estimator};
 
-/// [`PlanError`] under the name CDP's failures had before planners shared it.
-pub use hsp_core::PlanError as CdpError;
-
 /// A CDP plan with its estimated cost.
 #[derive(Debug, Clone)]
 pub struct CdpPlan {

@@ -44,48 +44,47 @@ fn bench_filter_kinds(c: &mut Criterion) {
         let titles = scan_all(&ds, "title");
         group.throughput(Throughput::Elements(n as u64));
 
-        // Simple shape: interned-id equality (no term decoding).
-        let simple = FilterExpr::Cmp {
-            op: CmpOp::Eq,
-            lhs: Operand::Var(Var(1)),
-            rhs: Operand::Const(Term::typed_literal(
+        // Top-level equality: interned-id term equality (no term decoding).
+        let simple = FilterExpr::Eq(
+            Operand::Var(Var(1)),
+            Operand::Const(Term::typed_literal(
                 "1940",
                 "http://www.w3.org/2001/XMLSchema#integer",
             )),
-        };
+        );
         group.bench_with_input(BenchmarkId::new("simple-eq", n), &n, |b, _| {
             b.iter(|| black_box(ops::filter(&ctx, &ds, &years, &simple)))
         });
 
         // Complex shape: typed numeric comparison with arithmetic.
-        let complex = FilterExpr::Complex(Box::new(Expr::Cmp {
-            op: CmpOp::Gt,
-            lhs: Box::new(Expr::Arith {
+        let complex = FilterExpr::Complex(Expr::cmp(
+            CmpOp::Gt,
+            Expr::Arith {
                 op: hsp_sparql::ArithOp::Sub,
                 lhs: Box::new(Expr::Var(Var(1))),
                 rhs: Box::new(Expr::Const(Term::typed_literal(
                     "1900",
                     "http://www.w3.org/2001/XMLSchema#integer",
                 ))),
-            }),
-            rhs: Box::new(Expr::Const(Term::typed_literal(
+            },
+            Expr::Const(Term::typed_literal(
                 "50",
                 "http://www.w3.org/2001/XMLSchema#integer",
-            ))),
-        }));
+            )),
+        ));
         group.bench_with_input(BenchmarkId::new("complex-arith", n), &n, |b, _| {
             b.iter(|| black_box(ops::filter(&ctx, &ds, &years, &complex)))
         });
 
         // REGEX over the title strings (compiled once per filter call via
         // the evaluator's cache).
-        let regex = FilterExpr::Complex(Box::new(Expr::Call {
+        let regex = FilterExpr::Complex(Expr::Call {
             func: Func::Regex,
             args: vec![
                 Expr::Var(Var(1)),
                 Expr::Const(Term::literal(r"\(19[4-6]\d\)")),
             ],
-        }));
+        });
         group.bench_with_input(BenchmarkId::new("regex", n), &n, |b, _| {
             b.iter(|| black_box(ops::filter(&ctx, &ds, &titles, &regex)))
         });

@@ -892,7 +892,7 @@ mod tests {
     fn pool_recycling_preserves_results_across_a_deep_plan() {
         // project(filter(join(scan, scan))): every operator consumes its
         // child, so the pool sees several recycle/checkout cycles.
-        use hsp_sparql::{CmpOp, FilterExpr, Operand};
+        use hsp_sparql::{CmpOp, Expr, FilterExpr};
         let ds = dataset();
         let plan = PhysicalPlan::Project {
             input: Box::new(PhysicalPlan::Filter {
@@ -901,11 +901,11 @@ mod tests {
                     right: Box::new(scan(1, vv(0), cv("q"), vv(2), Order::Pso)),
                     var: Var(0),
                 }),
-                expr: FilterExpr::Cmp {
-                    op: CmpOp::Gt,
-                    lhs: Operand::Var(Var(2)),
-                    rhs: Operand::Const(Term::literal("4")),
-                },
+                expr: FilterExpr::Complex(Expr::cmp(
+                    CmpOp::Gt,
+                    Expr::Var(Var(2)),
+                    Expr::Const(Term::literal("4")),
+                )),
             }),
             projection: vec![("s".into(), Var(0)), ("o".into(), Var(1))],
             distinct: false,
@@ -921,15 +921,15 @@ mod tests {
 
     #[test]
     fn filter_node_runs() {
-        use hsp_sparql::{CmpOp, FilterExpr, Operand};
+        use hsp_sparql::{CmpOp, Expr, FilterExpr};
         let ds = dataset();
         let plan = PhysicalPlan::Filter {
             input: Box::new(scan(0, vv(0), cv("q"), vv(1), Order::Pso)),
-            expr: FilterExpr::Cmp {
-                op: CmpOp::Lt,
-                lhs: Operand::Var(Var(1)),
-                rhs: Operand::Const(Term::literal("6")),
-            },
+            expr: FilterExpr::Complex(Expr::cmp(
+                CmpOp::Lt,
+                Expr::Var(Var(1)),
+                Expr::Const(Term::literal("6")),
+            )),
         };
         let out = execute(&plan, &ds, &ExecConfig::unlimited()).unwrap();
         assert_eq!(out.table.len(), 1);

@@ -22,8 +22,8 @@
 
 use std::collections::HashSet;
 
-use hsp_rdf::{Term, TermId, TermKind};
-use hsp_sparql::{CmpOp, FilterExpr, Operand, TermOrVar, TriplePattern, Var};
+use hsp_rdf::{Term, TermId};
+use hsp_sparql::{FilterExpr, Operand, TermOrVar, TriplePattern, Var};
 use hsp_store::{Dataset, Order, StorageBackend};
 
 use crate::binding::BindingTable;
@@ -528,7 +528,7 @@ thread_local! {
 
 /// Evaluate a residual FILTER, keeping the rows satisfying `expr`.
 ///
-/// Simple (in)equality shapes compare interned ids directly; full-grammar
+/// [`FilterExpr::Eq`] is term equality and compares interned ids;
 /// [`FilterExpr::Complex`] expressions are evaluated with the SPARQL typed
 /// value semantics of [`hsp_sparql::expr`] by one local
 /// [`Evaluator`](hsp_sparql::Evaluator) (and hence one compiled-regex
@@ -838,16 +838,18 @@ pub(crate) fn eval_expr<V: RowValues>(
     evaluator: &hsp_sparql::Evaluator,
 ) -> bool {
     match expr {
-        FilterExpr::And(a, b) => {
-            eval_expr(ds, table, a, row, evaluator) && eval_expr(ds, table, b, row, evaluator)
-        }
-        FilterExpr::Or(a, b) => {
-            eval_expr(ds, table, a, row, evaluator) || eval_expr(ds, table, b, row, evaluator)
-        }
-        FilterExpr::Cmp { op, lhs, rhs } => {
-            let l = operand_value(ds, table, lhs, row);
-            let r = operand_value(ds, table, rhs, row);
-            compare(ds, *op, l, r)
+        FilterExpr::Eq(lhs, rhs) => {
+            // Term equality: interning is injective, and a constant the
+            // dictionary lacks equals no bound value. UNBOUND (an OPTIONAL
+            // or UNION pad) equals nothing.
+            let id = |o: &Operand| match o {
+                Operand::Var(v) => Some(table.row_value(*v, row)),
+                Operand::Const(t) => ds.dict().id(t),
+            };
+            match (lhs, rhs) {
+                (Operand::Const(a), Operand::Const(b)) => a == b,
+                _ => matches!((id(lhs), id(rhs)), (Some(a), Some(b)) if a == b && !a.is_unbound()),
+            }
         }
         FilterExpr::Complex(e) => {
             // Filters sit below aggregation in planned trees, so their rows
@@ -883,85 +885,16 @@ impl<V: RowValues> hsp_sparql::Bindings for RowBindings<'_, V> {
     }
 }
 
-/// An operand resolved against a row: an interned id or an out-of-dictionary
-/// constant term.
-enum Value<'a> {
-    Id(TermId),
-    Foreign(&'a Term),
-}
-
-fn operand_value<'a, V: RowValues>(
-    ds: &'a Dataset,
-    table: &V,
-    operand: &'a Operand,
-    row: usize,
-) -> Value<'a> {
-    match operand {
-        Operand::Var(v) => Value::Id(table.row_value(*v, row)),
-        Operand::Const(t) => match ds.dict().id(t) {
-            Some(id) => Value::Id(id),
-            None => Value::Foreign(t),
-        },
-    }
-}
-
-fn compare(ds: &Dataset, op: CmpOp, l: Value<'_>, r: Value<'_>) -> bool {
-    // Comparing an unbound value is a SPARQL type error: the filter
-    // condition is simply false (OPTIONAL rows carry UNBOUND sentinels).
-    if matches!(l, Value::Id(id) if id.is_unbound())
-        || matches!(r, Value::Id(id) if id.is_unbound())
-    {
-        return false;
-    }
-    // Equality/inequality can use ids directly (interning is injective).
-    if let (Value::Id(a), Value::Id(b)) = (&l, &r) {
-        match op {
-            CmpOp::Eq => return a == b,
-            CmpOp::Ne => return a != b,
-            _ => {}
-        }
-    }
-    let lt = term_of(ds, &l);
-    let rt = term_of(ds, &r);
-    let ord = compare_terms(lt, rt);
-    match op {
-        CmpOp::Eq => ord == std::cmp::Ordering::Equal && lt == rt,
-        CmpOp::Ne => !(ord == std::cmp::Ordering::Equal && lt == rt),
-        CmpOp::Lt => ord == std::cmp::Ordering::Less,
-        CmpOp::Le => ord != std::cmp::Ordering::Greater,
-        CmpOp::Gt => ord == std::cmp::Ordering::Greater,
-        CmpOp::Ge => ord != std::cmp::Ordering::Less,
-    }
-}
-
-fn term_of<'a>(ds: &'a Dataset, v: &'a Value<'a>) -> &'a Term {
-    match v {
-        Value::Id(id) => ds.dict().term(*id),
-        Value::Foreign(t) => t,
-    }
-}
-
-/// SPARQL-ish value comparison: numbers numerically when both literals parse
-/// as numbers, otherwise lexical-form comparison (IRIs before literals when
-/// kinds differ, for a stable total order).
-fn compare_terms(a: &Term, b: &Term) -> std::cmp::Ordering {
-    if a.kind() != b.kind() {
-        return if a.kind() == TermKind::Iri {
-            std::cmp::Ordering::Less
-        } else {
-            std::cmp::Ordering::Greater
-        };
-    }
-    if let (Some(x), Some(y)) = (a.numeric_value(), b.numeric_value()) {
-        return x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Equal);
-    }
-    a.lexical().cmp(b.lexical())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hsp_rdf::Term;
+    use hsp_sparql::{CmpOp, Expr};
+
+    /// `?v op c` as lowering emits it: a typed comparison.
+    fn cmp(op: CmpOp, v: u32, c: Term) -> FilterExpr {
+        FilterExpr::Complex(Expr::cmp(op, Expr::Var(Var(v)), Expr::Const(c)))
+    }
 
     fn dataset() -> Dataset {
         Dataset::from_ntriples(
@@ -1111,11 +1044,7 @@ mod tests {
         let ctx = ExecContext::new();
         let ds = dataset();
         let t = edges(&ctx, &ds, 0, "q", 1, Order::Pso);
-        let expr = FilterExpr::Cmp {
-            op: CmpOp::Gt,
-            lhs: Operand::Var(Var(1)),
-            rhs: Operand::Const(Term::literal("6")),
-        };
+        let expr = cmp(CmpOp::Gt, 1, Term::literal("6"));
         let f = filter(&ctx, &ds, &t, &expr);
         assert_eq!(f.len(), 1); // only "7" > "6"
     }
@@ -1125,17 +1054,12 @@ mod tests {
         let ctx = ExecContext::new();
         let ds = dataset();
         let t = edges(&ctx, &ds, 0, "q", 1, Order::Pso);
-        let expr = FilterExpr::Cmp {
-            op: CmpOp::Eq,
-            lhs: Operand::Var(Var(1)),
-            rhs: Operand::Const(Term::literal("not in dict")),
-        };
+        let expr = FilterExpr::Eq(
+            Operand::Var(Var(1)),
+            Operand::Const(Term::literal("not in dict")),
+        );
         assert!(filter(&ctx, &ds, &t, &expr).is_empty());
-        let ne = FilterExpr::Cmp {
-            op: CmpOp::Ne,
-            lhs: Operand::Var(Var(1)),
-            rhs: Operand::Const(Term::literal("not in dict")),
-        };
+        let ne = cmp(CmpOp::Ne, 1, Term::literal("not in dict"));
         assert_eq!(filter(&ctx, &ds, &t, &ne).len(), t.len());
     }
 
@@ -1240,17 +1164,9 @@ mod tests {
         let j = left_outer_hash_join(&ctx, &l, &r, &[Var(1)]);
         // ?c = "x" keeps matched rows only; ?c != "x" keeps NO unbound rows
         // either (type error semantics).
-        let eq = FilterExpr::Cmp {
-            op: CmpOp::Eq,
-            lhs: Operand::Var(Var(2)),
-            rhs: Operand::Const(Term::literal("x")),
-        };
+        let eq = FilterExpr::Eq(Operand::Var(Var(2)), Operand::Const(Term::literal("x")));
         assert_eq!(filter(&ctx, &ds, &j, &eq).len(), 2);
-        let ne = FilterExpr::Cmp {
-            op: CmpOp::Ne,
-            lhs: Operand::Var(Var(2)),
-            rhs: Operand::Const(Term::literal("x")),
-        };
+        let ne = cmp(CmpOp::Ne, 2, Term::literal("x"));
         assert_eq!(filter(&ctx, &ds, &j, &ne).len(), 0);
     }
 
@@ -1319,13 +1235,10 @@ mod tests {
             Order::Pso,
         );
         assert_eq!(t.len(), 3);
-        let expr = FilterExpr::Complex(Box::new(hsp_sparql::Expr::Call {
+        let expr = FilterExpr::Complex(Expr::Call {
             func: hsp_sparql::Func::Regex,
-            args: vec![
-                hsp_sparql::Expr::Var(Var(1)),
-                hsp_sparql::Expr::Const(Term::literal(r"\(19\d\d\)")),
-            ],
-        }));
+            args: vec![Expr::Var(Var(1)), Expr::Const(Term::literal(r"\(19\d\d\)"))],
+        });
         let out = filter(&ctx, &ds, &t, &expr);
         assert_eq!(out.len(), 2);
         // Sortedness is preserved by filtering.
@@ -1348,21 +1261,21 @@ mod tests {
             Order::Pso,
         );
         // FILTER (?pages * 2 > 30)
-        let expr = FilterExpr::Complex(Box::new(hsp_sparql::Expr::Cmp {
+        let expr = FilterExpr::Complex(Expr::Cmp {
             op: CmpOp::Gt,
-            lhs: Box::new(hsp_sparql::Expr::Arith {
+            lhs: Box::new(Expr::Arith {
                 op: hsp_sparql::ArithOp::Mul,
-                lhs: Box::new(hsp_sparql::Expr::Var(Var(1))),
-                rhs: Box::new(hsp_sparql::Expr::Const(Term::typed_literal(
+                lhs: Box::new(Expr::Var(Var(1))),
+                rhs: Box::new(Expr::Const(Term::typed_literal(
                     "2",
                     hsp_rdf::vocab::XSD_INTEGER,
                 ))),
             }),
-            rhs: Box::new(hsp_sparql::Expr::Const(Term::typed_literal(
+            rhs: Box::new(Expr::Const(Term::typed_literal(
                 "30",
                 hsp_rdf::vocab::XSD_INTEGER,
             ))),
-        }));
+        });
         let out = filter(&ctx, &ds, &t, &expr);
         assert_eq!(out.len(), 1);
     }
@@ -1373,19 +1286,13 @@ mod tests {
         let ds = dataset();
         let t = edges(&ctx, &ds, 0, "p", 1, Order::Pso);
         // FILTER on a variable not in the table: every row errors → empty.
-        let expr = FilterExpr::Complex(Box::new(hsp_sparql::Expr::Cmp {
-            op: CmpOp::Eq,
-            lhs: Box::new(hsp_sparql::Expr::Var(Var(9))),
-            rhs: Box::new(hsp_sparql::Expr::Const(Term::literal("x"))),
-        }));
+        let expr = cmp(CmpOp::Eq, 9, Term::literal("x"));
         assert_eq!(filter(&ctx, &ds, &t, &expr).len(), 0);
         // …but BOUND(?v9) = false keeps them all.
-        let expr = FilterExpr::Complex(Box::new(hsp_sparql::Expr::Not(Box::new(
-            hsp_sparql::Expr::Call {
-                func: hsp_sparql::Func::Bound,
-                args: vec![hsp_sparql::Expr::Var(Var(9))],
-            },
-        ))));
+        let expr = FilterExpr::Complex(Expr::Not(Box::new(Expr::Call {
+            func: hsp_sparql::Func::Bound,
+            args: vec![Expr::Var(Var(9))],
+        })));
         assert_eq!(filter(&ctx, &ds, &t, &expr).len(), t.len());
     }
 

@@ -2579,7 +2579,7 @@ mod tests {
     use crate::exec::{execute, execute_in, ExecConfig, ExecStrategy};
     use crate::morsel::MorselConfig;
     use hsp_rdf::Term;
-    use hsp_sparql::{CmpOp, Operand, TermOrVar};
+    use hsp_sparql::{CmpOp, Expr, Operand, TermOrVar};
 
     /// A context that really splits unit-test-sized inputs across
     /// `threads` workers (single-row morsels, no sequential threshold).
@@ -2633,11 +2633,11 @@ mod tests {
                 right: Box::new(scan(2, vv(1), cv("r"), vv(3), Order::Pso)),
                 vars: vec![Var(1)],
             }),
-            expr: FilterExpr::Cmp {
-                op: CmpOp::Gt,
-                lhs: Operand::Var(Var(2)),
-                rhs: Operand::Const(Term::literal("4")),
-            },
+            expr: FilterExpr::Complex(Expr::cmp(
+                CmpOp::Gt,
+                Expr::Var(Var(2)),
+                Expr::Const(Term::literal("4")),
+            )),
         }
     }
 
@@ -2857,11 +2857,7 @@ mod tests {
         let ds = dataset();
         let plan = PhysicalPlan::Filter {
             input: Box::new(scan(0, vv(0), cv("nope"), vv(1), Order::Pso)),
-            expr: FilterExpr::Cmp {
-                op: CmpOp::Eq,
-                lhs: Operand::Var(Var(0)),
-                rhs: Operand::Var(Var(1)),
-            },
+            expr: FilterExpr::Eq(Operand::Var(Var(0)), Operand::Var(Var(1))),
         };
         let oracle = execute(
             &plan,
@@ -2887,11 +2883,11 @@ mod tests {
         .unwrap();
         let plan = PhysicalPlan::Filter {
             input: Box::new(scan(0, vv(0), cv("p"), vv(0), Order::Pso)),
-            expr: FilterExpr::Cmp {
-                op: CmpOp::Ne,
-                lhs: Operand::Var(Var(0)),
-                rhs: Operand::Const(Term::iri("http://e/zzz")),
-            },
+            expr: FilterExpr::Complex(Expr::cmp(
+                CmpOp::Ne,
+                Expr::Var(Var(0)),
+                Expr::Const(Term::iri("http://e/zzz")),
+            )),
         };
         let oracle = execute(
             &plan,
@@ -2940,11 +2936,11 @@ mod tests {
                 right: Box::new(scan(1, vv(1), cv("r"), vv(2), Order::Pso)),
                 vars: vec![Var(1)],
             }),
-            expr: FilterExpr::Cmp {
-                op: CmpOp::Ne,
-                lhs: Operand::Var(Var(2)),
-                rhs: Operand::Const(Term::literal("zzz")),
-            },
+            expr: FilterExpr::Complex(Expr::cmp(
+                CmpOp::Ne,
+                Expr::Var(Var(2)),
+                Expr::Const(Term::literal("zzz")),
+            )),
         };
         let oracle = execute(
             &plan,
@@ -3102,11 +3098,11 @@ mod tests {
         let ds = dataset();
         let plan = PhysicalPlan::Filter {
             input: Box::new(sorted_merge_join()),
-            expr: FilterExpr::Cmp {
-                op: CmpOp::Gt,
-                lhs: Operand::Var(Var(2)),
-                rhs: Operand::Const(Term::literal("6")),
-            },
+            expr: FilterExpr::Complex(Expr::cmp(
+                CmpOp::Gt,
+                Expr::Var(Var(2)),
+                Expr::Const(Term::literal("6")),
+            )),
         };
         let oracle = execute(
             &plan,

@@ -862,11 +862,10 @@ mod tests {
         assert!(!s.is_pipeline_breaker());
         let f = PhysicalPlan::Filter {
             input: Box::new(s.clone()),
-            expr: hsp_sparql::FilterExpr::Cmp {
-                op: hsp_sparql::CmpOp::Eq,
-                lhs: hsp_sparql::Operand::Var(Var(0)),
-                rhs: hsp_sparql::Operand::Var(Var(1)),
-            },
+            expr: hsp_sparql::FilterExpr::Eq(
+                hsp_sparql::Operand::Var(Var(0)),
+                hsp_sparql::Operand::Var(Var(1)),
+            ),
         };
         assert!(!f.is_pipeline_breaker());
         let hj = PhysicalPlan::HashJoin {

@@ -12,7 +12,7 @@
 use hsp_engine::exec::{execute_in, ExecConfig, ExecError, ExecStrategy};
 use hsp_engine::{BindingTable, ExecContext, MorselConfig, PhysicalPlan};
 use hsp_rdf::Term;
-use hsp_sparql::{CmpOp, FilterExpr, Operand, TermOrVar, TriplePattern, Var};
+use hsp_sparql::{CmpOp, Expr, FilterExpr, TermOrVar, TriplePattern, Var};
 use hsp_store::{Dataset, Order};
 use proptest::prelude::*;
 
@@ -113,11 +113,11 @@ proptest! {
                 right: Box::new(scan(2, vv(1), cv("year"), vv(3), Order::Pso)),
                 vars: vec![Var(1)],
             }),
-            expr: FilterExpr::Cmp {
-                op: CmpOp::Gt,
-                lhs: Operand::Var(Var(3)),
-                rhs: Operand::Const(Term::literal("1995")),
-            },
+            expr: FilterExpr::Complex(Expr::cmp(
+                CmpOp::Gt,
+                Expr::Var(Var(3)),
+                Expr::Const(Term::literal("1995")),
+            )),
         };
         assert_pipeline_matches_oracle(&ds, &plan)?;
     }
@@ -255,11 +255,11 @@ proptest! {
                     right: Box::new(scan(1, vv(1), cv("year"), vv(2), Order::Pso)),
                     vars: vec![Var(1)],
                 }),
-                expr: FilterExpr::Cmp {
-                    op: CmpOp::Ne,
-                    lhs: Operand::Var(Var(2)),
-                    rhs: Operand::Const(Term::literal(keep_year.to_string())),
-                },
+                expr: FilterExpr::Complex(Expr::cmp(
+                    CmpOp::Ne,
+                    Expr::Var(Var(2)),
+                    Expr::Const(Term::literal(keep_year.to_string())),
+                )),
             }),
             projection: vec![("a".into(), Var(0)), ("y".into(), Var(2))],
             distinct: false,
@@ -323,11 +323,11 @@ proptest! {
                 left: Box::new(scan(0, vv(0), cv("bornIn"), vv(1), Order::Pso)),
                 right: Box::new(scan(1, vv(2), cv("year"), vv(3), Order::Pso)),
             }),
-            expr: FilterExpr::Cmp {
-                op: CmpOp::Lt,
-                lhs: Operand::Var(Var(3)),
-                rhs: Operand::Const(Term::literal("2005")),
-            },
+            expr: FilterExpr::Complex(Expr::cmp(
+                CmpOp::Lt,
+                Expr::Var(Var(3)),
+                Expr::Const(Term::literal("2005")),
+            )),
         };
         assert_pipeline_matches_oracle(&ds, &plan)?;
     }
@@ -422,11 +422,11 @@ fn empty_filter_result_metadata_matches() {
     let ds = Dataset::from_ntriples("<http://e/a> <http://e/year> \"1990\" .\n").unwrap();
     let plan = PhysicalPlan::Filter {
         input: Box::new(scan(0, vv(0), cv("year"), vv(1), Order::Pso)),
-        expr: FilterExpr::Cmp {
-            op: CmpOp::Gt,
-            lhs: Operand::Var(Var(1)),
-            rhs: Operand::Const(Term::literal("3000")),
-        },
+        expr: FilterExpr::Complex(Expr::cmp(
+            CmpOp::Gt,
+            Expr::Var(Var(1)),
+            Expr::Const(Term::literal("3000")),
+        )),
     };
     let oracle = execute_in(
         &plan,

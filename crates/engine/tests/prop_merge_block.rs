@@ -16,7 +16,7 @@
 use hsp_engine::exec::{execute_in, ExecConfig, ExecError, ExecStrategy};
 use hsp_engine::{ExecContext, MorselConfig, PhysicalPlan};
 use hsp_rdf::{Term, Triple};
-use hsp_sparql::{CmpOp, FilterExpr, Operand, TermOrVar, TriplePattern, Var};
+use hsp_sparql::{CmpOp, Expr, FilterExpr, TermOrVar, TriplePattern, Var};
 use hsp_store::{Dataset, Order};
 use proptest::prelude::*;
 
@@ -150,11 +150,7 @@ fn in_context(block: PhysicalPlan, context: u8, k: usize) -> PhysicalPlan {
         // FILTER over the block.
         4 => PhysicalPlan::Filter {
             input: Box::new(block),
-            expr: FilterExpr::Cmp {
-                op: CmpOp::Ne,
-                lhs: Operand::Var(X),
-                rhs: Operand::Const(node(1)),
-            },
+            expr: FilterExpr::Complex(Expr::cmp(CmpOp::Ne, Expr::Var(X), Expr::Const(node(1)))),
         },
         // DISTINCT over the block variable.
         _ => PhysicalPlan::Project {

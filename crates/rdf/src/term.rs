@@ -106,16 +106,6 @@ impl Term {
         }
     }
 
-    /// Interpret the term as a numeric value where possible.
-    ///
-    /// Used by FILTER comparison evaluation; IRIs are never numeric.
-    pub fn numeric_value(&self) -> Option<f64> {
-        match self {
-            Term::Iri(_) => None,
-            Term::Literal { lexical, .. } => lexical.trim().parse::<f64>().ok(),
-        }
-    }
-
     /// `true` if this term is the `rdf:type` IRI (the H1 exception).
     pub fn is_rdf_type(&self) -> bool {
         self.as_iri() == Some(crate::vocab::RDF_TYPE)
@@ -207,14 +197,6 @@ mod tests {
     fn literal_escaping() {
         let t = Term::literal("a\"b\\c\nd");
         assert_eq!(t.to_string(), "\"a\\\"b\\\\c\\nd\"");
-    }
-
-    #[test]
-    fn numeric_value_parses_numbers_only() {
-        assert_eq!(Term::literal("42").numeric_value(), Some(42.0));
-        assert_eq!(Term::literal(" 3.5 ").numeric_value(), Some(3.5));
-        assert_eq!(Term::literal("abc").numeric_value(), None);
-        assert_eq!(Term::iri("http://e.org/42").numeric_value(), None);
     }
 
     #[test]

@@ -197,62 +197,48 @@ pub enum Operand {
     Const(Term),
 }
 
-/// A FILTER expression over algebra variables.
+impl Operand {
+    /// The variable, if this operand is one.
+    pub fn as_var(&self) -> Option<Var> {
+        match self {
+            Operand::Var(v) => Some(*v),
+            Operand::Const(_) => None,
+        }
+    }
+}
+
+/// One FILTER conjunct over algebra variables.
 ///
-/// The simple variants (`Cmp`/`And`/`Or` over variable/constant operands)
-/// are the Definition 3 shapes HSP's rewriting understands; anything from
-/// the full expression grammar (arithmetic, functions, negation, nested
-/// comparisons) is carried opaquely as [`FilterExpr::Complex`] and
-/// evaluated row-at-a-time by the executor.
+/// Lowering splits a FILTER's top-level `&&` into separate conjuncts. A
+/// conjunct `=` between two variable/constant operands is [`FilterExpr::Eq`]:
+/// **term equality**, the shape HSP's §6.2.1 rewrite consumes and every
+/// planner treats alike — the one deliberate departure from SPARQL's
+/// typed `=` (see [`crate::rewrite`]). Every other conjunct, including a
+/// `=` under `||` or `!`, is [`FilterExpr::Complex`] and runs SPARQL's
+/// typed operator mapping ([`crate::expr`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum FilterExpr {
-    /// Comparison.
-    Cmp {
-        /// Operator.
-        op: CmpOp,
-        /// Left operand.
-        lhs: Operand,
-        /// Right operand.
-        rhs: Operand,
-    },
-    /// Conjunction.
-    And(Box<FilterExpr>, Box<FilterExpr>),
-    /// Disjunction.
-    Or(Box<FilterExpr>, Box<FilterExpr>),
+    /// Term equality: true iff both operands are bound to the same term
+    /// (an unbound operand makes it false).
+    Eq(Operand, Operand),
     /// A full-grammar expression (see [`crate::expr::Expr`]).
-    Complex(Box<crate::expr::Expr>),
+    Complex(crate::expr::Expr),
 }
 
 impl FilterExpr {
-    /// All variables mentioned by the expression.
+    /// All variables mentioned by the expression, in first-occurrence order.
     pub fn vars(&self) -> Vec<Var> {
-        let mut out = Vec::new();
-        self.collect_vars(&mut out);
-        out
-    }
-
-    fn collect_vars(&self, out: &mut Vec<Var>) {
         match self {
-            FilterExpr::Cmp { lhs, rhs, .. } => {
-                for op in [lhs, rhs] {
-                    if let Operand::Var(v) = op {
-                        if !out.contains(v) {
-                            out.push(*v);
-                        }
-                    }
-                }
-            }
-            FilterExpr::And(a, b) | FilterExpr::Or(a, b) => {
-                a.collect_vars(out);
-                b.collect_vars(out);
-            }
-            FilterExpr::Complex(e) => {
-                for v in e.vars() {
+            FilterExpr::Eq(lhs, rhs) => {
+                let mut out = Vec::new();
+                for v in [lhs.as_var(), rhs.as_var()].into_iter().flatten() {
                     if !out.contains(&v) {
                         out.push(v);
                     }
                 }
+                out
             }
+            FilterExpr::Complex(e) => e.vars(),
         }
     }
 
@@ -264,18 +250,8 @@ impl FilterExpr {
             Operand::Var(v) => Operand::Var(*v),
         };
         match self {
-            FilterExpr::Cmp { op, lhs, rhs } => FilterExpr::Cmp {
-                op: *op,
-                lhs: map_operand(lhs),
-                rhs: map_operand(rhs),
-            },
-            FilterExpr::And(a, b) => {
-                FilterExpr::And(Box::new(a.map_consts(f)), Box::new(b.map_consts(f)))
-            }
-            FilterExpr::Or(a, b) => {
-                FilterExpr::Or(Box::new(a.map_consts(f)), Box::new(b.map_consts(f)))
-            }
-            FilterExpr::Complex(e) => FilterExpr::Complex(Box::new(e.map_consts(f))),
+            FilterExpr::Eq(lhs, rhs) => FilterExpr::Eq(map_operand(lhs), map_operand(rhs)),
+            FilterExpr::Complex(e) => FilterExpr::Complex(e.map_consts(f)),
         }
     }
 }
@@ -451,7 +427,7 @@ impl JoinQuery {
                     patterns.push(TriplePattern::new(s, p, o));
                 }
                 Element::Filter(expr) => {
-                    filters.push(lower_filter_ast(expr, &mut |n| {
+                    filters.extend(lower_filter_ast(expr, &mut |n| {
                         intern(n, &mut names, &mut by_name)
                     })?);
                 }
@@ -793,63 +769,59 @@ fn rewrite_having_aggs(
     })
 }
 
-/// Lower a FILTER AST to a [`FilterExpr`], keeping the rewritable simple
-/// shapes (comparisons over variable/constant operands, conjunction,
-/// disjunction) in the legacy variants and wrapping everything else as
-/// [`FilterExpr::Complex`]. Shared with the OPTIONAL/UNION plan
-/// composer, which supplies its own variable table.
+/// Lower a FILTER AST to the conjuncts the executor runs: top-level `&&`
+/// splits into separate filters, a `=` between variable/constant operands
+/// becomes [`FilterExpr::Eq`] and every other conjunct
+/// [`FilterExpr::Complex`]. Shared with the OPTIONAL/UNION plan composer,
+/// which supplies its own variable table.
 pub fn lower_filter_ast(
     expr: &ExprAst,
     var: &mut impl FnMut(&str) -> Var,
-) -> Result<FilterExpr, AlgebraError> {
-    if let Some(simple) = lower_simple(expr, var) {
-        return Ok(simple);
+) -> Result<Vec<FilterExpr>, AlgebraError> {
+    let mut out = Vec::new();
+    lower_conjuncts(expr, var, &mut out)?;
+    Ok(out)
+}
+
+fn lower_conjuncts(
+    expr: &ExprAst,
+    var: &mut impl FnMut(&str) -> Var,
+    out: &mut Vec<FilterExpr>,
+) -> Result<(), AlgebraError> {
+    match expr {
+        ExprAst::And(a, b) => {
+            lower_conjuncts(a, var, out)?;
+            lower_conjuncts(b, var, out)?;
+        }
+        ExprAst::Cmp { op: "=", lhs, rhs } if is_operand(lhs) && is_operand(rhs) => {
+            out.push(FilterExpr::Eq(operand(lhs, var), operand(rhs, var)));
+        }
+        _ => out.push(FilterExpr::Complex(lower_full(expr, var)?)),
     }
-    Ok(FilterExpr::Complex(Box::new(lower_full(expr, var)?)))
+    Ok(())
+}
+
+fn is_operand(expr: &ExprAst) -> bool {
+    matches!(expr, ExprAst::Var(_) | ExprAst::Const(_))
+}
+
+fn operand(expr: &ExprAst, var: &mut impl FnMut(&str) -> Var) -> Operand {
+    match expr {
+        ExprAst::Var(n) => Operand::Var(var(n)),
+        ExprAst::Const(t) => Operand::Const(t.clone()),
+        _ => unreachable!("checked by is_operand"),
+    }
 }
 
 /// Lower any FILTER/ORDER-BY AST expression straight to the full
-/// [`crate::expr::Expr`] form (no simple-shape shortcut), with arity
-/// checking. Used for ORDER BY keys, which the executor always evaluates
-/// through the typed-value semantics.
+/// [`crate::expr::Expr`] form (no conjunct split, no [`FilterExpr::Eq`]),
+/// with arity checking. Used for ORDER BY keys, which the executor always
+/// evaluates through the typed-value semantics.
 pub fn lower_expr_ast(
     expr: &ExprAst,
     var: &mut impl FnMut(&str) -> Var,
 ) -> Result<crate::expr::Expr, AlgebraError> {
     lower_full(expr, var)
-}
-
-/// The simple-shape lowering: `Some` iff every leaf of the And/Or/Cmp tree
-/// is a bare variable or constant.
-fn lower_simple(expr: &ExprAst, var: &mut impl FnMut(&str) -> Var) -> Option<FilterExpr> {
-    match expr {
-        ExprAst::Cmp { op, lhs, rhs } => {
-            let lhs = lower_simple_operand(lhs, var)?;
-            let rhs = lower_simple_operand(rhs, var)?;
-            Some(FilterExpr::Cmp {
-                op: CmpOp::from_lexeme(op).expect("parser only emits valid operators"),
-                lhs,
-                rhs,
-            })
-        }
-        ExprAst::And(a, b) => Some(FilterExpr::And(
-            Box::new(lower_simple(a, var)?),
-            Box::new(lower_simple(b, var)?),
-        )),
-        ExprAst::Or(a, b) => Some(FilterExpr::Or(
-            Box::new(lower_simple(a, var)?),
-            Box::new(lower_simple(b, var)?),
-        )),
-        _ => None,
-    }
-}
-
-fn lower_simple_operand(expr: &ExprAst, var: &mut impl FnMut(&str) -> Var) -> Option<Operand> {
-    match expr {
-        ExprAst::Var(n) => Some(Operand::Var(var(n))),
-        ExprAst::Const(t) => Some(Operand::Const(t.clone())),
-        _ => None,
-    }
 }
 
 /// Full-grammar lowering to [`crate::expr::Expr`], with arity checking.

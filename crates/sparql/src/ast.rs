@@ -110,9 +110,9 @@ pub struct UpdateRequest {
 /// A FILTER expression over named variables — the full SPARQL expression
 /// grammar (logical connectives, comparisons, arithmetic, function calls).
 ///
-/// Lowering ([`crate::algebra`]) keeps the rewritable equality shapes in
-/// the simple [`crate::algebra::FilterExpr`] variants and wraps everything
-/// else as a [`crate::expr::Expr`].
+/// Lowering ([`crate::algebra`]) splits top-level `&&`, keeps each
+/// variable/constant `=` conjunct as [`crate::algebra::FilterExpr::Eq`]
+/// and wraps everything else as a [`crate::expr::Expr`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExprAst {
     /// `?name`.

@@ -99,7 +99,20 @@ pub fn canonicalize(query: &JoinQuery) -> Option<CanonicalQuery> {
     }
     key.push_str("|F:");
     for f in &query.filters {
-        cx.render_filter(f, &mut key);
+        match f {
+            FilterExpr::Eq(lhs, rhs) => {
+                key.push('(');
+                cx.render_operand(lhs, &mut key);
+                key.push('=');
+                cx.render_operand(rhs, &mut key);
+                key.push(')');
+            }
+            FilterExpr::Complex(e) => {
+                key.push_str("cx(");
+                cx.render_expr(e, &mut key);
+                key.push(')');
+            }
+        }
         key.push(';');
     }
     key.push_str("|SEL:");
@@ -243,37 +256,6 @@ impl Canonicalizer {
         match o {
             Operand::Var(v) => self.render_var(*v, out),
             Operand::Const(t) => self.render_param(t, out),
-        }
-    }
-
-    fn render_filter(&mut self, f: &FilterExpr, out: &mut String) {
-        match f {
-            FilterExpr::Cmp { op, lhs, rhs } => {
-                out.push('(');
-                self.render_operand(lhs, out);
-                out.push_str(op.lexeme());
-                self.render_operand(rhs, out);
-                out.push(')');
-            }
-            FilterExpr::And(a, b) => {
-                out.push_str("and(");
-                self.render_filter(a, out);
-                out.push(',');
-                self.render_filter(b, out);
-                out.push(')');
-            }
-            FilterExpr::Or(a, b) => {
-                out.push_str("or(");
-                self.render_filter(a, out);
-                out.push(',');
-                self.render_filter(b, out);
-                out.push(')');
-            }
-            FilterExpr::Complex(e) => {
-                out.push_str("cx(");
-                self.render_expr(e, out);
-                out.push(')');
-            }
         }
     }
 

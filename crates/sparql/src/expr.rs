@@ -2,14 +2,15 @@
 //! semantics, and built-in functions.
 //!
 //! The paper (Definition 3) studies join queries whose FILTERs are equality
-//! comparisons — those are what HSP's rewriting consumes and what the
-//! simple [`FilterExpr`](crate::algebra::FilterExpr) variants model. Real
-//! SPARQL FILTERs are a rich expression language (logical connectives,
+//! comparisons — those are what HSP's rewriting consumes and what
+//! [`FilterExpr::Eq`](crate::algebra::FilterExpr::Eq) models. Real SPARQL
+//! FILTERs are a rich expression language (logical connectives,
 //! arithmetic, string and term functions, `REGEX`); this module implements
 //! it so the engine covers the paper's §7 goal of "all features of the
-//! SPARQL language". Expressions that do not fit the rewritable equality
-//! shape lower to [`FilterExpr::Complex`](crate::algebra::FilterExpr) and
-//! are evaluated row-at-a-time by the executor.
+//! SPARQL language". Every FILTER conjunct that is not a top-level
+//! variable/constant `=` lowers to
+//! [`FilterExpr::Complex`](crate::algebra::FilterExpr::Complex) and is
+//! evaluated row-at-a-time by the executor.
 //!
 //! ## Semantics implemented
 //!
@@ -467,6 +468,15 @@ pub enum Expr {
 }
 
 impl Expr {
+    /// The comparison `lhs op rhs`.
+    pub fn cmp(op: CmpOp, lhs: Expr, rhs: Expr) -> Expr {
+        Expr::Cmp {
+            op,
+            lhs: Box::new(lhs),
+            rhs: Box::new(rhs),
+        }
+    }
+
     /// All variables mentioned by the expression, in first-occurrence order.
     pub fn vars(&self) -> Vec<Var> {
         let mut out = Vec::new();
@@ -1218,14 +1228,6 @@ mod tests {
         Expr::Const(Term::literal(text))
     }
 
-    fn cmp(op: CmpOp, l: Expr, r: Expr) -> Expr {
-        Expr::Cmp {
-            op,
-            lhs: Box::new(l),
-            rhs: Box::new(r),
-        }
-    }
-
     fn call(func: Func, args: Vec<Expr>) -> Expr {
         Expr::Call { func, args }
     }
@@ -1293,22 +1295,22 @@ mod tests {
     #[test]
     fn numeric_comparison_promotes() {
         // 2 < 2.5 across integer/double
-        let e = cmp(CmpOp::Lt, int(2), dbl("2.5"));
+        let e = Expr::cmp(CmpOp::Lt, int(2), dbl("2.5"));
         assert_eq!(ev().eval_ebv(&e, &no_bindings()), Ok(true));
         // "05"^^xsd:integer equals 5 by value
         let five = Expr::Const(Term::typed_literal("05", vocab::XSD_INTEGER));
-        let e = cmp(CmpOp::Eq, five, int(5));
+        let e = Expr::cmp(CmpOp::Eq, five, int(5));
         assert_eq!(ev().eval_ebv(&e, &no_bindings()), Ok(true));
     }
 
     #[test]
     fn string_comparison_is_codepoint() {
         assert_eq!(
-            ev().eval_ebv(&cmp(CmpOp::Lt, s("abc"), s("abd")), &no_bindings()),
+            ev().eval_ebv(&Expr::cmp(CmpOp::Lt, s("abc"), s("abd")), &no_bindings()),
             Ok(true)
         );
         assert_eq!(
-            ev().eval_ebv(&cmp(CmpOp::Gt, s("b"), s("a")), &no_bindings()),
+            ev().eval_ebv(&Expr::cmp(CmpOp::Gt, s("b"), s("a")), &no_bindings()),
             Ok(true)
         );
     }
@@ -1318,18 +1320,18 @@ mod tests {
         let a = Expr::Const(Term::iri("http://e/a"));
         let b = Expr::Const(Term::iri("http://e/b"));
         assert!(ev()
-            .eval(&cmp(CmpOp::Lt, a.clone(), b.clone()), &no_bindings())
+            .eval(&Expr::cmp(CmpOp::Lt, a.clone(), b.clone()), &no_bindings())
             .is_err());
         // but equality works
         assert_eq!(
-            ev().eval_ebv(&cmp(CmpOp::Ne, a, b), &no_bindings()),
+            ev().eval_ebv(&Expr::cmp(CmpOp::Ne, a, b), &no_bindings()),
             Ok(true)
         );
     }
 
     #[test]
     fn cross_kind_equality_is_false_not_error() {
-        let e = cmp(CmpOp::Eq, Expr::Const(Term::iri("http://e/a")), s("a"));
+        let e = Expr::cmp(CmpOp::Eq, Expr::Const(Term::iri("http://e/a")), s("a"));
         assert_eq!(ev().eval_ebv(&e, &no_bindings()), Ok(false));
     }
 
@@ -1338,12 +1340,12 @@ mod tests {
         let en = Expr::Const(Term::lang_literal("chat", "en"));
         let fr = Expr::Const(Term::lang_literal("chat", "fr"));
         assert_eq!(
-            ev().eval_ebv(&cmp(CmpOp::Eq, en.clone(), fr), &no_bindings()),
+            ev().eval_ebv(&Expr::cmp(CmpOp::Eq, en.clone(), fr), &no_bindings()),
             Ok(false)
         );
         let en2 = Expr::Const(Term::lang_literal("chat", "EN"));
         assert_eq!(
-            ev().eval_ebv(&cmp(CmpOp::Eq, en, en2), &no_bindings()),
+            ev().eval_ebv(&Expr::cmp(CmpOp::Eq, en, en2), &no_bindings()),
             Ok(true)
         );
     }
@@ -1520,7 +1522,7 @@ mod tests {
             Ok(false)
         );
         assert_eq!(
-            ev().eval_ebv(&cmp(CmpOp::Eq, a, b), &no_bindings()),
+            ev().eval_ebv(&Expr::cmp(CmpOp::Eq, a, b), &no_bindings()),
             Ok(true)
         );
     }
@@ -1667,7 +1669,7 @@ mod tests {
     #[test]
     fn display_round_trips_shape() {
         let e = Expr::And(
-            Box::new(cmp(CmpOp::Ge, Expr::Var(Var(0)), int(1940))),
+            Box::new(Expr::cmp(CmpOp::Ge, Expr::Var(Var(0)), int(1940))),
             Box::new(call(Func::Regex, vec![Expr::Var(Var(1)), s("^J")])),
         );
         assert_eq!(
@@ -1679,7 +1681,7 @@ mod tests {
     #[test]
     fn rename_var_reaches_all_positions() {
         let mut e = Expr::And(
-            Box::new(cmp(CmpOp::Eq, Expr::Var(Var(0)), Expr::Var(Var(1)))),
+            Box::new(Expr::cmp(CmpOp::Eq, Expr::Var(Var(0)), Expr::Var(Var(1)))),
             Box::new(call(Func::Bound, vec![Expr::Var(Var(0))])),
         );
         e.rename_var(Var(0), Var(7));

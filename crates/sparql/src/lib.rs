@@ -11,7 +11,8 @@
 //! The [`rewrite`] module implements the behaviour Section 6.2.1 attributes
 //! to HSP alone: "HSP systematically rewrites filtering queries into an
 //! equivalent form involving only triple patterns" — equality filters become
-//! constant substitutions or variable unifications. The baselines skip it.
+//! constant substitutions or variable unifications. The baselines only push
+//! `?v = const` into their scans, under the same term-equality rule.
 
 pub mod algebra;
 pub mod analysis;

@@ -13,12 +13,23 @@
 //!    become one connected query, removing the cross product CDP and the SQL
 //!    baseline otherwise face).
 //!
-//! Conjunctions are flattened first; disjunctions and non-equality
-//! comparisons are left as residual filters for the executor.
+//! Only top-level [`FilterExpr::Eq`] conjuncts are rewritten (lowering
+//! has already split `&&`); disjunctions, negations and every other
+//! comparison stay residual [`FilterExpr::Complex`] filters.
+//!
+//! **Equality is term equality.** A rewritten `?v = const` keeps exactly
+//! the rows whose `?v` is that term, and a rewritten `?u = ?v` joins on
+//! identical terms, so `"1"^^xsd:integer = "01"^^xsd:integer` is false
+//! here where SPARQL's typed `=` makes it true. This is the one deliberate
+//! departure from SPARQL, and every planner shares it: the baselines push
+//! the same `?v = const` conjuncts into their scans and run the rest as
+//! residual [`FilterExpr::Eq`] filters with the same term semantics. Every
+//! other comparison — including `=` under `||` or `!` — runs SPARQL's
+//! typed operator mapping.
 
 use hsp_rdf::Term;
 
-use crate::algebra::{CmpOp, FilterExpr, JoinQuery, Operand, TermOrVar, Var};
+use crate::algebra::{FilterExpr, JoinQuery, Operand, TermOrVar, Var};
 
 /// A record of what the rewrite did, for plan explanation and tests.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -36,14 +47,9 @@ pub struct RewriteReport {
 pub fn rewrite_filters(query: &JoinQuery) -> (JoinQuery, RewriteReport) {
     let mut q = query.clone();
     let mut report = RewriteReport::default();
-
-    // Flatten conjunctions so each equality is visible individually.
-    q.filters = q.filters.drain(..).flat_map(flatten_and).collect();
-
     while let Some(idx) = q.filters.iter().position(is_rewritable_eq) {
-        let filter = q.filters.remove(idx);
-        let FilterExpr::Cmp { lhs, rhs, .. } = filter else {
-            unreachable!()
+        let FilterExpr::Eq(lhs, rhs) = q.filters.remove(idx) else {
+            unreachable!("position() matched an equality")
         };
         match (lhs, rhs) {
             (Operand::Var(v), Operand::Const(c)) | (Operand::Const(c), Operand::Var(v)) => {
@@ -62,15 +68,8 @@ pub fn rewrite_filters(query: &JoinQuery) -> (JoinQuery, RewriteReport) {
                     unify_vars(&mut q, keep, drop);
                 }
             }
-            (Operand::Const(a), Operand::Const(b)) => {
-                // Constant-constant equality: keep as residual (it is either
-                // always true or always false; the executor handles it).
-                q.filters.push(FilterExpr::Cmp {
-                    op: CmpOp::Eq,
-                    lhs: Operand::Const(a),
-                    rhs: Operand::Const(b),
-                });
-                break;
+            (Operand::Const(_), Operand::Const(_)) => {
+                unreachable!("is_rewritable_eq requires a variable")
             }
         }
     }
@@ -88,49 +87,27 @@ pub fn rewrite_filters(query: &JoinQuery) -> (JoinQuery, RewriteReport) {
 /// baselines into a cross product.
 pub fn push_down_const_equalities(query: &JoinQuery) -> (JoinQuery, usize) {
     let mut q = query.clone();
-    q.filters = q.filters.drain(..).flat_map(flatten_and).collect();
     let mut applied = 0;
-    loop {
-        let idx = q.filters.iter().position(|f| {
-            matches!(
-                f,
-                FilterExpr::Cmp { op: CmpOp::Eq, lhs, rhs }
-                    if matches!((lhs, rhs), (Operand::Var(_), Operand::Const(_)))
-                        || matches!((lhs, rhs), (Operand::Const(_), Operand::Var(_)))
-            )
-        });
-        let Some(idx) = idx else { break };
-        let FilterExpr::Cmp { lhs, rhs, .. } = q.filters.remove(idx) else {
-            unreachable!()
-        };
-        match (lhs, rhs) {
-            (Operand::Var(v), Operand::Const(c)) | (Operand::Const(c), Operand::Var(v)) => {
-                substitute_const(&mut q, v, &c);
-                applied += 1;
-            }
-            _ => unreachable!("position() matched a var/const equality"),
-        }
+    while let Some(idx) = q.filters.iter().position(|f| var_const_eq(f).is_some()) {
+        let filter = q.filters.remove(idx);
+        let (v, c) = var_const_eq(&filter).expect("position() matched");
+        substitute_const(&mut q, v, c);
+        applied += 1;
     }
     (q, applied)
 }
 
-/// `true` for a top-level `=` comparison involving at least one variable.
+/// `true` for an equality conjunct involving at least one variable.
 fn is_rewritable_eq(f: &FilterExpr) -> bool {
-    matches!(
-        f,
-        FilterExpr::Cmp { op: CmpOp::Eq, lhs, rhs }
-            if matches!(lhs, Operand::Var(_)) || matches!(rhs, Operand::Var(_))
-    )
+    matches!(f, FilterExpr::Eq(lhs, rhs) if lhs.as_var().is_some() || rhs.as_var().is_some())
 }
 
-fn flatten_and(f: FilterExpr) -> Vec<FilterExpr> {
+/// The `(variable, constant)` of a `?v = const` (or `const = ?v`) conjunct.
+fn var_const_eq(f: &FilterExpr) -> Option<(Var, &Term)> {
     match f {
-        FilterExpr::And(a, b) => {
-            let mut out = flatten_and(*a);
-            out.extend(flatten_and(*b));
-            out
-        }
-        other => vec![other],
+        FilterExpr::Eq(Operand::Var(v), Operand::Const(c))
+        | FilterExpr::Eq(Operand::Const(c), Operand::Var(v)) => Some((*v, c)),
+        _ => None,
     }
 }
 
@@ -146,32 +123,18 @@ fn substitute_const(q: &mut JoinQuery, v: Var, c: &Term) {
     for filter in &mut q.filters {
         substitute_in_expr(filter, v, c);
     }
-    // A projected variable that became a constant stays in the projection;
-    // the executor materialises it as a constant column. We record this by
-    // leaving the projection untouched — the engine resolves it via the
-    // pattern bindings, so instead rewrite the projection too, turning the
-    // query invalid if `v` was projected. To keep projected filter-variables
-    // usable (the paper's workloads never project them), we simply keep `v`
-    // bound by re-adding it through the remaining patterns if still present.
-    // If `v` no longer occurs anywhere, drop it from the projection.
-    let still_bound = q.patterns.iter().any(|p| p.contains_var(v));
-    if !still_bound {
-        q.projection.retain(|(_, pv)| *pv != v);
-    }
+    // `v` is now bound by no pattern, so it leaves the projection.
+    q.projection.retain(|(_, pv)| *pv != v);
 }
 
 fn substitute_in_expr(f: &mut FilterExpr, v: Var, c: &Term) {
     match f {
-        FilterExpr::Cmp { lhs, rhs, .. } => {
+        FilterExpr::Eq(lhs, rhs) => {
             for op in [lhs, rhs] {
-                if matches!(op, Operand::Var(x) if *x == v) {
+                if op.as_var() == Some(v) {
                     *op = Operand::Const(c.clone());
                 }
             }
-        }
-        FilterExpr::And(a, b) | FilterExpr::Or(a, b) => {
-            substitute_in_expr(a, v, c);
-            substitute_in_expr(b, v, c);
         }
         FilterExpr::Complex(e) => e.substitute_const(v, c),
     }
@@ -199,16 +162,12 @@ fn unify_vars(q: &mut JoinQuery, keep: Var, drop: Var) {
 
 fn unify_in_expr(f: &mut FilterExpr, keep: Var, drop: Var) {
     match f {
-        FilterExpr::Cmp { lhs, rhs, .. } => {
+        FilterExpr::Eq(lhs, rhs) => {
             for op in [lhs, rhs] {
-                if matches!(op, Operand::Var(x) if *x == drop) {
+                if op.as_var() == Some(drop) {
                     *op = Operand::Var(keep);
                 }
             }
-        }
-        FilterExpr::And(a, b) | FilterExpr::Or(a, b) => {
-            unify_in_expr(a, keep, drop);
-            unify_in_expr(b, keep, drop);
         }
         FilterExpr::Complex(e) => e.rename_var(drop, keep),
     }

@@ -236,7 +236,7 @@ impl Composer {
                     let o = self.node(&t.object);
                     patterns.push(TriplePattern::new(s, p, o));
                 }
-                Element::Filter(expr) => filters.push(
+                Element::Filter(expr) => filters.extend(
                     lower_filter_ast(expr, &mut |n| self.vars.var(n))
                         .map_err(|e| ExtendedError::Eval(e.to_string()))?,
                 ),

@@ -7,6 +7,7 @@ use std::sync::OnceLock;
 use hsp_baseline::{plan, Planner};
 use hsp_bench::{BenchEnv, EnvConfig};
 use hsp_datagen::workload;
+use hsp_engine::exec::ExecStrategy;
 use hsp_engine::{execute, ExecConfig};
 use hsp_sparql::Var;
 
@@ -128,4 +129,37 @@ fn profile_cardinalities_are_consistent() {
     assert_eq!(out.profile.output_rows, out.table.len());
     // Total intermediate rows bound the memory footprint measure.
     assert!(out.profile.total_intermediate_rows() >= out.table.len());
+}
+
+#[test]
+fn planners_agree_on_term_equality_and_typed_inequality() {
+    // `?x` = "1"^^xsd:integer, `?y` ∈ {"01"^^xsd:integer, "1.0"^^xsd:decimal}:
+    // numerically equal, different terms. A top-level `=` is term equality
+    // under every planner (HSP rewrites it, the baselines push it down or
+    // run it residual); every other comparison is SPARQL's typed one.
+    let xsd = "http://www.w3.org/2001/XMLSchema#";
+    let ds = hsp_store::Dataset::from_ntriples(&format!(
+        "<http://e/d> <http://e/x> \"1\"^^<{xsd}integer> .
+         <http://e/d> <http://e/y> \"01\"^^<{xsd}integer> .
+         <http://e/d> <http://e/y> \"1.0\"^^<{xsd}decimal> .\n"
+    ))
+    .unwrap();
+    for (filter, rows) in [("?x = ?y", 0), ("?x != ?y", 0), ("!(?x != ?y)", 2)] {
+        let query = hsp_sparql::JoinQuery::parse(&format!(
+            "SELECT ?x ?y WHERE {{ ?s <http://e/x> ?x . ?s <http://e/y> ?y . FILTER ({filter}) }}"
+        ))
+        .unwrap();
+        for kind in Planner::ALL {
+            let planned = plan(kind, &ds, &query).unwrap();
+            for strategy in [ExecStrategy::Pipelined, ExecStrategy::OperatorAtATime] {
+                let config = ExecConfig::unlimited().with_strategy(strategy);
+                let out = execute(&planned.plan, &ds, &config).unwrap();
+                assert_eq!(
+                    out.table.len(),
+                    rows,
+                    "FILTER ({filter}) via {kind:?}/{strategy:?}"
+                );
+            }
+        }
+    }
 }

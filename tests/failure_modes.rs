@@ -107,20 +107,25 @@ fn empty_dataset_executes_cleanly() {
 #[test]
 fn filter_comparisons_execute() {
     let ds = small_ds();
-    // Articles issued after 2005 (numeric comparison on literals).
-    let q = JoinQuery::parse(
-        "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
-         PREFIX bench: <http://localhost/vocabulary/bench/>
-         PREFIX dcterms: <http://purl.org/dc/terms/>
-         SELECT ?x ?yr WHERE {
-            ?x rdf:type bench:Article .
-            ?x dcterms:issued ?yr .
-            FILTER (?yr > 2005) }",
-    )
-    .unwrap();
-    let planned = HspPlanner::new().plan(&q).unwrap();
-    let out = execute(&planned.plan, &ds, &ExecConfig::unlimited()).unwrap();
-    // Some articles are issued 2006–2010; all pass the filter.
+    let run = |filter: &str| {
+        let q = JoinQuery::parse(&format!(
+            "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
+             PREFIX bench: <http://localhost/vocabulary/bench/>
+             PREFIX dcterms: <http://purl.org/dc/terms/>
+             SELECT ?x ?yr WHERE {{
+                ?x rdf:type bench:Article .
+                ?x dcterms:issued ?yr .
+                FILTER ({filter}) }}"
+        ))
+        .unwrap();
+        let planned = HspPlanner::new().plan(&q).unwrap();
+        let out = execute(&planned.plan, &ds, &ExecConfig::unlimited()).unwrap();
+        (planned, out)
+    };
+    // The generated years are plain literals. Against a plain literal they
+    // compare as strings, which for four digits is the numeric order:
+    // some articles are issued 2006–2010, and every row passes.
+    let (planned, out) = run("?yr > \"2005\"");
     assert!(!out.table.is_empty());
     let yr_var = planned.query.projection[1].1;
     for i in 0..out.table.len() {
@@ -128,6 +133,8 @@ fn filter_comparisons_execute() {
         let year: f64 = term.lexical().parse().unwrap();
         assert!(year > 2005.0);
     }
+    // Against an integer a plain literal is a type error: no row passes.
+    assert!(run("?yr > 2005").1.table.is_empty());
 }
 
 #[test]

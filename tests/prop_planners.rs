@@ -230,7 +230,7 @@ proptest! {
                 got.sort();
                 prop_assert_eq!(got, reference_rows_for(&ds, &query));
             }
-            Err(hsp_baseline::cdp::CdpError::CrossProduct) => {
+            Err(hsp_core::PlanError::CrossProduct) => {
                 // Expected for disconnected random queries.
             }
             Err(e) => prop_assert!(false, "unexpected CDP error: {e}"),
