@@ -377,16 +377,13 @@ impl PhysicalPlan {
     }
 
     /// A copy with cached-plan parameters rebound: every constant `t`
-    /// where `term(t)` is `Some` is replaced by the mapped term, and
-    /// every output name `n` (projection columns, aggregate aliases)
-    /// where `name(n)` is `Some` is replaced. The session plan cache
-    /// uses this to instantiate a cached plan for a shape-equal query
-    /// with different constants and SELECT names — the tree structure,
-    /// scan orders, and join choices are untouched, so no planning runs.
+    /// where `term(t)` is `Some` is replaced by the mapped term. The
+    /// session plan tier uses this to instantiate a cached plan for
+    /// another instance of its template — the tree structure, scan
+    /// orders, and join choices are untouched, so no planning runs.
     pub fn instantiate(
         &self,
         term: &impl Fn(&hsp_rdf::Term) -> Option<hsp_rdf::Term>,
-        name: &impl Fn(&str) -> Option<String>,
     ) -> PhysicalPlan {
         match self {
             PhysicalPlan::Scan {
@@ -399,36 +396,36 @@ impl PhysicalPlan {
                 order: *order,
             },
             PhysicalPlan::MergeJoin { left, right, var } => PhysicalPlan::MergeJoin {
-                left: Box::new(left.instantiate(term, name)),
-                right: Box::new(right.instantiate(term, name)),
+                left: Box::new(left.instantiate(term)),
+                right: Box::new(right.instantiate(term)),
                 var: *var,
             },
             PhysicalPlan::HashJoin { left, right, vars } => PhysicalPlan::HashJoin {
-                left: Box::new(left.instantiate(term, name)),
-                right: Box::new(right.instantiate(term, name)),
+                left: Box::new(left.instantiate(term)),
+                right: Box::new(right.instantiate(term)),
                 vars: vars.clone(),
             },
             PhysicalPlan::LeftOuterHashJoin { left, right, vars } => {
                 PhysicalPlan::LeftOuterHashJoin {
-                    left: Box::new(left.instantiate(term, name)),
-                    right: Box::new(right.instantiate(term, name)),
+                    left: Box::new(left.instantiate(term)),
+                    right: Box::new(right.instantiate(term)),
                     vars: vars.clone(),
                 }
             }
             PhysicalPlan::CrossProduct { left, right } => PhysicalPlan::CrossProduct {
-                left: Box::new(left.instantiate(term, name)),
-                right: Box::new(right.instantiate(term, name)),
+                left: Box::new(left.instantiate(term)),
+                right: Box::new(right.instantiate(term)),
             },
             PhysicalPlan::Union { left, right } => PhysicalPlan::Union {
-                left: Box::new(left.instantiate(term, name)),
-                right: Box::new(right.instantiate(term, name)),
+                left: Box::new(left.instantiate(term)),
+                right: Box::new(right.instantiate(term)),
             },
             PhysicalPlan::Sort { input, var } => PhysicalPlan::Sort {
-                input: Box::new(input.instantiate(term, name)),
+                input: Box::new(input.instantiate(term)),
                 var: *var,
             },
             PhysicalPlan::Filter { input, expr } => PhysicalPlan::Filter {
-                input: Box::new(input.instantiate(term, name)),
+                input: Box::new(input.instantiate(term)),
                 expr: expr.map_consts(term),
             },
             PhysicalPlan::Project {
@@ -436,11 +433,8 @@ impl PhysicalPlan {
                 projection,
                 distinct,
             } => PhysicalPlan::Project {
-                input: Box::new(input.instantiate(term, name)),
-                projection: projection
-                    .iter()
-                    .map(|(n, v)| (name(n).unwrap_or_else(|| n.clone()), *v))
-                    .collect(),
+                input: Box::new(input.instantiate(term)),
+                projection: projection.clone(),
                 distinct: *distinct,
             },
             PhysicalPlan::HashAggregate {
@@ -449,19 +443,13 @@ impl PhysicalPlan {
                 aggs,
                 having,
             } => PhysicalPlan::HashAggregate {
-                input: Box::new(input.instantiate(term, name)),
+                input: Box::new(input.instantiate(term)),
                 group_by: group_by.clone(),
-                aggs: aggs
-                    .iter()
-                    .map(|a| AggSpec {
-                        name: name(&a.name).unwrap_or_else(|| a.name.clone()),
-                        ..a.clone()
-                    })
-                    .collect(),
+                aggs: aggs.clone(),
                 having: having.as_ref().map(|h| h.map_consts(term)),
             },
             PhysicalPlan::OrderBy { input, keys } => PhysicalPlan::OrderBy {
-                input: Box::new(input.instantiate(term, name)),
+                input: Box::new(input.instantiate(term)),
                 keys: keys
                     .iter()
                     .map(|k| hsp_sparql::SortKey {
@@ -475,7 +463,7 @@ impl PhysicalPlan {
                 offset,
                 limit,
             } => PhysicalPlan::Slice {
-                input: Box::new(input.instantiate(term, name)),
+                input: Box::new(input.instantiate(term)),
                 offset: *offset,
                 limit: *limit,
             },

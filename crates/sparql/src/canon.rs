@@ -1,11 +1,17 @@
-//! Query-shape canonicalization for the session plan cache.
+//! Query-shape canonicalization: the reference definition of when two
+//! join queries are the same shape.
+//!
+//! The session's plan tier is keyed by token skeleton
+//! ([`Template`](crate::Template)); nothing on the serving path calls this
+//! module. It stays as the independent reference the template's soundness
+//! property is checked against (`tests/prop_canon.rs`), and as a layer the
+//! end-to-end benchmark's trace still times.
 //!
 //! HSP's defining property (paper §3) is that a plan depends only on the
 //! query's *syntactic shape* — the variable graph and the const/var slot
 //! layout — never on data statistics or on the concrete constant values.
-//! Two templated queries that differ only in variable names and constant
-//! bindings therefore must produce the same plan, which makes HSP plans
-//! perfectly cacheable. This module computes the cache key:
+//! Two queries that differ only in variable names and constant bindings
+//! therefore have the same shape, and [`canonicalize`] renders it:
 //!
 //! * **α-renaming.** Variables are renamed to dense canonical ids in
 //!   first-occurrence order over a canonical traversal, so source names
@@ -20,10 +26,8 @@
 //!   IRI are different shapes.
 //! * **Predicates stay literal.** Predicate constants are part of the
 //!   key, not parameters: H1's `rdf:type` exception makes planning
-//!   predicate-value-sensitive, and keeping predicates in the key is
-//!   what lets the result cache invalidate by predicate. (Templated
-//!   workloads vary subjects, objects and filter constants; the
-//!   predicates *are* the template.)
+//!   predicate-value-sensitive. (Templated workloads vary subjects,
+//!   objects and filter constants; the predicates *are* the template.)
 //! * **Canonical pattern order.** Triple patterns are sorted by a
 //!   name- and parameter-independent signature: predicate constants
 //!   render as themselves, hoisted constants as their kind only, and
@@ -34,22 +38,21 @@
 //!
 //! The key is a *faithful rendering* of the canonicalized query, not a
 //! hash: equal keys imply the queries are identical up to variable
-//! renaming and parameter values, so cache collisions are impossible by
-//! construction. The pathological shapes a bounded WL refinement cannot
-//! split only cost a duplicate cache entry, never a wrong hit.
+//! renaming and parameter values. The pathological shapes a bounded WL
+//! refinement cannot split only get two keys, never one wrong one.
 //!
-//! [`canonicalize`] returns `None` for shapes the plan cache must not
-//! serve (see the guards of `cacheable_param`); callers fall back
-//! to planning from scratch.
+//! [`canonicalize`] returns `None` for the shapes the plan tier refuses
+//! (a parameter failing one of the template's guards).
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
-use hsp_rdf::{vocab, Term, TermKind};
+use hsp_rdf::{Term, TermKind};
 
 use crate::algebra::{FilterExpr, JoinQuery, Operand, TriplePattern, Var};
 use crate::expr::Expr;
+use crate::template::guarded;
 
 /// A query reduced to its planning-relevant shape: the key, the hoisted
 /// constants, and the variable bijection back to the source query.
@@ -67,21 +70,14 @@ pub struct CanonicalQuery {
     pub canon_vars: Vec<Var>,
 }
 
-impl CanonicalQuery {
-    /// The source variable a canonical id maps to, if in range.
-    pub fn source_var(&self, canon: usize) -> Option<Var> {
-        self.canon_vars.get(canon).copied()
-    }
-}
-
-/// Canonicalize a join query for plan caching, or `None` when the shape
-/// is outside what the cache can serve safely (see module docs).
+/// Canonicalize a join query, or `None` when a parameter fails one of the
+/// plan tier's guards (see module docs).
 pub fn canonicalize(query: &JoinQuery) -> Option<CanonicalQuery> {
     let colors = refine_colors(query);
     // Canonical pattern order: sort by the color-rendered signature.
     // Ties are WL-indistinguishable patterns; either order renders the
-    // same key, or the query simply occupies two cache slots — never a
-    // wrong hit, because the key stays faithful.
+    // same key, or the shape simply gets two keys — never a wrong one,
+    // because the key stays faithful.
     let mut order: Vec<usize> = (0..query.patterns.len()).collect();
     let sigs: Vec<String> = query
         .patterns
@@ -160,7 +156,7 @@ pub fn canonicalize(query: &JoinQuery) -> Option<CanonicalQuery> {
         query.modifiers.limit, query.modifiers.offset
     );
 
-    if !cx.params.iter().all(|p| cacheable_param(p, &cx.kept)) {
+    if cx.params.iter().any(|p| guarded(p, &cx.kept)) {
         return None;
     }
 
@@ -169,19 +165,6 @@ pub fn canonicalize(query: &JoinQuery) -> Option<CanonicalQuery> {
         params: cx.params,
         canon_vars: cx.canon_vars,
     })
-}
-
-/// The guards every parameter of a cached shape must pass, given the
-/// constants the key keeps literal. (a) A parameter value that also
-/// occurs as a kept constant (a predicate) would be clobbered by the
-/// by-value substitution a cache hit performs. (b) Boolean-literal
-/// parameters could collide with the constant the BOUND() rewrite
-/// synthesizes into plans. Both shapes are vanishingly rare; plan them
-/// fresh.
-pub(crate) fn cacheable_param(param: &Term, kept: &[Term]) -> bool {
-    let boolean = matches!(param, Term::Literal { datatype, .. }
-        if datatype.as_deref() == Some(vocab::XSD_BOOLEAN));
-    !boolean && !kept.contains(param)
 }
 
 /// Rendering state: α-renaming table, parameter vector, kept literals.
@@ -569,7 +552,7 @@ mod tests {
     #[test]
     fn param_predicate_overlap_is_rejected() {
         // <http://e/p> is both a kept predicate and an object parameter:
-        // by-value substitution could clobber the predicate. Not cached.
+        // by-value substitution could clobber the predicate. Refused.
         let q = JoinQuery::parse("SELECT ?x WHERE { ?x <http://e/p> <http://e/p> . }").unwrap();
         assert!(canonicalize(&q).is_none());
     }

@@ -43,10 +43,10 @@ pub fn parse_query(input: &str) -> Result<Query, ParseError> {
 }
 
 /// Parse an already lexed query (see [`tokenize`]). Beside the AST it
-/// reports, in token order, the index of every token whose constant the
-/// canonicaliser hoists as a parameter: subject, object and expression
-/// constants — never a predicate, a `PREFIX` IRI or a `LIMIT` / `OFFSET`
-/// count.
+/// reports, in token order, the index of every token whose constant a
+/// [`Template`](crate::Template) hoists as a parameter: subject, object
+/// and expression constants — never a predicate, a `PREFIX` IRI or a
+/// `LIMIT` / `OFFSET` count.
 pub fn parse_tokens(tokens: &[Token<'_>]) -> Result<(Query, Vec<usize>), ParseError> {
     let mut parser = Parser::new(tokens)?;
     let query = parser.parse()?;
@@ -596,8 +596,8 @@ impl<'t, 'a> Parser<'t, 'a> {
         self.parse_node(false)
     }
 
-    /// A variable or a constant; `hoisted` says whether the canonicaliser
-    /// hoists the constant as a parameter (see [`parse_tokens`]).
+    /// A variable or a constant; `hoisted` says whether a template hoists
+    /// the constant as a parameter (see [`parse_tokens`]).
     fn parse_node(&mut self, hoisted: bool) -> Result<NodeAst, ParseError> {
         match self.peek().clone() {
             TokenKind::Var(name) => {

@@ -1,5 +1,6 @@
-//! Property-based tests for the canonical query shape key behind the
-//! session's plan cache (`canon` module).
+//! Property-based tests for the canonical query shape key (`canon`
+//! module) and the token templates that key the session's plan tier
+//! (`template` module), with the canonical key as their reference.
 //!
 //! The contract under test:
 //! * α-renaming variables and permuting triple patterns never changes
@@ -10,10 +11,12 @@
 //! * changing a *predicate* constant changes the shape key — predicates
 //!   stay literal in the key because they are what invalidation and the
 //!   paper's H1 heuristic key on, and
-//! * the token template in front of the key (`template` module) accepts a
-//!   text only when the text's canonical key is the template's, and then
-//!   yields the text's canonical parameters position for position.
+//! * a token template refuses exactly the texts `canonicalize` refuses,
+//!   accepts a text only when the text's canonical key is the template's,
+//!   and then yields the text's own hoisted constants in first-occurrence
+//!   order.
 
+use hsp_rdf::{vocab, Term};
 use hsp_sparql::lexer::{tokenize, Token};
 use hsp_sparql::{canonicalize, parse_tokens, skeleton, CanonicalQuery, JoinQuery, Template};
 use proptest::prelude::*;
@@ -78,6 +81,26 @@ impl Spec {
                 [subject, predicate, object]
             })
             .collect()
+    }
+
+    /// The constants of rendered `slots` in identity order, deduplicated
+    /// by value: what a template numbers as its parameters.
+    fn params(slots: &[[String; 3]]) -> Vec<Term> {
+        let mut params = Vec::new();
+        for [s, _, o] in slots {
+            for slot in [s, o] {
+                let inner = &slot[1..slot.len() - 1];
+                let term = match slot.as_bytes()[0] {
+                    b'<' => Term::iri(inner),
+                    b'"' => Term::literal(inner),
+                    _ => continue,
+                };
+                if !params.contains(&term) {
+                    params.push(term);
+                }
+            }
+        }
+        params
     }
 
     /// Assemble query text from rendered slots in the given pattern order.
@@ -157,16 +180,21 @@ fn tokens(text: &str) -> Vec<Token<'_>> {
     tokenize(text).unwrap_or_else(|e| panic!("{text}\nlex: {e}"))
 }
 
-/// The token template of `text` and its canonical query, as the plan tier
-/// records them — `None` for a text the tier does not cache.
+/// The token template of `text`, as the plan tier records it, and its
+/// canonical query — `None` for a text the tier does not cache, which must
+/// be exactly a text `canonicalize` refuses.
 fn template_of(text: &str) -> Option<(Template, CanonicalQuery)> {
     let tokens = tokens(text);
     let (ast, hoisted) = parse_tokens(&tokens).ok()?;
     let query = JoinQuery::from_ast(&ast).ok()?;
-    let canon = canonicalize(&query)?;
-    let template = Template::new(&tokens, &hoisted, &ast, &query, &canon)
-        .unwrap_or_else(|| panic!("{text}\ncanonicalised but has no template"));
-    Some((template, canon))
+    let template = Template::new(&tokens, &hoisted, &ast, &query);
+    let canon = canonicalize(&query);
+    assert_eq!(
+        template.is_some(),
+        canon.is_some(),
+        "{text}\nthe template and the canonical key disagree on refusing it"
+    );
+    Some((template?.0, canon?))
 }
 
 proptest! {
@@ -243,10 +271,11 @@ proptest! {
         prop_assert_ne!(&a.params, &b.params); // the new constant must surface as a parameter
 
         // The same through the token template: equal token shapes whose
-        // slot checks pass give the variant's parameters, in key order.
+        // slot checks pass give the variant's own constants, in
+        // first-occurrence order.
         let (template, _) = template_of(&base).expect("cacheable");
         prop_assert_eq!(skeleton(&tokens(&base)), skeleton(&tokens(&variant)));
-        prop_assert_eq!(template.params(&tokens(&variant)), Some(b.params));
+        prop_assert_eq!(template.params(&tokens(&variant)), Some(Spec::params(&changed)));
 
         // A *predicate* change is not a template instance: predicates
         // stay literal in the key, so the key must differ.
@@ -267,15 +296,16 @@ proptest! {
     /// instances of one generated template whose constants were redrawn
     /// from tiny pools (see [`Instance`]). Whenever their skeletons agree
     /// and the first one's template accepts the second, the second has the
-    /// first one's canonical key and the accepted parameters are its own,
-    /// position for position.
+    /// first one's canonical key and the accepted parameters are its own
+    /// constants, in first-occurrence order.
     #[test]
     fn token_templates_accept_only_texts_with_their_canonical_key(
         instance in arb_instance(),
         seed in any::<u64>(),
     ) {
         let base = instance.render();
-        let variant = instance.vary(seed).render();
+        let varied = instance.vary(seed);
+        let variant = varied.render();
         let Some((template, canon)) = template_of(&base) else {
             return Ok(()); // a shape the plan tier does not cache
         };
@@ -292,7 +322,7 @@ proptest! {
         prop_assert!(accepted.is_some(), "base:\n{}\nvariant:\n{}", base, variant);
         let accepted = accepted.expect("checked");
         prop_assert_eq!(&accepted.key, &canon.key, "base:\n{}\nvariant:\n{}", base, variant);
-        prop_assert_eq!(&accepted.params, &params, "base:\n{}\nvariant:\n{}", base, variant);
+        prop_assert_eq!(&varied.params(), &params, "base:\n{}\nvariant:\n{}", base, variant);
     }
 }
 
@@ -354,6 +384,17 @@ impl Const {
             2 => Const::Lit(i),
             3 => Const::Num(n),
             _ => Const::Bool(i == 0),
+        }
+    }
+
+    /// The term the text spells, with `e:` bound to `BASES[base]`.
+    fn term(self, base: usize) -> Term {
+        match self {
+            Const::Iri(b, l) => Term::iri(format!("{}{}", BASES[b], LOCALS[l])),
+            Const::Prefixed(l) => Term::iri(format!("{}{}", BASES[base], LOCALS[l])),
+            Const::Lit(i) => Term::literal(["A", "B"][i]),
+            Const::Num(n) => Term::typed_literal(n.to_string(), vocab::XSD_INTEGER),
+            Const::Bool(b) => Term::typed_literal(b.to_string(), XSD_BOOLEAN),
         }
     }
 
@@ -423,6 +464,24 @@ impl Instance {
         }
         used.sort_unstable();
         used
+    }
+
+    /// The constants in text order, deduplicated by value: what a
+    /// template numbers as its parameters.
+    fn params(&self) -> Vec<Term> {
+        let slots = self.patterns.iter().flat_map(|(s, _, o)| [s, o]);
+        let consts = slots.filter_map(|slot| match slot {
+            Slot::Const(c) => Some(*c),
+            Slot::Var(_) => None,
+        });
+        let mut params = Vec::new();
+        for c in consts.chain(self.filter.map(|(_, c)| c)) {
+            let term = c.term(self.base);
+            if !params.contains(&term) {
+                params.push(term);
+            }
+        }
+        params
     }
 
     fn render(&self) -> String {

@@ -1,27 +1,19 @@
-//! Two-tier query cache keyed on canonical query shape.
+//! Two-tier query cache: plans keyed by token skeleton, results by
+//! request text.
 //!
 //! **Tier 1 — plan cache.** HSP planning is statistics-free: a plan
-//! depends only on the *syntactic shape* of the query (paper §3 — the
-//! heuristics consult no data statistics). Two queries with the same
-//! [canonical shape](hsp_sparql::canonicalize) therefore get the same
-//! plan modulo the hoisted constants, so the session caches, per shape
-//! key, the planned [`PhysicalPlan`] (not yet lowered to pipelines) and
-//! the rewritten query. A hit by canonical key has parsed and
-//! canonicalised the request; it skips the planner (including the MWIS
-//! independence search) and re-targets the entry at the request's
-//! constants and names, after the tier's mutex is released.
-//!
-//! In front of the key, each request served that way leaves a token-shape
-//! **alias**: under its [skeleton](hsp_sparql::skeleton), a
-//! [`Template`] with the plan and query the request got. A later request
-//! is lexed once; when an alias of its skeleton accepts its tokens and the
-//! canonical entry behind the alias is still cached, the request gets that
+//! depends only on the query's syntax (paper §3 — the heuristics consult
+//! no data statistics), so two texts that differ only in their hoisted
+//! constants get the same plan with those constants put in. The tier maps
+//! a text's token [skeleton](hsp_sparql::skeleton) to the aliases recorded
+//! under it: each a [`Template`] with the plan and rewritten query the
+//! request that made it was planned fresh with. A request is lexed once;
+//! when an alias of its skeleton accepts its tokens, the request gets that
 //! plan and query with its own constants put in by position — no parse,
-//! no canonical key, no search by value — and the hit counts exactly as
-//! the canonical path's would. Aliases and shapes share the tier's recency
-//! list and its bound. Because the plan never depended on the data, this
-//! tier needs **no invalidation**: updates cannot make a cached plan
-//! wrong, only a cached *result* stale.
+//! no planning, no search by value. Otherwise it is parsed and planned
+//! fresh, and leaves its alias behind. Because the plan never depended on
+//! the data, this tier needs **no invalidation**: updates cannot make a
+//! cached plan wrong, only a cached *result* stale.
 //!
 //! **Tier 2 — result cache.** A bounded LRU (entries + approximate
 //! bytes, the request text an entry is keyed by included) of query
@@ -91,14 +83,13 @@ use hsp_engine::plan::PhysicalPlan;
 use hsp_engine::{IdRows, RuntimeMetrics};
 use hsp_rdf::Term;
 use hsp_sparql::lexer::Token;
-use hsp_sparql::{CanonicalQuery, JoinQuery, Template, TermOrVar, Var};
+use hsp_sparql::{JoinQuery, Template, TermOrVar};
 
 use crate::results::Format;
 use crate::update::Touched;
 
-/// Maximum plan-tier entries: canonical shapes and token skeletons
-/// together. Plans are small; this bound only guards against unbounded
-/// template churn.
+/// Maximum plan-tier entries (token skeletons). Plans are small; this
+/// bound only guards against unbounded template churn.
 const MAX_PLAN_ENTRIES: usize = 512;
 /// Maximum aliases under one token skeleton (templates that differ only
 /// in their kept constants, e.g. their predicates, share a skeleton).
@@ -134,9 +125,10 @@ impl Reads {
 /// and the server's `STATS` verb.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Plan-tier hits (planning skipped, plan re-instantiated).
+    /// Plan-tier hits (parsing and planning skipped, plan
+    /// re-instantiated).
     pub plan_hits: u64,
-    /// Plan-tier misses (planned fresh, entry stored).
+    /// Plan-tier misses (planned fresh, alias stored).
     pub plan_misses: u64,
     /// Result-tier hits (execution skipped entirely).
     pub result_hits: u64,
@@ -154,185 +146,71 @@ pub struct CacheStats {
     pub result_bytes: usize,
 }
 
-/// One plan-tier entry. Both kinds share the tier's recency list and its
-/// bound.
-enum PlanSlot {
-    /// The plan of a canonical shape key.
-    Shape(Arc<PlanEntry>),
-    /// The aliases of a token skeleton, one per template served through
-    /// the canonical path with it.
-    Aliases(Arc<[Arc<Alias>]>),
-}
-
-/// A cached plan for one canonical shape: the physical plan and the
-/// rewritten query it was lowered from, plus enough of the original
-/// request to re-instantiate both for a different member of the shape
-/// class (same key, different hoisted constants / variable spellings).
-struct PlanEntry {
-    plan: PhysicalPlan,
-    /// The planner's rewritten query (drives projection and explain).
-    planned_query: JoinQuery,
-    /// Hoisted constants of the query that populated the entry,
-    /// position-aligned with any later hit's `params`.
-    params: Vec<Term>,
-    /// canonical id -> source var of the populating query.
-    canon_vars: Vec<Var>,
-    /// Raw projection output names of the populating query, in order.
-    proj_names: Vec<String>,
-    /// Aggregate output names of the populating query, in order.
-    agg_names: Vec<String>,
-}
-
-impl PlanEntry {
-    /// Re-target the cached plan at `hit` (a query with the same shape
-    /// key). Returns `None` when the output-name correspondence is
-    /// ambiguous — the caller then plans fresh, which is always safe.
-    fn instantiate(
-        &self,
-        hit: &CanonicalQuery,
-        hit_query: &JoinQuery,
-    ) -> Option<(PhysicalPlan, JoinQuery)> {
-        if hit.params.len() != self.params.len() || hit.canon_vars.len() != self.canon_vars.len() {
-            return None; // impossible under key equality; belt and braces
-        }
-        if self.proj_names.len() != hit_query.projection.len()
-            || self.agg_names.len() != hit_query.aggregates.len()
-        {
-            return None;
-        }
-        // Params are deduplicated by value, so a constant's position in
-        // the populating query's vector names its replacement in the
-        // hit's; there are a handful at most.
-        let term = |t: &Term| {
-            let at = self.params.iter().position(|p| p == t)?;
-            Some(hit.params[at].clone())
-        };
-        // Output names are positional: the key fixes projection and
-        // aggregate *positions*, so name i of the cached query becomes
-        // name i of the hit.
-        let names = || {
-            let proj = self.proj_names.iter().zip(&hit_query.projection);
-            let aggs = self.agg_names.iter().zip(&hit_query.aggregates);
-            proj.map(|(from, (to, _))| (from.as_str(), to.as_str()))
-                .chain(aggs.map(|(from, agg)| (from.as_str(), agg.name.as_str())))
-        };
-        // The same template spells its outputs the same way: nothing to
-        // rename then. Otherwise a source name reused for two different
-        // targets would make by-name replacement ambiguous — bail.
-        let mut name_map: HashMap<&str, &str> = HashMap::new();
-        if names().any(|(from, to)| from != to) {
-            for (from, to) in names() {
-                if *name_map.entry(from).or_insert(to) != to {
-                    return None;
-                }
-            }
-        }
-        let name = |n: &str| name_map.get(n).map(|to| to.to_string());
-        let plan = self.plan.instantiate(&term, &name);
-        let mut query = instantiate_query(&self.planned_query, &term, &name);
-        // Cosmetics: make explain output name variables as the hit
-        // request spelled them, via the canonical bijection.
-        for (canon, src) in self.canon_vars.iter().enumerate() {
-            if let (Some(hit_var), Some(slot)) = (
-                hit.canon_vars.get(canon),
-                query.var_names.get_mut(src.index()),
-            ) {
-                if let Some(spelling) = hit_query.var_names.get(hit_var.index()) {
-                    slot.clone_from(spelling);
-                }
-            }
-        }
-        Some((plan, query))
-    }
-}
-
-/// A token-shape alias of a canonical entry: the plan and query one
-/// request was served with, and the [`Template`] that tells which other
-/// texts are the same shape. Such a text gets the plan and query back with
-/// its own parameters put in by position — no parse, no canonical key, no
+/// A plan-tier alias: the plan and query one request was planned fresh
+/// with, and the [`Template`] that tells which other texts under its
+/// skeleton are instances. Such a text gets the plan and query back with
+/// its own parameters put in by position — no parse, no planning, no
 /// search by value. Variable and output names need no mapping: the
 /// skeleton repeats them exactly.
 struct Alias {
     template: Template,
-    /// The canonical key and entry the request was served from. The alias
-    /// hits only while that entry is the key's — exactly when the
-    /// canonical path would hit.
-    key: Arc<str>,
-    entry: Arc<PlanEntry>,
     plan: PhysicalPlan,
     query: JoinQuery,
-    /// The canonical parameter each constant of `plan`, then of `query`,
-    /// holds, in the order [`PhysicalPlan::instantiate`] and
-    /// [`instantiate_query`] visit them; `None` for a kept constant.
+    /// The parameter each constant of `plan`, then of `query`, holds, in
+    /// the order [`PhysicalPlan::instantiate`] and [`instantiate_query`]
+    /// visit them; `None` for a kept constant.
     consts: Vec<Option<usize>>,
 }
 
 impl Alias {
-    /// The plan and query with `params`, the canonical parameters of a text
-    /// the template accepted, in place of the alias's own.
+    /// The alias of a request the template was made from, which `plan` and
+    /// `query` were planned for and whose own parameters are `params`.
+    /// Under the template's guards a constant equal to a parameter *is*
+    /// that parameter, so each constant's slot is found by value once,
+    /// here, and never on a hit.
+    fn new(template: Template, params: &[Term], plan: &PhysicalPlan, query: &JoinQuery) -> Alias {
+        let consts = RefCell::new(Vec::new());
+        let record = |t: &Term| {
+            consts.borrow_mut().push(params.iter().position(|p| p == t));
+            None
+        };
+        let plan = plan.instantiate(&record);
+        let query = instantiate_query(query, &record);
+        Alias {
+            template,
+            plan,
+            query,
+            consts: consts.into_inner(),
+        }
+    }
+
+    /// The plan and query with `params`, the parameters of a text the
+    /// template accepted, in place of the alias's own.
     fn instantiate(&self, params: &[Term]) -> (PhysicalPlan, JoinQuery) {
         let visited = Cell::new(0);
         let term = |_: &Term| {
             let at = visited.get();
             visited.set(at + 1);
-            // The walk is the one `positional` recorded over the same plan
+            // The walk is the one `Alias::new` recorded over the same plan
             // and query, so it visits exactly `consts.len()` constants.
             self.consts[at].map(|k| params[k].clone())
         };
-        let same = |_: &str| None;
         (
-            self.plan.instantiate(&term, &same),
-            instantiate_query(&self.query, &term, &same),
+            self.plan.instantiate(&term),
+            instantiate_query(&self.query, &term),
         )
     }
 }
 
-/// Copies of `plan` and `query` with, for each constant in the order
-/// [`Alias::instantiate`] visits them, the index of the parameter in
-/// `params` it holds. Under the guards `canonicalize` passed, a constant
-/// equal to a parameter *is* that parameter — the rule
-/// `PlanEntry::instantiate` substitutes by, applied once here instead of
-/// on every hit.
-fn positional(
-    plan: &PhysicalPlan,
-    query: &JoinQuery,
-    params: &[Term],
-) -> (PhysicalPlan, JoinQuery, Vec<Option<usize>>) {
-    let consts = RefCell::new(Vec::new());
-    let record = |t: &Term| {
-        consts.borrow_mut().push(params.iter().position(|p| p == t));
-        None
-    };
-    let same = |_: &str| None;
-    let plan = plan.instantiate(&record, &same);
-    let query = instantiate_query(query, &record, &same);
-    (plan, query, consts.into_inner())
-}
-
-/// Clone `q` with constants and output names substituted. Variables are
-/// untouched: execution happens entirely in the cached query's variable
-/// space, which the key guarantees is isomorphic to the hit's.
-fn instantiate_query(
-    q: &JoinQuery,
-    term: &impl Fn(&Term) -> Option<Term>,
-    name: &impl Fn(&str) -> Option<String>,
-) -> JoinQuery {
+/// Clone `q` with its constants substituted. Variables are untouched:
+/// the skeleton repeats them exactly.
+fn instantiate_query(q: &JoinQuery, term: &impl Fn(&Term) -> Option<Term>) -> JoinQuery {
     let mut out = q.clone();
     for p in &mut out.patterns {
         *p = p.map_consts(term);
     }
     for f in &mut out.filters {
         *f = f.map_consts(term);
-    }
-    for (n, _) in &mut out.projection {
-        if let Some(mapped) = name(n) {
-            *n = mapped;
-        }
-    }
-    for agg in &mut out.aggregates {
-        if let Some(mapped) = name(&agg.name) {
-            agg.name = mapped;
-        }
     }
     if let Some(having) = &mut out.having {
         *having = having.map_consts(term);
@@ -721,7 +599,7 @@ impl ResultStore {
 /// The session-owned two-tier cache. See the module docs for the
 /// design and the concurrency contract.
 pub(crate) struct QueryCache {
-    plans: Mutex<Lru<PlanSlot>>,
+    plans: Mutex<Lru<Arc<[Arc<Alias>]>>>,
     results: Mutex<ResultStore>,
     /// Bumped (under the store's write lock) every time an update
     /// publishes a new snapshot; guards result inserts against races.
@@ -756,123 +634,55 @@ impl QueryCache {
         self.version.load(Ordering::Acquire)
     }
 
-    /// Plan-tier lookup by token shape: the cached plan and query with
-    /// the constants of `tokens` put in, when an alias of its skeleton
-    /// accepts them and the canonical entry behind it is still cached.
-    /// Counts a hit then and nothing otherwise: the caller falls back to
-    /// [`QueryCache::plan_get`], which counts as it always did.
-    pub(crate) fn alias_get(&self, tokens: &[Token]) -> Option<(PhysicalPlan, JoinQuery)> {
-        let skeleton = hsp_sparql::skeleton(tokens);
+    /// Plan-tier lookup: the cached plan and query with the constants of
+    /// `tokens` put in, when an alias under their `skeleton` accepts them.
+    /// Counts a hit then and nothing otherwise: the caller plans fresh and
+    /// records the miss with [`QueryCache::alias_insert`].
+    pub(crate) fn alias_get(
+        &self,
+        tokens: &[Token],
+        skeleton: &str,
+    ) -> Option<(PhysicalPlan, JoinQuery)> {
         let mut plans = self.plans.lock().unwrap_or_else(|e| e.into_inner());
-        let aliases = match plans.get(&skeleton) {
-            Some(PlanSlot::Aliases(aliases)) => Arc::clone(aliases),
-            _ => return None,
-        };
+        let aliases = Arc::clone(plans.get(skeleton)?);
         drop(plans);
         let (alias, params) = aliases
             .iter()
             .find_map(|alias| Some((alias, alias.template.params(tokens)?)))?;
-        // Touch the canonical entry as the canonical path's hit would.
-        let mut plans = self.plans.lock().unwrap_or_else(|e| e.into_inner());
-        let live = matches!(plans.get(&alias.key),
-            Some(PlanSlot::Shape(entry)) if Arc::ptr_eq(entry, &alias.entry));
-        drop(plans);
-        if !live {
-            return None;
-        }
         self.plan_hits.fetch_add(1, Ordering::Relaxed);
         Some(alias.instantiate(&params))
     }
 
-    /// Plan-tier lookup by canonical key: returns the cached plan
-    /// re-instantiated for `query` on a hit. Counts a miss when absent *or*
-    /// when the entry cannot be safely re-targeted (the caller plans fresh
-    /// either way). The entry is re-instantiated after the tier's mutex is
-    /// released, so concurrent hits do not queue behind one another.
-    pub(crate) fn plan_get(
-        &self,
-        canon: &CanonicalQuery,
-        query: &JoinQuery,
-    ) -> Option<(PhysicalPlan, JoinQuery)> {
-        let mut plans = self.plans.lock().unwrap_or_else(|e| e.into_inner());
-        let entry = match plans.get(&canon.key) {
-            Some(PlanSlot::Shape(entry)) => Some(Arc::clone(entry)),
-            _ => None,
-        };
-        drop(plans);
-        match entry.and_then(|entry| entry.instantiate(canon, query)) {
-            Some(pair) => {
-                self.plan_hits.fetch_add(1, Ordering::Relaxed);
-                Some(pair)
-            }
-            None => {
-                self.plan_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Store a freshly planned query under its shape key.
-    pub(crate) fn plan_insert(
-        &self,
-        canon: &CanonicalQuery,
-        query: &JoinQuery,
-        plan: &PhysicalPlan,
-        planned_query: &JoinQuery,
-    ) {
-        let entry = PlanEntry {
-            plan: plan.clone(),
-            planned_query: planned_query.clone(),
-            params: canon.params.clone(),
-            canon_vars: canon.canon_vars.clone(),
-            proj_names: query.projection.iter().map(|(n, _)| n.clone()).collect(),
-            agg_names: query.aggregates.iter().map(|a| a.name.clone()).collect(),
-        };
-        let key = Arc::from(canon.key.as_str());
-        let mut plans = self.plans.lock().unwrap_or_else(|e| e.into_inner());
-        insert_plan_slot(&mut plans, key, PlanSlot::Shape(Arc::new(entry)));
-    }
-
-    /// Record the token shape of a request the canonical path just served
-    /// `plan` and `planned_query` for under `canon`, as an alias of that
-    /// canonical entry — replacing an alias with the same template. Does
-    /// nothing when the entry is no longer cached.
+    /// Count a miss and record, under `skeleton`, the alias of a request
+    /// just planned fresh: its `template`, its own `params`, and the `plan`
+    /// and `planned_query` it got — replacing an alias with the same
+    /// template.
     pub(crate) fn alias_insert(
         &self,
-        tokens: &[Token],
+        skeleton: &str,
         template: Template,
-        canon: &CanonicalQuery,
+        params: &[Term],
         plan: &PhysicalPlan,
         planned_query: &JoinQuery,
     ) {
-        let skeleton = hsp_sparql::skeleton(tokens);
-        let (plan, query, consts) = positional(plan, planned_query, &canon.params);
+        self.plan_misses.fetch_add(1, Ordering::Relaxed);
+        let alias = Arc::new(Alias::new(template, params, plan, planned_query));
         let mut plans = self.plans.lock().unwrap_or_else(|e| e.into_inner());
-        let entry = match plans.get(&canon.key) {
-            Some(PlanSlot::Shape(entry)) => Arc::clone(entry),
-            _ => return,
-        };
-        let mut aliases: Vec<Arc<Alias>> = match plans.get(&skeleton) {
-            Some(PlanSlot::Aliases(aliases)) => aliases
-                .iter()
-                .filter(|alias| alias.template != template)
-                .cloned()
-                .collect(),
-            _ => Vec::new(),
-        };
+        let mut aliases: Vec<Arc<Alias>> = plans
+            .get(skeleton)
+            .into_iter()
+            .flat_map(|aliases| aliases.iter())
+            .filter(|old| old.template != alias.template)
+            .cloned()
+            .collect();
         if aliases.len() >= MAX_ALIASES_PER_SKELETON {
             aliases.remove(0);
         }
-        aliases.push(Arc::new(Alias {
-            template,
-            key: Arc::from(canon.key.as_str()),
-            entry,
-            plan,
-            query,
-            consts,
-        }));
-        let slot = PlanSlot::Aliases(aliases.into());
-        insert_plan_slot(&mut plans, Arc::from(skeleton), slot);
+        aliases.push(alias);
+        plans.insert(Arc::from(skeleton), aliases.into());
+        if plans.len() > MAX_PLAN_ENTRIES {
+            plans.pop_lru();
+        }
     }
 
     /// Result-tier lookup: the entry's result and a handle on its body
@@ -975,15 +785,6 @@ impl QueryCache {
     }
 }
 
-/// Store `slot` under `key` as the most recently used plan-tier entry and
-/// evict the least recently used one past the bound.
-fn insert_plan_slot(plans: &mut Lru<PlanSlot>, key: Arc<str>, slot: PlanSlot) {
-    plans.insert(key, slot);
-    if plans.len() > MAX_PLAN_ENTRIES {
-        plans.pop_lru();
-    }
-}
-
 /// Memory a cached result pins — sizing only, never correctness;
 /// over/under-counting just shifts the eviction point.
 ///
@@ -1027,10 +828,12 @@ mod tests {
     use std::collections::HashSet;
     use std::mem::size_of;
 
-    use hsp_core::HspPlanner;
+    use hsp_baseline::Planner;
     use hsp_engine::pool::COMPUTED_BASE;
     use hsp_engine::BindingTable;
     use hsp_rdf::TermId;
+    use hsp_sparql::lexer::tokenize;
+    use hsp_sparql::Var;
     use proptest::prelude::*;
 
     use super::*;
@@ -1252,113 +1055,128 @@ mod tests {
         assert_eq!(cache.stats().result_evictions, 2);
     }
 
-    #[test]
-    fn plan_tier_evicts_exactly_the_least_recently_used_shape() {
-        // Predicates stay literal in the shape key: one shape each.
-        let shape = |i: usize| {
-            let text = format!("SELECT ?s WHERE {{ ?s <http://e/p{i}> ?o . }}");
-            let ast = hsp_sparql::parse_query(&text).expect("parses");
-            let query = JoinQuery::from_ast(&ast).expect("a join query");
-            let canon = hsp_sparql::canonicalize(&query).expect("canonicalises");
-            (canon, query)
-        };
-        let cache = QueryCache::default();
-        let insert = |i: usize| {
-            let (canon, query) = shape(i);
-            let planned = HspPlanner::new().plan(&query).expect("plans");
-            cache.plan_insert(&canon, &query, &planned.plan, &planned.query);
-        };
-        let cached = |i: usize| {
-            let (canon, query) = shape(i);
-            cache.plan_get(&canon, &query).is_some()
-        };
-        (0..MAX_PLAN_ENTRIES).for_each(insert);
-        // A hit protects its target: shape 1 is now the oldest.
-        assert!(cached(0));
-        insert(MAX_PLAN_ENTRIES);
-        assert!(!cached(1), "LRU shape was evicted");
-        for i in (0..=MAX_PLAN_ENTRIES).filter(|&i| i != 1) {
-            assert!(cached(i), "shape {i} survives");
+    /// The plan and query HSP gives `text` when planned fresh.
+    fn fresh_plan(text: &str) -> (PhysicalPlan, JoinQuery) {
+        let query = JoinQuery::parse(text).expect("a join query");
+        let ds = hsp_store::Dataset::from_ntriples("").expect("an empty store");
+        let planned = hsp_baseline::plan(Planner::Hsp, &ds, &query).expect("plans");
+        (planned.plan, planned.query)
+    }
+
+    fn alias_get(cache: &QueryCache, text: &str) -> Option<(PhysicalPlan, JoinQuery)> {
+        let tokens = tokenize(text).expect("lexes");
+        cache.alias_get(&tokens, &hsp_sparql::skeleton(&tokens))
+    }
+
+    /// What the session does with `text`: an alias hit, or a fresh plan
+    /// that leaves its alias behind.
+    fn serve(cache: &QueryCache, text: &str) -> (PhysicalPlan, JoinQuery) {
+        if let Some(pair) = alias_get(cache, text) {
+            return pair;
         }
+        let tokens = tokenize(text).expect("lexes");
+        let (ast, hoisted) = hsp_sparql::parse_tokens(&tokens).expect("parses");
+        let query = JoinQuery::from_ast(&ast).expect("a join query");
+        let (template, params) =
+            Template::new(&tokens, &hoisted, &ast, &query).expect("a template");
+        let (plan, planned) = fresh_plan(text);
+        let skeleton = hsp_sparql::skeleton(&tokens);
+        cache.alias_insert(&skeleton, template, &params, &plan, &planned);
+        (plan, planned)
+    }
+
+    /// A request text whose constants fill two object slots, a subject,
+    /// a FILTER constant and a LIMIT.
+    fn instance_text(s: &str, a: &str, b: &str, n: usize, limit: usize) -> String {
+        format!(
+            "SELECT ?s ?o WHERE {{ ?s <http://e/p> {a} . ?s <http://e/q> ?o . \
+             {s} <http://e/r> ?s . ?s <http://e/t> {b} . FILTER (?o > {n}) }} LIMIT {limit}"
+        )
+    }
+
+    /// A one-pattern request: each `i` spells its variable apart, so each
+    /// has a skeleton of its own.
+    fn star(i: usize, o: &str) -> String {
+        format!("SELECT ?s{i} WHERE {{ ?s{i} <http://e/p> {o} . }}")
+    }
+
+    /// An alias hit is what the canonical path — planning the text fresh
+    /// with HSP — would give, for as long as the alias's skeleton entry
+    /// stays in the tier.
+    #[test]
+    fn token_aliases_serve_what_the_canonical_path_would_while_its_entry_lives() {
+        let text = instance_text;
+        let (x, y) = ("<http://e/x>", "<http://e/y>");
+        let cache = QueryCache::default();
+        let counts = || (cache.stats().plan_hits, cache.stats().plan_misses);
+        // Two templates under one skeleton: distinct objects, and one
+        // object shared by two slots.
+        serve(&cache, &text(x, "<http://e/a>", "<http://e/c>", 3, 5));
+        serve(&cache, &text(x, "<http://e/a>", "<http://e/a>", 3, 5));
+        assert_eq!(counts(), (0, 2));
+
+        // Instances, every parameter moved: another subject, a FILTER
+        // constant equal to the LIMIT count, other objects (shared where
+        // the template shares them). Each hit is the plan and query HSP
+        // gives the text fresh, so a constant put in the wrong slot fails.
+        let instances = [
+            text(y, "<http://e/b>", "<http://e/d>", 5, 5),
+            text(y, "<http://e/d>", "<http://e/b>", 4, 5),
+            text(y, "<http://e/b>", "<http://e/b>", 5, 5),
+        ];
+        for (hits, instance) in (1..).zip(&instances) {
+            let hit = alias_get(&cache, instance).expect("an alias hit");
+            assert_eq!(hit, fresh_plan(instance), "{instance}");
+            assert_eq!(counts(), (hits, 2));
+        }
+
+        // Not instances, and counted as nothing: another LIMIT, another
+        // kind of object, another predicate.
+        for other in [
+            text(y, "<http://e/b>", "<http://e/d>", 5, 7),
+            text(y, "\"b\"", "<http://e/d>", 5, 5),
+            text(y, "<http://e/b>", "<http://e/d>", 5, 5).replace("http://e/q", "http://e/z"),
+        ] {
+            assert!(alias_get(&cache, &other).is_none(), "{other}");
+        }
+        assert_eq!(counts(), (3, 2));
+
+        // The aliases die with their skeleton's entry: 512 new skeletons
+        // evict it, and the instances miss again, counted as nothing.
+        for i in 0..MAX_PLAN_ENTRIES {
+            serve(&cache, &star(i, "<http://e/o>"));
+        }
+        for instance in &instances {
+            assert!(alias_get(&cache, instance).is_none(), "{instance}");
+        }
+        assert_eq!(counts(), (3, 2 + MAX_PLAN_ENTRIES as u64));
         let plans = cache.plans.lock().unwrap();
         assert_eq!(plans.len(), MAX_PLAN_ENTRIES);
         plans.check();
     }
 
-    /// What the session's canonical path does for `text`: plan it (or
-    /// re-instantiate the cached plan) and record its token shape.
-    fn serve_canonically(cache: &QueryCache, text: &str) -> (PhysicalPlan, JoinQuery) {
-        let tokens = hsp_sparql::lexer::tokenize(text).expect("lexes");
-        let (ast, hoisted) = hsp_sparql::parse_tokens(&tokens).expect("parses");
-        let query = JoinQuery::from_ast(&ast).expect("a join query");
-        let canon = hsp_sparql::canonicalize(&query).expect("canonicalises");
-        let pair = cache.plan_get(&canon, &query).unwrap_or_else(|| {
-            let planned = HspPlanner::new().plan(&query).expect("plans");
-            cache.plan_insert(&canon, &query, &planned.plan, &planned.query);
-            (planned.plan, planned.query)
-        });
-        let template = Template::new(&tokens, &hoisted, &ast, &query, &canon).expect("a template");
-        cache.alias_insert(&tokens, template, &canon, &pair.0, &pair.1);
-        pair
-    }
-
-    fn alias_get(cache: &QueryCache, text: &str) -> Option<(PhysicalPlan, JoinQuery)> {
-        cache.alias_get(&hsp_sparql::lexer::tokenize(text).expect("lexes"))
-    }
-
     #[test]
-    fn token_aliases_serve_what_the_canonical_path_would_while_its_entry_lives() {
-        let text = |o: &str, limit: usize| {
-            format!(
-                "SELECT ?s ?o WHERE {{ ?s <http://e/p> {o} . ?s <http://e/q> ?o . \
-                 FILTER (?o > 5) }} LIMIT {limit}"
-            )
-        };
+    fn plan_tier_evicts_exactly_the_least_recently_used_shape() {
         let cache = QueryCache::default();
-        serve_canonically(&cache, &text("<http://e/a>", 5));
-        let counts = |cache: &QueryCache| (cache.stats().plan_hits, cache.stats().plan_misses);
-        assert_eq!(counts(&cache), (0, 1));
-
-        // An instance: the alias hands out what a fresh canonical-path
-        // lookup of the same text would, counted as that lookup's hit.
-        let instance = text("<http://e/b>", 5);
-        let via_alias = alias_get(&cache, &instance).expect("an alias hit");
-        assert_eq!(counts(&cache), (1, 1));
-        assert_eq!(
-            via_alias,
-            serve_canonically(&QueryCache::default(), &instance)
-        );
-        assert_eq!(via_alias, serve_canonically(&cache, &instance));
-        assert_eq!(counts(&cache), (2, 1));
-
-        // Not instances, and counted as nothing: another LIMIT, another
-        // kind of object, another predicate.
-        for other in [
-            text("<http://e/b>", 7),
-            text("\"b\"", 5),
-            text("<http://e/b>", 5).replace("http://e/q", "http://e/r"),
-        ] {
-            assert!(alias_get(&cache, &other).is_none(), "{other}");
+        let instance = |b: &str| instance_text("<http://e/y>", "<http://e/a>", b, 3, 5);
+        serve(&cache, &instance("<http://e/c>"));
+        serve(&cache, &instance("<http://e/a>"));
+        // Fill the tier with one skeleton per variable spelling; the first
+        // one's is then the oldest once a hit renews the two templates'.
+        for i in 0..MAX_PLAN_ENTRIES - 1 {
+            serve(&cache, &star(i, "<http://e/o>"));
         }
-        assert_eq!(counts(&cache), (2, 1));
-
-        // The alias dies with its canonical entry. The lookups above made
-        // the alias more recent than the entry; 510 new shapes (one shared
-        // skeleton) evict the entry alone. The canonical path would miss
-        // now, and so does the alias, though it is still cached.
-        for i in 0..MAX_PLAN_ENTRIES - 2 {
-            serve_canonically(
-                &cache,
-                &format!("SELECT ?s WHERE {{ ?s <http://e/p{i}> ?o . }}"),
-            );
+        assert!(alias_get(&cache, &instance("<http://e/d>")).is_some());
+        serve(&cache, &star(MAX_PLAN_ENTRIES - 1, "<http://e/o>"));
+        let cached = |i: usize| alias_get(&cache, &star(i, "<http://e/o2>")).is_some();
+        assert!(!cached(0), "the least recently used skeleton was evicted");
+        assert!(alias_get(&cache, &instance("<http://e/b>")).is_some());
+        for i in 1..MAX_PLAN_ENTRIES {
+            assert!(cached(i), "skeleton {i} survives");
         }
-        assert!(alias_get(&cache, &instance).is_none());
-        assert_eq!(counts(&cache), (2, 1 + MAX_PLAN_ENTRIES as u64 - 2));
-        let mut plans = cache.plans.lock().unwrap();
+        let plans = cache.plans.lock().unwrap();
         assert_eq!(plans.len(), MAX_PLAN_ENTRIES);
         plans.check();
-        let skeleton = hsp_sparql::skeleton(&hsp_sparql::lexer::tokenize(&instance).unwrap());
-        assert!(matches!(plans.get(&skeleton), Some(PlanSlot::Aliases(_))));
     }
 
     impl<V> Lru<V> {

@@ -49,7 +49,7 @@
 //! | [`update`] | SPARQL Update (INSERT DATA / DELETE DATA / DELETE WHERE) |
 //! | [`results`] | W3C SPARQL 1.1 JSON/CSV/TSV result serialisers |
 //! | [`session`] | the unified `Session::query` / `Session::update` front door |
-//! | [`cache`] | two-tier plan + result cache keyed on canonical query shape |
+//! | [`cache`] | two-tier cache: plans keyed by token skeleton, results by request text |
 //! | [`serve`] | framed-TCP concurrent query server on one shared morsel pool |
 //!
 //! ## Serving many queries at once

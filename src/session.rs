@@ -443,11 +443,10 @@ impl Session {
     /// Caching (on by default, [`Request::without_cache`] opts out):
     /// a result-cacheable request is first looked up in the result tier
     /// and a hit returns the stored id rows without executing at all;
-    /// on a miss, HSP join queries consult the plan tier — by token shape,
-    /// skipping even the parser when an instance of the same template was
-    /// served before, else by canonical shape, skipping planning when an
-    /// isomorphic query was planned before. [`Response::metrics`] reports
-    /// both tiers' outcomes.
+    /// on a miss, HSP join queries consult the plan tier by token shape,
+    /// skipping the parser and the planner when an instance of the same
+    /// template was planned before. [`Response::metrics`] reports both
+    /// tiers' outcomes.
     pub fn query_encoded(&self, request: Request) -> Result<EncodedResponse, SessionError> {
         let result_key = result_cache_key(&request);
         // Look up and snapshot under one store read guard: invalidation
@@ -652,13 +651,13 @@ fn result_cache_key(request: &Request) -> Option<String> {
 /// One lexer pass, three ways to obtain a plan, one way to run it. An HSP
 /// request whose token shape the plan tier knows takes the cached plan
 /// with its own constants put in, unparsed ([`QueryCache::alias_get`]);
-/// any other join-fragment query is parsed and takes the chosen planner
-/// (through the canonical plan tier for HSP); everything else — OPTIONAL,
-/// UNION, ASK — is composed from HSP-planned blocks ([`compose`]). Either
-/// way the result is one [`PhysicalPlan`] and the query it describes, and
-/// the tail below executes it once, explains it, moves the projected ids
-/// out and derives the predicate read set the result cache keys
-/// invalidation on.
+/// any other join-fragment query is parsed and planned fresh by the chosen
+/// planner (an HSP plan then leaves its alias in the tier); everything
+/// else — OPTIONAL, UNION, ASK — is composed from HSP-planned blocks
+/// ([`compose`]). Either way the result is one [`PhysicalPlan`] and the
+/// query it describes, and the tail below executes it once, explains it,
+/// moves the projected ids out and derives the predicate read set the
+/// result cache keys invalidation on.
 fn query_snapshot(
     snapshot: Arc<Dataset>,
     request: &Request,
@@ -668,18 +667,23 @@ fn query_snapshot(
 ) -> Result<(EncodedResponse, Reads), SessionError> {
     let ds: &Dataset = &snapshot;
     let tokens = tokenize(&request.text).map_err(|e| parse_error(e.into()))?;
-    // Plan tier: HSP plans are statistics-free, so any query with the same
-    // shape reuses a cached plan with its own constants substituted —
-    // planning runs only once per shape. Baseline planners consult the
-    // data and are planned fresh every time.
-    let plan_tier = cache.filter(|_| request.planner == Planner::Hsp);
+    // Plan tier: HSP plans are statistics-free, so any instance of a
+    // template reuses the plan with its own constants put in — planning
+    // runs once per template. Baseline planners consult the data and are
+    // planned fresh every time.
+    let plan_tier = cache
+        .filter(|_| request.planner == Planner::Hsp)
+        .map(|c| (c, hsp_sparql::skeleton(&tokens)));
+    let hit = plan_tier
+        .as_ref()
+        .and_then(|(c, skeleton)| c.alias_get(&tokens, skeleton));
     let Planned {
         plan,
         query: planned_query,
         ask,
         note,
         plan_cache,
-    } = match plan_tier.and_then(|c| c.alias_get(&tokens)) {
+    } = match hit {
         Some((plan, query)) => Planned {
             plan,
             query,
@@ -687,7 +691,7 @@ fn query_snapshot(
             note: None,
             plan_cache: Some(true),
         },
-        None => plan_parsed(ds, request, &tokens, plan_tier)?,
+        None => plan_parsed(ds, request, &tokens, plan_tier.as_ref())?,
     };
 
     let reads = plan_reads(&plan);
@@ -742,45 +746,28 @@ fn parse_error(e: ParseError) -> SessionError {
     SessionError::Query(ExtendedError::Parse(e))
 }
 
-/// Parse `tokens` and obtain their plan, through the canonical plan tier
-/// when `plan_tier` is given. A request served that way also leaves its
-/// token shape behind as an alias, so the next instance of its template
+/// Parse `tokens` and plan them fresh. With `plan_tier` given (an HSP
+/// request, with its skeleton), a join query whose template passes the
+/// guards leaves its alias behind, so the next instance of the template
 /// skips everything here.
 fn plan_parsed(
     ds: &Dataset,
     request: &Request,
     tokens: &[Token],
-    plan_tier: Option<&QueryCache>,
+    plan_tier: Option<&(&QueryCache, String)>,
 ) -> Result<Planned, SessionError> {
     let (ast, hoisted) = hsp_sparql::parse_tokens(tokens).map_err(parse_error)?;
     let join = (!ast.ask).then(|| JoinQuery::from_ast(&ast));
     let (plan, query, plan_cache, note) = match join {
         Some(Ok(query)) => {
-            let plan =
-                || hsp_baseline::plan(request.planner, ds, &query).map_err(SessionError::Plan);
-            let canon = plan_tier.and_then(|c| Some((c, hsp_sparql::canonicalize(&query)?)));
-            match canon {
-                // Only HSP requests reach the plan tier, and HSP plans
-                // carry no note.
-                Some((c, canon)) => {
-                    let (pair, hit) = match c.plan_get(&canon, &query) {
-                        Some(pair) => (pair, true),
-                        None => {
-                            let planned = plan()?;
-                            c.plan_insert(&canon, &query, &planned.plan, &planned.query);
-                            ((planned.plan, planned.query), false)
-                        }
-                    };
-                    if let Some(template) = Template::new(tokens, &hoisted, &ast, &query, &canon) {
-                        c.alias_insert(tokens, template, &canon, &pair.0, &pair.1);
-                    }
-                    (pair.0, pair.1, Some(hit), None)
-                }
-                None => {
-                    let planned = plan()?;
-                    (planned.plan, planned.query, None, planned.note)
-                }
-            }
+            let planned =
+                hsp_baseline::plan(request.planner, ds, &query).map_err(SessionError::Plan)?;
+            let plan_cache = plan_tier.and_then(|(c, skeleton)| {
+                let (template, params) = Template::new(tokens, &hoisted, &ast, &query)?;
+                c.alias_insert(skeleton, template, &params, &planned.plan, &planned.query);
+                Some(false)
+            });
+            (planned.plan, planned.query, plan_cache, planned.note)
         }
         other => {
             let note = match other {

@@ -752,10 +752,10 @@ fn cache_churn_under_a_concurrent_writer_stays_consistent() {
 
 /// Four threads issue templated requests with fresh constants — distinct
 /// texts, so every one misses the result tier and reaches the plan tier —
-/// against one session at once. Some spell their variable differently, so
-/// token-shape misses, canonical hits and alias inserts interleave with
-/// alias hits, and the three templates share their plans across threads.
-/// Every response renders what an uncached run of its text does, and every
+/// against one session at once. Some spell their variable differently,
+/// which makes a skeleton of its own, so alias inserts interleave with
+/// alias hits, and the templates share their plans across threads. Every
+/// response renders what an uncached run of its text does, and every
 /// request counts one plan-tier hit or miss.
 #[test]
 fn concurrent_plan_tier_hits_equal_uncached_runs() {
@@ -800,8 +800,15 @@ fn concurrent_plan_tier_hits_equal_uncached_runs() {
     let stats = session.cache_stats();
     assert_eq!(stats.result_misses, total as u64);
     assert_eq!(stats.plan_hits + stats.plan_misses, total as u64);
-    // Only the threads racing the first instance of a shape can miss.
-    assert!(stats.plan_misses <= (3 * THREADS) as u64, "{stats:?}");
+    // Only the threads racing the first instance of a skeleton can miss.
+    let skeletons: HashSet<String> = (0..total)
+        .map(|i| hsp_sparql::skeleton(&hsp_sparql::lexer::tokenize(&request(i)).unwrap()))
+        .collect();
+    assert_eq!(skeletons.len(), 5);
+    assert!(
+        stats.plan_misses <= (skeletons.len() * THREADS) as u64,
+        "{stats:?}"
+    );
 }
 
 /// Two connections race the first hit on one entry, in every format, over

@@ -606,22 +606,26 @@ fn alias_request(family: u64, r: u64, v: &str) -> String {
     }
 }
 
-/// The plan tier's token-shape aliases against the canonical path they
-/// stand in for. Generated instances of the alias families — fresh
-/// constants drawn from pools small enough to repeat, share, swap kinds and
-/// collide with LIMIT counts, PREFIX IRIs and predicates, under two
-/// variable spellings — each render the bytes of an uncached run, and each
-/// counts exactly what the canonical key alone predicts: a result hit iff
-/// its text ran before ungoverned, otherwise a plan-tier hit iff a query
-/// with its key was planned before, and no plan-tier lookup when it has no
-/// key.
+/// The plan tier's token-shape aliases against uncached runs. Generated
+/// instances of the alias families — fresh constants drawn from pools
+/// small enough to repeat, share, swap kinds and collide with LIMIT counts,
+/// PREFIX IRIs and predicates, under two variable spellings — each render
+/// the bytes of an uncached run, and each counts exactly what the templates
+/// alone predict: a result hit iff its text ran before ungoverned,
+/// otherwise a plan-tier hit iff the template of an earlier miss under the
+/// same skeleton accepts it, and no plan-tier lookup when its text has no
+/// template.
 #[test]
-fn token_aliases_match_uncached_runs_and_the_canonical_counts() {
-    use std::collections::HashSet;
+fn token_aliases_match_uncached_runs_and_the_template_counts() {
+    use std::collections::{HashMap, HashSet};
+    // The tier keeps this many templates under one skeleton, dropping the
+    // oldest; family 0 has nine.
+    const ALIASES_PER_SKELETON: usize = 8;
     let ds = alias_dataset();
     let cached = Session::with_options(ds.clone(), pooled_options());
     let uncached = Session::with_options(ds, pooled_options());
-    let (mut texts, mut keys) = (HashSet::new(), HashSet::new());
+    let mut texts = HashSet::new();
+    let mut templates: HashMap<String, Vec<hsp_sparql::Template>> = HashMap::new();
     let (mut plan_hits, mut plan_misses) = (0, 0);
     let mut state = 0x2545_f491_4f6c_dd1d_u64;
     for step in 0..600 {
@@ -654,16 +658,24 @@ fn token_aliases_match_uncached_runs_and_the_canonical_counts() {
         if result_hit {
             continue;
         }
-        let query = hsp_sparql::JoinQuery::parse(&text).expect("a join query");
-        let key = hsp_sparql::canonicalize(&query).map(|canon| canon.key);
-        assert_eq!(m.plan_cache_used, key.is_some(), "step {step}: {text}");
-        if let Some(key) = key {
-            let hit = !keys.insert(key);
+        let tokens = hsp_sparql::lexer::tokenize(&text).expect("lexes");
+        let (ast, hoisted) = hsp_sparql::parse_tokens(&tokens).expect("parses");
+        let query = hsp_sparql::JoinQuery::from_ast(&ast).expect("a join query");
+        let template = hsp_sparql::Template::new(&tokens, &hoisted, &ast, &query);
+        assert_eq!(m.plan_cache_used, template.is_some(), "step {step}: {text}");
+        if let Some((template, _)) = template {
+            let earlier = templates.entry(hsp_sparql::skeleton(&tokens)).or_default();
+            let hit = earlier.iter().any(|t| t.params(&tokens).is_some());
             assert_eq!(m.plan_cache_hit, hit, "step {step}: {text}");
             if hit {
                 plan_hits += 1;
             } else {
                 plan_misses += 1;
+                earlier.retain(|t| *t != template);
+                if earlier.len() == ALIASES_PER_SKELETON {
+                    earlier.remove(0);
+                }
+                earlier.push(template);
             }
         }
     }
