@@ -36,7 +36,6 @@ fn scan_all(ds: &Dataset, predicate: &str) -> hsp_engine::BindingTable {
 }
 
 fn bench_filter_kinds(c: &mut Criterion) {
-    let ctx = ExecContext::new();
     let mut group = c.benchmark_group("filter");
     for n in [1_000usize, 10_000, 100_000] {
         let ds = titles_dataset(n);
@@ -53,7 +52,7 @@ fn bench_filter_kinds(c: &mut Criterion) {
             )),
         );
         group.bench_with_input(BenchmarkId::new("simple-eq", n), &n, |b, _| {
-            b.iter(|| black_box(ops::filter(&ctx, &ds, &years, &simple)))
+            b.iter(|| black_box(ops::filter(&ds, &years, &simple)))
         });
 
         // Complex shape: typed numeric comparison with arithmetic.
@@ -73,7 +72,7 @@ fn bench_filter_kinds(c: &mut Criterion) {
             )),
         ));
         group.bench_with_input(BenchmarkId::new("complex-arith", n), &n, |b, _| {
-            b.iter(|| black_box(ops::filter(&ctx, &ds, &years, &complex)))
+            b.iter(|| black_box(ops::filter(&ds, &years, &complex)))
         });
 
         // REGEX over the title strings (compiled once per filter call via
@@ -86,7 +85,7 @@ fn bench_filter_kinds(c: &mut Criterion) {
             ],
         });
         group.bench_with_input(BenchmarkId::new("regex", n), &n, |b, _| {
-            b.iter(|| black_box(ops::filter(&ctx, &ds, &titles, &regex)))
+            b.iter(|| black_box(ops::filter(&ds, &titles, &regex)))
         });
     }
     group.finish();
@@ -140,7 +139,7 @@ fn bench_order_by(c: &mut Criterion) {
             b.iter(|| black_box(ops::order_by(&ctx, &ds, &years, &keys)))
         });
         group.bench_with_input(BenchmarkId::new("slice-1000", n), &n, |b, _| {
-            b.iter(|| black_box(ops::slice(&ctx, &years, n / 2, Some(1000))))
+            b.iter(|| black_box(ops::slice(&years, n / 2, Some(1000))))
         });
     }
     group.finish();

@@ -309,17 +309,13 @@ pub(crate) fn finalise(
     let mut cols: Vec<Vec<TermId>> = group_by
         .iter()
         .enumerate()
-        .map(|(k, _)| {
-            let mut col = ctx.pool.take_col(groups);
-            col.extend(partial.keys.iter().map(|key| key[k]));
-            col
-        })
+        .map(|(k, _)| partial.keys.iter().map(|key| key[k]).collect())
         .collect();
 
     // Finalise row-major (group g's aggregates before group g+1's) so the
     // computed-term intern order matches the row-at-a-time reference
     // implementation exactly — overlay ids are positional.
-    let mut agg_cols: Vec<Vec<TermId>> = aggs.iter().map(|_| ctx.pool.take_col(groups)).collect();
+    let mut agg_cols: Vec<Vec<TermId>> = aggs.iter().map(|_| Vec::with_capacity(groups)).collect();
     for g in 0..groups {
         for (a, spec) in aggs.iter().enumerate() {
             agg_cols[a].push(finalise_acc(&partial.accs[g][a], spec, ctx, ds)?);
@@ -440,7 +436,7 @@ impl hsp_sparql::Bindings for GroupRowBindings<'_> {
 
 /// Apply `HAVING` to a finalised group table: keep the rows where the
 /// predicate evaluates to true (an evaluation error is false, the usual
-/// SPARQL filter rule). Consumes and recycles the unfiltered table.
+/// SPARQL filter rule). Consumes the unfiltered table.
 pub(crate) fn apply_having(
     table: BindingTable,
     having: &hsp_sparql::Expr,
@@ -448,7 +444,7 @@ pub(crate) fn apply_having(
     ds: &Dataset,
 ) -> BindingTable {
     let evaluator = hsp_sparql::Evaluator::new();
-    let mut sel = ctx.pool.take_idx(table.len());
+    let mut sel = Vec::with_capacity(table.len());
     for row in 0..table.len() {
         let bindings = GroupRowBindings {
             ds,
@@ -460,10 +456,7 @@ pub(crate) fn apply_having(
             sel.push(row as u32);
         }
     }
-    let out = table.gather_in(&sel, &ctx.pool);
-    ctx.pool.put_idx(sel);
-    ctx.pool.recycle(table);
-    out
+    table.gather(&sel)
 }
 
 #[cfg(test)]

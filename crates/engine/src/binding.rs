@@ -6,7 +6,7 @@ use hsp_rdf::{Dictionary, Term, TermId};
 use hsp_sparql::Var;
 use hsp_store::Dataset;
 
-use crate::pool::{is_computed, BufferPool, COMPUTED_BASE};
+use crate::pool::{is_computed, COMPUTED_BASE};
 
 /// Borrow the term behind one result id: `None` for the unbound sentinel,
 /// `computed` (an execution's overlay snapshot, indexed by `id -`
@@ -218,20 +218,10 @@ impl BindingTable {
     /// # Panics
     /// Panics if an index is out of bounds.
     pub fn gather(&self, sel: &[u32]) -> BindingTable {
-        self.gather_impl(sel, None)
-    }
-
-    /// [`BindingTable::gather`] with output columns checked out of `pool`
-    /// instead of freshly allocated.
-    pub fn gather_in(&self, sel: &[u32], pool: &BufferPool) -> BindingTable {
-        self.gather_impl(sel, Some(pool))
-    }
-
-    fn gather_impl(&self, sel: &[u32], pool: Option<&BufferPool>) -> BindingTable {
         let cols = self
             .cols
             .iter()
-            .map(|col| gather_column(col, sel, pool))
+            .map(|col| gather_column(col, sel))
             .collect();
         BindingTable {
             vars: self.vars.clone(),
@@ -242,7 +232,7 @@ impl BindingTable {
     }
 
     /// Tear the table down into its raw columns (variable order), so a
-    /// consumed intermediate's buffers can be recycled.
+    /// consumed intermediate's columns can move into another table.
     pub fn into_columns(self) -> Vec<Vec<TermId>> {
         self.cols
     }
@@ -262,48 +252,26 @@ impl BindingTable {
         lidx: &[u32],
         ridx: &[u32],
     ) -> BindingTable {
-        Self::join_pairs_impl(left, right, right_extra, lidx, ridx, None)
-    }
-
-    /// [`BindingTable::from_join_pairs`] with output columns checked out of
-    /// `pool` instead of freshly allocated.
-    pub fn from_join_pairs_in(
-        left: &BindingTable,
-        right: &BindingTable,
-        right_extra: &[Var],
-        lidx: &[u32],
-        ridx: &[u32],
-        pool: &BufferPool,
-    ) -> BindingTable {
-        Self::join_pairs_impl(left, right, right_extra, lidx, ridx, Some(pool))
-    }
-
-    fn join_pairs_impl(
-        left: &BindingTable,
-        right: &BindingTable,
-        right_extra: &[Var],
-        lidx: &[u32],
-        ridx: &[u32],
-        pool: Option<&BufferPool>,
-    ) -> BindingTable {
         assert_eq!(lidx.len(), ridx.len(), "ragged join pair vectors");
         let mut vars = left.vars.clone();
         vars.extend_from_slice(right_extra);
         let mut cols = Vec::with_capacity(vars.len());
         for col in &left.cols {
-            cols.push(gather_column(col, lidx, pool));
+            cols.push(gather_column(col, lidx));
         }
         for &v in right_extra {
             let col = right.column(v);
-            let mut out = alloc_column(ridx.len(), pool);
-            out.extend(ridx.iter().map(|&j| {
-                if j == u32::MAX {
-                    TermId::UNBOUND
-                } else {
-                    col[j as usize]
-                }
-            }));
-            cols.push(out);
+            cols.push(
+                ridx.iter()
+                    .map(|&j| {
+                        if j == u32::MAX {
+                            TermId::UNBOUND
+                        } else {
+                            col[j as usize]
+                        }
+                    })
+                    .collect(),
+            );
         }
         BindingTable {
             vars,
@@ -419,7 +387,7 @@ impl IdRows {
             .map(|(k, &c)| {
                 let c = c?;
                 Some(match sel {
-                    Some(sel) => gather_column(&table_cols[c], sel, None),
+                    Some(sel) => gather_column(&table_cols[c], sel),
                     None if source[k + 1..].contains(&Some(c)) => table_cols[c].clone(),
                     None => std::mem::take(&mut table_cols[c]),
                 })
@@ -537,19 +505,11 @@ pub(crate) fn cmp_rows_at(cols: &[&[TermId]], a: usize, b: usize) -> std::cmp::O
     std::cmp::Ordering::Equal
 }
 
-/// A column buffer with `capacity` spare: checked out of `pool` when one
-/// is supplied, freshly allocated otherwise.
-pub(crate) fn alloc_column(capacity: usize, pool: Option<&BufferPool>) -> Vec<TermId> {
-    pool.map_or_else(|| Vec::with_capacity(capacity), |p| p.take_col(capacity))
-}
-
 /// Gather `col` values at the `sel` indices into one column — the single
 /// per-column gather loop behind [`BindingTable::gather`],
 /// [`BindingTable::from_join_pairs`], and the operators' column gathers.
-pub(crate) fn gather_column(col: &[TermId], sel: &[u32], pool: Option<&BufferPool>) -> Vec<TermId> {
-    let mut out = alloc_column(sel.len(), pool);
-    out.extend(sel.iter().map(|&i| col[i as usize]));
-    out
+pub(crate) fn gather_column(col: &[TermId], sel: &[u32]) -> Vec<TermId> {
+    sel.iter().map(|&i| col[i as usize]).collect()
 }
 
 #[cfg(test)]

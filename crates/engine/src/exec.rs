@@ -1,11 +1,10 @@
 //! Plan evaluation with per-operator profiling, a row budget, and the
-//! morsel/pool runtime layer: [`execute`] lowers every plan into pipelines
+//! morsel runtime layer: [`execute`] lowers every plan into pipelines
 //! ([`crate::pipeline`]); the operator-at-a-time tree walk in this module
 //! is the tests' reference, run only when
 //! [`ExecStrategy::OperatorAtATime`] names it. Every execution owns an
-//! [`ExecContext`] whose thread budget drives the parallel kernels and whose
-//! [`BufferPool`](crate::pool::BufferPool) recycles the columns of consumed
-//! intermediates.
+//! [`ExecContext`] whose thread budget drives the parallel kernels and
+//! whose governor, if any, accounts every materialised intermediate.
 
 use std::fmt;
 use std::sync::Arc;
@@ -232,7 +231,7 @@ pub enum ExecError {
         budget: usize,
     },
     /// The caller's [`CancelToken`] fired; the execution stopped at the
-    /// next checkpoint with workers joined and buffers recycled.
+    /// next checkpoint with workers joined and its memory account at zero.
     Cancelled,
     /// The [`ExecConfig::timeout`] deadline passed.
     DeadlineExceeded,
@@ -359,7 +358,7 @@ pub struct ExecOutput {
     pub table: BindingTable,
     /// Per-operator statistics.
     pub profile: Profile,
-    /// Morsel/pool runtime counters for the whole execution.
+    /// Morsel runtime counters for the whole execution.
     pub runtime: RuntimeMetrics,
     /// Snapshot of the computed-term overlay (aggregate outputs), indexed
     /// by `id -` [`COMPUTED_BASE`](crate::pool::COMPUTED_BASE). Empty for
@@ -400,9 +399,9 @@ pub fn execute(
     execute_in(plan, ds, config, &config.context())
 }
 
-/// [`execute`] inside a caller-owned [`ExecContext`]: the caller's buffer
-/// pool serves (and receives) this execution's columns and the runtime
-/// counters accumulate across executions — how a session runs each
+/// [`execute`] inside a caller-owned [`ExecContext`]: the caller's thread
+/// budget and governor apply, and the runtime counters accumulate across
+/// executions — how a session runs each
 /// request on its shared worker pool, and how a caller reads
 /// [`RuntimeMetrics::of`] the context afterwards.
 /// The reported [`ExecOutput::runtime`] snapshots the context's cumulative
@@ -517,9 +516,8 @@ fn run(
             None => std::panic::resume_unwind(payload),
         },
     }
-    // Recycle an already-materialised sibling before propagating a child
-    // error, so failed executions leave the pool balanced and the memory
-    // accounting at zero.
+    // Release an already-materialised sibling before propagating a child
+    // error, so failed executions leave the memory accounting at zero.
     // invariant: the join arms below wrap the first child's table in
     // `Some` and only `take` it here on the error path — on success the
     // later `expect("… retained on success")` unwraps always hold.
@@ -530,7 +528,7 @@ fn run(
     ) -> Result<(BindingTable, Profile), ExecError> {
         if result.is_err() {
             if let Some(t) = first.take() {
-                ctx.recycle(t);
+                ctx.release(t);
             }
         }
         result
@@ -547,9 +545,9 @@ fn run(
             let (rt, rp) = try_second(run(right, ds, config, ctx), &mut lt, ctx)?;
             let lt = lt.expect("left retained on success");
             let start = Instant::now();
-            let table = ops::merge_join(ctx, &lt, &rt, *var);
-            ctx.recycle(lt);
-            ctx.recycle(rt);
+            let table = ops::merge_join(&lt, &rt, *var);
+            ctx.release(lt);
+            ctx.release(rt);
             finish(table, plan_label(plan), start, vec![lp, rp], config, ctx)
         }
         PhysicalPlan::HashJoin { left, right, vars } => {
@@ -560,9 +558,9 @@ fn run(
             let (lt, lp) = try_second(run(left, ds, config, ctx), &mut rt, ctx)?;
             let rt = rt.expect("right retained on success");
             let start = Instant::now();
-            let table = ops::hash_join(ctx, &lt, &rt, vars);
-            ctx.recycle(lt);
-            ctx.recycle(rt);
+            let table = ops::hash_join(&lt, &rt, vars);
+            ctx.release(lt);
+            ctx.release(rt);
             finish(table, plan_label(plan), start, vec![lp, rp], config, ctx)
         }
         PhysicalPlan::LeftOuterHashJoin { left, right, vars } => {
@@ -578,8 +576,8 @@ fn run(
             };
             let start = Instant::now();
             let table = ops::left_outer_hash_join(ctx, &lt, &rt, vars);
-            ctx.recycle(lt);
-            ctx.recycle(rt);
+            ctx.release(lt);
+            ctx.release(rt);
             finish(table, plan_label(plan), start, vec![lp, rp], config, ctx)
         }
         PhysicalPlan::CrossProduct { left, right } => {
@@ -590,8 +588,8 @@ fn run(
             let (lt, rt) = admit_product(plan, lt, rt, false, config, ctx)?;
             let start = Instant::now();
             let table = ops::cross_product(ctx, &lt, &rt);
-            ctx.recycle(lt);
-            ctx.recycle(rt);
+            ctx.release(lt);
+            ctx.release(rt);
             finish(table, plan_label(plan), start, vec![lp, rp], config, ctx)
         }
         PhysicalPlan::Union { left, right } => {
@@ -600,23 +598,23 @@ fn run(
             let (rt, rp) = try_second(run(right, ds, config, ctx), &mut lt, ctx)?;
             let lt = lt.expect("left retained on success");
             let start = Instant::now();
-            let table = ops::union_all(ctx, &lt, &rt);
-            ctx.recycle(lt);
-            ctx.recycle(rt);
+            let table = ops::union_all(&lt, &rt);
+            ctx.release(lt);
+            ctx.release(rt);
             finish(table, plan_label(plan), start, vec![lp, rp], config, ctx)
         }
         PhysicalPlan::Sort { input, var } => {
             let (it, ip) = run(input, ds, config, ctx)?;
             let start = Instant::now();
             let table = ops::sort_by(ctx, &it, *var);
-            ctx.recycle(it);
+            ctx.release(it);
             finish(table, plan_label(plan), start, vec![ip], config, ctx)
         }
         PhysicalPlan::Filter { input, expr } => {
             let (it, ip) = run(input, ds, config, ctx)?;
             let start = Instant::now();
-            let table = ops::filter(ctx, ds, &it, expr);
-            ctx.recycle(it);
+            let table = ops::filter(ds, &it, expr);
+            ctx.release(it);
             finish(table, plan_label(plan), start, vec![ip], config, ctx)
         }
         PhysicalPlan::Project {
@@ -626,8 +624,8 @@ fn run(
         } => {
             let (it, ip) = run(input, ds, config, ctx)?;
             let start = Instant::now();
-            let table = ops::project(ctx, &it, projection, *distinct);
-            ctx.recycle(it);
+            let table = ops::project(&it, projection, *distinct);
+            ctx.release(it);
             finish(table, plan_label(plan), start, vec![ip], config, ctx)
         }
         PhysicalPlan::HashAggregate {
@@ -640,7 +638,7 @@ fn run(
             let start = Instant::now();
             let result =
                 crate::reference::hash_aggregate(ctx, ds, &it, group_by, aggs, having.as_ref());
-            ctx.recycle(it);
+            ctx.release(it);
             let table = result?;
             finish(table, plan_label(plan), start, vec![ip], config, ctx)
         }
@@ -648,7 +646,7 @@ fn run(
             let (it, ip) = run(input, ds, config, ctx)?;
             let start = Instant::now();
             let table = ops::order_by(ctx, ds, &it, keys);
-            ctx.recycle(it);
+            ctx.release(it);
             finish(table, plan_label(plan), start, vec![ip], config, ctx)
         }
         PhysicalPlan::Slice {
@@ -658,8 +656,8 @@ fn run(
         } => {
             let (it, ip) = run(input, ds, config, ctx)?;
             let start = Instant::now();
-            let table = ops::slice(ctx, &it, *offset, *limit);
-            ctx.recycle(it);
+            let table = ops::slice(&it, *offset, *limit);
+            ctx.release(it);
             finish(table, plan_label(plan), start, vec![ip], config, ctx)
         }
     }
@@ -669,7 +667,7 @@ fn run(
 /// (a cross product, or with `outer` the keyless left-outer join), whose
 /// exact size is known up front: the guard that makes Cartesian plans fail
 /// fast instead of exhausting memory. Hands the inputs back when the
-/// pairing fits, recycles them when it is refused.
+/// pairing fits, releases them when it is refused.
 fn admit_product(
     plan: &PhysicalPlan,
     lt: BindingTable,
@@ -697,8 +695,8 @@ fn admit_product(
     match refusal {
         None => Ok((lt, rt)),
         Some(e) => {
-            ctx.recycle(lt);
-            ctx.recycle(rt);
+            ctx.release(lt);
+            ctx.release(rt);
             Err(e)
         }
     }
@@ -715,8 +713,6 @@ fn finish(
     if let Some(budget) = config.max_intermediate_rows {
         if table.len() > budget {
             let rows = table.len();
-            // Not yet charged against the memory budget: plain pool recycle.
-            ctx.pool.recycle(table);
             return Err(ExecError::BudgetExceeded {
                 operator: label,
                 rows,
@@ -726,15 +722,15 @@ fn finish(
     }
     // A kernel that bailed out early on `governor_poll` (the cross
     // product) returns an empty placeholder table — surface the trip and
-    // drop the placeholder (its columns never came from the pool).
+    // drop the placeholder (it was never charged).
     if let Some(e) = ctx.governor().and_then(QueryGovernor::trip_error) {
         drop(table);
         return Err(e.into());
     }
     // Account the freshly materialised output; its matching release is the
-    // `ctx.recycle` call of whichever parent operator consumes it.
+    // `ctx.release` call of whichever parent operator consumes it.
     if let Err(e) = ctx.charge_table(&table, "operator") {
-        ctx.recycle(table);
+        ctx.release(table);
         return Err(e.into());
     }
     let profile = Profile {
@@ -881,17 +877,12 @@ mod tests {
         assert_eq!(parallel.table, sequential.table);
         assert_eq!(sequential.runtime.threads, 1);
         assert_eq!(parallel.runtime.threads, 3);
-        // This input is far below the morsel threshold, so even the forced
-        // budget runs sequentially — but the pool still recycles the two
-        // scan intermediates into the join's output columns.
-        assert!(sequential.runtime.pool_recycled > 0);
-        assert!(sequential.runtime.pool_misses > 0);
     }
 
     #[test]
-    fn pool_recycling_preserves_results_across_a_deep_plan() {
+    fn deep_plan_preserves_results() {
         // project(filter(join(scan, scan))): every operator consumes its
-        // child, so the pool sees several recycle/checkout cycles.
+        // child.
         use hsp_sparql::{CmpOp, Expr, FilterExpr};
         let ds = dataset();
         let plan = PhysicalPlan::Project {
@@ -912,11 +903,6 @@ mod tests {
         };
         let out = execute(&plan, &ds, &ExecConfig::unlimited()).unwrap();
         assert_eq!(out.table.len(), 3);
-        assert!(
-            out.runtime.pool_hits > 0,
-            "deep plan should hit the pool: {:?}",
-            out.runtime
-        );
     }
 
     #[test]

@@ -289,7 +289,7 @@ fn group_digits(n: usize) -> String {
     out
 }
 
-/// One-line summary of an execution's morsel/pool runtime counters — what
+/// One-line summary of an execution's morsel runtime counters — what
 /// the CLI prints under an `--explain` plan. Reports the parallel-kernel
 /// and per-morsel counts only when something actually ran parallel (on a
 /// one-core budget every kernel is sequential).
@@ -337,7 +337,7 @@ pub fn render_runtime_metrics(m: &crate::metrics::RuntimeMetrics) -> String {
             ));
         }
         format!(
-            "{} pipeline{} launched ({} morsel{} pushed, {} intermediate row{} avoided{extras}); ",
+            "; {} pipeline{} launched ({} morsel{} pushed, {} intermediate row{} avoided{extras})",
             m.pipelines,
             if m.pipelines == 1 { "" } else { "s" },
             m.pipeline_morsels,
@@ -414,14 +414,7 @@ pub fn render_runtime_metrics(m: &crate::metrics::RuntimeMetrics) -> String {
     } else {
         String::new()
     };
-    format!(
-        "runtime: {parallel}; {pipelines}buffer pool {} hit{} / {} miss{} / {} recycled{governor}{shared}{cache}{storage}\n",
-        m.pool_hits,
-        if m.pool_hits == 1 { "" } else { "s" },
-        m.pool_misses,
-        if m.pool_misses == 1 { "" } else { "es" },
-        m.pool_recycled
-    )
+    format!("runtime: {parallel}{pipelines}{governor}{shared}{cache}{storage}\n")
 }
 
 /// Render the pipeline DAG the default executor lowers `plan` into — one
@@ -632,25 +625,18 @@ mod tests {
         use crate::metrics::RuntimeMetrics;
         let sequential = RuntimeMetrics {
             threads: 1,
-            pool_hits: 3,
-            pool_misses: 7,
             ..RuntimeMetrics::default()
         };
         let line = render_runtime_metrics(&sequential);
-        assert!(line.contains("all kernels sequential"));
-        assert!(line.contains("3 hits / 7 misses"));
+        assert_eq!(line, "runtime: all kernels sequential (1 thread budget)\n");
         let parallel = RuntimeMetrics {
             parallel_kernels: 2,
             morsels: 40,
             threads: 4,
-            pool_hits: 1,
-            pool_misses: 1,
-            pool_recycled: 5,
             ..RuntimeMetrics::default()
         };
         let line = render_runtime_metrics(&parallel);
         assert!(line.contains("2 parallel kernels (40 morsels) on 4 threads"));
-        assert!(line.contains("1 hit / 1 miss / 5 recycled"));
         // No per-stage suffix when no stage counter fired.
         assert!(!line.contains('['));
         let staged = RuntimeMetrics {

@@ -19,12 +19,11 @@
 //!   by total plan work.
 //! * **Memory budget** — materialisation points (operator outputs,
 //!   breaker tables, pipeline sinks) charge their column bytes here and
-//!   release them when the table recycles; exceeding the budget surfaces
+//!   release them when the table is consumed; exceeding the budget surfaces
 //!   [`ExecError::MemoryBudgetExceeded`](crate::exec::ExecError::MemoryBudgetExceeded)
 //!   instead of aborting the process. The accounting is *approximate by
 //!   design*: it tracks live materialised column bytes (`rows × columns ×
-//!   4`), not allocator truth — index vectors and the bounded buffer-pool
-//!   free lists are excluded.
+//!   4`), not allocator truth — index vectors are excluded.
 //! * **Panic isolation** — morsel workers and breaker steps run under
 //!   [`std::panic::catch_unwind`] when a governor is present; a panicking
 //!   kernel trips the governor and surfaces as
@@ -37,7 +36,7 @@
 //! long-running ones ([`crate::ops::cross_product`]) merely *poll*
 //! [`QueryGovernor::poll`] and bail early with a discarded partial
 //! output; the surrounding executor converts the trip into the typed
-//! error and recycles everything it had materialised.
+//! error and releases everything it had materialised.
 //!
 //! # One governor per request on a shared pool
 //!
@@ -346,8 +345,8 @@ impl QueryGovernor {
     }
 
     /// Release `bytes` previously charged (a materialised table was
-    /// recycled). Saturating: release is driven by table shape, and a
-    /// handful of tables (clones, unit tables) are recycled without ever
+    /// consumed). Saturating: release is driven by table shape, and a
+    /// handful of tables (clones, unit tables) are released without ever
     /// having been charged.
     pub fn release(&self, bytes: usize) {
         let _ = self

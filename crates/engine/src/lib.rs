@@ -44,36 +44,29 @@
 //! one row-index array — verified against the key columns. Neither layout
 //! allocates per key or per probe.
 //!
-//! # The morsel/pool runtime layer
+//! # The morsel runtime layer
 //!
-//! On top of the vectorized kernels sit two execution-wide services,
-//! threaded through every operator as an [`pool::ExecContext`]:
-//!
-//! * **Morsel-driven parallelism** ([`morsel`]) — every heavy operator
-//!   stage runs as task batches on one [`SharedPool`] (the one its
-//!   context names, else the process default): the hash-join *build*
-//!   (morsel-parallel hashing plus a two-pass partitioned counting sort that
-//!   reproduces the sequential bucket directory byte-for-byte), the scan
-//!   fast paths (fixed-size morsels pulled from a shared cursor, outputs
-//!   stitched back in morsel order), *ORDER BY* key extraction (one
-//!   expression evaluator per worker — the compiled-regex cache stays
-//!   single-threaded), the *ORDER BY / sort-enforcer* comparison sort
-//!   (parallel merge sort over per-worker runs), the γ fold, and whole
-//!   *pipelines* (each worker pushes a morsel through every stage of a
-//!   breaker-free chain: merge-block sources, filters and hash-join
-//!   probes). Every parallel path is byte-identical
-//!   to its sequential counterpart by construction. Parallelism is gated
-//!   on `available_parallelism` and a row threshold, like the store's
-//!   six-order build; tests force a thread count (or the
-//!   `HSP_FORCE_THREADS` env var) to exercise the pool on single-core
-//!   machines.
-//! * **Buffer pooling** ([`pool`]) — a per-execution arena of recyclable
-//!   column and index buffers. The gather primitives check output columns
-//!   out of the pool, and the tree evaluator returns a consumed
-//!   intermediate's columns the moment its parent operator has produced
-//!   its output, so operator-at-a-time plans stop churning the allocator.
-//!   Hit/miss/recycle counters surface as [`metrics::RuntimeMetrics`] on
-//!   every [`ExecOutput`].
+//! On top of the vectorized kernels sits one execution-wide service,
+//! threaded through the operators as an [`pool::ExecContext`]:
+//! **morsel-driven parallelism** ([`morsel`]) — every heavy operator
+//! stage runs as task batches on one [`SharedPool`] (the one its
+//! context names, else the process default): the hash-join *build*
+//! (morsel-parallel hashing plus a two-pass partitioned counting sort that
+//! reproduces the sequential bucket directory byte-for-byte), the scan
+//! fast paths (fixed-size morsels pulled from a shared cursor, outputs
+//! stitched back in morsel order), *ORDER BY* key extraction (one
+//! expression evaluator per worker — the compiled-regex cache stays
+//! single-threaded), the *ORDER BY / sort-enforcer* comparison sort
+//! (parallel merge sort over per-worker runs), the γ fold, and whole
+//! *pipelines* (each worker pushes a morsel through every stage of a
+//! breaker-free chain: merge-block sources, filters and hash-join
+//! probes). Every parallel path is byte-identical
+//! to its sequential counterpart by construction. Parallelism is gated
+//! on `available_parallelism` and a row threshold, like the store's
+//! six-order build; tests force a thread count (or the
+//! `HSP_FORCE_THREADS` env var) to exercise the pool on single-core
+//! machines. Its counters surface as [`metrics::RuntimeMetrics`] on every
+//! [`ExecOutput`]. Intermediate columns come from the allocator.
 //!
 //! # Module map
 //!
@@ -83,15 +76,16 @@
 //! * [`kernel`] — FxHash utilities and the flat hash-join build table.
 //! * [`morsel`] — the morsel scheduler: config, gated worker pool,
 //!   deterministic stitch-back.
-//! * [`pool`] — the per-execution buffer pool and the [`pool::ExecContext`]
-//!   threaded through the operators.
+//! * [`pool`] — the [`pool::ExecContext`] threaded through the operators:
+//!   morsel config, governor, counters, computed-term overlay.
 //! * [`govern`] — the query governor: deadlines, cooperative
 //!   cancellation, per-query memory budgets, panic-isolated workers, and
 //!   the `HSP_FAULT` fault-injection hook.
 //! * [`plan`] — the physical plan tree shared by all planners.
 //! * [`ops`] — the vectorized operators: scan-select, merge join, hash
-//!   join, cross product, filter, projection, distinct, each taking the
-//!   execution's [`pool::ExecContext`].
+//!   join, cross product, filter, projection, distinct; those with a
+//!   parallel path or a governor poll take the execution's
+//!   [`pool::ExecContext`].
 //! * [`aggregate`] — the morsel-parallel two-phase γ: per-morsel grouped
 //!   fold, morsel-order merge (first-seen group order is deterministic at
 //!   any thread count), row-major finalisation into the computed-term
@@ -138,4 +132,4 @@ pub use govern::{CancelToken, GovernorError, QueryGovernor};
 pub use metrics::{PlanMetrics, PlanShape, RuntimeMetrics};
 pub use morsel::{MorselConfig, PoolStats, SharedPool};
 pub use plan::PhysicalPlan;
-pub use pool::{table_bytes, BufferPool, ExecContext};
+pub use pool::{table_bytes, ExecContext};

@@ -1,13 +1,13 @@
 //! Plan characteristics — the paper's Table 4 — plus the runtime counters
-//! of the morsel/pool execution layer.
+//! of the morsel execution layer.
 
 use std::fmt;
 
 use crate::plan::PhysicalPlan;
 use crate::pool::ExecContext;
 
-/// What the morsel/pool layer did during one execution: how much of the
-/// work ran parallel and how well the column arena recycled buffers.
+/// What the morsel layer did during one execution: how much of the work
+/// ran parallel, and what the pipelines kept from materialising.
 /// Produced by [`crate::execute`] as [`crate::ExecOutput::runtime`];
 /// rendered by [`crate::explain::render_runtime_metrics`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -36,7 +36,7 @@ pub struct RuntimeMetrics {
     pub pipeline_outer_probes: usize,
     /// Breaker outputs handed directly to their single consuming
     /// pipeline's source (no slot round-trip; columns move into the sink
-    /// when no stage drops a row, and recycle through the pool otherwise).
+    /// when no stage drops a row).
     pub breaker_handoffs: usize,
     /// Intermediate rows the pipelines kept as thread-local index vectors
     /// instead of materialising between operators — the rows the
@@ -57,13 +57,6 @@ pub struct RuntimeMetrics {
     pub merged_scans: usize,
     /// The execution's thread budget.
     pub threads: usize,
-    /// Buffer-pool checkouts served from the free lists.
-    pub pool_hits: usize,
-    /// Buffer-pool checkouts that fell through to the allocator.
-    pub pool_misses: usize,
-    /// Buffers returned to the pool (consumed intermediates' columns plus
-    /// returned index vectors).
-    pub pool_recycled: usize,
     /// Governor checkpoints passed during the execution (0 when no
     /// governor was attached — no timeout, memory budget, or cancel
     /// token was configured).
@@ -103,35 +96,12 @@ pub struct RuntimeMetrics {
 impl RuntimeMetrics {
     /// Snapshot the counters of an execution context.
     pub fn of(ctx: &ExecContext) -> Self {
-        let pool = ctx.pool.stats();
+        let gov = ctx.governor();
         RuntimeMetrics {
-            parallel_kernels: ctx.parallel_kernels(),
-            morsels: ctx.morsels_run(),
-            parallel_builds: ctx.parallel_builds(),
-            parallel_sorts: ctx.parallel_sorts(),
-            pipelines: ctx.pipelines(),
-            pipeline_morsels: ctx.pipeline_morsels(),
-            pipeline_outer_probes: ctx.pipeline_outer_probes(),
-            breaker_handoffs: ctx.breaker_handoffs(),
-            pipeline_rows_avoided: ctx.pipeline_rows_avoided(),
-            parallel_aggregates: ctx.parallel_aggregates(),
-            aggregate_groups: ctx.aggregate_groups(),
-            distinct_streamed: ctx.distinct_streamed(),
-            merged_scans: ctx.merged_scans(),
             threads: ctx.morsel.threads(),
-            pool_hits: pool.hits,
-            pool_misses: pool.misses,
-            pool_recycled: pool.recycled,
-            governor_checks: ctx.governor().map_or(0, |g| g.checks()),
-            governor_mem_peak: ctx.governor().map_or(0, |g| g.mem_peak()),
-            shared_pool_batches: ctx.pool_batches(),
-            plan_cache_used: false,
-            plan_cache_hit: false,
-            result_cache_used: false,
-            result_cache_hit: false,
-            store_version: 0,
-            store_delta_rows: 0,
-            store_compactions: 0,
+            governor_checks: gov.map_or(0, |g| g.checks()),
+            governor_mem_peak: gov.map_or(0, |g| g.mem_peak()),
+            ..ctx.counters.get()
         }
     }
 }

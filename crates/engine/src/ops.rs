@@ -11,12 +11,12 @@
 //! appends. The previous row-at-a-time kernels live on in
 //! [`crate::reference`] as the differential-testing oracle.
 //!
-//! Every operator takes the execution's [`ExecContext`], which supplies the
-//! [`crate::morsel`] thread budget for the parallel fast paths (scan
-//! gather/selection, ORDER BY key extraction and the merge sort behind
-//! ORDER BY and the sort enforcer) and the [`crate::pool::BufferPool`] the
-//! gather phase checks output columns out of. The joins and FILTER run one
-//! sequential cursor or probe loop each: production queries probe, filter
+//! The operators with a parallel fast path (scan gather/selection, ORDER BY
+//! key extraction and the merge sort behind ORDER BY and the sort
+//! enforcer) or a governor poll (the cross product) take the execution's
+//! [`ExecContext`], which supplies the [`crate::morsel`] thread budget.
+//! Output columns and index vectors come straight from the allocator. The
+//! joins and FILTER run one sequential cursor or probe loop each: production queries probe, filter
 //! and merge inside morsel-parallel [`crate::pipeline`] stages, and these
 //! kernels serve the pipeline's breakers and the operator-at-a-time oracle.
 
@@ -77,11 +77,10 @@ pub fn scan(
                 Some(id) => prefix.push(id),
                 None => {
                     // Empty, but sorted like any scan of this order (a
-                    // merge join above still checks the declaration) and
-                    // pooled like one (its consumer recycles the columns).
-                    let cols = out_vars.iter().map(|_| ctx.pool.take_col(0)).collect();
-                    let sorted = scan_sort_var(pattern, order);
-                    return BindingTable::from_columns(out_vars, cols, sorted);
+                    // merge join above still checks the declaration).
+                    let mut table = BindingTable::empty(out_vars);
+                    table.set_sorted_by(scan_sort_var(pattern, order));
+                    return table;
                 }
             },
             TermOrVar::Var(_) => break,
@@ -127,7 +126,7 @@ pub fn scan(
         // One counter entry for the whole scan (all columns together).
         let mut scan_run = morsel::MorselRun::SEQUENTIAL;
         for &k in &var_key_idx {
-            let mut col = ctx.pool.take_col(rows.len());
+            let mut col = Vec::with_capacity(rows.len());
             if parallel {
                 col.resize(rows.len(), TermId(0));
                 let run = morsel::fill_stripes(&mut col, &ctx.morsel, |offset, chunk| {
@@ -160,17 +159,10 @@ pub fn scan(
             sel
         });
         ctx.note_run(run);
-        let total: usize = parts.iter().map(Vec::len).sum();
-        let mut sel = ctx.pool.take_idx(total);
-        for part in parts {
-            sel.extend_from_slice(&part);
-        }
+        let sel = parts.concat();
         for &k in &var_key_idx {
-            let mut col = ctx.pool.take_col(sel.len());
-            col.extend(sel.iter().map(|&i| rows[i as usize][k]));
-            cols.push(col);
+            cols.push(sel.iter().map(|&i| rows[i as usize][k]).collect());
         }
-        ctx.pool.put_idx(sel);
     }
     let sorted = scan_sort_var(pattern, order);
     BindingTable::from_columns(out_vars, cols, sorted)
@@ -182,19 +174,14 @@ pub fn scan(
 /// variables, and stays sorted by `var`.
 ///
 /// One cursor pair ([`crate::kernel::merge_join_pairs`]) emits the
-/// matching `(left_row, right_row)` pairs into pooled buffers, and the
+/// matching `(left_row, right_row)` pairs into index vectors, and the
 /// output is gathered column at a time. The pipeline executor calls it only
 /// for merges with a non-leaf side: a left-deep run of merge joins over
 /// scan leaves is one merge-block source instead.
 ///
 /// # Panics
 /// Panics if an input is not sorted by `var`.
-pub fn merge_join(
-    ctx: &ExecContext,
-    left: &BindingTable,
-    right: &BindingTable,
-    var: Var,
-) -> BindingTable {
+pub fn merge_join(left: &BindingTable, right: &BindingTable, var: Var) -> BindingTable {
     assert_eq!(
         left.sorted_by(),
         Some(var),
@@ -216,14 +203,11 @@ pub fn merge_join(
         .map(|&v| (left.column(v), right.column(v)))
         .collect();
 
-    let mut lidx = ctx.pool.take_idx(lcol.len().min(rcol.len()));
-    let mut ridx = ctx.pool.take_idx(lcol.len().min(rcol.len()));
+    let mut lidx = Vec::with_capacity(lcol.len().min(rcol.len()));
+    let mut ridx = Vec::with_capacity(lcol.len().min(rcol.len()));
     crate::kernel::merge_join_pairs(lcol, rcol, &extra_pairs, &mut lidx, &mut ridx);
 
-    let mut out =
-        BindingTable::from_join_pairs_in(left, right, &right_extra, &lidx, &ridx, &ctx.pool);
-    ctx.pool.put_idx(lidx);
-    ctx.pool.put_idx(ridx);
+    let mut out = BindingTable::from_join_pairs(left, right, &right_extra, &lidx, &ridx);
     out.set_sorted_by(Some(var));
     out
 }
@@ -237,19 +221,14 @@ pub fn merge_join(
 /// one- and two-variable joins (the dominant case), falling back to a
 /// CSR-style bucket directory verified against the key columns for wider
 /// keys — no per-probe key allocation either way (see
-/// [`crate::kernel::BuildTable`]). One sequential probe emits index pairs
-/// into pooled buffers, which are gathered column-at-a-time. Pipelines
-/// probe the same table morsel-parallel in their probe stages; this
-/// kernel serves the operator-at-a-time oracle.
+/// [`crate::kernel::BuildTable`]). One sequential probe emits index pairs,
+/// which are gathered column-at-a-time. Pipelines probe the same table
+/// morsel-parallel in their probe stages; this kernel serves the
+/// operator-at-a-time oracle.
 ///
 /// # Panics
 /// Panics if `vars` is empty or not shared by both inputs.
-pub fn hash_join(
-    ctx: &ExecContext,
-    left: &BindingTable,
-    right: &BindingTable,
-    vars: &[Var],
-) -> BindingTable {
+pub fn hash_join(left: &BindingTable, right: &BindingTable, vars: &[Var]) -> BindingTable {
     assert!(!vars.is_empty(), "hash join needs at least one variable");
     for &v in vars {
         assert!(
@@ -273,8 +252,8 @@ pub fn hash_join(
         .map(|&v| (left.column(v), right.column(v)))
         .collect();
 
-    let mut lidx = ctx.pool.take_idx(left.len());
-    let mut ridx = ctx.pool.take_idx(left.len());
+    let mut lidx = Vec::with_capacity(left.len());
+    let mut ridx = Vec::with_capacity(left.len());
     table.probe_range(
         &build_cols,
         &probe_cols,
@@ -284,17 +263,13 @@ pub fn hash_join(
         &mut ridx,
     );
 
-    let mut out =
-        BindingTable::from_join_pairs_in(left, right, &right_extra, &lidx, &ridx, &ctx.pool);
-    ctx.pool.put_idx(lidx);
-    ctx.pool.put_idx(ridx);
+    let mut out = BindingTable::from_join_pairs(left, right, &right_extra, &lidx, &ridx);
     // Probe order is preserved, so the left ordering survives.
     out.set_sorted_by(left.sorted_by());
     out
 }
 
-/// Cartesian product (left-major order, so the left ordering survives);
-/// output columns come from the context's pool.
+/// Cartesian product (left-major order, so the left ordering survives).
 ///
 /// # Panics
 /// Panics if the inputs share a variable.
@@ -320,16 +295,15 @@ pub fn cross_product(ctx: &ExecContext, left: &BindingTable, right: &BindingTabl
     //
     // This is the one kernel whose output is quadratically larger than its
     // inputs, so it polls the governor every `POLL_STRIDE` copied values:
-    // on a trip (deadline, cancellation) it returns the checked-out
-    // columns to the pool and hands back an empty *placeholder* table
-    // (plain never-pooled columns) — the caller's trip check surfaces the
-    // error and drops the placeholder.
+    // on a trip (deadline, cancellation) it drops the partial columns and
+    // hands back an empty *placeholder* table — the caller's trip check
+    // surfaces the error and drops the placeholder.
     const POLL_STRIDE: usize = 1 << 16;
     let mut since_poll = 0usize;
     let mut tripped = false;
     let mut cols: Vec<Vec<TermId>> = Vec::with_capacity(out_vars.len());
     'left: for col in left.columns() {
-        let mut out = ctx.pool.take_col(rows);
+        let mut out = Vec::with_capacity(rows);
         for &v in col {
             out.extend(std::iter::repeat_n(v, right.len()));
             since_poll += right.len();
@@ -337,7 +311,6 @@ pub fn cross_product(ctx: &ExecContext, left: &BindingTable, right: &BindingTabl
                 since_poll = 0;
                 if ctx.governor_poll() {
                     tripped = true;
-                    ctx.pool.put_col(out);
                     break 'left;
                 }
             }
@@ -346,7 +319,7 @@ pub fn cross_product(ctx: &ExecContext, left: &BindingTable, right: &BindingTabl
     }
     if !tripped {
         'right: for col in right.columns() {
-            let mut out = ctx.pool.take_col(rows);
+            let mut out = Vec::with_capacity(rows);
             for _ in 0..left.len() {
                 out.extend_from_slice(col);
                 since_poll += col.len();
@@ -354,7 +327,6 @@ pub fn cross_product(ctx: &ExecContext, left: &BindingTable, right: &BindingTabl
                     since_poll = 0;
                     if ctx.governor_poll() {
                         tripped = true;
-                        ctx.pool.put_col(out);
                         break 'right;
                     }
                 }
@@ -363,11 +335,7 @@ pub fn cross_product(ctx: &ExecContext, left: &BindingTable, right: &BindingTabl
         }
     }
     if tripped {
-        for col in cols {
-            ctx.pool.put_col(col);
-        }
-        let placeholder = out_vars.iter().map(|_| Vec::new()).collect();
-        return BindingTable::from_columns(out_vars, placeholder, None);
+        return BindingTable::empty(out_vars);
     }
     let mut out = BindingTable::from_columns(out_vars, cols, None);
     if !right.is_empty() {
@@ -376,8 +344,8 @@ pub fn cross_product(ctx: &ExecContext, left: &BindingTable, right: &BindingTabl
     out
 }
 
-/// Sort a table by `var` (stable), producing an order-enforced copy
-/// (pooled sort index and output). When the input clears the morsel
+/// Sort a table by `var` (stable), producing an order-enforced copy.
+/// When the input clears the morsel
 /// threshold the comparison sort runs as a **parallel merge sort**
 /// ([`morsel::merge_sort`]): per-worker sorted runs, then parallel pairwise
 /// run merges. An explicit `(key, original index)` order makes the
@@ -389,8 +357,7 @@ pub fn cross_product(ctx: &ExecContext, left: &BindingTable, right: &BindingTabl
 pub fn sort_by(ctx: &ExecContext, input: &BindingTable, var: Var) -> BindingTable {
     check_indexable(input);
     let key = input.column(var);
-    let mut index = ctx.pool.take_idx(input.len());
-    index.extend(0..input.len() as u32);
+    let mut index: Vec<u32> = (0..input.len() as u32).collect();
     if ctx.morsel.workers_for(input.len()) > 1 {
         let (sorted, run) =
             morsel::merge_sort(std::mem::take(&mut index), &ctx.morsel, |&a, &b| {
@@ -401,8 +368,7 @@ pub fn sort_by(ctx: &ExecContext, input: &BindingTable, var: Var) -> BindingTabl
     } else {
         index.sort_by_key(|&i| key[i as usize]); // stable
     }
-    let mut out = input.gather_in(&index, &ctx.pool);
-    ctx.pool.put_idx(index);
+    let mut out = input.gather(&index);
     out.set_sorted_by(Some(var));
     out
 }
@@ -431,7 +397,7 @@ pub fn left_outer_hash_join(
 ) -> BindingTable {
     if vars.is_empty() {
         return if right.is_empty() {
-            union_all(ctx, left, right)
+            union_all(left, right)
         } else {
             cross_product(ctx, left, right)
         };
@@ -460,8 +426,8 @@ pub fn left_outer_hash_join(
 
     // Index pairs; an unmatched left row pairs with the `u32::MAX` sentinel,
     // which the gather turns into UNBOUND padding.
-    let mut lidx = ctx.pool.take_idx(left.len());
-    let mut ridx = ctx.pool.take_idx(left.len());
+    let mut lidx = Vec::with_capacity(left.len());
+    let mut ridx = Vec::with_capacity(left.len());
     table.probe_range_outer(
         &build_cols,
         &probe_cols,
@@ -471,18 +437,15 @@ pub fn left_outer_hash_join(
         &mut ridx,
     );
 
-    let mut out =
-        BindingTable::from_join_pairs_in(left, right, &right_extra, &lidx, &ridx, &ctx.pool);
-    ctx.pool.put_idx(lidx);
-    ctx.pool.put_idx(ridx);
+    let mut out = BindingTable::from_join_pairs(left, right, &right_extra, &lidx, &ridx);
     out.set_sorted_by(None); // UNBOUND sentinels may break the left order
     out
 }
 
 /// Concatenate two tables over the union of their variables (the UNION
 /// operator): columns missing from a branch are padded with
-/// [`TermId::UNBOUND`]. Output columns come from the context's pool.
-pub fn union_all(ctx: &ExecContext, a: &BindingTable, b: &BindingTable) -> BindingTable {
+/// [`TermId::UNBOUND`].
+pub fn union_all(a: &BindingTable, b: &BindingTable) -> BindingTable {
     let mut out_vars = a.vars().to_vec();
     for &v in b.vars() {
         if !out_vars.contains(&v) {
@@ -497,7 +460,7 @@ pub fn union_all(ctx: &ExecContext, a: &BindingTable, b: &BindingTable) -> Bindi
     // or a run of UNBOUND padding.
     let mut cols: Vec<Vec<TermId>> = Vec::with_capacity(out_vars.len());
     for &v in &out_vars {
-        let mut col = ctx.pool.take_col(rows);
+        let mut col = Vec::with_capacity(rows);
         for side in [a, b] {
             match side.col_index(v) {
                 Some(c) => col.extend_from_slice(&side.columns()[c]),
@@ -532,25 +495,16 @@ thread_local! {
 /// [`FilterExpr::Complex`] expressions are evaluated with the SPARQL typed
 /// value semantics of [`hsp_sparql::expr`] by one local
 /// [`Evaluator`](hsp_sparql::Evaluator) (and hence one compiled-regex
-/// cache) over all rows. The selection vector and the output columns come
-/// from the context's pool. Pipelines evaluate FILTER as a morsel-parallel
+/// cache) over all rows. Pipelines evaluate FILTER as a morsel-parallel
 /// stage; this kernel serves the operator-at-a-time oracle.
-pub fn filter(
-    ctx: &ExecContext,
-    ds: &Dataset,
-    input: &BindingTable,
-    expr: &FilterExpr,
-) -> BindingTable {
+pub fn filter(ds: &Dataset, input: &BindingTable, expr: &FilterExpr) -> BindingTable {
     check_indexable(input);
     let evaluator = hsp_sparql::Evaluator::new();
-    let mut sel = ctx.pool.take_idx(input.len());
-    sel.extend(
-        (0..input.len())
-            .filter(|&i| eval_expr(ds, input, expr, i, &evaluator))
-            .map(|i| i as u32),
-    );
-    let mut out = input.gather_in(&sel, &ctx.pool);
-    ctx.pool.put_idx(sel);
+    let sel: Vec<u32> = (0..input.len())
+        .filter(|&i| eval_expr(ds, input, expr, i, &evaluator))
+        .map(|i| i as u32)
+        .collect();
+    let mut out = input.gather(&sel);
     out.set_sorted_by(input.sorted_by());
     out
 }
@@ -561,8 +515,7 @@ pub fn filter(
 /// engine behaviour for, e.g., `ORDER BY` over a variable that is unbound
 /// in some rows.
 ///
-/// The selection vector and output columns are pooled. The decorate
-/// phase — evaluating every key expression for every row — runs
+/// The decorate phase — evaluating every key expression for every row — runs
 /// morsel-parallel with per-worker evaluators; per-morsel decorations
 /// stitch back in row order. The comparison sort then runs as a
 /// **parallel merge sort** ([`morsel::merge_sort`]) over per-worker
@@ -634,23 +587,14 @@ pub fn order_by(
         decorated.sort_by(by_keys);
     }
 
-    let mut sel = ctx.pool.take_idx(decorated.len());
-    sel.extend(decorated.iter().map(|&(i, _)| i as u32));
+    let sel: Vec<u32> = decorated.iter().map(|&(i, _)| i as u32).collect();
     // The ORDER BY value order is not the TermId order merge joins need,
     // so the gathered output's default of no sortedness is correct.
-    let out = input.gather_in(&sel, &ctx.pool);
-    ctx.pool.put_idx(sel);
-    out
+    input.gather(&sel)
 }
 
-/// `OFFSET`/`LIMIT`: keep `limit` rows starting at `offset` (pooled output
-/// columns).
-pub fn slice(
-    ctx: &ExecContext,
-    input: &BindingTable,
-    offset: usize,
-    limit: Option<usize>,
-) -> BindingTable {
+/// `OFFSET`/`LIMIT`: keep `limit` rows starting at `offset`.
+pub fn slice(input: &BindingTable, offset: usize, limit: Option<usize>) -> BindingTable {
     let start = offset.min(input.len());
     let end = match limit {
         Some(n) => (start + n).min(input.len()),
@@ -663,11 +607,7 @@ pub fn slice(
     let cols: Vec<Vec<TermId>> = input
         .columns()
         .iter()
-        .map(|c| {
-            let mut out = ctx.pool.take_col(end - start);
-            out.extend_from_slice(&c[start..end]);
-            out
-        })
+        .map(|c| c[start..end].to_vec())
         .collect();
     let mut out = BindingTable::from_columns(input.vars().to_vec(), cols, None);
     out.set_sorted_by(input.sorted_by());
@@ -677,13 +617,7 @@ pub fn slice(
 /// Project to the given `(name, var)` list, optionally deduplicating.
 /// Duplicated projection entries referring to the same variable (after
 /// FILTER unification) share one column in the output's variable list.
-/// Output columns come from the context's pool.
-pub fn project(
-    ctx: &ExecContext,
-    input: &BindingTable,
-    projection: &[(String, Var)],
-    distinct: bool,
-) -> BindingTable {
+pub fn project(input: &BindingTable, projection: &[(String, Var)], distinct: bool) -> BindingTable {
     if projection.is_empty() {
         // ASK-style degenerate projection: keep only the row count.
         let rows = if distinct {
@@ -713,18 +647,12 @@ pub fn project(
 
     let cols: Vec<Vec<TermId>> = if !distinct {
         // Plain projection is a bulk column copy.
-        src.iter()
-            .map(|c| {
-                let mut col = ctx.pool.take_col(c.len());
-                col.extend_from_slice(c);
-                col
-            })
-            .collect()
+        src.iter().map(|c| c.to_vec()).collect()
     } else {
         check_indexable(input);
         let sel = distinct_first_occurrences(&src, input.len());
         src.iter()
-            .map(|c| crate::binding::gather_column(c, &sel, Some(&ctx.pool)))
+            .map(|c| crate::binding::gather_column(c, &sel))
             .collect()
     };
     let keep_sort = input.sorted_by().filter(|v| out_vars.contains(v));
@@ -987,7 +915,7 @@ mod tests {
         let ds = dataset();
         let l = edges(&ctx, &ds, 0, "p", 1, Order::Pso);
         let r = edges(&ctx, &ds, 0, "q", 2, Order::Pso);
-        let j = merge_join(&ctx, &l, &r, Var(0));
+        let j = merge_join(&l, &r, Var(0));
         // a1 has 2 p-edges and 1 q-edge, a2 has 1 and 1: 3 rows.
         assert_eq!(j.len(), 3);
         assert_eq!(j.vars(), &[Var(0), Var(1), Var(2)]);
@@ -1001,8 +929,8 @@ mod tests {
         let ds = dataset();
         let l = edges(&ctx, &ds, 0, "p", 1, Order::Pso);
         let r = edges(&ctx, &ds, 0, "q", 2, Order::Pso);
-        let mj = merge_join(&ctx, &l, &r, Var(0));
-        let hj = hash_join(&ctx, &l, &r, &[Var(0)]);
+        let mj = merge_join(&l, &r, Var(0));
+        let hj = hash_join(&l, &r, &[Var(0)]);
         assert_eq!(mj.sorted_rows(), hj.sorted_rows());
     }
 
@@ -1013,7 +941,7 @@ mod tests {
         // ?a p ?b  ⋈  ?b r ?c  (s=o join on ?b)
         let l = edges(&ctx, &ds, 0, "p", 1, Order::Pso);
         let r = edges(&ctx, &ds, 1, "r", 2, Order::Pso);
-        let j = hash_join(&ctx, &l, &r, &[Var(1)]);
+        let j = hash_join(&l, &r, &[Var(1)]);
         // b1 has one r-edge; two p-edges end in b1.
         assert_eq!(j.len(), 2);
     }
@@ -1025,7 +953,7 @@ mod tests {
         let ds = dataset();
         let l = edges(&ctx, &ds, 0, "p", 1, Order::Pso);
         let r = edges(&ctx, &ds, 0, "q", 2, Order::Pos);
-        merge_join(&ctx, &l, &r, Var(0));
+        merge_join(&l, &r, Var(0));
     }
 
     #[test]
@@ -1045,7 +973,7 @@ mod tests {
         let ds = dataset();
         let t = edges(&ctx, &ds, 0, "q", 1, Order::Pso);
         let expr = cmp(CmpOp::Gt, 1, Term::literal("6"));
-        let f = filter(&ctx, &ds, &t, &expr);
+        let f = filter(&ds, &t, &expr);
         assert_eq!(f.len(), 1); // only "7" > "6"
     }
 
@@ -1058,9 +986,9 @@ mod tests {
             Operand::Var(Var(1)),
             Operand::Const(Term::literal("not in dict")),
         );
-        assert!(filter(&ctx, &ds, &t, &expr).is_empty());
+        assert!(filter(&ds, &t, &expr).is_empty());
         let ne = cmp(CmpOp::Ne, 1, Term::literal("not in dict"));
-        assert_eq!(filter(&ctx, &ds, &t, &ne).len(), t.len());
+        assert_eq!(filter(&ds, &t, &ne).len(), t.len());
     }
 
     #[test]
@@ -1068,9 +996,9 @@ mod tests {
         let ctx = ExecContext::new();
         let ds = dataset();
         let t = edges(&ctx, &ds, 0, "p", 1, Order::Pso);
-        let p = project(&ctx, &t, &[("s".into(), Var(0))], false);
+        let p = project(&t, &[("s".into(), Var(0))], false);
         assert_eq!(p.len(), 3);
-        let d = project(&ctx, &t, &[("s".into(), Var(0))], true);
+        let d = project(&t, &[("s".into(), Var(0))], true);
         assert_eq!(d.len(), 2); // a1, a2
         assert_eq!(d.sorted_by(), Some(Var(0)));
     }
@@ -1080,12 +1008,7 @@ mod tests {
         let ctx = ExecContext::new();
         let ds = dataset();
         let t = edges(&ctx, &ds, 0, "p", 1, Order::Pso);
-        let p = project(
-            &ctx,
-            &t,
-            &[("a".into(), Var(0)), ("b".into(), Var(0))],
-            false,
-        );
+        let p = project(&t, &[("a".into(), Var(0)), ("b".into(), Var(0))], false);
         assert_eq!(p.vars(), &[Var(0)]);
         assert_eq!(p.len(), 3);
     }
@@ -1111,8 +1034,8 @@ mod tests {
         let l = edges(&ctx, &ds, 0, "p", 1, Order::Pso);
         let r_wrong_order = edges(&ctx, &ds, 0, "q", 2, Order::Pos);
         let r = sort_by(&ctx, &r_wrong_order, Var(0));
-        let mj = merge_join(&ctx, &l, &r, Var(0));
-        let hj = hash_join(&ctx, &l, &r_wrong_order, &[Var(0)]);
+        let mj = merge_join(&l, &r, Var(0));
+        let hj = hash_join(&l, &r_wrong_order, &[Var(0)]);
         assert_eq!(mj.sorted_rows(), hj.sorted_rows());
     }
 
@@ -1137,7 +1060,7 @@ mod tests {
         let l = edges(&ctx, &ds, 0, "q", 1, Order::Pso);
         let r = edges(&ctx, &ds, 0, "p", 2, Order::Pso);
         let outer = left_outer_hash_join(&ctx, &l, &r, &[Var(0)]);
-        let inner = hash_join(&ctx, &l, &r, &[Var(0)]);
+        let inner = hash_join(&l, &r, &[Var(0)]);
         assert_eq!(outer.sorted_rows(), inner.sorted_rows());
     }
 
@@ -1147,7 +1070,7 @@ mod tests {
         let ds = dataset();
         let a = edges(&ctx, &ds, 0, "q", 1, Order::Pso);
         let b = edges(&ctx, &ds, 0, "r", 2, Order::Pso);
-        let u = union_all(&ctx, &a, &b);
+        let u = union_all(&a, &b);
         assert_eq!(u.len(), a.len() + b.len());
         assert_eq!(u.vars(), &[Var(0), Var(1), Var(2)]);
         // Rows from `a` have UNBOUND in ?2; rows from `b` in ?1.
@@ -1165,9 +1088,9 @@ mod tests {
         // ?c = "x" keeps matched rows only; ?c != "x" keeps NO unbound rows
         // either (type error semantics).
         let eq = FilterExpr::Eq(Operand::Var(Var(2)), Operand::Const(Term::literal("x")));
-        assert_eq!(filter(&ctx, &ds, &j, &eq).len(), 2);
+        assert_eq!(filter(&ds, &j, &eq).len(), 2);
         let ne = cmp(CmpOp::Ne, 2, Term::literal("x"));
-        assert_eq!(filter(&ctx, &ds, &j, &ne).len(), 0);
+        assert_eq!(filter(&ds, &j, &ne).len(), 0);
     }
 
     #[test]
@@ -1211,10 +1134,10 @@ mod tests {
         let ctx = ExecContext::new();
         let ds = dataset();
         let t = edges(&ctx, &ds, 0, "p", 1, Order::Pso);
-        let p = project(&ctx, &t, &[], false);
+        let p = project(&t, &[], false);
         assert_eq!(p.len(), 3);
         assert!(p.vars().is_empty());
-        assert_eq!(project(&ctx, &t, &[], true).len(), 1);
+        assert_eq!(project(&t, &[], true).len(), 1);
     }
 
     #[test]
@@ -1239,7 +1162,7 @@ mod tests {
             func: hsp_sparql::Func::Regex,
             args: vec![Expr::Var(Var(1)), Expr::Const(Term::literal(r"\(19\d\d\)"))],
         });
-        let out = filter(&ctx, &ds, &t, &expr);
+        let out = filter(&ds, &t, &expr);
         assert_eq!(out.len(), 2);
         // Sortedness is preserved by filtering.
         assert_eq!(out.sorted_by(), t.sorted_by());
@@ -1276,7 +1199,7 @@ mod tests {
                 hsp_rdf::vocab::XSD_INTEGER,
             ))),
         });
-        let out = filter(&ctx, &ds, &t, &expr);
+        let out = filter(&ds, &t, &expr);
         assert_eq!(out.len(), 1);
     }
 
@@ -1287,13 +1210,13 @@ mod tests {
         let t = edges(&ctx, &ds, 0, "p", 1, Order::Pso);
         // FILTER on a variable not in the table: every row errors → empty.
         let expr = cmp(CmpOp::Eq, 9, Term::literal("x"));
-        assert_eq!(filter(&ctx, &ds, &t, &expr).len(), 0);
+        assert_eq!(filter(&ds, &t, &expr).len(), 0);
         // …but BOUND(?v9) = false keeps them all.
         let expr = FilterExpr::Complex(Expr::Not(Box::new(Expr::Call {
             func: hsp_sparql::Func::Bound,
             args: vec![Expr::Var(Var(9))],
         })));
-        assert_eq!(filter(&ctx, &ds, &t, &expr).len(), t.len());
+        assert_eq!(filter(&ds, &t, &expr).len(), t.len());
     }
 
     #[test]
@@ -1359,20 +1282,20 @@ mod tests {
         let ds = dataset();
         let t = edges(&ctx, &ds, 0, "p", 1, Order::Pso);
         assert_eq!(t.len(), 3);
-        assert_eq!(slice(&ctx, &t, 0, Some(2)).len(), 2);
-        assert_eq!(slice(&ctx, &t, 1, Some(2)).len(), 2);
-        assert_eq!(slice(&ctx, &t, 2, Some(2)).len(), 1);
-        assert_eq!(slice(&ctx, &t, 5, Some(2)).len(), 0);
-        assert_eq!(slice(&ctx, &t, 0, None).len(), 3);
-        assert_eq!(slice(&ctx, &t, 1, None).len(), 2);
+        assert_eq!(slice(&t, 0, Some(2)).len(), 2);
+        assert_eq!(slice(&t, 1, Some(2)).len(), 2);
+        assert_eq!(slice(&t, 2, Some(2)).len(), 1);
+        assert_eq!(slice(&t, 5, Some(2)).len(), 0);
+        assert_eq!(slice(&t, 0, None).len(), 3);
+        assert_eq!(slice(&t, 1, None).len(), 2);
         // offset+limit partition the input.
-        let a = slice(&ctx, &t, 0, Some(1));
-        let b = slice(&ctx, &t, 1, None);
+        let a = slice(&t, 0, Some(1));
+        let b = slice(&t, 1, None);
         assert_eq!(a.len() + b.len(), t.len());
         assert_eq!(a.row(0), t.row(0));
         assert_eq!(b.row(0), t.row(1));
         // Slicing preserves sortedness metadata.
-        assert_eq!(slice(&ctx, &t, 1, Some(1)).sorted_by(), t.sorted_by());
+        assert_eq!(slice(&t, 1, Some(1)).sorted_by(), t.sorted_by());
     }
 
     /// A forced-parallel context: tiny morsels, no row threshold, so even
@@ -1459,30 +1382,15 @@ mod tests {
                 let parallel = order_by(&ctx, &ds, &t, &keys);
                 assert_eq!(parallel, sequential, "threads={threads} desc={descending}");
                 // The decorate phase and the merge sort.
-                assert_eq!(ctx.parallel_kernels(), 2);
-                assert_eq!(ctx.parallel_sorts(), 1);
+                let m = crate::metrics::RuntimeMetrics::of(&ctx);
+                assert_eq!(m.parallel_kernels, 2);
+                assert_eq!(m.parallel_sorts, 1);
             }
         }
     }
 
     #[test]
-    fn pooled_join_reuses_buffers_across_operators() {
-        let (l, r) = big_join_inputs(500);
-        let ctx = ExecContext::with_threads(1);
-        let first = hash_join(&ctx, &l, &r, &[Var(0)]);
-        ctx.pool.recycle(first.clone());
-        let second = hash_join(&ctx, &l, &r, &[Var(0)]);
-        assert_eq!(first, second);
-        let stats = ctx.pool.stats();
-        assert!(
-            stats.hits > 0,
-            "second join should reuse recycled buffers: {stats:?}"
-        );
-    }
-
-    #[test]
     fn merge_join_with_extra_shared_var() {
-        let ctx = ExecContext::new();
         // Both inputs bind ?0 and ?1; join on ?0, ?1 must match too.
         let l = BindingTable::from_columns(
             vec![Var(0), Var(1)],
@@ -1497,7 +1405,7 @@ mod tests {
             vec![vec![TermId(1), TermId(2)], vec![TermId(6), TermId(9)]],
             Some(Var(0)),
         );
-        let j = merge_join(&ctx, &l, &r, Var(0));
+        let j = merge_join(&l, &r, Var(0));
         assert_eq!(j.len(), 1); // only (1, 6) matches on both columns
         assert_eq!(j.row(0), vec![TermId(1), TermId(6)]);
 
@@ -1524,7 +1432,7 @@ mod tests {
                 vec![rk, shared.clone()],
                 Some(Var(0)),
             );
-            let j = merge_join(&ctx, &l, &r, Var(0));
+            let j = merge_join(&l, &r, Var(0));
             assert!(j.check_sortedness());
             assert_eq!(
                 j.sorted_rows(),

@@ -43,8 +43,7 @@
 //!   table moves straight into that pipeline (counted as
 //!   [`RuntimeMetrics::breaker_handoffs`](crate::metrics::RuntimeMetrics::breaker_handoffs)),
 //!   and when no stage drops a row the sink **moves** the handed columns
-//!   into the output instead of gathering copies, recycling the
-//!   unprojected ones through the [`crate::pool::BufferPool`].
+//!   into the output instead of gathering copies.
 //! * **Execution** ([`Program::run`]) walks the steps in dependency order
 //!   (lowering emits them topologically). A pipeline pushes its source
 //!   through the whole stage chain **morsel at a time** on the
@@ -56,8 +55,7 @@
 //!   same discipline as every parallel kernel, so the result is
 //!   byte-identical to the oracle; a merge block's morsels are plain
 //!   driver ranges, since its driver is the outermost loop of every
-//!   product), and the sink gathers each output column exactly once
-//!   through the [`crate::pool::BufferPool`].
+//!   product), and the sink gathers each output column exactly once.
 //!
 //! What the oracle would have materialised between the pipeline's
 //! operators is reported as
@@ -692,11 +690,10 @@ impl Program<'_> {
     ///
     /// With a governor attached to `ctx`, every breaker step and every
     /// morsel claim is a cooperative checkpoint; an error drains every
-    /// filled slot back through [`ExecContext::recycle`], so a cancelled
-    /// or failed execution leaves the buffer pool balanced and the memory
-    /// accounting at zero. So does a `row_budget` trip: any plan node
-    /// producing more rows than the budget fails the execution with
-    /// [`ExecError::BudgetExceeded`].
+    /// filled slot through [`ExecContext::release`], so a cancelled or
+    /// failed execution leaves the memory accounting at zero. So does a
+    /// `row_budget` trip: any plan node producing more rows than the
+    /// budget fails the execution with [`ExecError::BudgetExceeded`].
     pub fn run(
         &self,
         ds: &Dataset,
@@ -709,7 +706,7 @@ impl Program<'_> {
         if let Err(e) = self.run_steps(ds, ctx, row_budget, &mut slots, &mut rows, &mut nanos) {
             for slot in slots.iter_mut() {
                 if let Some(t) = slot.take() {
-                    ctx.recycle(t);
+                    ctx.release(t);
                 }
             }
             return Err(e);
@@ -781,20 +778,19 @@ impl Program<'_> {
                     // A kernel that bailed out early on `governor_poll`
                     // (the cross product) returned an empty placeholder
                     // table: surface the trip instead of storing it and
-                    // drop the placeholder (its columns never came from
-                    // the pool, and it was never charged).
+                    // drop the placeholder (it was never charged).
                     if let Some(e) = ctx.governor().and_then(QueryGovernor::trip_error) {
                         for t in consumed {
-                            ctx.recycle(t);
+                            ctx.release(t);
                         }
                         drop(table);
                         return Err(e.into());
                     }
                     for t in consumed {
-                        ctx.recycle(t);
+                        ctx.release(t);
                     }
                     if let Err(e) = ctx.charge_table(&table, "breaker") {
-                        ctx.recycle(table);
+                        ctx.release(table);
                         return Err(e.into());
                     }
                     slots[*out] = Some(table);
@@ -1006,10 +1002,10 @@ impl Program<'_> {
 }
 
 /// Run one breaker op over materialised slots; returns the output table
-/// plus the consumed input tables (for recycling). The only fallible op
+/// plus the consumed input tables (for releasing). The only fallible op
 /// is the γ aggregate (morsel-claim checkpoints, memory budget, typed
 /// aggregate evaluation errors); on error the consumed inputs have
-/// already been recycled.
+/// already been released.
 fn run_breaker(
     op: &BreakerOp<'_>,
     ds: &Dataset,
@@ -1024,7 +1020,7 @@ fn run_breaker(
         BreakerOp::Scan { pattern, order } => (ops::scan(ctx, ds, pattern, *order), Vec::new()),
         BreakerOp::MergeJoin { left, right, var } => {
             let (l, r) = (take(*left), take(*right));
-            (ops::merge_join(ctx, &l, &r, *var), vec![l, r])
+            (ops::merge_join(&l, &r, *var), vec![l, r])
         }
         BreakerOp::CrossProduct { left, right, outer } => {
             let (l, r) = (take(*left), take(*right));
@@ -1037,7 +1033,7 @@ fn run_breaker(
         }
         BreakerOp::Union { left, right } => {
             let (l, r) = (take(*left), take(*right));
-            (ops::union_all(ctx, &l, &r), vec![l, r])
+            (ops::union_all(&l, &r), vec![l, r])
         }
         BreakerOp::Sort { input, var } => {
             let i = take(*input);
@@ -1049,7 +1045,7 @@ fn run_breaker(
             distinct,
         } => {
             let i = take(*input);
-            (ops::project(ctx, &i, projection, *distinct), vec![i])
+            (ops::project(&i, projection, *distinct), vec![i])
         }
         BreakerOp::OrderBy { input, keys } => {
             let i = take(*input);
@@ -1065,7 +1061,7 @@ fn run_breaker(
             match run_aggregate(ds, ctx, &i, group_by, aggs, *having) {
                 Ok(table) => (table, vec![i]),
                 Err(e) => {
-                    ctx.recycle(i);
+                    ctx.release(i);
                     return Err(e);
                 }
             }
@@ -1076,7 +1072,7 @@ fn run_breaker(
             limit,
         } => {
             let i = take(*input);
-            (ops::slice(ctx, &i, *offset, *limit), vec![i])
+            (ops::slice(&i, *offset, *limit), vec![i])
         }
     })
 }
@@ -1318,8 +1314,8 @@ impl View<'_, '_> {
     /// Gather the first `n` values of a column reference into a contiguous
     /// scratch buffer (one tight loop per [`ColRef`] shape — what keeps
     /// the probe loop over the result as fast as a materialised column).
-    fn gather(&self, r: ColRef<'_>, n: usize, scratch: &Scratch<'_>) -> Vec<TermId> {
-        let mut out = scratch.take_col(n);
+    fn gather(&self, r: ColRef<'_>, n: usize) -> Vec<TermId> {
+        let mut out = Vec::with_capacity(n);
         match (r, self.ident) {
             // A lazy side 0 only exists over a single scan or slot source,
             // so a key reference under it reads leaf 0.
@@ -1347,7 +1343,7 @@ impl View<'_, '_> {
                     ..
                 },
                 _,
-            ) => gather_indices(&mut out, col, &self.sides[side][..n], nullable),
+            ) => extend_gathered(&mut out, col, &self.sides[side][..n], nullable),
         }
         out
     }
@@ -1358,7 +1354,7 @@ impl View<'_, '_> {
 /// `sel`. With `nullable` (a side introduced by an *outer* probe) the
 /// `u32::MAX` sentinel reads as UNBOUND — the same value the oracle
 /// materialises for unmatched OPTIONAL rows.
-fn gather_indices(out: &mut Vec<TermId>, src: &[TermId], sel: &[u32], nullable: bool) {
+fn extend_gathered(out: &mut Vec<TermId>, src: &[TermId], sel: &[u32], nullable: bool) {
     if nullable {
         out.extend(sel.iter().map(|&i| {
             if i == u32::MAX {
@@ -1372,48 +1368,14 @@ fn gather_indices(out: &mut Vec<TermId>, src: &[TermId], sel: &[u32], nullable: 
     }
 }
 
-/// Scratch-buffer source for one morsel run: the execution's
-/// [`BufferPool`](crate::pool::BufferPool) when the pipeline runs
-/// sequentially on the owning thread (large scratch columns recycle
-/// instead of churning the allocator, exactly like the oracle's gathers),
-/// plain allocation for parallel workers — the pool is single-threaded by
-/// design and workers keep everything thread-local.
-struct Scratch<'a> {
-    pool: Option<&'a crate::pool::BufferPool>,
-}
-
-impl Scratch<'_> {
-    fn take_col(&self, cap: usize) -> Vec<TermId> {
-        self.pool
-            .map_or_else(|| Vec::with_capacity(cap), |p| p.take_col(cap))
-    }
-
-    fn put_col(&self, col: Vec<TermId>) {
-        if let Some(p) = self.pool {
-            p.put_col(col);
-        }
-    }
-
-    fn take_idx(&self, cap: usize) -> Vec<u32> {
-        self.pool
-            .map_or_else(|| Vec::with_capacity(cap), |p| p.take_idx(cap))
-    }
-
-    fn put_idx(&self, buf: Vec<u32>) {
-        if let Some(p) = self.pool {
-            p.put_idx(buf);
-        }
-    }
-}
-
 /// The FILTER stage's evaluation surface: just the expression's variables,
 /// each backed by a contiguous scratch column gathered for this morsel.
-struct ScratchCols<'a, 'b> {
+struct MorselCols<'a, 'b> {
     used: &'b [(Var, ColRef<'a>)],
     cols: &'b [Vec<TermId>],
 }
 
-impl RowValues for ScratchCols<'_, '_> {
+impl RowValues for MorselCols<'_, '_> {
     fn row_value(&self, v: Var, row: usize) -> TermId {
         self.used
             .iter()
@@ -1440,7 +1402,7 @@ enum SinkRef {
 
 /// Execute one pipeline: prepare (resolve the source, build the probe hash
 /// tables — the breaker work), push morsels through the stage chain, gather
-/// once at the sink, recycle the consumed inputs. A `handed_off` source
+/// once at the sink, release the consumed inputs. A `handed_off` source
 /// table (a single-consumer breaker's output) may have its columns *moved*
 /// into the sink when no stage dropped a row.
 #[allow(clippy::too_many_arguments)]
@@ -1514,13 +1476,6 @@ fn run_pipeline(
     // long-lived; its regex cache is bounded); the sequential paths keep a
     // plain local evaluator that drops with the pipeline.
     let stage_count = prepared.stages.len();
-    // Only the ungoverned sequential path hands pooled index vectors to
-    // `process_morsel`: its single part's vectors *become* the stitched
-    // sides and are put back after the sink. Worker parts and
-    // governed-sequential parts use plain vectors — the stitch copies out
-    // of them and drops them — so pool take/put stays balanced even when
-    // a governed run produces several parts on one thread.
-    let pooled_part = ctx.morsel.workers_for(prepared.rows) <= 1 && ctx.governor().is_none();
     let morsel_result = if ctx.morsel.workers_for(prepared.rows) > 1 {
         morsel::try_run_morsels(
             prepared.rows,
@@ -1528,10 +1483,8 @@ fn run_pipeline(
             ctx.governor(),
             "worker",
             |range| {
-                // Workers allocate scratch plainly: the pool is single-threaded.
-                let scratch = Scratch { pool: None };
                 ops::WORKER_EVALUATOR.with(|evaluator| {
-                    process_morsel(range, &prepared, ds, evaluator, &scratch, static_movable)
+                    process_morsel(range, &prepared, ds, evaluator, static_movable)
                 })
             },
         )
@@ -1541,37 +1494,26 @@ fn run_pipeline(
         // loop runs on the calling thread, so borrowing the non-`Sync`
         // local evaluator is fine.
         let evaluator = hsp_sparql::Evaluator::new();
-        let scratch = Scratch { pool: None };
         morsel::try_run_morsels_seq(prepared.rows, &ctx.morsel, gov, "worker", |range| {
-            process_morsel(range, &prepared, ds, &evaluator, &scratch, static_movable)
+            process_morsel(range, &prepared, ds, &evaluator, static_movable)
         })
     } else {
         let evaluator = hsp_sparql::Evaluator::new();
-        let scratch = Scratch {
-            pool: Some(&ctx.pool),
-        };
-        let out = process_morsel(
-            0..prepared.rows,
-            &prepared,
-            ds,
-            &evaluator,
-            &scratch,
-            static_movable,
-        );
+        let out = process_morsel(0..prepared.rows, &prepared, ds, &evaluator, static_movable);
         Ok((vec![out], MorselRun::SEQUENTIAL))
     };
     let (parts, run) = match morsel_result {
         Ok(x) => x,
         Err(e) => {
-            // The batch has drained and its partial parts are dropped; return
-            // the consumed inputs (charged when their producers stored
-            // them) so the pool balances and the accounting nets to zero.
+            // The batch has drained and its partial parts are dropped;
+            // release the consumed inputs (charged when their producers
+            // stored them) so the accounting nets to zero.
             drop(prepared);
             if let Some(t) = source_table.take() {
-                ctx.recycle(t);
+                ctx.release(t);
             }
             for t in build_tables {
-                ctx.recycle(t);
+                ctx.release(t);
             }
             return Err(e.into());
         }
@@ -1588,46 +1530,41 @@ fn run_pipeline(
     // Source levels: the source's own count, then one per merge-block join.
     let levels = 1 + prepared.joins.len();
     let mut counts = vec![0usize; levels + stage_count];
-    let mut total_rows = 0usize;
     for part in &parts {
-        total_rows += part.rows;
+        for (c, n) in part.counts.iter().enumerate() {
+            counts[c] += n;
+        }
     }
+    let total_rows: usize = parts.iter().map(|part| part.rows).sum();
     // Every morsel kept side 0 untouched ⇒ the stitched side-0 vector is
     // the identity over the whole source: the column-move fires and side 0
     // (left empty by the deferral) is never read.
     let movable = static_movable && parts.iter().all(|part| part.side0_identity);
-    let sides: Vec<Vec<u32>> = if pooled_part {
-        // Single pooled morsel (the ungoverned sequential path): its index
+    let sides: Vec<Vec<u32>> = match <[MorselOut; 1]>::try_from(parts) {
+        // One morsel ran (every ungoverned sequential pipeline): its index
         // vectors are the stitched result — move them instead of copying.
-        // invariant: `pooled_part` implies exactly one morsel ran.
-        let part = parts.into_iter().next().expect("one part");
-        for (c, n) in part.counts.iter().enumerate() {
-            counts[c] += n;
-        }
-        part.sides
-    } else {
-        let mut sides: Vec<Vec<u32>> = (0..side_count)
-            .map(|_| ctx.pool.take_idx(total_rows))
-            .collect();
-        for part in parts {
-            for (c, n) in part.counts.iter().enumerate() {
-                counts[c] += n;
-            }
-            for (s, v) in part.sides.into_iter().enumerate() {
-                if s == 0 && static_movable && part.side0_identity {
-                    // This morsel's side 0 was deferred (left empty). If
-                    // another morsel broke the identity, reconstruct the
-                    // range here; on the move path nothing reads side 0.
-                    debug_assert!(v.is_empty());
-                    if !movable {
-                        sides[0].extend(part.start..part.start + part.rows as u32);
+        Ok([part]) => part.sides,
+        Err(parts) => {
+            let mut sides: Vec<Vec<u32>> = (0..side_count)
+                .map(|_| Vec::with_capacity(total_rows))
+                .collect();
+            for part in parts {
+                for (s, v) in part.sides.into_iter().enumerate() {
+                    if s == 0 && static_movable && part.side0_identity {
+                        // This morsel's side 0 was deferred (left empty). If
+                        // another morsel broke the identity, reconstruct the
+                        // range here; on the move path nothing reads side 0.
+                        debug_assert!(v.is_empty());
+                        if !movable {
+                            sides[0].extend(part.start..part.start + part.rows as u32);
+                        }
+                    } else {
+                        sides[s].extend_from_slice(&v);
                     }
-                } else {
-                    sides[s].extend_from_slice(&v);
                 }
             }
+            sides
         }
-        sides
     };
 
     // Record per-operator cardinalities (exactly what the oracle would
@@ -1718,19 +1655,15 @@ fn run_pipeline(
     // the source table was materialised for this pipeline alone and no
     // stage dropped a row, so the selected columns *move* into the output
     // — zero copies, not even an identity index vector — and the
-    // unprojected ones recycle through the pool. Otherwise each output
-    // column is gathered exactly once, through the pool.
+    // unprojected ones drop. Otherwise each output column is gathered
+    // exactly once.
     let out_rows = total_rows;
     let table = if movable {
         // invariant: `static_movable` requires a slot source, taken above.
         let src = source_table.take().expect("handed-off slot source");
-        // The source is consumed by the column move rather than recycled:
-        // release its charge here so the moved output's own charge below
-        // does not double-count the same bytes.
-        ctx.release_bytes(crate::pool::table_bytes(&src));
         debug_assert_eq!(src.len(), out_rows, "identity sides preserve rows");
         let mut src_cols: Vec<Option<Vec<TermId>>> =
-            src.into_columns().into_iter().map(Some).collect();
+            ctx.release(src).into_iter().map(Some).collect();
         let mut cols: Vec<Vec<TermId>> = Vec::with_capacity(sink_refs.len());
         for (_, r) in &sink_refs {
             let SinkRef::Col { idx, .. } = r else {
@@ -1742,9 +1675,6 @@ fn run_pipeline(
             // column is moved at most once.
             cols.push(src_cols[*idx].take().expect("layout vars are distinct"));
         }
-        for col in src_cols.into_iter().flatten() {
-            ctx.pool.put_col(col);
-        }
         let vars: Vec<Var> = sink_refs.iter().map(|&(v, _)| v).collect();
         let mut table = BindingTable::from_columns(vars, cols, None);
         table.set_sorted_by(sorted);
@@ -1754,7 +1684,7 @@ fn run_pipeline(
     } else {
         let mut cols: Vec<Vec<TermId>> = Vec::with_capacity(sink_refs.len());
         for (_, r) in &sink_refs {
-            let mut col = ctx.pool.take_col(out_rows);
+            let mut col = Vec::with_capacity(out_rows);
             match *r {
                 SinkRef::Key { side, leaf, key } => {
                     let rows = leaf_rows[leaf];
@@ -1772,7 +1702,7 @@ fn run_pipeline(
                     } else {
                         &build_tables[side - source_sides].columns()[idx]
                     };
-                    gather_indices(&mut col, src, &sides[side], nullable);
+                    extend_gathered(&mut col, src, &sides[side], nullable);
                 }
             }
             cols.push(col);
@@ -1805,9 +1735,8 @@ fn run_pipeline(
                 if keep.len() == table.len() {
                     table
                 } else {
-                    let mut out = table.gather_in(&keep, &ctx.pool);
+                    let mut out = table.gather(&keep);
                     out.set_sorted_by(sorted);
-                    ctx.pool.recycle(table);
                     out
                 }
             };
@@ -1817,25 +1746,19 @@ fn run_pipeline(
             deduped
         }
     };
-    // A pooled part's deferred side 0 (the column-move path) is the
-    // placeholder, never checked out: only pool buffers go back.
-    let skip = usize::from(pooled_part && movable);
-    for side in sides.into_iter().skip(skip) {
-        ctx.pool.put_idx(side);
-    }
     nanos_by_node[top_node] = start.elapsed().as_nanos();
 
-    // Recycle the consumed inputs now that the gather is done (a moved
-    // hand-off source already recycled its leftovers above), then charge
-    // the materialised output against the memory budget.
+    // Release the consumed inputs now that the gather is done (a moved
+    // hand-off source was released above), then charge the materialised
+    // output against the memory budget.
     if let Some(t) = source_table {
-        ctx.recycle(t);
+        ctx.release(t);
     }
     for t in build_tables {
-        ctx.recycle(t);
+        ctx.release(t);
     }
     if let Err(e) = ctx.charge_table(&table, "sink") {
-        ctx.pool.recycle(table);
+        ctx.release(table);
         return Err(e.into());
     }
     slots[p.out] = Some(table);
@@ -2138,7 +2061,6 @@ fn process_morsel(
     p: &PreparedPipeline<'_>,
     ds: &Dataset,
     evaluator: &hsp_sparql::Evaluator,
-    scratch: &Scratch<'_>,
     defer_side0: bool,
 ) -> MorselOut {
     let range_start = range.start as u32;
@@ -2153,14 +2075,13 @@ fn process_morsel(
     let mut ident: Option<u32> = None;
     let mut rows_now: usize;
     if !p.joins.is_empty() {
-        let (block_sides, block_counts) = merge_block_morsel(range, p, scratch);
+        let (block_sides, block_counts) = merge_block_morsel(range, p);
         sides = block_sides;
         // invariant: a merge block reports one count per level.
         rows_now = *block_counts.last().expect("merge-block levels");
         counts.extend(block_counts);
     } else if let Some(leaf) = p.leaves.first().filter(|l| !l.equalities.is_empty()) {
-        let mut sel: Vec<u32> = scratch.take_idx(range.len());
-        sel.extend(range.filter(|&i| leaf.keeps(i)).map(|i| i as u32));
+        let sel: Vec<u32> = range.filter(|&i| leaf.keeps(i)).map(|i| i as u32).collect();
         rows_now = sel.len();
         sides.push(sel);
         counts.push(rows_now);
@@ -2184,25 +2105,16 @@ fn process_morsel(
                     // Gather only the columns the expression reads, then
                     // evaluate the row loop over contiguous scratch — the
                     // same memory shape the materialised FILTER sees.
-                    let cols: Vec<Vec<TermId>> = used
-                        .iter()
-                        .map(|&(_, r)| view.gather(r, n, scratch))
-                        .collect();
-                    let surface = ScratchCols { used, cols: &cols };
-                    let mut keep = scratch.take_idx(n);
-                    keep.extend(
-                        (0..n)
-                            .filter(|&r| ops::eval_expr(ds, &surface, expr, r, evaluator))
-                            .map(|r| r as u32),
-                    );
-                    for col in cols {
-                        scratch.put_col(col);
-                    }
-                    keep
+                    let cols: Vec<Vec<TermId>> =
+                        used.iter().map(|&(_, r)| view.gather(r, n)).collect();
+                    let surface = MorselCols { used, cols: &cols };
+                    (0..n)
+                        .filter(|&r| ops::eval_expr(ds, &surface, expr, r, evaluator))
+                        .map(|r| r as u32)
+                        .collect()
                 };
                 rows_now = keep.len();
-                apply_keep(&mut sides, &keep, n, &mut ident, scratch);
-                scratch.put_idx(keep);
+                apply_keep(&mut sides, &keep, n, &mut ident);
             }
             PreparedStage::Probe {
                 table,
@@ -2224,13 +2136,11 @@ fn process_morsel(
                     // the shared probe loop over them — the same tight
                     // loop the operator-at-a-time join runs, minus the
                     // full-table materialisation around it.
-                    let key_cols: Vec<Vec<TermId>> = key_refs
-                        .iter()
-                        .map(|&kr| view.gather(kr, n, scratch))
-                        .collect();
+                    let key_cols: Vec<Vec<TermId>> =
+                        key_refs.iter().map(|&kr| view.gather(kr, n)).collect();
                     let extra_cols: Vec<Vec<TermId>> = extra_checks
                         .iter()
-                        .map(|&(lr, _)| view.gather(lr, n, scratch))
+                        .map(|&(lr, _)| view.gather(lr, n))
                         .collect();
                     let probe_cols: Vec<&[TermId]> = key_cols.iter().map(Vec::as_slice).collect();
                     let extra_pairs: Vec<(&[TermId], &[TermId])> = extra_cols
@@ -2238,8 +2148,8 @@ fn process_morsel(
                         .zip(extra_checks)
                         .map(|(l, &(_, rcol))| (l.as_slice(), rcol))
                         .collect();
-                    let mut keep = scratch.take_idx(n);
-                    let mut matched = scratch.take_idx(n);
+                    let mut keep = Vec::with_capacity(n);
+                    let mut matched = Vec::with_capacity(n);
                     if *outer {
                         // Left-outer: every probe row survives; unmatched
                         // ones pair with the sentinel (per probe row, so
@@ -2262,17 +2172,10 @@ fn process_morsel(
                             &mut matched,
                         );
                     }
-                    for col in key_cols {
-                        scratch.put_col(col);
-                    }
-                    for col in extra_cols {
-                        scratch.put_col(col);
-                    }
                     (keep, matched)
                 };
                 rows_now = keep.len();
-                apply_keep(&mut sides, &keep, n, &mut ident, scratch);
-                scratch.put_idx(keep);
+                apply_keep(&mut sides, &keep, n, &mut ident);
                 sides.push(matched);
             }
             PreparedStage::Project { .. } => {
@@ -2298,17 +2201,12 @@ fn process_morsel(
                         sides: &sides,
                         ident,
                     };
-                    let cols: Vec<Vec<TermId>> =
-                        refs.iter().map(|&r| view.gather(r, n, scratch)).collect();
+                    let cols: Vec<Vec<TermId>> = refs.iter().map(|&r| view.gather(r, n)).collect();
                     let col_slices: Vec<&[TermId]> = cols.iter().map(Vec::as_slice).collect();
-                    let keep = ops::distinct_first_occurrences(&col_slices, n);
-                    for col in cols {
-                        scratch.put_col(col);
-                    }
-                    keep
+                    ops::distinct_first_occurrences(&col_slices, n)
                 };
                 rows_now = keep.len();
-                apply_keep(&mut sides, &keep, n, &mut ident, scratch);
+                apply_keep(&mut sides, &keep, n, &mut ident);
             }
         }
         counts.push(rows_now);
@@ -2319,9 +2217,7 @@ fn process_morsel(
     // hand-off move path never reads an identity side 0).
     if let Some(start) = ident {
         if !defer_side0 {
-            let mut sel = scratch.take_idx(rows_now);
-            sel.extend(start..start + rows_now as u32);
-            sides[0] = sel;
+            sides[0] = (start..start + rows_now as u32).collect();
         }
     }
     MorselOut {
@@ -2339,29 +2235,19 @@ fn process_morsel(
 /// identity — the common case for selective scans feeding 1:1 joins)
 /// changes nothing, and a still-lazy side 0 materialises directly from
 /// `keep` plus the range offset.
-fn apply_keep(
-    sides: &mut [Vec<u32>],
-    keep: &[u32],
-    n: usize,
-    ident: &mut Option<u32>,
-    scratch: &Scratch<'_>,
-) {
+fn apply_keep(sides: &mut [Vec<u32>], keep: &[u32], n: usize, ident: &mut Option<u32>) {
     if keep.len() == n && keep.iter().enumerate().all(|(i, &k)| k as usize == i) {
         return;
     }
     let skip_side0 = if let Some(start) = *ident {
-        let mut sel = scratch.take_idx(keep.len());
-        sel.extend(keep.iter().map(|&k| start + k));
-        sides[0] = sel;
+        sides[0] = keep.iter().map(|&k| start + k).collect();
         *ident = None;
         1
     } else {
         0
     };
     for side in sides.iter_mut().skip(skip_side0) {
-        let mut gathered = scratch.take_idx(keep.len());
-        gathered.extend(keep.iter().map(|&k| side[k as usize]));
-        scratch.put_idx(std::mem::replace(side, gathered));
+        *side = keep.iter().map(|&k| side[k as usize]).collect();
     }
 }
 
@@ -2388,7 +2274,6 @@ fn apply_keep(
 fn merge_block_morsel(
     range: std::ops::Range<usize>,
     p: &PreparedPipeline<'_>,
-    scratch: &Scratch<'_>,
 ) -> (Vec<Vec<u32>>, Vec<usize>) {
     let leaves = &p.leaves;
     let driver = &leaves[0];
@@ -2410,7 +2295,7 @@ fn merge_block_morsel(
     let mut sides: Vec<Vec<u32>> = p
         .emit
         .iter()
-        .map(|_| scratch.take_idx(end - start))
+        .map(|_| Vec::with_capacity(end - start))
         .collect();
     let mut cursors = vec![0usize; leaves.len()];
     let mut groups = vec![0..0; leaves.len()];

@@ -452,8 +452,7 @@ fn empty_filter_result_metadata_matches() {
 /// SP4a plan whose Cartesian product is what the budget exists for. At
 /// every budget around each plan's largest node, sequential and forced
 /// 4-thread, with and without a governor: same `Ok` table or same
-/// `BudgetExceeded`, and a trip leaves the buffer pool balanced and the
-/// memory account at zero.
+/// `BudgetExceeded`, and a trip leaves the memory account at zero.
 #[test]
 fn row_budget_parity_with_the_oracle() {
     use hsp_datagen::{generate_sp2bench, generate_yago, workload, DatasetKind};
@@ -504,12 +503,6 @@ fn row_budget_parity_with_the_oracle() {
         });
         let result = execute_in(plan, ds, &config, &ctx);
         if result.is_err() {
-            let stats = ctx.pool.stats();
-            assert_eq!(
-                stats.hits + stats.misses,
-                stats.returned,
-                "pool imbalance after a {strategy:?} budget trip: {stats:?}"
-            );
             if let Some(gov) = ctx.governor() {
                 assert_eq!(gov.mem_used(), 0, "{strategy:?} leaked memory accounting");
             }

@@ -3,10 +3,7 @@
 //! including the vectorized kernels against the retired row-at-a-time
 //! kernels ([`hsp_engine::reference`]) on repeated-variable (extra shared
 //! column), multi-variable-key (packed and CSR layouts), and zero-column
-//! (unit) inputs — plus the morsel/pool layer: the sort, projection, slice
-//! and union kernels also run through a pooled, forced-multi-thread
-//! execution context and must produce byte-identical tables. The parallel stages each get their
-//! own oracle property: the partitioned-counting-sort hash-join build must
+//! (unit) inputs. The parallel stages each get their own oracle property: the partitioned-counting-sort hash-join build must
 //! be byte-identical to the sequential build across all key layouts, and
 //! the parallel merge sorts behind the sort enforcer and ORDER BY must
 //! reproduce the sequential stable sort.
@@ -53,15 +50,14 @@ proptest! {
     /// Merge join ≡ hash join ≡ nested loop.
     #[test]
     fn joins_agree_with_reference(left in arb_table(1), right in arb_table(2)) {
-        let ctx = ExecContext::new();
         let reference = reference_join(&left, &right);
 
-        let mj = ops::merge_join(&ctx, &left, &right, Var(0));
+        let mj = ops::merge_join(&left, &right, Var(0));
         prop_assert_eq!(mj.sorted_rows_for(&[Var(0), Var(1), Var(2)]), reference.clone());
         prop_assert!(mj.check_sortedness());
         prop_assert_eq!(mj.sorted_by(), Some(Var(0)));
 
-        let hj = ops::hash_join(&ctx, &left, &right, &[Var(0)]);
+        let hj = ops::hash_join(&left, &right, &[Var(0)]);
         prop_assert_eq!(hj.sorted_rows_for(&[Var(0), Var(1), Var(2)]), reference);
     }
 
@@ -88,8 +84,7 @@ proptest! {
     /// Union has the right length, variables, and padding.
     #[test]
     fn union_all_properties(a in arb_table(1), b in arb_table(2)) {
-        let ctx = ExecContext::new();
-        let u = ops::union_all(&ctx, &a, &b);
+        let u = ops::union_all(&a, &b);
         prop_assert_eq!(u.len(), a.len() + b.len());
         prop_assert_eq!(u.vars(), &[Var(0), Var(1), Var(2)]);
         for i in 0..a.len() {
@@ -117,8 +112,7 @@ proptest! {
     /// Projection with distinct yields the set of projected rows.
     #[test]
     fn project_distinct_is_a_set(a in arb_table(1)) {
-        let ctx = ExecContext::new();
-        let p = ops::project(&ctx, &a, &[("k".into(), Var(0))], true);
+        let p = ops::project(&a, &[("k".into(), Var(0))], true);
         let mut expected: Vec<TermId> = a.column(Var(0)).to_vec();
         expected.sort();
         expected.dedup();
@@ -130,9 +124,8 @@ proptest! {
     /// `slice(0, k)` ++ `slice(k, ∞)` partition the input exactly.
     #[test]
     fn slice_partitions_input(table in arb_table(1), k in 0usize..50) {
-        let ctx = ExecContext::new();
-        let head = ops::slice(&ctx, &table, 0, Some(k));
-        let tail = ops::slice(&ctx, &table, k, None);
+        let head = ops::slice(&table, 0, Some(k));
+        let tail = ops::slice(&table, k, None);
         prop_assert_eq!(head.len() + tail.len(), table.len());
         let mut rows = Vec::new();
         for i in 0..head.len() {
@@ -183,19 +176,19 @@ proptest! {
     #[test]
     fn vectorized_kernels_match_rowwise_kernels(left in arb_table(1), right in arb_table(2)) {
         let ctx = ExecContext::new();
-        let hj_new = ops::hash_join(&ctx, &left, &right, &[Var(0)]);
+        let hj_new = ops::hash_join(&left, &right, &[Var(0)]);
         let hj_old = reference::hash_join(&left, &right, &[Var(0)]);
         prop_assert_eq!(hj_new.vars(), hj_old.vars());
         prop_assert_eq!(hj_new.sorted_rows(), hj_old.sorted_rows());
         prop_assert_eq!(hj_new.sorted_by(), hj_old.sorted_by());
 
-        let mj_new = ops::merge_join(&ctx, &left, &right, Var(0));
+        let mj_new = ops::merge_join(&left, &right, Var(0));
         let mj_old = reference::merge_join(&left, &right, Var(0));
         prop_assert_eq!(mj_new.sorted_rows(), mj_old.sorted_rows());
         prop_assert_eq!(mj_new.sorted_by(), mj_old.sorted_by());
 
-        let cp_l = ops::project(&ctx, &left, &[("p".into(), Var(1))], false);
-        let cp_r = ops::project(&ctx, &right, &[("q".into(), Var(2))], false);
+        let cp_l = ops::project(&left, &[("p".into(), Var(1))], false);
+        let cp_r = ops::project(&right, &[("q".into(), Var(2))], false);
         let cp_new = ops::cross_product(&ctx, &cp_l, &cp_r);
         let cp_old = reference::cross_product(&cp_l, &cp_r);
         prop_assert_eq!(cp_new.sorted_rows(), cp_old.sorted_rows());
@@ -257,10 +250,10 @@ proptest! {
         let oracle = reference::nested_loop_join_rows(&left, &right);
         let out_vars = [Var(0), Var(1), Var(5), Var(6)];
 
-        let one_key = ops::hash_join(&ctx, &left, &right, &[Var(0)]);
+        let one_key = ops::hash_join(&left, &right, &[Var(0)]);
         prop_assert_eq!(one_key.sorted_rows_for(&out_vars), oracle.clone());
 
-        let packed_two = ops::hash_join(&ctx, &left, &right, &[Var(0), Var(1)]);
+        let packed_two = ops::hash_join(&left, &right, &[Var(0), Var(1)]);
         prop_assert_eq!(packed_two.sorted_rows_for(&out_vars), oracle.clone());
 
         let rowwise = reference::hash_join(&left, &right, &[Var(0)]);
@@ -269,7 +262,7 @@ proptest! {
         // Sorting both sides turns the same join into a merge join.
         let ls = ops::sort_by(&ctx, &left, Var(0));
         let rs = ops::sort_by(&ctx, &right, Var(0));
-        let mj = ops::merge_join(&ctx, &ls, &rs, Var(0));
+        let mj = ops::merge_join(&ls, &rs, Var(0));
         prop_assert_eq!(mj.sorted_rows_for(&out_vars), oracle);
         prop_assert!(mj.check_sortedness());
     }
@@ -280,9 +273,8 @@ proptest! {
         left in arb_wide_table(5),
         right in arb_wide_table(6),
     ) {
-        let ctx = ExecContext::new();
         let oracle = reference::nested_loop_join_rows(&left, &right);
-        let wide = ops::hash_join(&ctx, &left, &right, &[Var(0), Var(1), Var(2)]);
+        let wide = ops::hash_join(&left, &right, &[Var(0), Var(1), Var(2)]);
         prop_assert_eq!(wide.sorted_rows_for(&[Var(0), Var(1), Var(2), Var(5), Var(6)]), oracle);
     }
 
@@ -334,52 +326,12 @@ proptest! {
         prop_assert_eq!(both.len(), unit_rows * 3);
         prop_assert!(both.vars().is_empty());
 
-        let sliced = ops::slice(&ctx, &unit, offset, Some(2));
+        let sliced = ops::slice(&unit, offset, Some(2));
         prop_assert_eq!(sliced.len(), unit_rows.saturating_sub(offset).min(2));
         prop_assert!(sliced.vars().is_empty());
 
-        let ask = ops::project(&ctx, &table, &[], true);
+        let ask = ops::project(&table, &[], true);
         prop_assert_eq!(ask.len(), table.len().min(1));
-    }
-
-    /// The sort, projection, slice and union kernels, run through a pooled
-    /// execution context with a forced multi-thread morsel pool (tiny
-    /// morsels, no row threshold, so even these small inputs split),
-    /// produce tables byte-identical to the default path — and a second
-    /// pass over warm (recycled) buffers agrees too.
-    #[test]
-    fn pooled_parallel_context_is_byte_identical(
-        left in arb_table(1),
-        right in arb_table(2),
-        threads in 2usize..=4,
-    ) {
-        let ctx = ExecContext::with_morsel_config(
-            MorselConfig::with_threads(threads)
-                .with_morsel_rows(4)
-                .with_min_parallel_rows(0),
-        );
-        let plain = ExecContext::new();
-        let hj = ops::hash_join(&plain, &left, &right, &[Var(0)]);
-        for _pass in 0..2 {
-            let sorted = ops::sort_by(&ctx, &hj, Var(1));
-            prop_assert_eq!(&sorted, &ops::sort_by(&plain, &hj, Var(1)));
-
-            let proj = ops::project(&ctx, &hj, &[("k".into(), Var(0))], true);
-            prop_assert_eq!(&proj, &ops::project(&plain, &hj, &[("k".into(), Var(0))], true));
-
-            let sliced = ops::slice(&ctx, &hj, 1, Some(5));
-            prop_assert_eq!(&sliced, &ops::slice(&plain, &hj, 1, Some(5)));
-
-            let unioned = ops::union_all(&ctx, &left, &right);
-            prop_assert_eq!(&unioned, &ops::union_all(&plain, &left, &right));
-
-            // Recycle this pass's intermediates so the second pass runs on
-            // warm buffers (the pool-hit path).
-            for table in [sorted, proj, sliced, unioned] {
-                ctx.pool.recycle(table);
-            }
-        }
-        prop_assert!(ctx.pool.stats().hits > 0 || left.is_empty() || right.is_empty());
     }
 
     /// The parallel hash-join build (morsel-parallel hashing + partitioned
@@ -404,11 +356,10 @@ proptest! {
             let (parallel, _) = BuildTable::build_par(&cols, right.len(), &config);
             prop_assert_eq!(parallel, sequential, "width={}", width);
         }
-        // End-to-end: a forced-parallel join over every key width agrees
-        // with the nested-loop oracle on all shared variables.
-        let ctx = ExecContext::with_morsel_config(config);
+        // End-to-end: a join over every key width agrees with the
+        // nested-loop oracle on all shared variables.
         let oracle = reference::nested_loop_join_rows(&left, &right);
-        let wide = ops::hash_join(&ctx, &left, &right, &[Var(0), Var(1), Var(2)]);
+        let wide = ops::hash_join(&left, &right, &[Var(0), Var(1), Var(2)]);
         prop_assert_eq!(
             wide.sorted_rows_for(&[Var(0), Var(1), Var(2), Var(5), Var(6)]),
             oracle
@@ -472,13 +423,12 @@ proptest! {
     /// keeps exactly the first occurrence of each distinct row, in order.
     #[test]
     fn distinct_three_columns_keeps_first_occurrences(table in arb_shared_table(5)) {
-        let ctx = ExecContext::new();
         let projection = vec![
             ("a".to_string(), Var(0)),
             ("b".to_string(), Var(1)),
             ("c".to_string(), Var(5)),
         ];
-        let got = ops::project(&ctx, &table, &projection, true);
+        let got = ops::project(&table, &projection, true);
         // Oracle: row-at-a-time first-occurrence dedup.
         let mut seen = std::collections::HashSet::new();
         let mut expected: Vec<Vec<TermId>> = Vec::new();

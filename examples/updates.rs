@@ -94,8 +94,8 @@ fn main() {
     //    inside the working clone, and the result publishes atomically.
     let up = session
         .update(Request::new(
-            r#"INSERT DATA { <http://e/tmp> <http://e/type> <http://e/Scratch> . } ;
-               DELETE WHERE { ?x <http://e/type> <http://e/Scratch> . } ;"#,
+            r#"INSERT DATA { <http://e/tmp> <http://e/type> <http://e/Temporary> . } ;
+               DELETE WHERE { ?x <http://e/type> <http://e/Temporary> . } ;"#,
         ))
         .expect("sequence applies");
     assert_eq!(up.stats.inserted, 1);
