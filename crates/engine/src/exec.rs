@@ -3,8 +3,8 @@
 //! ([`crate::pipeline`]); the operator-at-a-time tree walk in this module
 //! is the tests' reference, run only when
 //! [`ExecStrategy::OperatorAtATime`] names it. Every execution owns an
-//! [`ExecContext`] whose thread budget drives the parallel kernels and
-//! whose governor, if any, accounts every materialised intermediate.
+//! [`ExecContext`] whose thread budget drives the morsel-parallel
+//! pipelines and γ fold and whose governor, if any, accounts every materialised intermediate.
 
 use std::fmt;
 use std::sync::Arc;
@@ -606,7 +606,7 @@ fn run(
         PhysicalPlan::Sort { input, var } => {
             let (it, ip) = run(input, ds, config, ctx)?;
             let start = Instant::now();
-            let table = ops::sort_by(ctx, &it, *var);
+            let table = ops::sort_by(&it, *var);
             ctx.release(it);
             finish(table, plan_label(plan), start, vec![ip], config, ctx)
         }

@@ -295,24 +295,13 @@ fn group_digits(n: usize) -> String {
 /// one-core budget every kernel is sequential).
 pub fn render_runtime_metrics(m: &crate::metrics::RuntimeMetrics) -> String {
     let parallel = if m.parallel_kernels > 0 {
-        let mut line = format!(
+        format!(
             "{} parallel kernel{} ({} morsels) on {} threads",
             m.parallel_kernels,
             if m.parallel_kernels == 1 { "" } else { "s" },
             m.morsels,
             m.threads
-        );
-        let mut stages = Vec::new();
-        if m.parallel_builds > 0 {
-            stages.push(format!("{} parallel builds", m.parallel_builds));
-        }
-        if m.parallel_sorts > 0 {
-            stages.push(format!("{} parallel sorts", m.parallel_sorts));
-        }
-        if !stages.is_empty() {
-            line.push_str(&format!(" [{}]", stages.join(", ")));
-        }
-        line
+        )
     } else {
         format!("all kernels sequential ({} thread budget)", m.threads)
     };
@@ -637,21 +626,6 @@ mod tests {
         };
         let line = render_runtime_metrics(&parallel);
         assert!(line.contains("2 parallel kernels (40 morsels) on 4 threads"));
-        // No per-stage suffix when no stage counter fired.
-        assert!(!line.contains('['));
-        let staged = RuntimeMetrics {
-            parallel_builds: 1,
-            ..parallel
-        };
-        let line = render_runtime_metrics(&staged);
-        assert!(line.contains("[1 parallel builds]"));
-        let with_sorts = RuntimeMetrics {
-            parallel_sorts: 3,
-            ..staged
-        };
-        assert!(
-            render_runtime_metrics(&with_sorts).contains("[1 parallel builds, 3 parallel sorts]")
-        );
     }
 
     #[test]

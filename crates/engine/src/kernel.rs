@@ -3,7 +3,9 @@
 //! allocation-free hash-join build table, and the galloping search both
 //! merge kernels advance their sorted cursors with.
 //!
-//! The build table comes in two layouts, both flat (CSR-style: one offsets
+//! A build table is built once, sequentially, when a pipeline prepares its
+//! probe stage (the breaker work of a hash join); every morsel worker then
+//! probes it. It comes in two layouts, both flat (CSR-style: one offsets
 //! array + one row-index array, no per-key `Vec`s and no per-probe
 //! allocation):
 //!
@@ -17,8 +19,6 @@
 //!   columns directly; only the 64-bit hash is precomputed per row.
 
 use hsp_rdf::TermId;
-
-use crate::morsel::{self, MorselConfig, MorselRun};
 
 /// The Firefox-hash multiplier (the `rustc-hash`/FxHash constant).
 const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -106,7 +106,7 @@ pub(crate) fn pack2(a: TermId, b: TermId) -> u64 {
 /// Flat bucket directory: `rows[offsets[b]..offsets[b + 1]]` are the build
 /// rows hashing to bucket `b`, in build order (stable, so probe results
 /// come out in the same order the seed's `HashMap<_, Vec<usize>>` produced).
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug)]
 struct CsrBuckets {
     shift: u32,
     offsets: Vec<u32>,
@@ -145,170 +145,6 @@ impl CsrBuckets {
         let b = (hash >> self.shift) as usize;
         &self.rows[self.offsets[b] as usize..self.offsets[b + 1] as usize]
     }
-
-    /// [`CsrBuckets::build`] as a **two-pass partitioned counting sort**
-    /// over contiguous row stripes, producing a directory byte-identical
-    /// to the sequential build.
-    ///
-    /// Pass 1: each worker histograms its stripe's bucket occupancy. The
-    /// per-stripe histograms are then prefix-summed (stripe-major within
-    /// each bucket) into per-stripe write cursors — stripe `s`'s slice of
-    /// bucket `b` starts where stripe `s − 1`'s ends, which is exactly the
-    /// row order the sequential counting sort produces. Pass 2: each
-    /// worker scatters its stripe's row indices through its own cursors.
-    /// The cursor construction hands every worker a *disjoint* set of
-    /// slots in the shared `rows` array, so the scatter is race-free by
-    /// construction (asserted through a raw-pointer wrapper below).
-    ///
-    /// The cursor carve-out between the passes is itself parallel over
-    /// **disjoint bucket chunks**: each carve task computes its chunk's
-    /// per-stripe cursors from a chunk base offset, so the former
-    /// `O(stripes × buckets)` serial term (with `buckets ≈ 2 × rows` it
-    /// bounded the build's speedup by Amdahl) shrinks to an
-    /// `O(workers)` sequential prefix over per-chunk totals. The carved
-    /// cursor values are the same integers the sequential interleaved
-    /// scan produces — chunk `c`'s base is exactly the row count of all
-    /// buckets before it — so the directory stays byte-identical.
-    fn build_par(hashes: &[u64], config: &MorselConfig) -> (CsrBuckets, MorselRun) {
-        let workers = config.workers_for(hashes.len()).min(MAX_BUILD_WORKERS);
-        if workers <= 1 {
-            return (CsrBuckets::build(hashes), MorselRun::SEQUENTIAL);
-        }
-        let buckets = (hashes.len() * 2).next_power_of_two().max(16);
-        let shift = 64 - buckets.trailing_zeros();
-        let stripes = morsel::stripe_ranges(hashes.len(), workers, config.morsel_rows());
-
-        // Pass 1 (parallel): per-stripe bucket histograms.
-        let (mut histograms, mut run) = morsel::run_tasks(stripes.len(), workers, config, |s| {
-            let mut counts = vec![0u32; buckets];
-            for &h in &hashes[stripes[s].clone()] {
-                counts[(h >> shift) as usize] += 1;
-            }
-            counts
-        });
-
-        // Carve-out (parallel over disjoint bucket chunks): per-chunk
-        // totals, a sequential prefix over the chunk totals, then each
-        // chunk turns its slice of the histograms into per-stripe write
-        // cursors and fills its slice of the global offsets array.
-        let chunk_size = buckets.div_ceil(workers);
-        let chunks: Vec<std::ops::Range<usize>> = (0..workers)
-            .map(|c| (c * chunk_size).min(buckets)..((c + 1) * chunk_size).min(buckets))
-            .filter(|r| !r.is_empty())
-            .collect();
-        let (chunk_totals, totals_run) = morsel::run_tasks(chunks.len(), workers, config, |c| {
-            let mut sum = 0u32;
-            for b in chunks[c].clone() {
-                for hist in &histograms {
-                    sum += hist[b];
-                }
-            }
-            sum
-        });
-        let mut chunk_base = vec![0u32; chunks.len() + 1];
-        for (c, &total) in chunk_totals.iter().enumerate() {
-            chunk_base[c + 1] = chunk_base[c] + total;
-        }
-        let mut offsets = vec![0u32; buckets + 1];
-        let carve_run = {
-            let offsets_out = ScatterSlice(offsets.as_mut_ptr());
-            let hist_slices: Vec<ScatterSlice<u32>> = histograms
-                .iter_mut()
-                .map(|h| ScatterSlice(h.as_mut_ptr()))
-                .collect();
-            morsel::run_tasks(chunks.len(), workers, config, |c| {
-                // SAFETY: bucket chunks are disjoint, so every histogram
-                // slot `hist[b]` and offsets slot `offsets[b + 1]` is
-                // touched by exactly one task; `offsets[0]` stays 0.
-                let mut cursor = chunk_base[c];
-                for b in chunks[c].clone() {
-                    for hist in &hist_slices {
-                        let count = unsafe { hist.read(b) };
-                        unsafe { hist.write(b, cursor) };
-                        cursor += count;
-                    }
-                    unsafe { offsets_out.write(b + 1, cursor) };
-                }
-            })
-            .1
-        };
-
-        // Pass 2 (parallel): scatter row indices through the per-stripe
-        // cursors. Every write lands at a distinct index (the cursors
-        // partition `0..rows.len()`), so sharing the output across workers
-        // is sound; the `ScatterSlice` wrapper carries that promise. Each
-        // task takes *ownership* of its stripe's cursor vector (one
-        // uncontended lock per stripe) instead of cloning `buckets`
-        // entries per stripe.
-        let mut rows = vec![0u32; hashes.len()];
-        let out = ScatterSlice(rows.as_mut_ptr());
-        let cursor_slots: Vec<std::sync::Mutex<Vec<u32>>> =
-            histograms.into_iter().map(std::sync::Mutex::new).collect();
-        let (_, scatter_run) = morsel::run_tasks(stripes.len(), workers, config, |s| {
-            let out = &out;
-            // Poison-tolerant: a caught worker panic elsewhere must not
-            // cascade into a second panic here.
-            let mut cursors = std::mem::take(
-                &mut *cursor_slots[s]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner),
-            );
-            for j in stripes[s].clone() {
-                let b = (hashes[j] >> shift) as usize;
-                // SAFETY: `cursors[b]` values across stripes are disjoint
-                // and each is bumped past-the-end exactly `hist[s][b]`
-                // times, staying inside this stripe's slice of bucket `b`.
-                unsafe { out.write(cursors[b] as usize, j as u32) };
-                cursors[b] += 1;
-            }
-        });
-        run.batches += totals_run.batches + carve_run.batches + scatter_run.batches;
-        (
-            CsrBuckets {
-                shift,
-                offsets,
-                rows,
-            },
-            run,
-        )
-    }
-}
-
-/// Cap on the worker count of the parallel build: each pass-1 worker owns
-/// a full bucket histogram (`~2 × rows` u32 entries), so the histogram
-/// memory is bounded at 8× the directory instead of growing with the
-/// machine's core count.
-const MAX_BUILD_WORKERS: usize = 8;
-
-/// A raw mutable slice shared across scatter workers. The *caller*
-/// guarantees the workers write disjoint index sets (see
-/// [`CsrBuckets::build_par`]); the wrapper only exists to carry the
-/// pointer across the `Sync` bound of the task closures.
-struct ScatterSlice<T>(*mut T);
-
-unsafe impl<T: Send> Send for ScatterSlice<T> {}
-unsafe impl<T: Send> Sync for ScatterSlice<T> {}
-
-impl<T> ScatterSlice<T> {
-    /// Write `value` at `index`.
-    ///
-    /// # Safety
-    /// `index` must be in bounds and not written concurrently by any other
-    /// worker.
-    unsafe fn write(&self, index: usize, value: T) {
-        unsafe { self.0.add(index).write(value) };
-    }
-}
-
-impl<T: Copy> ScatterSlice<T> {
-    /// Read the value at `index`.
-    ///
-    /// # Safety
-    /// `index` must be in bounds and not written concurrently by any other
-    /// worker.
-    unsafe fn read(&self, index: usize) -> T {
-        unsafe { self.0.add(index).read() }
-    }
 }
 
 /// The hash-join build side: right-table rows indexed by join key.
@@ -317,13 +153,13 @@ impl<T: Copy> ScatterSlice<T> {
 /// verifies candidates, calling back with matching build-row indices in
 /// build order. Neither phase allocates per row/probe beyond the flat
 /// arrays built up front.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct BuildTable {
     buckets: CsrBuckets,
     layout: Layout,
 }
 
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug)]
 enum Layout {
     /// Keys of ≤ 2 variables, packed into a `u64` per build row.
     Packed { keys: Vec<u64> },
@@ -364,77 +200,6 @@ impl BuildTable {
                 buckets: CsrBuckets::build(&hashes),
                 layout: Layout::Wide { hashes },
             }
-        }
-    }
-
-    /// [`BuildTable::build`] with morsel-parallel row hashing and a
-    /// two-pass partitioned-counting-sort bucket fill.
-    /// The output is **byte-identical** to the sequential build — same
-    /// packed keys / hashes, same bucket directory, same in-bucket row
-    /// order — so sequential and parallel probes over it cannot diverge.
-    /// Below the config's row threshold (or on a one-thread budget) this
-    /// degenerates to the sequential build. The returned [`MorselRun`]
-    /// reports what the build did, for the engine's runtime counters.
-    ///
-    /// # Panics
-    /// Panics if `key_cols` is empty or a column is shorter than `rows`.
-    pub fn build_par(
-        key_cols: &[&[TermId]],
-        rows: usize,
-        config: &MorselConfig,
-    ) -> (BuildTable, MorselRun) {
-        assert!(!key_cols.is_empty(), "join key needs at least one column");
-        assert!(
-            rows < u32::MAX as usize,
-            "build side exceeds u32 row indexing"
-        );
-        if config.workers_for(rows) <= 1 {
-            return (BuildTable::build(key_cols, rows), MorselRun::SEQUENTIAL);
-        }
-        if key_cols.len() <= 2 {
-            // Packed layout: key packing and hashing are both
-            // position-deterministic stripe fills.
-            let mut keys = vec![0u64; rows];
-            let key_run = morsel::fill_stripes(&mut keys, config, |offset, chunk| {
-                for (i, k) in chunk.iter_mut().enumerate() {
-                    let j = offset + i;
-                    *k = pack2(key_cols[0][j], key_cols.get(1).map_or(TermId(0), |c| c[j]));
-                }
-            });
-            let mut hashes = vec![0u64; rows];
-            let hash_run = morsel::fill_stripes(&mut hashes, config, |offset, chunk| {
-                for (i, h) in chunk.iter_mut().enumerate() {
-                    *h = fx_hash_u64(keys[offset + i]);
-                }
-            });
-            let (buckets, sort_run) = CsrBuckets::build_par(&hashes, config);
-            let run = key_run.then(hash_run).then(sort_run);
-            (
-                BuildTable {
-                    buckets,
-                    layout: Layout::Packed { keys },
-                },
-                run,
-            )
-        } else {
-            let mut hashes = vec![0u64; rows];
-            let hash_run = morsel::fill_stripes(&mut hashes, config, |offset, chunk| {
-                for (i, h) in chunk.iter_mut().enumerate() {
-                    let j = offset + i;
-                    *h = key_cols
-                        .iter()
-                        .fold(0u64, |acc, col| fx_fold(acc, col[j].0 as u64));
-                }
-            });
-            let (buckets, sort_run) = CsrBuckets::build_par(&hashes, config);
-            let run = hash_run.then(sort_run);
-            (
-                BuildTable {
-                    buckets,
-                    layout: Layout::Wide { hashes },
-                },
-                run,
-            )
         }
     }
 
@@ -680,83 +445,6 @@ mod tests {
                 TermId((state >> 33) as u32 % domain)
             })
             .collect()
-    }
-
-    /// A forced-parallel config: tiny morsels, no row threshold.
-    fn forced(threads: usize) -> MorselConfig {
-        MorselConfig::with_threads(threads)
-            .with_morsel_rows(64)
-            .with_min_parallel_rows(0)
-    }
-
-    #[test]
-    fn parallel_build_is_byte_identical_packed_one_column() {
-        let col = random_cols(3_000, 101, 1);
-        let cols: Vec<&[TermId]> = vec![&col];
-        let sequential = BuildTable::build(&cols, col.len());
-        for threads in 2..=4 {
-            let (parallel, run) = BuildTable::build_par(&cols, col.len(), &forced(threads));
-            assert_eq!(parallel, sequential, "threads={threads}");
-            assert!(run.threads > 1);
-            assert!(run.morsels > 1);
-        }
-    }
-
-    #[test]
-    fn parallel_build_is_byte_identical_packed_two_columns() {
-        let a = random_cols(2_500, 37, 2);
-        let b = random_cols(2_500, 11, 3);
-        let cols: Vec<&[TermId]> = vec![&a, &b];
-        let sequential = BuildTable::build(&cols, a.len());
-        for threads in 2..=4 {
-            let (parallel, _) = BuildTable::build_par(&cols, a.len(), &forced(threads));
-            assert_eq!(parallel, sequential, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_build_is_byte_identical_wide_three_columns() {
-        let a = random_cols(2_000, 7, 4);
-        let b = random_cols(2_000, 5, 5);
-        let c = random_cols(2_000, 3, 6);
-        let cols: Vec<&[TermId]> = vec![&a, &b, &c];
-        let sequential = BuildTable::build(&cols, a.len());
-        for threads in 2..=4 {
-            let (parallel, _) = BuildTable::build_par(&cols, a.len(), &forced(threads));
-            assert_eq!(parallel, sequential, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_build_below_threshold_stays_sequential() {
-        let col = random_cols(100, 11, 7);
-        let cols: Vec<&[TermId]> = vec![&col];
-        let config = MorselConfig::with_threads(4); // default 32k threshold
-        let (table, run) = BuildTable::build_par(&cols, col.len(), &config);
-        assert_eq!(run.threads, 1);
-        assert_eq!(table, BuildTable::build(&cols, col.len()));
-    }
-
-    #[test]
-    fn parallel_build_of_empty_input() {
-        let empty: Vec<TermId> = Vec::new();
-        let cols: Vec<&[TermId]> = vec![&empty];
-        let (table, _) = BuildTable::build_par(&cols, 0, &forced(3));
-        assert_eq!(table, BuildTable::build(&cols, 0));
-    }
-
-    #[test]
-    fn parallel_carve_out_survives_skewed_buckets() {
-        // All rows hash to few buckets: most chunks carve empty ranges,
-        // one chunk carves everything — the directory must still equal
-        // the sequential build's.
-        let col: Vec<TermId> = (0..4_000).map(|i| TermId(i % 3)).collect();
-        let cols: Vec<&[TermId]> = vec![&col];
-        let sequential = BuildTable::build(&cols, col.len());
-        for threads in 2..=4 {
-            let (parallel, _) = BuildTable::build_par(&cols, col.len(), &forced(threads));
-            assert_eq!(parallel, sequential, "threads={threads}");
-        }
     }
 
     #[test]

@@ -48,20 +48,16 @@
 //!
 //! On top of the vectorized kernels sits one execution-wide service,
 //! threaded through the operators as an [`pool::ExecContext`]:
-//! **morsel-driven parallelism** ([`morsel`]) — every heavy operator
-//! stage runs as task batches on one [`SharedPool`] (the one its
-//! context names, else the process default): the hash-join *build*
-//! (morsel-parallel hashing plus a two-pass partitioned counting sort that
-//! reproduces the sequential bucket directory byte-for-byte), the scan
-//! fast paths (fixed-size morsels pulled from a shared cursor, outputs
-//! stitched back in morsel order), *ORDER BY* key extraction (one
-//! expression evaluator per worker — the compiled-regex cache stays
-//! single-threaded), the *ORDER BY / sort-enforcer* comparison sort
-//! (parallel merge sort over per-worker runs), the γ fold, and whole
-//! *pipelines* (each worker pushes a morsel through every stage of a
-//! breaker-free chain: merge-block sources, filters and hash-join
-//! probes). Every parallel path is byte-identical
-//! to its sequential counterpart by construction. Parallelism is gated
+//! **morsel-driven parallelism** ([`morsel`]). Two engine steps run as
+//! task batches on one [`SharedPool`] (the one its context names, else
+//! the process default): whole *pipelines* (each worker pushes a morsel
+//! through every stage of a breaker-free chain: merge-block sources,
+//! filters and hash-join probes, with one expression evaluator per
+//! thread) and the γ fold. Breakers — scans, sorts, ORDER BY, hash-join
+//! builds — run sequentially on the coordinating thread. Morsels are
+//! pulled from a shared cursor and their outputs stitched back in morsel
+//! order, so every parallel path is byte-identical to its sequential
+//! counterpart by construction. Parallelism is gated
 //! on `available_parallelism` and a row threshold, like the store's
 //! six-order build; tests force a thread count (or the
 //! `HSP_FORCE_THREADS` env var) to exercise the pool on single-core
@@ -83,9 +79,9 @@
 //!   the `HSP_FAULT` fault-injection hook.
 //! * [`plan`] — the physical plan tree shared by all planners.
 //! * [`ops`] — the vectorized operators: scan-select, merge join, hash
-//!   join, cross product, filter, projection, distinct; those with a
-//!   parallel path or a governor poll take the execution's
-//!   [`pool::ExecContext`].
+//!   join, cross product, filter, projection, distinct, all sequential;
+//!   those that count a merged scan, read the computed-term overlay or
+//!   poll the governor take the execution's [`pool::ExecContext`].
 //! * [`aggregate`] — the morsel-parallel two-phase γ: per-morsel grouped
 //!   fold, morsel-order merge (first-seen group order is deterministic at
 //!   any thread count), row-major finalisation into the computed-term

@@ -18,12 +18,6 @@ pub struct RuntimeMetrics {
     pub parallel_kernels: usize,
     /// Morsels processed by those parallel kernels.
     pub morsels: usize,
-    /// Hash-join build phases that ran parallel (morsel-parallel hashing
-    /// plus the partitioned counting-sort bucket fill).
-    pub parallel_builds: usize,
-    /// Comparison sorts (ORDER BY merge phase, sort order-enforcer) that
-    /// ran parallel (per-worker sorted runs + parallel run merges).
-    pub parallel_sorts: usize,
     /// Pipelines the pipeline executor launched (0 under the
     /// operator-at-a-time oracle).
     pub pipelines: usize,

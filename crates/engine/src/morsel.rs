@@ -1,9 +1,17 @@
-//! Morsel-driven parallelism for the vectorized kernels, and the one
-//! scheduler every parallel task of the engine runs on.
+//! Morsel-driven parallelism, and the one scheduler every parallel task
+//! of the engine runs on.
 //!
-//! Following Leis et al.'s morsel-driven execution model, a kernel's input
-//! index range is cut into fixed-size **morsels** (~32k rows). The morsels
-//! of one kernel invocation form a **batch** on a [`SharedPool`]: the
+//! Three things run morsel-parallel: pipeline morsels (a source range
+//! pushed through a pipeline's stage chain), the hash-aggregation fold,
+//! and the server's render morsels. Breakers — scans, sorts, ORDER BY
+//! and hash-table builds — run sequentially on the coordinating thread:
+//! their parallel variants did not beat the sequential ones end to end,
+//! because the gain of morsel execution comes from pipelined morsels on
+//! workers that never idle, not from more kinds of parallel task.
+//!
+//! Following Leis et al.'s morsel-driven execution model, an input index
+//! range is cut into fixed-size **morsels** (~32k rows). The morsels of
+//! one invocation form a **batch** on a [`SharedPool`]: the
 //! pool's long-lived workers — and the submitting thread, which always
 //! helps on its own batch — pull task indices from the batch's atomic
 //! cursor, so a slow morsel (one probe row with a huge match fan-out, say)
@@ -76,13 +84,14 @@ impl MorselConfig {
     ///
     /// The `HSP_FORCE_THREADS` environment variable overrides core
     /// detection, drops the row threshold to zero, **and** shrinks
-    /// morsels to [`FORCED_ENV_MORSEL_ROWS`], so every kernel takes its
-    /// parallel path even on unit-test-sized inputs (the worker count is
-    /// capped at one worker per morsel, so forcing the threshold alone
-    /// would leave sub-morsel inputs sequential). This is the CI knob
-    /// that exercises the morsel pool on small runners (parallel output
-    /// is byte-identical to sequential by construction, so forcing it
-    /// globally is always safe — just slower on tiny inputs).
+    /// morsels to [`FORCED_ENV_MORSEL_ROWS`], so every morsel-parallel
+    /// step takes its parallel path even on unit-test-sized inputs (the
+    /// worker count is capped at one worker per morsel, so forcing the
+    /// threshold alone would leave sub-morsel inputs sequential). This is
+    /// the CI knob that exercises the morsel pool on small runners
+    /// (parallel output is byte-identical to sequential by construction,
+    /// so forcing it globally is always safe — just slower on tiny
+    /// inputs).
     pub fn auto() -> Self {
         if let Some(forced) = parse_forced_threads(std::env::var("HSP_FORCE_THREADS").ok()) {
             return MorselConfig::with_threads(forced)
@@ -203,16 +212,6 @@ impl MorselRun {
         threads: 1,
         batches: 0,
     };
-
-    /// This run and `next` as one counter entry: their morsels and batches
-    /// added up, the wider of their thread counts.
-    pub fn then(self, next: MorselRun) -> MorselRun {
-        MorselRun {
-            morsels: self.morsels + next.morsels,
-            threads: self.threads.max(next.threads),
-            batches: self.batches + next.batches,
-        }
-    }
 }
 
 /// Cut `0..rows` into morsels, run `worker` over every morsel on the
@@ -246,11 +245,8 @@ pub fn run_morsels<T: Send>(
 /// the pool's workers and the helping submitter, so a slow task never
 /// stalls the others). Results and their order are identical either way.
 ///
-/// This is the one entry to the scheduler: [`run_morsels`] delegates here
-/// with one task per morsel, [`fill_stripes`] with one task per stripe,
-/// and *partitioned* work — the partitioned counting sort of the parallel
-/// hash-join build and the run merges of [`merge_sort`], whose per-task
-/// ranges are data-dependent and non-uniform — calls it directly.
+/// This is the one entry to the scheduler: [`run_morsels`] and
+/// `try_run_morsels` delegate here with one task per morsel.
 pub fn run_tasks<T: Send>(
     count: usize,
     threads: usize,
@@ -334,207 +330,6 @@ pub(crate) fn try_run_morsels<T: Send>(
     })
 }
 
-/// The governed sequential morsel loop for workers that are not `Sync`
-/// (the pipeline's main-thread path borrows the single-threaded buffer
-/// pool and a `RefCell`-cached evaluator). Identical semantics to
-/// [`try_run_morsels`] on one thread: morsel-granular checkpoints, each
-/// morsel under [`catch_unwind`].
-pub(crate) fn try_run_morsels_seq<T>(
-    rows: usize,
-    config: &MorselConfig,
-    gov: &QueryGovernor,
-    site: &'static str,
-    worker: impl Fn(Range<usize>) -> T,
-) -> Result<(Vec<T>, MorselRun), GovernorError> {
-    let morsel_rows = config.morsel_rows;
-    let morsels = rows.div_ceil(morsel_rows).max(1);
-    let mut results = Vec::with_capacity(morsels);
-    for m in 0..morsels {
-        let start = m * morsel_rows;
-        match catch_unwind(AssertUnwindSafe(|| -> Result<T, GovernorError> {
-            gov.check(site)?;
-            Ok(worker(start..(start + morsel_rows).min(rows)))
-        })) {
-            Ok(Ok(result)) => results.push(result),
-            Ok(Err(e)) => return Err(e),
-            Err(_) => return Err(gov.note_panic(site)),
-        }
-    }
-    Ok((results, MorselRun::SEQUENTIAL))
-}
-
-/// Fill `out` by applying `fill(offset, chunk)` to contiguous stripes, in
-/// parallel when the config allows it — the shape of the scan fast path's
-/// column gather, where the output length is known up front. Each worker
-/// owns a disjoint stripe of roughly `len / workers` rows (rounded up to
-/// whole morsels), so the result is position-deterministic by
-/// construction.
-/// A claim-once slot transferring one output stripe — `(offset, chunk)` —
-/// into the task that takes it.
-type StripeSlot<'a, T> = Mutex<Option<(usize, &'a mut [T])>>;
-
-pub fn fill_stripes<T: Send>(
-    out: &mut [T],
-    config: &MorselConfig,
-    fill: impl Fn(usize, &mut [T]) + Sync,
-) -> MorselRun {
-    let rows = out.len();
-    let threads = config.workers_for(rows);
-    if threads <= 1 {
-        fill(0, out);
-        return MorselRun::SEQUENTIAL;
-    }
-    // Stripe size: whole morsels, spread across the worker budget.
-    let stripe = stripe_rows(rows, threads, config.morsel_rows);
-    let mut stripes: Vec<StripeSlot<'_, T>> = Vec::new();
-    let mut rest = out;
-    let mut offset = 0;
-    while !rest.is_empty() {
-        let take = stripe.min(rest.len());
-        let (head, tail) = rest.split_at_mut(take);
-        stripes.push(Mutex::new(Some((offset, head))));
-        offset += take;
-        rest = tail;
-    }
-    // One task per stripe. Slots only transfer stripe ownership *into* the
-    // tasks; each task index maps to a distinct slot, claimed exactly once.
-    let (_, run) = run_tasks(stripes.len(), threads, config, |s| {
-        let (offset, chunk) = stripes[s]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take()
-            .expect("each stripe is claimed exactly once");
-        fill(offset, chunk);
-    });
-    MorselRun {
-        morsels: stripes.len(),
-        ..run
-    }
-}
-
-/// Stable parallel merge sort: cut `items` into contiguous per-worker
-/// runs, sort each run on the task pool, then merge the runs pairwise —
-/// each merge round runs its pairs as parallel tasks — until one run
-/// remains. Ties keep input order (a run is a contiguous input range,
-/// runs merge in range order, and the pairwise merge takes from the
-/// earlier run on equal elements), so the result is element-for-element
-/// identical to a sequential stable `sort_by`. Below the config's
-/// parallel threshold (or on a one-thread budget) this *is* a sequential
-/// stable sort.
-///
-/// This is the comparison-sort counterpart of the partition-stitch
-/// kernels: the serial stage the ORDER BY / sort-enforcer path was left
-/// with after its key extraction went morsel-parallel.
-pub fn merge_sort<T: Send>(
-    items: Vec<T>,
-    config: &MorselConfig,
-    cmp: impl Fn(&T, &T) -> std::cmp::Ordering + Sync,
-) -> (Vec<T>, MorselRun) {
-    let workers = config.workers_for(items.len());
-    if workers <= 1 {
-        let mut items = items;
-        items.sort_by(&cmp);
-        return (items, MorselRun::SEQUENTIAL);
-    }
-
-    // Per-worker sorted runs over contiguous, morsel-aligned stripes.
-    let ranges = stripe_ranges(items.len(), workers, config.morsel_rows());
-    let initial_runs = ranges.len();
-    let mut source = items;
-    let mut runs: Vec<Vec<T>> = Vec::with_capacity(initial_runs);
-    // Carve the input into owned runs back-to-front (split_off keeps the
-    // prefix in place, so ranges pop off the tail in reverse).
-    for range in ranges.iter().rev() {
-        let run = source.split_off(range.start);
-        runs.push(run);
-    }
-    runs.reverse();
-    // Slots only transfer run ownership *into* the tasks; sorted/merged
-    // runs come back as `run_tasks` return values, already in task order.
-    let take = |slots: &[Mutex<Option<Vec<T>>>], i: usize| -> Vec<T> {
-        slots[i]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take()
-            // invariant: each slot is filled once above and taken once —
-            // every task index maps to a distinct slot.
-            .expect("run present")
-    };
-    let slots: Vec<Mutex<Option<Vec<T>>>> = runs.into_iter().map(|r| Mutex::new(Some(r))).collect();
-    let (mut runs, mut total) = run_tasks(slots.len(), workers, config, |s| {
-        let mut run = take(&slots, s);
-        run.sort_by(&cmp);
-        run
-    });
-    total.morsels = initial_runs;
-
-    // Merge rounds: adjacent runs pair up (preserving range order); an odd
-    // trailing run carries into the next round unmerged.
-    while runs.len() > 1 {
-        let pairs = runs.len() / 2;
-        let leftover = if runs.len() % 2 == 1 {
-            runs.pop()
-        } else {
-            None
-        };
-        let slots: Vec<Mutex<Option<Vec<T>>>> =
-            runs.into_iter().map(|r| Mutex::new(Some(r))).collect();
-        let (merged, merge_run) = run_tasks(pairs, workers, config, |p| {
-            merge_two(take(&slots, 2 * p), take(&slots, 2 * p + 1), &cmp)
-        });
-        total.threads = total.threads.max(merge_run.threads);
-        total.batches += merge_run.batches;
-        runs = merged;
-        runs.extend(leftover);
-    }
-    (runs.pop().unwrap_or_default(), total)
-}
-
-/// Merge two sorted runs, taking from `a` (the earlier input range) on
-/// ties — the stability invariant of [`merge_sort`].
-fn merge_two<T>(a: Vec<T>, b: Vec<T>, cmp: &impl Fn(&T, &T) -> std::cmp::Ordering) -> Vec<T> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let mut bi = b.into_iter().peekable();
-    for x in a {
-        while let Some(y) = bi.peek() {
-            if cmp(y, &x) == std::cmp::Ordering::Less {
-                // invariant: `peek` just returned `Some`.
-                out.push(bi.next().expect("peeked"));
-            } else {
-                break;
-            }
-        }
-        out.push(x);
-    }
-    out.extend(bi);
-    out
-}
-
-/// Rows per stripe when `rows` are spread over `workers` contiguous
-/// stripes: whole morsels, rounded up, at least one morsel.
-fn stripe_rows(rows: usize, workers: usize, morsel_rows: usize) -> usize {
-    rows.div_ceil(workers).div_ceil(morsel_rows).max(1) * morsel_rows
-}
-
-/// Cut `0..rows` into at most `workers` contiguous, morsel-aligned stripes
-/// (the [`fill_stripes`] decomposition, exposed for two-pass kernels that
-/// must visit the *same* stripes twice — the parallel hash-join build's
-/// histogram and scatter passes).
-pub fn stripe_ranges(rows: usize, workers: usize, morsel_rows: usize) -> Vec<Range<usize>> {
-    if rows == 0 {
-        return Vec::new();
-    }
-    let stripe = stripe_rows(rows, workers.max(1), morsel_rows.max(1));
-    let mut ranges = Vec::new();
-    let mut start = 0;
-    while start < rows {
-        let end = (start + stripe).min(rows);
-        ranges.push(start..end);
-        start = end;
-    }
-    ranges
-}
-
 // ---------------------------------------------------------------------------
 // The shared, long-lived morsel pool — the scheduler.
 //
@@ -554,7 +349,7 @@ pub struct PoolStats {
     pub threads: usize,
     /// Task batches (one per parallel kernel invocation) dispatched.
     pub batches: u64,
-    /// Individual tasks (morsels / partitions / stripes) dispatched.
+    /// Individual tasks (morsels) dispatched.
     pub tasks: u64,
     /// Times a worker's consecutive claims came from *different* queries
     /// — direct evidence of cross-query morsel scheduling on one pool.
@@ -932,23 +727,6 @@ mod tests {
     }
 
     #[test]
-    fn fill_stripes_is_position_deterministic() {
-        for threads in 1..=4 {
-            let config = MorselConfig::with_threads(threads)
-                .with_morsel_rows(8)
-                .with_min_parallel_rows(0);
-            let mut out = vec![0usize; 100];
-            fill_stripes(&mut out, &config, |offset, chunk| {
-                for (i, v) in chunk.iter_mut().enumerate() {
-                    *v = offset + i;
-                }
-            });
-            let expected: Vec<usize> = (0..100).collect();
-            assert_eq!(out, expected);
-        }
-    }
-
-    #[test]
     fn run_tasks_returns_results_in_task_order() {
         for threads in 1..=4 {
             let (results, run) =
@@ -963,63 +741,6 @@ mod tests {
         let (empty, run) = run_tasks(0, 4, &MorselConfig::with_threads(4), |t| t);
         assert!(empty.is_empty());
         assert_eq!(run, MorselRun::SEQUENTIAL);
-    }
-
-    #[test]
-    fn stripe_ranges_tile_the_input_exactly() {
-        for rows in [0usize, 1, 7, 64, 100, 129] {
-            for workers in 1..=4 {
-                let ranges = stripe_ranges(rows, workers, 8);
-                let flat: Vec<usize> = ranges.iter().cloned().flatten().collect();
-                assert_eq!(
-                    flat,
-                    (0..rows).collect::<Vec<_>>(),
-                    "rows={rows} workers={workers}"
-                );
-                assert!(ranges.len() <= workers.max(1).max(rows));
-                for r in &ranges {
-                    assert!(r.start < r.end);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn merge_sort_matches_sequential_stable_sort() {
-        // Keys with heavy duplication + a payload that records input order:
-        // the parallel sort must keep ties in input order, exactly like the
-        // sequential stable sort.
-        let items: Vec<(u32, usize)> = (0..1000)
-            .map(|i| ((i as u32).wrapping_mul(2654435761) % 7, i))
-            .collect();
-        let mut expected = items.clone();
-        expected.sort_by_key(|item| item.0);
-        for threads in 1..=4 {
-            let config = MorselConfig::with_threads(threads)
-                .with_morsel_rows(16)
-                .with_min_parallel_rows(0);
-            let (sorted, run) = merge_sort(items.clone(), &config, |a, b| a.0.cmp(&b.0));
-            assert_eq!(sorted, expected, "threads={threads}");
-            if threads > 1 {
-                assert!(run.morsels > 1);
-                // One batch for the run sorts, one per merge round that
-                // still had at least two pairs.
-                assert!(run.batches >= 1);
-            }
-        }
-    }
-
-    #[test]
-    fn merge_sort_handles_empty_and_tiny_inputs() {
-        let config = MorselConfig::with_threads(3)
-            .with_morsel_rows(4)
-            .with_min_parallel_rows(0);
-        let (empty, _) = merge_sort(Vec::<u32>::new(), &config, |a, b| a.cmp(b));
-        assert!(empty.is_empty());
-        let (one, _) = merge_sort(vec![5u32], &config, |a, b| a.cmp(b));
-        assert_eq!(one, vec![5]);
-        let (two, _) = merge_sort(vec![9u32, 2], &config, |a, b| a.cmp(b));
-        assert_eq!(two, vec![2, 9]);
     }
 
     #[test]
@@ -1191,24 +912,17 @@ mod tests {
     }
 
     #[test]
-    fn pool_serves_morsels_and_stripes() {
+    fn pool_serves_morsels() {
         let pool = SharedPool::new(2);
         let config = MorselConfig::with_threads(4)
             .with_morsel_rows(8)
             .with_min_parallel_rows(0)
             .on_pool(&pool, 7);
-        let (results, _) = run_morsels(100, &config, |r| r.clone());
+        let (results, run) = run_morsels(100, &config, |r| r.clone());
         let flat: Vec<usize> = results.into_iter().flatten().collect();
         assert_eq!(flat, (0..100).collect::<Vec<_>>());
-        let mut out = vec![0usize; 100];
-        let run = fill_stripes(&mut out, &config, |offset, chunk| {
-            for (i, v) in chunk.iter_mut().enumerate() {
-                *v = offset + i;
-            }
-        });
-        assert_eq!(out, (0..100).collect::<Vec<_>>());
         assert_eq!(run.batches, 1);
-        assert_eq!(pool.stats().batches, 2);
+        assert_eq!(pool.stats().batches, 1);
         pool.shutdown();
     }
 

@@ -11,14 +11,14 @@
 //! appends. The previous row-at-a-time kernels live on in
 //! [`crate::reference`] as the differential-testing oracle.
 //!
-//! The operators with a parallel fast path (scan gather/selection, ORDER BY
-//! key extraction and the merge sort behind ORDER BY and the sort
-//! enforcer) or a governor poll (the cross product) take the execution's
-//! [`ExecContext`], which supplies the [`crate::morsel`] thread budget.
-//! Output columns and index vectors come straight from the allocator. The
-//! joins and FILTER run one sequential cursor or probe loop each: production queries probe, filter
-//! and merge inside morsel-parallel [`crate::pipeline`] stages, and these
-//! kernels serve the pipeline's breakers and the operator-at-a-time oracle.
+//! Every kernel here runs sequentially on the calling thread. Production
+//! queries probe, filter and merge inside morsel-parallel
+//! [`crate::pipeline`] stages; these kernels serve the pipeline's breakers
+//! (scans, sorts, ORDER BY, cross products, unions) and the
+//! operator-at-a-time oracle. The kernels that count a merged scan, read
+//! the computed-term overlay or poll the governor take the execution's
+//! [`ExecContext`]. Output columns and index vectors come straight from
+//! the allocator.
 
 use std::collections::HashSet;
 
@@ -28,7 +28,6 @@ use hsp_store::{Dataset, Order, StorageBackend};
 
 use crate::binding::BindingTable;
 use crate::kernel::{BuildTable, FxBuildHasher};
-use crate::morsel;
 use crate::plan::{consts_form_prefix, scan_sort_var};
 use crate::pool::ExecContext;
 
@@ -48,10 +47,9 @@ fn check_indexable(table: &BindingTable) {
 /// repeats a variable (e.g. `?x p ?x`), rows violating the implied equality
 /// are dropped.
 ///
-/// The no-repeated-variable fast path gathers each output column in
-/// parallel stripes when the range clears the morsel threshold, the
-/// repeated-variable path selects qualifying rows morsel-at-a-time, and all
-/// output columns come from the context's pool.
+/// The no-repeated-variable fast path gathers each output column in one
+/// pass; the repeated-variable path selects qualifying rows first. A scan
+/// is a breaker: it runs sequentially on the coordinating thread.
 ///
 /// # Panics
 /// Panics if the pattern's constants do not form a prefix of `order`'s key
@@ -117,53 +115,29 @@ pub fn scan(
         }
     }
 
-    let mut cols: Vec<Vec<TermId>> = Vec::with_capacity(out_vars.len());
-    if equalities.is_empty() {
+    let cols: Vec<Vec<TermId>> = if equalities.is_empty() {
         // Fast path (no repeated variables): bulk-gather each output column
-        // straight out of the key-coordinate rows, one column at a time —
-        // in parallel stripes when the range is large enough.
-        let parallel = ctx.morsel.workers_for(rows.len()) > 1;
-        // One counter entry for the whole scan (all columns together).
-        let mut scan_run = morsel::MorselRun::SEQUENTIAL;
-        for &k in &var_key_idx {
-            let mut col = Vec::with_capacity(rows.len());
-            if parallel {
-                col.resize(rows.len(), TermId(0));
-                let run = morsel::fill_stripes(&mut col, &ctx.morsel, |offset, chunk| {
-                    for (i, v) in chunk.iter_mut().enumerate() {
-                        *v = rows[offset + i][k];
-                    }
-                });
-                scan_run = scan_run.then(run);
-            } else {
-                col.extend(rows.iter().map(|row| row[k]));
-            }
-            cols.push(col);
-        }
-        ctx.note_run(scan_run);
+        // straight out of the key-coordinate rows, one column at a time.
+        var_key_idx
+            .iter()
+            .map(|&k| rows.iter().map(|row| row[k]).collect())
+            .collect()
     } else {
-        // Late materialisation: select qualifying row indices first
-        // (morsel-at-a-time, stitched in morsel order), then gather the
-        // columns.
+        // Late materialisation: select qualifying row indices first, then
+        // gather the columns.
         assert!(
             rows.len() < u32::MAX as usize,
             "scan range exceeds u32 row indexing"
         );
-        let (parts, run) = morsel::run_morsels(rows.len(), &ctx.morsel, |range| {
-            let mut sel: Vec<u32> = Vec::new();
-            for i in range {
-                if equalities.iter().all(|&(a, b)| rows[i][a] == rows[i][b]) {
-                    sel.push(i as u32);
-                }
-            }
-            sel
-        });
-        ctx.note_run(run);
-        let sel = parts.concat();
-        for &k in &var_key_idx {
-            cols.push(sel.iter().map(|&i| rows[i as usize][k]).collect());
-        }
-    }
+        let sel: Vec<u32> = (0..rows.len())
+            .filter(|&i| equalities.iter().all(|&(a, b)| rows[i][a] == rows[i][b]))
+            .map(|i| i as u32)
+            .collect();
+        var_key_idx
+            .iter()
+            .map(|&k| sel.iter().map(|&i| rows[i as usize][k]).collect())
+            .collect()
+    };
     let sorted = scan_sort_var(pattern, order);
     BindingTable::from_columns(out_vars, cols, sorted)
 }
@@ -345,29 +319,14 @@ pub fn cross_product(ctx: &ExecContext, left: &BindingTable, right: &BindingTabl
 }
 
 /// Sort a table by `var` (stable), producing an order-enforced copy.
-/// When the input clears the morsel
-/// threshold the comparison sort runs as a **parallel merge sort**
-/// ([`morsel::merge_sort`]): per-worker sorted runs, then parallel pairwise
-/// run merges. An explicit `(key, original index)` order makes the
-/// permutation unique, so the parallel result is element-for-element the
-/// sequential stable sort.
 ///
 /// # Panics
 /// Panics if `var` is not a variable of the table.
-pub fn sort_by(ctx: &ExecContext, input: &BindingTable, var: Var) -> BindingTable {
+pub fn sort_by(input: &BindingTable, var: Var) -> BindingTable {
     check_indexable(input);
     let key = input.column(var);
     let mut index: Vec<u32> = (0..input.len() as u32).collect();
-    if ctx.morsel.workers_for(input.len()) > 1 {
-        let (sorted, run) =
-            morsel::merge_sort(std::mem::take(&mut index), &ctx.morsel, |&a, &b| {
-                key[a as usize].cmp(&key[b as usize]).then(a.cmp(&b))
-            });
-        ctx.note_sort(run);
-        index = sorted;
-    } else {
-        index.sort_by_key(|&i| key[i as usize]); // stable
-    }
+    index.sort_by_key(|&i| key[i as usize]); // stable
     let mut out = input.gather(&index);
     out.set_sorted_by(Some(var));
     out
@@ -473,19 +432,17 @@ pub fn union_all(a: &BindingTable, b: &BindingTable) -> BindingTable {
 }
 
 thread_local! {
-    /// The per-worker expression evaluator of the parallel pipeline
-    /// stages and ORDER BY key extraction. A morsel worker may process
-    /// many morsels, and constructing a fresh
+    /// The per-thread expression evaluator of pipeline morsels. A thread
+    /// may process many morsels, and constructing a fresh
     /// [`Evaluator`](hsp_sparql::Evaluator) per *morsel* would recompile
     /// every cached regex once per morsel — so the evaluator lives in a
-    /// thread-local instead: one per worker
-    /// thread, created lazily on the thread's first morsel. The threads
-    /// that run morsels — the pool's workers and every submitter helping
-    /// on its own batch, e.g. a server's connection threads — live as
-    /// long as the process, and so do these evaluators; what keeps them
-    /// small is the evaluator's own bound on its regex cache. The
-    /// sequential paths use a plain local evaluator, which costs nothing
-    /// to build and drops with the call.
+    /// thread-local instead, created lazily on the thread's first morsel.
+    /// The threads that run morsels — the pool's workers and every
+    /// submitter, e.g. a server's connection threads — live as long as
+    /// the process, and so do these evaluators; what keeps them small is
+    /// the evaluator's own bound on its regex cache. The breaker kernels
+    /// use a plain local evaluator, which costs nothing to build and drops
+    /// with the call.
     pub(crate) static WORKER_EVALUATOR: hsp_sparql::Evaluator = hsp_sparql::Evaluator::new();
 }
 
@@ -515,14 +472,9 @@ pub fn filter(ds: &Dataset, input: &BindingTable, expr: &FilterExpr) -> BindingT
 /// engine behaviour for, e.g., `ORDER BY` over a variable that is unbound
 /// in some rows.
 ///
-/// The decorate phase — evaluating every key expression for every row — runs
-/// morsel-parallel with per-worker evaluators; per-morsel decorations
-/// stitch back in row order. The comparison sort then runs as a
-/// **parallel merge sort** ([`morsel::merge_sort`]) over per-worker
-/// sorted runs when the input
-/// clears the morsel threshold; an original-row-index tie-break makes the
-/// order total, so the parallel output is byte-identical to the
-/// sequential stable sort.
+/// Every key expression is evaluated once per row (decorate), the
+/// decorated rows are sorted, and the output is gathered in sorted order.
+/// ORDER BY is a breaker: it runs sequentially on the coordinating thread.
 pub fn order_by(
     ctx: &ExecContext,
     ds: &Dataset,
@@ -532,40 +484,27 @@ pub fn order_by(
     use hsp_sparql::expr::compare_for_order;
     check_indexable(input);
 
-    // Snapshot the computed-term overlay once: aggregate outputs above
-    // this ORDER BY may carry computed ids, and the snapshot (unlike the
-    // `ExecContext`) is shareable with the parallel decorate workers.
+    // Aggregate outputs above this ORDER BY may carry computed ids, which
+    // resolve through the context's overlay.
     let overlay = ctx.computed_overlay();
-    // Evaluate every key for every row once (decorate-sort-undecorate).
-    let decorate = |range: std::ops::Range<usize>, evaluator: &hsp_sparql::Evaluator| {
-        range
-            .map(|i| {
-                let bindings = RowBindings {
-                    ds,
-                    overlay: &overlay,
-                    table: input,
-                    row: i,
-                };
-                let key_vals = keys
-                    .iter()
-                    .map(|k| evaluator.eval(&k.expr, &bindings).ok())
-                    .collect::<Vec<_>>();
-                (i, key_vals)
-            })
-            .collect::<Vec<_>>()
-    };
-    let mut decorated: Vec<(usize, Vec<Option<hsp_sparql::Value>>)> =
-        if ctx.morsel.workers_for(input.len()) > 1 {
-            let (parts, run) = morsel::run_morsels(input.len(), &ctx.morsel, |range| {
-                WORKER_EVALUATOR.with(|evaluator| decorate(range, evaluator))
-            });
-            ctx.note_run(run);
-            parts.into_iter().flatten().collect()
-        } else {
-            decorate(0..input.len(), &hsp_sparql::Evaluator::new())
-        };
-    let by_keys = |(ia, ka): &(usize, Vec<Option<hsp_sparql::Value>>),
-                   (ib, kb): &(usize, Vec<Option<hsp_sparql::Value>>)| {
+    let evaluator = hsp_sparql::Evaluator::new();
+    let mut decorated: Vec<(usize, Vec<Option<hsp_sparql::Value>>)> = (0..input.len())
+        .map(|i| {
+            let bindings = RowBindings {
+                ds,
+                overlay: &overlay,
+                table: input,
+                row: i,
+            };
+            let key_vals = keys
+                .iter()
+                .map(|k| evaluator.eval(&k.expr, &bindings).ok())
+                .collect();
+            (i, key_vals)
+        })
+        .collect();
+    // A stable sort: equal-key rows keep input order.
+    decorated.sort_by(|(_, ka), (_, kb)| {
         for (key, (va, vb)) in keys.iter().zip(ka.iter().zip(kb.iter())) {
             let ord = compare_for_order(va.as_ref(), vb.as_ref());
             let ord = if key.descending { ord.reverse() } else { ord };
@@ -573,19 +512,8 @@ pub fn order_by(
                 return ord;
             }
         }
-        // Tie-break on the original row index: equal-key rows keep input
-        // order (what the sequential stable sort guarantees implicitly),
-        // and the total order makes the parallel merge sort's output
-        // unique.
-        ia.cmp(ib)
-    };
-    if ctx.morsel.workers_for(decorated.len()) > 1 {
-        let (sorted, run) = morsel::merge_sort(decorated, &ctx.morsel, by_keys);
-        ctx.note_sort(run);
-        decorated = sorted;
-    } else {
-        decorated.sort_by(by_keys);
-    }
+        std::cmp::Ordering::Equal
+    });
 
     let sel: Vec<u32> = decorated.iter().map(|&(i, _)| i as u32).collect();
     // The ORDER BY value order is not the TermId order merge joins need,
@@ -797,9 +725,7 @@ pub(crate) fn eval_expr<V: RowValues>(
 /// decodes ids back to terms on demand; the UNBOUND sentinel (and a
 /// variable missing from the view entirely) reads as unbound. `overlay`
 /// is a snapshot of the execution's computed-term overlay (aggregate
-/// outputs like an `AVG` that is not in the dictionary) — a plain slice
-/// rather than the `ExecContext` so the parallel ORDER BY workers can
-/// share it.
+/// outputs like an `AVG` that is not in the dictionary).
 struct RowBindings<'a, V> {
     ds: &'a Dataset,
     overlay: &'a [Term],
@@ -1020,7 +946,7 @@ mod tests {
         // POS scan is sorted by the object; re-sort by the subject.
         let t = edges(&ctx, &ds, 0, "p", 1, Order::Pos);
         assert_eq!(t.sorted_by(), Some(Var(1)));
-        let sorted = sort_by(&ctx, &t, Var(0));
+        let sorted = sort_by(&t, Var(0));
         assert_eq!(sorted.sorted_by(), Some(Var(0)));
         assert!(sorted.check_sortedness());
         assert_eq!(sorted.len(), t.len());
@@ -1033,7 +959,7 @@ mod tests {
         let ds = dataset();
         let l = edges(&ctx, &ds, 0, "p", 1, Order::Pso);
         let r_wrong_order = edges(&ctx, &ds, 0, "q", 2, Order::Pos);
-        let r = sort_by(&ctx, &r_wrong_order, Var(0));
+        let r = sort_by(&r_wrong_order, Var(0));
         let mj = merge_join(&l, &r, Var(0));
         let hj = hash_join(&l, &r_wrong_order, &[Var(0)]);
         assert_eq!(mj.sorted_rows(), hj.sorted_rows());
@@ -1298,16 +1224,6 @@ mod tests {
         assert_eq!(slice(&t, 1, Some(1)).sorted_by(), t.sorted_by());
     }
 
-    /// A forced-parallel context: tiny morsels, no row threshold, so even
-    /// unit-test-sized inputs cross several morsels per worker.
-    fn forced_ctx(threads: usize) -> ExecContext {
-        ExecContext::with_morsel_config(
-            crate::morsel::MorselConfig::with_threads(threads)
-                .with_morsel_rows(64)
-                .with_min_parallel_rows(0),
-        )
-    }
-
     /// Deterministic pseudo-random tables big enough to span many morsels.
     fn big_join_inputs(n: usize) -> (BindingTable, BindingTable) {
         let mut state = 0x2545_F491_4F6C_DD1Du64;
@@ -1326,67 +1242,6 @@ mod tests {
             BindingTable::from_columns(vec![Var(0), Var(1)], vec![lk, lp], None),
             BindingTable::from_columns(vec![Var(0), Var(2)], vec![rk, rp], None),
         )
-    }
-
-    #[test]
-    fn parallel_scan_is_byte_identical_to_sequential() {
-        // 300 triples: several 64-row morsels under the forced config.
-        let mut doc = String::new();
-        for i in 0..300 {
-            doc.push_str(&format!(
-                "<http://e/s{}> <http://e/p> <http://e/o{i}> .\n",
-                i % 40
-            ));
-        }
-        let ds = Dataset::from_ntriples(&doc).unwrap();
-        let pat = TriplePattern::new(vv(0), cv("p"), vv(1));
-        let sequential = scan(&ExecContext::with_threads(1), &ds, &pat, Order::Pso);
-        for threads in 2..=4 {
-            let parallel = scan(&forced_ctx(threads), &ds, &pat, Order::Pso);
-            assert_eq!(parallel, sequential, "threads={threads}");
-        }
-        // Repeated-variable path (morsel-at-a-time selection): ?x p ?x.
-        let pat = TriplePattern::new(vv(0), cv("p"), vv(0));
-        let sequential = scan(&ExecContext::with_threads(1), &ds, &pat, Order::Pso);
-        for threads in 2..=4 {
-            let parallel = scan(&forced_ctx(threads), &ds, &pat, Order::Pso);
-            assert_eq!(parallel, sequential, "threads={threads}");
-        }
-    }
-
-    /// A dataset of `n` title triples, roughly half matching `\(19\d\d\)`.
-    fn titles_dataset(n: usize) -> Dataset {
-        let mut doc = String::new();
-        for i in 0..n {
-            let year = 1900 + (i % 200); // 19xx and 20xx alternate by century
-            doc.push_str(&format!(
-                "<http://e/j{i}> <http://e/title> \"Journal {i} ({year})\" .\n"
-            ));
-        }
-        Dataset::from_ntriples(&doc).unwrap()
-    }
-
-    #[test]
-    fn parallel_order_by_is_byte_identical_to_sequential() {
-        let ds = titles_dataset(500);
-        let pat = TriplePattern::new(vv(0), TermOrVar::Const(Term::iri("http://e/title")), vv(1));
-        let t = scan(&ExecContext::new(), &ds, &pat, Order::Pso);
-        for descending in [false, true] {
-            let keys = vec![hsp_sparql::SortKey {
-                expr: hsp_sparql::Expr::Var(Var(1)),
-                descending,
-            }];
-            let sequential = order_by(&ExecContext::with_threads(1), &ds, &t, &keys);
-            for threads in 2..=4 {
-                let ctx = forced_ctx(threads);
-                let parallel = order_by(&ctx, &ds, &t, &keys);
-                assert_eq!(parallel, sequential, "threads={threads} desc={descending}");
-                // The decorate phase and the merge sort.
-                let m = crate::metrics::RuntimeMetrics::of(&ctx);
-                assert_eq!(m.parallel_kernels, 2);
-                assert_eq!(m.parallel_sorts, 1);
-            }
-        }
     }
 
     #[test]

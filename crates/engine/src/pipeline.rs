@@ -17,12 +17,13 @@
 //!   unchanged), and plain projection (a pure layout change folded into
 //!   the stage chain and ultimately the sink gather) — and the sink is
 //!   the single materialisation point. Everything that must see its whole
-//!   input before emitting a row is a *breaker* and becomes its own step:
-//!   the hash-join **build** side, a merge join with a non-leaf side (a
-//!   sort-enforced input, a bushy tree), cross product (and the keyless
-//!   left-outer join, which pairs like one), UNION, the sort
-//!   order-enforcer, ORDER BY, grouped aggregation (the morsel-parallel
-//!   two-phase γ of [`crate::aggregate`]), and LIMIT/OFFSET. DISTINCT,
+//!   input before emitting a row is a *breaker* and becomes its own step,
+//!   run on the coordinating thread (only the γ fold among them is
+//!   morsel-parallel): the hash-join **build** side, a merge join with a
+//!   non-leaf side (a sort-enforced input, a bushy tree), cross product
+//!   (and the keyless left-outer join, which pairs like one), UNION, the
+//!   sort order-enforcer, ORDER BY, grouped aggregation (the two-phase γ
+//!   of [`crate::aggregate`]), and LIMIT/OFFSET. DISTINCT,
 //!   once a breaker, now **streams**: each morsel dedups its projected
 //!   rows locally, and the sink finishes with one global first-occurrence
 //!   pass over the gathered output — order-preserving, so the result is
@@ -52,7 +53,7 @@
 //!   a later stage reads, plus each probed build table) — through the
 //!   stages, so the rows between operators are never gathered into
 //!   columns. Per-morsel index vectors stitch back in morsel order (the
-//!   same discipline as every parallel kernel, so the result is
+//!   same discipline as the γ fold, so the result is
 //!   byte-identical to the oracle; a merge block's morsels are plain
 //!   driver ranges, since its driver is the outermost loop of every
 //!   product), and the sink gathers each output column exactly once.
@@ -84,7 +85,7 @@ use crate::binding::BindingTable;
 use crate::exec::{plan_label, ExecError, Profile};
 use crate::govern::QueryGovernor;
 use crate::kernel::{gallop, BuildTable};
-use crate::morsel::{self, MorselRun};
+use crate::morsel;
 use crate::ops::{self, RowValues};
 use crate::plan::{scan_sort_var, PhysicalPlan};
 use crate::pool::ExecContext;
@@ -1037,7 +1038,7 @@ fn run_breaker(
         }
         BreakerOp::Sort { input, var } => {
             let i = take(*input);
-            (ops::sort_by(ctx, &i, *var), vec![i])
+            (ops::sort_by(&i, *var), vec![i])
         }
         BreakerOp::Project {
             input,
@@ -1452,7 +1453,7 @@ fn run_pipeline(
     }
     let leaf_rows: Vec<&[IdTriple]> = scans.iter().map(OrderScan::as_slice).collect();
 
-    let prepared = prepare(p, ctx, &leaf_rows, source_table.as_ref(), &build_tables);
+    let prepared = prepare(p, &leaf_rows, source_table.as_ref(), &build_tables);
 
     // The hand-off column-move precondition that is known *before* any
     // morsel runs: the source was handed off, no probe adds a side, and
@@ -1471,37 +1472,22 @@ fn run_pipeline(
             .iter()
             .any(|s| matches!(s, PreparedStage::Probe { .. }));
 
-    // Push morsels through the whole stage chain. Parallel morsels use the
+    // Push morsels through the whole stage chain: one morsel run, inline
+    // on this thread at a one-worker budget (one `0..rows` morsel, or
+    // morsel-sized checkpoints under a governor). Every morsel uses the
     // per-thread evaluator (pool workers and helping submitters are
-    // long-lived; its regex cache is bounded); the sequential paths keep a
-    // plain local evaluator that drops with the pipeline.
+    // long-lived; its regex cache is bounded).
     let stage_count = prepared.stages.len();
-    let morsel_result = if ctx.morsel.workers_for(prepared.rows) > 1 {
-        morsel::try_run_morsels(
-            prepared.rows,
-            &ctx.morsel,
-            ctx.governor(),
-            "worker",
-            |range| {
-                ops::WORKER_EVALUATOR.with(|evaluator| {
-                    process_morsel(range, &prepared, ds, evaluator, static_movable)
-                })
-            },
-        )
-    } else if let Some(gov) = ctx.governor() {
-        // Governed sequential path: still chunk into morsels so a deadline
-        // or cancellation surfaces within one morsel's work. The whole
-        // loop runs on the calling thread, so borrowing the non-`Sync`
-        // local evaluator is fine.
-        let evaluator = hsp_sparql::Evaluator::new();
-        morsel::try_run_morsels_seq(prepared.rows, &ctx.morsel, gov, "worker", |range| {
-            process_morsel(range, &prepared, ds, &evaluator, static_movable)
-        })
-    } else {
-        let evaluator = hsp_sparql::Evaluator::new();
-        let out = process_morsel(0..prepared.rows, &prepared, ds, &evaluator, static_movable);
-        Ok((vec![out], MorselRun::SEQUENTIAL))
-    };
+    let morsel_result = morsel::try_run_morsels(
+        prepared.rows,
+        &ctx.morsel,
+        ctx.governor(),
+        "worker",
+        |range| {
+            ops::WORKER_EVALUATOR
+                .with(|evaluator| process_morsel(range, &prepared, ds, evaluator, static_movable))
+        },
+    );
     let (parts, run) = match morsel_result {
         Ok(x) => x,
         Err(e) => {
@@ -1816,7 +1802,6 @@ fn resolve_scan<'d>(ds: &'d Dataset, pattern: &TriplePattern, order: Order) -> O
 /// for projection stages.
 fn prepare<'a>(
     p: &'a Pipeline<'_>,
-    ctx: &ExecContext,
     leaf_rows: &[&'a [IdTriple]],
     source_table: Option<&'a BindingTable>,
     build_tables: &'a [BindingTable],
@@ -1940,8 +1925,7 @@ fn prepare<'a>(
                 // table per probe stage, in stage order.
                 let bt = builds.next().expect("one build table per probe stage");
                 let build_cols: Vec<&[TermId]> = vars.iter().map(|&v| bt.column(v)).collect();
-                let (table, build_run) = BuildTable::build_par(&build_cols, bt.len(), &ctx.morsel);
-                ctx.note_build(build_run);
+                let table = BuildTable::build(&build_cols, bt.len());
                 let key_refs: Vec<ColRef<'a>> = vars
                     .iter()
                     .map(|v| {

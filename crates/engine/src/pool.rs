@@ -190,25 +190,6 @@ impl ExecContext {
         });
     }
 
-    /// Record a hash-join build phase ([`note_run`](Self::note_run) plus
-    /// the parallel-build counter).
-    pub(crate) fn note_build(&self, run: crate::morsel::MorselRun) {
-        if run.threads > 1 {
-            self.count(|c| c.parallel_builds += 1);
-        }
-        self.note_run(run);
-    }
-
-    /// Record a parallel merge sort (`run.morsels` carries the initial
-    /// sorted-run count) — the comparison-sort stage of ORDER BY and the
-    /// sort order-enforcer.
-    pub(crate) fn note_sort(&self, run: crate::morsel::MorselRun) {
-        if run.threads > 1 {
-            self.count(|c| c.parallel_sorts += 1);
-        }
-        self.note_run(run);
-    }
-
     /// Record one executed pipeline: its morsel run (morsels pushed
     /// end-to-end through the stage chain) and the intermediate rows the
     /// operator-at-a-time evaluator would have materialised between the
@@ -348,34 +329,5 @@ mod tests {
         let m = RuntimeMetrics::of(&ctx);
         assert_eq!(m.parallel_kernels, 1);
         assert_eq!(m.morsels, 5);
-    }
-
-    #[test]
-    fn context_counts_builds_and_sorts() {
-        let ctx = ExecContext::with_threads(4);
-        // Sequential runs count nothing.
-        ctx.note_build(crate::morsel::MorselRun::SEQUENTIAL);
-        ctx.note_sort(crate::morsel::MorselRun::SEQUENTIAL);
-        let m = RuntimeMetrics::of(&ctx);
-        assert_eq!(m.parallel_builds, 0);
-        assert_eq!(m.parallel_sorts, 0);
-        assert_eq!(m.parallel_kernels, 0);
-        // Parallel runs count in their own counter and as kernels.
-        ctx.note_build(crate::morsel::MorselRun {
-            morsels: 3,
-            threads: 2,
-            batches: 1,
-        });
-        ctx.note_sort(crate::morsel::MorselRun {
-            morsels: 2,
-            threads: 3,
-            batches: 2,
-        });
-        let m = RuntimeMetrics::of(&ctx);
-        assert_eq!(m.parallel_builds, 1);
-        assert_eq!(m.parallel_sorts, 1);
-        assert_eq!(m.parallel_kernels, 2);
-        assert_eq!(m.morsels, 3 + 2);
-        assert_eq!(m.shared_pool_batches, 3);
     }
 }

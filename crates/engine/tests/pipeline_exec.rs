@@ -364,7 +364,7 @@ fn empty_dataset_all_plan_shapes() {
 }
 
 /// The sort order-enforcer (a breaker) between two pipelines: scan → sort →
-/// merge join, with the parallel merge sort underneath.
+/// merge join, at every thread count.
 #[test]
 fn sort_enforcer_feeds_merge_join_identically() {
     let mut doc = String::new();
@@ -405,13 +405,6 @@ fn sort_enforcer_feeds_merge_join_identically() {
         );
         let out = execute_in(&plan, &ds, &ExecConfig::unlimited(), &ctx).unwrap();
         assert_eq!(out.table, oracle.table, "threads={threads}");
-        if threads > 1 {
-            assert!(
-                out.runtime.parallel_sorts > 0,
-                "forced-parallel sort should fire: {:?}",
-                out.runtime
-            );
-        }
     }
 }
 

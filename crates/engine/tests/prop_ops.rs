@@ -3,13 +3,10 @@
 //! including the vectorized kernels against the retired row-at-a-time
 //! kernels ([`hsp_engine::reference`]) on repeated-variable (extra shared
 //! column), multi-variable-key (packed and CSR layouts), and zero-column
-//! (unit) inputs. The parallel stages each get their own oracle property: the partitioned-counting-sort hash-join build must
-//! be byte-identical to the sequential build across all key layouts, and
-//! the parallel merge sorts behind the sort enforcer and ORDER BY must
-//! reproduce the sequential stable sort.
+//! (unit) inputs.
 
 use hsp_engine::binding::BindingTable;
-use hsp_engine::{ops, reference, ExecContext, MorselConfig};
+use hsp_engine::{ops, reference, ExecContext};
 use hsp_rdf::TermId;
 use hsp_sparql::Var;
 use proptest::prelude::*;
@@ -246,7 +243,6 @@ proptest! {
         left in arb_shared_table(5),
         right in arb_shared_table(6),
     ) {
-        let ctx = ExecContext::new();
         let oracle = reference::nested_loop_join_rows(&left, &right);
         let out_vars = [Var(0), Var(1), Var(5), Var(6)];
 
@@ -260,22 +256,33 @@ proptest! {
         prop_assert_eq!(one_key.sorted_rows(), rowwise.sorted_rows());
 
         // Sorting both sides turns the same join into a merge join.
-        let ls = ops::sort_by(&ctx, &left, Var(0));
-        let rs = ops::sort_by(&ctx, &right, Var(0));
+        let ls = ops::sort_by(&left, Var(0));
+        let rs = ops::sort_by(&right, Var(0));
         let mj = ops::merge_join(&ls, &rs, Var(0));
         prop_assert_eq!(mj.sorted_rows_for(&out_vars), oracle);
         prop_assert!(mj.check_sortedness());
     }
 
-    /// Three-variable join keys (the CSR wide layout) ≡ nested loop.
+    /// Hash joins keyed on one or two (the packed-u64 layout) and on all
+    /// three (the CSR wide layout) of the tables' shared variables ≡
+    /// nested loop; the shared variables left out of the key are checked
+    /// pairwise.
     #[test]
-    fn wide_csr_keys_agree_with_nested_loop(
+    fn every_key_width_agrees_with_nested_loop(
         left in arb_wide_table(5),
         right in arb_wide_table(6),
     ) {
         let oracle = reference::nested_loop_join_rows(&left, &right);
-        let wide = ops::hash_join(&left, &right, &[Var(0), Var(1), Var(2)]);
-        prop_assert_eq!(wide.sorted_rows_for(&[Var(0), Var(1), Var(2), Var(5), Var(6)]), oracle);
+        let keys = [Var(0), Var(1), Var(2)];
+        for width in 1..=keys.len() {
+            let join = ops::hash_join(&left, &right, &keys[..width]);
+            prop_assert_eq!(
+                join.sorted_rows_for(&[Var(0), Var(1), Var(2), Var(5), Var(6)]),
+                oracle.clone(),
+                "width={}",
+                width
+            );
+        }
     }
 
     /// Left-outer join with an extra shared column: inner rows match the
@@ -334,93 +341,6 @@ proptest! {
         prop_assert_eq!(ask.len(), table.len().min(1));
     }
 
-    /// The parallel hash-join build (morsel-parallel hashing + partitioned
-    /// counting sort) produces a table **byte-identical** to the
-    /// sequential build on arbitrary inputs, for both the packed-u64
-    /// layout (1- and 2-column keys) and the CSR/wide layout (3-column
-    /// keys) — and a join probing the parallel table matches the
-    /// [`hsp_engine::reference`] nested-loop oracle.
-    #[test]
-    fn parallel_build_table_matches_sequential_all_layouts(
-        left in arb_wide_table(5),
-        right in arb_wide_table(6),
-        threads in 2usize..=4,
-    ) {
-        use hsp_engine::kernel::BuildTable;
-        let config = MorselConfig::with_threads(threads)
-            .with_morsel_rows(4)
-            .with_min_parallel_rows(0);
-        for width in 1..=3u32 {
-            let cols: Vec<&[TermId]> = (0..width).map(|i| right.column(Var(i))).collect();
-            let sequential = BuildTable::build(&cols, right.len());
-            let (parallel, _) = BuildTable::build_par(&cols, right.len(), &config);
-            prop_assert_eq!(parallel, sequential, "width={}", width);
-        }
-        // End-to-end: a join over every key width agrees with the
-        // nested-loop oracle on all shared variables.
-        let oracle = reference::nested_loop_join_rows(&left, &right);
-        let wide = ops::hash_join(&left, &right, &[Var(0), Var(1), Var(2)]);
-        prop_assert_eq!(
-            wide.sorted_rows_for(&[Var(0), Var(1), Var(2), Var(5), Var(6)]),
-            oracle
-        );
-    }
-
-    /// The parallel merge sort behind the sort order-enforcer is
-    /// byte-identical to the sequential stable sort, including tie order
-    /// (tiny key domain → long runs of equal keys).
-    #[test]
-    fn parallel_sort_by_matches_sequential(
-        rows in proptest::collection::vec((0u32..4, 0u32..50), 0..60),
-        threads in 2usize..=4,
-    ) {
-        let keys: Vec<TermId> = rows.iter().map(|&(k, _)| TermId(k)).collect();
-        let payloads: Vec<TermId> = rows.iter().map(|&(_, p)| TermId(100 + p)).collect();
-        let table = BindingTable::from_columns(vec![Var(0), Var(1)], vec![keys, payloads], None);
-        let sequential = ops::sort_by(&ExecContext::with_threads(1), &table, Var(0));
-        let ctx = ExecContext::with_morsel_config(
-            MorselConfig::with_threads(threads)
-                .with_morsel_rows(4)
-                .with_min_parallel_rows(0),
-        );
-        let parallel = ops::sort_by(&ctx, &table, Var(0));
-        prop_assert_eq!(parallel, sequential);
-    }
-
-    /// The parallel ORDER BY merge (per-worker sorted runs + run merges)
-    /// is byte-identical to the sequential stable sort under the SPARQL
-    /// value order, ascending and descending.
-    #[test]
-    fn parallel_order_by_matches_sequential(
-        rows in proptest::collection::vec(0u32..40, 0..50),
-        descending in any::<bool>(),
-        threads in 2usize..=4,
-    ) {
-        use hsp_sparql::{Expr, SortKey};
-        let mut doc = String::new();
-        for i in 0..40 {
-            doc.push_str(&format!("<http://e/s{i}> <http://e/p> \"{}\" .\n", i % 7));
-        }
-        let ds = hsp_store::Dataset::from_ntriples(&doc).unwrap();
-        let ids: Vec<TermId> = rows
-            .iter()
-            .map(|&v| ds.dict().id(&hsp_rdf::Term::literal(format!("{}", v % 7))).unwrap())
-            .collect();
-        let tag: Vec<TermId> = (0..rows.len() as u32).map(TermId).collect();
-        let table = BindingTable::from_columns(vec![Var(0), Var(1)], vec![ids, tag], None);
-        let keys = vec![SortKey { expr: Expr::Var(Var(0)), descending }];
-        let sequential = ops::order_by(&ExecContext::with_threads(1), &ds, &table, &keys);
-        let ctx = ExecContext::with_morsel_config(
-            MorselConfig::with_threads(threads)
-                .with_morsel_rows(4)
-                .with_min_parallel_rows(0),
-        );
-        let parallel = ops::order_by(&ctx, &ds, &table, &keys);
-        prop_assert_eq!(parallel, sequential);
-    }
-
-    /// DISTINCT projection over three columns (the sort-index dedup path)
-    /// keeps exactly the first occurrence of each distinct row, in order.
     #[test]
     fn distinct_three_columns_keeps_first_occurrences(table in arb_shared_table(5)) {
         let projection = vec![

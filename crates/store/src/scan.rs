@@ -11,7 +11,7 @@ use hsp_rdf::IdTriple;
 /// scan borrows the base run directly (`Borrowed`) — zero-copy, exactly the
 /// pre-copy-on-write read path. When delta entries overlap the range the
 /// rows are merged into a private buffer (`Owned`). Either way the scan
-/// derefs to a contiguous `&[IdTriple]`, so morsel carving and the stripe
+/// derefs to a contiguous `&[IdTriple]`, so morsel carving and the column
 /// gathers keep working on plain slices.
 #[derive(Debug, Clone)]
 pub enum OrderScan<'a> {

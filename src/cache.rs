@@ -92,7 +92,8 @@ use crate::update::Touched;
 /// bound only guards against unbounded template churn.
 const MAX_PLAN_ENTRIES: usize = 512;
 /// Maximum aliases under one token skeleton (templates that differ only
-/// in their kept constants, e.g. their predicates, share a skeleton).
+/// in their kept constants, e.g. their predicates, share a skeleton). A
+/// full skeleton drops its least recently hit alias.
 const MAX_ALIASES_PER_SKELETON: usize = 8;
 /// Maximum cached results.
 const MAX_RESULT_ENTRIES: usize = 1024;
@@ -160,6 +161,9 @@ struct Alias {
     /// the order [`PhysicalPlan::instantiate`] and [`instantiate_query`]
     /// visit them; `None` for a kept constant.
     consts: Vec<Option<usize>>,
+    /// The tier's plan-hit count after this alias's last hit, or at its
+    /// insert if it was never hit: the recency its skeleton evicts by.
+    last_hit: AtomicU64,
 }
 
 impl Alias {
@@ -167,8 +171,14 @@ impl Alias {
     /// `query` were planned for and whose own parameters are `params`.
     /// Under the template's guards a constant equal to a parameter *is*
     /// that parameter, so each constant's slot is found by value once,
-    /// here, and never on a hit.
-    fn new(template: Template, params: &[Term], plan: &PhysicalPlan, query: &JoinQuery) -> Alias {
+    /// here, and never on a hit. `stamp` is the tier's plan-hit count now.
+    fn new(
+        template: Template,
+        params: &[Term],
+        plan: &PhysicalPlan,
+        query: &JoinQuery,
+        stamp: u64,
+    ) -> Alias {
         let consts = RefCell::new(Vec::new());
         let record = |t: &Term| {
             consts.borrow_mut().push(params.iter().position(|p| p == t));
@@ -181,6 +191,7 @@ impl Alias {
             plan,
             query,
             consts: consts.into_inner(),
+            last_hit: AtomicU64::new(stamp),
         }
     }
 
@@ -649,14 +660,16 @@ impl QueryCache {
         let (alias, params) = aliases
             .iter()
             .find_map(|alias| Some((alias, alias.template.params(tokens)?)))?;
-        self.plan_hits.fetch_add(1, Ordering::Relaxed);
+        let stamp = self.plan_hits.fetch_add(1, Ordering::Relaxed) + 1;
+        alias.last_hit.store(stamp, Ordering::Relaxed);
         Some(alias.instantiate(&params))
     }
 
     /// Count a miss and record, under `skeleton`, the alias of a request
     /// just planned fresh: its `template`, its own `params`, and the `plan`
     /// and `planned_query` it got — replacing an alias with the same
-    /// template.
+    /// template, and dropping the least recently hit alias of a full
+    /// skeleton.
     pub(crate) fn alias_insert(
         &self,
         skeleton: &str,
@@ -666,7 +679,8 @@ impl QueryCache {
         planned_query: &JoinQuery,
     ) {
         self.plan_misses.fetch_add(1, Ordering::Relaxed);
-        let alias = Arc::new(Alias::new(template, params, plan, planned_query));
+        let stamp = self.plan_hits.load(Ordering::Relaxed);
+        let alias = Arc::new(Alias::new(template, params, plan, planned_query, stamp));
         let mut plans = self.plans.lock().unwrap_or_else(|e| e.into_inner());
         let mut aliases: Vec<Arc<Alias>> = plans
             .get(skeleton)
@@ -676,7 +690,14 @@ impl QueryCache {
             .cloned()
             .collect();
         if aliases.len() >= MAX_ALIASES_PER_SKELETON {
-            aliases.remove(0);
+            // Of equal stamps the first is the older: the list is in insert
+            // order, and a later alias was inserted after the earlier one's
+            // insert or hit left that stamp.
+            let lru = (0..aliases.len())
+                .min_by_key(|&i| aliases[i].last_hit.load(Ordering::Relaxed))
+                // invariant: the skeleton is full, so not empty.
+                .expect("a full skeleton");
+            aliases.remove(lru);
         }
         aliases.push(alias);
         plans.insert(Arc::from(skeleton), aliases.into());
@@ -1153,6 +1174,38 @@ mod tests {
         let plans = cache.plans.lock().unwrap();
         assert_eq!(plans.len(), MAX_PLAN_ENTRIES);
         plans.check();
+    }
+
+    /// A full skeleton drops its least recently hit alias, not its oldest:
+    /// nine templates (one predicate each) under one skeleton, the first
+    /// hit between inserts, and the first is still served after the
+    /// ninth insert.
+    #[test]
+    fn a_full_skeleton_drops_its_least_recently_hit_alias() {
+        let cache = QueryCache::default();
+        let text = |p: usize, o: &str| format!("SELECT ?s WHERE {{ ?s <http://e/p{p}> {o} . }}");
+        serve(&cache, &text(0, "<http://e/a>"));
+        for p in 1..=MAX_ALIASES_PER_SKELETON {
+            assert!(alias_get(&cache, &text(0, "<http://e/b>")).is_some());
+            serve(&cache, &text(p, "<http://e/a>"));
+        }
+        let stats = cache.stats();
+        let templates = MAX_ALIASES_PER_SKELETON as u64 + 1;
+        assert_eq!(
+            (stats.plan_hits, stats.plan_misses),
+            (templates - 1, templates)
+        );
+        assert!(alias_get(&cache, &text(0, "<http://e/c>")).is_some());
+        assert!(
+            alias_get(&cache, &text(1, "<http://e/c>")).is_none(),
+            "the least recently hit alias was dropped"
+        );
+        for p in 2..=MAX_ALIASES_PER_SKELETON {
+            assert!(
+                alias_get(&cache, &text(p, "<http://e/c>")).is_some(),
+                "p{p}"
+            );
+        }
     }
 
     #[test]

@@ -800,9 +800,10 @@ fn render_body(
 /// the pool rather than on the connection's thread, for a session at the
 /// kernels' default threshold (see [`render_config`]).
 ///
-/// Measured by `tests::render_crossover` (2-vCPU VM, release build): SP4a's
-/// two IRI columns over a 500k-triple SP2Bench store, cut or repeated to
-/// size, rendered as JSON by one thread and on a default session's pool
+/// Measured at commit `669a2e1` (2-vCPU VM, release build, the C
+/// allocator pinned as `benchmark/` pins it): SP4a's two IRI columns over
+/// a 500k-triple SP2Bench store, cut or repeated to size, rendered as JSON
+/// by one thread and on a default session's pool
 /// (two workers plus the submitter, morsels of 32k cells or half the
 /// result); milliseconds, median over 14 runs of the median of 31, idle
 /// and with a spinning thread keeping the other core busy, and the runs in
@@ -1384,109 +1385,5 @@ mod tests {
         std::thread::sleep(Duration::from_millis(100));
         let refused = Client::connect(addr).and_then(|mut c| c.ping()).is_err();
         assert!(refused);
-    }
-
-    /// The measurement behind [`RENDER_MIN_PARALLEL_CELLS`]: SP4a's rows —
-    /// two IRI columns over a 500k-triple SP2Bench store — cut or repeated
-    /// to 8k to 512k cells, rendered as JSON on the calling thread and on
-    /// the pool of a default session, median of 31 runs, idle and with a
-    /// thread spinning on the other core. The allocator is pinned the way
-    /// `benchmark/` pins it. Run with
-    /// `cargo test --release --lib serve::tests::render_crossover --
-    /// --ignored --nocapture`.
-    #[test]
-    #[ignore = "a measurement, not a check"]
-    fn render_crossover() {
-        use hsp_datagen::{generate_sp2bench, workload::SP4A, Sp2BenchConfig};
-        use hsp_engine::{BindingTable, IdRows};
-        use hsp_sparql::Var;
-
-        #[cfg(all(target_os = "linux", target_env = "gnu"))]
-        {
-            extern "C" {
-                fn mallopt(param: i32, value: i32) -> i32;
-            }
-            // SAFETY: `mallopt` only stores tunables of the C allocator;
-            // nothing has allocated concurrently yet.
-            unsafe {
-                mallopt(-1, i32::MAX); // M_TRIM_THRESHOLD
-                mallopt(-2, 256 << 20); // M_TOP_PAD
-                mallopt(-3, 32 << 20); // M_MMAP_THRESHOLD
-            }
-        }
-        let session = Session::new(generate_sp2bench(Sp2BenchConfig::with_triples(500_000)));
-        let sp4a = session
-            .query_encoded(Request::new(SP4A).with_threads(2).without_cache())
-            .unwrap();
-        let vars = [Var(0), Var(1)];
-        let table = BindingTable::from_columns(
-            vars.to_vec(),
-            (0..2)
-                .map(|c| sp4a.rows.column(c).unwrap().to_vec())
-                .collect(),
-            None,
-        );
-        println!("cells    sequential ms   pool ms (morsels)");
-        for cells in [8 << 10, 32 << 10, 64 << 10, 128 << 10, 512 << 10] {
-            let sel: Vec<u32> = (0..cells / 2).map(|i| (i % table.len()) as u32).collect();
-            let rows = IdRows::new(table.clone(), &vars, Some(&sel), Vec::new());
-            let response = EncodedResponse {
-                rows: Arc::new(rows),
-                ..sp4a.clone()
-            };
-            // Production morsels where there are at least two of them.
-            let morsel_cells = sp4a.morsel.morsel_rows().min(cells / 2);
-            let median = |morsel: &MorselConfig| {
-                let response = EncodedResponse {
-                    morsel: morsel.clone(),
-                    ..response.clone()
-                };
-                let mut times: Vec<f64> = (0..31)
-                    .map(|_| {
-                        let start = std::time::Instant::now();
-                        let mut head = Frame::head();
-                        let chunks = render_rows(
-                            RowFormat::Json,
-                            &mut head,
-                            &response,
-                            usize::MAX,
-                            &AtomicUsize::new(0),
-                        );
-                        let ms = start.elapsed().as_secs_f64() * 1e3;
-                        drop(chunks.expect("no cap"));
-                        ms
-                    })
-                    .collect();
-                times.sort_by(f64::total_cmp);
-                times[times.len() / 2]
-            };
-            let sequential = sp4a.morsel.clone().with_min_parallel_rows(usize::MAX);
-            let pooled = sp4a
-                .morsel
-                .clone()
-                .with_min_parallel_rows(0)
-                .with_morsel_rows(morsel_cells);
-            let idle = (median(&sequential), median(&pooled));
-            let stop = AtomicBool::new(false);
-            let busy = std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    while !stop.load(Ordering::Relaxed) {
-                        std::hint::spin_loop();
-                    }
-                });
-                let busy = (median(&sequential), median(&pooled));
-                stop.store(true, Ordering::Relaxed);
-                busy
-            });
-            println!(
-                "{:>4}k    {:>6.2} {:>6.2} ({})   busy {:>6.2} {:>6.2}",
-                cells >> 10,
-                idle.0,
-                idle.1,
-                cells.div_ceil(morsel_cells),
-                busy.0,
-                busy.1
-            );
-        }
     }
 }

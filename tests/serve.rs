@@ -276,8 +276,9 @@ fn updates_never_tear_a_concurrent_reader() {
     let delete = "DELETE WHERE { ?m <http://e/marker> ?v . }".to_string();
     let count_query = "SELECT ?m WHERE { ?m <http://e/marker> ?v . }";
 
+    let writer_done = std::sync::atomic::AtomicBool::new(false);
     std::thread::scope(|scope| {
-        let writer = scope.spawn(move || {
+        let writer = scope.spawn(|| {
             let mut client = Client::connect(addr).expect("writer connects");
             for i in 0..TRANSITIONS {
                 let text = if i.is_multiple_of(2) {
@@ -288,13 +289,16 @@ fn updates_never_tear_a_concurrent_reader() {
                 let response = client.update("", text).expect("update transport");
                 assert!(response.starts_with("OK "), "writer: {response}");
             }
+            writer_done.store(true, std::sync::atomic::Ordering::Release);
         });
         let readers: Vec<_> = (0..3)
             .map(|_| {
-                scope.spawn(move || {
+                scope.spawn(|| {
                     let mut client = Client::connect(addr).expect("reader connects");
-                    let mut seen_full = false;
                     loop {
+                        // Read the flag before the query: once it is set,
+                        // this read sees the final, stable state.
+                        let last = writer_done.load(std::sync::atomic::Ordering::Acquire);
                         let response = client.query("", count_query).expect("query transport");
                         let header = response.lines().next().unwrap_or("");
                         let rows: usize = header
@@ -306,10 +310,10 @@ fn updates_never_tear_a_concurrent_reader() {
                             rows == 0 || rows == MARKERS,
                             "torn read: {rows} of {MARKERS} marker triples visible"
                         );
-                        seen_full |= rows == MARKERS;
-                        // Stop once the writer is done (marker state is
-                        // then stable at the final transition's value).
-                        if seen_full && rows == 0 {
+                        if last {
+                            // TRANSITIONS is even: the final state is
+                            // marker-free.
+                            assert_eq!(rows, 0, "final state");
                             break;
                         }
                     }
@@ -317,8 +321,8 @@ fn updates_never_tear_a_concurrent_reader() {
             })
             .collect();
         writer.join().expect("writer panicked");
-        // TRANSITIONS is even, so the final state is marker-free; every
-        // reader terminates once it has seen both states.
+        // Every reader stops after its first read that started once the
+        // writer was done — however late it started.
         for reader in readers {
             reader.join().expect("reader panicked");
         }
@@ -619,13 +623,16 @@ fn alias_request(family: u64, r: u64, v: &str) -> String {
 fn token_aliases_match_uncached_runs_and_the_template_counts() {
     use std::collections::{HashMap, HashSet};
     // The tier keeps this many templates under one skeleton, dropping the
-    // oldest; family 0 has nine.
+    // least recently used (hit, or inserted if never hit); family 0 has
+    // nine.
     const ALIASES_PER_SKELETON: usize = 8;
     let ds = alias_dataset();
     let cached = Session::with_options(ds.clone(), pooled_options());
     let uncached = Session::with_options(ds, pooled_options());
     let mut texts = HashSet::new();
-    let mut templates: HashMap<String, Vec<hsp_sparql::Template>> = HashMap::new();
+    // Per skeleton, in insert order: each template and the step it was
+    // last used at.
+    let mut templates: HashMap<String, Vec<(hsp_sparql::Template, usize)>> = HashMap::new();
     let (mut plan_hits, mut plan_misses) = (0, 0);
     let mut state = 0x2545_f491_4f6c_dd1d_u64;
     for step in 0..600 {
@@ -665,17 +672,23 @@ fn token_aliases_match_uncached_runs_and_the_template_counts() {
         assert_eq!(m.plan_cache_used, template.is_some(), "step {step}: {text}");
         if let Some((template, _)) = template {
             let earlier = templates.entry(hsp_sparql::skeleton(&tokens)).or_default();
-            let hit = earlier.iter().any(|t| t.params(&tokens).is_some());
-            assert_eq!(m.plan_cache_hit, hit, "step {step}: {text}");
-            if hit {
+            let hit = earlier
+                .iter_mut()
+                .find(|(t, _)| t.params(&tokens).is_some());
+            assert_eq!(m.plan_cache_hit, hit.is_some(), "step {step}: {text}");
+            if let Some((_, used)) = hit {
+                *used = step;
                 plan_hits += 1;
             } else {
                 plan_misses += 1;
-                earlier.retain(|t| *t != template);
+                earlier.retain(|(t, _)| *t != template);
                 if earlier.len() == ALIASES_PER_SKELETON {
-                    earlier.remove(0);
+                    let lru = (0..earlier.len())
+                        .min_by_key(|&i| earlier[i].1)
+                        .expect("a full skeleton");
+                    earlier.remove(lru);
                 }
-                earlier.push(template);
+                earlier.push((template, step));
             }
         }
     }
