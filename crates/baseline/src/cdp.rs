@@ -274,19 +274,7 @@ impl CdpPlanner {
             .cloned()
             .ok_or(PlanError::CrossProduct)?;
 
-        let mut plan = best.plan;
-        for f in &query.filters {
-            plan = PhysicalPlan::Filter {
-                input: Box::new(plan),
-                expr: f.clone(),
-            };
-        }
-        let plan = PhysicalPlan::Project {
-            input: Box::new(plan),
-            projection: query.projection.clone(),
-            distinct: query.distinct,
-        }
-        .with_modifiers(&query.modifiers);
+        let plan = best.plan.with_top(&query);
         let estimated_card = rels[full as usize].as_ref().map_or(0.0, |r| r.card);
         Ok(CdpPlan {
             plan,
@@ -466,6 +454,7 @@ mod tests {
             group_by: vec![],
             aggregates: vec![],
             having: None,
+            substituted: vec![],
         };
         assert_eq!(
             CdpPlanner::new().plan(&ds, &query).unwrap_err(),

@@ -118,18 +118,7 @@ impl HybridPlanner {
             }
         }
 
-        for f in &query.filters {
-            plan = PhysicalPlan::Filter {
-                input: Box::new(plan),
-                expr: f.clone(),
-            };
-        }
-        let plan = PhysicalPlan::Project {
-            input: Box::new(plan),
-            projection: query.projection.clone(),
-            distinct: query.distinct,
-        }
-        .with_modifiers(&query.modifiers);
+        let plan = plan.with_top(&query);
         Ok(Planned {
             plan,
             query,

@@ -159,18 +159,7 @@ impl LeftDeepPlanner {
             acc_vars = plan.output_vars();
         }
 
-        for f in &query.filters {
-            plan = PhysicalPlan::Filter {
-                input: Box::new(plan),
-                expr: f.clone(),
-            };
-        }
-        let plan = PhysicalPlan::Project {
-            input: Box::new(plan),
-            projection: query.projection.clone(),
-            distinct: query.distinct,
-        }
-        .with_modifiers(&query.modifiers);
+        let plan = plan.with_top(&query);
         Ok(LeftDeepPlan {
             plan,
             query,
@@ -286,6 +275,7 @@ mod tests {
             group_by: vec![],
             aggregates: vec![],
             having: None,
+            substituted: vec![],
         };
         assert_eq!(
             LeftDeepPlanner::new().plan(&ds, &query).unwrap_err(),

@@ -21,10 +21,11 @@
 //! * [`cardinality`] — the shared estimator (exact leaves, containment
 //!   assumption for joins).
 //!
-//! Callers that choose a planner by value go through [`plan`], which
-//! decides the two rules the planners do not share: CDP's refused cross
-//! products are re-planned on the FILTER-rewritten query, and only HSP
-//! plans aggregates.
+//! Every planner orders the joins only: each puts the same plan top
+//! ([`PhysicalPlan::with_top`]) over its join tree. Callers that choose a
+//! planner by value go through [`plan`], which decides the one rule the
+//! planners do not share: CDP's refused cross products are re-planned on
+//! the FILTER-rewritten query.
 
 use std::str::FromStr;
 
@@ -115,7 +116,8 @@ impl FromStr for Planner {
 /// A planned query, ready for execution.
 #[derive(Debug, Clone)]
 pub struct Planned {
-    /// The physical plan (root is a `Project`).
+    /// The physical plan: the planner's join tree under the shared plan
+    /// top ([`PhysicalPlan::with_top`]).
     pub plan: PhysicalPlan,
     /// The query the plan's pattern indices refer to (after the planner's
     /// own rewriting).
@@ -128,12 +130,8 @@ pub struct Planned {
 ///
 /// CDP refuses cross products, as RDF-3X does; for those queries `plan`
 /// re-plans on the FILTER-rewritten form — the paper rewrote SP4a by hand
-/// for RDF-3X — and says so in [`Planned::note`]. Aggregation is planned
-/// by HSP only: every baseline gets [`PlanError::Aggregate`].
+/// for RDF-3X — and says so in [`Planned::note`].
 pub fn plan(planner: Planner, ds: &Dataset, query: &JoinQuery) -> Result<Planned, PlanError> {
-    if planner != Planner::Hsp && query.is_aggregate() {
-        return Err(PlanError::Aggregate);
-    }
     let mut note = None;
     let (plan, query) = match planner {
         Planner::Hsp => HspPlanner::new().plan(query).map(|p| (p.plan, p.query))?,
@@ -237,29 +235,38 @@ mod tests {
     }
 
     #[test]
-    fn only_hsp_plans_aggregates() {
+    fn every_planner_answers_an_aggregate_alike() {
         let ds = Dataset::from_ntriples(
             "<http://e/a> <http://e/p> <http://e/x> .\n\
              <http://e/a> <http://e/p> <http://e/y> .\n\
-             <http://e/b> <http://e/p> <http://e/x> .\n",
+             <http://e/b> <http://e/p> <http://e/x> .\n\
+             <http://e/a> <http://e/q> \"1\" .\n\
+             <http://e/b> <http://e/q> \"1\" .\n",
         )
         .unwrap();
         let q = JoinQuery::parse(
-            "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s <http://e/p> ?o . } GROUP BY ?s",
+            "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s <http://e/p> ?o . ?s <http://e/q> ?v . } \
+             GROUP BY ?s ORDER BY ?s",
         )
         .unwrap();
-        for p in Planner::ALL {
-            match plan(p, &ds, &q) {
-                Ok(planned) => {
-                    assert_eq!(p, Planner::Hsp);
-                    let out = execute(&planned.plan, &ds, &ExecConfig::unlimited()).unwrap();
-                    assert_eq!(out.table.len(), 2);
-                }
-                Err(e) => {
-                    assert_ne!(p, Planner::Hsp);
-                    assert_eq!(e, PlanError::Aggregate, "{p:?}");
-                }
-            }
+        let rows: Vec<_> = Planner::ALL
+            .into_iter()
+            .map(|p| {
+                let planned = plan(p, &ds, &q).unwrap_or_else(|e| panic!("{p:?}: {e}"));
+                let out = execute(&planned.plan, &ds, &ExecConfig::unlimited()).unwrap();
+                let proj: Vec<_> = planned.query.projection.iter().map(|&(_, v)| v).collect();
+                (0..out.table.len())
+                    .map(|i| {
+                        proj.iter()
+                            .map(|&v| out.term(&ds, out.table.value(v, i)))
+                            .collect::<Vec<_>>()
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        assert_eq!(rows[0].len(), 2);
+        for (p, r) in Planner::ALL.into_iter().zip(&rows) {
+            assert_eq!(r, &rows[0], "{p:?}");
         }
     }
 }

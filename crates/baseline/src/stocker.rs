@@ -276,18 +276,7 @@ impl StockerPlanner {
             acc_vars = plan.output_vars();
         }
 
-        for f in &query.filters {
-            plan = PhysicalPlan::Filter {
-                input: Box::new(plan),
-                expr: f.clone(),
-            };
-        }
-        let plan = PhysicalPlan::Project {
-            input: Box::new(plan),
-            projection: query.projection.clone(),
-            distinct: query.distinct,
-        }
-        .with_modifiers(&query.modifiers);
+        let plan = plan.with_top(&query);
         Ok(StockerPlan {
             plan,
             query,
@@ -432,6 +421,7 @@ mod tests {
             group_by: vec![],
             aggregates: vec![],
             having: None,
+            substituted: vec![],
         };
         assert_eq!(
             StockerPlanner::new().plan(&ds, &query).unwrap_err(),

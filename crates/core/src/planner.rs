@@ -73,7 +73,8 @@ impl HspConfig {
 /// The outcome of HSP planning.
 #[derive(Debug, Clone)]
 pub struct HspPlan {
-    /// The physical plan (root is a `Project`).
+    /// The physical plan: the join tree under the shared plan top
+    /// ([`PhysicalPlan::with_top`]).
     pub plan: PhysicalPlan,
     /// The (possibly rewritten) query the plan's pattern indices refer to.
     pub query: JoinQuery,
@@ -95,8 +96,6 @@ pub enum PlanError {
     CrossProduct,
     /// Too many patterns for exhaustive dynamic programming (limit: 20).
     TooLarge(usize),
-    /// The query aggregates, and only HSP plans aggregation.
-    Aggregate,
 }
 
 impl fmt::Display for PlanError {
@@ -110,11 +109,6 @@ impl fmt::Display for PlanError {
             PlanError::TooLarge(n) => write!(
                 f,
                 "CDP dynamic programming limited to 20 patterns, query has {n}"
-            ),
-            PlanError::Aggregate => write!(
-                f,
-                "aggregation (GROUP BY / HAVING / aggregate functions) is only \
-                 planned by the hsp planner"
             ),
         }
     }
@@ -198,34 +192,7 @@ impl HspPlanner {
             components.push(self.scan_leaf(&query, i, None));
         }
 
-        let joined = self.connect_components(components);
-
-        // Residual filters, then (for aggregate queries) the γ operator,
-        // then projection.
-        let mut plan = joined;
-        for f in &query.filters {
-            plan = PhysicalPlan::Filter {
-                input: Box::new(plan),
-                expr: f.clone(),
-            };
-        }
-        if query.is_aggregate() {
-            // Grouped aggregation sits between the residual filters (which
-            // see raw solutions) and the projection (which sees one row
-            // per group: the group keys plus the aggregate outputs).
-            plan = PhysicalPlan::HashAggregate {
-                input: Box::new(plan),
-                group_by: query.group_by.clone(),
-                aggs: query.aggregates.clone(),
-                having: query.having.clone(),
-            };
-        }
-        let plan = PhysicalPlan::Project {
-            input: Box::new(plan),
-            projection: query.projection.clone(),
-            distinct: query.distinct,
-        }
-        .with_modifiers(&query.modifiers);
+        let plan = self.connect_components(components).with_top(&query);
 
         Ok(HspPlan {
             plan,
@@ -694,6 +661,7 @@ mod tests {
             group_by: vec![],
             aggregates: vec![],
             having: None,
+            substituted: vec![],
         };
         assert_eq!(planner.plan(&q).unwrap_err(), PlanError::EmptyQuery);
     }

@@ -86,6 +86,7 @@ fn arb_join_query() -> impl Strategy<Value = JoinQuery> {
             group_by: vec![],
             aggregates: vec![],
             having: None,
+            substituted: vec![],
         }
     })
 }

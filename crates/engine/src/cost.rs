@@ -144,6 +144,7 @@ fn accumulate(plan: &PhysicalPlan, profile: &Profile, cost: &mut PlanCost) {
             accumulate(right, &profile.children[1], cost);
         }
         PhysicalPlan::Sort { input, .. }
+        | PhysicalPlan::Bind { input, .. }
         | PhysicalPlan::Filter { input, .. }
         | PhysicalPlan::Project { input, .. }
         // Aggregation and solution modifiers are outside the paper's

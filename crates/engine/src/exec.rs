@@ -461,6 +461,14 @@ pub(crate) fn plan_label(plan: &PhysicalPlan) -> String {
         PhysicalPlan::Union { .. } => "union".into(),
         PhysicalPlan::Sort { var, .. } => format!("sort({var})"),
         PhysicalPlan::Filter { .. } => "filter".into(),
+        PhysicalPlan::Bind { bindings, .. } => format!(
+            "bind({})",
+            bindings
+                .iter()
+                .map(|(v, _)| v.to_string())
+                .collect::<Vec<_>>()
+                .join(",")
+        ),
         PhysicalPlan::Project {
             projection,
             distinct,
@@ -614,6 +622,13 @@ fn run(
             let (it, ip) = run(input, ds, config, ctx)?;
             let start = Instant::now();
             let table = ops::filter(ds, &it, expr);
+            ctx.release(it);
+            finish(table, plan_label(plan), start, vec![ip], config, ctx)
+        }
+        PhysicalPlan::Bind { input, bindings } => {
+            let (it, ip) = run(input, ds, config, ctx)?;
+            let start = Instant::now();
+            let table = ops::bind(ds, &it, bindings);
             ctx.release(it);
             finish(table, plan_label(plan), start, vec![ip], config, ctx)
         }

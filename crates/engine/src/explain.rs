@@ -129,6 +129,19 @@ fn render(
                 out,
             );
         }
+        PhysicalPlan::Bind { input, bindings } => {
+            out.push_str(&format!(
+                "{indent}{}{cards}\n",
+                describe_bind(bindings, query)
+            ));
+            render(
+                input,
+                profile.map(|p| &p.children[0]),
+                query,
+                depth + 1,
+                out,
+            );
+        }
         PhysicalPlan::Filter { input, .. } => {
             out.push_str(&format!("{indent}σ(filter){cards}\n"));
             render(
@@ -241,6 +254,16 @@ pub(crate) fn describe_aggregate(
         line.push_str(" HAVING");
     }
     line
+}
+
+/// The line of a constant-binding node: `bind ?x=9`, the constants
+/// shortened like a pattern's.
+pub(crate) fn describe_bind(bindings: &[(Var, hsp_rdf::Term)], query: &JoinQuery) -> String {
+    let parts: Vec<String> = bindings
+        .iter()
+        .map(|(v, t)| format!("?{}={}", var_name(query, *v), short_term(t)))
+        .collect();
+    format!("bind {}", parts.join(", "))
 }
 
 /// Describe a pattern like the paper's figures: `p = locatedIn` under a
@@ -475,6 +498,7 @@ fn dot_node(
         PhysicalPlan::CrossProduct { .. } => "×".to_string(),
         PhysicalPlan::Union { .. } => "∪".to_string(),
         PhysicalPlan::Sort { var, .. } => format!("sort ?{}", query.var_name(*var)),
+        PhysicalPlan::Bind { bindings, .. } => describe_bind(bindings, query),
         PhysicalPlan::Filter { .. } => "σ(filter)".to_string(),
         PhysicalPlan::Project {
             projection,
@@ -521,6 +545,7 @@ fn dot_node(
             (right.as_ref(), profile.map(|p| &p.children[1])),
         ],
         PhysicalPlan::Sort { input, .. }
+        | PhysicalPlan::Bind { input, .. }
         | PhysicalPlan::Filter { input, .. }
         | PhysicalPlan::Project { input, .. }
         | PhysicalPlan::HashAggregate { input, .. }

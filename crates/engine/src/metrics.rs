@@ -184,6 +184,7 @@ fn is_leafish(plan: &PhysicalPlan) -> bool {
     match plan {
         PhysicalPlan::Scan { .. } => true,
         PhysicalPlan::Sort { input, .. }
+        | PhysicalPlan::Bind { input, .. }
         | PhysicalPlan::Filter { input, .. }
         | PhysicalPlan::Project { input, .. }
         | PhysicalPlan::OrderBy { input, .. }
@@ -293,6 +294,7 @@ pub fn plans_similar(a: &PhysicalPlan, b: &PhysicalPlan) -> bool {
 fn strip_unary(plan: &PhysicalPlan) -> &PhysicalPlan {
     match plan {
         PhysicalPlan::Sort { input, .. }
+        | PhysicalPlan::Bind { input, .. }
         | PhysicalPlan::Filter { input, .. }
         | PhysicalPlan::Project { input, .. }
         | PhysicalPlan::OrderBy { input, .. }

@@ -1,5 +1,5 @@
 //! The physical operators: scan-select, merge join, hash join, cross
-//! product, filter, projection, distinct.
+//! product, filter, constant binding, projection, distinct.
 //!
 //! All operators are *operator-at-a-time*: they consume and produce fully
 //! materialised [`BindingTable`]s, mirroring MonetDB's execution model —
@@ -55,7 +55,7 @@ fn check_indexable(table: &BindingTable) {
 /// Panics if the pattern's constants do not form a prefix of `order`'s key
 /// ([`PhysicalPlan::validate`](crate::plan::PhysicalPlan::validate) catches
 /// this earlier).
-pub fn scan(
+pub(crate) fn scan(
     ctx: &ExecContext,
     ds: &Dataset,
     pattern: &TriplePattern,
@@ -454,7 +454,7 @@ thread_local! {
 /// [`Evaluator`](hsp_sparql::Evaluator) (and hence one compiled-regex
 /// cache) over all rows. Pipelines evaluate FILTER as a morsel-parallel
 /// stage; this kernel serves the operator-at-a-time oracle.
-pub fn filter(ds: &Dataset, input: &BindingTable, expr: &FilterExpr) -> BindingTable {
+pub(crate) fn filter(ds: &Dataset, input: &BindingTable, expr: &FilterExpr) -> BindingTable {
     check_indexable(input);
     let evaluator = hsp_sparql::Evaluator::new();
     let sel: Vec<u32> = (0..input.len())
@@ -464,6 +464,23 @@ pub fn filter(ds: &Dataset, input: &BindingTable, expr: &FilterExpr) -> BindingT
     let mut out = input.gather(&sel);
     out.set_sorted_by(input.sorted_by());
     out
+}
+
+/// Bind constants: `input`'s columns plus one column per `(var, term)`
+/// holding the term's id in every row. The plan top binds only variables
+/// the rewrite put into a pattern as the same constant, so a term the
+/// dictionary lacks matched nothing and the input is empty.
+pub(crate) fn bind(ds: &Dataset, input: &BindingTable, bindings: &[(Var, Term)]) -> BindingTable {
+    let mut vars = input.vars().to_vec();
+    let mut cols = input.columns().to_vec();
+    for (v, t) in bindings {
+        vars.push(*v);
+        cols.push(vec![
+            ds.dict().id(t).unwrap_or(TermId::UNBOUND);
+            input.len()
+        ]);
+    }
+    BindingTable::from_columns(vars, cols, input.sorted_by())
 }
 
 /// `ORDER BY`: stable sort by the given keys under the SPARQL §9.1 value

@@ -22,8 +22,9 @@
 //!   morsel-parallel): the hash-join **build** side, a merge join with a
 //!   non-leaf side (a sort-enforced input, a bushy tree), cross product
 //!   (and the keyless left-outer join, which pairs like one), UNION, the
-//!   sort order-enforcer, ORDER BY, grouped aggregation (the two-phase γ
-//!   of [`crate::aggregate`]), and LIMIT/OFFSET. DISTINCT,
+//!   sort order-enforcer, a constant `bind`, ORDER BY, grouped
+//!   aggregation (the two-phase γ of [`crate::aggregate`]), and
+//!   LIMIT/OFFSET. DISTINCT,
 //!   once a breaker, now **streams**: each morsel dedups its projected
 //!   rows locally, and the sink finishes with one global first-occurrence
 //!   pass over the gathered output — order-preserving, so the result is
@@ -77,7 +78,7 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use hsp_rdf::{IdTriple, TermId};
+use hsp_rdf::{IdTriple, Term, TermId};
 use hsp_sparql::{AggSpec, FilterExpr, TriplePattern, Var};
 use hsp_store::{Dataset, Order, OrderScan, StorageBackend};
 
@@ -153,6 +154,10 @@ enum BreakerOp<'p> {
     Sort {
         input: SlotId,
         var: Var,
+    },
+    Bind {
+        input: SlotId,
+        bindings: &'p [(Var, Term)],
     },
     Project {
         input: SlotId,
@@ -268,6 +273,7 @@ pub fn lower(plan: &PhysicalPlan) -> Program<'_> {
                     consumers[*right] += 1;
                 }
                 BreakerOp::Sort { input, .. }
+                | BreakerOp::Bind { input, .. }
                 | BreakerOp::Project { input, .. }
                 | BreakerOp::OrderBy { input, .. }
                 | BreakerOp::HashAggregate { input, .. }
@@ -323,6 +329,7 @@ fn push_oracle_order(
             push_oracle_order(right, ids, out);
         }
         PhysicalPlan::Sort { input, .. }
+        | PhysicalPlan::Bind { input, .. }
         | PhysicalPlan::Filter { input, .. }
         | PhysicalPlan::Project { input, .. }
         | PhysicalPlan::OrderBy { input, .. }
@@ -545,6 +552,14 @@ impl<'p> Lowerer<'p, '_> {
                         var: *var,
                     },
                 );
+                Chain {
+                    source: SourceSpec::Slot(slot),
+                    stages: Vec::new(),
+                }
+            }
+            PhysicalPlan::Bind { input, bindings } => {
+                let i = self.seal_subplan(input);
+                let slot = self.push_breaker(node, BreakerOp::Bind { input: i, bindings });
                 Chain {
                     source: SourceSpec::Slot(slot),
                     stages: Vec::new(),
@@ -847,6 +862,7 @@ impl Program<'_> {
                 self.build_profile(right, rows, nanos),
             ],
             PhysicalPlan::Sort { input, .. }
+            | PhysicalPlan::Bind { input, .. }
             | PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Project { input, .. }
             | PhysicalPlan::OrderBy { input, .. }
@@ -902,6 +918,10 @@ impl Program<'_> {
                         BreakerOp::Sort { input, var } => {
                             format!("sort ?{} (s{input})", query.var_name(*var))
                         }
+                        BreakerOp::Bind { input, bindings } => format!(
+                            "{} (s{input})",
+                            crate::explain::describe_bind(bindings, query)
+                        ),
                         BreakerOp::Project {
                             input,
                             projection,
@@ -1039,6 +1059,10 @@ fn run_breaker(
         BreakerOp::Sort { input, var } => {
             let i = take(*input);
             (ops::sort_by(&i, *var), vec![i])
+        }
+        BreakerOp::Bind { input, bindings } => {
+            let i = take(*input);
+            (ops::bind(ds, &i, bindings), vec![i])
         }
         BreakerOp::Project {
             input,

@@ -2,7 +2,8 @@
 
 use std::fmt;
 
-use hsp_sparql::{AggSpec, FilterExpr, TriplePattern, Var};
+use hsp_rdf::Term;
+use hsp_sparql::{AggSpec, FilterExpr, JoinQuery, TriplePattern, Var};
 use hsp_store::Order;
 
 /// A physical execution plan.
@@ -91,6 +92,15 @@ pub enum PhysicalPlan {
         /// The variable to sort by.
         var: Var,
     },
+    /// Constant columns: every input row extended with one column per
+    /// binding, holding its constant — how the plan top answers a variable
+    /// a FILTER equality rewrite substituted ([`JoinQuery::substituted`]).
+    Bind {
+        /// Input plan.
+        input: Box<PhysicalPlan>,
+        /// `(variable, constant)` pairs, one column each, in this order.
+        bindings: Vec<(Var, Term)>,
+    },
     /// Residual FILTER evaluation.
     Filter {
         /// Input plan.
@@ -149,6 +159,49 @@ pub enum PhysicalPlan {
 }
 
 impl PhysicalPlan {
+    /// Put `query`'s top over this join tree — the one stack every planner
+    /// shares: the substituted variables the query still reads bound to
+    /// their constants ([`JoinQuery::mentions`]; none for the paper's
+    /// workload), the residual filters, γ for an aggregate query, the
+    /// projection, then the solution modifiers.
+    pub fn with_top(self, query: &JoinQuery) -> PhysicalPlan {
+        let mut plan = self;
+        let bindings: Vec<(Var, Term)> = query
+            .substituted
+            .iter()
+            .filter(|&&(v, _)| query.mentions(v))
+            .cloned()
+            .collect();
+        if !bindings.is_empty() {
+            plan = PhysicalPlan::Bind {
+                input: Box::new(plan),
+                bindings,
+            };
+        }
+        for f in &query.filters {
+            plan = PhysicalPlan::Filter {
+                input: Box::new(plan),
+                expr: f.clone(),
+            };
+        }
+        if query.is_aggregate() {
+            // γ sees the filtered solutions; the projection above it sees
+            // one row per group (the group keys plus the aggregate outputs).
+            plan = PhysicalPlan::HashAggregate {
+                input: Box::new(plan),
+                group_by: query.group_by.clone(),
+                aggs: query.aggregates.clone(),
+                having: query.having.clone(),
+            };
+        }
+        PhysicalPlan::Project {
+            input: Box::new(plan),
+            projection: query.projection.clone(),
+            distinct: query.distinct,
+        }
+        .with_modifiers(&query.modifiers)
+    }
+
     /// Wrap this (projection-topped) plan with the query's solution
     /// modifiers: `ORDER BY` first, then `OFFSET`/`LIMIT` — the SPARQL §9
     /// application order. A no-op for modifier-free queries, so the paper's
@@ -217,6 +270,11 @@ impl PhysicalPlan {
             PhysicalPlan::Sort { input, .. } | PhysicalPlan::Filter { input, .. } => {
                 input.output_vars()
             }
+            PhysicalPlan::Bind { input, bindings } => {
+                let mut vars = input.output_vars();
+                vars.extend(bindings.iter().map(|&(v, _)| v));
+                vars
+            }
             PhysicalPlan::Project { projection, .. } => {
                 let mut vars = Vec::new();
                 for &(_, v) in projection {
@@ -263,7 +321,9 @@ impl PhysicalPlan {
             // Branch rows are concatenated, not merged.
             PhysicalPlan::Union { .. } => None,
             PhysicalPlan::Sort { var, .. } => Some(*var),
-            PhysicalPlan::Filter { input, .. } => input.sorted_by(),
+            PhysicalPlan::Filter { input, .. } | PhysicalPlan::Bind { input, .. } => {
+                input.sorted_by()
+            }
             PhysicalPlan::Project {
                 input, projection, ..
             } => input
@@ -290,6 +350,7 @@ impl PhysicalPlan {
     /// | `CrossProduct`      | tiles one whole side over the other              |
     /// | `Union`             | the output layout pads each branch's missing columns over whole tables |
     /// | `Sort`              | order enforcement sees every row                 |
+    /// | `Bind`              | appends its constant columns to a materialised input |
     /// | `OrderBy`           | solution-modifier sort sees every row            |
     /// | `HashAggregate`     | folds every row into the grouped hash state      |
     /// | `Slice`             | OFFSET counts rows globally                      |
@@ -314,6 +375,7 @@ impl PhysicalPlan {
             | PhysicalPlan::CrossProduct { .. }
             | PhysicalPlan::Union { .. }
             | PhysicalPlan::Sort { .. }
+            | PhysicalPlan::Bind { .. }
             | PhysicalPlan::HashAggregate { .. }
             | PhysicalPlan::OrderBy { .. }
             | PhysicalPlan::Slice { .. } => true,
@@ -368,6 +430,7 @@ impl PhysicalPlan {
                 right.shift_pattern_indices(by);
             }
             PhysicalPlan::Sort { input, .. }
+            | PhysicalPlan::Bind { input, .. }
             | PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Project { input, .. }
             | PhysicalPlan::HashAggregate { input, .. }
@@ -423,6 +486,13 @@ impl PhysicalPlan {
             PhysicalPlan::Sort { input, var } => PhysicalPlan::Sort {
                 input: Box::new(input.instantiate(term)),
                 var: *var,
+            },
+            PhysicalPlan::Bind { input, bindings } => PhysicalPlan::Bind {
+                input: Box::new(input.instantiate(term)),
+                bindings: bindings
+                    .iter()
+                    .map(|(v, t)| (*v, term(t).unwrap_or_else(|| t.clone())))
+                    .collect(),
             },
             PhysicalPlan::Filter { input, expr } => PhysicalPlan::Filter {
                 input: Box::new(input.instantiate(term)),
@@ -484,6 +554,7 @@ impl PhysicalPlan {
                 right.visit(f);
             }
             PhysicalPlan::Sort { input, .. }
+            | PhysicalPlan::Bind { input, .. }
             | PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Project { input, .. }
             | PhysicalPlan::HashAggregate { input, .. }
@@ -501,7 +572,7 @@ impl PhysicalPlan {
     ///   left-outer join may have none, over inputs sharing no variable);
     /// * cross-product inputs share no variables;
     /// * projection, order-enforcer, grouping and aggregate variables are
-    ///   produced by their input.
+    ///   produced by their input, and a bound variable is not.
     pub fn validate(&self) -> Result<(), PlanError> {
         match self {
             PhysicalPlan::Scan { pattern, order, .. } => {
@@ -588,6 +659,16 @@ impl PhysicalPlan {
             PhysicalPlan::Union { left, right } => {
                 left.validate()?;
                 right.validate()
+            }
+            PhysicalPlan::Bind { input, bindings } => {
+                input.validate()?;
+                let iv = input.output_vars();
+                for (v, _) in bindings {
+                    if iv.contains(v) {
+                        return Err(PlanError(format!("bound variable {v} already bound")));
+                    }
+                }
+                Ok(())
             }
             PhysicalPlan::Project {
                 input, projection, ..

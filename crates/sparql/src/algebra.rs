@@ -365,6 +365,10 @@ pub struct JoinQuery {
     /// `HAVING` predicate over finalised group rows ([`ExprAst::Agg`]
     /// nodes already rewritten to references to aggregate outputs).
     pub having: Option<crate::expr::Expr>,
+    /// The variables a `FILTER (?v = const)` rewrite replaced by their
+    /// constant in every pattern ([`crate::rewrite`]), with that constant.
+    /// Empty for a parsed query.
+    pub substituted: Vec<(Var, Term)>,
 }
 
 /// Errors lowering an AST to a [`JoinQuery`].
@@ -647,6 +651,7 @@ impl JoinQuery {
             group_by,
             aggregates: aggs,
             having,
+            substituted: Vec::new(),
         })
     }
 
@@ -654,6 +659,21 @@ impl JoinQuery {
     /// select items).
     pub fn is_aggregate(&self) -> bool {
         !self.aggregates.is_empty() || !self.group_by.is_empty()
+    }
+
+    /// `true` if the projection, GROUP BY, an aggregate, HAVING or an
+    /// ORDER BY key reads `v` — the places where a variable the rewrite
+    /// substituted still needs a value.
+    pub fn mentions(&self, v: Var) -> bool {
+        self.projection.iter().any(|&(_, p)| p == v)
+            || self.group_by.contains(&v)
+            || self.aggregates.iter().any(|a| a.arg == Some(v))
+            || self.having.as_ref().is_some_and(|h| h.vars().contains(&v))
+            || self
+                .modifiers
+                .order_by
+                .iter()
+                .any(|k| k.expr.vars().contains(&v))
     }
 
     /// Parse and lower a query text in one step.

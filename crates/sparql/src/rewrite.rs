@@ -6,10 +6,14 @@
 //! Two rewrites apply, repeated to fixpoint:
 //!
 //! 1. **Constant substitution** — `FILTER (?v = const)` replaces every
-//!    occurrence of `?v` in the patterns with `const` (SP3a/b/c become their
-//!    two-pattern `_2` forms).
+//!    occurrence of `?v` in the patterns and filters with `const` (SP3a/b/c
+//!    become their two-pattern `_2` forms). `?v` keeps its place in the
+//!    projection, GROUP BY, aggregates, HAVING and ORDER BY, and
+//!    [`JoinQuery::substituted`] records `(?v, const)`: the plan top every
+//!    planner shares binds `?v` to that constant wherever the query still
+//!    reads it, so the rewritten query answers what the original did.
 //! 2. **Variable unification** — `FILTER (?u = ?v)` merges `?v` into `?u`
-//!    everywhere, including the projection (SP4a's two disconnected stars
+//!    everywhere the query reads it (SP4a's two disconnected stars
 //!    become one connected query, removing the cross product CDP and the SQL
 //!    baseline otherwise face).
 //!
@@ -31,11 +35,10 @@ use hsp_rdf::Term;
 
 use crate::algebra::{FilterExpr, JoinQuery, Operand, TermOrVar, Var};
 
-/// A record of what the rewrite did, for plan explanation and tests.
+/// A record of what the rewrite did, for plan explanation and tests (the
+/// substitutions are the rewritten query's [`JoinQuery::substituted`]).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RewriteReport {
-    /// `(variable name, constant)` substitutions applied.
-    pub substitutions: Vec<(String, Term)>,
     /// `(kept variable, removed variable)` unifications applied.
     pub unifications: Vec<(String, String)>,
     /// Number of residual filters that could not be rewritten.
@@ -53,10 +56,7 @@ pub fn rewrite_filters(query: &JoinQuery) -> (JoinQuery, RewriteReport) {
         };
         match (lhs, rhs) {
             (Operand::Var(v), Operand::Const(c)) | (Operand::Const(c), Operand::Var(v)) => {
-                report
-                    .substitutions
-                    .push((q.var_name(v).to_string(), c.clone()));
-                substitute_const(&mut q, v, &c);
+                substitute_const(&mut q, v, &c)
             }
             (Operand::Var(a), Operand::Var(b)) => {
                 if a != b {
@@ -111,7 +111,8 @@ fn var_const_eq(f: &FilterExpr) -> Option<(Var, &Term)> {
     }
 }
 
-/// Replace variable `v` with constant `c` in every pattern slot and filter.
+/// Replace variable `v` with constant `c` in every pattern slot and
+/// filter, and record the substitution.
 fn substitute_const(q: &mut JoinQuery, v: Var, c: &Term) {
     for pattern in &mut q.patterns {
         for slot in &mut pattern.slots {
@@ -123,8 +124,7 @@ fn substitute_const(q: &mut JoinQuery, v: Var, c: &Term) {
     for filter in &mut q.filters {
         substitute_in_expr(filter, v, c);
     }
-    // `v` is now bound by no pattern, so it leaves the projection.
-    q.projection.retain(|(_, pv)| *pv != v);
+    q.substituted.push((v, c.clone()));
 }
 
 fn substitute_in_expr(f: &mut FilterExpr, v: Var, c: &Term) {
@@ -141,7 +141,7 @@ fn substitute_in_expr(f: &mut FilterExpr, v: Var, c: &Term) {
 }
 
 /// Replace variable `drop` with `keep` everywhere (patterns, filters,
-/// projection).
+/// projection, GROUP BY, aggregates, HAVING, ORDER BY).
 fn unify_vars(q: &mut JoinQuery, keep: Var, drop: Var) {
     for pattern in &mut q.patterns {
         for slot in &mut pattern.slots {
@@ -157,6 +157,24 @@ fn unify_vars(q: &mut JoinQuery, keep: Var, drop: Var) {
         if *v == drop {
             *v = keep;
         }
+    }
+    // GROUP BY ?u ?v groups by ?u once.
+    let grouped = q.group_by.contains(&keep);
+    q.group_by.retain(|&v| v != drop || !grouped);
+    for v in q
+        .group_by
+        .iter_mut()
+        .chain(q.aggregates.iter_mut().filter_map(|a| a.arg.as_mut()))
+    {
+        if *v == drop {
+            *v = keep;
+        }
+    }
+    if let Some(h) = &mut q.having {
+        h.rename_var(drop, keep);
+    }
+    for k in &mut q.modifiers.order_by {
+        k.expr.rename_var(drop, keep);
     }
 }
 
@@ -188,12 +206,41 @@ mod tests {
                 FILTER (?rev = "1942") }"#,
         )
         .unwrap();
-        let (rw, report) = rewrite_filters(&q);
+        let (rw, _) = rewrite_filters(&q);
         assert!(rw.filters.is_empty());
-        assert_eq!(report.substitutions.len(), 1);
-        assert_eq!(report.substitutions[0].0, "rev");
+        assert_eq!(rw.substituted.len(), 1);
+        assert_eq!(rw.var_name(rw.substituted[0].0), "rev");
         // ?rev became the constant "1942" in the second pattern.
         assert_eq!(rw.patterns[1].num_consts(), 2);
+    }
+
+    #[test]
+    fn a_substituted_variable_stays_where_the_query_reads_it() {
+        let q = JoinQuery::parse(
+            r#"SELECT ?s ?x WHERE { ?s <http://e/p> ?x . FILTER (?x = "9") } ORDER BY ?x"#,
+        )
+        .unwrap();
+        let (rw, _) = rewrite_filters(&q);
+        let x = q.projection[1].1;
+        assert_eq!(rw.projection, q.projection);
+        assert_eq!(rw.substituted, vec![(x, Term::literal("9"))]);
+        assert!(!rw.patterns[0].contains_var(x));
+        assert!(rw.mentions(x));
+    }
+
+    #[test]
+    fn unification_renames_grouping_aggregates_and_order_keys() {
+        let q = JoinQuery::parse(
+            "SELECT ?y (COUNT(?y) AS ?n) WHERE { ?a <http://e/p> ?x . ?b <http://e/p> ?y .
+             FILTER (?x = ?y) } GROUP BY ?x ?y ORDER BY ?y",
+        )
+        .unwrap();
+        let (rw, _) = rewrite_filters(&q);
+        let x = q.patterns[0].slots[2].as_var().unwrap();
+        assert_eq!(rw.group_by, vec![x]);
+        assert_eq!(rw.aggregates[0].arg, Some(x));
+        assert_eq!(rw.modifiers.order_by[0].expr.vars(), vec![x]);
+        assert_eq!(rw.projection[0].1, x);
     }
 
     #[test]
@@ -220,9 +267,9 @@ mod tests {
                FILTER (?y = "1" && ?z = "2") }"#,
         )
         .unwrap();
-        let (rw, report) = rewrite_filters(&q);
+        let (rw, _) = rewrite_filters(&q);
         assert!(rw.filters.is_empty());
-        assert_eq!(report.substitutions.len(), 2);
+        assert_eq!(rw.substituted.len(), 2);
         assert_eq!(rw.patterns[0].num_consts(), 2);
         assert_eq!(rw.patterns[1].num_consts(), 2);
     }
@@ -234,7 +281,7 @@ mod tests {
         let (rw, report) = rewrite_filters(&q);
         assert_eq!(rw.filters.len(), 1);
         assert_eq!(report.residual_filters, 1);
-        assert!(report.substitutions.is_empty());
+        assert!(rw.substituted.is_empty());
     }
 
     #[test]

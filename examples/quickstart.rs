@@ -44,7 +44,7 @@ fn main() {
     let planned = HspPlanner::new().plan(&query).expect("plannable");
     println!(
         "FILTER rewriting: {} substitutions, {} unifications\n",
-        planned.rewrite.substitutions.len(),
+        planned.query.substituted.len(),
         planned.rewrite.unifications.len()
     );
     println!("plan:\n{}", render_plan(&planned.plan, &planned.query));

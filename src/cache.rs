@@ -229,6 +229,11 @@ fn instantiate_query(q: &JoinQuery, term: &impl Fn(&Term) -> Option<Term>) -> Jo
     for key in &mut out.modifiers.order_by {
         key.expr = key.expr.map_consts(term);
     }
+    for (_, c) in &mut out.substituted {
+        if let Some(t) = term(c) {
+            *c = t;
+        }
+    }
     out
 }
 

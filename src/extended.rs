@@ -188,6 +188,7 @@ pub(crate) fn compose(query: &Query) -> Result<(PhysicalPlan, JoinQuery), Extend
         group_by: Vec::new(),
         aggregates: Vec::new(),
         having: None,
+        substituted: vec![],
     };
     Ok((plan, described))
 }
@@ -317,6 +318,7 @@ impl Composer {
             group_by: vec![],
             aggregates: vec![],
             having: None,
+            substituted: vec![],
         };
         let mut planned = HspPlanner::new()
             .plan(&query)

@@ -91,6 +91,7 @@ fn arb_query() -> impl Strategy<Value = JoinQuery> {
                 group_by: vec![],
                 aggregates: vec![],
                 having: None,
+                substituted: vec![],
             })
         },
     )

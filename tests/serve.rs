@@ -136,6 +136,18 @@ fn wire_edge_equals_library_edge_over_tcp_in_every_format() {
              ?a dcterms:issued ?y . } GROUP BY ?y",
         ),
         ("ask", "ASK { ?a rdf:type bench:Article . }"),
+        // A FILTER equality the rewrite substitutes, its variable projected
+        // and grouped by: the bound constant column in every format.
+        (
+            "rewritten_projected",
+            "SELECT ?a ?y WHERE { ?a rdf:type bench:Article . ?a dcterms:issued ?y . \
+             FILTER (?y = \"1990\") }",
+        ),
+        (
+            "rewritten_grouped",
+            "SELECT ?y (COUNT(?a) AS ?n) WHERE { ?a rdf:type bench:Article . \
+             ?a dcterms:issued ?y . FILTER (?y = \"1990\") } GROUP BY ?y",
+        ),
     ] {
         let prefixes = hsp_datagen::workload::sp_prefixes();
         queries.push((id.to_string(), format!("{prefixes}{body}")));
@@ -532,14 +544,14 @@ fn alias_dataset() -> Dataset {
     Dataset::from_ntriples(&nt).unwrap()
 }
 
-/// Instance `r` of alias family `family % 9`, each family a template built
+/// Instance `r` of alias family `family % 10`, each family a template built
 /// to trip a key made from tokens, with its variable spelled `v`.
 fn alias_request(family: u64, r: u64, v: &str) -> String {
     let pick = |options: &[&str], salt: u64| {
         options[((r >> salt) % options.len() as u64) as usize].to_string()
     };
     let e = |local: &str| format!("<http://e/{local}>");
-    match family % 9 {
+    match family % 10 {
         // LIMIT / OFFSET counts that equal the FILTER constant.
         0 => format!(
             "SELECT ?{v} ?a WHERE {{ ?{v} <http://e/age> ?a . FILTER (?a > {}) }} \
@@ -602,6 +614,14 @@ fn alias_request(family: u64, r: u64, v: &str) -> String {
             "SELECT ?{v} WHERE {{ ?{v} <http://e/knows> {} . }}",
             e(&pick(&["knows", "s6", "s7"], 0)),
         ),
+        // Two FILTER constants the rewrite substitutes, their variables
+        // projected: an alias hit binds its own constants.
+        9 => format!(
+            "SELECT ?{v} ?t ?k WHERE {{ ?{v} <http://e/tag> ?t . ?{v} <http://e/knows> ?k . \
+             FILTER (?t = {} && ?k = {}) }}",
+            e(&pick(&["t0", "t1"], 0)),
+            e(&pick(&["s1", "s2", "s3"], 8)),
+        ),
         // A changed predicate.
         _ => format!(
             "SELECT ?{v} WHERE {{ ?{v} {} <http://e/s3> . }}",
@@ -640,7 +660,7 @@ fn token_aliases_match_uncached_runs_and_the_template_counts() {
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
         let r = state >> 24;
-        let text = alias_request(r % 9, r >> 4, if r >> 30 & 1 == 0 { "s" } else { "x" });
+        let text = alias_request(r % 10, r >> 4, if r >> 30 & 1 == 0 { "s" } else { "x" });
         // A deadline keeps a request out of the result tier but not out of
         // the plan tier: repeated texts then reach the aliases too.
         let governed = r >> 31 & 1 == 1;
