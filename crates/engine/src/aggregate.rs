@@ -1,34 +1,30 @@
-//! Morsel-parallel two-phase grouped aggregation.
+//! Grouped aggregation.
 //!
 //! SPARQL 1.1 `GROUP BY` + `COUNT`/`SUM`/`MIN`/`MAX`/`AVG` (+ `HAVING`)
-//! runs as a **pipeline breaker** (see [`crate::pipeline`]): phase one
-//! folds each morsel of the input into a thread-local `AggPartial` —
-//! a grouped hash state keyed by the `GROUP BY` value tuple — and phase
-//! two merges the partials **in morsel order** behind the barrier, then
-//! finalises each group into one output row.
+//! runs as a **pipeline breaker** (see [`crate::pipeline`]): the input is
+//! folded, in row order and on the coordinating thread, into one
+//! `AggState` — a grouped hash state keyed by the `GROUP BY` value
+//! tuple — which is then finalised into one output row per group. Under a
+//! governor the fold passes over the input one morsel-sized range at a
+//! time, each range behind an `"aggregate"` checkpoint; the ranges fold
+//! into the same state, so the result does not depend on the range size.
 //!
-//! # Determinism across thread counts
+//! # Matching the reference fold
 //!
-//! The output must be byte-identical whether the fold ran on one thread
-//! or eight, so every accumulator is designed to be *chunking-invariant*:
+//! The output must be byte-identical to the row-at-a-time reference
+//! ([`crate::reference::hash_aggregate`]):
 //!
-//! * group rows are emitted in **first-seen input order** (a partial keeps
-//!   its keys in first-seen order; merging appends the right partial's
-//!   novel groups in *its* order, so merging in morsel order reproduces
-//!   the sequential first-seen order exactly);
-//! * `COUNT` partials are exact integer adds (associative);
-//! * `SUM`/`AVG` (and every `DISTINCT` fold) do **not** add partial sums —
-//!   floating-point addition is not associative, so per-chunk subtotals
-//!   would make the result depend on the morsel size. Instead the partial
-//!   keeps the group's bound argument ids *in row order* and finalisation
-//!   folds them sequentially through [`hsp_sparql::expr::arith`] — the
-//!   same left-to-right promotion ladder the reference implementation
-//!   uses, at the cost of `O(group rows)` partial state (which the
+//! * group rows are emitted in **first-seen input order** (the state keeps
+//!   its keys in first-seen order);
+//! * `COUNT` is an exact integer count;
+//! * `SUM`/`AVG` (and every `DISTINCT` fold) keep the group's bound
+//!   argument ids *in row order*, and finalisation folds them through
+//!   [`hsp_sparql::expr::arith`] — the same left-to-right promotion ladder
+//!   the reference uses, at the cost of `O(group rows)` state (which the
 //!   governor charges, site `"aggregate"`);
 //! * `MIN`/`MAX` fold eagerly (`O(1)` per group) under the SPARQL §9.1
 //!   value order ([`compare_for_order`]), replacing only on a **strict**
-//!   improvement — so the first-seen row of an equal-valued tie wins in
-//!   both the sequential and the merged order.
+//!   improvement — so the first-seen row of an equal-valued tie wins.
 //!
 //! # Computed terms
 //!
@@ -112,9 +108,9 @@ impl Acc {
     }
 }
 
-/// One worker's grouped fold state over a subset of the input rows.
-#[derive(Debug)]
-pub(crate) struct AggPartial {
+/// The grouped fold state of one γ breaker.
+#[derive(Debug, Default)]
+pub(crate) struct AggState {
     /// Group keys in first-seen order.
     keys: Vec<Vec<TermId>>,
     /// Key → index into `keys`/`accs`.
@@ -123,15 +119,7 @@ pub(crate) struct AggPartial {
     accs: Vec<Vec<Acc>>,
 }
 
-impl AggPartial {
-    fn new() -> AggPartial {
-        AggPartial {
-            keys: Vec::new(),
-            index: HashMap::default(),
-            accs: Vec::new(),
-        }
-    }
-
+impl AggState {
     fn group(&mut self, key: Vec<TermId>, aggs: &[AggSpec]) -> usize {
         if let Some(&g) = self.index.get(&key) {
             return g;
@@ -166,16 +154,17 @@ impl AggPartial {
     }
 }
 
-/// Phase one: fold `rows` of `input` into a fresh partial. Deterministic
-/// for a given range; ranges are stitched by [`merge_partials`].
+/// Fold rows `rows` of `input` into `state`, in row order. Folding
+/// consecutive ranges one after another equals folding their union.
 pub(crate) fn fold_range(
+    state: &mut AggState,
     input: &BindingTable,
     ds: &Dataset,
     group_by: &[Var],
     aggs: &[AggSpec],
     rows: Range<usize>,
-) -> AggPartial {
-    // Pre-resolve the columns once per fold, not once per row. Group
+) {
+    // Pre-resolve the columns once per range, not once per row. Group
     // variables are validated bound; an aggregate argument may still be
     // unbound per row (OPTIONAL padding), which the fold skips.
     let group_cols: Vec<&[TermId]> = group_by.iter().map(|&v| input.column(v)).collect();
@@ -184,18 +173,16 @@ pub(crate) fn fold_range(
         .map(|a| a.arg.map(|v| input.column(v)))
         .collect();
 
-    let mut partial = AggPartial::new();
     let mut key = Vec::with_capacity(group_by.len());
     for i in rows {
         key.clear();
         key.extend(group_cols.iter().map(|c| c[i]));
-        let g = partial.group(key.clone(), aggs);
+        let g = state.group(key.clone(), aggs);
         for (a, spec) in aggs.iter().enumerate() {
             let arg = arg_cols[a].map(|c| c[i]);
-            fold_one(&mut partial.accs[g][a], spec, arg, ds);
+            fold_one(&mut state.accs[g][a], spec, arg, ds);
         }
     }
-    partial
 }
 
 /// Fold one row into one accumulator. `arg` is `None` for `COUNT(*)`,
@@ -241,57 +228,14 @@ fn fold_one(acc: &mut Acc, spec: &AggSpec, arg: Option<TermId>, ds: &Dataset) {
     }
 }
 
-/// Phase two: merge per-morsel partials **in morsel order** into one.
-/// Right-hand novel groups append in their own first-seen order, so the
-/// merged group order equals the sequential first-seen order.
-pub(crate) fn merge_partials(parts: Vec<AggPartial>, aggs: &[AggSpec]) -> AggPartial {
-    let mut parts = parts.into_iter();
-    let mut out = parts.next().unwrap_or_else(AggPartial::new);
-    for part in parts {
-        for (key, accs) in part.keys.into_iter().zip(part.accs) {
-            let g = out.group(key, aggs);
-            for (a, (mine, theirs)) in out.accs[g].iter_mut().zip(accs).enumerate() {
-                merge_acc(mine, theirs, &aggs[a]);
-            }
-        }
-    }
-    out
-}
-
-fn merge_acc(mine: &mut Acc, theirs: Acc, spec: &AggSpec) {
-    match (mine, theirs) {
-        (Acc::Count(a), Acc::Count(b)) => *a += b,
-        (Acc::Values(a), Acc::Values(b)) => a.extend(b),
-        (Acc::Extreme(a), Acc::Extreme(b)) => {
-            let Some((bv, bid)) = b else { return };
-            let better = match a {
-                None => true,
-                Some((av, _)) => {
-                    let ord = compare_for_order(Some(&bv), Some(av));
-                    // The left (earlier-morsel) holder keeps ties.
-                    if spec.func == AggFunc::Min {
-                        ord == std::cmp::Ordering::Less
-                    } else {
-                        ord == std::cmp::Ordering::Greater
-                    }
-                }
-            };
-            if better {
-                *a = Some((bv, bid));
-            }
-        }
-        _ => unreachable!("accumulator kinds are fixed per aggregate"),
-    }
-}
-
-/// Finalise the merged partial into the output table: one row per group,
+/// Finalise the fold state into the output table: one row per group,
 /// group-key columns (in `group_by` order) then aggregate outputs (in
 /// `aggs` order). `HAVING` is **not** applied here — the caller builds
 /// the full group table first so both executors intern identical term
 /// sequences, then filters with [`apply_having`] (see the pipeline
 /// breaker and [`crate::reference::hash_aggregate`]).
 pub(crate) fn finalise(
-    mut partial: AggPartial,
+    mut state: AggState,
     ctx: &ExecContext,
     ds: &Dataset,
     group_by: &[Var],
@@ -300,16 +244,16 @@ pub(crate) fn finalise(
     // Ungrouped aggregation over an empty input still yields one row
     // (COUNT 0, SUM 0, AVG 0, MIN/MAX unbound — SPARQL 1.1 §18.5);
     // grouped aggregation yields zero rows.
-    if partial.keys.is_empty() && group_by.is_empty() {
-        partial.group(Vec::new(), aggs);
+    if state.keys.is_empty() && group_by.is_empty() {
+        state.group(Vec::new(), aggs);
     }
 
-    let groups = partial.keys.len();
+    let groups = state.keys.len();
     let mut vars: Vec<Var> = group_by.to_vec();
     let mut cols: Vec<Vec<TermId>> = group_by
         .iter()
         .enumerate()
-        .map(|(k, _)| partial.keys.iter().map(|key| key[k]).collect())
+        .map(|(k, _)| state.keys.iter().map(|key| key[k]).collect())
         .collect();
 
     // Finalise row-major (group g's aggregates before group g+1's) so the
@@ -318,7 +262,7 @@ pub(crate) fn finalise(
     let mut agg_cols: Vec<Vec<TermId>> = aggs.iter().map(|_| Vec::with_capacity(groups)).collect();
     for g in 0..groups {
         for (a, spec) in aggs.iter().enumerate() {
-            agg_cols[a].push(finalise_acc(&partial.accs[g][a], spec, ctx, ds)?);
+            agg_cols[a].push(finalise_acc(&state.accs[g][a], spec, ctx, ds)?);
         }
     }
     for (spec, col) in aggs.iter().zip(agg_cols) {
@@ -478,6 +422,19 @@ mod tests {
         ds.dict().id(term).unwrap()
     }
 
+    /// A fresh fold state with `rows` of `table` folded in.
+    fn fold(
+        table: &BindingTable,
+        ds: &Dataset,
+        group_by: &[Var],
+        aggs: &[AggSpec],
+        rows: Range<usize>,
+    ) -> AggState {
+        let mut state = AggState::default();
+        fold_range(&mut state, table, ds, group_by, aggs, rows);
+        state
+    }
+
     fn int_term(n: i64) -> Term {
         Value::Integer(n).to_term()
     }
@@ -507,7 +464,7 @@ mod tests {
     }
 
     #[test]
-    fn chunked_fold_matches_single_fold() {
+    fn folding_ranges_into_one_accumulator_equals_one_fold() {
         let ds = dataset();
         let table = input(&ds);
         let ctx = ExecContext::new();
@@ -519,15 +476,15 @@ mod tests {
             spec(AggFunc::Max, false, Some(Var(1)), Var(6)),
             spec(AggFunc::Count, true, Some(Var(1)), Var(7)),
         ];
-        let whole = fold_range(&table, &ds, &[Var(0)], &aggs, 0..4);
+        let whole = fold(&table, &ds, &[Var(0)], &aggs, 0..4);
         let seq = finalise(whole, &ctx, &ds, &[Var(0)], &aggs).unwrap();
 
         let ctx2 = ExecContext::new();
-        let parts: Vec<AggPartial> = (0..4)
-            .map(|i| fold_range(&table, &ds, &[Var(0)], &aggs, i..i + 1))
-            .collect();
-        let merged = merge_partials(parts, &aggs);
-        let par = finalise(merged, &ctx2, &ds, &[Var(0)], &aggs).unwrap();
+        let mut ranges = AggState::default();
+        for i in 0..4 {
+            fold_range(&mut ranges, &table, &ds, &[Var(0)], &aggs, i..i + 1);
+        }
+        let par = finalise(ranges, &ctx2, &ds, &[Var(0)], &aggs).unwrap();
         assert_eq!(seq, par);
 
         // Hand-checked values: group a1 → count 2, sum 3, avg 1.5,
@@ -556,8 +513,8 @@ mod tests {
             spec(AggFunc::Sum, false, Some(Var(1)), Var(3)),
             spec(AggFunc::Min, false, Some(Var(1)), Var(4)),
         ];
-        let partial = fold_range(&table, &ds, &[], &aggs, 0..0);
-        let out = finalise(partial, &ctx, &ds, &[], &aggs).unwrap();
+        let state = fold(&table, &ds, &[], &aggs, 0..0);
+        let out = finalise(state, &ctx, &ds, &[], &aggs).unwrap();
         assert_eq!(out.len(), 1);
         let zero = out.value(Var(2), 0);
         let term = ctx
@@ -574,8 +531,8 @@ mod tests {
         let ctx = ExecContext::new();
         let table = BindingTable::empty(vec![Var(0), Var(1)]);
         let aggs = vec![spec(AggFunc::Count, false, None, Var(2))];
-        let partial = fold_range(&table, &ds, &[Var(0)], &aggs, 0..0);
-        let out = finalise(partial, &ctx, &ds, &[Var(0)], &aggs).unwrap();
+        let state = fold(&table, &ds, &[Var(0)], &aggs, 0..0);
+        let out = finalise(state, &ctx, &ds, &[Var(0)], &aggs).unwrap();
         assert_eq!(out.len(), 0);
         assert_eq!(out.vars(), &[Var(0), Var(2)]);
     }
@@ -587,8 +544,8 @@ mod tests {
         let g = id(&ds, &Term::iri("http://e/a1"));
         let table = BindingTable::from_columns(vec![Var(0)], vec![vec![g]], None);
         let aggs = vec![spec(AggFunc::Sum, false, Some(Var(0)), Var(1))];
-        let partial = fold_range(&table, &ds, &[], &aggs, 0..1);
-        let err = finalise(partial, &ctx, &ds, &[], &aggs).unwrap_err();
+        let state = fold(&table, &ds, &[], &aggs, 0..1);
+        let err = finalise(state, &ctx, &ds, &[], &aggs).unwrap_err();
         assert_eq!(err.agg, "SUM(?v0)");
     }
 
@@ -604,15 +561,15 @@ mod tests {
             spec(AggFunc::Count, false, Some(Var(0)), Var(2)),
             spec(AggFunc::Sum, false, Some(Var(0)), Var(3)),
         ];
-        let partial = fold_range(&table, &ds, &[], &aggs, 0..3);
-        let out = finalise(partial, &ctx, &ds, &[], &aggs).unwrap();
+        let state = fold(&table, &ds, &[], &aggs, 0..3);
+        let out = finalise(state, &ctx, &ds, &[], &aggs).unwrap();
         assert_eq!(out.value(Var(1), 0), id(&ds, &int_term(3))); // COUNT(*)
         assert_eq!(out.value(Var(2), 0), id(&ds, &int_term(2))); // COUNT(?x)
         assert_eq!(out.value(Var(3), 0), id(&ds, &int_term(2))); // SUM
     }
 
     #[test]
-    fn min_max_ties_keep_the_first_seen_id_across_merges() {
+    fn min_max_ties_keep_the_first_seen_id_across_ranges() {
         // Two distinct ids, equal values ("3" appears twice in the data as
         // one id — craft equality via decimal 3.0 vs integer 3 instead).
         let ds = Dataset::from_ntriples(
@@ -633,29 +590,14 @@ mod tests {
             spec(AggFunc::Max, false, Some(Var(0)), Var(2)),
         ];
         // Sequential: first-seen (int3) wins both.
-        let seq = finalise(
-            fold_range(&table, &ds, &[], &aggs, 0..2),
-            &ctx,
-            &ds,
-            &[],
-            &aggs,
-        )
-        .unwrap();
+        let seq = finalise(fold(&table, &ds, &[], &aggs, 0..2), &ctx, &ds, &[], &aggs).unwrap();
         assert_eq!(seq.value(Var(1), 0), int3);
         assert_eq!(seq.value(Var(2), 0), int3);
-        // Chunked per row and merged: identical.
-        let parts = vec![
-            fold_range(&table, &ds, &[], &aggs, 0..1),
-            fold_range(&table, &ds, &[], &aggs, 1..2),
-        ];
-        let par = finalise(
-            merge_partials(parts, &aggs),
-            &ExecContext::new(),
-            &ds,
-            &[],
-            &aggs,
-        )
-        .unwrap();
+        // Folded one row at a time into one state: identical.
+        let mut ranges = AggState::default();
+        fold_range(&mut ranges, &table, &ds, &[], &aggs, 0..1);
+        fold_range(&mut ranges, &table, &ds, &[], &aggs, 1..2);
+        let par = finalise(ranges, &ExecContext::new(), &ds, &[], &aggs).unwrap();
         assert_eq!(seq, par);
     }
 
@@ -666,7 +608,7 @@ mod tests {
         let table = input(&ds);
         let aggs = vec![spec(AggFunc::Sum, false, Some(Var(1)), Var(2))];
         let out = finalise(
-            fold_range(&table, &ds, &[Var(0)], &aggs, 0..4),
+            fold(&table, &ds, &[Var(0)], &aggs, 0..4),
             &ctx,
             &ds,
             &[Var(0)],

@@ -4,7 +4,8 @@
 //! is the tests' reference, run only when
 //! [`ExecStrategy::OperatorAtATime`] names it. Every execution owns an
 //! [`ExecContext`] whose thread budget drives the morsel-parallel
-//! pipelines and γ fold and whose governor, if any, accounts every materialised intermediate.
+//! pipelines and whose governor, if any, accounts every materialised
+//! intermediate.
 
 use std::fmt;
 use std::sync::Arc;

@@ -187,13 +187,15 @@ fn render(
             );
         }
         PhysicalPlan::OrderBy { input, keys } => {
+            let name = |v| format!("?{}", var_name(query, v));
             let rendered: Vec<String> = keys
                 .iter()
                 .map(|k| {
+                    let expr = k.expr.named(&name);
                     if k.descending {
-                        format!("DESC({})", k.expr)
+                        format!("DESC({expr})")
                     } else {
-                        k.expr.to_string()
+                        expr.to_string()
                     }
                 })
                 .collect();
@@ -623,6 +625,39 @@ mod tests {
         assert!(text.contains("[tp0]"));
         assert!(text.contains("[tp1]"));
         assert!(text.contains("p=p")); // constant predicate shortened
+    }
+
+    #[test]
+    fn order_by_keys_are_written_with_the_query_s_variable_names() {
+        let (_, query, plan) = setup();
+        let one = hsp_rdf::Term::typed_literal("1", hsp_rdf::vocab::XSD_INTEGER);
+        let plus_one = hsp_sparql::Expr::Arith {
+            op: hsp_sparql::ArithOp::Add,
+            lhs: Box::new(hsp_sparql::Expr::Var(Var(2))),
+            rhs: Box::new(hsp_sparql::Expr::Const(one.clone())),
+        };
+        let plan = PhysicalPlan::OrderBy {
+            input: Box::new(plan),
+            keys: vec![
+                hsp_sparql::SortKey {
+                    expr: hsp_sparql::Expr::Var(Var(0)),
+                    descending: true,
+                },
+                hsp_sparql::SortKey {
+                    expr: plus_one.clone(),
+                    descending: false,
+                },
+                hsp_sparql::SortKey {
+                    expr: hsp_sparql::Expr::Var(Var(1)),
+                    descending: false,
+                },
+            ],
+        };
+        let text = render_plan(&plan, &query);
+        let line = text.lines().next().unwrap();
+        assert_eq!(line, format!("order by DESC(?x), (?z + {one}), ?y"));
+        // `Expr`'s own `Display` still writes variable ids.
+        assert_eq!(plus_one.to_string(), format!("(?v2 + {one})"));
     }
 
     #[test]

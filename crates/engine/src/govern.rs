@@ -61,10 +61,10 @@
 //! assert that every instrumented site converts every failure mode into
 //! its typed error and that a subsequent query on the same store is
 //! byte-identical to a fresh run. Sites: `worker` (morsel workers),
-//! `breaker` (pipeline breaker steps, including the γ aggregate merge),
-//! `aggregate` (the γ fold's morsel claims and grouped-state memory
-//! charges), `operator` (the operator-at-a-time oracle), `update` (the
-//! SPARQL Update path).
+//! `breaker` (pipeline breaker steps), `aggregate` (the γ fold's
+//! morsel-sized ranges on the coordinating thread and its grouped-state
+//! memory charge), `operator` (the operator-at-a-time oracle), `update`
+//! (the SPARQL Update path).
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

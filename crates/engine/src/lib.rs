@@ -48,13 +48,13 @@
 //!
 //! On top of the vectorized kernels sits one execution-wide service,
 //! threaded through the operators as an [`pool::ExecContext`]:
-//! **morsel-driven parallelism** ([`morsel`]). Two engine steps run as
+//! **morsel-driven parallelism** ([`morsel`]). One engine step runs as
 //! task batches on one [`SharedPool`] (the one its context names, else
 //! the process default): whole *pipelines* (each worker pushes a morsel
 //! through every stage of a breaker-free chain: merge-block sources,
 //! filters and hash-join probes, with one expression evaluator per
-//! thread) and the γ fold. Breakers — scans, sorts, ORDER BY, hash-join
-//! builds — run sequentially on the coordinating thread. Morsels are
+//! thread). Breakers — scans, sorts, ORDER BY, hash-join builds, the γ
+//! fold — run sequentially on the coordinating thread. Morsels are
 //! pulled from a shared cursor and their outputs stitched back in morsel
 //! order, so every parallel path is byte-identical to its sequential
 //! counterpart by construction. Parallelism is gated
@@ -82,11 +82,10 @@
 //!   join, cross product, filter, projection, distinct, all sequential;
 //!   those that count a merged scan, read the computed-term overlay or
 //!   poll the governor take the execution's [`pool::ExecContext`].
-//! * [`aggregate`] — the morsel-parallel two-phase γ: per-morsel grouped
-//!   fold, morsel-order merge (first-seen group order is deterministic at
-//!   any thread count), row-major finalisation into the computed-term
-//!   overlay, and overlay-aware `HAVING`. `reference::hash_aggregate` is
-//!   its row-at-a-time differential oracle.
+//! * [`aggregate`] — the γ: a grouped fold in row order on the
+//!   coordinating thread (first-seen group order), row-major finalisation
+//!   into the computed-term overlay, and overlay-aware `HAVING`.
+//!   `reference::hash_aggregate` is its row-at-a-time differential oracle.
 //! * [`pipeline`] — lower-then-run: plans become a DAG of breaker-free
 //!   pipelines (scan → filter / inner-or-outer probe / plain-projection
 //!   stages → sink) separated by explicit breakers; pipelines run

@@ -36,10 +36,7 @@ pub struct RuntimeMetrics {
     /// instead of materialising between operators — the rows the
     /// operator-at-a-time evaluator would have written and re-read.
     pub pipeline_rows_avoided: usize,
-    /// Hash aggregations (γ breakers) whose partial fold ran
-    /// morsel-parallel (thread-local partials merged in morsel order).
-    pub parallel_aggregates: usize,
-    /// Groups finalised by hash aggregations (parallel or sequential).
+    /// Groups finalised by hash aggregations.
     pub aggregate_groups: usize,
     /// DISTINCTs deduplicated as streaming pipeline stages (morsel-local
     /// pre-dedup + one sink first-occurrence pass) instead of

@@ -1,13 +1,13 @@
-//! Morsel-driven parallelism, and the one scheduler every parallel task
-//! of the engine runs on.
+//! Morsel-driven parallelism, and the one scheduler the engine's
+//! parallel work runs on.
 //!
-//! Three things run morsel-parallel: pipeline morsels (a source range
-//! pushed through a pipeline's stage chain), the hash-aggregation fold,
-//! and the server's render morsels. Breakers — scans, sorts, ORDER BY
-//! and hash-table builds — run sequentially on the coordinating thread:
-//! their parallel variants did not beat the sequential ones end to end,
-//! because the gain of morsel execution comes from pipelined morsels on
-//! workers that never idle, not from more kinds of parallel task.
+//! One thing runs morsel-parallel: pipeline morsels (a source range pushed
+//! through a pipeline's stage chain). Breakers — scans, sorts, ORDER BY,
+//! hash-table builds and the γ fold — run on the coordinating thread, and
+//! so does result rendering: their parallel variants did not beat the
+//! sequential ones end to end, because the gain of morsel execution comes
+//! from pipelined morsels on workers that never idle, not from more kinds
+//! of parallel task.
 //!
 //! Following Leis et al.'s morsel-driven execution model, an input index
 //! range is cut into fixed-size **morsels** (~32k rows). The morsels of
@@ -22,9 +22,9 @@
 //! morsels tile the input range in order.
 //!
 //! There is exactly one place where "N tasks run on workers" is
-//! implemented — [`SharedPool`]'s batch queue — and [`run_tasks`] /
-//! `try_run_tasks` have two arms each: inline on the caller when one
-//! worker suffices, otherwise one submission to the pool the
+//! implemented — [`SharedPool`]'s batch queue — and one entry to it,
+//! `try_run_morsels`, with two arms: `run_inline` on the caller when
+//! one worker suffices, otherwise one submission to the pool the
 //! [`MorselConfig`] names. The pool is an explicit value: a session
 //! attaches its own pool and a per-query tag to the config of every
 //! context it builds ([`MorselConfig::on_pool`]); a config with no pool
@@ -152,11 +152,6 @@ impl MorselConfig {
         self.morsel_rows
     }
 
-    /// The sequential-below threshold.
-    pub fn min_parallel_rows(&self) -> usize {
-        self.min_parallel_rows
-    }
-
     /// Worker count for an input of `rows`: 1 when the input is under the
     /// threshold or the budget is one thread, otherwise at most one worker
     /// per morsel.
@@ -192,15 +187,13 @@ fn parse_forced_threads(value: Option<String>) -> Option<usize> {
     value?.trim().parse().ok().filter(|&n: &usize| n >= 1)
 }
 
-/// What one [`run_morsels`] call did — feeds the engine's runtime counters.
+/// What one [`try_run_morsels`] call did — feeds the engine's runtime
+/// counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MorselRun {
-    /// Number of morsels the range was cut into (0 when run sequentially
-    /// as one undivided range).
+pub(crate) struct MorselRun {
+    /// Number of morsels the range was cut into (0 when it ran on the
+    /// calling thread).
     pub morsels: usize,
-    /// Threads that could take part: the pool's workers plus the
-    /// submitter, capped by the task count (1 = ran inline).
-    pub threads: usize,
     /// Batches submitted to the pool (0 = ran inline).
     pub batches: usize,
 }
@@ -209,106 +202,25 @@ impl MorselRun {
     /// What a run that stayed inline on the caller's thread reports.
     pub const SEQUENTIAL: MorselRun = MorselRun {
         morsels: 0,
-        threads: 1,
         batches: 0,
     };
 }
 
-/// Cut `0..rows` into morsels, run `worker` over every morsel on the
-/// config's pool, and return the per-morsel results **in morsel order**
-/// (deterministic regardless of scheduling). Falls back to a single
-/// sequential `worker(0..rows)` call when [`MorselConfig::workers_for`]
-/// says parallelism cannot win.
-pub fn run_morsels<T: Send>(
-    rows: usize,
-    config: &MorselConfig,
-    worker: impl Fn(Range<usize>) -> T + Sync,
-) -> (Vec<T>, MorselRun) {
-    let threads = config.workers_for(rows);
-    if threads <= 1 {
-        return (vec![worker(0..rows)], MorselRun::SEQUENTIAL);
-    }
-    // A morsel run is a task run whose task `m` is the m-th morsel range
-    // (`workers_for` already capped `threads` at the morsel count).
-    let morsel_rows = config.morsel_rows;
-    let morsels = rows.div_ceil(morsel_rows);
-    run_tasks(morsels, threads, config, |m| {
-        let start = m * morsel_rows;
-        worker(start..(start + morsel_rows).min(rows))
-    })
-}
-
-/// Run `count` independent tasks and return the results **in task
-/// order**. With a budget of one worker — or one task — everything runs
-/// inline on the caller's thread; otherwise the tasks are one batch on
-/// the config's [`SharedPool`] (an atomic cursor hands out task indices to
-/// the pool's workers and the helping submitter, so a slow task never
-/// stalls the others). Results and their order are identical either way.
+/// The one entry to the scheduler: cut `0..rows` into morsels, run
+/// `worker` over every morsel, and return the per-morsel results **in
+/// morsel order** (deterministic regardless of scheduling). When
+/// [`MorselConfig::workers_for`] gives the input one worker, it runs
+/// [`run_inline`]; otherwise the morsels are one batch on the config's
+/// [`SharedPool`] (an atomic cursor hands out morsels to the pool's
+/// workers and the helping submitter, so a slow morsel never stalls the
+/// others).
 ///
-/// This is the one entry to the scheduler: [`run_morsels`] and
-/// `try_run_morsels` delegate here with one task per morsel.
-pub fn run_tasks<T: Send>(
-    count: usize,
-    threads: usize,
-    config: &MorselConfig,
-    task: impl Fn(usize) -> T + Sync,
-) -> (Vec<T>, MorselRun) {
-    if threads.min(count) <= 1 {
-        return ((0..count).map(&task).collect(), MorselRun::SEQUENTIAL);
-    }
-    config
-        .pool()
-        .run_batch(config.tag, count, None, "worker", &task)
-        // invariant: only a governor produces the error, and none is
-        // attached (a panicking task re-panics on the submitter instead).
-        .expect("ungoverned batch cannot trip")
-}
-
-/// [`run_tasks`] under a [`QueryGovernor`]: every task claim is a
-/// cooperative checkpoint for `site`, and each task body runs under
-/// [`catch_unwind`] so a panicking kernel trips the governor instead of
-/// unwinding through a pool worker. On a trip the remaining tasks are
-/// claimed but not run, the batch drains, and the partial per-task
-/// results are dropped. With no governor this *is* [`run_tasks`] — zero
-/// overhead on the ungoverned path.
-pub(crate) fn try_run_tasks<T: Send>(
-    count: usize,
-    threads: usize,
-    config: &MorselConfig,
-    gov: Option<&QueryGovernor>,
-    site: &'static str,
-    task: impl Fn(usize) -> T + Sync,
-) -> Result<(Vec<T>, MorselRun), GovernorError> {
-    let Some(gov) = gov else {
-        return Ok(run_tasks(count, threads, config, task));
-    };
-    if threads.min(count) <= 1 {
-        let mut results = Vec::with_capacity(count);
-        for t in 0..count {
-            // The checkpoint runs inside the unwind guard too: an injected
-            // `panic@site` fault is indistinguishable from a kernel panic.
-            match catch_unwind(AssertUnwindSafe(|| -> Result<T, GovernorError> {
-                gov.check(site)?;
-                Ok(task(t))
-            })) {
-                Ok(Ok(result)) => results.push(result),
-                Ok(Err(e)) => return Err(e),
-                Err(_) => return Err(gov.note_panic(site)),
-            }
-        }
-        return Ok((results, MorselRun::SEQUENTIAL));
-    }
-    config
-        .pool()
-        .run_batch(config.tag, count, Some(gov), site, &task)
-}
-
-/// [`run_morsels`] under a [`QueryGovernor`] (see [`try_run_tasks`]).
-/// The governed *sequential* path still cuts the input into morsels —
-/// instead of one undivided `worker(0..rows)` call — so deadline and
-/// cancellation latency stay bounded by one morsel even on a one-thread
-/// budget. Callers must therefore be prepared to stitch multiple parts
-/// on any governed run.
+/// Under a [`QueryGovernor`] every morsel claim is a cooperative
+/// checkpoint for `site`, and each morsel runs under [`catch_unwind`], so
+/// a panicking kernel trips the governor instead of unwinding through a
+/// pool worker. On a trip the remaining morsels are claimed but not run,
+/// the batch drains, and the partial results are dropped. Without a
+/// governor a panic on the pool resurfaces on the submitter.
 pub(crate) fn try_run_morsels<T: Send>(
     rows: usize,
     config: &MorselConfig,
@@ -316,18 +228,59 @@ pub(crate) fn try_run_morsels<T: Send>(
     site: &'static str,
     worker: impl Fn(Range<usize>) -> T + Sync,
 ) -> Result<(Vec<T>, MorselRun), GovernorError> {
-    let Some(gov) = gov else {
-        return Ok(run_morsels(rows, config, worker));
-    };
-    let threads = config.workers_for(rows);
+    if config.workers_for(rows) <= 1 {
+        let parts = run_inline(rows, config, gov, site, worker)?;
+        return Ok((parts, MorselRun::SEQUENTIAL));
+    }
+    // `workers_for` already capped the workers at the morsel count.
     let morsel_rows = config.morsel_rows;
-    // At least one (possibly empty) morsel, mirroring the ungoverned
-    // sequential path's unconditional `worker(0..rows)` call.
+    config.pool().run_batch(
+        config.tag,
+        rows.div_ceil(morsel_rows),
+        gov,
+        site,
+        &|m: usize| {
+            let start = m * morsel_rows;
+            worker(start..(start + morsel_rows).min(rows))
+        },
+    )
+}
+
+/// Run `worker` over `0..rows` on the calling thread, in order. Without a
+/// governor that is one `worker(0..rows)` call. Under one, the range is
+/// still cut into the config's morsels — at least one, possibly empty —
+/// each behind a `site` checkpoint and under [`catch_unwind`] (the
+/// checkpoint too: an injected `panic@site` fault is indistinguishable
+/// from a kernel panic), so deadline and cancellation latency stay
+/// bounded by one morsel and a panic becomes
+/// [`GovernorError::WorkerPanicked`]. Callers must therefore be prepared
+/// to stitch several parts on any governed run.
+pub(crate) fn run_inline<T>(
+    rows: usize,
+    config: &MorselConfig,
+    gov: Option<&QueryGovernor>,
+    site: &'static str,
+    mut worker: impl FnMut(Range<usize>) -> T,
+) -> Result<Vec<T>, GovernorError> {
+    let Some(gov) = gov else {
+        return Ok(vec![worker(0..rows)]);
+    };
+    let morsel_rows = config.morsel_rows;
     let morsels = rows.div_ceil(morsel_rows).max(1);
-    try_run_tasks(morsels, threads, config, Some(gov), site, |m| {
+    let mut parts = Vec::with_capacity(morsels);
+    for m in 0..morsels {
         let start = m * morsel_rows;
-        worker(start..(start + morsel_rows).min(rows))
-    })
+        let range = start..(start + morsel_rows).min(rows);
+        match catch_unwind(AssertUnwindSafe(|| -> Result<T, GovernorError> {
+            gov.check(site)?;
+            Ok(worker(range))
+        })) {
+            Ok(Ok(part)) => parts.push(part),
+            Ok(Err(e)) => return Err(e),
+            Err(_) => return Err(gov.note_panic(site)),
+        }
+    }
+    Ok(parts)
 }
 
 // ---------------------------------------------------------------------------
@@ -625,9 +578,9 @@ impl SharedPool {
         batch.panicked.load(Ordering::Acquire)
     }
 
-    /// The typed batch run behind [`run_tasks`] / [`try_run_tasks`]
-    /// (`count ≥ 2`): governor checkpoints before every task (a trip
-    /// drains the remaining claims cheaply), results in task order.
+    /// The typed batch run behind [`try_run_morsels`] (`count ≥ 2`):
+    /// governor checkpoints before every task (a trip drains the remaining
+    /// claims cheaply), results in task order.
     fn run_batch<T: Send>(
         &self,
         tag: u64,
@@ -674,8 +627,6 @@ impl SharedPool {
             .collect();
         let run = MorselRun {
             morsels: count,
-            // The submitter helps alongside the pool's workers.
-            threads: (self.inner.threads + 1).min(count),
             batches: 1,
         };
         Ok((results, run))
@@ -686,11 +637,50 @@ impl SharedPool {
 mod tests {
     use super::*;
 
+    /// [`try_run_morsels`] without a governor.
+    fn morsels<T: Send>(
+        rows: usize,
+        config: &MorselConfig,
+        worker: impl Fn(Range<usize>) -> T + Sync,
+    ) -> (Vec<T>, MorselRun) {
+        try_run_morsels(rows, config, None, "worker", worker).expect("ungoverned runs cannot trip")
+    }
+
+    /// `count` tasks on a budget of `threads`, results in task order: one
+    /// [`try_run_morsels`] run of one-row morsels on `config`'s pool, the
+    /// morsel at row `t` running task `t`.
+    fn try_tasks<T: Send>(
+        count: usize,
+        threads: usize,
+        config: &MorselConfig,
+        gov: Option<&QueryGovernor>,
+        site: &'static str,
+        task: impl Fn(usize) -> T + Sync,
+    ) -> Result<(Vec<T>, MorselRun), GovernorError> {
+        let mut config = config.clone().with_morsel_rows(1).with_min_parallel_rows(0);
+        config.threads = threads;
+        let (parts, run) = try_run_morsels(count, &config, gov, site, |rows| {
+            rows.map(&task).collect::<Vec<T>>()
+        })?;
+        Ok((parts.into_iter().flatten().collect(), run))
+    }
+
+    /// [`try_tasks`] without a governor.
+    fn tasks<T: Send>(
+        count: usize,
+        threads: usize,
+        config: &MorselConfig,
+        task: impl Fn(usize) -> T + Sync,
+    ) -> (Vec<T>, MorselRun) {
+        try_tasks(count, threads, config, None, "worker", task)
+            .expect("ungoverned runs cannot trip")
+    }
+
     #[test]
     fn sequential_below_threshold() {
         let config = MorselConfig::with_threads(4);
         assert_eq!(config.workers_for(10), 1);
-        let (results, run) = run_morsels(10, &config, |r| r.len());
+        let (results, run) = morsels(10, &config, |r| r.len());
         assert_eq!(results, vec![10]);
         assert_eq!(run, MorselRun::SEQUENTIAL);
     }
@@ -710,7 +700,7 @@ mod tests {
             let config = MorselConfig::with_threads(threads)
                 .with_morsel_rows(7)
                 .with_min_parallel_rows(0);
-            let (results, run) = run_morsels(100, &config, |r| r.clone());
+            let (results, run) = morsels(100, &config, |r| r.clone());
             assert_eq!(run.morsels, 100usize.div_ceil(7));
             assert_eq!(run.batches, 1);
             let flat: Vec<usize> = results.into_iter().flatten().collect();
@@ -722,15 +712,15 @@ mod tests {
     #[test]
     fn zero_rows_is_fine() {
         let config = MorselConfig::with_threads(3).with_min_parallel_rows(0);
-        let (results, _) = run_morsels(0, &config, |r| r.len());
+        let (results, _) = morsels(0, &config, |r| r.len());
         assert_eq!(results.iter().sum::<usize>(), 0);
     }
 
     #[test]
-    fn run_tasks_returns_results_in_task_order() {
+    fn tasks_return_results_in_task_order() {
         for threads in 1..=4 {
             let (results, run) =
-                run_tasks(9, threads, &MorselConfig::with_threads(threads), |t| t * 10);
+                tasks(9, threads, &MorselConfig::with_threads(threads), |t| t * 10);
             assert_eq!(results, (0..9).map(|t| t * 10).collect::<Vec<_>>());
             if threads == 1 {
                 assert_eq!(run, MorselRun::SEQUENTIAL);
@@ -738,7 +728,7 @@ mod tests {
                 assert_eq!((run.morsels, run.batches), (9, 1));
             }
         }
-        let (empty, run) = run_tasks(0, 4, &MorselConfig::with_threads(4), |t| t);
+        let (empty, run) = tasks(0, 4, &MorselConfig::with_threads(4), |t| t);
         assert!(empty.is_empty());
         assert_eq!(run, MorselRun::SEQUENTIAL);
     }
@@ -771,7 +761,7 @@ mod tests {
         let config = MorselConfig::with_threads(3)
             .with_morsel_rows(10)
             .with_min_parallel_rows(0);
-        let (results, run) = run_morsels(35, &config, |r| r.len());
+        let (results, run) = morsels(35, &config, |r| r.len());
         assert_eq!((run.morsels, run.batches), (4, 1));
         assert_eq!(results.iter().sum::<usize>(), 35);
     }
@@ -780,7 +770,7 @@ mod tests {
     fn governed_tasks_match_ungoverned_when_nothing_trips() {
         let gov = QueryGovernor::new();
         for threads in 1..=4 {
-            let (results, _) = try_run_tasks(
+            let (results, _) = try_tasks(
                 9,
                 threads,
                 &MorselConfig::with_threads(threads),
@@ -795,24 +785,13 @@ mod tests {
     }
 
     #[test]
-    fn governed_tasks_without_governor_delegate() {
-        let (results, run) =
-            try_run_tasks(5, 2, &MorselConfig::with_threads(2), None, "worker", |t| {
-                t + 1
-            })
-            .unwrap();
-        assert_eq!(results, vec![1, 2, 3, 4, 5]);
-        assert_eq!((run.morsels, run.batches), (5, 1));
-    }
-
-    #[test]
     fn cancelled_tasks_stop_early_and_drain() {
         use crate::govern::CancelToken;
         for threads in 1..=4 {
             let token = Arc::new(CancelToken::new());
             let gov = QueryGovernor::new().with_token(token.clone());
             let done = AtomicUsize::new(0);
-            let err = try_run_tasks(
+            let err = try_tasks(
                 1000,
                 threads,
                 &MorselConfig::with_threads(threads),
@@ -839,7 +818,7 @@ mod tests {
     fn panicking_task_converts_to_worker_panicked() {
         for threads in 1..=4 {
             let gov = QueryGovernor::new();
-            let err = try_run_tasks(
+            let err = try_tasks(
                 100,
                 threads,
                 &MorselConfig::with_threads(threads),
@@ -900,10 +879,10 @@ mod tests {
     fn pool_results_match_the_inline_arm() {
         let pool = SharedPool::new(3);
         let config = MorselConfig::with_threads(4).on_pool(&pool, 1);
-        let (inline, inline_run) = run_tasks(64, 1, &config, |t| t * 3);
+        let (inline, inline_run) = tasks(64, 1, &config, |t| t * 3);
         assert_eq!(inline_run, MorselRun::SEQUENTIAL);
         assert_eq!(pool.stats().batches, 0);
-        let (results, run) = run_tasks(64, 4, &config, |t| t * 3);
+        let (results, run) = tasks(64, 4, &config, |t| t * 3);
         assert_eq!(results, inline);
         assert_eq!((run.morsels, run.batches), (64, 1));
         assert_eq!(pool.stats().batches, 1);
@@ -918,7 +897,7 @@ mod tests {
             .with_morsel_rows(8)
             .with_min_parallel_rows(0)
             .on_pool(&pool, 7);
-        let (results, run) = run_morsels(100, &config, |r| r.clone());
+        let (results, run) = morsels(100, &config, |r| r.clone());
         let flat: Vec<usize> = results.into_iter().flatten().collect();
         assert_eq!(flat, (0..100).collect::<Vec<_>>());
         assert_eq!(run.batches, 1);
@@ -931,7 +910,7 @@ mod tests {
         let config = MorselConfig::with_threads(4);
         // Other tests share the default pool, so only a lower bound holds.
         let before = config.pool().stats().batches;
-        let (results, run) = run_tasks(16, 4, &config, |t| t + 1);
+        let (results, run) = tasks(16, 4, &config, |t| t + 1);
         assert_eq!(results, (1..=16).collect::<Vec<_>>());
         assert_eq!(run.batches, 1);
         assert!(config.pool().stats().batches > before);
@@ -943,7 +922,7 @@ mod tests {
         pool.shutdown();
         let config = MorselConfig::with_threads(3).on_pool(&pool, 1);
         let me = std::thread::current().id();
-        let (results, run) = run_tasks(16, 3, &config, |t| (t + 1, std::thread::current().id()));
+        let (results, run) = tasks(16, 3, &config, |t| (t + 1, std::thread::current().id()));
         assert_eq!(
             results,
             (1..=16).map(|t| (t, me)).collect::<Vec<_>>(),
@@ -952,7 +931,7 @@ mod tests {
         assert_eq!(run.batches, 1);
         // Governed batches take the same route.
         let gov = QueryGovernor::new();
-        let (results, _) = try_run_tasks(16, 3, &config, Some(&gov), "worker", |t| t).unwrap();
+        let (results, _) = try_tasks(16, 3, &config, Some(&gov), "worker", |t| t).unwrap();
         assert_eq!(results, (0..16).collect::<Vec<_>>());
     }
 
@@ -964,9 +943,7 @@ mod tests {
         // wait on the other.
         let pool = SharedPool::new(1);
         let config = MorselConfig::with_threads(4).on_pool(&pool, 1);
-        let (results, _) = run_tasks(8, 4, &config, |t| {
-            run_tasks(8, 4, &config, |u| t * 10 + u).0
-        });
+        let (results, _) = tasks(8, 4, &config, |t| tasks(8, 4, &config, |u| t * 10 + u).0);
         let expected: Vec<Vec<usize>> = (0..8)
             .map(|t| (0..8).map(|u| t * 10 + u).collect())
             .collect();
@@ -984,7 +961,7 @@ mod tests {
         let token = Arc::new(CancelToken::new());
         let gov = QueryGovernor::new().with_token(token.clone());
         let done = AtomicUsize::new(0);
-        let err = try_run_tasks(1000, 4, &config, Some(&gov), "worker", |t| {
+        let err = try_tasks(1000, 4, &config, Some(&gov), "worker", |t| {
             if t == 3 {
                 token.cancel();
             }
@@ -995,7 +972,7 @@ mod tests {
         assert!(done.load(Ordering::Relaxed) < 1000, "trip did not drain");
         // The pool is not poisoned: the next (governed) query succeeds.
         let fresh = QueryGovernor::new();
-        let (results, _) = try_run_tasks(32, 4, &config, Some(&fresh), "worker", |t| t).unwrap();
+        let (results, _) = try_tasks(32, 4, &config, Some(&fresh), "worker", |t| t).unwrap();
         assert_eq!(results, (0..32).collect::<Vec<_>>());
         pool.shutdown();
     }
@@ -1005,13 +982,13 @@ mod tests {
         let pool = SharedPool::new(2);
         let config = MorselConfig::with_threads(4).on_pool(&pool, 1);
         let gov = QueryGovernor::new();
-        let err = try_run_tasks(100, 4, &config, Some(&gov), "worker", |t| {
+        let err = try_tasks(100, 4, &config, Some(&gov), "worker", |t| {
             assert!(t != 7, "injected kernel panic");
             t
         })
         .unwrap_err();
         assert_eq!(err, GovernorError::WorkerPanicked { site: "worker" });
-        let (results, _) = run_tasks(16, 4, &config, |t| t);
+        let (results, _) = tasks(16, 4, &config, |t| t);
         assert_eq!(results, (0..16).collect::<Vec<_>>());
         pool.shutdown();
     }
@@ -1021,11 +998,11 @@ mod tests {
         let pool = SharedPool::new(2);
         let config = MorselConfig::with_threads(4).on_pool(&pool, 1);
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            run_tasks(64, 4, &config, |t| assert!(t != 9, "injected kernel panic"));
+            tasks(64, 4, &config, |t| assert!(t != 9, "injected kernel panic"));
         }));
         assert!(caught.is_err());
         // Still usable afterwards.
-        let (results, _) = run_tasks(8, 4, &config, |t| t);
+        let (results, _) = tasks(8, 4, &config, |t| t);
         assert_eq!(results, (0..8).collect::<Vec<_>>());
         pool.shutdown();
     }
@@ -1045,7 +1022,7 @@ mod tests {
                     let config = MorselConfig::with_threads(4).on_pool(&pool, tag);
                     std::thread::spawn(move || {
                         for _ in 0..50 {
-                            let (results, _) = run_tasks(16, 4, &config, |t| {
+                            let (results, _) = tasks(16, 4, &config, |t| {
                                 std::thread::sleep(std::time::Duration::from_micros(200));
                                 t
                             });

@@ -18,14 +18,12 @@
 //!   the stage chain and ultimately the sink gather) — and the sink is
 //!   the single materialisation point. Everything that must see its whole
 //!   input before emitting a row is a *breaker* and becomes its own step,
-//!   run on the coordinating thread (only the γ fold among them is
-//!   morsel-parallel): the hash-join **build** side, a merge join with a
-//!   non-leaf side (a sort-enforced input, a bushy tree), cross product
-//!   (and the keyless left-outer join, which pairs like one), UNION, the
-//!   sort order-enforcer, a constant `bind`, ORDER BY, grouped
-//!   aggregation (the two-phase γ of [`crate::aggregate`]), and
-//!   LIMIT/OFFSET. DISTINCT,
-//!   once a breaker, now **streams**: each morsel dedups its projected
+//!   run on the coordinating thread: the hash-join **build** side, a
+//!   merge join with a non-leaf side (a sort-enforced input, a bushy
+//!   tree), cross product (and the keyless left-outer join, which pairs
+//!   like one), UNION, the sort order-enforcer, a constant `bind`, ORDER
+//!   BY, grouped aggregation (the γ fold of [`crate::aggregate`]), and
+//!   LIMIT/OFFSET. DISTINCT, once a breaker, now **streams**: each morsel dedups its projected
 //!   rows locally, and the sink finishes with one global first-occurrence
 //!   pass over the gathered output — order-preserving, so the result is
 //!   byte-identical to the global dedup (a DISTINCT that is *not* the top
@@ -53,11 +51,11 @@
 //!   index vectors — one per *side* (the source, or each merge-block leaf
 //!   a later stage reads, plus each probed build table) — through the
 //!   stages, so the rows between operators are never gathered into
-//!   columns. Per-morsel index vectors stitch back in morsel order (the
-//!   same discipline as the γ fold, so the result is
-//!   byte-identical to the oracle; a merge block's morsels are plain
-//!   driver ranges, since its driver is the outermost loop of every
-//!   product), and the sink gathers each output column exactly once.
+//!   columns. Per-morsel index vectors stitch back in morsel order (so
+//!   the result is byte-identical to the oracle; a merge block's morsels
+//!   are plain driver ranges, since its driver is the outermost loop of
+//!   every product), and the sink gathers each output column exactly
+//!   once.
 //!
 //! What the oracle would have materialised between the pipeline's
 //! operators is reported as
@@ -168,9 +166,8 @@ enum BreakerOp<'p> {
         input: SlotId,
         keys: &'p [hsp_sparql::SortKey],
     },
-    /// Grouped aggregation (γ): the morsel-parallel two-phase fold of
-    /// [`crate::aggregate`] — per-morsel partials merged in morsel order
-    /// behind the barrier, then finalised into one row per group.
+    /// Grouped aggregation (γ): the fold of [`crate::aggregate`] into one
+    /// grouped state, finalised into one row per group.
     HashAggregate {
         input: SlotId,
         group_by: &'p [Var],
@@ -1102,11 +1099,11 @@ fn run_breaker(
     })
 }
 
-/// The γ breaker: phase one folds morsels of the input into thread-local
-/// [`crate::aggregate::AggPartial`]s on the worker pool (governor site
-/// `"aggregate"`); phase two merges the partials *in morsel order* behind
-/// the barrier and finalises one row per group — deterministic across
-/// thread budgets by construction (see [`crate::aggregate`]).
+/// The γ breaker: folds the input into one
+/// [`crate::aggregate::AggState`] on the coordinating thread — under a
+/// governor one morsel-sized range at a time, each behind an
+/// `"aggregate"` checkpoint ([`morsel::run_inline`]) — then finalises one
+/// row per group (see [`crate::aggregate`]).
 fn run_aggregate(
     ds: &Dataset,
     ctx: &ExecContext,
@@ -1115,19 +1112,19 @@ fn run_aggregate(
     aggs: &[AggSpec],
     having: Option<&hsp_sparql::Expr>,
 ) -> Result<BindingTable, ExecError> {
-    let (parts, run) = morsel::try_run_morsels(
+    let mut state = crate::aggregate::AggState::default();
+    morsel::run_inline(
         input.len(),
         &ctx.morsel,
         ctx.governor(),
         "aggregate",
-        |range| crate::aggregate::fold_range(input, ds, group_by, aggs, range),
+        |range| crate::aggregate::fold_range(&mut state, input, ds, group_by, aggs, range),
     )?;
-    let merged = crate::aggregate::merge_partials(parts, aggs);
     // The grouped hash state is this operator's own materialisation:
     // check it against the memory budget before finalising into columns.
-    ctx.reserve_check(merged.heap_bytes(), "aggregate")?;
-    ctx.note_aggregate(run, merged.groups());
-    let table = crate::aggregate::finalise(merged, ctx, ds, group_by, aggs)?;
+    ctx.reserve_check(state.heap_bytes(), "aggregate")?;
+    ctx.note_aggregate(state.groups());
+    let table = crate::aggregate::finalise(state, ctx, ds, group_by, aggs)?;
     Ok(match having {
         Some(h) => crate::aggregate::apply_having(table, h, ctx, ds),
         None => table,
@@ -2739,9 +2736,6 @@ mod tests {
                 execute_in(&plan, &ds, &ExecConfig::unlimited(), &forced_ctx(threads)).unwrap();
             assert_eq!(out.table, oracle.table, "threads={threads}");
             assert_eq!(out.runtime.aggregate_groups, 2, "threads={threads}");
-            if threads > 1 {
-                assert!(out.runtime.parallel_aggregates > 0, "threads={threads}");
-            }
         }
     }
 

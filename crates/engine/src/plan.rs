@@ -121,12 +121,10 @@ pub enum PhysicalPlan {
     /// `HAVING`). Consumes its whole input, folds rows into a grouped hash
     /// state, and emits one row per group: the group-key columns first (in
     /// `group_by` order), then one column per aggregate output (in `aggs`
-    /// order). Group rows are emitted in **first-seen input order**, which
-    /// keeps the output deterministic across morsel parallelism (partial
-    /// states merge in morsel order). With `group_by` empty the node
-    /// computes one implicit all-rows group (which for an empty input still
-    /// yields a single row: `COUNT` = 0, `SUM` = 0, `MIN`/`MAX` unbound —
-    /// the SPARQL 1.1 §18.5 semantics).
+    /// order). Group rows are emitted in **first-seen input order**. With
+    /// `group_by` empty the node computes one implicit all-rows group
+    /// (which for an empty input still yields a single row: `COUNT` = 0,
+    /// `SUM` = 0, `MIN`/`MAX` unbound — the SPARQL 1.1 §18.5 semantics).
     HashAggregate {
         /// Input plan.
         input: Box<PhysicalPlan>,

@@ -183,7 +183,7 @@ impl ExecContext {
     pub(crate) fn note_run(&self, run: crate::morsel::MorselRun) {
         self.count(|c| {
             c.shared_pool_batches += run.batches;
-            if run.threads > 1 {
+            if run.batches > 0 {
                 c.morsels += run.morsels;
                 c.parallel_kernels += 1;
             }
@@ -217,17 +217,9 @@ impl ExecContext {
         self.count(|c| c.breaker_handoffs += 1);
     }
 
-    /// Record one hash-aggregation: the partial-fold morsel run and the
-    /// number of finalised groups (counted whether or not the fold ran
-    /// parallel; the parallel-aggregate counter only when it did).
-    pub(crate) fn note_aggregate(&self, run: crate::morsel::MorselRun, groups: usize) {
-        self.count(|c| {
-            if run.threads > 1 {
-                c.parallel_aggregates += 1;
-            }
-            c.aggregate_groups += groups;
-        });
-        self.note_run(run);
+    /// Record one hash-aggregation's finalised groups.
+    pub(crate) fn note_aggregate(&self, groups: usize) {
+        self.count(|c| c.aggregate_groups += groups);
     }
 
     /// Record one DISTINCT deduplicated as a streaming pipeline stage
@@ -323,7 +315,6 @@ mod tests {
         assert_eq!(RuntimeMetrics::of(&ctx).parallel_kernels, 0);
         ctx.note_run(crate::morsel::MorselRun {
             morsels: 5,
-            threads: 2,
             batches: 1,
         });
         let m = RuntimeMetrics::of(&ctx);

@@ -169,10 +169,10 @@ pub fn cross_product(left: &BindingTable, right: &BindingTable) -> BindingTable 
 }
 
 /// Row-at-a-time grouped aggregation — the operator-at-a-time evaluator's
-/// implementation and the differential oracle for the morsel-parallel
-/// two-phase breaker in [`crate::aggregate`]. One pass collects each
-/// group's row indices (first-seen order); a second pass walks each
-/// group's rows *in input order* computing every aggregate the naive way.
+/// implementation and the differential oracle for the γ breaker in
+/// [`crate::aggregate`]. One pass collects each group's row indices
+/// (first-seen order); a second pass walks each group's rows *in input
+/// order* computing every aggregate the naive way.
 /// Output layout, empty-input semantics, computed-term interning order
 /// (row-major), and `HAVING` application match the pipeline breaker
 /// exactly — the conformance suite asserts byte-identical tables.

@@ -370,3 +370,71 @@ fn zero_deadline_trips_before_any_work_at_all_thread_counts() {
         assert_rerun_identical(ctx, &plan, &ds);
     }
 }
+
+/// A deadline that passes while the γ fold runs — on the coordinating
+/// thread, one morsel-sized range per `"aggregate"` checkpoint — surfaces
+/// as `DeadlineExceeded` at the next range, and the account drains. The
+/// deadline is searched for: a run that trips before the fold or
+/// completes moves it later or earlier, until one trips inside the fold.
+#[test]
+fn a_deadline_inside_a_multi_morsel_aggregate_fold_trips_typed_and_drains() {
+    // Every row its own group: most of the run is the fold.
+    const ROWS: usize = 20_000;
+    let doc: String = (0..ROWS)
+        .map(|i| format!("<http://e/s{i}> <http://e/p> <http://e/o{i}> .\n"))
+        .collect();
+    let ds = Dataset::from_ntriples(&doc).unwrap();
+    let plan = PhysicalPlan::HashAggregate {
+        input: Box::new(scan(0, vv(0), cv("p"), vv(1), Order::Pso)),
+        group_by: vec![Var(0), Var(1)],
+        aggs: vec![hsp_sparql::AggSpec {
+            func: hsp_sparql::AggFunc::Count,
+            distinct: false,
+            arg: None,
+            out: Var(2),
+            name: "n".into(),
+        }],
+        having: None,
+    };
+    let governed = |config: &ExecConfig| {
+        let mut ctx = forced_ctx(2);
+        ctx.set_governor(config.governor());
+        ctx
+    };
+    // An untripped run: its last checkpoints are the fold's, one per
+    // four-row range.
+    let inert = ExecConfig::unlimited().with_timeout(Duration::from_secs(3600));
+    let ctx = governed(&inert);
+    let started = Instant::now();
+    let out = execute_in(&plan, &ds, &inert, &ctx).expect("untripped run succeeds");
+    let (mut early, mut late) = (Duration::ZERO, started.elapsed() * 2);
+    let total = ctx.governor().expect("governor attached").checks();
+    let fold_starts = total - ROWS.div_ceil(4);
+    assert_eq!(out.table.len(), ROWS);
+    ctx.release(out.table);
+
+    for _ in 0..24 {
+        let deadline = (early + late) / 2;
+        let config = ExecConfig::unlimited().with_timeout(deadline);
+        let ctx = governed(&config);
+        match execute_in(&plan, &ds, &config, &ctx) {
+            Ok(out) => {
+                ctx.release(out.table);
+                late = deadline;
+            }
+            Err(ExecError::DeadlineExceeded) => {
+                assert_drained(&ctx);
+                let checks = ctx.governor().expect("governor attached").checks();
+                if checks <= fold_starts {
+                    early = deadline;
+                    continue;
+                }
+                assert!(checks <= total, "{checks} checkpoints of {total}");
+                assert_rerun_identical(ctx, &plan, &ds);
+                return;
+            }
+            Err(other) => panic!("expected DeadlineExceeded, got {other}"),
+        }
+    }
+    panic!("no deadline in 24 tries tripped inside the fold");
+}

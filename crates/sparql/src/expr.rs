@@ -1172,22 +1172,50 @@ pub fn compare_for_order(a: Option<&Value>, b: Option<&Value>) -> std::cmp::Orde
 
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Expr::Var(v) => write!(f, "{v}"),
+        self.named(&|v| v.to_string()).fmt(f)
+    }
+}
+
+impl Expr {
+    /// The expression as its [`Display`](fmt::Display) writes it, except
+    /// that each variable is written as `name` spells it (`?v0` → `?s`).
+    pub fn named<'a>(&'a self, name: &'a dyn Fn(Var) -> String) -> impl fmt::Display + 'a {
+        Named { expr: self, name }
+    }
+}
+
+/// See [`Expr::named`].
+struct Named<'a> {
+    expr: &'a Expr,
+    name: &'a dyn Fn(Var) -> String,
+}
+
+impl fmt::Display for Named<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let sub = |expr| Named {
+            expr,
+            name: self.name,
+        };
+        match self.expr {
+            Expr::Var(v) => f.write_str(&(self.name)(*v)),
             Expr::Const(t) => write!(f, "{t}"),
-            Expr::Or(a, b) => write!(f, "({a} || {b})"),
-            Expr::And(a, b) => write!(f, "({a} && {b})"),
-            Expr::Not(e) => write!(f, "!({e})"),
-            Expr::Cmp { op, lhs, rhs } => write!(f, "({lhs} {} {rhs})", op.lexeme()),
-            Expr::Arith { op, lhs, rhs } => write!(f, "({lhs} {} {rhs})", op.lexeme()),
-            Expr::Neg(e) => write!(f, "-({e})"),
+            Expr::Or(a, b) => write!(f, "({} || {})", sub(a), sub(b)),
+            Expr::And(a, b) => write!(f, "({} && {})", sub(a), sub(b)),
+            Expr::Not(e) => write!(f, "!({})", sub(e)),
+            Expr::Cmp { op, lhs, rhs } => {
+                write!(f, "({} {} {})", sub(lhs), op.lexeme(), sub(rhs))
+            }
+            Expr::Arith { op, lhs, rhs } => {
+                write!(f, "({} {} {})", sub(lhs), op.lexeme(), sub(rhs))
+            }
+            Expr::Neg(e) => write!(f, "-({})", sub(e)),
             Expr::Call { func, args } => {
                 write!(f, "{}(", func.name())?;
                 for (i, a) in args.iter().enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;
                     }
-                    write!(f, "{a}")?;
+                    write!(f, "{}", sub(a))?;
                 }
                 write!(f, ")")
             }

@@ -281,9 +281,8 @@ struct ResultEntry {
     bytes: usize,
 }
 
-/// A response body as it goes on the wire: pieces that concatenate to the
-/// body, in order.
-pub(crate) type Body = Arc<[String]>;
+/// A response body as it goes on the wire, in one buffer.
+pub(crate) type Body = Arc<str>;
 
 /// One result entry's bodies, a slot per [`Format`]. A slot is filled at
 /// most once, under the tier's mutex and only while the entry is live, and
@@ -337,14 +336,9 @@ const RESULT_ENTRY_BYTES: usize = std::mem::size_of::<ResultEntry>()
     + ARC_HEADER
     + std::mem::size_of::<Bodies>();
 
-/// What a stored body costs: its pieces' bytes, their `String`s and the
-/// slice's `Arc` header.
-fn body_bytes(body: &[String]) -> usize {
-    ARC_HEADER
-        + body
-            .iter()
-            .map(|piece| std::mem::size_of::<String>() + piece.capacity())
-            .sum::<usize>()
+/// What a stored body costs: its bytes and the `Arc` header.
+fn body_bytes(body: &str) -> usize {
+    ARC_HEADER + body.len()
 }
 
 /// "No node": the `prev` of the head, the `next` of the tail, and both
@@ -956,9 +950,9 @@ mod tests {
         assert!(cache.result_get(&key('d')).is_some());
     }
 
-    /// A body of `len` bytes in one piece, and what storing it costs.
+    /// A body of `len` bytes, and what storing it costs.
     fn body(len: usize) -> (Body, usize) {
-        let body: Body = vec!["b".repeat(len)].into();
+        let body: Body = "b".repeat(len).into();
         let bytes = body_bytes(&body);
         (body, bytes)
     }

@@ -14,10 +14,7 @@
 //! JSON, CSV and TSV write a block of rows at a time; from a source whose
 //! cells are ids they resolve the block's cells first
 //! ([`RowSource::column_block`], one column after another) and then write
-//! the block row-major. Their bodies are a head, one self-contained piece
-//! per row and a tail, so rows cut into ranges anywhere render into
-//! pieces that concatenate to the whole — which is how the server renders
-//! a large result on several workers.
+//! the block row-major.
 //!
 //! Every writer takes a `max_len`: it stops after the first row that
 //! takes the output buffer past that many bytes and returns `false`, which
@@ -26,7 +23,6 @@
 
 use std::fmt::Write as _;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hsp_rdf::Term;
 
@@ -117,20 +113,11 @@ impl Format {
     /// Append `out` rendered in this format to `s`; `false` if rendering
     /// stopped because `s` outgrew `max_len` (see the module docs).
     pub fn write(self, s: &mut String, out: &impl RowSource, max_len: usize) -> bool {
-        match self.row_format() {
-            Some(format) => format.write(s, out, max_len),
-            None => write_table(s, out, max_len),
-        }
-    }
-
-    /// The body as a head, rows and a tail — every format but the table,
-    /// whose column widths depend on every row.
-    pub(crate) fn row_format(self) -> Option<RowFormat> {
         match self {
-            Format::Json => Some(RowFormat::Json),
-            Format::Csv => Some(RowFormat::Csv),
-            Format::Tsv => Some(RowFormat::Tsv),
-            Format::Table => None,
+            Format::Json => RowFormat::Json.write(s, out, max_len),
+            Format::Csv => RowFormat::Csv.write(s, out, max_len),
+            Format::Tsv => RowFormat::Tsv.write(s, out, max_len),
+            Format::Table => write_table(s, out, max_len),
         }
     }
 
@@ -154,12 +141,11 @@ pub fn to_sparql_json(out: &ExtendedOutput) -> String {
     s
 }
 
-/// A format whose body is a head, one self-contained piece per row and a
-/// tail: any cut of the rows into ranges renders into pieces that
-/// concatenate to the whole body. A JSON row is preceded by `,` unless it
-/// is row 0; CSV and TSV rows end with their own line break.
+/// A format written one row after another — every format but the table,
+/// whose column widths depend on every row. A JSON row is preceded by `,`
+/// unless it is row 0; CSV and TSV rows end with their own line break.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RowFormat {
+enum RowFormat {
     /// SPARQL 1.1 Query Results JSON.
     Json,
     /// SPARQL 1.1 Query Results CSV.
@@ -183,18 +169,16 @@ const JSON_SAMPLE_ROWS: usize = 256;
 const FIELD_ESTIMATE: usize = 24;
 
 impl RowFormat {
-    /// The whole body in one buffer: head, every row, tail.
-    pub(crate) fn write(self, s: &mut String, out: &impl RowSource, max_len: usize) -> bool {
-        self.write_head(s, out.columns());
-        self.write_rows(s, out, 0..out.len(), max_len, None) && {
-            s.push_str(self.tail());
-            s.len() <= max_len
-        }
-    }
-
-    /// Append what precedes the first row: the JSON `head` object and the
-    /// opening of `bindings`, or the CSV / TSV header line.
-    pub(crate) fn write_head(self, s: &mut String, columns: &[String]) {
+    /// The whole body in one buffer: the JSON `head` object and the
+    /// opening of `bindings` (or the CSV / TSV header line), every row,
+    /// then the JSON closing. Stops, returning `false`, after the first
+    /// row that takes `s` past `max_len`.
+    ///
+    /// Everything is written straight into `s`: values are escaped in place
+    /// (runs that need no escaping are copied whole), and each JSON column
+    /// name is quoted once per call, not per cell.
+    fn write(self, s: &mut String, out: &impl RowSource, max_len: usize) -> bool {
+        let (columns, rows) = (out.columns(), out.len());
         let separator = match self {
             RowFormat::Json => {
                 s.push_str("{\"head\":{\"vars\":[");
@@ -216,43 +200,10 @@ impl RowFormat {
                 }
             }
         }
-        s.push_str(match self {
-            RowFormat::Json => "]},\"results\":{\"bindings\":[",
-            RowFormat::Csv => "\r\n",
-            RowFormat::Tsv => "\n",
-        });
-    }
-
-    /// What follows the last row.
-    pub(crate) fn tail(self) -> &'static str {
-        match self {
-            RowFormat::Json => "]}}",
-            RowFormat::Csv | RowFormat::Tsv => "",
-        }
-    }
-
-    /// Append rows `rows` of `out`. Stops, returning `false`, after the
-    /// first row that takes `s` past `max_len` — or, given `spent`, after
-    /// the first block that takes the bytes counted there past it: workers
-    /// rendering ranges of one response into buffers of their own add
-    /// every block's bytes to one shared count.
-    ///
-    /// Everything is written straight into `s`: values are escaped in place
-    /// (runs that need no escaping are copied whole), and each JSON column
-    /// name is quoted once per call, not per cell.
-    pub(crate) fn write_rows(
-        self,
-        s: &mut String,
-        out: &impl RowSource,
-        rows: Range<usize>,
-        max_len: usize,
-        spent: Option<&AtomicUsize>,
-    ) -> bool {
-        let width = out.columns().len();
-        match self {
+        let rows_fit = match self {
             RowFormat::Json => {
-                let names: Vec<String> = out
-                    .columns()
+                s.push_str("]},\"results\":{\"bindings\":[");
+                let names: Vec<String> = columns
                     .iter()
                     .map(|c| {
                         let mut name = String::with_capacity(c.len() + 2);
@@ -267,14 +218,13 @@ impl RowFormat {
                 const CELL_OVERHEAD: usize = 32;
                 let row_guess: usize =
                     2 + names.iter().map(|n| n.len() + CELL_OVERHEAD).sum::<usize>();
-                s.reserve(rows.len().min(JSON_SAMPLE_ROWS) * row_guess);
-                let (body, sample_end) = (s.len(), rows.start + JSON_SAMPLE_ROWS);
-                let end = rows.end;
-                write_blocks(s, out, rows, max_len, spent, |s, cells| {
+                s.reserve(rows.min(JSON_SAMPLE_ROWS) * row_guess);
+                let body = s.len();
+                write_blocks(s, out, max_len, |s, cells| {
                     let ri = cells.index;
-                    if ri == sample_end {
+                    if ri == JSON_SAMPLE_ROWS {
                         let per_row = (s.len() - body) / JSON_SAMPLE_ROWS + 1;
-                        let rest = (end - ri) * (per_row + per_row / 8);
+                        let rest = (rows - ri) * (per_row + per_row / 8);
                         s.reserve(rest.min(max_len.saturating_sub(s.len())));
                     }
                     if ri > 0 {
@@ -298,9 +248,11 @@ impl RowFormat {
                 })
             }
             RowFormat::Csv | RowFormat::Tsv => {
-                s.reserve((rows.len() * width * FIELD_ESTIMATE).min(max_len));
                 let tsv = self == RowFormat::Tsv;
-                write_blocks(s, out, rows, max_len, spent, |s, cells| {
+                s.push_str(if tsv { "\n" } else { "\r\n" });
+                let width = columns.len();
+                s.reserve((rows * width * FIELD_ESTIMATE).min(max_len));
+                write_blocks(s, out, max_len, |s, cells| {
                     for ci in 0..width {
                         if ci > 0 {
                             s.push(if tsv { '\t' } else { ',' });
@@ -314,31 +266,33 @@ impl RowFormat {
                     s.push_str(if tsv { "\n" } else { "\r\n" });
                 })
             }
+        };
+        rows_fit && {
+            if self == RowFormat::Json {
+                s.push_str("]}}");
+            }
+            s.len() <= max_len
         }
     }
 }
 
-/// Write rows `rows` of `out` a block of [`BLOCK_ROWS`] at a time: the
+/// Write every row of `out` a block of [`BLOCK_ROWS`] at a time: the
 /// block's cells are resolved one column after another when the source
 /// resolves blocks ([`RowSource::column_block`]), then `row` writes the
-/// block's rows in order. The stopping rule is
-/// [`RowFormat::write_rows`]'.
+/// block's rows in order. The stopping rule is [`RowFormat::write`]'s.
 fn write_blocks<'a, S: RowSource>(
     s: &mut String,
     out: &'a S,
-    rows: Range<usize>,
     max_len: usize,
-    spent: Option<&AtomicUsize>,
     mut row: impl FnMut(&mut String, BlockRow<'_, 'a, S>),
 ) -> bool {
     let width = out.columns().len();
     let mut cells = Vec::new();
-    let mut start = rows.start;
-    while start < rows.end {
-        let end = (start + BLOCK_ROWS).min(rows.end);
+    let mut start = 0;
+    while start < out.len() {
+        let end = (start + BLOCK_ROWS).min(out.len());
         cells.clear();
         let resolved = (0..width).all(|col| out.column_block(col, start..end, &mut cells));
-        let before = s.len();
         let stride = end - start;
         for at in 0..stride {
             row(
@@ -351,14 +305,7 @@ fn write_blocks<'a, S: RowSource>(
                     index: start + at,
                 },
             );
-            if spent.is_none() && s.len() > max_len {
-                return false;
-            }
-        }
-        if let Some(spent) = spent {
-            let added = s.len() - before;
-            // Relaxed: the count publishes nothing but itself.
-            if spent.fetch_add(added, Ordering::Relaxed) + added > max_len {
+            if s.len() > max_len {
                 return false;
             }
         }
@@ -583,7 +530,7 @@ pub fn to_table(out: &ExtendedOutput) -> String {
 /// [`to_table`] over any [`RowSource`], appended to `s`. Alignment needs
 /// every cell's width before the first line can be written, so the cells
 /// are rendered first; `max_len` is checked against their running size.
-pub(crate) fn write_table(s: &mut String, out: &impl RowSource, max_len: usize) -> bool {
+fn write_table(s: &mut String, out: &impl RowSource, max_len: usize) -> bool {
     let columns = out.columns();
     let mut widths: Vec<usize> = columns.iter().map(|c| c.len() + 1).collect();
     let mut rendered: Vec<Vec<String>> = Vec::with_capacity(out.len());
@@ -897,7 +844,7 @@ mod tests {
     /// terms and a computed overlay, as the server renders it.
     fn generated_response(columns: &[Ids], rows: usize, seed: u64) -> EncodedResponse {
         use hsp_engine::pool::COMPUTED_BASE;
-        use hsp_engine::{BindingTable, IdRows, MorselConfig, RuntimeMetrics};
+        use hsp_engine::{BindingTable, IdRows, RuntimeMetrics};
         use hsp_rdf::{Dictionary, TermId};
         use hsp_sparql::Var;
         use hsp_store::Dataset;
@@ -952,7 +899,6 @@ mod tests {
             explain: None,
             note: None,
             metrics: RuntimeMetrics::default(),
-            morsel: MorselConfig::sequential(),
             bodies: None,
         }
     }
@@ -968,42 +914,22 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Rows cut into ranges anywhere — empty ranges included — render
-        /// into pieces whose concatenation is the whole body, byte for
-        /// byte, in every format with a row body; the pieces' shared byte
-        /// count is the body's length; and the id-resolving source writes
-        /// what the decoded rows of the library edge write.
+        /// In every format with a row body, the id-resolving source writes
+        /// what the decoded rows of the library edge write, byte for byte.
         #[test]
-        fn chunked_render_equals_the_sequential_render(
+        fn id_source_render_equals_the_decoded_render(
             columns in proptest::collection::vec(arb_ids(), 0..5),
             rows in 0usize..400,
-            cuts in proptest::collection::vec(0usize..=400, 0..6),
             seed in any::<u64>(),
         ) {
             let response = generated_response(&columns, rows, seed);
             let library = response.clone().decode().output;
-            let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(rows)).collect();
-            bounds.extend([0, rows]);
-            bounds.sort_unstable();
             for format in [RowFormat::Json, RowFormat::Csv, RowFormat::Tsv] {
                 let mut whole = String::new();
                 prop_assert!(format.write(&mut whole, &response, usize::MAX));
                 let mut decoded = String::new();
                 prop_assert!(format.write(&mut decoded, &library, usize::MAX));
                 prop_assert_eq!(&decoded, &whole, "{:?}", format);
-
-                let mut pieces = String::new();
-                format.write_head(&mut pieces, &response.columns);
-                let spent = AtomicUsize::new(pieces.len());
-                for range in bounds.windows(2) {
-                    let mut chunk = String::new();
-                    let range = range[0]..range[1];
-                    prop_assert!(format.write_rows(&mut chunk, &response, range, usize::MAX, Some(&spent)));
-                    pieces.push_str(&chunk);
-                }
-                pieces.push_str(format.tail());
-                prop_assert_eq!(&pieces, &whole, "{:?} cut at {:?}", format, bounds);
-                prop_assert_eq!(spent.into_inner() + format.tail().len(), whole.len());
             }
         }
     }

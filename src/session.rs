@@ -215,9 +215,6 @@ pub struct EncodedResponse {
     pub note: Option<String>,
     /// See [`Response::metrics`].
     pub metrics: RuntimeMetrics,
-    /// The request's morsel config — its thread budget, on the session's
-    /// pool under the query's tag — for the server to render under.
-    pub(crate) morsel: MorselConfig,
     /// On a result-tier hit, the entry's stored wire bodies — for the
     /// server to send, or to fill the first time a format is asked for
     /// ([`Session::store_body`]); `None` when the response is not a hit.
@@ -472,7 +469,6 @@ impl Session {
                         explain: None,
                         note: hit.note,
                         metrics: hit.metrics,
-                        morsel: self.morsel(&self.exec_config(&request)),
                         bodies: Some(bodies),
                     });
                 }
@@ -724,7 +720,6 @@ fn query_snapshot(
             explain,
             note,
             metrics,
-            morsel: ctx.morsel.clone(),
             bodies: None,
         },
         reads,
