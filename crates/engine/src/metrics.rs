@@ -76,8 +76,8 @@ pub struct RuntimeMetrics {
     /// Monotonic content version of the store snapshot the query ran
     /// against. Stamped by the session; [`RuntimeMetrics::of`] leaves it 0.
     pub store_version: u64,
-    /// Delta-overlay rows (inserts + tombstones) awaiting compaction in
-    /// that snapshot. Stamped by the session.
+    /// Delta-overlay rows (inserts + tombstones, middle + top level)
+    /// awaiting compaction in that snapshot. Stamped by the session.
     pub store_delta_rows: usize,
     /// Compactions (base-run rebuilds) the snapshot's lineage has
     /// performed. Stamped by the session.

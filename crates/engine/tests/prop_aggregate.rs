@@ -133,9 +133,9 @@ proptest! {
     }
 
     /// Skewed group keys: most departments collapse onto `d0` (one giant
-    /// group, a few singletons) — the shape where per-morsel partial
-    /// states disagree most about group discovery order, which the
-    /// morsel-order merge must hide completely.
+    /// group, a few singletons). The fold runs on the calling thread, one
+    /// morsel-sized range at a time behind a checkpoint, so a giant group
+    /// spans many ranges and must come out exactly as one.
     #[test]
     fn skewed_groups_match_reference(
         facts in proptest::collection::vec((0u16..80, 0u8..16, 0u8..10), 1..80),

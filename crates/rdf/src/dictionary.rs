@@ -8,6 +8,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::mem;
 use std::sync::Arc;
 
 use crate::term::{Term, TermKind};
@@ -58,21 +59,20 @@ impl fmt::Display for TermId {
 ///
 /// Like the triple relations, the dictionary is copy-on-write: ids
 /// `0..base_len` live in an immutable `Arc`-shared base segment and newer
-/// ids in a small mutable delta, so cloning a dictionary for snapshot
-/// publication costs O(delta). Ids are dense across both segments and never
-/// move; [`Dictionary::compact`] folds the delta into a fresh base segment.
+/// ids in a small delta segment, itself `Arc`-shared and copied only when
+/// a new term is interned into a shared one. Cloning a dictionary for
+/// snapshot publication is four `Arc` bumps, and a write that interns
+/// nothing copies no dictionary data. Ids are dense across both segments
+/// and never move; [`Dictionary::compact`] folds the delta into a fresh
+/// base segment.
 #[derive(Debug, Default, Clone)]
 pub struct Dictionary {
     /// Immutable shared segment: ids `0..base_terms.len()`.
     base_terms: Arc<Vec<Term>>,
     base_by_term: Arc<HashMap<Term, TermId>>,
-    /// Mutable overlay: ids `base_terms.len()..len()`.
-    delta_terms: Vec<Term>,
-    delta_by_term: HashMap<Term, TermId>,
-    /// Kind of each interned term (both segments), kept separately so
-    /// hot-path kind checks (heuristic H4) avoid touching the string data.
-    /// Plain `Vec`: one byte per term, cloning it is a memcpy.
-    kinds: Vec<TermKind>,
+    /// Copy-on-write overlay: ids `base_terms.len()..len()`.
+    delta_terms: Arc<Vec<Term>>,
+    delta_by_term: Arc<HashMap<Term, TermId>>,
 }
 
 impl Dictionary {
@@ -105,9 +105,8 @@ impl Dictionary {
             return id;
         }
         let id = TermId(u32::try_from(self.len()).expect("dictionary overflow: > u32::MAX terms"));
-        self.kinds.push(term.kind());
-        self.delta_terms.push(term.clone());
-        self.delta_by_term.insert(term, id);
+        Arc::make_mut(&mut self.delta_terms).push(term.clone());
+        Arc::make_mut(&mut self.delta_by_term).insert(term, id);
         id
     }
 
@@ -118,12 +117,16 @@ impl Dictionary {
         if self.delta_terms.is_empty() {
             return false;
         }
-        let mut terms = Vec::with_capacity(self.len());
-        terms.extend_from_slice(&self.base_terms);
-        terms.append(&mut self.delta_terms);
-        let mut by_term = HashMap::with_capacity(terms.len());
-        by_term.extend((*self.base_by_term).clone());
-        by_term.extend(self.delta_by_term.drain());
+        // Segments no snapshot shares are moved, not copied; the smaller
+        // map is inserted into the larger one.
+        let mut terms = Arc::unwrap_or_clone(mem::take(&mut self.base_terms));
+        terms.append(&mut Arc::unwrap_or_clone(mem::take(&mut self.delta_terms)));
+        let mut by_term = Arc::unwrap_or_clone(mem::take(&mut self.base_by_term));
+        let mut delta = Arc::unwrap_or_clone(mem::take(&mut self.delta_by_term));
+        if by_term.len() < delta.len() {
+            mem::swap(&mut by_term, &mut delta);
+        }
+        by_term.extend(delta);
         self.base_terms = Arc::new(terms);
         self.base_by_term = Arc::new(by_term);
         true
@@ -175,9 +178,16 @@ impl Dictionary {
         }
     }
 
-    /// The kind (IRI/literal) of an interned term without touching its data.
+    /// The kind (IRI/literal) of an interned term.
     pub fn kind(&self, id: TermId) -> TermKind {
-        self.kinds[id.index()]
+        self.term(id).kind()
+    }
+
+    /// `true` if both dictionaries share the same delta-segment allocation:
+    /// a publication that interned no new term copied no dictionary data.
+    pub fn shares_delta_with(&self, other: &Dictionary) -> bool {
+        Arc::ptr_eq(&self.delta_terms, &other.delta_terms)
+            && Arc::ptr_eq(&self.delta_by_term, &other.delta_by_term)
     }
 
     /// Iterate over all `(id, term)` pairs in id order.
@@ -277,6 +287,26 @@ mod tests {
         assert_eq!(d.term(a), &Term::iri("http://e.org/a"));
         assert_eq!(d.term(b), &Term::iri("http://e.org/b"));
         assert_eq!(d.id(&Term::iri("http://e.org/b")), Some(b));
+    }
+
+    /// Interning a known term into a clone copies nothing; interning a new
+    /// one copies the shared delta for the clone alone.
+    #[test]
+    fn the_delta_is_copied_only_for_a_new_term() {
+        let mut d = Dictionary::new();
+        let a = d.intern_iri("http://e.org/a");
+        let snapshot = d.clone();
+        assert!(d.shares_delta_with(&snapshot));
+        assert_eq!(d.intern_iri("http://e.org/a"), a);
+        assert!(
+            d.shares_delta_with(&snapshot),
+            "a known term copied the delta"
+        );
+        let b = d.intern_iri("http://e.org/b");
+        assert!(!d.shares_delta_with(&snapshot));
+        assert_eq!((d.delta_len(), snapshot.delta_len()), (2, 1));
+        assert!(snapshot.get(b).is_none());
+        assert_eq!(d.kind(b), TermKind::Iri);
     }
 
     /// The by-id and by-term copies of `id`'s term share their string

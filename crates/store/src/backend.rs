@@ -47,8 +47,9 @@ pub trait StorageBackend {
     /// Monotonic content version, bumped once per applied mutation batch.
     fn version(&self) -> u64;
 
-    /// Delta-overlay rows (inserts + tombstones) awaiting compaction.
-    /// Zero for backends without a write overlay.
+    /// Delta-overlay rows (inserts + tombstones, over every overlay
+    /// level) awaiting compaction. Zero for backends without a write
+    /// overlay.
     fn delta_rows(&self) -> usize;
 
     /// Number of base-run rebuilds (compactions) performed.

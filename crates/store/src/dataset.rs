@@ -5,6 +5,12 @@ use hsp_rdf::{Dictionary, IdTriple, Term, Triple};
 
 use crate::store::TripleStore;
 
+/// Terms the dictionary's delta segment may hold before
+/// [`Dataset::compact_if_needed`] folds it, base rebuild or not: a write
+/// that interns a new term copies the delta when a snapshot shares it, so
+/// this bounds that copy.
+const DICT_FOLD_TERMS: usize = 4 * 1024;
+
 /// A loaded RDF dataset: the [`Dictionary`] plus the six-order [`TripleStore`].
 ///
 /// This is the unit the planners and the execution engine operate on.
@@ -119,12 +125,19 @@ impl Dataset {
         self.store.set_compaction_threshold(threshold);
     }
 
-    /// Fold the store's delta overlays (and the dictionary's delta) into
-    /// fresh base runs when the delta has outgrown the threshold. Returns
-    /// `true` if a compaction ran.
+    /// `true` when [`Dataset::compact_if_needed`] would do work: the
+    /// store's overlay has reached its compaction threshold, or the
+    /// dictionary's delta holds 4096 terms.
+    pub fn needs_compaction(&self) -> bool {
+        self.store.needs_compaction() || self.dict.delta_len() >= DICT_FOLD_TERMS
+    }
+
+    /// Fold the store's delta overlays into fresh base runs when they have
+    /// outgrown the threshold, and the dictionary's delta with them or
+    /// once it holds 4096 terms. Returns `true` if the store compacted.
     pub fn compact_if_needed(&mut self) -> bool {
         let ran = self.store.compact_if_needed();
-        if ran {
+        if ran || self.dict.delta_len() >= DICT_FOLD_TERMS {
             self.dict.compact();
         }
         ran
@@ -211,6 +224,42 @@ mod tests {
                 "http://www.w3.org/2001/XMLSchema#integer"
             ))
             .is_some());
+    }
+
+    /// The dictionary's delta folds at 4096 terms even when the store's
+    /// overlay is far from its threshold.
+    #[test]
+    fn the_dictionary_delta_folds_on_its_own_bound() {
+        let mut ds = Dataset::from_ntriples(DOC).unwrap();
+        ds.set_compaction_threshold(Some(usize::MAX));
+        let p = Term::iri("http://e/p");
+        let triples: Vec<Triple> = (0..DICT_FOLD_TERMS / 2)
+            .map(|i| {
+                Triple::new(
+                    Term::iri(format!("http://e/s{i}")),
+                    p.clone(),
+                    Term::literal(i.to_string()),
+                )
+            })
+            .collect();
+        ds.insert_data(&triples[..10]);
+        assert!(!ds.needs_compaction());
+        assert!(!ds.compact_if_needed());
+        assert_eq!(ds.dict().delta_len(), 21);
+        ds.insert_data(&triples[10..]);
+        assert!(ds.dict().delta_len() >= DICT_FOLD_TERMS);
+        assert!(ds.needs_compaction());
+        assert!(
+            !ds.compact_if_needed(),
+            "the store's overlay is below its threshold"
+        );
+        assert_eq!(ds.dict().delta_len(), 0);
+        assert_eq!(ds.store().delta_rows(), DICT_FOLD_TERMS / 2);
+        assert_eq!(
+            ds.id_of(&Term::literal("7"))
+                .map(|id| ds.dict().term(id).clone()),
+            Some(Term::literal("7"))
+        );
     }
 
     #[test]

@@ -15,12 +15,13 @@
 //!   so the CDP baseline planner is fed the same information as in the paper.
 //! * [`Dataset`] — a store bundled with its [`Dictionary`].
 //!
-//! Since the copy-on-write refactor each relation is an immutable
-//! `Arc`-shared base run plus a sorted delta overlay, reads go through the
-//! [`StorageBackend`] trait ([`StorageBackend::scan`] returns an
-//! [`OrderScan`] cursor that borrows the base run whenever the delta is
-//! empty over the range), and cloning a store for snapshot publication
-//! costs O(delta) instead of O(store).
+//! Each relation is an immutable `Arc`-shared base run plus a two-level
+//! sorted delta overlay (an `Arc`-shared middle level and a small top
+//! level), reads go through the [`StorageBackend`] trait
+//! ([`StorageBackend::scan`] returns an [`OrderScan`] cursor that borrows
+//! the base run whenever the overlay is empty over the range), and a
+//! write costs its batch: cloning a store for snapshot publication copies
+//! only the six top levels.
 
 pub mod backend;
 pub mod dataset;

@@ -1,6 +1,9 @@
-//! One sorted copy of the triple table: immutable base run + delta overlay.
+//! One sorted copy of the triple table: immutable base run + a two-level
+//! delta overlay.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::Arc;
 
 use hsp_rdf::{IdTriple, TermId};
@@ -8,7 +11,14 @@ use hsp_rdf::{IdTriple, TermId};
 use crate::order::Order;
 use crate::scan::OrderScan;
 
-/// One delta-overlay entry: a key plus whether it deletes a base row.
+/// Entries the top overlay level may reach before one cancelling merge
+/// lays it over the middle level. A write merges into the top level only,
+/// so it costs its batch plus fewer than this many entries; the middle
+/// level is copied once per `FOLD_ROWS` overlay entries written.
+pub(crate) const FOLD_ROWS: usize = 256;
+
+/// One delta-overlay entry: a key plus whether it deletes a row of the
+/// level below.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct DeltaEntry {
     key: IdTriple,
@@ -26,23 +36,74 @@ struct DeltaEntry {
 /// index of RDF-3X: `count(prefix)` is exact in `O(log n + delta)` and
 /// `distinct(prefix)` in `O((d + delta) · log n)`.
 ///
-/// Mutation never touches the base run: inserts and removes land in the
-/// delta in `O(log n + delta)`, so cloning the relation costs an `Arc`
-/// bump plus the (small) delta — the copy-on-write property snapshot
-/// publication relies on. [`SortedRelation::compact`] folds the delta back
-/// into a fresh base run off the write path.
+/// The overlay has two levels, after the LSM-tree: an `Arc`-shared
+/// **middle** level relative to the base run, and a small private **top**
+/// level relative to base + middle. A write merges into the top level
+/// only; once the top level reaches 256 entries (`FOLD_ROWS`), one
+/// cancelling merge lays it over the middle level into a fresh `Arc`.
+/// Cloning the relation therefore costs two `Arc` bumps plus the top
+/// level — the copy-on-write property snapshot publication relies on —
+/// and a write costs its batch, not the overlay.
+/// [`SortedRelation::compact`] folds both levels back into a fresh base
+/// run off the write path.
 ///
-/// Delta invariants (upheld by every mutator):
+/// Overlay invariants (upheld by every mutator), for each level:
 /// - entries are sorted by key and keys are unique;
-/// - an insert entry's key is **absent** from the base run;
-/// - a tombstone's key is **present** in the base run.
+/// - an insert entry's key is **absent** from the level below;
+/// - a tombstone's key is **present** in the level below.
 #[derive(Debug, Clone)]
 pub struct SortedRelation {
     order: Order,
     base: Arc<Vec<IdTriple>>,
-    delta: Vec<DeltaEntry>,
-    /// Number of non-tombstone (insert) entries in `delta`.
-    inserts: usize,
+    /// Overlay relative to `base`, shared by clones.
+    middle: Arc<[DeltaEntry]>,
+    /// Overlay relative to `base` + `middle`; fewer than [`FOLD_ROWS`]
+    /// entries between writes.
+    top: Vec<DeltaEntry>,
+    /// Number of live rows.
+    len: usize,
+}
+
+/// Lay `upper` over `lower`, two overlay levels sorted and unique by key,
+/// where `upper` is relative to what `lower` leaves live. A key in one
+/// level keeps its entry; a key in both drops out, since an insert over a
+/// tombstone, or a tombstone over an insert, leaves the row as it is below
+/// `lower`. The result is one level relative to whatever `lower` is
+/// relative to.
+fn cancel_merge(lower: &[DeltaEntry], upper: &[DeltaEntry]) -> Vec<DeltaEntry> {
+    let mut out = Vec::with_capacity(lower.len() + upper.len());
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < lower.len() && j < upper.len() {
+        match lower[i].key.cmp(&upper[j].key) {
+            Ordering::Less => {
+                out.push(lower[i]);
+                i += 1;
+            }
+            Ordering::Greater => {
+                out.push(upper[j]);
+                j += 1;
+            }
+            Ordering::Equal => {
+                // Invariant: an upper entry over a lower one undoes it.
+                debug_assert_ne!(lower[i].tombstone, upper[j].tombstone);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&lower[i..]);
+    out.extend_from_slice(&upper[j..]);
+    out
+}
+
+/// The half-open range of `entries` whose keys match `prefix`.
+fn entry_bounds(entries: &[DeltaEntry], prefix: &[TermId]) -> Range<usize> {
+    if prefix.is_empty() {
+        return 0..entries.len();
+    }
+    let lo = entries.partition_point(|e| &e.key[..prefix.len()] < prefix);
+    let hi = entries.partition_point(|e| &e.key[..prefix.len()] <= prefix);
+    lo..hi
 }
 
 impl SortedRelation {
@@ -54,9 +115,10 @@ impl SortedRelation {
         rows.dedup();
         SortedRelation {
             order,
+            len: rows.len(),
             base: Arc::new(rows),
-            delta: Vec::new(),
-            inserts: 0,
+            middle: Arc::default(),
+            top: Vec::new(),
         }
     }
 
@@ -65,194 +127,38 @@ impl SortedRelation {
         self.order
     }
 
-    fn base_contains(base: &[IdTriple], key: IdTriple) -> bool {
-        base.binary_search(&key).is_ok()
-    }
-
-    fn delta_search(&self, key: IdTriple) -> Result<usize, usize> {
-        self.delta.binary_search_by(|e| e.key.cmp(&key))
-    }
-
-    /// Insert one `[s, p, o]` triple. Returns `false` if the triple was
-    /// already present. `O(log n + delta)` — the base run is not touched.
-    pub fn insert(&mut self, triple: IdTriple) -> bool {
-        let key = self.order.to_key(triple);
-        match self.delta_search(key) {
-            Ok(pos) => {
-                if self.delta[pos].tombstone {
-                    // Dropping the tombstone resurrects the base row.
-                    self.delta.remove(pos);
-                    true
-                } else {
-                    false
-                }
-            }
-            Err(pos) => {
-                if Self::base_contains(&self.base, key) {
-                    false
-                } else {
-                    self.delta.insert(
-                        pos,
-                        DeltaEntry {
-                            key,
-                            tombstone: false,
-                        },
-                    );
-                    self.inserts += 1;
-                    true
-                }
-            }
+    /// Apply a classified batch of `[s, p, o]` triples: distinct, and each
+    /// one absent from the relation when `tombstone` is `false` (an
+    /// insert) or present when it is `true` (a removal). The caller
+    /// classifies once for all six orders (`TripleStore::insert_batch`),
+    /// so no base run is searched here: `O(m log m + top)` for a batch of
+    /// `m`, plus `O(middle)` once the top level reaches [`FOLD_ROWS`].
+    pub(crate) fn write(&mut self, spo: &[IdTriple], tombstone: bool) {
+        let mut incoming: Vec<DeltaEntry> = spo
+            .iter()
+            .map(|&t| DeltaEntry {
+                key: self.order.to_key(t),
+                tombstone,
+            })
+            .collect();
+        incoming.sort_unstable_by_key(|e| e.key);
+        // An insert over a top tombstone, or a removal over a top insert,
+        // cancels it; every other key is new to the top level.
+        self.top = cancel_merge(&self.top, &incoming);
+        if tombstone {
+            self.len -= spo.len();
+        } else {
+            self.len += spo.len();
         }
-    }
-
-    /// Remove one `[s, p, o]` triple. Returns `false` if it was absent.
-    /// `O(log n + delta)` — base rows are tombstoned, not shifted.
-    pub fn remove(&mut self, triple: IdTriple) -> bool {
-        let key = self.order.to_key(triple);
-        match self.delta_search(key) {
-            Ok(pos) => {
-                if self.delta[pos].tombstone {
-                    false
-                } else {
-                    self.delta.remove(pos);
-                    self.inserts -= 1;
-                    true
-                }
-            }
-            Err(pos) => {
-                if Self::base_contains(&self.base, key) {
-                    self.delta.insert(
-                        pos,
-                        DeltaEntry {
-                            key,
-                            tombstone: true,
-                        },
-                    );
-                    true
-                } else {
-                    false
-                }
-            }
+        if self.top.len() >= FOLD_ROWS {
+            self.middle = cancel_merge(&self.middle, &self.top).into();
+            self.top.clear();
         }
-    }
-
-    /// Merge a batch of `[s, p, o]` triples into the delta in one pass.
-    /// Returns the number of triples that were new.
-    /// `O((delta + m) · log n)` for a batch of `m`.
-    pub fn insert_batch(&mut self, triples: &[IdTriple]) -> usize {
-        let mut incoming: Vec<IdTriple> = triples.iter().map(|&t| self.order.to_key(t)).collect();
-        incoming.sort_unstable();
-        incoming.dedup();
-        if incoming.is_empty() {
-            return 0;
-        }
-        let mut merged = Vec::with_capacity(self.delta.len() + incoming.len());
-        let mut added = 0;
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.delta.len() && j < incoming.len() {
-            match self.delta[i].key.cmp(&incoming[j]) {
-                Ordering::Less => {
-                    merged.push(self.delta[i]);
-                    i += 1;
-                }
-                Ordering::Greater => {
-                    let key = incoming[j];
-                    j += 1;
-                    if !Self::base_contains(&self.base, key) {
-                        merged.push(DeltaEntry {
-                            key,
-                            tombstone: false,
-                        });
-                        added += 1;
-                    }
-                }
-                Ordering::Equal => {
-                    let entry = self.delta[i];
-                    i += 1;
-                    j += 1;
-                    if entry.tombstone {
-                        // Insert over a tombstone: the base row comes back.
-                        added += 1;
-                    } else {
-                        merged.push(entry);
-                    }
-                }
-            }
-        }
-        merged.extend_from_slice(&self.delta[i..]);
-        for &key in &incoming[j..] {
-            if !Self::base_contains(&self.base, key) {
-                merged.push(DeltaEntry {
-                    key,
-                    tombstone: false,
-                });
-                added += 1;
-            }
-        }
-        self.delta = merged;
-        self.inserts = self.delta.iter().filter(|e| !e.tombstone).count();
-        added
-    }
-
-    /// Remove a batch of `[s, p, o]` triples in one pass. Returns the number
-    /// of triples actually removed. `O((delta + m) · log n)`.
-    pub fn remove_batch(&mut self, triples: &[IdTriple]) -> usize {
-        let mut outgoing: Vec<IdTriple> = triples.iter().map(|&t| self.order.to_key(t)).collect();
-        outgoing.sort_unstable();
-        outgoing.dedup();
-        if outgoing.is_empty() {
-            return 0;
-        }
-        let mut merged = Vec::with_capacity(self.delta.len() + outgoing.len());
-        let mut removed = 0;
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.delta.len() && j < outgoing.len() {
-            match self.delta[i].key.cmp(&outgoing[j]) {
-                Ordering::Less => {
-                    merged.push(self.delta[i]);
-                    i += 1;
-                }
-                Ordering::Greater => {
-                    let key = outgoing[j];
-                    j += 1;
-                    if Self::base_contains(&self.base, key) {
-                        merged.push(DeltaEntry {
-                            key,
-                            tombstone: true,
-                        });
-                        removed += 1;
-                    }
-                }
-                Ordering::Equal => {
-                    let entry = self.delta[i];
-                    i += 1;
-                    j += 1;
-                    if entry.tombstone {
-                        merged.push(entry); // already removed, keep the tombstone
-                    } else {
-                        removed += 1; // drop the live insert entry
-                    }
-                }
-            }
-        }
-        merged.extend_from_slice(&self.delta[i..]);
-        for &key in &outgoing[j..] {
-            if Self::base_contains(&self.base, key) {
-                merged.push(DeltaEntry {
-                    key,
-                    tombstone: true,
-                });
-                removed += 1;
-            }
-        }
-        self.delta = merged;
-        self.inserts = self.delta.iter().filter(|e| !e.tombstone).count();
-        removed
     }
 
     /// Number of live (distinct) rows: base, minus tombstones, plus inserts.
     pub fn len(&self) -> usize {
-        self.base.len() + 2 * self.inserts - self.delta.len()
+        self.len
     }
 
     /// `true` if the relation holds no live rows.
@@ -260,9 +166,15 @@ impl SortedRelation {
         self.len() == 0
     }
 
-    /// Number of delta-overlay entries (inserts + tombstones).
+    /// Number of delta-overlay entries (inserts + tombstones) over both
+    /// levels, middle and top.
     pub fn delta_len(&self) -> usize {
-        self.delta.len()
+        self.middle.len() + self.top.len()
+    }
+
+    /// Number of entries in the top overlay level.
+    pub(crate) fn top_len(&self) -> usize {
+        self.top.len()
     }
 
     /// Number of rows in the immutable base run.
@@ -292,35 +204,36 @@ impl SortedRelation {
         (lo, hi)
     }
 
-    /// The half-open delta range whose keys match `prefix`.
-    fn delta_bounds(&self, prefix: &[TermId]) -> (usize, usize) {
-        if prefix.is_empty() {
-            return (0, self.delta.len());
+    /// The overlay entries whose keys match `prefix`, as one level
+    /// relative to the base run: a borrowed slice of whichever level is
+    /// non-empty over the range, or the cancelling merge of both.
+    fn overlay(&self, prefix: &[TermId]) -> Cow<'_, [DeltaEntry]> {
+        let middle = &self.middle[entry_bounds(&self.middle, prefix)];
+        let top = &self.top[entry_bounds(&self.top, prefix)];
+        if top.is_empty() {
+            Cow::Borrowed(middle)
+        } else if middle.is_empty() {
+            Cow::Borrowed(top)
+        } else {
+            Cow::Owned(cancel_merge(middle, top))
         }
-        let lo = self
-            .delta
-            .partition_point(|e| &e.key[..prefix.len()] < prefix);
-        let hi = self
-            .delta
-            .partition_point(|e| &e.key[..prefix.len()] <= prefix);
-        (lo, hi)
     }
 
     /// The rows matching a bound key prefix (sorted by the remaining key
     /// components — the sortedness merge joins rely on).
     ///
-    /// Borrows the base run directly when no delta entry falls in the
-    /// range; otherwise merges base and delta into an owned buffer.
+    /// Borrows the base run directly when no overlay entry falls in the
+    /// range; otherwise merges base and overlay into an owned buffer.
     pub fn range(&self, prefix: &[TermId]) -> OrderScan<'_> {
         let (blo, bhi) = self.base_bounds(prefix);
-        let (dlo, dhi) = self.delta_bounds(prefix);
-        if dlo == dhi {
+        let delta = self.overlay(prefix);
+        if delta.is_empty() {
             return OrderScan::Borrowed(&self.base[blo..bhi]);
         }
-        let mut out = Vec::with_capacity((bhi - blo) + (dhi - dlo));
-        let (mut i, mut j) = (blo, dlo);
-        while i < bhi && j < dhi {
-            let entry = self.delta[j];
+        let mut out = Vec::with_capacity((bhi - blo) + delta.len());
+        let (mut i, mut j) = (blo, 0usize);
+        while i < bhi && j < delta.len() {
+            let entry = delta[j];
             match self.base[i].cmp(&entry.key) {
                 Ordering::Less => {
                     out.push(self.base[i]);
@@ -341,7 +254,7 @@ impl SortedRelation {
             }
         }
         out.extend_from_slice(&self.base[i..bhi]);
-        for entry in &self.delta[j..dhi] {
+        for entry in &delta[j..] {
             debug_assert!(!entry.tombstone);
             out.push(entry.key);
         }
@@ -352,9 +265,8 @@ impl SortedRelation {
     /// `O(log n + delta-in-range)`.
     pub fn count(&self, prefix: &[TermId]) -> usize {
         let (blo, bhi) = self.base_bounds(prefix);
-        let (dlo, dhi) = self.delta_bounds(prefix);
         let mut count = bhi - blo;
-        for entry in &self.delta[dlo..dhi] {
+        for entry in self.overlay(prefix).iter() {
             if entry.tombstone {
                 count -= 1;
             } else {
@@ -368,19 +280,20 @@ impl SortedRelation {
     /// among live rows matching `prefix`.
     ///
     /// Gallops from group to group over the base run with a binary search
-    /// each, walking the (small) delta range alongside, so the cost is
+    /// each, walking the (small) overlay range alongside, so the cost is
     /// `O((d + delta) · log n)` for `d` distinct values.
     pub fn distinct_after(&self, prefix: &[TermId]) -> usize {
         assert!(prefix.len() < 3, "no key component after a full key");
         let depth = prefix.len();
         let (mut i, bhi) = self.base_bounds(prefix);
-        let (mut j, dhi) = self.delta_bounds(prefix);
+        let delta = self.overlay(prefix);
+        let mut j = 0usize;
         let mut distinct = 0;
-        while i < bhi || j < dhi {
+        while i < bhi || j < delta.len() {
             // Next group value present in base or delta at `depth`.
             let value = match (
                 (i < bhi).then(|| self.base[i][depth]),
-                (j < dhi).then(|| self.delta[j].key[depth]),
+                delta.get(j).map(|e| e.key[depth]),
             ) {
                 (Some(b), Some(d)) => b.min(d),
                 (Some(b), None) => b,
@@ -396,8 +309,8 @@ impl SortedRelation {
             }
             // Walk the delta entries with this group value.
             let mut tombstones = 0usize;
-            while j < dhi && self.delta[j].key[depth] == value {
-                if self.delta[j].tombstone {
+            while j < delta.len() && delta[j].key[depth] == value {
+                if delta[j].tombstone {
                     tombstones += 1;
                 } else {
                     live += 1;
@@ -413,26 +326,31 @@ impl SortedRelation {
 
     /// `true` if a live row with exactly this key exists.
     pub fn contains_key(&self, key: IdTriple) -> bool {
-        match self.delta_search(key) {
-            Ok(pos) => !self.delta[pos].tombstone,
-            Err(_) => Self::base_contains(&self.base, key),
+        for level in [&self.top[..], &self.middle[..]] {
+            if let Ok(pos) = level.binary_search_by(|e| e.key.cmp(&key)) {
+                return !level[pos].tombstone;
+            }
         }
+        self.base.binary_search(&key).is_ok()
     }
 
-    /// Fold the delta overlay into a fresh base run. Returns `false` if the
-    /// delta was already empty. `O(n + delta)` — callers keep this off the
-    /// write path (see `TripleStore::compact`).
+    /// Fold both overlay levels into a fresh base run. Returns `false` if
+    /// the overlay was already empty. `O(n + delta)` — callers keep this
+    /// off the write path (see `TripleStore::compact`).
     pub fn compact(&mut self) -> bool {
-        if self.delta.is_empty() {
+        if self.delta_len() == 0 {
             return false;
         }
+        // Levels that cancel out entirely leave the base run as it is.
         let merged = match self.range(&[]) {
-            OrderScan::Owned(rows) => rows,
-            OrderScan::Borrowed(rows) => rows.to_vec(),
+            OrderScan::Owned(rows) => Some(rows),
+            OrderScan::Borrowed(_) => None,
         };
-        self.base = Arc::new(merged);
-        self.delta.clear();
-        self.inserts = 0;
+        if let Some(rows) = merged {
+            self.base = Arc::new(rows);
+        }
+        self.middle = Arc::default();
+        self.top.clear();
         true
     }
 }
@@ -456,6 +374,26 @@ mod tests {
             t(3, 10, 101),
             t(3, 10, 101), // duplicate, must be removed
         ]
+    }
+
+    /// Insert one triple the way `TripleStore` does: classify against the
+    /// live rows, then write. Returns `false` if it was already present.
+    fn insert(r: &mut SortedRelation, triple: IdTriple) -> bool {
+        let new = !r.contains_key(r.order().to_key(triple));
+        if new {
+            r.write(&[triple], false);
+        }
+        new
+    }
+
+    /// Remove one triple the way `TripleStore` does. Returns `false` if it
+    /// was absent.
+    fn remove(r: &mut SortedRelation, triple: IdTriple) -> bool {
+        let present = r.contains_key(r.order().to_key(triple));
+        if present {
+            r.write(&[triple], true);
+        }
+        present
     }
 
     /// Materialise all live rows (merged base+delta).
@@ -552,9 +490,9 @@ mod tests {
     fn inserts_land_in_delta_not_base() {
         let mut r = SortedRelation::build(Order::Spo, &sample());
         let before = r.clone();
-        assert!(r.insert(t(9, 9, 9)));
-        assert!(!r.insert(t(9, 9, 9)), "duplicate insert");
-        assert!(!r.insert(t(1, 10, 100)), "already in base");
+        assert!(insert(&mut r, t(9, 9, 9)));
+        assert!(!insert(&mut r, t(9, 9, 9)), "duplicate insert");
+        assert!(!insert(&mut r, t(1, 10, 100)), "already in base");
         assert_eq!(r.len(), 7);
         assert_eq!(r.delta_len(), 1);
         assert!(r.shares_base_with(&before), "insert must not copy the base");
@@ -566,9 +504,9 @@ mod tests {
     fn removes_tombstone_base_rows() {
         let mut r = SortedRelation::build(Order::Spo, &sample());
         let before = r.clone();
-        assert!(r.remove(t(1, 10, 100)));
-        assert!(!r.remove(t(1, 10, 100)), "double remove");
-        assert!(!r.remove(t(9, 9, 9)), "absent key");
+        assert!(remove(&mut r, t(1, 10, 100)));
+        assert!(!remove(&mut r, t(1, 10, 100)), "double remove");
+        assert!(!remove(&mut r, t(9, 9, 9)), "absent key");
         assert_eq!(r.len(), 5);
         assert_eq!(r.delta_len(), 1);
         assert!(r.shares_base_with(&before));
@@ -580,8 +518,8 @@ mod tests {
     #[test]
     fn reinsert_over_tombstone_resurrects() {
         let mut r = SortedRelation::build(Order::Spo, &sample());
-        assert!(r.remove(t(1, 10, 100)));
-        assert!(r.insert(t(1, 10, 100)));
+        assert!(remove(&mut r, t(1, 10, 100)));
+        assert!(insert(&mut r, t(1, 10, 100)));
         assert_eq!(r.delta_len(), 0, "tombstone + reinsert cancel out");
         assert_eq!(r.len(), 6);
         assert!(r.contains_key(t(1, 10, 100)));
@@ -590,8 +528,8 @@ mod tests {
     #[test]
     fn remove_pending_insert_cancels() {
         let mut r = SortedRelation::build(Order::Spo, &sample());
-        assert!(r.insert(t(9, 9, 9)));
-        assert!(r.remove(t(9, 9, 9)));
+        assert!(insert(&mut r, t(9, 9, 9)));
+        assert!(remove(&mut r, t(9, 9, 9)));
         assert_eq!(r.delta_len(), 0);
         assert_eq!(r.len(), 6);
     }
@@ -599,8 +537,8 @@ mod tests {
     #[test]
     fn merged_range_interleaves_delta() {
         let mut r = SortedRelation::build(Order::Spo, &sample());
-        r.insert(t(1, 10, 99));
-        r.remove(t(1, 10, 101));
+        insert(&mut r, t(1, 10, 99));
+        remove(&mut r, t(1, 10, 101));
         let scan = r.range(&[TermId(1), TermId(10)]);
         assert!(!scan.is_contiguous());
         assert_eq!(scan.as_slice(), &[t(1, 10, 99), t(1, 10, 100)]);
@@ -613,14 +551,14 @@ mod tests {
     #[test]
     fn distinct_after_sees_delta() {
         let mut r = SortedRelation::build(Order::Spo, &sample());
-        r.insert(t(4, 1, 1)); // new subject group
+        insert(&mut r, t(4, 1, 1)); // new subject group
         assert_eq!(r.distinct_after(&[]), 4);
-        r.remove(t(2, 10, 100));
-        r.remove(t(2, 12, 103)); // subject 2 fully tombstoned
+        remove(&mut r, t(2, 10, 100));
+        remove(&mut r, t(2, 12, 103)); // subject 2 fully tombstoned
         assert_eq!(r.distinct_after(&[]), 3);
         // Insert + tombstone within one group: subject 1 stays one group.
-        r.remove(t(1, 11, 100));
-        r.insert(t(1, 12, 1));
+        remove(&mut r, t(1, 11, 100));
+        insert(&mut r, t(1, 12, 1));
         assert_eq!(r.distinct_after(&[]), 3);
         assert_eq!(r.distinct_after(&[TermId(1)]), 2); // predicates 10, 12
     }
@@ -628,8 +566,8 @@ mod tests {
     #[test]
     fn compact_folds_delta_into_base() {
         let mut r = SortedRelation::build(Order::Spo, &sample());
-        r.insert(t(9, 9, 9));
-        r.remove(t(1, 10, 100));
+        insert(&mut r, t(9, 9, 9));
+        remove(&mut r, t(1, 10, 100));
         let merged = all_rows(&r);
         assert!(r.compact());
         assert!(!r.compact(), "second compact is a no-op");
@@ -639,25 +577,51 @@ mod tests {
         assert!(r.range(&[]).is_contiguous());
     }
 
+    /// Writes well past the fold size, with removals of base rows and of
+    /// rows inserted several folds earlier: the top level stays below
+    /// `FOLD_ROWS`, a clone shares the middle level, and every read equals
+    /// a relation rebuilt from the live rows.
     #[test]
-    fn batch_ops_match_singles() {
-        let mut batched = SortedRelation::build(Order::Pos, &sample());
-        let mut single = batched.clone();
-        let ins = vec![t(9, 9, 9), t(1, 10, 100), t(5, 5, 5), t(9, 9, 9)];
-        let del = vec![t(1, 10, 101), t(5, 5, 5), t(8, 8, 8)];
-        let added = batched.insert_batch(&ins);
-        let removed = batched.remove_batch(&del);
-        let mut a = 0;
-        for &x in &ins {
-            a += usize::from(single.insert(x));
+    fn two_levels_read_like_a_rebuild() {
+        let base: Vec<IdTriple> = (0..64u32).map(|i| t(i % 8, 10 + i % 3, 100 + i)).collect();
+        let mut r = SortedRelation::build(Order::Pos, &base);
+        let mut live: Vec<IdTriple> = base.clone();
+        for step in 0..40u32 {
+            let adds: Vec<IdTriple> = (0..50u32).map(|i| t(20 + step, 10 + i % 4, i)).collect();
+            for &x in &adds {
+                assert!(insert(&mut r, x));
+            }
+            live.extend(&adds);
+            // Remove a base row and a row inserted three steps ago.
+            for x in [base[step as usize], t(17 + step, 10 + step % 4, step)] {
+                if let Some(pos) = live.iter().position(|&y| y == x) {
+                    assert!(remove(&mut r, x));
+                    live.swap_remove(pos);
+                }
+            }
+            assert!(r.top_len() < FOLD_ROWS);
+            let clone = r.clone();
+            assert!(Arc::ptr_eq(&clone.middle, &r.middle));
+            let rebuilt = SortedRelation::build(Order::Pos, &live);
+            assert_eq!(r.len(), rebuilt.len());
+            assert_eq!(all_rows(&r), all_rows(&rebuilt));
+            for p in 10..14u32 {
+                let prefix = [TermId(p)];
+                assert_eq!(
+                    r.range(&prefix).as_slice(),
+                    rebuilt.range(&prefix).as_slice()
+                );
+                assert_eq!(r.count(&prefix), rebuilt.count(&prefix));
+                assert_eq!(r.distinct_after(&prefix), rebuilt.distinct_after(&prefix));
+            }
+            assert_eq!(r.distinct_after(&[]), rebuilt.distinct_after(&[]));
         }
-        let mut d = 0;
-        for &x in &del {
-            d += usize::from(single.remove(x));
-        }
-        assert_eq!(added, a);
-        assert_eq!(removed, d);
-        assert_eq!(all_rows(&batched), all_rows(&single));
-        assert_eq!(batched.len(), single.len());
+        assert!(r.middle.len() > FOLD_ROWS, "the middle level never grew");
+        assert!(r.compact());
+        assert_eq!(r.delta_len(), 0);
+        assert_eq!(
+            all_rows(&r),
+            all_rows(&SortedRelation::build(Order::Pos, &live))
+        );
     }
 }

@@ -17,9 +17,11 @@ use crate::scan::OrderScan;
 /// state-of-the-art RDF storing solutions").
 ///
 /// Each relation is copy-on-write (immutable `Arc`-shared base run plus a
-/// sorted delta overlay), so cloning the store is O(delta) and mutation
-/// never rewrites the base runs. [`TripleStore::compact`] folds the deltas
-/// back into fresh base runs; callers keep it off the write path.
+/// two-level sorted delta overlay), so cloning the store costs two `Arc`
+/// bumps and a top level of fewer than 256 entries per order, and a write
+/// costs its batch: it is classified once, on the SPO order, and merged
+/// into each order's top level. [`TripleStore::compact`] folds the
+/// overlays back into fresh base runs; callers keep it off the write path.
 #[derive(Debug, Clone)]
 pub struct TripleStore {
     relations: [SortedRelation; 6],
@@ -36,9 +38,17 @@ pub struct TripleStore {
 /// faster than paying six thread spawns.
 const PARALLEL_THRESHOLD: usize = 8 * 1024;
 
-/// Default delta size (per order) above which `compact_if_needed` rebuilds
-/// the base runs.
-const DEFAULT_COMPACT_THRESHOLD: usize = 4 * 1024;
+/// Smallest default overlay size (middle + top, per order) at which
+/// `compact_if_needed` rebuilds the base runs; past 32k base rows the
+/// default is an eighth of the base run instead.
+const MIN_COMPACT_THRESHOLD: usize = 4 * 1024;
+
+/// The compaction threshold of a store whose base runs hold `base_len`
+/// rows when nothing overrides it: `max(4096, base_len / 8)`, so a rebuild
+/// (`O(n)`) is paid at most once per `n / 8` rows written.
+fn default_compact_threshold(base_len: usize) -> usize {
+    MIN_COMPACT_THRESHOLD.max(base_len / 8)
+}
 
 /// `HSP_COMPACT_THRESHOLD` env override for the compaction threshold,
 /// read once per process (CI forces `1` to exercise merge-on-read scans
@@ -98,93 +108,72 @@ impl TripleStore {
     /// Insert one triple into all six orders. Returns `false` if already
     /// present.
     pub fn insert(&mut self, triple: IdTriple) -> bool {
-        let added = self.relations[0].insert(triple);
-        if added {
-            for rel in &mut self.relations[1..] {
-                rel.insert(triple);
-            }
-            self.version += 1;
-        }
-        added
+        self.insert_batch(&[triple]) == 1
     }
 
     /// Remove one triple from all six orders. Returns `false` if absent.
     pub fn remove(&mut self, triple: IdTriple) -> bool {
-        let removed = self.relations[0].remove(triple);
-        if removed {
-            for rel in &mut self.relations[1..] {
-                rel.remove(triple);
-            }
-            self.version += 1;
-        }
-        removed
+        self.remove_batch(&[triple]) == 1
     }
 
     /// Merge a batch of triples into all six delta overlays. Returns the
     /// number of genuinely new triples.
-    ///
-    /// The per-order merges are independent and run on one thread each
-    /// beyond the parallel threshold (measured against the work a merge
-    /// actually does now: the batch plus the existing delta).
     pub fn insert_batch(&mut self, triples: &[IdTriple]) -> usize {
-        let work = triples.len() + self.delta_rows();
-        let counts = self.for_each_relation(work, |rel| rel.insert_batch(triples));
-        debug_assert!(
-            counts.iter().all(|&n| n == counts[0]),
-            "orders diverged on insert"
-        );
-        if counts[0] > 0 {
-            self.version += 1;
-        }
-        counts[0]
+        let new = self.classify(triples, false);
+        self.write(&new, false)
     }
 
     /// Remove a batch of triples from all six orders. Returns the number of
     /// triples actually removed.
     pub fn remove_batch(&mut self, triples: &[IdTriple]) -> usize {
-        let work = triples.len() + self.delta_rows();
-        let counts = self.for_each_relation(work, |rel| rel.remove_batch(triples));
-        debug_assert!(
-            counts.iter().all(|&n| n == counts[0]),
-            "orders diverged on removal"
-        );
-        if counts[0] > 0 {
-            self.version += 1;
+        let present = self.classify(triples, true);
+        self.write(&present, true)
+    }
+
+    /// The distinct triples of `triples` that are live (`present`) or
+    /// absent (`!present`), sorted: the one membership test a batch pays,
+    /// on the SPO order, before all six orders take it.
+    fn classify(&self, triples: &[IdTriple], present: bool) -> Vec<IdTriple> {
+        let mut keys = triples.to_vec();
+        keys.sort_unstable();
+        keys.dedup();
+        keys.retain(|&t| self.contains(t) == present);
+        keys
+    }
+
+    /// Write classified triples (see [`SortedRelation::write`]) into every
+    /// order's top level, on one thread per order beyond the parallel
+    /// threshold. The work counted is the batch plus the top level it
+    /// merges into; a fold's copy of the middle level is paid once per
+    /// `FOLD_ROWS` rows, so a growing overlay never spawns threads.
+    fn write(&mut self, spo: &[IdTriple], tombstone: bool) -> usize {
+        if spo.is_empty() {
+            return 0;
         }
-        counts[0]
+        let work = spo.len() + self.relations[0].top_len();
+        self.for_each_relation(work, |rel| rel.write(spo, tombstone));
+        self.version += 1;
+        spo.len()
     }
 
     /// Apply `op` to every relation, in parallel when `work` crosses the
-    /// threshold, and collect the six return values.
-    fn for_each_relation(
-        &mut self,
-        work: usize,
-        op: impl Fn(&mut SortedRelation) -> usize + Sync,
-    ) -> [usize; 6] {
+    /// threshold.
+    fn for_each_relation(&mut self, work: usize, op: impl Fn(&mut SortedRelation) + Sync) {
         if parallelize(work) {
-            self.for_each_relation_parallel(&op)
+            self.for_each_relation_parallel(&op);
         } else {
-            let mut counts = [0usize; 6];
-            for (count, rel) in counts.iter_mut().zip(self.relations.iter_mut()) {
-                *count = op(rel);
-            }
-            counts
+            self.relations.iter_mut().for_each(op);
         }
     }
 
     /// One thread per relation (tested directly so single-core environments
     /// still exercise it).
-    fn for_each_relation_parallel(
-        &mut self,
-        op: &(impl Fn(&mut SortedRelation) -> usize + Sync),
-    ) -> [usize; 6] {
-        let mut counts = [0usize; 6];
+    fn for_each_relation_parallel(&mut self, op: &(impl Fn(&mut SortedRelation) + Sync)) {
         std::thread::scope(|scope| {
-            for (count, rel) in counts.iter_mut().zip(self.relations.iter_mut()) {
-                scope.spawn(move || *count = op(rel));
+            for rel in self.relations.iter_mut() {
+                scope.spawn(move || op(rel));
             }
         });
-        counts
     }
 
     /// The sorted relation for `order`. Crate-internal: consumers go
@@ -228,8 +217,9 @@ impl TripleStore {
         self.compactions
     }
 
-    /// Delta-overlay rows (inserts + tombstones) awaiting compaction.
-    /// All six orders carry the same logical delta, so one is reported.
+    /// Delta-overlay rows (inserts + tombstones, middle + top level)
+    /// awaiting compaction. All six orders carry the same logical delta,
+    /// so one is reported.
     pub fn delta_rows(&self) -> usize {
         self.relations[0].delta_len()
     }
@@ -245,7 +235,8 @@ impl TripleStore {
     }
 
     /// Set a per-store compaction threshold (inherited by clones).
-    /// `None` restores the `HSP_COMPACT_THRESHOLD` / built-in default.
+    /// `None` restores the `HSP_COMPACT_THRESHOLD` / built-in default,
+    /// `max(4096, base rows / 8)`.
     pub fn set_compaction_threshold(&mut self, threshold: Option<usize>) {
         self.compaction_threshold = threshold;
     }
@@ -254,7 +245,7 @@ impl TripleStore {
     pub fn compaction_threshold(&self) -> usize {
         self.compaction_threshold
             .or_else(env_compact_threshold)
-            .unwrap_or(DEFAULT_COMPACT_THRESHOLD)
+            .unwrap_or_else(|| default_compact_threshold(self.relations[0].base_len()))
     }
 
     /// `true` when the delta overlay has outgrown the threshold and the
@@ -275,7 +266,9 @@ impl TripleStore {
             return false;
         }
         let work = self.len();
-        self.for_each_relation(work, |rel| usize::from(rel.compact()));
+        self.for_each_relation(work, |rel| {
+            rel.compact();
+        });
         self.compactions += 1;
         true
     }
@@ -354,6 +347,7 @@ impl StorageBackend for TripleStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::relation::FOLD_ROWS;
 
     fn t(s: u32, p: u32, o: u32) -> IdTriple {
         [TermId(s), TermId(p), TermId(o)]
@@ -573,26 +567,74 @@ mod tests {
         }
     }
 
-    /// The parallel batch path agrees with the serial one on inserts and
-    /// removals, including the per-order counts.
+    /// The parallel write path agrees with the serial one on inserts and
+    /// removals.
     #[test]
     fn parallel_batches_equal_serial_batches() {
         let base: Vec<IdTriple> = (0..300u32).map(|i| t(i % 23, 100, 200 + i % 29)).collect();
         let batch: Vec<IdTriple> = (0..150u32).map(|i| t(i % 31, 101, 200 + i % 17)).collect();
 
         let mut serial = TripleStore::from_triples(&base);
-        let added_serial = serial.insert_batch(&batch);
+        let added = serial.insert_batch(&batch);
 
         let mut parallel = TripleStore::from_triples(&base);
-        let counts = parallel.for_each_relation_parallel(&|rel| rel.insert_batch(&batch));
-        assert!(counts.iter().all(|&n| n == added_serial), "{counts:?}");
+        let new = parallel.classify(&batch, false);
+        assert_eq!(new.len(), added);
+        parallel.for_each_relation_parallel(&|rel| rel.write(&new, false));
         assert_eq!(serial.len(), parallel.len());
 
-        let removed_serial = serial.remove_batch(&batch);
-        let counts = parallel.for_each_relation_parallel(&|rel| rel.remove_batch(&batch));
-        assert!(counts.iter().all(|&n| n == removed_serial));
+        let removed = serial.remove_batch(&batch);
+        let present = parallel.classify(&batch, true);
+        assert_eq!(present.len(), removed);
+        parallel.for_each_relation_parallel(&|rel| rel.write(&present, true));
         for order in Order::ALL {
             assert_eq!(rows(&serial, order), rows(&parallel, order), "{order}");
+            assert_eq!(serial.relation(order).len(), parallel.relation(order).len());
         }
+    }
+
+    /// A write merges into the top level only and folds it into the middle
+    /// level once it reaches `FOLD_ROWS`: after any write, of any size,
+    /// every order's top level holds fewer than `FOLD_ROWS` entries.
+    #[test]
+    fn every_write_leaves_each_top_level_below_the_fold_size() {
+        let mut s = sample_store();
+        s.set_compaction_threshold(Some(usize::MAX));
+        let mut next = 0u32;
+        for size in [1usize, 7, 255, 256, 600, 1, 3] {
+            let batch: Vec<IdTriple> = (0..size as u32).map(|i| t(50 + next + i, 1, 1)).collect();
+            next += size as u32;
+            assert_eq!(s.insert_batch(&batch), size);
+            // Remove half of it again, and a base row once.
+            s.remove_batch(&batch[..size / 2]);
+            s.remove(t(1, 10, 100));
+            for order in Order::ALL {
+                let rel = s.relation(order);
+                assert!(rel.top_len() < FOLD_ROWS, "{order}: top {}", rel.top_len());
+                assert_eq!(rel.delta_len(), s.delta_rows(), "{order}");
+            }
+        }
+        assert!(s.delta_rows() > FOLD_ROWS, "the middle level never grew");
+        let clone = s.clone();
+        assert!(clone.shares_base_runs_with(&s));
+        assert_eq!(rows(&clone, Order::Osp), rows(&s, Order::Osp));
+    }
+
+    /// With no override, the threshold is `max(4096, base rows / 8)`.
+    #[test]
+    fn default_threshold_is_an_eighth_of_the_base_past_32k_rows() {
+        assert_eq!(default_compact_threshold(0), 4096);
+        assert_eq!(default_compact_threshold(32 * 1024), 4096);
+        assert_eq!(default_compact_threshold(40_000), 5000);
+        assert_eq!(default_compact_threshold(300_000), 37_500);
+        let triples: Vec<IdTriple> = (0..40_000u32).map(|i| t(i, 1, 1)).collect();
+        let mut s = TripleStore::from_triples(&triples);
+        let want = env_compact_threshold().unwrap_or(5000);
+        assert_eq!(s.compaction_threshold(), want);
+        // The base run, not the overlay, sets it.
+        s.insert_batch(&[t(1, 2, 3)]);
+        assert_eq!(s.compaction_threshold(), want);
+        s.set_compaction_threshold(Some(7));
+        assert_eq!(s.compaction_threshold(), 7);
     }
 }

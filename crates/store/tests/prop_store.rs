@@ -322,3 +322,149 @@ proptest! {
         }
     }
 }
+
+/// One step of the two-level overlay case.
+#[derive(Debug, Clone)]
+enum LevelStep {
+    /// Insert a batch drawn from a domain wide enough that most rows are new.
+    Insert(Vec<IdTriple>),
+    /// Remove every `every`-th live row, from `offset` on, of the rows the
+    /// base run started with (`base`) or of the rows inserted since.
+    Remove {
+        base: bool,
+        every: usize,
+        offset: usize,
+    },
+    Compact,
+}
+
+fn arb_level_steps() -> impl Strategy<Value = Vec<LevelStep>> {
+    let batch = proptest::collection::vec((0u32..48, 0u32..6, 0u32..24), 20..160).prop_map(|v| {
+        v.into_iter()
+            .map(|(s, p, o)| [TermId(s), TermId(p + 100), TermId(o + 200)])
+            .collect()
+    });
+    let step = prop_oneof![
+        5 => batch.prop_map(LevelStep::Insert),
+        3 => (0u32..2, 1usize..5, 0usize..4).prop_map(|(base, every, offset)| LevelStep::Remove {
+            base: base == 1,
+            every,
+            offset,
+        }),
+        1 => Just(LevelStep::Compact),
+    ];
+    proptest::collection::vec(step, 10..24)
+}
+
+/// Bound positions with their values, as `count_bound` takes them.
+type Bound = Vec<(TriplePos, TermId)>;
+
+/// Every bound combination of `probe` paired with every free target: the
+/// `count_bound` / `distinct_bound` calls that reach all six orders.
+fn bound_combos(probe: IdTriple) -> Vec<(Bound, Option<TriplePos>)> {
+    let all = [TriplePos::S, TriplePos::P, TriplePos::O];
+    let mut out = Vec::new();
+    for mask in 0u8..8 {
+        let bound: Bound = all
+            .iter()
+            .filter(|pos| mask >> pos.index() & 1 == 1)
+            .map(|&pos| (pos, probe[pos.index()]))
+            .collect();
+        out.push((bound.clone(), None));
+        for target in all.iter().filter(|pos| mask >> pos.index() & 1 == 0) {
+            out.push((bound.clone(), Some(*target)));
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The two-level overlay under writes totalling well past the top
+    /// level's fold size, over a small base run: interleaved removals of
+    /// inserted and base rows, compactions, and a threshold that never
+    /// rebuilds (so inserts, tombstones and their cancellations pile up in
+    /// the middle level) or rebuilds after every write. After every step,
+    /// every order's full and bound-prefix scans, `count_bound` and
+    /// `distinct_bound` equal a store rebuilt from scratch, and the clone
+    /// taken before the step, which shares the middle level, still reads
+    /// exactly its own rows.
+    #[test]
+    fn middle_level_matches_from_scratch(
+        base in arb_triples(),
+        steps in arb_level_steps(),
+        threshold in prop_oneof![Just(usize::MAX), Just(1usize)],
+    ) {
+        let base = distinct(&base);
+        let mut store = TripleStore::from_triples(&base);
+        store.set_compaction_threshold(Some(threshold));
+        let mut live = base.clone();
+        for (i, step) in steps.iter().enumerate() {
+            let before = store.clone();
+            let before_live = live.clone();
+            match step {
+                LevelStep::Insert(batch) => {
+                    store.insert_batch(batch);
+                    live.extend(batch);
+                    live.sort_unstable();
+                    live.dedup();
+                }
+                LevelStep::Remove { base: from_base, every, offset } => {
+                    let doomed: Vec<IdTriple> = live
+                        .iter()
+                        .filter(|t| base.binary_search(t).is_ok() == *from_base)
+                        .skip(*offset)
+                        .step_by(*every)
+                        .copied()
+                        .collect();
+                    prop_assert_eq!(store.remove_batch(&doomed), doomed.len());
+                    live.retain(|t| doomed.binary_search(t).is_err());
+                }
+                LevelStep::Compact => {
+                    store.compact();
+                }
+            }
+            store.compact_if_needed();
+
+            let fresh = TripleStore::from_triples(&live);
+            prop_assert_eq!(store.len(), fresh.len());
+            let probe = live.get(i % live.len().max(1)).copied();
+            for order in Order::ALL {
+                let (got, want) = (store.scan(order, &[]), fresh.scan(order, &[]));
+                prop_assert_eq!(got.as_slice(), want.as_slice(), "order {}", order);
+                if let Some(probe) = probe {
+                    let key = order.to_key(probe);
+                    for prefix_len in 1..=3usize {
+                        let prefix = &key[..prefix_len];
+                        let (got, want) = (store.scan(order, prefix), fresh.scan(order, prefix));
+                        prop_assert_eq!(
+                            got.as_slice(),
+                            want.as_slice(),
+                            "order {} prefix {:?}", order, prefix
+                        );
+                    }
+                }
+            }
+            for (bound, target) in bound_combos(probe.unwrap_or([TermId(0), TermId(100), TermId(200)])) {
+                match target {
+                    None => prop_assert_eq!(
+                        store.count_bound(&bound),
+                        fresh.count_bound(&bound),
+                        "count {:?}", bound
+                    ),
+                    Some(target) => prop_assert_eq!(
+                        store.distinct_bound(&bound, target),
+                        fresh.distinct_bound(&bound, target),
+                        "distinct {} under {:?}", target, bound
+                    ),
+                }
+            }
+            let was = TripleStore::from_triples(&before_live);
+            for order in Order::ALL {
+                let (got, want) = (before.scan(order, &[]), was.scan(order, &[]));
+                prop_assert_eq!(got.as_slice(), want.as_slice(), "clone torn under order {}", order);
+            }
+        }
+    }
+}

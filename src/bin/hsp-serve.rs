@@ -48,7 +48,11 @@ fn usage() -> &'static str {
     "usage: hsp-serve <data.nt|-> [--addr host:port] [--pool-threads <n>]\n\
      \x20      [--max-inflight <n>] [--max-queue <n>] [--morsel-rows <n>]\n\
      \x20      [--min-parallel-rows <n>] [--compaction-threshold <n>]\n\
-     \x20      [--smoke [clients]]"
+     \x20      [--smoke [clients]]\n\
+     \n\
+     --compaction-threshold <n>  rebuild the base runs once a write leaves\n\
+     \x20      <n> overlay rows per order (default: HSP_COMPACT_THRESHOLD, else\n\
+     \x20      max(4096, triples / 8))"
 }
 
 fn parse_args() -> Result<Args, String> {

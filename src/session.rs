@@ -327,13 +327,14 @@ pub struct SessionOptions {
     pub morsel_rows: Option<usize>,
     /// Session-wide sequential-below threshold override.
     pub min_parallel_rows: Option<usize>,
-    /// Per-order delta size above which [`Session::update`] rebuilds the
-    /// base runs after publishing (see
+    /// Per-order overlay size (middle + top level) at which
+    /// [`Session::update`] rebuilds the base runs after publishing (see
     /// [`Dataset::set_compaction_threshold`]). `None` keeps the store's
     /// default (the `HSP_COMPACT_THRESHOLD` environment variable, else
-    /// 4096); `Some(1)` forces a rebuild after every update, which is
-    /// the O(store)-per-batch behaviour of the pre-delta store and is
-    /// what the write-heavy bench uses as its baseline.
+    /// `max(4096, base rows / 8)`, so a rebuild is paid at most once per
+    /// eighth of the store written); `Some(1)` forces a rebuild after
+    /// every update, the O(store)-per-batch behaviour of a store without
+    /// an overlay.
     pub compaction_threshold: Option<usize>,
 }
 
@@ -510,14 +511,15 @@ impl Session {
     /// is published only on success — concurrent readers keep their
     /// snapshot throughout, and an error publishes nothing.
     ///
-    /// The clone is copy-on-write: the six base runs (and the
-    /// dictionary's base segment) stay `Arc`-shared with the published
-    /// snapshot, and the update lands in per-order delta overlays — so
-    /// building and publishing a batch costs O(delta log delta), not
-    /// O(store). When an order's delta outgrows the compaction
-    /// threshold, the base runs are rebuilt *after* the swap: readers
-    /// are already served by the new snapshot, so the rebuild never
-    /// adds publication latency.
+    /// The clone is copy-on-write: the six base runs, their middle
+    /// overlay levels and the dictionary's segments stay `Arc`-shared
+    /// with the published snapshot, and the update lands in each order's
+    /// small top level — so building and publishing a batch costs the
+    /// batch, not the overlay and not the store. When the overlay
+    /// reaches the compaction threshold (or the dictionary's delta 4096
+    /// terms), the base runs are rebuilt *after* the swap: readers are
+    /// already served by the new snapshot, so the rebuild never adds
+    /// publication latency.
     pub fn update(&self, request: Request) -> Result<UpdateResponse, SessionError> {
         let config = self.exec_config(&request);
         let _writer = self
@@ -525,15 +527,16 @@ impl Session {
             .write_lock
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        // O(delta) clone: shares the base runs with the published
-        // snapshot via `Arc`, copies only the delta overlays.
+        // Cheap clone: shares the base runs, the middle overlay levels
+        // and the dictionary with the published snapshot via `Arc`,
+        // copies only the six small top levels.
         let mut working = (*self.snapshot()).clone();
         let (stats, touched) = run_update_traced(&mut working, &request.text, &config, || {
             self.context(&config)
         })
         .map_err(SessionError::Update)?;
         let triples = working.len();
-        let needs_compaction = working.store().needs_compaction();
+        let needs_compaction = working.needs_compaction();
         let published = Arc::new(working);
         {
             let mut store = self
@@ -560,7 +563,7 @@ impl Session {
             // content-neutral (same `version`), so the result cache
             // stays warm across the second swap.
             let mut compacted = (*published).clone();
-            compacted.compact();
+            compacted.compact_if_needed();
             let mut store = self
                 .inner
                 .store
@@ -864,6 +867,44 @@ mod tests {
             .unwrap();
         assert_eq!(old.len(), 3);
         assert_eq!(session.snapshot().len(), 1);
+    }
+
+    /// A publication copies dictionary data only when it interns a term:
+    /// an update over known terms shares the previous snapshot's
+    /// dictionary delta, one that interns a new term does not, and the
+    /// older snapshot never sees the new term.
+    #[test]
+    fn publication_copies_the_dictionary_only_for_new_terms() {
+        let session = Session::with_options(
+            dataset(),
+            SessionOptions {
+                compaction_threshold: Some(usize::MAX),
+                ..SessionOptions::default()
+            },
+        );
+        let update = |text: &str| session.update(Request::new(text)).unwrap().stats;
+        update("INSERT DATA { <http://e/a3> <http://e/name> \"Carol\" . }");
+        let first = session.snapshot();
+        assert_eq!(first.dict().delta_len(), 2);
+        // Known terms only: an insert and a removal.
+        assert_eq!(
+            update("INSERT DATA { <http://e/a2> <http://e/email> \"Alice\" . }").inserted,
+            1
+        );
+        assert_eq!(
+            update("DELETE DATA { <http://e/a3> <http://e/name> \"Carol\" . }").deleted,
+            1
+        );
+        let known = session.snapshot();
+        assert!(known.dict().shares_delta_with(first.dict()));
+        assert!(known.store().shares_base_runs_with(first.store()));
+        // A new term copies the delta for the new snapshot alone.
+        update("INSERT DATA { <http://e/a4> <http://e/name> \"Dan\" . }");
+        let grown = session.snapshot();
+        assert!(!grown.dict().shares_delta_with(known.dict()));
+        assert_eq!(grown.dict().len(), known.dict().len() + 2);
+        assert!(known.dict().id(&Term::iri("http://e/a4")).is_none());
+        assert_eq!(grown.len(), 5);
     }
 
     #[test]

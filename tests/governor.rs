@@ -97,9 +97,11 @@ fn chain_plan() -> PhysicalPlan {
     }
 }
 
-/// [`chain_plan`] under γ{?a} COUNT(?y): the γ fold's morsel claims are
-/// the only `"aggregate"`-site checkpoints, so matrix entries targeting
-/// that site need a plan that actually reaches the aggregate breaker.
+/// [`chain_plan`] under γ{?a} COUNT(?y): the γ fold runs on the calling
+/// thread with a checkpoint before every morsel-sized range of its input,
+/// and those are the only `"aggregate"`-site checkpoints, so matrix
+/// entries targeting that site need a plan that actually reaches the
+/// aggregate breaker.
 fn agg_plan() -> PhysicalPlan {
     PhysicalPlan::HashAggregate {
         input: Box::new(chain_plan()),
