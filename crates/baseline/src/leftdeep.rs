@@ -234,9 +234,18 @@ mod tests {
         assert!(plan.has_cross_product);
         let m = PlanMetrics::of(&plan.plan);
         assert_eq!(m.cross_products, 1);
-        // Execution under a row budget fails (the paper's "XXX").
-        let err = execute(&plan.plan, &ds, &ExecConfig::with_row_budget(10)).unwrap_err();
-        assert!(matches!(err, ExecError::BudgetExceeded { .. }));
+        // Execution under a memory budget that holds the inputs (2 × 64
+        // bytes) but not their product (64 rows of 4 ids, 1,024 bytes)
+        // fails before the product materialises (the paper's "XXX").
+        let config = ExecConfig::unlimited().with_mem_budget(512);
+        let err = execute(&plan.plan, &ds, &config).unwrap_err();
+        assert!(matches!(
+            err,
+            ExecError::MemoryBudgetExceeded {
+                site: "crossproduct",
+                ..
+            }
+        ));
     }
 
     #[test]

@@ -14,8 +14,10 @@ pub struct EnvConfig {
     pub yago_triples: usize,
     /// Timed runs per query (first dropped, rest averaged).
     pub runs: usize,
-    /// Intermediate-result row budget.
-    pub row_budget: usize,
+    /// Per-query memory budget in bytes. Fixed, not read from the
+    /// environment: it refuses the SQL baseline's Cartesian SP4a plan
+    /// before it materialises (the paper's `XXX`) and no other cell.
+    pub mem_budget: usize,
 }
 
 impl Default for EnvConfig {
@@ -24,7 +26,7 @@ impl Default for EnvConfig {
             sp2b_triples: 1_000_000,
             yago_triples: 500_000,
             runs: 21,
-            row_budget: 20_000_000,
+            mem_budget: 1 << 30,
         }
     }
 }
@@ -37,7 +39,7 @@ impl EnvConfig {
             sp2b_triples: read("HSP_SP2B_TRIPLES", default.sp2b_triples),
             yago_triples: read("HSP_YAGO_TRIPLES", default.yago_triples),
             runs: read("HSP_RUNS", default.runs).max(2),
-            row_budget: read("HSP_ROW_BUDGET", default.row_budget),
+            mem_budget: default.mem_budget,
         }
     }
 
@@ -47,7 +49,7 @@ impl EnvConfig {
             sp2b_triples: 30_000,
             yago_triples: 30_000,
             runs: 3,
-            row_budget: 2_000_000,
+            mem_budget: 16 << 20,
         }
     }
 }
@@ -115,6 +117,6 @@ mod tests {
     fn env_defaults() {
         let c = EnvConfig::default();
         assert_eq!(c.runs, 21);
-        assert!(c.row_budget > 0);
+        assert_eq!(c.mem_budget, 1 << 30);
     }
 }

@@ -11,8 +11,10 @@
 //! * `HSP_YAGO_TRIPLES` — YAGO-like dataset size (default 500,000).
 //! * `HSP_RUNS` — timed runs per query (default 21; the first is dropped
 //!   and the rest averaged, the paper's warm-cache methodology).
-//! * `HSP_ROW_BUDGET` — intermediate-result guard (default 20,000,000 rows;
-//!   the SQL baseline's Cartesian plans trip it and report `XXX`).
+//!
+//! Every timed execution runs under a fixed memory budget
+//! ([`EnvConfig::mem_budget`]), which refuses the SQL baseline's Cartesian
+//! SP4a plan before it materialises; the tables print that cell `XXX`.
 
 pub mod env;
 pub mod tables;

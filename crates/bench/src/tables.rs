@@ -172,8 +172,8 @@ pub fn table6() -> String {
 /// dataset.
 pub fn execution_table(env: &BenchEnv, dataset: DatasetKind) -> String {
     let name = match dataset {
-        DatasetKind::Sp2Bench => "Table 7: query execution time (ms), SP2Bench-like (warm runs)",
-        DatasetKind::Yago => "Table 8: query execution time (ms), YAGO-like (warm runs)",
+        DatasetKind::Sp2Bench => "Table 7: query execution time (µs), SP2Bench-like (warm runs)",
+        DatasetKind::Yago => "Table 8: query execution time (µs), YAGO-like (warm runs)",
     };
     let mut out = format!("{name}\n");
     let queries: Vec<WorkloadQuery> = workload()
@@ -193,9 +193,9 @@ pub fn execution_table(env: &BenchEnv, dataset: DatasetKind) -> String {
             let cell = plan(kind, ds, &parsed)
                 .ok()
                 .and_then(|planned| {
-                    timed_warm_runs(&planned.plan, ds, env.config.runs, env.config.row_budget).ok()
+                    timed_warm_runs(&planned.plan, ds, env.config.runs, env.config.mem_budget).ok()
                 })
-                .map_or("XXX".to_string(), |ms| format!("{ms:.2}"));
+                .map_or("XXX".to_string(), three_significant);
             out.push_str(&format!(" {cell:>12}"));
         }
         out.push('\n');
@@ -203,17 +203,18 @@ pub fn execution_table(env: &BenchEnv, dataset: DatasetKind) -> String {
     out
 }
 
-/// The paper's §6.1 protocol: run `runs` times warm, drop the first run,
-/// and return the mean milliseconds of the rest — or the error of the
-/// first failed run (e.g. the row budget tripped on a Cartesian product,
-/// which the tables print as `XXX`).
+/// The paper's §6.1 protocol: run `runs` times warm under a memory budget
+/// of `mem_budget` bytes, drop the first run, and return the mean
+/// microseconds of the rest — or the error of the first failed run (e.g.
+/// the budget refusing a Cartesian product, which the tables print as
+/// `XXX`).
 pub fn timed_warm_runs(
     plan: &PhysicalPlan,
     ds: &Dataset,
     runs: usize,
-    row_budget: usize,
+    mem_budget: usize,
 ) -> Result<f64, ExecError> {
-    let config = ExecConfig::with_row_budget(row_budget);
+    let config = ExecConfig::unlimited().with_mem_budget(mem_budget);
     let timed = runs.max(2) - 1;
     let mut total = 0.0;
     for i in 0..=timed {
@@ -221,10 +222,22 @@ pub fn timed_warm_runs(
         // Held past the clock: freeing the result is not execution.
         let _output = execute(plan, ds, &config)?;
         if i > 0 {
-            total += start.elapsed().as_secs_f64() * 1e3;
+            total += start.elapsed().as_secs_f64() * 1e6;
         }
     }
     Ok(total / timed as f64)
+}
+
+/// `us` to three significant digits (`15.3`, `2.34`, `28000`).
+fn three_significant(us: f64) -> String {
+    if us <= 0.0 {
+        return "0".into();
+    }
+    let digits = |x: f64| x.log10().floor() as i32;
+    let scale = 10f64.powi(digits(us) - 2);
+    let rounded = (us / scale).round() * scale;
+    let decimals = (2 - digits(rounded)).max(0) as usize;
+    format!("{rounded:.decimals$}")
 }
 
 /// The query texts (covers the paper's Tables 5 and 9).
@@ -446,7 +459,8 @@ pub fn ablation(env: &BenchEnv) -> String {
             hash += m.hash_joins;
             cross += m.cross_products;
             // Cap Cartesian plans like Table 7's "XXX" runs.
-            if let Ok(exec) = execute(&planned.plan, ds, &ExecConfig::with_row_budget(5_000_000)) {
+            let config = ExecConfig::unlimited().with_mem_budget(env.config.mem_budget);
+            if let Ok(exec) = execute(&planned.plan, ds, &config) {
                 total_cost += plan_cost(&planned.plan, &exec.profile).total();
             }
         }
@@ -532,11 +546,33 @@ mod tests {
         assert!(t7.contains("MonetDB/HSP"));
         assert!(t7.contains("RDF-3X/CDP"));
         assert!(t7.contains("MonetDB/SQL"));
-        // SP4a under SQL must be XXX (Cartesian product tripping the budget).
+        // SP4a under SQL is the only XXX (its Cartesian product refused
+        // by the memory budget).
+        let header: Vec<&str> = t7.lines().nth(1).unwrap().split_whitespace().collect();
         let sql_line = t7.lines().find(|l| l.starts_with("MonetDB/SQL")).unwrap();
-        assert!(sql_line.contains("XXX"), "{sql_line}");
+        let sql_cells: Vec<&str> = sql_line.split_whitespace().collect();
+        assert_eq!(
+            header[sql_cells.iter().position(|&c| c == "XXX").unwrap()],
+            "SP4a"
+        );
+        assert_eq!(t7.matches("XXX").count(), 1, "{t7}");
         let t8 = execution_table(env(), DatasetKind::Yago);
         assert!(t8.contains("Y4"));
+        assert!(!t8.contains("XXX"), "{t8}");
+    }
+
+    #[test]
+    fn cells_print_three_significant_digits() {
+        for (us, cell) in [
+            (2.344, "2.34"),
+            (15.26, "15.3"),
+            (99.96, "100"),
+            (123.4, "123"),
+            (28_012.0, "28000"),
+            (0.0, "0"),
+        ] {
+            assert_eq!(three_significant(us), cell);
+        }
     }
 
     #[test]
@@ -544,8 +580,8 @@ mod tests {
         let q = workload().into_iter().find(|q| q.id == "SP1").unwrap();
         let ds = env().dataset(q.dataset);
         let planned = plan(Planner::Hsp, ds, &q.parse()).unwrap();
-        let mean_ms = timed_warm_runs(&planned.plan, ds, 3, 1_000_000).unwrap();
-        assert!(mean_ms >= 0.0);
+        let mean_us = timed_warm_runs(&planned.plan, ds, 3, 1 << 20).unwrap();
+        assert!(mean_us >= 0.0);
     }
 
     #[test]
@@ -554,8 +590,11 @@ mod tests {
         let ds = env().dataset(q.dataset);
         let planned = plan(Planner::Sql, ds, &q.parse()).unwrap();
         assert!(matches!(
-            timed_warm_runs(&planned.plan, ds, 2, 10_000),
-            Err(ExecError::BudgetExceeded { .. })
+            timed_warm_runs(&planned.plan, ds, 2, env().config.mem_budget),
+            Err(ExecError::MemoryBudgetExceeded {
+                site: "crossproduct",
+                ..
+            })
         ));
     }
 

@@ -1,5 +1,5 @@
-//! Plan evaluation with per-operator profiling, a row budget, and the
-//! morsel runtime layer: [`execute`] lowers every plan into pipelines
+//! Plan evaluation with per-operator profiling and the morsel runtime
+//! layer: [`execute`] lowers every plan into pipelines
 //! ([`crate::pipeline`]); the operator-at-a-time tree walk in this module
 //! is the tests' reference, run only when
 //! [`ExecStrategy::OperatorAtATime`] names it. Every execution owns an
@@ -40,10 +40,6 @@ pub enum ExecStrategy {
 /// Execution configuration.
 #[derive(Debug, Clone, Default)]
 pub struct ExecConfig {
-    /// Abort if any single operator produces more than this many rows.
-    /// Used to guard against runaway Cartesian products (the SQL baseline's
-    /// SP4a plan) — the paper marks those runs "XXX".
-    pub max_intermediate_rows: Option<usize>,
     /// Thread budget for the morsel-parallel kernels. `None` (the default)
     /// detects it via `available_parallelism` (or the `HSP_FORCE_THREADS`
     /// environment override — see [`crate::morsel::MorselConfig::auto`]);
@@ -63,7 +59,8 @@ pub struct ExecConfig {
     /// Per-query memory budget in **bytes** of live materialised columns
     /// (see [`crate::govern`] for what is and isn't accounted); exceeding
     /// it surfaces [`ExecError::MemoryBudgetExceeded`] instead of an OOM
-    /// abort.
+    /// abort. A Cartesian product (the SQL baseline's SP4a plan, which the
+    /// paper marks "XXX") is refused before it materialises.
     pub mem_budget: Option<usize>,
     /// A caller-held cancellation token; [`CancelToken::cancel`] from any
     /// thread converts the execution into [`ExecError::Cancelled`] at the
@@ -86,14 +83,6 @@ impl ExecConfig {
     /// Unlimited execution.
     pub fn unlimited() -> Self {
         ExecConfig::default()
-    }
-
-    /// Execution with a row budget.
-    pub fn with_row_budget(rows: usize) -> Self {
-        ExecConfig {
-            max_intermediate_rows: Some(rows),
-            ..ExecConfig::default()
-        }
     }
 
     /// Force a thread budget for the parallel kernels.
@@ -172,31 +161,19 @@ impl ExecConfig {
     }
 
     /// The execution context this configuration asks for: one thread
-    /// budget (and one governor) for every operator of a query. With no
-    /// explicit [`threads`](Self::threads) the budget is
-    /// detected here, on every call ([`MorselConfig::auto`] asks the OS);
-    /// a long-lived caller detects once and calls
-    /// [`context_from`](Self::context_from).
+    /// budget (and one governor) for every operator of a query.
     pub fn context(&self) -> ExecContext {
-        self.context_from(MorselConfig::auto)
+        self.context_with(self.morsel())
     }
 
-    /// [`context`](Self::context) with the core detection supplied by the
-    /// caller: `detected` stands in for [`MorselConfig::auto`] and is only
-    /// called when no explicit [`threads`](Self::threads) replaces it; the
-    /// morsel-size overrides apply on top either way.
-    pub fn context_from(&self, detected: impl FnOnce() -> MorselConfig) -> ExecContext {
-        self.context_with(self.morsel_from(detected))
-    }
-
-    /// The morsel config [`context_from`](Self::context_from) builds its
-    /// context around: the thread budget (`detected` unless
+    /// The morsel config [`context`](Self::context) builds its context
+    /// around: the thread budget ([`MorselConfig::auto`] unless
     /// [`threads`](Self::threads) replaces it) under the morsel-size
     /// overrides.
-    pub fn morsel_from(&self, detected: impl FnOnce() -> MorselConfig) -> MorselConfig {
+    pub fn morsel(&self) -> MorselConfig {
         let mut morsel = self
             .threads
-            .map_or_else(detected, MorselConfig::with_threads);
+            .map_or_else(MorselConfig::auto, MorselConfig::with_threads);
         if let Some(rows) = self.morsel_rows {
             morsel = morsel.with_morsel_rows(rows);
         }
@@ -207,7 +184,7 @@ impl ExecConfig {
     }
 
     /// The execution context this configuration asks for, around a morsel
-    /// config the caller built (see [`morsel_from`](Self::morsel_from)).
+    /// config the caller built (see [`morsel`](Self::morsel)).
     pub fn context_with(&self, morsel: MorselConfig) -> ExecContext {
         let ctx = ExecContext::with_morsel_config(morsel);
         match self.governor() {
@@ -222,15 +199,6 @@ impl ExecConfig {
 pub enum ExecError {
     /// The plan violated a structural invariant.
     InvalidPlan(PlanError),
-    /// An operator exceeded [`ExecConfig::max_intermediate_rows`].
-    BudgetExceeded {
-        /// The operator that tripped the budget.
-        operator: String,
-        /// Rows it produced when aborted (the full output size).
-        rows: usize,
-        /// The configured budget.
-        budget: usize,
-    },
     /// The caller's [`CancelToken`] fired; the execution stopped at the
     /// next checkpoint with workers joined and its memory account at zero.
     Cancelled,
@@ -260,14 +228,6 @@ impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExecError::InvalidPlan(e) => write!(f, "{e}"),
-            ExecError::BudgetExceeded {
-                operator,
-                rows,
-                budget,
-            } => write!(
-                f,
-                "row budget exceeded: {operator} produced {rows} rows (budget {budget})"
-            ),
             ExecError::Cancelled => write!(f, "{}", GovernorError::Cancelled),
             ExecError::DeadlineExceeded => write!(f, "{}", GovernorError::DeadlineExceeded),
             ExecError::MemoryBudgetExceeded { used, budget, site } => write!(
@@ -412,8 +372,7 @@ pub fn execute(
 /// and only breaker boundaries materialise;
 /// [`ExecStrategy::OperatorAtATime`] takes the operator-at-a-time tree walk
 /// instead, which materialises every intermediate. Both paths produce
-/// byte-identical tables, identical per-operator cardinalities, and trip
-/// the row budget on the same plans.
+/// byte-identical tables and identical per-operator cardinalities.
 pub fn execute_in(
     plan: &PhysicalPlan,
     ds: &Dataset,
@@ -422,10 +381,8 @@ pub fn execute_in(
 ) -> Result<ExecOutput, ExecError> {
     plan.validate()?;
     let (table, profile) = match config.strategy {
-        ExecStrategy::Pipelined => {
-            crate::pipeline::lower(plan).run(ds, ctx, config.max_intermediate_rows)?
-        }
-        ExecStrategy::OperatorAtATime => run(plan, ds, config, ctx)?,
+        ExecStrategy::Pipelined => crate::pipeline::lower(plan).run(ds, ctx)?,
+        ExecStrategy::OperatorAtATime => run(plan, ds, ctx)?,
     };
     Ok(ExecOutput {
         table,
@@ -507,7 +464,6 @@ pub(crate) fn plan_label(plan: &PhysicalPlan) -> String {
 fn run(
     plan: &PhysicalPlan,
     ds: &Dataset,
-    config: &ExecConfig,
     ctx: &ExecContext,
 ) -> Result<(BindingTable, Profile), ExecError> {
     // The oracle's cooperative checkpoint: once per operator, before its
@@ -546,40 +502,40 @@ fn run(
         PhysicalPlan::Scan { pattern, order, .. } => {
             let start = Instant::now();
             let table = ops::scan(ctx, ds, pattern, *order);
-            finish(table, plan_label(plan), start, Vec::new(), config, ctx)
+            finish(table, plan_label(plan), start, Vec::new(), ctx)
         }
         PhysicalPlan::MergeJoin { left, right, var } => {
-            let (lt, lp) = run(left, ds, config, ctx)?;
+            let (lt, lp) = run(left, ds, ctx)?;
             let mut lt = Some(lt);
-            let (rt, rp) = try_second(run(right, ds, config, ctx), &mut lt, ctx)?;
+            let (rt, rp) = try_second(run(right, ds, ctx), &mut lt, ctx)?;
             let lt = lt.expect("left retained on success");
             let start = Instant::now();
             let table = ops::merge_join(&lt, &rt, *var);
             ctx.release(lt);
             ctx.release(rt);
-            finish(table, plan_label(plan), start, vec![lp, rp], config, ctx)
+            finish(table, plan_label(plan), start, vec![lp, rp], ctx)
         }
         PhysicalPlan::HashJoin { left, right, vars } => {
             // Build (right) side first — the order the pipeline executor
-            // runs its steps in, so both trip a budget on the same node.
-            let (rt, rp) = run(right, ds, config, ctx)?;
+            // runs its steps in.
+            let (rt, rp) = run(right, ds, ctx)?;
             let mut rt = Some(rt);
-            let (lt, lp) = try_second(run(left, ds, config, ctx), &mut rt, ctx)?;
+            let (lt, lp) = try_second(run(left, ds, ctx), &mut rt, ctx)?;
             let rt = rt.expect("right retained on success");
             let start = Instant::now();
             let table = ops::hash_join(&lt, &rt, vars);
             ctx.release(lt);
             ctx.release(rt);
-            finish(table, plan_label(plan), start, vec![lp, rp], config, ctx)
+            finish(table, plan_label(plan), start, vec![lp, rp], ctx)
         }
         PhysicalPlan::LeftOuterHashJoin { left, right, vars } => {
-            let (rt, rp) = run(right, ds, config, ctx)?;
+            let (rt, rp) = run(right, ds, ctx)?;
             let mut rt = Some(rt);
-            let (lt, lp) = try_second(run(left, ds, config, ctx), &mut rt, ctx)?;
+            let (lt, lp) = try_second(run(left, ds, ctx), &mut rt, ctx)?;
             let rt = rt.expect("right retained on success");
             // The keyless form pairs like a cross product.
             let (lt, rt) = if vars.is_empty() {
-                admit_product(plan, lt, rt, true, config, ctx)?
+                admit_product(lt, rt, true, ctx)?
             } else {
                 (lt, rt)
             };
@@ -587,62 +543,62 @@ fn run(
             let table = ops::left_outer_hash_join(ctx, &lt, &rt, vars);
             ctx.release(lt);
             ctx.release(rt);
-            finish(table, plan_label(plan), start, vec![lp, rp], config, ctx)
+            finish(table, plan_label(plan), start, vec![lp, rp], ctx)
         }
         PhysicalPlan::CrossProduct { left, right } => {
-            let (lt, lp) = run(left, ds, config, ctx)?;
+            let (lt, lp) = run(left, ds, ctx)?;
             let mut lt = Some(lt);
-            let (rt, rp) = try_second(run(right, ds, config, ctx), &mut lt, ctx)?;
+            let (rt, rp) = try_second(run(right, ds, ctx), &mut lt, ctx)?;
             let lt = lt.expect("left retained on success");
-            let (lt, rt) = admit_product(plan, lt, rt, false, config, ctx)?;
+            let (lt, rt) = admit_product(lt, rt, false, ctx)?;
             let start = Instant::now();
             let table = ops::cross_product(ctx, &lt, &rt);
             ctx.release(lt);
             ctx.release(rt);
-            finish(table, plan_label(plan), start, vec![lp, rp], config, ctx)
+            finish(table, plan_label(plan), start, vec![lp, rp], ctx)
         }
         PhysicalPlan::Union { left, right } => {
-            let (lt, lp) = run(left, ds, config, ctx)?;
+            let (lt, lp) = run(left, ds, ctx)?;
             let mut lt = Some(lt);
-            let (rt, rp) = try_second(run(right, ds, config, ctx), &mut lt, ctx)?;
+            let (rt, rp) = try_second(run(right, ds, ctx), &mut lt, ctx)?;
             let lt = lt.expect("left retained on success");
             let start = Instant::now();
             let table = ops::union_all(&lt, &rt);
             ctx.release(lt);
             ctx.release(rt);
-            finish(table, plan_label(plan), start, vec![lp, rp], config, ctx)
+            finish(table, plan_label(plan), start, vec![lp, rp], ctx)
         }
         PhysicalPlan::Sort { input, var } => {
-            let (it, ip) = run(input, ds, config, ctx)?;
+            let (it, ip) = run(input, ds, ctx)?;
             let start = Instant::now();
             let table = ops::sort_by(&it, *var);
             ctx.release(it);
-            finish(table, plan_label(plan), start, vec![ip], config, ctx)
+            finish(table, plan_label(plan), start, vec![ip], ctx)
         }
         PhysicalPlan::Filter { input, expr } => {
-            let (it, ip) = run(input, ds, config, ctx)?;
+            let (it, ip) = run(input, ds, ctx)?;
             let start = Instant::now();
             let table = ops::filter(ds, &it, expr);
             ctx.release(it);
-            finish(table, plan_label(plan), start, vec![ip], config, ctx)
+            finish(table, plan_label(plan), start, vec![ip], ctx)
         }
         PhysicalPlan::Bind { input, bindings } => {
-            let (it, ip) = run(input, ds, config, ctx)?;
+            let (it, ip) = run(input, ds, ctx)?;
             let start = Instant::now();
             let table = ops::bind(ds, &it, bindings);
             ctx.release(it);
-            finish(table, plan_label(plan), start, vec![ip], config, ctx)
+            finish(table, plan_label(plan), start, vec![ip], ctx)
         }
         PhysicalPlan::Project {
             input,
             projection,
             distinct,
         } => {
-            let (it, ip) = run(input, ds, config, ctx)?;
+            let (it, ip) = run(input, ds, ctx)?;
             let start = Instant::now();
             let table = ops::project(&it, projection, *distinct);
             ctx.release(it);
-            finish(table, plan_label(plan), start, vec![ip], config, ctx)
+            finish(table, plan_label(plan), start, vec![ip], ctx)
         }
         PhysicalPlan::HashAggregate {
             input,
@@ -650,70 +606,55 @@ fn run(
             aggs,
             having,
         } => {
-            let (it, ip) = run(input, ds, config, ctx)?;
+            let (it, ip) = run(input, ds, ctx)?;
             let start = Instant::now();
             let result =
                 crate::reference::hash_aggregate(ctx, ds, &it, group_by, aggs, having.as_ref());
             ctx.release(it);
             let table = result?;
-            finish(table, plan_label(plan), start, vec![ip], config, ctx)
+            finish(table, plan_label(plan), start, vec![ip], ctx)
         }
         PhysicalPlan::OrderBy { input, keys } => {
-            let (it, ip) = run(input, ds, config, ctx)?;
+            let (it, ip) = run(input, ds, ctx)?;
             let start = Instant::now();
             let table = ops::order_by(ctx, ds, &it, keys);
             ctx.release(it);
-            finish(table, plan_label(plan), start, vec![ip], config, ctx)
+            finish(table, plan_label(plan), start, vec![ip], ctx)
         }
         PhysicalPlan::Slice {
             input,
             offset,
             limit,
         } => {
-            let (it, ip) = run(input, ds, config, ctx)?;
+            let (it, ip) = run(input, ds, ctx)?;
             let start = Instant::now();
             let table = ops::slice(&it, *offset, *limit);
             ctx.release(it);
-            finish(table, plan_label(plan), start, vec![ip], config, ctx)
+            finish(table, plan_label(plan), start, vec![ip], ctx)
         }
     }
 }
 
-/// Check the budgets *before* materialising a pairing of `lt` and `rt`
-/// (a cross product, or with `outer` the keyless left-outer join), whose
-/// exact size is known up front: the guard that makes Cartesian plans fail
-/// fast instead of exhausting memory. Hands the inputs back when the
-/// pairing fits, releases them when it is refused.
+/// Check the memory budget *before* materialising a pairing of `lt` and
+/// `rt` (a cross product, or with `outer` the keyless left-outer join),
+/// whose exact size is known up front: the guard that makes Cartesian
+/// plans fail fast instead of exhausting memory. Hands the inputs back
+/// when the pairing fits, releases them when it is refused.
 fn admit_product(
-    plan: &PhysicalPlan,
     lt: BindingTable,
     rt: BindingTable,
     outer: bool,
-    config: &ExecConfig,
     ctx: &ExecContext,
 ) -> Result<(BindingTable, BindingTable), ExecError> {
-    let rows = ops::product_rows(lt.len(), rt.len(), outer);
-    let refusal = match config.max_intermediate_rows {
-        Some(budget) if rows > budget => Some(ExecError::BudgetExceeded {
-            operator: plan_label(plan),
-            rows,
-            budget,
-        }),
-        _ => {
-            let out_bytes = rows
-                .saturating_mul(lt.vars().len() + rt.vars().len())
-                .saturating_mul(std::mem::size_of::<TermId>());
-            ctx.reserve_check(out_bytes, "crossproduct")
-                .err()
-                .map(ExecError::from)
-        }
-    };
-    match refusal {
-        None => Ok((lt, rt)),
-        Some(e) => {
+    let out_bytes = ops::product_rows(lt.len(), rt.len(), outer)
+        .saturating_mul(lt.vars().len() + rt.vars().len())
+        .saturating_mul(std::mem::size_of::<TermId>());
+    match ctx.reserve_check(out_bytes, "crossproduct") {
+        Ok(()) => Ok((lt, rt)),
+        Err(e) => {
             ctx.release(lt);
             ctx.release(rt);
-            Err(e)
+            Err(e.into())
         }
     }
 }
@@ -723,19 +664,8 @@ fn finish(
     label: String,
     start: Instant,
     children: Vec<Profile>,
-    config: &ExecConfig,
     ctx: &ExecContext,
 ) -> Result<(BindingTable, Profile), ExecError> {
-    if let Some(budget) = config.max_intermediate_rows {
-        if table.len() > budget {
-            let rows = table.len();
-            return Err(ExecError::BudgetExceeded {
-                operator: label,
-                rows,
-                budget,
-            });
-        }
-    }
     // A kernel that bailed out early on `governor_poll` (the cross
     // product) returns an empty placeholder table — surface the trip and
     // drop the placeholder (it was never charged).
@@ -795,20 +725,17 @@ mod tests {
     }
 
     #[test]
-    fn context_from_detects_only_without_an_explicit_thread_count() {
-        let detected = || MorselConfig::with_threads(6).with_min_parallel_rows(7);
-        let ctx = ExecConfig::unlimited()
-            .with_morsel_rows(5)
-            .context_from(detected);
-        assert_eq!(ctx.morsel.threads(), 6);
-        assert_eq!(ctx.morsel.morsel_rows(), 5);
-        // 7 rows clear the detected threshold: two 5-row morsels.
-        assert_eq!(ctx.morsel.workers_for(6), 1);
-        assert_eq!(ctx.morsel.workers_for(7), 2);
-        let ctx = ExecConfig::unlimited()
+    fn morsel_overrides_apply_over_the_thread_budget() {
+        let morsel = ExecConfig::unlimited()
             .with_threads(3)
-            .context_from(|| unreachable!("an explicit count needs no detection"));
-        assert_eq!(ctx.morsel.threads(), 3);
+            .with_morsel_rows(5)
+            .with_min_parallel_rows(7)
+            .morsel();
+        assert_eq!(morsel.threads(), 3);
+        assert_eq!(morsel.morsel_rows(), 5);
+        // 7 rows clear the threshold: two 5-row morsels.
+        assert_eq!(morsel.workers_for(6), 1);
+        assert_eq!(morsel.workers_for(7), 2);
     }
 
     #[test]
@@ -843,28 +770,29 @@ mod tests {
     }
 
     #[test]
-    fn budget_trips_on_cross_product_before_materialising() {
+    fn memory_budget_refuses_a_cross_product_before_materialising() {
         let ds = dataset();
         let plan = PhysicalPlan::CrossProduct {
             left: Box::new(scan(0, vv(0), cv("p"), vv(1), Order::Pso)),
             right: Box::new(scan(1, vv(2), cv("q"), vv(3), Order::Pso)),
         };
-        let err = execute(&plan, &ds, &ExecConfig::with_row_budget(5)).unwrap_err();
-        match err {
-            ExecError::BudgetExceeded { rows, budget, .. } => {
-                assert_eq!(rows, 6);
-                assert_eq!(budget, 5);
+        // 3 × 2 inputs pair into 6 rows of 4 ids: 96 bytes asked on top
+        // of the inputs' 24 + 16.
+        for strategy in [ExecStrategy::Pipelined, ExecStrategy::OperatorAtATime] {
+            let config = ExecConfig::unlimited()
+                .with_strategy(strategy)
+                .with_mem_budget(100);
+            let ctx = config.context();
+            match execute_in(&plan, &ds, &config, &ctx).unwrap_err() {
+                ExecError::MemoryBudgetExceeded { used, budget, site } => {
+                    assert_eq!((used, budget, site), (136, 100, "crossproduct"));
+                }
+                other => panic!("{strategy:?}: unexpected error: {other}"),
             }
-            other => panic!("unexpected error: {other}"),
+            assert_eq!(ctx.governor().unwrap().mem_used(), 0);
+            let config = config.with_mem_budget(136);
+            assert_eq!(execute(&plan, &ds, &config).unwrap().table.len(), 6);
         }
-    }
-
-    #[test]
-    fn budget_allows_small_results() {
-        let ds = dataset();
-        let plan = scan(0, vv(0), cv("q"), vv(1), Order::Pso);
-        let out = execute(&plan, &ds, &ExecConfig::with_row_budget(100)).unwrap();
-        assert_eq!(out.table.len(), 2);
     }
 
     #[test]

@@ -95,10 +95,9 @@
 //!   into the sink when no stage drops a row).
 //! * [`mod@reference`] — the retired row-at-a-time kernels, kept as oracle.
 //! * [`exec`] — `execute` (always lower-then-run), the configuration with
-//!   its intermediate-result row budget (enforced by the pipeline
-//!   executor; it makes the SQL baseline's Cartesian plans fail fast, the
-//!   paper's "XXX" entries), per-operator profiles, and the reference tree
-//!   evaluator.
+//!   its governor limits (a memory budget refuses the SQL baseline's
+//!   Cartesian plans before they materialise, the paper's "XXX" entries),
+//!   per-operator profiles, and the reference tree evaluator.
 //! * [`cost`] — the RDF-3X cost model the paper uses for Table 3.
 //! * [`metrics`] — plan characteristics for Table 4 (merge/hash join counts,
 //!   left-deep vs bushy shape, plan similarity) and the runtime counters.

@@ -80,7 +80,9 @@ pub struct MorselConfig {
 
 impl MorselConfig {
     /// Thread budget from [`std::thread::available_parallelism`] — the
-    /// production configuration.
+    /// production configuration. The core count is asked of the OS once
+    /// per process (on Linux it reads cgroup files, tens of microseconds
+    /// a call), so every caller may call this per query.
     ///
     /// The `HSP_FORCE_THREADS` environment variable overrides core
     /// detection, drops the row threshold to zero, **and** shrinks
@@ -98,8 +100,10 @@ impl MorselConfig {
                 .with_min_parallel_rows(0)
                 .with_morsel_rows(FORCED_ENV_MORSEL_ROWS);
         }
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        MorselConfig::with_threads(threads)
+        static CORES: OnceLock<usize> = OnceLock::new();
+        let cores =
+            *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        MorselConfig::with_threads(cores)
     }
 
     /// Always sequential (a one-thread budget).

@@ -65,12 +65,11 @@
 //! counts every join of its chain per key (Σ over keys of the product of
 //! the group sizes up to that join), rows it never emits included.
 //!
-//! Those exact cardinalities are also what the row budget
-//! ([`ExecConfig::max_intermediate_rows`](crate::exec::ExecConfig::max_intermediate_rows))
-//! is enforced on: after every step the nodes it finished are compared
-//! with the budget and the first offender in the oracle's evaluation
-//! order is reported, and a Cartesian product is refused before it
-//! materialises — the same plans trip as under the oracle.
+//! The only resource guard is the governor's ([`crate::govern`]): a
+//! deadline, a memory budget over the materialised slots, and a cancel
+//! token, consulted at every breaker and morsel claim. A Cartesian
+//! product's size is known exactly up front, so one that would not fit
+//! the memory budget is refused before it materialises.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -302,38 +301,6 @@ pub fn lower(plan: &PhysicalPlan) -> Program<'_> {
         handoff,
         ids,
     }
-}
-
-/// Append `plan`'s nodes in the operator-at-a-time oracle's evaluation
-/// order: every node after its inputs; a hash join's build (right) side
-/// before its probe side, every other operator's inputs left to right.
-fn push_oracle_order(
-    plan: &PhysicalPlan,
-    ids: &HashMap<*const PhysicalPlan, NodeId>,
-    out: &mut Vec<NodeId>,
-) {
-    match plan {
-        PhysicalPlan::Scan { .. } => {}
-        PhysicalPlan::HashJoin { left, right, .. }
-        | PhysicalPlan::LeftOuterHashJoin { left, right, .. } => {
-            push_oracle_order(right, ids, out);
-            push_oracle_order(left, ids, out);
-        }
-        PhysicalPlan::MergeJoin { left, right, .. }
-        | PhysicalPlan::CrossProduct { left, right }
-        | PhysicalPlan::Union { left, right } => {
-            push_oracle_order(left, ids, out);
-            push_oracle_order(right, ids, out);
-        }
-        PhysicalPlan::Sort { input, .. }
-        | PhysicalPlan::Bind { input, .. }
-        | PhysicalPlan::Filter { input, .. }
-        | PhysicalPlan::Project { input, .. }
-        | PhysicalPlan::OrderBy { input, .. }
-        | PhysicalPlan::HashAggregate { input, .. }
-        | PhysicalPlan::Slice { input, .. } => push_oracle_order(input, ids, out),
-    }
-    out.push(ids[&(plan as *const PhysicalPlan)]);
 }
 
 /// A pipeline under construction: a source plus the streaming stages
@@ -704,19 +671,16 @@ impl Program<'_> {
     /// With a governor attached to `ctx`, every breaker step and every
     /// morsel claim is a cooperative checkpoint; an error drains every
     /// filled slot through [`ExecContext::release`], so a cancelled or
-    /// failed execution leaves the memory accounting at zero. So does a
-    /// `row_budget` trip: any plan node producing more rows than the
-    /// budget fails the execution with [`ExecError::BudgetExceeded`].
+    /// failed execution leaves the memory accounting at zero.
     pub fn run(
         &self,
         ds: &Dataset,
         ctx: &ExecContext,
-        row_budget: Option<usize>,
     ) -> Result<(BindingTable, Profile), ExecError> {
         let mut slots: Vec<Option<BindingTable>> = (0..self.slot_count).map(|_| None).collect();
         let mut rows = vec![0usize; self.node_count];
         let mut nanos = vec![0u128; self.node_count];
-        if let Err(e) = self.run_steps(ds, ctx, row_budget, &mut slots, &mut rows, &mut nanos) {
+        if let Err(e) = self.run_steps(ds, ctx, &mut slots, &mut rows, &mut nanos) {
             for slot in slots.iter_mut() {
                 if let Some(t) = slot.take() {
                     ctx.release(t);
@@ -736,39 +700,28 @@ impl Program<'_> {
         &self,
         ds: &Dataset,
         ctx: &ExecContext,
-        row_budget: Option<usize>,
         slots: &mut [Option<BindingTable>],
         rows: &mut [usize],
         nanos: &mut [u128],
     ) -> Result<(), ExecError> {
-        // Every node in the order the oracle finishes it — the order its
-        // row-budget check meets them in (only a budget reads it).
-        let mut oracle_order = Vec::new();
-        if row_budget.is_some() {
-            push_oracle_order(self.plan, &self.ids, &mut oracle_order);
-        }
         for step in &self.steps {
             match step {
                 Step::Breaker { node, out, op } => {
                     let start = Instant::now();
                     // A Cartesian product's output size is known exactly up
                     // front: refuse it *before* materialising when it cannot
-                    // fit the row budget or the memory budget.
-                    if let BreakerOp::CrossProduct { left, right, outer } = op {
+                    // fit the memory budget.
+                    if let (BreakerOp::CrossProduct { left, right, outer }, Some(gov)) =
+                        (op, ctx.governor())
+                    {
                         let lt = slots[*left].as_ref().expect("input slot filled before use");
                         let rt = slots[*right]
                             .as_ref()
                             .expect("input slot filled before use");
-                        let product = ops::product_rows(lt.len(), rt.len(), *outer);
-                        if let Some(budget) = row_budget.filter(|&b| product > b) {
-                            return Err(self.budget_exceeded(*node, product, budget));
-                        }
-                        if let Some(gov) = ctx.governor() {
-                            let bytes = product
-                                .saturating_mul(lt.vars().len() + rt.vars().len())
-                                .saturating_mul(std::mem::size_of::<TermId>());
-                            gov.would_exceed(bytes, "crossproduct")?;
-                        }
+                        let bytes = ops::product_rows(lt.len(), rt.len(), *outer)
+                            .saturating_mul(lt.vars().len() + rt.vars().len())
+                            .saturating_mul(std::mem::size_of::<TermId>());
+                        gov.would_exceed(bytes, "crossproduct")?;
                     }
                     let (table, consumed) = match ctx.governor() {
                         None => run_breaker(op, ds, ctx, slots)?,
@@ -819,31 +772,8 @@ impl Program<'_> {
                     run_pipeline(p, ds, ctx, slots, rows, nanos, handed_off)?;
                 }
             }
-            // The step's output is stored (and charged), so a trip drains
-            // through the caller's slot sweep like any governor error.
-            // Earlier steps passed, so an offender is one of this step's
-            // nodes; steps run in the oracle's order, so the first
-            // offender in that order is the one the oracle reports —
-            // inside a merge block too, whose right leaves sit off the
-            // pipeline's left spine.
-            if let Some(budget) = row_budget {
-                if let Some(&node) = oracle_order.iter().find(|&&n| rows[n] > budget) {
-                    return Err(self.budget_exceeded(node, rows[node], budget));
-                }
-            }
         }
         Ok(())
-    }
-
-    /// The row-budget error for plan node `node` (its pre-order position).
-    fn budget_exceeded(&self, node: NodeId, rows: usize, budget: usize) -> ExecError {
-        let mut labels = Vec::with_capacity(self.node_count);
-        self.plan.visit(&mut |p| labels.push(plan_label(p)));
-        ExecError::BudgetExceeded {
-            operator: labels.swap_remove(node),
-            rows,
-            budget,
-        }
     }
 
     fn build_profile(&self, plan: &PhysicalPlan, rows: &[usize], nanos: &[u128]) -> Profile {
@@ -2336,7 +2266,8 @@ fn merge_block_morsel(
             cursors[j] = e;
             groups[j] = c..e;
             // Saturating: an inner join's count may be far too large to
-            // materialise — it only has to trip the row budget.
+            // materialise, and the `Profile`'s exact cardinality then
+            // reads `usize::MAX` instead of wrapping.
             width = if plain {
                 width.saturating_mul(e - c)
             } else {

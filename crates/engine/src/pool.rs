@@ -92,10 +92,7 @@ impl ExecContext {
         ExecContext::with_morsel_config(MorselConfig::with_threads(threads))
     }
 
-    /// A context with an explicit morsel configuration. Detects nothing:
-    /// [`MorselConfig::auto`] asks the OS for the core count (a cgroup
-    /// file read on Linux, tens of microseconds), which a caller that
-    /// already holds a configuration must not pay per query.
+    /// A context with an explicit morsel configuration.
     pub fn with_morsel_config(morsel: MorselConfig) -> Self {
         ExecContext {
             morsel,

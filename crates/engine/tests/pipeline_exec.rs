@@ -6,8 +6,9 @@
 //! [`ExecStrategy::OperatorAtATime`]'s output, at forced thread counts
 //! 1–4 with tiny morsels (so even these small inputs split across
 //! workers), and the per-operator [`Profile`] cardinalities must agree
-//! row for row. The row budget is part of that contract: both executors
-//! trip it on the same plans with the same error, and a trip drains.
+//! row for row. The memory budget's refusal of a Cartesian product is
+//! part of that contract: both executors refuse it at the same site
+//! before it materialises, and a refusal drains.
 
 use hsp_engine::exec::{execute_in, ExecConfig, ExecError, ExecStrategy};
 use hsp_engine::{BindingTable, ExecContext, MorselConfig, PhysicalPlan};
@@ -440,14 +441,16 @@ fn empty_filter_result_metadata_matches() {
     let _: &BindingTable = &out.table;
 }
 
-/// Row-budget parity: the pipeline executor's budget check against the
-/// oracle's, over the paper's 14 workload plans (HSP) plus the SQL-order
-/// SP4a plan whose Cartesian product is what the budget exists for. At
-/// every budget around each plan's largest node, sequential and forced
-/// 4-thread, with and without a governor: same `Ok` table or same
-/// `BudgetExceeded`, and a trip leaves the memory account at zero.
+/// Memory-budget parity on the Cartesian product: the SQL-order SP4a plan,
+/// whose product is what the paper prints `XXX` for, and the paper's 14
+/// HSP plans beside it. Under budgets below and at the product's output
+/// bytes, pipelines and oracle, sequential and forced 4-thread, both
+/// refuse it at `crossproduct`, before it materialises, with the same
+/// bytes asked; under a budget above all either executor charged or asked
+/// both return the same table; every trip leaves the memory account at
+/// zero.
 #[test]
-fn row_budget_parity_with_the_oracle() {
+fn memory_budget_parity_with_the_oracle() {
     use hsp_datagen::{generate_sp2bench, generate_yago, workload, DatasetKind};
 
     let sp2b = generate_sp2bench(hsp_datagen::Sp2BenchConfig::with_triples(12_000));
@@ -473,84 +476,87 @@ fn row_budget_parity_with_the_oracle() {
     }
     assert_eq!(plans.len(), 15);
 
-    // A budgeted run is a pipeline run (it used to force the oracle).
-    let (_, chain, ds) = plans.iter().find(|(id, ..)| id == "SP2a").unwrap();
-    let budgeted = ExecConfig::with_row_budget(usize::MAX);
-    let out = execute_in(chain, ds, &budgeted, &budgeted.context()).unwrap();
-    assert!(out.runtime.pipelines > 0, "{:?}", out.runtime);
-
     let run = |plan: &PhysicalPlan,
                ds: &Dataset,
                strategy: ExecStrategy,
                budget: usize,
-               threads: usize,
-               governed: bool| {
-        let mut config = ExecConfig::with_row_budget(budget).with_strategy(strategy);
-        if governed {
-            config = config.with_mem_budget(usize::MAX);
-        }
-        let ctx = config.context_from(|| {
+               threads: usize| {
+        let config = ExecConfig::unlimited()
+            .with_strategy(strategy)
+            .with_mem_budget(budget);
+        let ctx = config.context_with(
             MorselConfig::with_threads(threads)
                 .with_morsel_rows(128)
-                .with_min_parallel_rows(0)
-        });
+                .with_min_parallel_rows(0),
+        );
         let result = execute_in(plan, ds, &config, &ctx);
+        let gov = ctx.governor().expect("a budget attaches a governor");
         if result.is_err() {
-            if let Some(gov) = ctx.governor() {
-                assert_eq!(gov.mem_used(), 0, "{strategy:?} leaked memory accounting");
-            }
+            assert_eq!(gov.mem_used(), 0, "{strategy:?} leaked memory accounting");
         }
-        let peak = ctx.governor().map_or(0, |gov| gov.mem_peak());
-        (result, peak)
+        (result, gov.mem_peak())
     };
 
+    let mut products = 0;
     for (id, plan, ds) in &plans {
         let unlimited = ExecConfig::unlimited().with_strategy(ExecStrategy::OperatorAtATime);
         let reference = execute_in(plan, ds, &unlimited, &unlimited.context()).unwrap();
-        let mut max_rows = 0;
+        let mut width = 0;
+        plan.visit(&mut |p| {
+            if matches!(p, PhysicalPlan::CrossProduct { .. }) {
+                width = p.output_vars().len();
+            }
+        });
         let mut product_rows = 0;
         reference.profile.visit(&mut |p| {
-            max_rows = max_rows.max(p.output_rows);
             if p.label == "crossproduct" {
                 product_rows = p.output_rows;
             }
         });
-        for budget in [0, 10, max_rows.saturating_sub(1), max_rows, usize::MAX] {
-            for (threads, governed) in [(1, false), (1, true), (4, false), (4, true)] {
-                let at = format!("{id} budget={budget} threads={threads} governed={governed}");
-                let (oracle, _) = run(
-                    plan,
-                    ds,
-                    ExecStrategy::OperatorAtATime,
-                    budget,
-                    threads,
-                    governed,
-                );
-                let (piped, peak) =
-                    run(plan, ds, ExecStrategy::Pipelined, budget, threads, governed);
-                match (&oracle, &piped) {
-                    (Ok(o), Ok(p)) => {
-                        assert!(budget >= max_rows, "{at}: ran past the budget");
-                        assert_eq!(p.table, o.table, "{at}");
-                    }
-                    (Err(o), Err(p)) => {
-                        assert!(budget < max_rows, "{at}: tripped within the budget");
-                        assert!(matches!(o, ExecError::BudgetExceeded { .. }), "{at}: {o}");
-                        assert_eq!(p, o, "{at}");
-                        // The Cartesian product is refused, not built: the
-                        // inputs were the most the execution ever held.
-                        if governed && product_rows > budget {
-                            let product_bytes = product_rows * std::mem::size_of::<u32>();
-                            assert!(peak < product_bytes, "{at}: peak {peak} bytes");
-                        }
-                    }
-                    _ => panic!(
-                        "{at}: executors disagree — oracle {:?}, pipelines {:?}",
-                        oracle.as_ref().map(|o| o.table.len()),
-                        piped.as_ref().map(|p| p.table.len())
-                    ),
+        let product_bytes = product_rows * width * std::mem::size_of::<u32>();
+        for threads in [1, 4] {
+            // Below and at the product's output bytes: refused at
+            // `crossproduct`, the same bytes asked on top of the inputs.
+            let mut asked = 0;
+            for budget in [product_bytes.saturating_sub(1), product_bytes] {
+                if product_bytes == 0 {
+                    break;
                 }
+                let at = format!("{id} budget={budget} threads={threads}");
+                let (oracle, _) = run(plan, ds, ExecStrategy::OperatorAtATime, budget, threads);
+                let (piped, peak) = run(plan, ds, ExecStrategy::Pipelined, budget, threads);
+                match oracle {
+                    Err(ExecError::MemoryBudgetExceeded {
+                        site: "crossproduct",
+                        used,
+                        ..
+                    }) => asked = used,
+                    other => panic!("{at}: the oracle ran the product: {other:?}"),
+                }
+                assert_eq!(
+                    piped.map(|p| p.table.len()),
+                    oracle.map(|o| o.table.len()),
+                    "{at}"
+                );
+                // Refused, not built: the inputs were the most the
+                // execution ever held.
+                assert!(peak < product_bytes, "{at}: peak {peak} bytes");
+                products += 1;
+            }
+            // Above what either executor charged or asked: the same table.
+            let peak = |strategy| run(plan, ds, strategy, usize::MAX, threads).1;
+            let above = peak(ExecStrategy::OperatorAtATime)
+                .max(peak(ExecStrategy::Pipelined))
+                .max(asked);
+            for budget in [above, usize::MAX] {
+                let at = format!("{id} budget={budget} threads={threads}");
+                let (oracle, _) = run(plan, ds, ExecStrategy::OperatorAtATime, budget, threads);
+                let (piped, _) = run(plan, ds, ExecStrategy::Pipelined, budget, threads);
+                let (oracle, piped) = (oracle.expect(&at), piped.expect(&at));
+                assert_eq!(piped.table, oracle.table, "{at}");
             }
         }
     }
+    // SP4a/sql's product, below and at its bytes, at both thread counts.
+    assert_eq!(products, 4);
 }

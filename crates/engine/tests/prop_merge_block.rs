@@ -11,9 +11,8 @@
 //! pipeline executor must return a byte-identical table with an identical
 //! `output_rows` in every [`Profile`](hsp_engine::Profile) node, at
 //! threads 1–4 with morsels of 1–128 rows and no sequential threshold.
-//! The row budget names the oracle's first offender inside a block.
 
-use hsp_engine::exec::{execute_in, ExecConfig, ExecError, ExecStrategy};
+use hsp_engine::exec::{execute_in, ExecConfig, ExecStrategy};
 use hsp_engine::{ExecContext, MorselConfig, PhysicalPlan};
 use hsp_rdf::{Term, Triple};
 use hsp_sparql::{CmpOp, Expr, FilterExpr, TermOrVar, TriplePattern, Var};
@@ -226,38 +225,5 @@ proptest! {
         let ds = store(&facts, false);
         let leaves: Vec<(u8, u8, u8)> = (0..k).map(|i| (0, i as u8 % 2, 0)).collect();
         assert_matches_oracle(&ds, &block(&leaves), morsel_rows)?;
-    }
-}
-
-/// `((L0 ⋈ L1) ⋈ L2)` with the inner join M1 and the leaf L2 both over
-/// the budget: the oracle finishes L0, L1, M1 before it scans L2, so it
-/// names M1. Inside a merge block L2 has the highest pre-order id of the
-/// pipeline, so "bottom-most by pre-order" would name the wrong node.
-#[test]
-fn row_budget_names_the_oracles_first_offender_inside_a_merge_block() {
-    // One subject: 3 p-rows and 3 q-rows (M1 = 9), 5 r-rows (L2 = 5).
-    let mut facts: Vec<(u8, u8, u8)> = Vec::new();
-    facts.extend((0..3).map(|o| (0, 0, o)));
-    facts.extend((0..3).map(|o| (0, 1, o)));
-    facts.extend((0..5).map(|o| (0, 2, o)));
-    let ds = store(&facts, false);
-    let plan = block(&[(0, 0, 0), (0, 1, 0), (0, 2, 0)]);
-    let budget = 4;
-    let expected = ExecError::BudgetExceeded {
-        operator: format!("mergejoin({X})"),
-        rows: 9,
-        budget,
-    };
-    for threads in [1, 4] {
-        for strategy in [ExecStrategy::OperatorAtATime, ExecStrategy::Pipelined] {
-            let config = ExecConfig::with_row_budget(budget).with_strategy(strategy);
-            let ctx = config.context_from(|| {
-                MorselConfig::with_threads(threads)
-                    .with_morsel_rows(1)
-                    .with_min_parallel_rows(0)
-            });
-            let err = execute_in(&plan, &ds, &config, &ctx).expect_err("over budget");
-            assert_eq!(err, expected, "{strategy:?} threads={threads}");
-        }
     }
 }

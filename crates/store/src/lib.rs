@@ -6,10 +6,11 @@
 //! substrate:
 //!
 //! * [`Order`] — the six collation orders (all permutations of `s, p, o`).
-//! * [`SortedRelation`] — one fully sorted copy of the data per order, with
-//!   binary-search range lookup by bound prefix. A scan over a relation whose
-//!   key starts with a pattern's constants returns rows *sorted by the next
-//!   key component* — the property merge joins exploit.
+//! * `SortedRelation` (crate-private) — one fully sorted copy of the data
+//!   per order, with binary-search range lookup by bound prefix. A scan
+//!   over a relation whose key starts with a pattern's constants returns
+//!   rows *sorted by the next key component* — the property merge joins
+//!   exploit.
 //! * [`TripleStore`] — all six relations plus exact `count` / `distinct`
 //!   statistics. The counts are what RDF-3X's *aggregated indexes* provide,
 //!   so the CDP baseline planner is fed the same information as in the paper.
@@ -26,14 +27,14 @@
 pub mod backend;
 pub mod dataset;
 pub mod order;
-pub mod relation;
+pub(crate) mod relation;
 pub mod scan;
 pub mod store;
 
 pub use backend::StorageBackend;
 pub use dataset::Dataset;
 pub use order::Order;
-pub use relation::SortedRelation;
+pub(crate) use relation::SortedRelation;
 pub use scan::OrderScan;
 pub use store::TripleStore;
 

@@ -122,11 +122,6 @@ impl SortedRelation {
         }
     }
 
-    /// The collation order of this relation.
-    pub fn order(&self) -> Order {
-        self.order
-    }
-
     /// Apply a classified batch of `[s, p, o]` triples: distinct, and each
     /// one absent from the relation when `tombstone` is `false` (an
     /// insert) or present when it is `true` (a removal). The caller
@@ -159,11 +154,6 @@ impl SortedRelation {
     /// Number of live (distinct) rows: base, minus tombstones, plus inserts.
     pub fn len(&self) -> usize {
         self.len
-    }
-
-    /// `true` if the relation holds no live rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Number of delta-overlay entries (inserts + tombstones) over both
@@ -379,7 +369,7 @@ mod tests {
     /// Insert one triple the way `TripleStore` does: classify against the
     /// live rows, then write. Returns `false` if it was already present.
     fn insert(r: &mut SortedRelation, triple: IdTriple) -> bool {
-        let new = !r.contains_key(r.order().to_key(triple));
+        let new = !r.contains_key(r.order.to_key(triple));
         if new {
             r.write(&[triple], false);
         }
@@ -389,7 +379,7 @@ mod tests {
     /// Remove one triple the way `TripleStore` does. Returns `false` if it
     /// was absent.
     fn remove(r: &mut SortedRelation, triple: IdTriple) -> bool {
-        let present = r.contains_key(r.order().to_key(triple));
+        let present = r.contains_key(r.order.to_key(triple));
         if present {
             r.write(&[triple], true);
         }
@@ -481,7 +471,7 @@ mod tests {
     #[test]
     fn empty_relation() {
         let r = SortedRelation::build(Order::Spo, &[]);
-        assert!(r.is_empty());
+        assert_eq!(r.len(), 0);
         assert_eq!(r.count(&[]), 0);
         assert_eq!(r.distinct_after(&[]), 0);
     }

@@ -6,8 +6,8 @@ use hsp_rdf::{IdTriple, TermId, TriplePos};
 
 use crate::backend::{access_path, StorageBackend};
 use crate::order::Order;
-use crate::relation::SortedRelation;
 use crate::scan::OrderScan;
+use crate::SortedRelation;
 
 /// A set of RDF triples materialised under all six collation orders.
 ///

@@ -87,7 +87,8 @@ fn main() {
         "executing on generated `{dataset}` dataset ({} triples):",
         ds.len()
     );
-    match execute(&planned.plan, &ds, &ExecConfig::with_row_budget(10_000_000)) {
+    let config = ExecConfig::unlimited().with_mem_budget(1 << 30);
+    match execute(&planned.plan, &ds, &config) {
         Ok(out) => {
             println!(
                 "{}",

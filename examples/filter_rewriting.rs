@@ -57,14 +57,16 @@ fn main() {
         cm.merge_joins, cm.hash_joins
     );
 
-    // SQL left-deep: plans the Cartesian product and dies on the row budget.
+    // SQL left-deep: plans the Cartesian product, which a memory budget
+    // refuses before it materialises.
     let sql = LeftDeepPlanner::new().plan(&ds, &query).expect("SQL plans");
     let sm = PlanMetrics::of(&sql.plan);
     println!(
-        "SQL  : {} cross product(s) in the plan — executing under a row budget:",
+        "SQL  : {} cross product(s) in the plan — executing under a memory budget:",
         sm.cross_products
     );
-    match execute(&sql.plan, &ds, &ExecConfig::with_row_budget(1_000_000)) {
+    let config = ExecConfig::unlimited().with_mem_budget(1 << 20);
+    match execute(&sql.plan, &ds, &config) {
         Ok(out) => println!(
             "SQL  : finished with {} rows (small dataset!)",
             out.table.len()

@@ -68,8 +68,8 @@ fn main() {
             sql_metrics.shape
         );
 
-        // Execute all plans that can run under a row budget.
-        let budget = ExecConfig::with_row_budget(5_000_000);
+        // Execute all plans that fit a memory budget.
+        let budget = ExecConfig::unlimited().with_mem_budget(1 << 30);
         for (name, plan) in [
             ("HSP", Some(&hsp.plan)),
             ("CDP", cdp_plan.as_ref().ok().map(|p| &p.plan)),

@@ -16,7 +16,6 @@
 //!   --explain               print the physical plan (with cardinalities),
 //!                           the pipeline DAG it lowers into, and the
 //!                           runtime counters instead of results
-//!   --budget <rows>         abort when an operator exceeds this many rows
 //!   --threads <n>           thread budget for the morsel-parallel kernels
 //!                           (default: auto-detect, overridable with the
 //!                           HSP_FORCE_THREADS env var; 1 = sequential)
@@ -48,7 +47,6 @@ struct Args {
     planner: Planner,
     format: Format,
     explain: bool,
-    budget: Option<usize>,
     threads: Option<usize>,
     timeout_ms: Option<u64>,
     mem_budget_mb: Option<usize>,
@@ -60,7 +58,7 @@ fn usage() -> String {
     format!(
         "usage: hsp <data.nt> (--query <text|@file> | --update <text|@file>)\n\
          \x20      [--planner {}] [--format table|json|csv|tsv]\n\
-         \x20      [--explain] [--budget <rows>] [--threads <n>]\n\
+         \x20      [--explain] [--threads <n>]\n\
          \x20      [--timeout-ms <n>] [--mem-budget-mb <n>] [--no-cache] [--out <file>]",
         Planner::names()
     )
@@ -76,7 +74,6 @@ fn parse_args() -> Result<Args, String> {
         planner: Planner::Hsp,
         format: Format::Table,
         explain: false,
-        budget: None,
         threads: None,
         timeout_ms: None,
         mem_budget_mb: None,
@@ -94,13 +91,6 @@ fn parse_args() -> Result<Args, String> {
             "--planner" => args.planner = value("--planner")?.parse()?,
             "--format" => args.format = value("--format")?.parse()?,
             "--explain" => args.explain = true,
-            "--budget" => {
-                args.budget = Some(
-                    value("--budget")?
-                        .parse()
-                        .map_err(|_| "--budget needs an integer".to_string())?,
-                )
-            }
             "--threads" => {
                 let n: usize = value("--threads")?
                     .parse()
@@ -166,9 +156,6 @@ fn run() -> Result<(), String> {
         let mut request = Request::new(text).with_planner(args.planner);
         if args.explain {
             request = request.with_explain();
-        }
-        if let Some(rows) = args.budget {
-            request = request.with_row_budget(rows);
         }
         if let Some(n) = args.threads {
             request = request.with_threads(n);

@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! QUERY [format=json|table|csv|tsv] [explain=1] [threads=N]
-//!       [timeout_ms=N] [mem_budget_mb=N] [row_budget=N] [cache=off]
+//!       [timeout_ms=N] [mem_budget_mb=N] [cache=off]
 //! <query text>
 //!
 //! UPDATE [timeout_ms=N] [mem_budget_mb=N]
@@ -529,7 +529,6 @@ struct ReqOpts {
     threads: Option<usize>,
     timeout_ms: Option<u64>,
     mem_budget_mb: Option<usize>,
-    row_budget: Option<usize>,
     cache: bool,
 }
 
@@ -541,7 +540,6 @@ impl ReqOpts {
             threads: None,
             timeout_ms: None,
             mem_budget_mb: None,
-            row_budget: None,
             cache: true,
         };
         for token in tokens {
@@ -564,7 +562,6 @@ impl ReqOpts {
                 "threads" => opts.threads = Some(int("threads")?.max(1)),
                 "timeout_ms" => opts.timeout_ms = Some(int("timeout_ms")? as u64),
                 "mem_budget_mb" => opts.mem_budget_mb = Some(int("mem_budget_mb")?),
-                "row_budget" => opts.row_budget = Some(int("row_budget")?),
                 "cache" => {
                     opts.cache = match value {
                         "on" => true,
@@ -591,9 +588,6 @@ impl ReqOpts {
         }
         if let Some(mb) = self.mem_budget_mb {
             request = request.with_mem_budget_mb(mb);
-        }
-        if let Some(rows) = self.row_budget {
-            request = request.with_row_budget(rows);
         }
         if !self.cache {
             request = request.without_cache();

@@ -77,7 +77,6 @@ pub struct Request {
     text: String,
     planner: Planner,
     explain: bool,
-    row_budget: Option<usize>,
     threads: Option<usize>,
     timeout: Option<Duration>,
     mem_budget: Option<usize>,
@@ -109,12 +108,6 @@ impl Request {
     /// Return the plan/pipeline explanation instead of executing only.
     pub fn with_explain(mut self) -> Self {
         self.explain = true;
-        self
-    }
-
-    /// Abort when any operator materialises more than `rows` rows.
-    pub fn with_row_budget(mut self, rows: usize) -> Self {
-        self.row_budget = Some(rows);
         self
     }
 
@@ -346,10 +339,6 @@ struct SessionInner {
     /// final pointer swap, never across update execution).
     write_lock: Mutex<()>,
     pool: SharedPool,
-    /// The thread budget of a request that names none, detected once at
-    /// construction like the pool's width: asking the OS for the core
-    /// count reads cgroup files, which no query should wait for.
-    detected: MorselConfig,
     morsel_rows: Option<usize>,
     min_parallel_rows: Option<usize>,
     /// Monotonic query tags for the pool's cross-query accounting.
@@ -391,14 +380,16 @@ impl Session {
         if options.compaction_threshold.is_some() {
             ds.set_compaction_threshold(options.compaction_threshold);
         }
-        let detected = MorselConfig::auto();
-        let pool = SharedPool::new(options.pool_threads.unwrap_or(detected.threads()));
+        let pool = SharedPool::new(
+            options
+                .pool_threads
+                .unwrap_or_else(|| MorselConfig::auto().threads()),
+        );
         Session {
             inner: Arc::new(SessionInner {
                 store: RwLock::new(Arc::new(ds)),
                 write_lock: Mutex::new(()),
                 pool,
-                detected,
                 morsel_rows: options.morsel_rows,
                 min_parallel_rows: options.min_parallel_rows,
                 queries: AtomicU64::new(0),
@@ -590,7 +581,6 @@ impl Session {
     /// morsel overrides.
     fn exec_config(&self, request: &Request) -> ExecConfig {
         let mut config = ExecConfig::unlimited();
-        config.max_intermediate_rows = request.row_budget;
         config.threads = request.threads;
         config.morsel_rows = self.inner.morsel_rows;
         config.min_parallel_rows = self.inner.min_parallel_rows;
@@ -619,9 +609,7 @@ impl Session {
     /// asks for, scheduling on this session's pool under a fresh query tag.
     fn morsel(&self, config: &ExecConfig) -> MorselConfig {
         let tag = self.inner.queries.fetch_add(1, Ordering::Relaxed);
-        config
-            .morsel_from(|| self.inner.detected.clone())
-            .on_pool(&self.inner.pool, tag)
+        config.morsel().on_pool(&self.inner.pool, tag)
     }
 }
 
@@ -634,7 +622,6 @@ fn result_cache_key(request: &Request) -> Option<String> {
     if request.no_cache
         || request.explain
         || request.inject_faults
-        || request.row_budget.is_some()
         || request.timeout.is_some()
         || request.mem_budget.is_some()
         || request.cancel.is_some()
@@ -843,14 +830,14 @@ mod tests {
     fn failed_update_publishes_nothing() {
         let session = Session::new(dataset());
         let before = session.snapshot();
-        // The INSERT succeeds, then the DELETE WHERE trips the row
+        // The INSERT succeeds, then the DELETE WHERE trips the memory
         // budget mid-sequence.
         let err = session.update(
             Request::new(
                 "INSERT DATA { <http://e/a9> <http://e/name> \"Eve\" . } ; \
                  DELETE WHERE { ?s <http://e/name> ?n . }",
             )
-            .with_row_budget(0),
+            .with_mem_budget(0),
         );
         assert!(err.is_err());
         // Build-and-swap: the failed request left the published dataset

@@ -108,9 +108,9 @@ fn cdp_answers_sp4a_through_the_filter_rewrite() {
 #[test]
 fn explain_prints_plan_tree() {
     let data = data_file("explain");
-    // A row budget no longer changes which executor runs: the pipeline
-    // DAG is part of the explanation either way.
-    for budget in [&[][..], &["--budget", "100"]] {
+    // A governed run explains the same plan: the pipeline DAG is part of
+    // the explanation either way.
+    for budget in [&[][..], &["--mem-budget-mb", "64"]] {
         let mut args = vec![
             data.to_str().unwrap(),
             "--query",

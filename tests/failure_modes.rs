@@ -55,13 +55,26 @@ fn executor_budget_guards_cartesian_products() {
             ?x rdf:type bench:Article . ?y rdf:type bench:Inproceedings . }",
     )
     .unwrap();
-    // HSP plans the cross product (it does not refuse); the budget stops it.
+    // HSP plans the cross product (it does not refuse); without a budget
+    // it completes.
     let planned = HspPlanner::new().plan(&q).unwrap();
-    let err = execute(&planned.plan, &ds, &ExecConfig::with_row_budget(100)).unwrap_err();
-    assert!(matches!(err, ExecError::BudgetExceeded { .. }));
-    // Without a budget it completes.
     let ok = execute(&planned.plan, &ds, &ExecConfig::unlimited()).unwrap();
     assert!(ok.table.len() > 100);
+    // A memory budget that holds the product's output but not the output
+    // beside its inputs refuses it before it materialises.
+    let product_bytes = ok.table.len() * 2 * std::mem::size_of::<u32>();
+    let config = ExecConfig::unlimited().with_mem_budget(product_bytes);
+    let err = execute(&planned.plan, &ds, &config).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ExecError::MemoryBudgetExceeded {
+                site: "crossproduct",
+                ..
+            }
+        ),
+        "{err}"
+    );
 }
 
 #[test]

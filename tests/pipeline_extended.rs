@@ -440,11 +440,11 @@ fn multiset(rows: &[Vec<Option<Term>>]) -> Vec<String> {
 
 /// A context that really splits these few rows across `threads` workers.
 fn tiny_morsels(config: &ExecConfig, threads: usize) -> hsp_engine::ExecContext {
-    config.context_from(|| {
+    config.context_with(
         MorselConfig::with_threads(threads)
             .with_morsel_rows(2)
-            .with_min_parallel_rows(0)
-    })
+            .with_min_parallel_rows(0),
+    )
 }
 
 fn count_triples(group: &GroupPattern) -> usize {
@@ -588,39 +588,37 @@ fn composed_shapes_match_the_oracle_the_wire_and_a_nested_loop_reference() {
     }
 }
 
-/// Row-budget parity on composed plans, `row_budget_parity_with_the_oracle`'s
-/// discipline: at every budget up to the plan's largest node, sequential
-/// and forced 4-thread, governed and not, pipelines and oracle return the
-/// same rows or the same `BudgetExceeded`, and a trip leaves the memory
-/// account at zero. Then the same over the wire: a typed `ERR EXEC`, and
-/// a connection that keeps working.
+/// Memory-budget parity on composed plans, `memory_budget_parity_with_the_oracle`'s
+/// discipline: sequential and forced 4-thread, the product an OPTIONAL
+/// hides is refused at `crossproduct` by both executors under its own
+/// output bytes; every shape trips in both below the least budget either
+/// executor runs it under and returns the same rows at the larger of the
+/// two; a trip leaves the memory account at zero. Then the same over the wire: a typed `ERR MEM`, and a
+/// connection that keeps working.
 #[test]
-fn composed_plans_trip_the_row_budget_like_the_oracle() {
+fn composed_plans_trip_the_memory_budget_like_the_oracle() {
     let ds = hsp_store::Dataset::from_ntriples(PEOPLE).unwrap();
-    let run =
-        |text: &str, strategy: ExecStrategy, budget: usize, threads: usize, governed: bool| {
-            let mut config = ExecConfig::with_row_budget(budget).with_strategy(strategy);
-            if governed {
-                config = config.with_mem_budget(usize::MAX);
-            }
-            let ctx = tiny_morsels(&config, threads);
-            let result = match evaluate_extended_in(&ds, text, &config, &ctx) {
-                Ok(out) => Ok(out.rows),
-                Err(ExtendedError::Exec(e)) => Err(e),
-                Err(other) => panic!("{text}: {other}"),
-            };
-            if result.is_err() {
-                if let Some(gov) = ctx.governor() {
-                    assert_eq!(
-                        gov.mem_used(),
-                        0,
-                        "{strategy:?} leaked memory accounting: {text}"
-                    );
-                }
-            }
-            result
+    let run = |text: &str, strategy: ExecStrategy, budget: usize, threads: usize| {
+        let config = ExecConfig::unlimited()
+            .with_strategy(strategy)
+            .with_mem_budget(budget);
+        let ctx = tiny_morsels(&config, threads);
+        let result = match evaluate_extended_in(&ds, text, &config, &ctx) {
+            Ok(out) => Ok(out.rows),
+            Err(ExtendedError::Exec(e)) => Err(e),
+            Err(other) => panic!("{text}: {other}"),
         };
-    // The budgeted product an OPTIONAL hides, and a UNION of two scans.
+        let gov = ctx.governor().expect("a budget attaches a governor");
+        if result.is_err() {
+            assert_eq!(
+                gov.mem_used(),
+                0,
+                "{strategy:?} leaked memory accounting: {text}"
+            );
+        }
+        (result, gov.mem_peak())
+    };
+    // The product an OPTIONAL hides, and a UNION of two scans.
     let product =
         "SELECT ?n ?m WHERE { ?p <http://e/name> ?n . OPTIONAL { ?q <http://e/name> ?m . } }";
     let union =
@@ -629,27 +627,77 @@ fn composed_plans_trip_the_row_budget_like_the_oracle() {
         .into_iter()
         .chain(SHAPES.map(|(projection, body)| shape_text(projection, body, Form::Distinct)))
         .collect();
+    // Every name pairs with every name, four variables wide: under that
+    // many bytes both refuse the keyless OPTIONAL's pairing before it
+    // materialises, with the same bytes asked on top of the inputs.
+    let names = PEOPLE.matches("<http://e/name>").count();
+    let product_bytes = names * names * 4 * std::mem::size_of::<u32>();
+    for threads in [1, 4] {
+        let (oracle, _) = run(
+            product,
+            ExecStrategy::OperatorAtATime,
+            product_bytes,
+            threads,
+        );
+        let (piped, peak) = run(product, ExecStrategy::Pipelined, product_bytes, threads);
+        assert!(
+            matches!(
+                oracle,
+                Err(ExecError::MemoryBudgetExceeded {
+                    site: "crossproduct",
+                    ..
+                })
+            ),
+            "threads={threads}: {oracle:?}"
+        );
+        assert_eq!(piped, oracle, "threads={threads}");
+        assert!(peak < product_bytes, "threads={threads}: peak {peak} bytes");
+    }
     for text in &texts {
-        // The largest node of the plan: the least budget the oracle runs under.
-        let max = (0..)
-            .find(|&b| run(text, ExecStrategy::OperatorAtATime, b, 1, false).is_ok())
-            .unwrap();
-        assert!(max > 0, "{text}");
-        for budget in 0..=max {
-            for (threads, governed) in [(1, false), (1, true), (4, false), (4, true)] {
-                let at = format!("budget={budget} threads={threads} governed={governed}: {text}");
-                let oracle = run(
-                    text,
-                    ExecStrategy::OperatorAtATime,
-                    budget,
-                    threads,
-                    governed,
-                );
-                let piped = run(text, ExecStrategy::Pipelined, budget, threads, governed);
-                assert_eq!(piped, oracle, "{at}");
-                match oracle {
-                    Ok(_) => assert_eq!(budget, max, "{at}: ran past the budget"),
-                    Err(e) => assert!(matches!(e, ExecError::BudgetExceeded { .. }), "{at}: {e}"),
+        for threads in [1, 4] {
+            // The least budget each executor runs `text` under.
+            let least = |strategy| {
+                let runs = |budget| run(text, strategy, budget, threads).0.is_ok();
+                let (mut lo, mut hi) = (0, 1);
+                while !runs(hi) {
+                    (lo, hi) = (hi, hi * 2);
+                }
+                while hi - lo > 1 {
+                    let mid = lo + (hi - lo) / 2;
+                    if runs(mid) {
+                        hi = mid;
+                    } else {
+                        lo = mid;
+                    }
+                }
+                hi
+            };
+            let (oracle_least, piped_least) = (
+                least(ExecStrategy::OperatorAtATime),
+                least(ExecStrategy::Pipelined),
+            );
+            let low = oracle_least.min(piped_least);
+            let high = oracle_least.max(piped_least);
+            assert!(low > 0, "{text}");
+            for budget in [0, low - 1, high, usize::MAX] {
+                let at = format!("budget={budget} threads={threads}: {text}");
+                let (oracle, _) = run(text, ExecStrategy::OperatorAtATime, budget, threads);
+                let (piped, _) = run(text, ExecStrategy::Pipelined, budget, threads);
+                match (oracle, piped) {
+                    (Ok(o), Ok(p)) => {
+                        assert!(budget >= high, "{at}: ran under its least budget");
+                        assert_eq!(p, o, "{at}");
+                    }
+                    (Err(o), Err(p)) => {
+                        assert!(budget < low, "{at}: tripped at its least budget");
+                        for e in [o, p] {
+                            assert!(
+                                matches!(e, ExecError::MemoryBudgetExceeded { .. }),
+                                "{at}: {e}"
+                            );
+                        }
+                    }
+                    (o, p) => panic!("{at}: executors disagree — oracle {o:?}, pipelines {p:?}"),
                 }
             }
         }
@@ -658,14 +706,13 @@ fn composed_plans_trip_the_row_budget_like_the_oracle() {
     let server =
         Server::start(Session::new(ds.clone()), ServeConfig::default()).expect("server starts");
     let mut client = Client::connect(server.addr()).expect("client connects");
-    for (options, text) in [
-        ("row_budget=3 cache=off", product),
-        ("row_budget=1 cache=off", union),
-    ] {
-        let response = client.query(options, text).expect("transport");
+    for text in [product, union] {
+        let response = client
+            .query("mem_budget_mb=0 cache=off", text)
+            .expect("transport");
         assert!(
-            response.starts_with("ERR EXEC row budget exceeded"),
-            "{options}: {response}"
+            response.starts_with("ERR MEM memory budget exceeded"),
+            "{text}: {response}"
         );
         assert_eq!(client.ping().expect("transport"), "OK pong");
         let response = client.query("cache=off", text).expect("transport");

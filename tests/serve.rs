@@ -821,7 +821,7 @@ fn slow_writers_do_not_desynchronise_the_frame_stream() {
 
 /// Options the protocol no longer has (`sip=`, `strategy=`, `planner=` —
 /// the wire always plans with HSP; only the CLI chooses), malformed
-/// booleans, and a row-budget trip each answer a typed `ERR`; the
+/// booleans, and a memory-budget trip each answer a typed `ERR`; the
 /// connection stays usable and — with room for exactly one request in
 /// flight — the next query is admitted, so no permit leaked.
 #[test]
@@ -846,7 +846,10 @@ fn rejected_options_and_budget_trips_leave_the_connection_usable() {
             "ERR PROTO option explain needs 0|1|true|false",
         ),
         ("cache=offf", "ERR PROTO option cache needs 0|1|true|false"),
-        ("row_budget=10 cache=off", "ERR EXEC row budget exceeded"),
+        (
+            "mem_budget_mb=0 cache=off",
+            "ERR MEM memory budget exceeded",
+        ),
     ] {
         let response = client.query(options, scan).expect("transport");
         assert!(response.starts_with(error), "{options}: {response}");
