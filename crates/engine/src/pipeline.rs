@@ -711,9 +711,7 @@ impl Program<'_> {
                     // A Cartesian product's output size is known exactly up
                     // front: refuse it *before* materialising when it cannot
                     // fit the memory budget.
-                    if let (BreakerOp::CrossProduct { left, right, outer }, Some(gov)) =
-                        (op, ctx.governor())
-                    {
+                    if let BreakerOp::CrossProduct { left, right, outer } = op {
                         let lt = slots[*left].as_ref().expect("input slot filled before use");
                         let rt = slots[*right]
                             .as_ref()
@@ -721,7 +719,7 @@ impl Program<'_> {
                         let bytes = ops::product_rows(lt.len(), rt.len(), *outer)
                             .saturating_mul(lt.vars().len() + rt.vars().len())
                             .saturating_mul(std::mem::size_of::<TermId>());
-                        gov.would_exceed(bytes, "crossproduct")?;
+                        ctx.reserve_check(bytes, "crossproduct")?;
                     }
                     let (table, consumed) = match ctx.governor() {
                         None => run_breaker(op, ds, ctx, slots)?,
