@@ -101,10 +101,10 @@ impl BindingTable {
                 "ragged columns"
             );
         }
-        let mut seen = vars.clone();
-        seen.sort();
-        seen.dedup();
-        assert_eq!(seen.len(), vars.len(), "repeated variable in table");
+        assert!(
+            vars.iter().enumerate().all(|(i, v)| !vars[..i].contains(v)),
+            "repeated variable in table"
+        );
         if let Some(v) = sorted_by {
             assert!(vars.contains(&v), "sorted_by variable not in table");
         }
@@ -235,6 +235,20 @@ impl BindingTable {
     /// consumed intermediate's columns can move into another table.
     pub fn into_columns(self) -> Vec<Vec<TermId>> {
         self.cols
+    }
+
+    /// Tear the table down into the columns of `vars`, in that order; the
+    /// other columns drop.
+    ///
+    /// # Panics
+    /// Panics if a variable of `vars` is not in the table.
+    pub(crate) fn into_selected(mut self, vars: &[Var]) -> Vec<Vec<TermId>> {
+        vars.iter()
+            .map(|&v| {
+                let idx = self.col_index(v).expect("selected variable in table");
+                std::mem::take(&mut self.cols[idx])
+            })
+            .collect()
     }
 
     /// Materialise a join output from `(left_row, right_row)` index pairs:

@@ -219,13 +219,11 @@ mod tests {
         let leaf = |rows| Profile {
             label: "scan".into(),
             output_rows: rows,
-            nanos: 0,
             children: vec![],
         };
         let profile = Profile {
             label: "mergejoin(?v0)".into(),
             output_rows: 10,
-            nanos: 0,
             children: vec![leaf(60_000), leaf(40_000)],
         };
         let cost = plan_cost(&plan, &profile);

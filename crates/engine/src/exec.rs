@@ -9,7 +9,7 @@
 
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use hsp_rdf::TermId;
 use hsp_sparql::Var;
@@ -274,7 +274,9 @@ impl From<GovernorError> for ExecError {
     }
 }
 
-/// Per-operator execution statistics, mirroring the plan tree.
+/// Per-operator execution statistics, mirroring the plan tree: each
+/// operator's label and exact output cardinality. (No per-operator timing:
+/// a clock read costs about as much as a one-row operator.)
 ///
 /// This is the raw material for the paper's Figures 2–3 (plans annotated
 /// with intermediate-result sizes) and Table 3 (plan costs computed from
@@ -285,8 +287,6 @@ pub struct Profile {
     pub label: String,
     /// Output cardinality.
     pub output_rows: usize,
-    /// Wall-clock time spent in this operator alone (excluding children).
-    pub nanos: u128,
     /// Child profiles (0 for scans, 1 for filter/project, 2 for joins).
     pub children: Vec<Profile>,
 }
@@ -394,50 +394,65 @@ pub fn execute_in(
 
 /// The profile label of a plan node — shared by the operator-at-a-time
 /// evaluator and the pipeline executor so their [`Profile`] trees are
-/// indistinguishable.
+/// indistinguishable. Written into one `String`: a label costs one
+/// allocation, whatever it lists.
 pub(crate) fn plan_label(plan: &PhysicalPlan) -> String {
+    use std::fmt::Write as _;
+    /// `items` separated by commas.
+    fn list<T>(out: &mut String, items: &[T], mut item: impl FnMut(&mut String, &T)) {
+        for (i, x) in items.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item(out, x);
+        }
+    }
+    let var = |out: &mut String, v: &Var| {
+        let _ = write!(out, "{v}");
+    };
+    let mut out = String::with_capacity(32);
     match plan {
         PhysicalPlan::Scan {
             pattern_idx, order, ..
-        } => format!("scan({}) [tp{pattern_idx}]", order.name()),
-        PhysicalPlan::MergeJoin { var, .. } => format!("mergejoin({var})"),
-        PhysicalPlan::HashJoin { vars, .. } => format!(
-            "hashjoin({})",
-            vars.iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        ),
-        PhysicalPlan::LeftOuterHashJoin { vars, .. } => format!(
-            "leftouterjoin({})",
-            vars.iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        ),
-        PhysicalPlan::CrossProduct { .. } => "crossproduct".into(),
-        PhysicalPlan::Union { .. } => "union".into(),
-        PhysicalPlan::Sort { var, .. } => format!("sort({var})"),
-        PhysicalPlan::Filter { .. } => "filter".into(),
-        PhysicalPlan::Bind { bindings, .. } => format!(
-            "bind({})",
-            bindings
-                .iter()
-                .map(|(v, _)| v.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        ),
+        } => {
+            let _ = write!(out, "scan({}) [tp{pattern_idx}]", order.name());
+        }
+        PhysicalPlan::MergeJoin { var, .. } => {
+            let _ = write!(out, "mergejoin({var})");
+        }
+        PhysicalPlan::HashJoin { vars, .. } => {
+            out.push_str("hashjoin(");
+            list(&mut out, vars, var);
+            out.push(')');
+        }
+        PhysicalPlan::LeftOuterHashJoin { vars, .. } => {
+            out.push_str("leftouterjoin(");
+            list(&mut out, vars, var);
+            out.push(')');
+        }
+        PhysicalPlan::CrossProduct { .. } => out.push_str("crossproduct"),
+        PhysicalPlan::Union { .. } => out.push_str("union"),
+        PhysicalPlan::Sort { var, .. } => {
+            let _ = write!(out, "sort({var})");
+        }
+        PhysicalPlan::Filter { .. } => out.push_str("filter"),
+        PhysicalPlan::Bind { bindings, .. } => {
+            out.push_str("bind(");
+            list(&mut out, bindings, |out, (v, _)| var(out, v));
+            out.push(')');
+        }
         PhysicalPlan::Project {
             projection,
             distinct,
             ..
         } => {
-            let names: Vec<&str> = projection.iter().map(|(n, _)| n.as_str()).collect();
-            if *distinct {
-                format!("project-distinct({})", names.join(","))
+            out.push_str(if *distinct {
+                "project-distinct("
             } else {
-                format!("project({})", names.join(","))
-            }
+                "project("
+            });
+            list(&mut out, projection, |out, (name, _)| out.push_str(name));
+            out.push(')');
         }
         PhysicalPlan::HashAggregate {
             group_by,
@@ -445,20 +460,28 @@ pub(crate) fn plan_label(plan: &PhysicalPlan) -> String {
             having,
             ..
         } => {
-            let keys: Vec<String> = group_by.iter().map(|v| v.to_string()).collect();
-            let specs: Vec<String> = aggs.iter().map(crate::aggregate::describe).collect();
-            let mut label = format!("hashaggregate({}; {})", keys.join(","), specs.join(","));
+            out.push_str("hashaggregate(");
+            list(&mut out, group_by, var);
+            out.push_str("; ");
+            list(&mut out, aggs, |out, a| {
+                out.push_str(&crate::aggregate::describe(a));
+            });
+            out.push(')');
             if having.is_some() {
-                label.push_str("+having");
+                out.push_str("+having");
             }
-            label
         }
-        PhysicalPlan::OrderBy { keys, .. } => format!("orderby({} keys)", keys.len()),
-        PhysicalPlan::Slice { offset, limit, .. } => match limit {
-            Some(n) => format!("slice(offset={offset}, limit={n})"),
-            None => format!("slice(offset={offset})"),
-        },
+        PhysicalPlan::OrderBy { keys, .. } => {
+            let _ = write!(out, "orderby({} keys)", keys.len());
+        }
+        PhysicalPlan::Slice { offset, limit, .. } => {
+            let _ = match limit {
+                Some(n) => write!(out, "slice(offset={offset}, limit={n})"),
+                None => write!(out, "slice(offset={offset})"),
+            };
+        }
     }
+    out
 }
 
 fn run(
@@ -500,20 +523,18 @@ fn run(
     }
     match plan {
         PhysicalPlan::Scan { pattern, order, .. } => {
-            let start = Instant::now();
             let table = ops::scan(ctx, ds, pattern, *order);
-            finish(table, plan_label(plan), start, Vec::new(), ctx)
+            finish(table, plan_label(plan), Vec::new(), ctx)
         }
         PhysicalPlan::MergeJoin { left, right, var } => {
             let (lt, lp) = run(left, ds, ctx)?;
             let mut lt = Some(lt);
             let (rt, rp) = try_second(run(right, ds, ctx), &mut lt, ctx)?;
             let lt = lt.expect("left retained on success");
-            let start = Instant::now();
             let table = ops::merge_join(&lt, &rt, *var);
             ctx.release(lt);
             ctx.release(rt);
-            finish(table, plan_label(plan), start, vec![lp, rp], ctx)
+            finish(table, plan_label(plan), vec![lp, rp], ctx)
         }
         PhysicalPlan::HashJoin { left, right, vars } => {
             // Build (right) side first — the order the pipeline executor
@@ -522,11 +543,10 @@ fn run(
             let mut rt = Some(rt);
             let (lt, lp) = try_second(run(left, ds, ctx), &mut rt, ctx)?;
             let rt = rt.expect("right retained on success");
-            let start = Instant::now();
             let table = ops::hash_join(&lt, &rt, vars);
             ctx.release(lt);
             ctx.release(rt);
-            finish(table, plan_label(plan), start, vec![lp, rp], ctx)
+            finish(table, plan_label(plan), vec![lp, rp], ctx)
         }
         PhysicalPlan::LeftOuterHashJoin { left, right, vars } => {
             let (rt, rp) = run(right, ds, ctx)?;
@@ -539,11 +559,10 @@ fn run(
             } else {
                 (lt, rt)
             };
-            let start = Instant::now();
             let table = ops::left_outer_hash_join(ctx, &lt, &rt, vars);
             ctx.release(lt);
             ctx.release(rt);
-            finish(table, plan_label(plan), start, vec![lp, rp], ctx)
+            finish(table, plan_label(plan), vec![lp, rp], ctx)
         }
         PhysicalPlan::CrossProduct { left, right } => {
             let (lt, lp) = run(left, ds, ctx)?;
@@ -551,43 +570,38 @@ fn run(
             let (rt, rp) = try_second(run(right, ds, ctx), &mut lt, ctx)?;
             let lt = lt.expect("left retained on success");
             let (lt, rt) = admit_product(lt, rt, false, ctx)?;
-            let start = Instant::now();
             let table = ops::cross_product(ctx, &lt, &rt);
             ctx.release(lt);
             ctx.release(rt);
-            finish(table, plan_label(plan), start, vec![lp, rp], ctx)
+            finish(table, plan_label(plan), vec![lp, rp], ctx)
         }
         PhysicalPlan::Union { left, right } => {
             let (lt, lp) = run(left, ds, ctx)?;
             let mut lt = Some(lt);
             let (rt, rp) = try_second(run(right, ds, ctx), &mut lt, ctx)?;
             let lt = lt.expect("left retained on success");
-            let start = Instant::now();
             let table = ops::union_all(&lt, &rt);
             ctx.release(lt);
             ctx.release(rt);
-            finish(table, plan_label(plan), start, vec![lp, rp], ctx)
+            finish(table, plan_label(plan), vec![lp, rp], ctx)
         }
         PhysicalPlan::Sort { input, var } => {
             let (it, ip) = run(input, ds, ctx)?;
-            let start = Instant::now();
             let table = ops::sort_by(&it, *var);
             ctx.release(it);
-            finish(table, plan_label(plan), start, vec![ip], ctx)
+            finish(table, plan_label(plan), vec![ip], ctx)
         }
         PhysicalPlan::Filter { input, expr } => {
             let (it, ip) = run(input, ds, ctx)?;
-            let start = Instant::now();
             let table = ops::filter(ds, &it, expr);
             ctx.release(it);
-            finish(table, plan_label(plan), start, vec![ip], ctx)
+            finish(table, plan_label(plan), vec![ip], ctx)
         }
         PhysicalPlan::Bind { input, bindings } => {
             let (it, ip) = run(input, ds, ctx)?;
-            let start = Instant::now();
             let table = ops::bind(ds, &it, bindings);
             ctx.release(it);
-            finish(table, plan_label(plan), start, vec![ip], ctx)
+            finish(table, plan_label(plan), vec![ip], ctx)
         }
         PhysicalPlan::Project {
             input,
@@ -595,10 +609,9 @@ fn run(
             distinct,
         } => {
             let (it, ip) = run(input, ds, ctx)?;
-            let start = Instant::now();
             let table = ops::project(&it, projection, *distinct);
             ctx.release(it);
-            finish(table, plan_label(plan), start, vec![ip], ctx)
+            finish(table, plan_label(plan), vec![ip], ctx)
         }
         PhysicalPlan::HashAggregate {
             input,
@@ -607,19 +620,17 @@ fn run(
             having,
         } => {
             let (it, ip) = run(input, ds, ctx)?;
-            let start = Instant::now();
             let result =
                 crate::reference::hash_aggregate(ctx, ds, &it, group_by, aggs, having.as_ref());
             ctx.release(it);
             let table = result?;
-            finish(table, plan_label(plan), start, vec![ip], ctx)
+            finish(table, plan_label(plan), vec![ip], ctx)
         }
         PhysicalPlan::OrderBy { input, keys } => {
             let (it, ip) = run(input, ds, ctx)?;
-            let start = Instant::now();
             let table = ops::order_by(ctx, ds, &it, keys);
             ctx.release(it);
-            finish(table, plan_label(plan), start, vec![ip], ctx)
+            finish(table, plan_label(plan), vec![ip], ctx)
         }
         PhysicalPlan::Slice {
             input,
@@ -627,10 +638,9 @@ fn run(
             limit,
         } => {
             let (it, ip) = run(input, ds, ctx)?;
-            let start = Instant::now();
             let table = ops::slice(&it, *offset, *limit);
             ctx.release(it);
-            finish(table, plan_label(plan), start, vec![ip], ctx)
+            finish(table, plan_label(plan), vec![ip], ctx)
         }
     }
 }
@@ -662,7 +672,6 @@ fn admit_product(
 fn finish(
     table: BindingTable,
     label: String,
-    start: Instant,
     children: Vec<Profile>,
     ctx: &ExecContext,
 ) -> Result<(BindingTable, Profile), ExecError> {
@@ -682,7 +691,6 @@ fn finish(
     let profile = Profile {
         label,
         output_rows: table.len(),
-        nanos: start.elapsed().as_nanos(),
         children,
     };
     Ok((table, profile))

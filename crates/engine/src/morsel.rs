@@ -82,7 +82,8 @@ impl MorselConfig {
     /// Thread budget from [`std::thread::available_parallelism`] — the
     /// production configuration. The core count is asked of the OS once
     /// per process (on Linux it reads cgroup files, tens of microseconds
-    /// a call), so every caller may call this per query.
+    /// a call), and the environment override below is read once too, so
+    /// every caller may call this per query.
     ///
     /// The `HSP_FORCE_THREADS` environment variable overrides core
     /// detection, drops the row threshold to zero, **and** shrinks
@@ -95,7 +96,10 @@ impl MorselConfig {
     /// so forcing it globally is always safe — just slower on tiny
     /// inputs).
     pub fn auto() -> Self {
-        if let Some(forced) = parse_forced_threads(std::env::var("HSP_FORCE_THREADS").ok()) {
+        static FORCED: OnceLock<Option<usize>> = OnceLock::new();
+        let forced =
+            *FORCED.get_or_init(|| parse_forced_threads(std::env::var("HSP_FORCE_THREADS").ok()));
+        if let Some(forced) = forced {
             return MorselConfig::with_threads(forced)
                 .with_min_parallel_rows(0)
                 .with_morsel_rows(FORCED_ENV_MORSEL_ROWS);

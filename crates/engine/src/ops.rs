@@ -22,7 +22,7 @@
 
 use std::collections::HashSet;
 
-use hsp_rdf::{Term, TermId};
+use hsp_rdf::{Term, TermId, TriplePos};
 use hsp_sparql::{FilterExpr, Operand, TermOrVar, TriplePattern, Var};
 use hsp_store::{Dataset, Order, StorageBackend};
 
@@ -68,24 +68,14 @@ pub(crate) fn scan(
     let out_vars = pattern.vars();
 
     // Resolve constants; a constant unknown to the dictionary matches nothing.
-    let mut prefix: Vec<TermId> = Vec::with_capacity(3);
-    for pos in order.positions() {
-        match pattern.slot(pos) {
-            TermOrVar::Const(term) => match ds.dict().id(term) {
-                Some(id) => prefix.push(id),
-                None => {
-                    // Empty, but sorted like any scan of this order (a
-                    // merge join above still checks the declaration).
-                    let mut table = BindingTable::empty(out_vars);
-                    table.set_sorted_by(scan_sort_var(pattern, order));
-                    return table;
-                }
-            },
-            TermOrVar::Var(_) => break,
-        }
-    }
-
-    let scan = ds.store().scan(order, &prefix);
+    let Some(prefix) = ScanPrefix::resolve(ds, pattern, order) else {
+        // Empty, but sorted like any scan of this order (a merge join above
+        // still checks the declaration).
+        let mut table = BindingTable::empty(out_vars);
+        table.set_sorted_by(scan_sort_var(pattern, order));
+        return table;
+    };
+    let scan = ds.store().scan(order, prefix.ids());
     if !scan.is_contiguous() {
         ctx.note_overlay_scan();
     }
@@ -97,30 +87,14 @@ pub(crate) fn scan(
         return BindingTable::unit(rows.len());
     }
 
-    // Key indices of each output variable's (first) slot.
-    let var_key_idx: Vec<usize> = out_vars
-        .iter()
-        .map(|&v| {
-            let pos = pattern.positions_of(v)[0];
-            order.key_index(pos)
-        })
-        .collect();
-
     // Repeated-variable equality constraints: (key index a, key index b).
-    let mut equalities: Vec<(usize, usize)> = Vec::new();
-    for &v in &out_vars {
-        let positions = pattern.positions_of(v);
-        for pair in positions.windows(2) {
-            equalities.push((order.key_index(pair[0]), order.key_index(pair[1])));
-        }
-    }
+    let equalities: Vec<(usize, usize)> = repeated_var_keys(pattern, order).collect();
 
     let cols: Vec<Vec<TermId>> = if equalities.is_empty() {
         // Fast path (no repeated variables): bulk-gather each output column
         // straight out of the key-coordinate rows, one column at a time.
-        var_key_idx
-            .iter()
-            .map(|&k| rows.iter().map(|row| row[k]).collect())
+        pattern_keys(pattern, order)
+            .map(|(_, k)| rows.iter().map(|row| row[k]).collect())
             .collect()
     } else {
         // Late materialisation: select qualifying row indices first, then
@@ -133,13 +107,91 @@ pub(crate) fn scan(
             .filter(|&i| equalities.iter().all(|&(a, b)| rows[i][a] == rows[i][b]))
             .map(|i| i as u32)
             .collect();
-        var_key_idx
-            .iter()
-            .map(|&k| sel.iter().map(|&i| rows[i as usize][k]).collect())
+        pattern_keys(pattern, order)
+            .map(|(_, k)| sel.iter().map(|&i| rows[i as usize][k]).collect())
             .collect()
     };
     let sorted = scan_sort_var(pattern, order);
     BindingTable::from_columns(out_vars, cols, sorted)
+}
+
+/// The dictionary ids of a scan's constants in key order — the prefix its
+/// relation range is found by.
+pub(crate) struct ScanPrefix {
+    ids: [TermId; 3],
+    len: usize,
+}
+
+impl ScanPrefix {
+    /// Resolve the constants `order` puts in front of `pattern`'s first
+    /// variable; `None` when one is missing from the dictionary, so the
+    /// scan matches nothing.
+    pub(crate) fn resolve(ds: &Dataset, pattern: &TriplePattern, order: Order) -> Option<Self> {
+        let mut prefix = ScanPrefix {
+            ids: [TermId::UNBOUND; 3],
+            len: 0,
+        };
+        for pos in order.positions() {
+            match pattern.slot(pos) {
+                TermOrVar::Const(term) => {
+                    prefix.ids[prefix.len] = ds.dict().id(term)?;
+                    prefix.len += 1;
+                }
+                TermOrVar::Var(_) => break,
+            }
+        }
+        Some(prefix)
+    }
+
+    pub(crate) fn ids(&self) -> &[TermId] {
+        &self.ids[..self.len]
+    }
+}
+
+/// Each distinct variable of `pattern` in first-occurrence order (the
+/// order of [`TriplePattern::vars`]), with the key index of its first
+/// slot under `order`.
+pub(crate) fn pattern_keys(
+    pattern: &TriplePattern,
+    order: Order,
+) -> impl Iterator<Item = (Var, usize)> + '_ {
+    TriplePos::ALL
+        .into_iter()
+        .enumerate()
+        .filter_map(move |(i, pos)| {
+            let v = pattern.slot(pos).as_var()?;
+            let first = !TriplePos::ALL[..i]
+                .iter()
+                .any(|&prev| pattern.slot(prev).as_var() == Some(v));
+            first.then(|| (v, order.key_index(pos)))
+        })
+}
+
+/// Each repeated-variable slot of `pattern` paired with the variable's
+/// previous slot, in `s, p, o` order.
+fn repeated_var_slots(
+    pattern: &TriplePattern,
+) -> impl Iterator<Item = (TriplePos, TriplePos)> + '_ {
+    TriplePos::ALL
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, pos)| {
+            let v = pattern.slot(pos).as_var()?;
+            TriplePos::ALL[..i]
+                .iter()
+                .rev()
+                .find(|&&prev| pattern.slot(prev).as_var() == Some(v))
+                .map(|&prev| (prev, pos))
+        })
+}
+
+/// The equalities a pattern's repeated variables impose on its rows under
+/// `order`: `(key index a, key index b)` pairs whose values must match.
+pub(crate) fn repeated_var_keys(
+    pattern: &TriplePattern,
+    order: Order,
+) -> impl Iterator<Item = (usize, usize)> + '_ {
+    repeated_var_slots(pattern).map(move |(a, b)| (order.key_index(a), order.key_index(b)))
 }
 
 /// Sort-merge join on `var`. Both inputs must be sorted by `var`; equality

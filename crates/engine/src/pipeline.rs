@@ -71,9 +71,7 @@
 //! product's size is known exactly up front, so one that would not fit
 //! the memory budget is refused before it materialises.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Instant;
 
 use hsp_rdf::{IdTriple, Term, TermId};
 use hsp_sparql::{AggSpec, FilterExpr, TriplePattern, Var};
@@ -89,6 +87,9 @@ use crate::plan::{scan_sort_var, PhysicalPlan};
 use crate::pool::ExecContext;
 
 /// A plan node's identity: its pre-order position in the plan tree.
+/// Lowering numbers the nodes as it descends — a node's first child is the
+/// next id, its second child follows the first child's subtree — so no
+/// table from node to id is ever built.
 type NodeId = usize;
 
 /// A materialised table produced by one step (a breaker output or a
@@ -104,14 +105,6 @@ pub struct Program<'p> {
     slot_count: usize,
     node_count: usize,
     root: SlotId,
-    /// `handoff[s]` — slot `s` has exactly one consumer and it is a
-    /// pipeline's *source*: the producing step's table is handed straight
-    /// to that pipeline instead of round-tripping through the slot array's
-    /// generic path (enabling the sink's column-move fast path).
-    handoff: Vec<bool>,
-    /// Plan-node pre-order ids, keyed by node address (stable: the plan is
-    /// borrowed for `'p`).
-    ids: HashMap<*const PhysicalPlan, NodeId>,
 }
 
 enum Step<'p> {
@@ -180,6 +173,24 @@ enum BreakerOp<'p> {
     },
 }
 
+impl BreakerOp<'_> {
+    /// The slots this breaker consumes: none for a scan, one or two.
+    fn inputs(&self) -> [Option<SlotId>; 2] {
+        match *self {
+            BreakerOp::Scan { .. } => [None, None],
+            BreakerOp::MergeJoin { left, right, .. }
+            | BreakerOp::CrossProduct { left, right, .. }
+            | BreakerOp::Union { left, right } => [Some(left), Some(right)],
+            BreakerOp::Sort { input, .. }
+            | BreakerOp::Bind { input, .. }
+            | BreakerOp::Project { input, .. }
+            | BreakerOp::OrderBy { input, .. }
+            | BreakerOp::HashAggregate { input, .. }
+            | BreakerOp::Slice { input, .. } => [Some(input), None],
+        }
+    }
+}
+
 struct Pipeline<'p> {
     source: SourceSpec<'p>,
     stages: Vec<StageSpec<'p>>,
@@ -191,12 +202,12 @@ enum SourceSpec<'p> {
     Scan(ScanLeaf<'p>),
     /// A merge block: a left-deep run of merge joins on `var` whose every
     /// input is a scan leaf, streamed as one k-way sorted intersection
-    /// ([`merge_block_morsel`]). `joins[j - 1]` is the join that brings in
-    /// `leaves[j]`.
+    /// ([`merge_block_morsel`]). `top` is the block's topmost join; the
+    /// join that brings in `leaves[j]` is [`block_join`]`(top, k, j)`.
     MergeBlock {
         var: Var,
         leaves: Vec<ScanLeaf<'p>>,
-        joins: Vec<NodeId>,
+        top: NodeId,
     },
     /// Stream a breaker's materialised output.
     Slot(SlotId),
@@ -240,67 +251,34 @@ enum StageSpec<'p> {
 
 /// Lower a validated plan into a [`Program`].
 pub fn lower(plan: &PhysicalPlan) -> Program<'_> {
-    let mut ids = HashMap::new();
-    let mut counter = 0usize;
-    plan.visit(&mut |p| {
-        ids.insert(p as *const PhysicalPlan, counter);
-        counter += 1;
-    });
     let mut lowerer = Lowerer {
-        ids: &ids,
         steps: Vec::new(),
         slot_count: 0,
     };
-    let chain = lowerer.chain(plan, true);
+    let chain = lowerer.chain(plan, 0, true);
     let root = lowerer.seal(chain);
-
-    // Single-consumer hand-off analysis: a slot consumed exactly once, by
-    // a pipeline's *source*, is handed to that pipeline directly.
-    let mut consumers = vec![0usize; lowerer.slot_count];
-    let mut source_consumers = vec![0usize; lowerer.slot_count];
-    for step in &lowerer.steps {
-        match step {
-            Step::Breaker { op, .. } => match op {
-                BreakerOp::Scan { .. } => {}
-                BreakerOp::MergeJoin { left, right, .. }
-                | BreakerOp::CrossProduct { left, right, .. }
-                | BreakerOp::Union { left, right } => {
-                    consumers[*left] += 1;
-                    consumers[*right] += 1;
-                }
-                BreakerOp::Sort { input, .. }
-                | BreakerOp::Bind { input, .. }
-                | BreakerOp::Project { input, .. }
-                | BreakerOp::OrderBy { input, .. }
-                | BreakerOp::HashAggregate { input, .. }
-                | BreakerOp::Slice { input, .. } => consumers[*input] += 1,
-            },
-            Step::Pipeline(p) => {
-                if let SourceSpec::Slot(s) = &p.source {
-                    consumers[*s] += 1;
-                    source_consumers[*s] += 1;
-                }
-                for stage in &p.stages {
-                    if let StageSpec::Probe { build, .. } = stage {
-                        consumers[*build] += 1;
-                    }
-                }
-            }
-        }
-    }
-    let handoff = (0..lowerer.slot_count)
-        .map(|s| consumers[s] == 1 && source_consumers[s] == 1)
-        .collect();
-
     Program {
         plan,
         steps: lowerer.steps,
         slot_count: lowerer.slot_count,
-        node_count: counter,
+        node_count: node_count(plan),
         root,
-        handoff,
-        ids,
     }
+}
+
+/// Nodes in the plan tree: the pre-order id its last node gets, plus one.
+fn node_count(plan: &PhysicalPlan) -> usize {
+    let mut n = 0;
+    plan.visit(&mut |_| n += 1);
+    n
+}
+
+/// The pre-order id of the merge-block join that brings in leaf `j`
+/// (`1 ≤ j < k`) of a `k`-leaf block whose topmost join is `top`: the
+/// joins form the left spine under `top`, so the deepest one — the first
+/// join — comes last, right before leaf 0.
+fn block_join(top: NodeId, k: usize, j: usize) -> NodeId {
+    top + k - 1 - j
 }
 
 /// A pipeline under construction: a source plus the streaming stages
@@ -310,17 +288,22 @@ struct Chain<'p> {
     stages: Vec<StageSpec<'p>>,
 }
 
-struct Lowerer<'p, 'i> {
-    ids: &'i HashMap<*const PhysicalPlan, NodeId>,
+impl<'p> Chain<'p> {
+    /// A stage-less chain over `source`.
+    fn of(source: SourceSpec<'p>) -> Self {
+        Chain {
+            source,
+            stages: Vec::new(),
+        }
+    }
+}
+
+struct Lowerer<'p> {
     steps: Vec<Step<'p>>,
     slot_count: usize,
 }
 
-impl<'p> Lowerer<'p, '_> {
-    fn node_id(&self, plan: &'p PhysicalPlan) -> NodeId {
-        self.ids[&(plan as *const PhysicalPlan)]
-    }
-
+impl<'p> Lowerer<'p> {
     fn new_slot(&mut self) -> SlotId {
         let slot = self.slot_count;
         self.slot_count += 1;
@@ -333,31 +316,23 @@ impl<'p> Lowerer<'p, '_> {
         out
     }
 
-    fn scan_leaf(&self, plan: &'p PhysicalPlan) -> ScanLeaf<'p> {
-        let PhysicalPlan::Scan { pattern, order, .. } = plan else {
-            // invariant: callers pass scan nodes only (a scan arm, or a
-            // leaf of `merge_block_leaves`).
-            unreachable!("scan leaf expected");
-        };
-        ScanLeaf {
-            node: self.node_id(plan),
-            pattern,
-            order: *order,
-        }
+    /// A chain whose source is a breaker's output slot.
+    fn breaker_chain(&mut self, node: NodeId, op: BreakerOp<'p>) -> Chain<'p> {
+        Chain::of(SourceSpec::Slot(self.push_breaker(node, op)))
     }
 
-    /// Lower `plan` into an open chain, emitting breaker steps for every
-    /// sub-plan that must materialise (the classification is
-    /// [`PhysicalPlan::is_pipeline_breaker`]; the match below must agree
-    /// with it).
+    /// Lower `plan`, whose pre-order id is `node`, into an open chain,
+    /// emitting breaker steps for every sub-plan that must materialise (the
+    /// classification is [`PhysicalPlan::is_pipeline_breaker`]; the match
+    /// below must agree with it).
     ///
     /// `last` is true when the caller will append no further stages to the
     /// returned chain — the condition under which a DISTINCT projection may
     /// stream (dedup per morsel, global pass at the sink) instead of
     /// materialising: nothing downstream in the same chain ever observes
     /// the not-yet-globally-deduped rows.
-    fn chain(&mut self, plan: &'p PhysicalPlan, last: bool) -> Chain<'p> {
-        let block = plan.merge_block_leaves();
+    fn chain(&mut self, plan: &'p PhysicalPlan, node: NodeId, last: bool) -> Chain<'p> {
+        let block = plan.merge_block_len();
         debug_assert_eq!(
             plan.is_pipeline_breaker(),
             !(matches!(
@@ -368,60 +343,60 @@ impl<'p> Lowerer<'p, '_> {
             ) || block.is_some()),
             "lowering must agree with the breaker classification"
         );
-        let node = self.node_id(plan);
-        if let (Some(leaves), PhysicalPlan::MergeJoin { var, .. }) = (block, plan) {
-            // A merge block: one streaming source over all its leaves.
-            // Its joins are the left spine, listed bottom-up.
-            let mut joins = Vec::with_capacity(leaves.len() - 1);
+        // Pre-order ids: the first child follows its parent, the second
+        // child follows the first child's subtree.
+        let first = node + 1;
+        let second = |left: &PhysicalPlan| first + node_count(left);
+        if let (Some(k), PhysicalPlan::MergeJoin { var, .. }) = (block, plan) {
+            // A merge block: one streaming source over all its leaves —
+            // leaf 0 at the bottom of the left spine, then each join's
+            // right leaf. Every node below the top is a join or a scan, so
+            // leaf `j`'s id is `node + k - 1 + j`.
+            let mut leaves = Vec::with_capacity(k);
             let mut spine = plan;
-            while let PhysicalPlan::MergeJoin { left, .. } = spine {
-                joins.push(self.node_id(spine));
+            while let PhysicalPlan::MergeJoin { left, right, .. } = spine {
+                leaves.push(&**right);
                 spine = left;
             }
-            joins.reverse();
-            let leaves = leaves.into_iter().map(|l| self.scan_leaf(l)).collect();
-            return Chain {
-                source: SourceSpec::MergeBlock {
-                    var: *var,
-                    leaves,
-                    joins,
-                },
-                stages: Vec::new(),
-            };
+            leaves.push(spine);
+            leaves.reverse();
+            let leaves = leaves
+                .into_iter()
+                .enumerate()
+                .map(|(j, leaf)| scan_leaf(leaf, node + k - 1 + j))
+                .collect();
+            return Chain::of(SourceSpec::MergeBlock {
+                var: *var,
+                leaves,
+                top: node,
+            });
         }
         match plan {
             PhysicalPlan::Scan { pattern, order, .. } => {
-                if pattern.vars().is_empty() {
+                if pattern.slots.iter().all(|s| s.as_var().is_none()) {
                     // A fully ground pattern produces unit rows — nothing
                     // to stream; materialise it like a breaker.
-                    let slot = self.push_breaker(
+                    self.breaker_chain(
                         node,
                         BreakerOp::Scan {
                             pattern,
                             order: *order,
                         },
-                    );
-                    Chain {
-                        source: SourceSpec::Slot(slot),
-                        stages: Vec::new(),
-                    }
+                    )
                 } else {
-                    Chain {
-                        source: SourceSpec::Scan(self.scan_leaf(plan)),
-                        stages: Vec::new(),
-                    }
+                    Chain::of(SourceSpec::Scan(scan_leaf(plan, node)))
                 }
             }
             PhysicalPlan::Filter { input, expr } => {
-                let mut chain = self.chain(input, false);
+                let mut chain = self.chain(input, first, false);
                 chain.stages.push(StageSpec::Filter { node, expr });
                 chain
             }
             PhysicalPlan::HashJoin { left, right, vars } => {
                 // The build side is the breaker: seal it, then keep
                 // streaming the probe side through a probe stage.
-                let build = self.seal_subplan(right);
-                let mut chain = self.chain(left, false);
+                let build = self.seal_subplan(right, second(left));
+                let mut chain = self.chain(left, first, false);
                 chain.stages.push(StageSpec::Probe {
                     node,
                     build,
@@ -433,20 +408,16 @@ impl<'p> Lowerer<'p, '_> {
             PhysicalPlan::LeftOuterHashJoin { left, right, vars } if vars.is_empty() => {
                 // No key to probe on: the pairing materialises like a
                 // cross product (right side first, as the oracle runs it).
-                let r = self.seal_subplan(right);
-                let l = self.seal_subplan(left);
-                let slot = self.push_breaker(
+                let r = self.seal_subplan(right, second(left));
+                let l = self.seal_subplan(left, first);
+                self.breaker_chain(
                     node,
                     BreakerOp::CrossProduct {
                         left: l,
                         right: r,
                         outer: true,
                     },
-                );
-                Chain {
-                    source: SourceSpec::Slot(slot),
-                    stages: Vec::new(),
-                }
+                )
             }
             PhysicalPlan::LeftOuterHashJoin { left, right, vars } => {
                 // Same shape as the inner join: the optional side builds,
@@ -454,8 +425,8 @@ impl<'p> Lowerer<'p, '_> {
                 // `probe_range_outer` emits the UNBOUND sentinel per
                 // unmatched probe row, so per-morsel outputs still stitch
                 // deterministically.
-                let build = self.seal_subplan(right);
-                let mut chain = self.chain(left, false);
+                let build = self.seal_subplan(right, second(left));
+                let mut chain = self.chain(left, first, false);
                 chain.stages.push(StageSpec::Probe {
                     node,
                     build,
@@ -467,67 +438,47 @@ impl<'p> Lowerer<'p, '_> {
             PhysicalPlan::MergeJoin { left, right, var } => {
                 // A side that is not a scan leaf (a sort-enforced input, a
                 // bushy subtree): both sides materialise, sorted.
-                let l = self.seal_subplan(left);
-                let r = self.seal_subplan(right);
-                let slot = self.push_breaker(
+                let l = self.seal_subplan(left, first);
+                let r = self.seal_subplan(right, second(left));
+                self.breaker_chain(
                     node,
                     BreakerOp::MergeJoin {
                         left: l,
                         right: r,
                         var: *var,
                     },
-                );
-                Chain {
-                    source: SourceSpec::Slot(slot),
-                    stages: Vec::new(),
-                }
+                )
             }
             PhysicalPlan::CrossProduct { left, right } => {
-                let l = self.seal_subplan(left);
-                let r = self.seal_subplan(right);
-                let slot = self.push_breaker(
+                let l = self.seal_subplan(left, first);
+                let r = self.seal_subplan(right, second(left));
+                self.breaker_chain(
                     node,
                     BreakerOp::CrossProduct {
                         left: l,
                         right: r,
                         outer: false,
                     },
-                );
-                Chain {
-                    source: SourceSpec::Slot(slot),
-                    stages: Vec::new(),
-                }
+                )
             }
             PhysicalPlan::Union { left, right } => {
-                let l = self.seal_subplan(left);
-                let r = self.seal_subplan(right);
-                let slot = self.push_breaker(node, BreakerOp::Union { left: l, right: r });
-                Chain {
-                    source: SourceSpec::Slot(slot),
-                    stages: Vec::new(),
-                }
+                let l = self.seal_subplan(left, first);
+                let r = self.seal_subplan(right, second(left));
+                self.breaker_chain(node, BreakerOp::Union { left: l, right: r })
             }
             PhysicalPlan::Sort { input, var } => {
-                let i = self.seal_subplan(input);
-                let slot = self.push_breaker(
+                let i = self.seal_subplan(input, first);
+                self.breaker_chain(
                     node,
                     BreakerOp::Sort {
                         input: i,
                         var: *var,
                     },
-                );
-                Chain {
-                    source: SourceSpec::Slot(slot),
-                    stages: Vec::new(),
-                }
+                )
             }
             PhysicalPlan::Bind { input, bindings } => {
-                let i = self.seal_subplan(input);
-                let slot = self.push_breaker(node, BreakerOp::Bind { input: i, bindings });
-                Chain {
-                    source: SourceSpec::Slot(slot),
-                    stages: Vec::new(),
-                }
+                let i = self.seal_subplan(input, first);
+                self.breaker_chain(node, BreakerOp::Bind { input: i, bindings })
             }
             PhysicalPlan::Project {
                 input,
@@ -539,26 +490,22 @@ impl<'p> Lowerer<'p, '_> {
                     // must dedup globally *before* they see rows:
                     // materialise it. (Planned trees never produce this
                     // shape — DISTINCT sits at the top of its chain.)
-                    let i = self.seal_subplan(input);
-                    let slot = self.push_breaker(
+                    let i = self.seal_subplan(input, first);
+                    self.breaker_chain(
                         node,
                         BreakerOp::Project {
                             input: i,
                             projection,
                             distinct: true,
                         },
-                    );
-                    Chain {
-                        source: SourceSpec::Slot(slot),
-                        stages: Vec::new(),
-                    }
+                    )
                 } else if *distinct {
                     // Streaming DISTINCT: narrow the layout and dedup each
                     // morsel locally; the sink finishes with one global
                     // first-occurrence pass. Order-preserving at both
                     // phases, so the output is byte-identical to the old
                     // materialising breaker.
-                    let mut chain = self.chain(input, false);
+                    let mut chain = self.chain(input, first, false);
                     chain.stages.push(StageSpec::Distinct { node, projection });
                     chain
                 } else {
@@ -566,18 +513,14 @@ impl<'p> Lowerer<'p, '_> {
                     // fold it into the chain so the sink gathers only the
                     // projected columns and the pre-projection width is
                     // never materialised.
-                    let mut chain = self.chain(input, false);
+                    let mut chain = self.chain(input, first, false);
                     chain.stages.push(StageSpec::Project { node, projection });
                     chain
                 }
             }
             PhysicalPlan::OrderBy { input, keys } => {
-                let i = self.seal_subplan(input);
-                let slot = self.push_breaker(node, BreakerOp::OrderBy { input: i, keys });
-                Chain {
-                    source: SourceSpec::Slot(slot),
-                    stages: Vec::new(),
-                }
+                let i = self.seal_subplan(input, first);
+                self.breaker_chain(node, BreakerOp::OrderBy { input: i, keys })
             }
             PhysicalPlan::HashAggregate {
                 input,
@@ -585,8 +528,8 @@ impl<'p> Lowerer<'p, '_> {
                 aggs,
                 having,
             } => {
-                let i = self.seal_subplan(input);
-                let slot = self.push_breaker(
+                let i = self.seal_subplan(input, first);
+                self.breaker_chain(
                     node,
                     BreakerOp::HashAggregate {
                         input: i,
@@ -594,38 +537,30 @@ impl<'p> Lowerer<'p, '_> {
                         aggs,
                         having: having.as_ref(),
                     },
-                );
-                Chain {
-                    source: SourceSpec::Slot(slot),
-                    stages: Vec::new(),
-                }
+                )
             }
             PhysicalPlan::Slice {
                 input,
                 offset,
                 limit,
             } => {
-                let i = self.seal_subplan(input);
-                let slot = self.push_breaker(
+                let i = self.seal_subplan(input, first);
+                self.breaker_chain(
                     node,
                     BreakerOp::Slice {
                         input: i,
                         offset: *offset,
                         limit: *limit,
                     },
-                );
-                Chain {
-                    source: SourceSpec::Slot(slot),
-                    stages: Vec::new(),
-                }
+                )
             }
         }
     }
 
-    fn seal_subplan(&mut self, plan: &'p PhysicalPlan) -> SlotId {
+    fn seal_subplan(&mut self, plan: &'p PhysicalPlan, node: NodeId) -> SlotId {
         // A sealed sub-plan is the whole chain: nothing is appended above
         // it, so a DISTINCT at its top may stream (`last == true`).
-        let chain = self.chain(plan, true);
+        let chain = self.chain(plan, node, true);
         self.seal(chain)
     }
 
@@ -654,6 +589,20 @@ impl<'p> Lowerer<'p, '_> {
     }
 }
 
+/// The scan leaf of scan node `plan`, whose pre-order id is `node`.
+fn scan_leaf(plan: &PhysicalPlan, node: NodeId) -> ScanLeaf<'_> {
+    let PhysicalPlan::Scan { pattern, order, .. } = plan else {
+        // invariant: callers pass scan nodes only (a scan arm, or a leaf of
+        // a merge block).
+        unreachable!("scan leaf expected");
+    };
+    ScanLeaf {
+        node,
+        pattern,
+        order: *order,
+    }
+}
+
 impl Program<'_> {
     /// Number of pipeline steps (the rest are breakers).
     pub fn pipeline_count(&self) -> usize {
@@ -663,10 +612,37 @@ impl Program<'_> {
             .count()
     }
 
+    /// Whether slot `slot` is *handed off*: its one consumer is a
+    /// pipeline's source, so the producing step's table moves straight into
+    /// that pipeline instead of round-tripping through the slot array's
+    /// generic path (enabling the sink's column-move fast path).
+    fn handed_off(&self, slot: SlotId) -> bool {
+        let (mut consumers, mut as_source) = (0, 0);
+        for step in &self.steps {
+            match step {
+                Step::Breaker { op, .. } => {
+                    consumers += op.inputs().iter().filter(|&&s| s == Some(slot)).count();
+                }
+                Step::Pipeline(p) => {
+                    if matches!(p.source, SourceSpec::Slot(s) if s == slot) {
+                        consumers += 1;
+                        as_source += 1;
+                    }
+                    consumers += p
+                        .stages
+                        .iter()
+                        .filter(|s| matches!(s, StageSpec::Probe { build, .. } if *build == slot))
+                        .count();
+                }
+            }
+        }
+        consumers == 1 && as_source == 1
+    }
+
     /// Execute the program, producing the final table and a per-operator
-    /// [`Profile`] mirroring the plan tree (output cardinalities are exact;
-    /// a pipeline's wall time is attributed to its topmost operator, its
-    /// inner stages report 0ns since they never run in isolation).
+    /// [`Profile`] mirroring the plan tree, with exact output
+    /// cardinalities — counted into one slot per node, in pre-order, and
+    /// shaped into the tree once the steps are done.
     ///
     /// With a governor attached to `ctx`, every breaker step and every
     /// morsel claim is a cooperative checkpoint; an error drains every
@@ -678,9 +654,8 @@ impl Program<'_> {
         ctx: &ExecContext,
     ) -> Result<(BindingTable, Profile), ExecError> {
         let mut slots: Vec<Option<BindingTable>> = (0..self.slot_count).map(|_| None).collect();
-        let mut rows = vec![0usize; self.node_count];
-        let mut nanos = vec![0u128; self.node_count];
-        if let Err(e) = self.run_steps(ds, ctx, &mut slots, &mut rows, &mut nanos) {
+        let mut rows = vec![0; self.node_count];
+        if let Err(e) = self.run_steps(ds, ctx, &mut slots, &mut rows) {
             for slot in slots.iter_mut() {
                 if let Some(t) = slot.take() {
                     ctx.release(t);
@@ -692,7 +667,7 @@ impl Program<'_> {
         // one fills `self.root` — every `expect` on slot contents in this
         // module rests on that ordering.
         let table = slots[self.root].take().expect("root slot filled");
-        let profile = self.build_profile(self.plan, &rows, &nanos);
+        let profile = build_profile(self.plan, &rows, &mut 0);
         Ok((table, profile))
     }
 
@@ -702,12 +677,10 @@ impl Program<'_> {
         ctx: &ExecContext,
         slots: &mut [Option<BindingTable>],
         rows: &mut [usize],
-        nanos: &mut [u128],
     ) -> Result<(), ExecError> {
         for step in &self.steps {
             match step {
                 Step::Breaker { node, out, op } => {
-                    let start = Instant::now();
                     // A Cartesian product's output size is known exactly up
                     // front: refuse it *before* materialising when it cannot
                     // fit the memory budget.
@@ -737,20 +710,19 @@ impl Program<'_> {
                             }
                         }
                     };
-                    nanos[*node] = start.elapsed().as_nanos();
                     rows[*node] = table.len();
                     // A kernel that bailed out early on `governor_poll`
                     // (the cross product) returned an empty placeholder
                     // table: surface the trip instead of storing it and
                     // drop the placeholder (it was never charged).
                     if let Some(e) = ctx.governor().and_then(QueryGovernor::trip_error) {
-                        for t in consumed {
+                        for t in consumed.into_iter().flatten() {
                             ctx.release(t);
                         }
                         drop(table);
                         return Err(e.into());
                     }
-                    for t in consumed {
+                    for t in consumed.into_iter().flatten() {
                         ctx.release(t);
                     }
                     if let Err(e) = ctx.charge_table(&table, "breaker") {
@@ -763,43 +735,15 @@ impl Program<'_> {
                     // Single-consumer breaker hand-off: the source table
                     // was produced for this pipeline alone, so the sink
                     // may move its columns instead of gathering copies.
-                    let handed_off = matches!(&p.source, SourceSpec::Slot(s) if self.handoff[*s]);
+                    let handed_off = matches!(p.source, SourceSpec::Slot(s) if self.handed_off(s));
                     if handed_off {
                         ctx.note_handoff();
                     }
-                    run_pipeline(p, ds, ctx, slots, rows, nanos, handed_off)?;
+                    run_pipeline(p, ds, ctx, slots, rows, handed_off)?;
                 }
             }
         }
         Ok(())
-    }
-
-    fn build_profile(&self, plan: &PhysicalPlan, rows: &[usize], nanos: &[u128]) -> Profile {
-        let id = self.ids[&(plan as *const PhysicalPlan)];
-        let children = match plan {
-            PhysicalPlan::Scan { .. } => Vec::new(),
-            PhysicalPlan::MergeJoin { left, right, .. }
-            | PhysicalPlan::HashJoin { left, right, .. }
-            | PhysicalPlan::LeftOuterHashJoin { left, right, .. }
-            | PhysicalPlan::CrossProduct { left, right }
-            | PhysicalPlan::Union { left, right } => vec![
-                self.build_profile(left, rows, nanos),
-                self.build_profile(right, rows, nanos),
-            ],
-            PhysicalPlan::Sort { input, .. }
-            | PhysicalPlan::Bind { input, .. }
-            | PhysicalPlan::Filter { input, .. }
-            | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::OrderBy { input, .. }
-            | PhysicalPlan::HashAggregate { input, .. }
-            | PhysicalPlan::Slice { input, .. } => vec![self.build_profile(input, rows, nanos)],
-        };
-        Profile {
-            label: plan_label(plan),
-            output_rows: rows[id],
-            nanos: nanos[id],
-            children,
-        }
     }
 
     /// Render the pipeline DAG as text: one line per step, slots named
@@ -886,7 +830,7 @@ impl Program<'_> {
                             limit.map_or("∞".into(), |n| n.to_string())
                         ),
                     };
-                    let mark = if self.handoff[*slot] {
+                    let mark = if self.handed_off(*slot) {
                         " [handoff]"
                     } else {
                         ""
@@ -947,6 +891,41 @@ impl Program<'_> {
     }
 }
 
+/// The [`Profile`] of `plan` from the run's per-node output cardinalities,
+/// indexed by pre-order id: `next` is the id of `plan` and advances past
+/// its subtree.
+fn build_profile(plan: &PhysicalPlan, rows: &[usize], next: &mut NodeId) -> Profile {
+    let output_rows = rows[*next];
+    *next += 1;
+    let children = match plan {
+        PhysicalPlan::Scan { .. } => Vec::new(),
+        PhysicalPlan::MergeJoin { left, right, .. }
+        | PhysicalPlan::HashJoin { left, right, .. }
+        | PhysicalPlan::LeftOuterHashJoin { left, right, .. }
+        | PhysicalPlan::CrossProduct { left, right }
+        | PhysicalPlan::Union { left, right } => {
+            let left = build_profile(left, rows, next);
+            vec![left, build_profile(right, rows, next)]
+        }
+        PhysicalPlan::Sort { input, .. }
+        | PhysicalPlan::Bind { input, .. }
+        | PhysicalPlan::Filter { input, .. }
+        | PhysicalPlan::Project { input, .. }
+        | PhysicalPlan::OrderBy { input, .. }
+        | PhysicalPlan::HashAggregate { input, .. }
+        | PhysicalPlan::Slice { input, .. } => vec![build_profile(input, rows, next)],
+    };
+    Profile {
+        label: plan_label(plan),
+        output_rows,
+        children,
+    }
+}
+
+/// The input tables a breaker consumed, for releasing once its output is
+/// stored.
+type Consumed = [Option<BindingTable>; 2];
+
 /// Run one breaker op over materialised slots; returns the output table
 /// plus the consumed input tables (for releasing). The only fallible op
 /// is the γ aggregate (morsel-claim checkpoints, memory budget, typed
@@ -957,74 +936,59 @@ fn run_breaker(
     ds: &Dataset,
     ctx: &ExecContext,
     slots: &mut [Option<BindingTable>],
-) -> Result<(BindingTable, Vec<BindingTable>), ExecError> {
-    let mut take = |slot: SlotId| -> BindingTable {
-        // invariant: topological step order (see `Program::run`).
-        slots[slot].take().expect("input slot filled before use")
-    };
-    Ok(match op {
-        BreakerOp::Scan { pattern, order } => (ops::scan(ctx, ds, pattern, *order), Vec::new()),
-        BreakerOp::MergeJoin { left, right, var } => {
-            let (l, r) = (take(*left), take(*right));
-            (ops::merge_join(&l, &r, *var), vec![l, r])
+) -> Result<(BindingTable, Consumed), ExecError> {
+    // invariant: topological step order (see `Program::run`) fills every
+    // input slot before its consumer runs.
+    let [a, b] = op
+        .inputs()
+        .map(|s| s.map(|s| slots[s].take().expect("input slot filled before use")));
+    // invariant: `inputs` names the sole (or left) input of every op but
+    // a scan, and the right input of the two-sided ones.
+    let input = || a.as_ref().expect("breaker input");
+    let pair = || (input(), b.as_ref().expect("right breaker input"));
+    let table = match op {
+        BreakerOp::Scan { pattern, order } => ops::scan(ctx, ds, pattern, *order),
+        BreakerOp::MergeJoin { var, .. } => {
+            let (l, r) = pair();
+            ops::merge_join(l, r, *var)
         }
-        BreakerOp::CrossProduct { left, right, outer } => {
-            let (l, r) = (take(*left), take(*right));
-            let table = if *outer {
-                ops::left_outer_hash_join(ctx, &l, &r, &[])
-            } else {
-                ops::cross_product(ctx, &l, &r)
-            };
-            (table, vec![l, r])
+        BreakerOp::CrossProduct { outer: true, .. } => {
+            let (l, r) = pair();
+            ops::left_outer_hash_join(ctx, l, r, &[])
         }
-        BreakerOp::Union { left, right } => {
-            let (l, r) = (take(*left), take(*right));
-            (ops::union_all(&l, &r), vec![l, r])
+        BreakerOp::CrossProduct { .. } => {
+            let (l, r) = pair();
+            ops::cross_product(ctx, l, r)
         }
-        BreakerOp::Sort { input, var } => {
-            let i = take(*input);
-            (ops::sort_by(&i, *var), vec![i])
+        BreakerOp::Union { .. } => {
+            let (l, r) = pair();
+            ops::union_all(l, r)
         }
-        BreakerOp::Bind { input, bindings } => {
-            let i = take(*input);
-            (ops::bind(ds, &i, bindings), vec![i])
-        }
+        BreakerOp::Sort { var, .. } => ops::sort_by(input(), *var),
+        BreakerOp::Bind { bindings, .. } => ops::bind(ds, input(), bindings),
         BreakerOp::Project {
-            input,
             projection,
             distinct,
-        } => {
-            let i = take(*input);
-            (ops::project(&i, projection, *distinct), vec![i])
-        }
-        BreakerOp::OrderBy { input, keys } => {
-            let i = take(*input);
-            (ops::order_by(ctx, ds, &i, keys), vec![i])
-        }
+            ..
+        } => ops::project(input(), projection, *distinct),
+        BreakerOp::OrderBy { keys, .. } => ops::order_by(ctx, ds, input(), keys),
         BreakerOp::HashAggregate {
-            input,
             group_by,
             aggs,
             having,
-        } => {
-            let i = take(*input);
-            match run_aggregate(ds, ctx, &i, group_by, aggs, *having) {
-                Ok(table) => (table, vec![i]),
-                Err(e) => {
-                    ctx.release(i);
-                    return Err(e);
+            ..
+        } => match run_aggregate(ds, ctx, input(), group_by, aggs, *having) {
+            Ok(table) => table,
+            Err(e) => {
+                for t in [a, b].into_iter().flatten() {
+                    ctx.release(t);
                 }
+                return Err(e);
             }
-        }
-        BreakerOp::Slice {
-            input,
-            offset,
-            limit,
-        } => {
-            let i = take(*input);
-            (ops::slice(&i, *offset, *limit), vec![i])
-        }
-    })
+        },
+        BreakerOp::Slice { offset, limit, .. } => ops::slice(input(), *offset, *limit),
+    };
+    Ok((table, [a, b]))
 }
 
 /// The γ breaker: folds the input into one
@@ -1070,13 +1034,11 @@ enum ColRef<'a> {
         leaf: usize,
         key: usize,
     },
-    /// `col[sides[side][row]]`. `idx` is the column's index within its
-    /// side's table (what the sink's column-move fast path needs);
-    /// `nullable` marks sides introduced by an *outer* probe, whose index
-    /// vectors may carry the `u32::MAX` sentinel (read as UNBOUND).
+    /// `col[sides[side][row]]`. `nullable` marks sides introduced by an
+    /// *outer* probe, whose index vectors may carry the `u32::MAX` sentinel
+    /// (read as UNBOUND).
     Col {
         side: usize,
-        idx: usize,
         col: &'a [TermId],
         nullable: bool,
     },
@@ -1334,39 +1296,19 @@ impl RowValues for MorselCols<'_, '_> {
     }
 }
 
-/// How the sink reads one output column — [`ColRef`] stripped of its
-/// borrows, so the prepared pipeline can be dropped before the sink takes
-/// the input tables apart.
-enum SinkRef {
-    Key {
-        side: usize,
-        leaf: usize,
-        key: usize,
-    },
-    Col {
-        side: usize,
-        idx: usize,
-        nullable: bool,
-    },
-}
-
 /// Execute one pipeline: prepare (resolve the source, build the probe hash
 /// tables — the breaker work), push morsels through the stage chain, gather
 /// once at the sink, release the consumed inputs. A `handed_off` source
 /// table (a single-consumer breaker's output) may have its columns *moved*
 /// into the sink when no stage dropped a row.
-#[allow(clippy::too_many_arguments)]
 fn run_pipeline(
     p: &Pipeline<'_>,
     ds: &Dataset,
     ctx: &ExecContext,
     slots: &mut [Option<BindingTable>],
     rows_by_node: &mut [usize],
-    nanos_by_node: &mut [u128],
     handed_off: bool,
 ) -> Result<(), ExecError> {
-    let start = Instant::now();
-
     // Take the pipeline's inputs out of their slots (they stay alive —
     // borrowed by the prepared stages — until the sink has gathered).
     // invariant: topological step order (see `Program::run`) fills every
@@ -1400,9 +1342,8 @@ fn run_pipeline(
     for _ in scans.iter().filter(|s| !s.is_contiguous()) {
         ctx.note_overlay_scan();
     }
-    let leaf_rows: Vec<&[IdTriple]> = scans.iter().map(OrderScan::as_slice).collect();
 
-    let prepared = prepare(p, &leaf_rows, source_table.as_ref(), &build_tables);
+    let prepared = prepare(p, &scans, source_table.as_ref(), &build_tables);
 
     // The hand-off column-move precondition that is known *before* any
     // morsel runs: the source was handed off, no probe adds a side, and
@@ -1426,7 +1367,6 @@ fn run_pipeline(
     // morsel-sized checkpoints under a governor). Every morsel uses the
     // per-thread evaluator (pool workers and helping submitters are
     // long-lived; its regex cache is bounded).
-    let stage_count = prepared.stages.len();
     let morsel_result = morsel::try_run_morsels(
         prepared.rows,
         &ctx.morsel,
@@ -1454,58 +1394,22 @@ fn run_pipeline(
         }
     };
 
-    // Stitch the per-morsel index vectors in morsel order and total the
-    // per-stage counts.
-    let side_count = prepared.source_sides
-        + prepared
-            .stages
-            .iter()
-            .filter(|s| matches!(s, PreparedStage::Probe { .. }))
-            .count();
-    // Source levels: the source's own count, then one per merge-block join.
-    let levels = 1 + prepared.joins.len();
-    let mut counts = vec![0usize; levels + stage_count];
-    for part in &parts {
-        for (c, n) in part.counts.iter().enumerate() {
-            counts[c] += n;
-        }
-    }
-    let total_rows: usize = parts.iter().map(|part| part.rows).sum();
     // Every morsel kept side 0 untouched ⇒ the stitched side-0 vector is
     // the identity over the whole source: the column-move fires and side 0
     // (left empty by the deferral) is never read.
     let movable = static_movable && parts.iter().all(|part| part.side0_identity);
-    let sides: Vec<Vec<u32>> = match <[MorselOut; 1]>::try_from(parts) {
-        // One morsel ran (every ungoverned sequential pipeline): its index
-        // vectors are the stitched result — move them instead of copying.
-        Ok([part]) => part.sides,
-        Err(parts) => {
-            let mut sides: Vec<Vec<u32>> = (0..side_count)
-                .map(|_| Vec::with_capacity(total_rows))
-                .collect();
-            for part in parts {
-                for (s, v) in part.sides.into_iter().enumerate() {
-                    if s == 0 && static_movable && part.side0_identity {
-                        // This morsel's side 0 was deferred (left empty). If
-                        // another morsel broke the identity, reconstruct the
-                        // range here; on the move path nothing reads side 0.
-                        debug_assert!(v.is_empty());
-                        if !movable {
-                            sides[0].extend(part.start..part.start + part.rows as u32);
-                        }
-                    } else {
-                        sides[s].extend_from_slice(&v);
-                    }
-                }
-            }
-            sides
-        }
-    };
+    let MorselOut {
+        sides,
+        counts,
+        rows: out_rows,
+        ..
+    } = stitch(parts, &prepared, static_movable, movable);
 
     // Record per-operator cardinalities (exactly what the oracle would
     // report): the source's levels (leaf 0, then each merge-block join),
     // the other leaves of a merge block (whole-scan counts, independent of
     // the morsels), then each stage's.
+    let levels = 1 + prepared.joins.len();
     let source_nodes = prepared
         .leaves
         .first()
@@ -1545,107 +1449,62 @@ fn run_pipeline(
         ctx.note_outer_probes(outer_probes);
     }
 
-    // The topmost operator of the pipeline owns its wall time (inner
-    // stages never run in isolation, so they report 0).
-    let top_node = prepared
-        .stages
-        .last()
-        .map(stage_node)
-        .or_else(|| prepared.joins.last().map(|j| j.node))
-        // invariant: `lower` emits a stage-less pipeline only for a merge
-        // block (a bare scan seals as a breaker).
-        .expect("a pipeline has a stage or is a merge block");
-
-    // Strip the layout of its borrows so the prepared stages (which borrow
-    // the input tables) can drop before the sink consumes those tables.
-    let sink_refs: Vec<(Var, SinkRef)> = prepared
-        .layout
-        .iter()
-        .map(|&(v, r)| {
-            let sink = match r {
-                ColRef::Key { side, leaf, key } => SinkRef::Key { side, leaf, key },
-                ColRef::Col {
-                    side,
-                    idx,
-                    nullable,
-                    ..
-                } => SinkRef::Col {
-                    side,
-                    idx,
-                    nullable,
-                },
-            };
-            (v, sink)
-        })
-        .collect();
-    let sorted = prepared.sorted;
-    let source_sides = prepared.source_sides;
-    let distinct_node = prepared.stages.iter().find_map(|s| match s {
+    // The stages are done: free them (a probe's hash table can be as large
+    // as its build side) before the sink allocates the output. The layout
+    // borrows the input tables, not the stages, so it stays.
+    let PreparedPipeline {
+        leaves,
+        layout,
+        stages,
+        sorted,
+        ..
+    } = prepared;
+    let distinct_node = stages.iter().find_map(|s| match s {
         PreparedStage::Distinct { node, .. } => Some(*node),
         _ => None,
     });
-    drop(prepared);
+    drop(stages);
+    let vars: Vec<Var> = layout.iter().map(|&(v, _)| v).collect();
 
     // Sink. Fast path (hand-off move, `movable` decided at the stitch):
     // the source table was materialised for this pipeline alone and no
     // stage dropped a row, so the selected columns *move* into the output
     // — zero copies, not even an identity index vector — and the
     // unprojected ones drop. Otherwise each output column is gathered
-    // exactly once.
-    let out_rows = total_rows;
+    // exactly once, straight through the layout's references.
     let table = if movable {
+        // The layout borrows the source table: drop it first.
+        drop(layout);
         // invariant: `static_movable` requires a slot source, taken above.
         let src = source_table.take().expect("handed-off slot source");
         debug_assert_eq!(src.len(), out_rows, "identity sides preserve rows");
-        let mut src_cols: Vec<Option<Vec<TermId>>> =
-            ctx.release(src).into_iter().map(Some).collect();
-        let mut cols: Vec<Vec<TermId>> = Vec::with_capacity(sink_refs.len());
-        for (_, r) in &sink_refs {
-            let SinkRef::Col { idx, .. } = r else {
-                // invariant: `static_movable` only holds for layouts whose
-                // every reference is a side-0 column.
-                unreachable!("movable layout is side-0 columns only")
-            };
-            // invariant: layout variables are deduplicated, so each source
-            // column is moved at most once.
-            cols.push(src_cols[*idx].take().expect("layout vars are distinct"));
-        }
-        let vars: Vec<Var> = sink_refs.iter().map(|&(v, _)| v).collect();
-        let mut table = BindingTable::from_columns(vars, cols, None);
-        table.set_sorted_by(sorted);
-        table
-    } else if sink_refs.is_empty() {
+        // invariant: layout variables are distinct, so each source column
+        // moves at most once.
+        let cols = ctx.release_columns(src, &vars);
+        BindingTable::from_columns(vars, cols, sorted)
+    } else if vars.is_empty() {
         BindingTable::unit(out_rows)
     } else {
-        let mut cols: Vec<Vec<TermId>> = Vec::with_capacity(sink_refs.len());
-        for (_, r) in &sink_refs {
-            let mut col = Vec::with_capacity(out_rows);
-            match *r {
-                SinkRef::Key { side, leaf, key } => {
-                    let rows = leaf_rows[leaf];
-                    col.extend(sides[side].iter().map(|&i| rows[i as usize][key]));
+        let cols = layout
+            .iter()
+            .map(|&(_, r)| {
+                let mut col = Vec::with_capacity(out_rows);
+                match r {
+                    ColRef::Key { side, leaf, key } => {
+                        let rows = leaves[leaf].rows;
+                        col.extend(sides[side].iter().map(|&i| rows[i as usize][key]));
+                    }
+                    ColRef::Col {
+                        side,
+                        col: src,
+                        nullable,
+                        ..
+                    } => extend_gathered(&mut col, src, &sides[side], nullable),
                 }
-                SinkRef::Col {
-                    side,
-                    idx,
-                    nullable,
-                } => {
-                    let src: &[TermId] = if side < source_sides {
-                        // invariant: a source-side column reference implies
-                        // a slot source (scan leaves emit key references).
-                        &source_table.as_ref().expect("slot source").columns()[idx]
-                    } else {
-                        &build_tables[side - source_sides].columns()[idx]
-                    };
-                    extend_gathered(&mut col, src, &sides[side], nullable);
-                }
-            }
-            cols.push(col);
-        }
-        let vars: Vec<Var> = sink_refs.iter().map(|&(v, _)| v).collect();
-        let mut table = BindingTable::from_columns(vars, cols, None);
-        table.set_sorted_by(sorted);
-        table
+                col
+            })
+            .collect();
+        BindingTable::from_columns(vars, cols, sorted)
     };
 
     // Global phase of a streaming DISTINCT: the morsels deduped locally,
@@ -1681,7 +1540,6 @@ fn run_pipeline(
             deduped
         }
     };
-    nanos_by_node[top_node] = start.elapsed().as_nanos();
 
     // Release the consumed inputs now that the gather is done (a moved
     // hand-off source was released above), then charge the materialised
@@ -1698,6 +1556,60 @@ fn run_pipeline(
     }
     slots[p.out] = Some(table);
     Ok(())
+}
+
+/// Stitch the per-morsel index vectors in morsel order and total the
+/// per-stage counts. One morsel (every ungoverned sequential pipeline) is
+/// its own stitched result (a governed run may cut even an empty source
+/// into one morsel, never into none). `static_movable` morsels deferred an identity
+/// side 0 (left it empty); unless the stitched result is `movable` after
+/// all, those ranges are rebuilt here.
+fn stitch(
+    parts: Vec<MorselOut>,
+    prepared: &PreparedPipeline<'_>,
+    static_movable: bool,
+    movable: bool,
+) -> MorselOut {
+    if parts.len() == 1 {
+        // invariant: just checked there is one.
+        return parts.into_iter().next().expect("one morsel");
+    }
+    let total_rows: usize = parts.iter().map(|part| part.rows).sum();
+    let side_count = prepared.source_sides
+        + prepared
+            .stages
+            .iter()
+            .filter(|s| matches!(s, PreparedStage::Probe { .. }))
+            .count();
+    let levels = 1 + prepared.joins.len() + prepared.stages.len();
+    let mut out = MorselOut {
+        sides: (0..side_count)
+            .map(|_| Vec::with_capacity(total_rows))
+            .collect(),
+        counts: vec![0; levels],
+        side0_identity: movable,
+        start: 0,
+        rows: total_rows,
+    };
+    for part in parts {
+        for (c, n) in part.counts.iter().enumerate() {
+            out.counts[c] += n;
+        }
+        for (s, v) in part.sides.into_iter().enumerate() {
+            if s == 0 && static_movable && part.side0_identity {
+                // This morsel's side 0 was deferred (left empty). If
+                // another morsel broke the identity, reconstruct the range
+                // here; on the move path nothing reads side 0.
+                debug_assert!(v.is_empty());
+                if !movable {
+                    out.sides[0].extend(part.start..part.start + part.rows as u32);
+                }
+            } else {
+                out.sides[s].extend_from_slice(&v);
+            }
+        }
+    }
+    out
 }
 
 /// The plan node a prepared stage reports its cardinality for.
@@ -1725,17 +1637,10 @@ fn source_leaves<'s, 'p>(source: &'s SourceSpec<'p>) -> &'s [ScanLeaf<'p>] {
 /// still advertises the scan's sortedness, like the oracle's — a merge
 /// join above it checks the declaration, not the rows).
 fn resolve_scan<'d>(ds: &'d Dataset, pattern: &TriplePattern, order: Order) -> OrderScan<'d> {
-    let mut prefix: Vec<TermId> = Vec::with_capacity(3);
-    for pos in order.positions() {
-        match pattern.slot(pos) {
-            hsp_sparql::TermOrVar::Const(term) => match ds.dict().id(term) {
-                Some(id) => prefix.push(id),
-                None => return OrderScan::empty(),
-            },
-            hsp_sparql::TermOrVar::Var(_) => break,
-        }
-    }
-    let scan = ds.store().scan(order, &prefix);
+    let Some(prefix) = ops::ScanPrefix::resolve(ds, pattern, order) else {
+        return OrderScan::empty();
+    };
+    let scan = ds.store().scan(order, prefix.ids());
     assert!(
         scan.len() < u32::MAX as usize,
         "scan range exceeds u32 row indexing"
@@ -1751,7 +1656,7 @@ fn resolve_scan<'d>(ds: &'d Dataset, pattern: &TriplePattern, order: Order) -> O
 /// for projection stages.
 fn prepare<'a>(
     p: &'a Pipeline<'_>,
-    leaf_rows: &[&'a [IdTriple]],
+    scans: &'a [OrderScan<'_>],
     source_table: Option<&'a BindingTable>,
     build_tables: &'a [BindingTable],
 ) -> PreparedPipeline<'a> {
@@ -1762,22 +1667,15 @@ fn prepare<'a>(
     let mut sorted;
     match &p.source {
         SourceSpec::Scan(_) | SourceSpec::MergeBlock { .. } => {
-            let join_nodes: &[NodeId] = match &p.source {
-                SourceSpec::MergeBlock { joins, .. } => joins,
-                _ => &[],
-            };
             let specs = source_leaves(&p.source);
             let first = &specs[0];
             sorted = scan_sort_var(first.pattern, first.order);
-            for (j, (spec, &relation)) in specs.iter().zip(leaf_rows).enumerate() {
+            for (j, (spec, scan)) in specs.iter().zip(scans).enumerate() {
                 let (pattern, order) = (spec.pattern, spec.order);
-                let mut equalities = Vec::new();
+                let equalities: Vec<(usize, usize)> =
+                    ops::repeated_var_keys(pattern, order).collect();
                 let mut checks = Vec::new();
-                for v in pattern.vars() {
-                    let key = order.key_index(pattern.positions_of(v)[0]);
-                    for pair in pattern.positions_of(v).windows(2) {
-                        equalities.push((order.key_index(pair[0]), order.key_index(pair[1])));
-                    }
+                for (v, key) in ops::pattern_keys(pattern, order) {
                     match layout.iter().find(|&&(lv, _)| lv == v) {
                         None => layout.push((
                             v,
@@ -1806,13 +1704,13 @@ fn prepare<'a>(
                     .expect("scan leaf binds a variable");
                 leaves.push(PreparedLeaf {
                     node: spec.node,
-                    rows: relation,
+                    rows: scan.as_slice(),
                     key,
                     equalities,
                 });
-                if j > 0 {
+                if let (true, SourceSpec::MergeBlock { top, .. }) = (j > 0, &p.source) {
                     joins.push(PreparedJoin {
-                        node: join_nodes[j - 1],
+                        node: block_join(*top, specs.len(), j),
                         checks,
                     });
                 }
@@ -1827,13 +1725,12 @@ fn prepare<'a>(
                 table.len() < u32::MAX as usize,
                 "binding table exceeds u32 row indexing"
             );
-            for (c, &v) in table.vars().iter().enumerate() {
+            for (&v, col) in table.vars().iter().zip(table.columns()) {
                 layout.push((
                     v,
                     ColRef::Col {
                         side: 0,
-                        idx: c,
-                        col: &table.columns()[c],
+                        col,
                         nullable: false,
                     },
                 ));
@@ -1896,14 +1793,13 @@ fn prepare<'a>(
                 // read through this probe's new side. An outer probe's
                 // side may carry the unmatched-row sentinel, so its
                 // columns are nullable.
-                for (c, &v) in bt.vars().iter().enumerate() {
+                for (&v, col) in bt.vars().iter().zip(bt.columns()) {
                     if !layout.iter().any(|&(lv, _)| lv == v) {
                         layout.push((
                             v,
                             ColRef::Col {
                                 side: side_count,
-                                idx: c,
-                                col: &bt.columns()[c],
+                                col,
                                 nullable: *outer,
                             },
                         ));
@@ -1929,14 +1825,14 @@ fn prepare<'a>(
                 // layout narrows to the projected variables (first
                 // occurrence wins for duplicated names, like
                 // `ops::project`), and the sink gathers only those.
-                layout = narrow_layout(&layout, projection);
+                narrow_layout(&mut layout, projection);
                 sorted = sorted.filter(|v| layout.iter().any(|&(lv, _)| lv == *v));
                 stages.push(PreparedStage::Project { node: *node });
             }
             StageSpec::Distinct { node, projection } => {
                 // Same prepare-time narrowing as `Project`; the run-time
                 // stage dedups each morsel over exactly these columns.
-                layout = narrow_layout(&layout, projection);
+                narrow_layout(&mut layout, projection);
                 sorted = sorted.filter(|v| layout.iter().any(|&(lv, _)| lv == *v));
                 let refs: Vec<ColRef<'a>> = layout.iter().map(|&(_, r)| r).collect();
                 stages.push(PreparedStage::Distinct { node: *node, refs });
@@ -1962,25 +1858,24 @@ fn prepare<'a>(
 
 /// Narrow a pipeline layout to a projection's variables, in projection
 /// order, first occurrence winning for duplicated names — exactly
-/// `ops::project`'s output layout.
-fn narrow_layout<'a>(
-    layout: &[(Var, ColRef<'a>)],
-    projection: &[(String, Var)],
-) -> Vec<(Var, ColRef<'a>)> {
-    let mut narrowed: Vec<(Var, ColRef<'a>)> = Vec::new();
+/// `ops::project`'s output layout. In place: each projected variable swaps
+/// into the next output position, and the rest is cut off.
+fn narrow_layout(layout: &mut Vec<(Var, ColRef<'_>)>, projection: &[(String, Var)]) {
+    let mut kept = 0;
     for &(_, v) in projection {
-        if !narrowed.iter().any(|&(lv, _)| lv == v) {
-            let r = layout
-                .iter()
-                .find(|&&(lv, _)| lv == v)
-                .map(|&(_, r)| r)
-                // invariant: `PhysicalPlan::validate` requires projected
-                // variables bound by the input.
-                .expect("projected variable bound by the pipeline (validated)");
-            narrowed.push((v, r));
+        if layout[..kept].iter().any(|&(lv, _)| lv == v) {
+            continue;
         }
+        let at = layout[kept..]
+            .iter()
+            .position(|&(lv, _)| lv == v)
+            // invariant: `PhysicalPlan::validate` requires projected
+            // variables bound by the input.
+            .expect("projected variable bound by the pipeline (validated)");
+        layout.swap(kept, kept + at);
+        kept += 1;
     }
-    narrowed
+    layout.truncate(kept);
 }
 
 /// Push one morsel of source rows through the whole stage chain,
@@ -2328,7 +2223,10 @@ fn emit_product(
 /// One key's partial products on the merge block's checked path (leaves
 /// with repeated variables, or joins sharing non-block variables): after
 /// level `j`, `cols[l][t]` is leaf `l`'s row in tuple `t`, for `l ≤ j`.
+/// Nothing is allocated until the first key is seeded, so the plain path
+/// pays nothing for it.
 struct Partial {
+    leaves: usize,
     cols: Vec<Vec<u32>>,
     next: Vec<Vec<u32>>,
     group: Vec<u32>,
@@ -2337,14 +2235,19 @@ struct Partial {
 impl Partial {
     fn new(leaves: usize) -> Self {
         Partial {
-            cols: vec![Vec::new(); leaves],
-            next: vec![Vec::new(); leaves],
+            leaves,
+            cols: Vec::new(),
+            next: Vec::new(),
             group: Vec::new(),
         }
     }
 
     /// Start a key from the driver's group; returns the tuple count.
     fn seed(&mut self, driver: &PreparedLeaf<'_>, group: std::ops::Range<usize>) -> usize {
+        if self.cols.is_empty() {
+            self.cols = vec![Vec::new(); self.leaves];
+            self.next = vec![Vec::new(); self.leaves];
+        }
         self.cols[0].clear();
         self.cols[0].extend(group.filter(|&r| driver.keeps(r)).map(|r| r as u32));
         self.cols[0].len()

@@ -297,6 +297,41 @@ impl PhysicalPlan {
         }
     }
 
+    /// Whether `v` is among [`output_vars`](Self::output_vars) — asked
+    /// without collecting them.
+    fn binds(&self, v: Var) -> bool {
+        self.any_output_var(&mut |o| o == v)
+    }
+
+    /// Whether `f` holds for some output variable (asked in the order
+    /// [`output_vars`](Self::output_vars) lists them, repeats included).
+    fn any_output_var(&self, f: &mut dyn FnMut(Var) -> bool) -> bool {
+        match self {
+            PhysicalPlan::Scan { pattern, .. } => pattern
+                .slots
+                .iter()
+                .any(|s| s.as_var().is_some_and(&mut *f)),
+            PhysicalPlan::MergeJoin { left, right, .. }
+            | PhysicalPlan::HashJoin { left, right, .. }
+            | PhysicalPlan::LeftOuterHashJoin { left, right, .. }
+            | PhysicalPlan::CrossProduct { left, right }
+            | PhysicalPlan::Union { left, right } => {
+                left.any_output_var(f) || right.any_output_var(f)
+            }
+            PhysicalPlan::Sort { input, .. }
+            | PhysicalPlan::Filter { input, .. }
+            | PhysicalPlan::OrderBy { input, .. }
+            | PhysicalPlan::Slice { input, .. } => input.any_output_var(f),
+            PhysicalPlan::Bind { input, bindings } => {
+                input.any_output_var(f) || bindings.iter().any(|&(v, _)| f(v))
+            }
+            PhysicalPlan::Project { projection, .. } => projection.iter().any(|&(_, v)| f(v)),
+            PhysicalPlan::HashAggregate { group_by, aggs, .. } => {
+                group_by.iter().any(|&v| f(v)) || aggs.iter().any(|a| f(a.out))
+            }
+        }
+    }
+
     /// The variable this plan's output is sorted by, if any.
     ///
     /// * A scan is sorted by the first variable in its order's key after the
@@ -367,7 +402,7 @@ impl PhysicalPlan {
         match self {
             PhysicalPlan::Scan { .. } | PhysicalPlan::Filter { .. } => false,
             PhysicalPlan::Project { .. } => false,
-            PhysicalPlan::MergeJoin { .. } => self.merge_block_leaves().is_none(),
+            PhysicalPlan::MergeJoin { .. } => self.merge_block_len().is_none(),
             PhysicalPlan::HashJoin { .. }
             | PhysicalPlan::LeftOuterHashJoin { .. }
             | PhysicalPlan::CrossProduct { .. }
@@ -401,6 +436,24 @@ impl PhysicalPlan {
         };
         leaves.push(&**right);
         Some(leaves)
+    }
+
+    /// How many scan leaves [`merge_block_leaves`](Self::merge_block_leaves)
+    /// lists, counted without collecting them.
+    pub(crate) fn merge_block_len(&self) -> Option<usize> {
+        let PhysicalPlan::MergeJoin { left, right, var } = self else {
+            return None;
+        };
+        if !matches!(**right, PhysicalPlan::Scan { .. }) {
+            return None;
+        }
+        match &**left {
+            PhysicalPlan::Scan { .. } => Some(2),
+            PhysicalPlan::MergeJoin { var: inner, .. } if inner == var => {
+                Some(left.merge_block_len()? + 1)
+            }
+            _ => None,
+        }
     }
 
     /// Indices of the patterns scanned by this plan, in leaf order.
@@ -607,22 +660,20 @@ impl PhysicalPlan {
                 };
                 left.validate()?;
                 right.validate()?;
-                let lv = left.output_vars();
-                let rv = right.output_vars();
                 if vars.is_empty() {
                     // Only the outer join has a keyless form, and only
                     // over unrelated inputs (it pairs like a cross product).
                     if matches!(self, PhysicalPlan::HashJoin { .. }) {
                         return Err(PlanError(format!("{kind} with no join variables")));
                     }
-                    if rv.iter().any(|v| lv.contains(v)) {
+                    if right.any_output_var(&mut |v| left.binds(v)) {
                         return Err(PlanError(format!(
                             "{kind} with no join variables over inputs that share variables"
                         )));
                     }
                 }
-                for v in vars {
-                    if !lv.contains(v) || !rv.contains(v) {
+                for &v in vars {
+                    if !left.binds(v) || !right.binds(v) {
                         return Err(PlanError(format!(
                             "{kind} variable {v} not shared by both inputs"
                         )));
@@ -633,8 +684,7 @@ impl PhysicalPlan {
             PhysicalPlan::CrossProduct { left, right } => {
                 left.validate()?;
                 right.validate()?;
-                let lv = left.output_vars();
-                if right.output_vars().iter().any(|v| lv.contains(v)) {
+                if right.any_output_var(&mut |v| left.binds(v)) {
                     return Err(PlanError(
                         "cross product over inputs that share variables".into(),
                     ));
@@ -643,7 +693,7 @@ impl PhysicalPlan {
             }
             PhysicalPlan::Sort { input, var } => {
                 input.validate()?;
-                if !input.output_vars().contains(var) {
+                if !input.binds(*var) {
                     return Err(PlanError(format!("sort variable {var} not bound")));
                 }
                 Ok(())
@@ -660,9 +710,8 @@ impl PhysicalPlan {
             }
             PhysicalPlan::Bind { input, bindings } => {
                 input.validate()?;
-                let iv = input.output_vars();
-                for (v, _) in bindings {
-                    if iv.contains(v) {
+                for &(v, _) in bindings {
+                    if input.binds(v) {
                         return Err(PlanError(format!("bound variable {v} already bound")));
                     }
                 }
@@ -672,9 +721,8 @@ impl PhysicalPlan {
                 input, projection, ..
             } => {
                 input.validate()?;
-                let iv = input.output_vars();
                 for &(ref name, v) in projection {
-                    if !iv.contains(&v) {
+                    if !input.binds(v) {
                         return Err(PlanError(format!(
                             "projected variable ?{name} ({v}) not bound"
                         )));
@@ -689,9 +737,8 @@ impl PhysicalPlan {
                 having,
             } => {
                 input.validate()?;
-                let iv = input.output_vars();
-                for v in group_by {
-                    if !iv.contains(v) {
+                for &v in group_by {
+                    if !input.binds(v) {
                         return Err(PlanError(format!("GROUP BY variable {v} not bound")));
                     }
                 }
@@ -702,7 +749,7 @@ impl PhysicalPlan {
                 }
                 for a in aggs {
                     if let Some(arg) = a.arg {
-                        if !iv.contains(&arg) {
+                        if !input.binds(arg) {
                             return Err(PlanError(format!(
                                 "aggregate {} argument {arg} not bound",
                                 a.func.name()
@@ -717,9 +764,8 @@ impl PhysicalPlan {
                     }
                 }
                 if let Some(h) = having {
-                    let out = self.output_vars();
                     for v in h.vars() {
-                        if !out.contains(&v) {
+                        if !self.binds(v) {
                             return Err(PlanError(format!(
                                 "HAVING variable {v} is neither grouped nor aggregated"
                             )));
@@ -994,6 +1040,7 @@ mod tests {
         };
         assert!(!block.is_pipeline_breaker());
         assert_eq!(block.merge_block_leaves().map(|l| l.len()), Some(3));
+        assert_eq!(block.merge_block_len(), Some(3));
         let sorted_side = PhysicalPlan::MergeJoin {
             left: Box::new(sort),
             right: Box::new(leaf(1)),
@@ -1001,6 +1048,7 @@ mod tests {
         };
         assert!(sorted_side.is_pipeline_breaker());
         assert!(sorted_side.merge_block_leaves().is_none());
+        assert!(sorted_side.merge_block_len().is_none());
     }
 
     #[test]

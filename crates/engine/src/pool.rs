@@ -21,6 +21,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 
 use hsp_rdf::{Term, TermId};
+use hsp_sparql::Var;
 
 use crate::binding::BindingTable;
 use crate::govern::{GovernorError, QueryGovernor};
@@ -163,10 +164,21 @@ impl ExecContext {
     /// budget (no-op without a governor) and hand back its columns, which
     /// every caller but the sink's column move simply drops.
     pub fn release(&self, table: BindingTable) -> Vec<Vec<TermId>> {
-        if let Some(gov) = &self.governor {
-            gov.release(table_bytes(&table));
-        }
+        self.uncharge(&table);
         table.into_columns()
+    }
+
+    /// [`release`](Self::release) `table`, moving out only the columns of
+    /// `vars`, in that order (the rest drop).
+    pub(crate) fn release_columns(&self, table: BindingTable, vars: &[Var]) -> Vec<Vec<TermId>> {
+        self.uncharge(&table);
+        table.into_selected(vars)
+    }
+
+    fn uncharge(&self, table: &BindingTable) {
+        if let Some(gov) = &self.governor {
+            gov.release(table_bytes(table));
+        }
     }
 
     /// Apply `f` to the cumulative counters.

@@ -66,7 +66,6 @@ proptest! {
             profile: Profile {
                 label: "test".into(),
                 output_rows: table.len(),
-                nanos: 0,
                 children: vec![],
             },
             table,

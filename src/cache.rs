@@ -83,7 +83,7 @@ use hsp_engine::plan::PhysicalPlan;
 use hsp_engine::{IdRows, RuntimeMetrics};
 use hsp_rdf::Term;
 use hsp_sparql::lexer::Token;
-use hsp_sparql::{JoinQuery, Template, TermOrVar};
+use hsp_sparql::{JoinQuery, Template, TermOrVar, Var};
 
 use crate::results::Format;
 use crate::update::Touched;
@@ -149,17 +149,23 @@ pub struct CacheStats {
 
 /// A plan-tier alias: the plan and query one request was planned fresh
 /// with, and the [`Template`] that tells which other texts under its
-/// skeleton are instances. Such a text gets the plan and query back with
-/// its own parameters put in by position — no parse, no planning, no
-/// search by value. Variable and output names need no mapping: the
+/// skeleton are instances. Such a text gets the plan back with its own
+/// parameters put in by position — no parse, no planning, no search by
+/// value — and shares the alias's query as it is. The plan holds every
+/// constant the execution and `--explain` read; of the query a hit reads
+/// only variable and output names, which need no mapping, since the
 /// skeleton repeats them exactly.
-struct Alias {
+pub(crate) struct Alias {
     template: Template,
     plan: PhysicalPlan,
     query: JoinQuery,
-    /// The parameter each constant of `plan`, then of `query`, holds, in
-    /// the order [`PhysicalPlan::instantiate`] and [`instantiate_query`]
-    /// visit them; `None` for a kept constant.
+    /// The query's output column names, shared by every hit's response.
+    columns: Arc<[String]>,
+    /// The query's projected variables, in column order.
+    vars: Box<[Var]>,
+    /// The parameter each constant of `plan` holds, in the order
+    /// [`PhysicalPlan::instantiate`] visits them; `None` for a kept
+    /// constant.
     consts: Vec<Option<usize>>,
     /// The tier's plan-hit count after this alias's last hit, or at its
     /// insert if it was never hit: the recency its skeleton evicts by.
@@ -185,56 +191,46 @@ impl Alias {
             None
         };
         let plan = plan.instantiate(&record);
-        let query = instantiate_query(query, &record);
+        let (columns, vars): (Vec<String>, Vec<Var>) = query.projection.iter().cloned().unzip();
         Alias {
             template,
             plan,
-            query,
+            columns: columns.into(),
+            vars: vars.into(),
+            query: query.clone(),
             consts: consts.into_inner(),
             last_hit: AtomicU64::new(stamp),
         }
     }
 
-    /// The plan and query with `params`, the parameters of a text the
-    /// template accepted, in place of the alias's own.
-    fn instantiate(&self, params: &[Term]) -> (PhysicalPlan, JoinQuery) {
+    /// The plan with `params`, the parameters of a text the template
+    /// accepted, in place of the alias's own.
+    fn instantiate(&self, params: &[Term]) -> PhysicalPlan {
         let visited = Cell::new(0);
-        let term = |_: &Term| {
+        self.plan.instantiate(&|_: &Term| {
             let at = visited.get();
             visited.set(at + 1);
-            // The walk is the one `Alias::new` recorded over the same plan
-            // and query, so it visits exactly `consts.len()` constants.
+            // The walk is the one `Alias::new` recorded over the same plan,
+            // so it visits exactly `consts.len()` constants.
             self.consts[at].map(|k| params[k].clone())
-        };
-        (
-            self.plan.instantiate(&term),
-            instantiate_query(&self.query, &term),
-        )
+        })
     }
-}
 
-/// Clone `q` with its constants substituted. Variables are untouched:
-/// the skeleton repeats them exactly.
-fn instantiate_query(q: &JoinQuery, term: &impl Fn(&Term) -> Option<Term>) -> JoinQuery {
-    let mut out = q.clone();
-    for p in &mut out.patterns {
-        *p = p.map_consts(term);
+    /// The output column names.
+    pub(crate) fn columns(&self) -> &Arc<[String]> {
+        &self.columns
     }
-    for f in &mut out.filters {
-        *f = f.map_consts(term);
+
+    /// The projected variables, in column order.
+    pub(crate) fn vars(&self) -> &[Var] {
+        &self.vars
     }
-    if let Some(having) = &mut out.having {
-        *having = having.map_consts(term);
+
+    /// The query the alias was planned for: the variable names any
+    /// instance's plan is explained with.
+    pub(crate) fn query(&self) -> &JoinQuery {
+        &self.query
     }
-    for key in &mut out.modifiers.order_by {
-        key.expr = key.expr.map_consts(term);
-    }
-    for (_, c) in &mut out.substituted {
-        if let Some(t) = term(c) {
-            *c = t;
-        }
-    }
-    out
 }
 
 /// Derive the read set of a query from the scans of its plan: the constant
@@ -644,15 +640,16 @@ impl QueryCache {
         self.version.load(Ordering::Acquire)
     }
 
-    /// Plan-tier lookup: the cached plan and query with the constants of
-    /// `tokens` put in, when an alias under their `skeleton` accepts them.
+    /// Plan-tier lookup: the cached plan with the constants of `tokens` put
+    /// in, and the [`Alias`] it came from, when an alias under their
+    /// `skeleton` accepts them.
     /// Counts a hit then and nothing otherwise: the caller plans fresh and
     /// records the miss with [`QueryCache::alias_insert`].
     pub(crate) fn alias_get(
         &self,
         tokens: &[Token],
         skeleton: &str,
-    ) -> Option<(PhysicalPlan, JoinQuery)> {
+    ) -> Option<(PhysicalPlan, Arc<Alias>)> {
         let mut plans = self.plans.lock().unwrap_or_else(|e| e.into_inner());
         let aliases = Arc::clone(plans.get(skeleton)?);
         drop(plans);
@@ -661,7 +658,7 @@ impl QueryCache {
             .find_map(|alias| Some((alias, alias.template.params(tokens)?)))?;
         let stamp = self.plan_hits.fetch_add(1, Ordering::Relaxed) + 1;
         alias.last_hit.store(stamp, Ordering::Relaxed);
-        Some(alias.instantiate(&params))
+        Some((alias.instantiate(&params), Arc::clone(alias)))
     }
 
     /// Count a miss and record, under `skeleton`, the alias of a request
@@ -732,7 +729,7 @@ impl QueryCache {
     /// `version` was read (its invalidation pass could not see us).
     pub(crate) fn result_insert(
         &self,
-        key: String,
+        key: Arc<str>,
         result: CachedResult,
         reads: Reads,
         version: u64,
@@ -744,7 +741,6 @@ impl QueryCache {
         if bytes > MAX_RESULT_BYTES {
             return;
         }
-        let key = Arc::from(key);
         let entry = ResultEntry {
             result,
             bodies: None,
@@ -937,7 +933,7 @@ mod tests {
 
         let cache = QueryCache::default();
         for tag in ['a', 'b', 'c', 'd'] {
-            cache.result_insert(key(tag), small.clone(), Reads::All, cache.version());
+            cache.result_insert(key(tag).into(), small.clone(), Reads::All, cache.version());
         }
         let stats = cache.stats();
         assert_eq!(stats.result_entries, 3);
@@ -1035,7 +1031,12 @@ mod tests {
         cache.result_insert("k0".into(), small.clone(), Reads::All, cache.version());
         let (_, evicted) = cache.result_get("k0").unwrap();
         for i in 1..=MAX_RESULT_ENTRIES {
-            cache.result_insert(format!("k{i}"), small.clone(), Reads::All, cache.version());
+            cache.result_insert(
+                format!("k{i}").into(),
+                small.clone(),
+                Reads::All,
+                cache.version(),
+            );
         }
         let before = cache.stats();
         assert_eq!(before.result_evictions, 1);
@@ -1049,7 +1050,12 @@ mod tests {
         let small = result(vec![TermId(1)], vec![]);
         let cache = QueryCache::default();
         let insert = |i: usize| {
-            cache.result_insert(format!("k{i}"), small.clone(), Reads::All, cache.version());
+            cache.result_insert(
+                format!("k{i}").into(),
+                small.clone(),
+                Reads::All,
+                cache.version(),
+            );
         };
         (0..MAX_RESULT_ENTRIES).for_each(insert);
         assert_eq!(cache.stats().result_entries, MAX_RESULT_ENTRIES);
@@ -1083,14 +1089,16 @@ mod tests {
         (planned.plan, planned.query)
     }
 
-    fn alias_get(cache: &QueryCache, text: &str) -> Option<(PhysicalPlan, JoinQuery)> {
+    /// An alias hit's plan and the projection of the query it shares.
+    fn alias_get(cache: &QueryCache, text: &str) -> Option<(PhysicalPlan, Vec<(String, Var)>)> {
         let tokens = tokenize(text).expect("lexes");
-        cache.alias_get(&tokens, &hsp_sparql::skeleton(&tokens))
+        let (plan, alias) = cache.alias_get(&tokens, &hsp_sparql::skeleton(&tokens))?;
+        Some((plan, alias.query().projection.clone()))
     }
 
     /// What the session does with `text`: an alias hit, or a fresh plan
     /// that leaves its alias behind.
-    fn serve(cache: &QueryCache, text: &str) -> (PhysicalPlan, JoinQuery) {
+    fn serve(cache: &QueryCache, text: &str) -> (PhysicalPlan, Vec<(String, Var)>) {
         if let Some(pair) = alias_get(cache, text) {
             return pair;
         }
@@ -1102,7 +1110,7 @@ mod tests {
         let (plan, planned) = fresh_plan(text);
         let skeleton = hsp_sparql::skeleton(&tokens);
         cache.alias_insert(&skeleton, template, &params, &plan, &planned);
-        (plan, planned)
+        (plan, planned.projection)
     }
 
     /// A request text whose constants fill two object slots, a subject,
@@ -1137,8 +1145,9 @@ mod tests {
 
         // Instances, every parameter moved: another subject, a FILTER
         // constant equal to the LIMIT count, other objects (shared where
-        // the template shares them). Each hit is the plan and query HSP
-        // gives the text fresh, so a constant put in the wrong slot fails.
+        // the template shares them). Each hit is the plan HSP gives the
+        // text fresh, so a constant put in the wrong slot fails, and shares
+        // a query with the fresh one's projection.
         let instances = [
             text(y, "<http://e/b>", "<http://e/d>", 5, 5),
             text(y, "<http://e/d>", "<http://e/b>", 4, 5),
@@ -1146,7 +1155,8 @@ mod tests {
         ];
         for (hits, instance) in (1..).zip(&instances) {
             let hit = alias_get(&cache, instance).expect("an alias hit");
-            assert_eq!(hit, fresh_plan(instance), "{instance}");
+            let (plan, query) = fresh_plan(instance);
+            assert_eq!(hit, (plan, query.projection), "{instance}");
             assert_eq!(counts(), (hits, 2));
         }
 

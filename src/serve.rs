@@ -35,6 +35,15 @@
 //! and one vectored write of the status line and the shared body. Every
 //! hit checks the stored body against this server's cap.
 //!
+//! Each connection reads its requests through a fixed 8 KiB buffer, so a
+//! request frame that arrived whole costs one `read` call, header and
+//! payload together, and bytes of a pipelined next frame wait in the
+//! buffer for the next request. The thread polls with a 50 ms read
+//! timeout (to notice shutdown); a frame cut by a timeout resumes where it
+//! stopped. An announced length is checked against [`MAX_FRAME_BYTES`]
+//! before anything of it is reserved, and a payload larger than the
+//! buffer is read straight into its own allocation.
+//!
 //! # Concurrency
 //!
 //! One thread per connection, but **not** one worker pool per query:
@@ -166,8 +175,19 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 /// header and payload has arrived, so a read that times out part-way
 /// through a frame resumes where it stopped instead of losing the bytes
 /// already consumed and parsing payload bytes as the next length header.
+///
+/// [`FrameReader::buffered`] adds a fixed-size read buffer: a frame that
+/// arrived whole is taken in one `read` call, and bytes of a following
+/// (pipelined) frame stay buffered for the next call. The default reader
+/// has no buffer and never reads past the frame it returns, which is what
+/// a one-shot [`read_frame`] needs.
 #[derive(Default)]
 struct FrameReader {
+    /// Read buffer; bytes `at..filled` have arrived but are not consumed
+    /// yet. Empty (never filled) for an unbuffered reader.
+    buf: Box<[u8]>,
+    at: usize,
+    filled: usize,
     header: [u8; 4],
     /// Header bytes received so far.
     header_filled: usize,
@@ -176,26 +196,57 @@ struct FrameReader {
     payload: Option<(Vec<u8>, usize)>,
 }
 
+/// Read buffer of a server connection: a request frame up to this size
+/// that arrived whole is taken in one `read` call.
+const READ_BUFFER_BYTES: usize = 8 * 1024;
+
 impl FrameReader {
+    /// A reader with a [`READ_BUFFER_BYTES`] read buffer.
+    fn buffered() -> Self {
+        FrameReader {
+            buf: vec![0; READ_BUFFER_BYTES].into(),
+            ..FrameReader::default()
+        }
+    }
+
     /// Read until the current frame is complete and return its payload
     /// (`Ok(None)` on clean EOF before its first header byte). Any error
     /// other than `Interrupted` is returned as is; after `WouldBlock` /
     /// `TimedOut` the call can simply be repeated.
     ///
-    /// The payload is read into the buffer's spare capacity, which is
-    /// reserved but never written before the bytes arrive: a peer's
-    /// header alone makes this process touch no memory, and a large frame
-    /// is not zero-filled first.
+    /// Nothing of a frame's announced length is reserved before the
+    /// length is checked against [`MAX_FRAME_BYTES`]. A payload too large
+    /// for the buffer is read into its own spare capacity, which is
+    /// reserved but never written before the bytes arrive: a peer's header
+    /// alone makes this process touch no memory, and a large frame is not
+    /// zero-filled first.
     fn read(&mut self, r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
         while self.payload.is_none() {
             if self.header_filled < self.header.len() {
-                match r.read(&mut self.header[self.header_filled..]) {
-                    Ok(0) if self.header_filled == 0 => return Ok(None),
-                    Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-                    Ok(n) => self.header_filled += n,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(e),
-                }
+                let want = &mut self.header[self.header_filled..];
+                let n = if self.buf.is_empty() {
+                    // Unbuffered: read the header bytes themselves.
+                    match r.read(want) {
+                        Ok(0) if self.header_filled == 0 => return Ok(None),
+                        Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                        Ok(n) => n,
+                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                        Err(e) => return Err(e),
+                    }
+                } else {
+                    if self.at == self.filled {
+                        match fill(r, &mut self.buf)? {
+                            0 if self.header_filled == 0 => return Ok(None),
+                            0 => return Err(io::ErrorKind::UnexpectedEof.into()),
+                            n => (self.at, self.filled) = (0, n),
+                        }
+                    }
+                    let n = want.len().min(self.filled - self.at);
+                    want[..n].copy_from_slice(&self.buf[self.at..self.at + n]);
+                    self.at += n;
+                    n
+                };
+                self.header_filled += n;
                 continue;
             }
             self.header_filled = 0;
@@ -209,14 +260,40 @@ impl FrameReader {
             self.payload = Some((Vec::with_capacity(len), len));
         }
         let (payload, len) = self.payload.as_mut().expect("header complete");
-        // `read_to_end` appends what arrived before an error, so a timeout
-        // loses nothing; it retries `Interrupted` itself.
-        let missing = (*len - payload.len()) as u64;
-        r.by_ref().take(missing).read_to_end(payload)?;
-        if payload.len() < *len {
-            return Err(io::ErrorKind::UnexpectedEof.into());
+        loop {
+            let n = (*len - payload.len()).min(self.filled - self.at);
+            payload.extend_from_slice(&self.buf[self.at..self.at + n]);
+            self.at += n;
+            let missing = *len - payload.len();
+            if missing == 0 {
+                break;
+            }
+            if missing >= self.buf.len() {
+                // Straight into the payload: `read_to_end` appends what
+                // arrived before an error, so a timeout loses nothing; it
+                // retries `Interrupted` itself.
+                r.by_ref().take(missing as u64).read_to_end(payload)?;
+                if payload.len() < *len {
+                    return Err(io::ErrorKind::UnexpectedEof.into());
+                }
+                break;
+            }
+            match fill(r, &mut self.buf)? {
+                0 => return Err(io::ErrorKind::UnexpectedEof.into()),
+                n => (self.at, self.filled) = (0, n),
+            }
         }
         Ok(self.payload.take().map(|(payload, _)| payload))
+    }
+}
+
+/// One `read` into `buf`, retrying `Interrupted`.
+fn fill(r: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
+    loop {
+        match r.read(buf) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            other => return other,
+        }
     }
 }
 
@@ -493,7 +570,7 @@ fn connection_loop(stream: TcpStream, shared: Arc<ServerShared>) {
     // also part-way through a frame from a slow writer, which is why the
     // reader keeps its place across timeouts.
     let _ = reader.set_read_timeout(Some(POLL_INTERVAL));
-    let mut frames = FrameReader::default();
+    let mut frames = FrameReader::buffered();
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
@@ -934,6 +1011,99 @@ mod tests {
             assert_eq!(next().as_deref(), Some(payload));
         }
         assert_eq!(next(), None, "clean EOF after the last frame");
+    }
+
+    /// Hands out scripted arrivals: each `read` returns what one arrival
+    /// holds (as much as fits), `None` arrivals are timeouts, and the end
+    /// of the script is EOF. Counts the `read` calls.
+    struct Arrivals {
+        script: std::collections::VecDeque<Option<Vec<u8>>>,
+        reads: usize,
+    }
+
+    impl Arrivals {
+        fn new(script: impl IntoIterator<Item = Option<Vec<u8>>>) -> Self {
+            Arrivals {
+                script: script.into_iter().collect(),
+                reads: 0,
+            }
+        }
+    }
+
+    impl Read for Arrivals {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            match self.script.pop_front() {
+                None => Ok(0),
+                Some(None) => Err(io::ErrorKind::WouldBlock.into()),
+                Some(Some(mut bytes)) => {
+                    let n = buf.len().min(bytes.len());
+                    buf[..n].copy_from_slice(&bytes[..n]);
+                    if n < bytes.len() {
+                        self.script.push_front(Some(bytes.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn two_frames_arriving_in_one_read_come_out_as_two_exact_payloads() {
+        let (first, second): (&[u8], &[u8]) = (b"QUERY\nSELECT ?s WHERE { ?s ?p ?o . }", b"PING");
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, first).unwrap();
+        write_frame(&mut bytes, second).unwrap();
+        let mut source = Arrivals::new([Some(bytes)]);
+        let mut frames = FrameReader::buffered();
+        assert_eq!(frames.read(&mut source).unwrap().as_deref(), Some(first));
+        assert_eq!(source.reads, 1, "a frame that arrived whole takes one read");
+        assert_eq!(frames.read(&mut source).unwrap().as_deref(), Some(second));
+        assert_eq!(
+            source.reads, 1,
+            "the pipelined frame was kept from that read"
+        );
+        assert_eq!(frames.read(&mut source).unwrap(), None, "clean EOF");
+    }
+
+    #[test]
+    fn a_frame_whose_payload_straddles_a_timeout_resumes() {
+        let payload = b"QUERY format=csv\nSELECT ?s WHERE { ?s ?p ?o . }".as_slice();
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, payload).unwrap();
+        write_frame(&mut bytes, b"PING").unwrap();
+        // Header and part of the payload, a timeout, the rest of the
+        // payload with half the next header, a timeout, the rest.
+        let (a, rest) = bytes.split_at(4 + 10);
+        let (b, c) = rest.split_at(payload.len() - 10 + 2);
+        let mut source = Arrivals::new([
+            Some(a.to_vec()),
+            None,
+            Some(b.to_vec()),
+            None,
+            Some(c.to_vec()),
+        ]);
+        let mut frames = FrameReader::buffered();
+        let timeout = frames.read(&mut source).unwrap_err();
+        assert_eq!(timeout.kind(), io::ErrorKind::WouldBlock);
+        assert_eq!(frames.read(&mut source).unwrap().as_deref(), Some(payload));
+        let timeout = frames.read(&mut source).unwrap_err();
+        assert_eq!(timeout.kind(), io::ErrorKind::WouldBlock);
+        assert_eq!(
+            frames.read(&mut source).unwrap().as_deref(),
+            Some(&b"PING"[..])
+        );
+        assert_eq!(frames.read(&mut source).unwrap(), None, "clean EOF");
+        // A payload larger than the buffer reads around it, and resumes
+        // the same way.
+        let big = vec![b'x'; 3 * READ_BUFFER_BYTES];
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &big).unwrap();
+        let (a, b) = bytes.split_at(READ_BUFFER_BYTES + 100);
+        let mut source = Arrivals::new([Some(a.to_vec()), None, Some(b.to_vec())]);
+        let timeout = frames.read(&mut source).unwrap_err();
+        assert_eq!(timeout.kind(), io::ErrorKind::WouldBlock);
+        assert_eq!(frames.read(&mut source).unwrap(), Some(big));
     }
 
     /// Takes one to seven bytes per call, across as many of the offered

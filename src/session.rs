@@ -45,6 +45,7 @@
 //! assert_eq!(response.output.rows.len(), 2);
 //! ```
 
+use std::fmt::Write as _;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -61,7 +62,9 @@ use hsp_sparql::lexer::{tokenize, Token};
 use hsp_sparql::{JoinQuery, ParseError, Template};
 use hsp_store::Dataset;
 
-use crate::cache::{plan_reads, Body, BodySlots, CacheStats, CachedResult, QueryCache, Reads};
+use crate::cache::{
+    plan_reads, Alias, Body, BodySlots, CacheStats, CachedResult, QueryCache, Reads,
+};
 use crate::extended::{compose, ExtendedError, ExtendedOutput};
 use crate::results::{Format, RowSource};
 use crate::update::{run_update_traced, UpdateError, UpdateStats};
@@ -618,7 +621,7 @@ impl Session {
 /// injection) and explain runs are never served from the result tier —
 /// their responses depend on more than the snapshot — but they still
 /// use the plan tier, whose entries are execution-independent.
-fn result_cache_key(request: &Request) -> Option<String> {
+fn result_cache_key(request: &Request) -> Option<Arc<str>> {
     if request.no_cache
         || request.explain
         || request.inject_faults
@@ -628,10 +631,12 @@ fn result_cache_key(request: &Request) -> Option<String> {
     {
         return None;
     }
-    Some(format!(
-        "{:?}|{:?}|{}",
-        request.planner, request.threads, request.text
-    ))
+    // Made once, sized up front: the lookup reads it, and a miss's insert
+    // keeps it.
+    let mut key = String::with_capacity(request.text.len() + 24);
+    let _ = write!(key, "{:?}|{:?}|", request.planner, request.threads);
+    key.push_str(&request.text);
+    Some(key.into())
 }
 
 /// One lexer pass, three ways to obtain a plan, one way to run it. An HSP
@@ -670,9 +675,9 @@ fn query_snapshot(
         note,
         plan_cache,
     } = match hit {
-        Some((plan, query)) => Planned {
+        Some((plan, alias)) => Planned {
             plan,
-            query,
+            query: PlannedQuery::Alias(alias),
             ask: false,
             note: None,
             plan_cache: Some(true),
@@ -684,26 +689,31 @@ fn query_snapshot(
     let output = execute_in(&plan, ds, config, ctx)
         .map_err(|e| SessionError::Query(ExtendedError::Exec(e)))?;
     let explain = request.explain.then(|| {
-        let mut text =
-            hsp_engine::explain::render_plan_with_profile(&plan, &output.profile, &planned_query);
-        text.push_str(&hsp_engine::explain::render_pipeline_dag(
-            &plan,
-            &planned_query,
-        ));
+        let query = planned_query.query();
+        let mut text = hsp_engine::explain::render_plan_with_profile(&plan, &output.profile, query);
+        text.push_str(&hsp_engine::explain::render_pipeline_dag(&plan, query));
         text
     });
     // The plan's own DISTINCT / ORDER BY / LIMIT have run on ids: the
     // projected columns move out of the final table as the result (an
     // ASK plan projects none and keeps one row iff a solution exists).
-    let (columns, vars): (Vec<String>, Vec<_>) = planned_query.projection.iter().cloned().unzip();
     let mut metrics = output.runtime;
     metrics.plan_cache_used = plan_cache.is_some();
     metrics.plan_cache_hit = plan_cache == Some(true);
-    let rows = output.into_id_rows(&vars);
+    let (columns, rows) = match &planned_query {
+        PlannedQuery::Fresh(query) => {
+            let (columns, vars): (Vec<String>, Vec<_>) = query.projection.iter().cloned().unzip();
+            (columns.into(), output.into_id_rows(&vars))
+        }
+        PlannedQuery::Alias(alias) => (
+            Arc::clone(alias.columns()),
+            output.into_id_rows(alias.vars()),
+        ),
+    };
     let ask = ask.then_some(!rows.is_empty());
     Ok((
         EncodedResponse {
-            columns: columns.into(),
+            columns,
             rows: Arc::new(rows),
             snapshot,
             ask,
@@ -716,11 +726,27 @@ fn query_snapshot(
     ))
 }
 
+/// The query a plan describes: planned fresh, or — on a plan-tier hit —
+/// the alias's, shared as it is (see [`Alias`]).
+enum PlannedQuery {
+    Fresh(Box<JoinQuery>),
+    Alias(Arc<Alias>),
+}
+
+impl PlannedQuery {
+    fn query(&self) -> &JoinQuery {
+        match self {
+            PlannedQuery::Fresh(query) => query,
+            PlannedQuery::Alias(alias) => alias.query(),
+        }
+    }
+}
+
 /// A request's plan and the query it describes, with what the response
 /// reports about how they were obtained.
 struct Planned {
     plan: PhysicalPlan,
-    query: JoinQuery,
+    query: PlannedQuery,
     ask: bool,
     note: Option<String>,
     /// `Some(hit)` when the plan tier was consulted.
@@ -768,7 +794,7 @@ fn plan_parsed(
     };
     Ok(Planned {
         plan,
-        query,
+        query: PlannedQuery::Fresh(Box::new(query)),
         ask: ast.ask,
         note,
         plan_cache,

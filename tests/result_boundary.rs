@@ -811,6 +811,49 @@ fn concurrent_plan_tier_hits_equal_uncached_runs() {
     );
 }
 
+/// A plan-tier hit answers like a cold run of its own text: the second
+/// instance of a template takes the first one's plan and projection with
+/// its own constants put in, so its columns, rows and `--explain` text
+/// equal an uncached run's, and the explanation names the request's
+/// constants, not the alias's.
+#[test]
+fn a_plan_tier_hit_explains_and_answers_like_a_cold_run() {
+    let ds = churn_dataset();
+    let session = Session::new(ds.clone());
+    let cold = Session::new(ds);
+    let instances = |i: usize| {
+        [
+            format!("SELECT ?n WHERE {{ <http://e/s{i}> <http://e/name> ?n . }}"),
+            format!(
+                "SELECT ?s ?a WHERE {{ ?s <http://e/name> \"name {i}\" . ?s <http://e/age> ?a . }}"
+            ),
+        ]
+    };
+    // What an explanation prints of each instance's own constant.
+    let marks = |i: usize| [format!("s=s{i} "), format!("\"name {i}\"")];
+    let instances = instances(3).into_iter().zip(instances(58));
+    for ((alias, text), (alias_mark, mark)) in instances.zip(marks(3).into_iter().zip(marks(58))) {
+        let first = session
+            .query_encoded(Request::new(alias.as_str()).with_explain())
+            .unwrap();
+        assert!(!first.metrics.plan_cache_hit, "{alias}");
+        let hit = session
+            .query_encoded(Request::new(text.as_str()).with_explain())
+            .unwrap();
+        assert!(hit.metrics.plan_cache_hit, "{text}");
+        let want = cold
+            .query_encoded(Request::new(text.as_str()).with_explain().without_cache())
+            .unwrap();
+        assert!(!want.metrics.plan_cache_used, "{text}");
+        assert_eq!(hit.columns, want.columns, "{text}");
+        assert_eq!(wire_bytes(&hit), wire_bytes(&want), "{text}");
+        assert_eq!(hit.rows.len(), 1, "{text}");
+        let (got, want) = (hit.explain.unwrap(), want.explain.unwrap());
+        assert_eq!(got, want, "{text}");
+        assert!(got.contains(&mark) && !got.contains(&alias_mark), "{got}");
+    }
+}
+
 /// Two connections race the first hit on one entry, in every format, over
 /// a dozen entries of a few hundred to a thousand rows: both get the bytes
 /// an uncached run renders, and exactly one body is stored — the tier grows
